@@ -8,7 +8,7 @@ probe execution.
 """
 
 from repro.experiments.topologies import build_two_host_kvm
-from repro.net.traceid import EMBED_COST_NS, STRIP_COST_NS, enable_trace_ids
+from repro.net.traceid import EMBED_COST_NS, STRIP_COST_NS, TraceIDEngine
 from repro.workloads.sockperf import SockperfClient, SockperfServer
 
 DURATION_NS = 400_000_000
@@ -19,7 +19,7 @@ def _run(with_ids: bool, duration_ns: int = DURATION_NS) -> float:
     engine = scene.engine
     if with_ids:
         for node in (scene.vm1.node, scene.vm2.node):
-            enable_trace_ids(node)
+            TraceIDEngine.attach(node)
     SockperfServer(scene.vm2.node, scene.vm2_ip)
     client = SockperfClient(scene.vm1.node, scene.vm1_ip, scene.vm2_ip, mps=2000)
     client.start(duration_ns, start_delay_ns=5_000_000)

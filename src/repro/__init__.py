@@ -31,7 +31,6 @@ from repro.core import (
     FilterRule,
     GlobalConfig,
     TracepointSpec,
-    TracerSession,
     TracingSpec,
     VNetTracer,
 )
@@ -46,7 +45,6 @@ __version__ = "1.0.0"
 # matches the README's "Public API" section -- update both together.
 __all__ = [
     "VNetTracer",
-    "TracerSession",
     "TracingSpec",
     "FilterRule",
     "TracepointSpec",

@@ -200,6 +200,22 @@ FIGURES: Dict[str, Callable] = {
     "fig13b": _fig13b,
 }
 
+# Each runner's own default seed, used when ``run`` gets no ``--seed``.
+_FIGURE_SEEDS: Dict[str, int] = {
+    "fig4": 7,
+    "fig7a": 7,
+    "fig7b": 11,
+    "fig8b": 13,
+    "fig9a": 13,
+    "fig9b": 13,
+    "fig10a": 17,
+    "fig10b": 17,
+    "fig11": 17,
+    "fig12b": 23,
+    "fig13a": 23,
+    "fig13b": 23,
+}
+
 
 def _stats(args) -> None:
     from repro.analysis.reports import pipeline_health_report
@@ -626,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("figure", choices=sorted(FIGURES) + ["all"])
     run.add_argument("--seed", type=int, default=None,
                      help="experiment seed (default: each runner's own)")
-    run.add_argument("--duration-ms", type=int, default=400,
+    run.add_argument("--duration-ms", type=_positive_int, default=400,
                      help="virtual measurement window per scenario")
     stats = sub.add_parser(
         "stats", help="run the quickstart scenario and emit pipeline-health metrics"
@@ -715,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     rpc.add_argument("--seed", type=int, default=21)
     rpc.add_argument("--requests", type=_positive_int, default=40,
                      help="root requests issued by the client tier")
-    rpc.add_argument("--shards", type=int, default=1,
+    rpc.add_argument("--shards", type=_nonnegative_int, default=1,
                      help="ShardedEngine shard count (0 = plain engine); "
                           "output is byte-identical at any count")
     rpc.add_argument("--format", choices=("summary", "json", "chrome"),
@@ -789,25 +805,12 @@ def main(argv=None) -> int:
         return 0
     if args.command == "timeline":
         return _timeline(args)
-    if args.seed is None:
-        # Each runner has its own default seed; expose a common one.
-        class _Defaults:
-            pass
-
-        args.seed = 7 if args.figure in ("fig4", "fig7a") else {
-            "fig7b": 11, "fig8b": 13, "fig9a": 13, "fig9b": 13,
-            "fig10a": 17, "fig10b": 17, "fig11": 17,
-            "fig12b": 23, "fig13a": 23, "fig13b": 23,
-        }.get(args.figure, 7)
-
+    explicit_seed = args.seed
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         print(f"== {name} ==")
         started = time.time()
-        if args.figure == "all":
-            args.seed = {"fig7b": 11, "fig8b": 13, "fig9a": 13, "fig9b": 13,
-                         "fig10a": 17, "fig10b": 17, "fig11": 17, "fig12b": 23,
-                         "fig13a": 23, "fig13b": 23}.get(name, 7)
+        args.seed = _FIGURE_SEEDS[name] if explicit_seed is None else explicit_seed
         FIGURES[name](args)
         print(f"  ({time.time() - started:.1f} s wall)")
     return 0

@@ -37,13 +37,11 @@ from repro.core.metrics import (
     throughput_at,
 )
 from repro.core.reports import CollectReport, DeployReport
-from repro.core.session import TracerSession
 from repro.core.tracedb import TraceDB
 from repro.core.vnettracer import VNetTracer
 
 __all__ = [
     "VNetTracer",
-    "TracerSession",
     "TracingSpec",
     "FilterRule",
     "TracepointSpec",

@@ -1,11 +1,10 @@
 """The raw data collector (master node, §III-A/C).
 
-Receives record batches from agents, resolves tracepoint IDs to labels,
-and stores rows in the :class:`~repro.core.tracedb.TraceDB`.  Per-node
-clock-skew alignment is *delegated to the database*: the collector
-hands raw records to :meth:`TraceDB.insert`, which aligns each
-timestamp using the per-node offsets registered via
-:meth:`TraceDB.set_clock_skew` (fed by
+Receives packed record blobs from agents and bulk-decodes them into the
+:class:`~repro.core.tracedb.TraceDB`, which resolves tracepoint IDs to
+labels.  Per-node clock-skew alignment is *delegated to the database*:
+:meth:`TraceDB.insert_packed` aligns each timestamp using the per-node
+offsets registered via :meth:`TraceDB.set_clock_skew` (fed by
 :mod:`repro.core.clocksync`) and stores both the raw and aligned
 values.  Records ingested *before* a node's skew estimate lands keep a
 zero offset -- deploy tracing after synchronization (as the quickstart
@@ -35,10 +34,10 @@ stale through final collection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.records import TraceRecord
-from repro.core.reports import CollectReport, merge_node_counts
+from repro.core.records import MalformedBatchError
+from repro.core.reports import CollectReport
 from repro.core.tracedb import TraceDB
 from repro.faults.metrics import FaultMetrics
 from repro.obs import contract as obs_contract
@@ -48,10 +47,6 @@ from repro.sim.engine import Engine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import Agent
     from repro.tracing.reconstruct import SpanAssembler
-
-# One shipment: a packed blob of 24-byte records (the hot path) or a
-# decoded record list (direct calls, tests).
-Batch = Union[bytes, List[TraceRecord]]
 
 
 class RawDataCollector:
@@ -79,7 +74,7 @@ class RawDataCollector:
         # number to apply, batches held for an earlier gap, and seqs the
         # agent told us will never arrive (docs/FAULTS.md).
         self._next_seq: Dict[str, int] = {}
-        self._held: Dict[str, Dict[int, Batch]] = {}
+        self._held: Dict[str, Dict[int, bytes]] = {}
         self._skipped: Dict[str, set] = {}
         self.fault_metrics = FaultMetrics(registry)
         # Optional streaming tap (docs/STREAMING.md), fed from _apply so
@@ -123,15 +118,18 @@ class RawDataCollector:
     def receive_batch(
         self,
         node: str,
-        records: "Batch",
+        blob: bytes,
         liveness: bool = True,
         seq: Optional[int] = None,
     ) -> bool:
-        """Ingest one batch -- either a packed shipment blob (``bytes``,
-        the agents' hot path, bulk-decoded by ``TraceDB.insert_packed``)
-        or a list of :class:`TraceRecord` (the legacy direct path);
-        timestamps are aligned by the database using the node's
-        registered skew offset (see the module docstring).
+        """Ingest one packed shipment blob (N x 24-byte records,
+        bulk-decoded by ``TraceDB.insert_packed``); timestamps are
+        aligned by the database using the node's registered skew offset
+        (see the module docstring).  A blob that is not bytes-like or
+        not a whole number of records raises
+        :class:`~repro.core.records.MalformedBatchError` before any
+        state changes, so a well-formed retransmission of the same
+        ``seq`` still applies.
 
         ``liveness`` controls whether the batch refreshes the node's
         heartbeat stamp: online shipments do (the agent reported on its
@@ -141,18 +139,18 @@ class RawDataCollector:
         ``seq`` is the agent's per-node shipment sequence number; when
         given, the batch is deduplicated against the database and held
         until every earlier sequence has been applied or skipped (the
-        at-least-once path).  Without it the batch applies immediately
-        (the legacy direct path).  Returns ``False`` only for a
-        discarded duplicate."""
+        at-least-once path).  Without it the batch applies immediately.
+        Returns ``False`` only for a discarded duplicate."""
+        MalformedBatchError.check(blob)
         if liveness:
             self._last_heartbeat_ns[node] = self.engine.now
         if seq is None:
-            self._apply(node, records)
+            self._apply(node, blob)
             return True
         if not self.db.mark_batch(node, seq):
             self.fault_metrics.shipment_deduped(node)
             return False
-        self._held.setdefault(node, {})[seq] = records
+        self._held.setdefault(node, {})[seq] = blob
         self._drain(node)
         return True
 
@@ -182,21 +180,11 @@ class RawDataCollector:
             nxt += 1
         self._next_seq[node] = nxt
 
-    def _apply(self, node: str, records: "Batch") -> None:
+    def _apply(self, node: str, blob: bytes) -> None:
         self.batches_received += 1
         if self._m_batches is not None:
             self._m_batches.inc()
-        if isinstance(records, (bytes, bytearray, memoryview)):
-            count, unknown = self.db.insert_packed(node, records, self._labels)
-        else:
-            count = len(records)
-            unknown = 0
-            for record in records:
-                label = self._labels.get(record.tracepoint_id)
-                if label is None:
-                    unknown += 1
-                    label = f"tracepoint-{record.tracepoint_id}"
-                self.db.insert(node, label, record)
+        count, unknown = self.db.insert_packed(node, blob, self._labels)
         self.records_received += count
         self.unknown_tracepoint_records += unknown
         if unknown and self._m_unknown is not None:
@@ -214,9 +202,8 @@ class RawDataCollector:
     def collect_all_offline(self) -> CollectReport:
         """Pull every agent's local store (offline collection mode).
 
-        Returns a :class:`CollectReport` that still compares like the
-        old ``int`` record count.  Crashed agents cannot serve the pull
-        and are listed in ``skipped_nodes``."""
+        Crashed agents cannot serve the pull and are listed in the
+        report's ``skipped_nodes``."""
         report = CollectReport()
         deduped_before = self.db.deduped_batches
         for name, agent in self.agents.items():
@@ -227,7 +214,7 @@ class RawDataCollector:
             if pulled:
                 report.records += pulled
                 report.batches += 1
-                merge_node_counts(report.records_by_node, name, pulled)
+                report.records_by_node[name] = pulled
         report.deduped_batches = self.db.deduped_batches - deduped_before
         return report
 

@@ -106,8 +106,7 @@ class ControlDataDispatcher:
     def deploy(self, spec: TracingSpec) -> DeployReport:
         """Ship the spec; agents install after the control latency.
 
-        Returns a :class:`DeployReport` (which still iterates and
-        compares like the old package list).  Attempt / ack fields fill
+        Returns a :class:`DeployReport`; its attempt / ack fields fill
         in as the engine runs."""
         packages = self.build_packages(spec)
         for package in packages:

@@ -26,6 +26,25 @@ RECORD_BYTES = RECORD_STRUCT.size  # 24
 assert RECORD_BYTES == 24
 
 
+class MalformedBatchError(ValueError):
+    """A shipment blob that is not bytes-like, or not a whole number of
+    :data:`RECORD_BYTES`-byte records (truncated in flight)."""
+
+    @classmethod
+    def check(cls, blob) -> None:
+        """Raise unless ``blob`` can be bulk-decoded.  Ingest calls this
+        before touching any state, so a rejected blob leaves no trace
+        and its well-formed retransmission still applies."""
+        if not isinstance(blob, (bytes, bytearray, memoryview)):
+            raise cls(f"shipment blob must be bytes-like, got {type(blob).__name__}")
+        size = memoryview(blob).nbytes
+        if size % RECORD_BYTES:
+            raise cls(
+                f"shipment blob of {size} bytes is not a whole number of "
+                f"{RECORD_BYTES}-byte records"
+            )
+
+
 class TraceRecord(NamedTuple):
     trace_id: int
     tracepoint_id: int
@@ -43,6 +62,7 @@ class TraceRecord(NamedTuple):
         if len(data) != RECORD_BYTES:
             raise ValueError(f"trace record must be {RECORD_BYTES} bytes, got {len(data)}")
         return cls(*RECORD_STRUCT.unpack(data))
+
 
 def unpack_batch(batch: "list[bytes]") -> "list[TraceRecord]":
     """Decode a whole flush batch in one pass.

@@ -1,29 +1,24 @@
-"""Typed results for the redesigned deploy / collect APIs.
+"""Typed results of the deploy / collect APIs.
 
-:meth:`ControlDataDispatcher.deploy` used to return a bare
-``List[ControlPackage]`` and :meth:`RawDataCollector.collect_all_offline`
-a bare ``int``; with retries and dedup in the pipeline those values no
-longer tell the whole story.  :class:`DeployReport` and
+With retries and dedup in the pipeline a package list or a record count
+no longer tells the whole story: :class:`DeployReport` and
 :class:`CollectReport` carry the full accounting (attempts, retries,
-acked agents, deduped batches) while remaining drop-in compatible with
-the old return types: a ``DeployReport`` iterates, indexes, and
-compares like the package list; a ``CollectReport`` compares, adds,
-and formats like the record count.  Existing callers keep working
-unmodified (see the API-migration note in the README).
+acked agents, deduped batches).  Both are plain dataclasses -- read
+``report.packages`` / ``report.records``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List
 
 from repro.core.config import ControlPackage
 
 
 @dataclass
 class DeployReport:
-    """Everything one :meth:`deploy` call did (quacks like the old
-    ``List[ControlPackage]`` return value)."""
+    """Everything one :meth:`deploy` call did.  Attempt / ack fields
+    fill in as the engine runs."""
 
     packages: List[ControlPackage]
     deploy_id: int = 0
@@ -38,124 +33,13 @@ class DeployReport:
         """Every package acked (meaningful once the engine has run)."""
         return len(self.acked_nodes) == len(self.packages) and not self.failed_nodes
 
-    # -- list-of-packages compatibility ------------------------------------
-
-    def __iter__(self) -> Iterator[ControlPackage]:
-        return iter(self.packages)
-
-    def __len__(self) -> int:
-        return len(self.packages)
-
-    def __getitem__(self, index):
-        return self.packages[index]
-
-    def __contains__(self, item) -> bool:
-        return item in self.packages
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DeployReport):
-            return (
-                self.packages == other.packages
-                and self.deploy_id == other.deploy_id
-                and self.attempts == other.attempts
-                and self.retries == other.retries
-                and self.acked_nodes == other.acked_nodes
-                and self.failed_nodes == other.failed_nodes
-            )
-        if isinstance(other, (list, tuple)):
-            return list(self.packages) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"<DeployReport id={self.deploy_id} packages={len(self.packages)} "
-            f"attempts={self.attempts} retries={self.retries} "
-            f"acked={self.acked_nodes} failed={self.failed_nodes}>"
-        )
-
 
 @dataclass
 class CollectReport:
-    """Everything one offline collection did (quacks like the old
-    ``int`` record count)."""
+    """Everything one offline collection did."""
 
     records: int = 0
     batches: int = 0
     records_by_node: Dict[str, int] = field(default_factory=dict)
     deduped_batches: int = 0
     skipped_nodes: List[str] = field(default_factory=list)  # crashed agents
-
-    # -- int compatibility -------------------------------------------------
-
-    def _as_int(self, other):
-        if isinstance(other, CollectReport):
-            return other.records
-        if isinstance(other, (int, float)):
-            return other
-        return None
-
-    def __eq__(self, other) -> bool:
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records == value
-
-    def __lt__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records < value
-
-    def __le__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records <= value
-
-    def __gt__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records > value
-
-    def __ge__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records >= value
-
-    def __hash__(self) -> int:
-        return hash(self.records)
-
-    def __int__(self) -> int:
-        return self.records
-
-    def __index__(self) -> int:
-        return self.records
-
-    def __bool__(self) -> bool:
-        return self.records > 0
-
-    def __add__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records + value
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else self.records - value
-
-    def __rsub__(self, other):
-        value = self._as_int(other)
-        return NotImplemented if value is None else value - self.records
-
-    def __str__(self) -> str:
-        return str(self.records)
-
-    def __format__(self, spec: str) -> str:
-        return format(self.records, spec)
-
-    def __repr__(self) -> str:
-        return (
-            f"<CollectReport records={self.records} batches={self.batches} "
-            f"deduped={self.deduped_batches} by_node={self.records_by_node}>"
-        )
-
-
-def merge_node_counts(into: Dict[str, int], node: str, count: int) -> None:
-    """Accumulate ``count`` records for ``node`` in a report dict."""
-    into[node] = into.get(node, 0) + count
-
-
-__all__: Tuple[str, ...] = ("DeployReport", "CollectReport", "merge_node_counts")

@@ -40,7 +40,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.core.records import RECORD_STRUCT, TraceRecord
+from repro.core.records import RECORD_STRUCT, MalformedBatchError, TraceRecord
 from repro.obs import contract as obs_contract
 from repro.obs.registry import MetricsRegistry
 
@@ -257,11 +257,15 @@ class TraceDB:
     ) -> Tuple[int, int]:
         """Bulk-ingest one packed shipment blob (N x 24-byte records).
 
-        Decodes straight into the columns -- the per-record Python
-        objects of the legacy path never exist.  ``labels`` maps
-        tracepoint IDs to table labels; records with an unregistered ID
-        land in a ``tracepoint-<id>`` table and are counted.  Returns
-        ``(records_ingested, unknown_tracepoint_records)``."""
+        Decodes straight into the columns -- no per-record Python
+        objects exist on this path.  ``labels`` maps tracepoint IDs to
+        table labels; records with an unregistered ID land in a
+        ``tracepoint-<id>`` table and are counted.  Returns
+        ``(records_ingested, unknown_tracepoint_records)``; a blob that
+        is not a whole number of records raises
+        :class:`~repro.core.records.MalformedBatchError` and stores
+        nothing."""
+        MalformedBatchError.check(blob)
         skew = self._skew_ns.get(node, 0)
         node_idx = self._node_index(node)
         tables: Dict[int, _ColumnTable] = {}

@@ -58,14 +58,6 @@ class VNetTracer:
     in ``docs/OBSERVABILITY.md``.  Call :meth:`attach_stats_sampler`
     to snapshot it periodically and :meth:`pipeline_health` for a
     rendered report.
-
-    .. note:: For new code, prefer building the pipeline through
-       :class:`~repro.core.session.TracerSession` -- the fluent
-       front-end over this class (``with_agent(...)``,
-       ``with_clock_sync(...)``, ``with_fault_plan(...)``,
-       ``deploy(spec)``).  This class remains fully supported as the
-       underlying engine-room API; the session builder simply removes
-       the need to touch five constructors for the §III-A walkthrough.
     """
 
     def __init__(
@@ -104,6 +96,19 @@ class VNetTracer:
         self.agents[node.name] = agent
         self.dispatcher.register_agent(agent)
         return agent
+
+    def add_service_graph(self, graph, **compile_options):
+        """Compile a :class:`~repro.services.graph.ServiceGraph` onto
+        this tracer's engine (docs/SERVICES.md): every replica node
+        gets an agent daemon and the ``vnt_rpc_*`` metrics register in
+        ``self.obs``.  ``compile_options`` (``seed``, ``link_gbps``,
+        ``propagation_ns``) go to :meth:`ServiceGraph.compile`; returns
+        its :class:`~repro.services.runtime.ServiceDeployment` (load
+        control and causality links)."""
+        deployment = graph.compile(self.engine, registry=self.obs, **compile_options)
+        for node in deployment.nodes:
+            self.add_agent(node)
+        return deployment
 
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> Optional[FaultInjector]:
         """Attach a :class:`~repro.faults.plan.FaultPlan`: control and
@@ -164,10 +169,7 @@ class VNetTracer:
         """Ship tracing scripts; they attach after the control latency.
 
         Returns a :class:`~repro.core.reports.DeployReport` with the
-        delivery accounting (attempts, retries, acked agents).  The
-        report iterates and compares like the package list older
-        callers expected, so code that ignored or list-compared the
-        return value keeps working (see the README migration note)."""
+        delivery accounting (attempts, retries, acked agents)."""
         self.active_spec = spec
         self.collector.register_labels(
             {tp.tracepoint_id: tp.label for tp in spec.tracepoints}
@@ -180,11 +182,7 @@ class VNetTracer:
     # -- collection ------------------------------------------------------------------
 
     def collect(self) -> CollectReport:
-        """Offline collection: drain every agent's local store.
-
-        Returns a :class:`~repro.core.reports.CollectReport` that still
-        compares, adds, and formats like the old ``int`` record count
-        (see the README migration note)."""
+        """Offline collection: drain every agent's local store."""
         return self.collector.collect_all_offline()
 
     # -- span timelines ---------------------------------------------------------

@@ -115,8 +115,8 @@ class EBPFAttachment(Attachment):
     ``hook_id`` is baked into the context so records identify their
     tracepoint; ``use_inner`` asks the context builder to strip
     encapsulation before parsing the five-tuple; ``shadow`` turns on the
-    program's differential-oracle mode so every firing is checked
-    against the interpreter.
+    program's shadow mode so every firing is checked against the
+    interpreter.
     """
 
     def __init__(

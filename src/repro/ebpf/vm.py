@@ -242,9 +242,9 @@ class BPFProgram:
         run the genuine interpreter loop instead (the differential
         tests exercise both).
     shadow:
-        Differential-oracle mode: every compiled-tier run is replayed
-        on the interpreter against cloned maps and recorded clock /
-        prandom draws, and :class:`ShadowMismatch` is raised unless
+        Shadow mode (the differential oracle): every compiled-tier run
+        is replayed on the interpreter against cloned maps and recorded
+        clock / prandom draws, and :class:`ShadowMismatch` is raised unless
         registers, executed-instruction counts, helper activity, stack
         / context / packet memory, final map state, perf-event output,
         and trace_printk lines all match exactly.

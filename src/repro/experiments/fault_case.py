@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import FilterRule, GlobalConfig, TracepointSpec, TracingSpec
+from repro.core import FilterRule, GlobalConfig, TracepointSpec, TracingSpec, VNetTracer
 from repro.core.metrics import SegmentLatency
 from repro.core.reports import CollectReport, DeployReport
-from repro.core.session import TracerSession
 from repro.faults.plan import ChannelFaults, FaultPlan
 from repro.net.addressing import IPv4Address
 from repro.net.packet import IPPROTO_UDP
@@ -130,18 +129,15 @@ def run_fault_case(
     engine = new_engine()
     node_a, node_b, ip_a, ip_b = _build_pair(engine)
 
-    session = (
-        TracerSession(engine)
-        .with_agent(node_a)
-        .with_agent(node_b)
-        .with_fault_plan(plan)
-        # Streaming windows over the same hop the offline decomposition
-        # covers; under faults the closed frames must stay byte-identical
-        # to the fault-free leg (the dedup/resequencing pipeline runs
-        # upstream of the tap).
-        .with_streaming(["send", "recv"], window_ns=10_000_000)
-    )
-    tracer = session.tracer
+    tracer = VNetTracer(engine)
+    tracer.add_agent(node_a)
+    tracer.add_agent(node_b)
+    tracer.set_fault_plan(plan)
+    # Streaming windows over the same hop the offline decomposition
+    # covers; under faults the closed frames must stay byte-identical
+    # to the fault-free leg (the dedup/resequencing pipeline runs
+    # upstream of the tap).
+    streaming = tracer.attach_streaming(["send", "recv"], window_ns=10_000_000)
 
     attempt_budget = 8 if retries else 1
     spec = TracingSpec(
@@ -159,7 +155,7 @@ def run_fault_case(
             ship_max_attempts=attempt_budget,
         ),
     )
-    deploy_report = session.deploy(spec)
+    deploy_report = tracer.deploy(spec)
 
     node_b.bind_udp(ip_b, 9000)
     client = node_a.bind_udp(ip_a, 9001)
@@ -176,12 +172,11 @@ def run_fault_case(
         if not agent.crashed and agent.ring is not None:
             agent.ring.flush()
     engine.run(until=traffic_end + SETTLE_NS)
-    collect_report = session.collect()
-    streaming = tracer.streaming
+    collect_report = tracer.collect()
     streaming.close_all()
 
     chain = ["send", "recv"]
-    decomposition = session.decompose(chain)
+    decomposition = tracer.decompose(chain)
     forest = tracer.span_forest(
         chain,
         trace_ids=sorted(tracer.db.trace_ids()),

@@ -65,9 +65,7 @@ def _run_sockperf(seed: int, traced: bool, duration_ns: int, mps: int):
     engine.run(until=duration_ns + WARMUP_NS + 50_000_000)
     records = 0
     if tracer is not None:
-        # CollectReport quacks like the old int count, but the bench
-        # layer serializes this value to JSON -- keep it a real int.
-        records = int(tracer.collect())
+        records = tracer.collect().records
     return client, records
 
 

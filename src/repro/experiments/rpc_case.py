@@ -24,7 +24,6 @@ import hashlib
 from typing import List, NamedTuple, Optional
 
 from repro.core import FilterRule, TracepointSpec, TracingSpec, VNetTracer
-from repro.core.session import TracerSession
 from repro.net.packet import IPPROTO_UDP
 from repro.net.stack import HOOK_SKB_COPY_DATAGRAM, HOOK_UDP_SEND_SKB
 from repro.obs.registry import MetricsRegistry
@@ -70,7 +69,6 @@ class RpcCaseResult(NamedTuple):
     """Everything the CLI / tests need after the run."""
 
     engine: Engine
-    session: TracerSession
     tracer: VNetTracer
     registry: MetricsRegistry
     sampler: StatsSampler
@@ -117,22 +115,18 @@ def run_rpc_case(
     else:
         engine = new_engine()
 
-    session = TracerSession(engine)
-    tracer = session.tracer
+    tracer = VNetTracer(engine)
     if isinstance(engine, ShardedEngine):
         engine.attach_metrics(tracer.obs)
 
-    session.with_service_graph(graph or default_service_graph(), seed=seed)
-    deployment = session.service_deployment
-    session.with_stats_sampler(interval_ns=sample_interval_ns)
-    session.with_streaming(RPC_CHAIN, window_ns=window_ns, emit_interval_ns=window_ns)
-    sampler = tracer.sampler
-    streaming = tracer.streaming
+    deployment = tracer.add_service_graph(graph or default_service_graph(), seed=seed)
+    sampler = tracer.attach_stats_sampler(interval_ns=sample_interval_ns)
+    streaming = tracer.attach_streaming(RPC_CHAIN, window_ns=window_ns, emit_interval_ns=window_ns)
 
     front = deployment.edge("client0", "lb0")
     client_node = deployment.service("client").node
     lb_node = deployment.service("lb").node
-    session.with_clock_sync(
+    sync = tracer.synchronize_clocks(
         client_node, front.caller_ip, f"dev:{front.caller_device}",
         lb_node, front.callee_ip, f"dev:{front.callee_device}",
         samples=30,
@@ -155,7 +149,7 @@ def run_rpc_case(
         )
 
     def after_sync(estimate) -> None:
-        session.deploy(spec)
+        tracer.deploy(spec)
         start_ns = engine.now + 2_000_000
         deployment.start_load(requests, interval_ns, start_ns=start_ns)
         if bulk_bytes > 0:
@@ -163,20 +157,16 @@ def run_rpc_case(
                 start_ns + (requests * interval_ns) // 3, start_bulk
             )
 
-    sync = session.syncs[lb_node.name]
     previous = sync.on_done
     sync.on_done = lambda est: (previous(est), after_sync(est))
 
     engine.run(until=SYNC_BUDGET_NS + requests * interval_ns + SETTLE_NS)
-    session.collect()
+    tracer.collect()
     streaming.close_all()
     forest = tracer.rpc_forest(deployment.links)
     chrome = chrome_trace_json(forest)
     sampler.sample_now()
-    return RpcCaseResult(
-        engine, session, tracer, tracer.obs, sampler, deployment, forest,
-        streaming, chrome,
-    )
+    return RpcCaseResult(engine, tracer, tracer.obs, sampler, deployment, forest, streaming, chrome)
 
 
 # -- deterministic digest (CLI + CI double-run + bench) -----------------------

@@ -2,9 +2,8 @@
 
 Declare what goes wrong in a :class:`FaultPlan` (channel loss /
 duplication / delay, agent crashes, ring-buffer pressure), hand it to
-:meth:`VNetTracer.set_fault_plan` or
-:meth:`TracerSession.with_fault_plan`, and the run replays those
-faults deterministically from the plan's seed.  The pipeline's
+:meth:`VNetTracer.set_fault_plan`, and the run replays those faults
+deterministically from the plan's seed.  The pipeline's
 resilient delivery (ack + retry control plane, at-least-once
 sequence-numbered shipment with collector-side dedup) is designed to
 survive them; see ``docs/FAULTS.md`` for the full fault model and

@@ -51,13 +51,11 @@ HOOK_SKB_COPY_DATAGRAM = "kprobe:skb_copy_datagram_iovec"
 class PacketMetadataHooks:
     """Explicit registry of packet-metadata engines attached to a node.
 
-    Historically the trace-ID patch lived in a magic ``node.traceid``
-    attribute that :func:`repro.net.traceid.enable_trace_ids` assigned
-    from the outside.  This registry replaces that comment-coupling
-    with a declared interface: any engine that rewrites wire bytes at
-    the kernel's metadata points (``udp_send_skb``, the pre-copy trim,
-    ``tcp_options_write``) registers here, and a node can carry several
-    such engines without attribute collisions.
+    Any engine that rewrites wire bytes at the kernel's metadata points
+    (``udp_send_skb``, the pre-copy trim, ``tcp_options_write``)
+    registers here -- the trace-ID patch does, through
+    :meth:`repro.net.traceid.TraceIDEngine.attach` -- and a node can
+    carry several such engines without attribute collisions.
 
     An engine implements any subset of the hook methods below; each
     returns the CPU cost (ns) its rewrite charges, and the stack sums
@@ -230,14 +228,6 @@ class KernelNode:
 
     def register_icmp(self, responder) -> None:
         self.icmp = responder
-
-    @property
-    def traceid(self):
-        """Back-compat view of the trace-ID engine inside the explicit
-        :class:`PacketMetadataHooks` registry (may be ``None``)."""
-        from repro.net.traceid import TraceIDEngine
-
-        return self.packet_hooks.find(TraceIDEngine)
 
     # -- plumbing -----------------------------------------------------------
 

@@ -39,8 +39,6 @@ The engine attaches to a node through the
 :class:`repro.net.stack.PacketMetadataHooks` registry::
 
     engine = TraceIDEngine.attach(node, mode="udp_payload")
-
-``enable_trace_ids`` remains as a thin compatibility shim.
 """
 
 from __future__ import annotations
@@ -213,12 +211,6 @@ class TraceIDEngine:
         packet.metadata[META_TRACE_ID] = trace_id
         packet.metadata[META_PARENT_IDS] = parent_ids[:1]
         return EMBED_COST_NS
-
-
-def enable_trace_ids(node: "KernelNode", rng: Optional[SeededRNG] = None) -> TraceIDEngine:
-    """Deprecated shim for :meth:`TraceIDEngine.attach` (kept for the
-    pre-redesign API; installs both wire formats)."""
-    return TraceIDEngine.attach(node, rng=rng)
 
 
 def wire_record_id(trace_id: int) -> int:

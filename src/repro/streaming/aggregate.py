@@ -351,25 +351,17 @@ class StreamingAggregator:
         if segments:
             self._observe_segments(node, segments)
 
-    def observe_batch(self, node, records, labels=None, skew_ns=None) -> None:
-        """Standalone entry: fold one batch in -- a packed shipment
-        blob (bytes) or a list of :class:`~repro.core.records
-        .TraceRecord`.  ``labels`` and ``skew_ns`` default to the
-        attached collector's state.  (An attached collector feeds the
-        aggregator through :meth:`observe_ingest` instead; don't mix
-        the two for the same records.)"""
+    def observe_batch(self, node, blob, labels=None, skew_ns=None) -> None:
+        """Standalone entry: fold one packed shipment blob in.
+        ``labels`` and ``skew_ns`` default to the attached collector's
+        state.  (An attached collector feeds the aggregator through
+        :meth:`observe_ingest` instead; don't mix the two for the same
+        records.)"""
         if labels is None:
             labels = self._labels
         skew = skew_ns if skew_ns is not None else self._skew_of(node)
-        if isinstance(records, (bytes, bytearray, memoryview)):
-            iterator = RECORD_STRUCT.iter_unpack(records)
-        else:
-            iterator = (
-                (r.trace_id, r.tracepoint_id, r.timestamp_ns, r.packet_len, r.cpu)
-                for r in records
-            )
         groups: Dict[int, Tuple[list, list, list]] = {}
-        for tid, tp, ts, plen, _cpu in iterator:
+        for tid, tp, ts, plen, _cpu in RECORD_STRUCT.iter_unpack(blob):
             group = groups.get(tp)
             if group is None:
                 group = groups[tp] = ([], [], [])
@@ -385,7 +377,8 @@ class StreamingAggregator:
             self._observe_segments(node, segments)
 
     def observe_packed(self, node, blob, labels, skew_ns=0) -> None:
-        """Standalone packed-blob entry (merge paths, no collector)."""
+        """:meth:`observe_batch` with explicit labels and skew (merge
+        paths with no collector attached)."""
         self.observe_batch(node, blob, labels=labels, skew_ns=skew_ns)
 
     def observe_gap(self, node, seq) -> None:

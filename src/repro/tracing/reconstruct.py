@@ -33,11 +33,13 @@ Two implementations of that algorithm live here (docs/TIMELINES.md,
   memoized keyed on ``TraceDB.generation``: repeated
   ``span_forest()`` / ``rpc_forest()`` calls on an unchanged database
   are O(1) cache hits.
-* the **per-row oracle** -- :func:`build_span_tree`,
+* the **per-row reference** -- :func:`build_span_tree`,
   :func:`build_rpc_forest`, and :func:`legacy_forest` keep the original
-  row-at-a-time implementation; the differential suite
-  (tests/test_tracing_batch.py) proves the batch pipeline's Chrome /
-  OTLP / text exports byte-identical to it on every scenario.
+  row-at-a-time implementation.  Nothing in the pipeline calls them;
+  the differential suites (tests/test_tracing_batch.py,
+  tests/test_tracedb_columnar.py) call them directly and prove the
+  batch pipeline's Chrome / OTLP / text exports byte-identical to
+  theirs on every scenario.
 
 Control-plane spans (dispatcher -> agent deploys, agent -> collector
 batch shipments) are assembled from the event logs those components
@@ -82,9 +84,9 @@ def build_span_tree(
     (zero or one usable record).  ``chain`` restricts the tracepoints
     considered (records at other labels are ignored, not orphaned).
 
-    This is the per-row reference implementation, retained as the
-    differential oracle for the batch pipeline (tests/test_tracing_batch.py
-    byte-compares the exports of both on every scenario)."""
+    This is the per-row reference implementation the batch pipeline is
+    tested against (tests/test_tracing_batch.py byte-compares the
+    exports of both on every scenario)."""
     rows = db.rows_for_trace(trace_id)
     if chain is not None:
         wanted = set(chain)
@@ -171,10 +173,9 @@ def legacy_forest(
     complete_only: bool = False,
     control_root: Optional[Span] = None,
 ) -> SpanForest:
-    """The per-row forest loop :class:`SpanAssembler.forest` used to be:
-    one :func:`build_span_tree` call per trace ID.  Kept (uncounted, no
-    metrics) purely as the differential oracle the batch pipeline is
-    byte-compared against."""
+    """The per-row forest loop: one :func:`build_span_tree` call per
+    trace ID.  Uncounted (no metrics); it is the reference the batch
+    pipeline is byte-compared against."""
     if trace_ids is None:
         trace_ids = db.trace_ids()
     complete = None
@@ -211,7 +212,7 @@ def build_rpc_forest(
     without trace-ID collisions) and repeated links are ignored; the
     primary (first) parent places a multi-parent fan-in child.
 
-    Like :func:`build_span_tree` this is the per-row oracle; the
+    Like :func:`build_span_tree` this is the per-row reference; the
     assembler's :meth:`SpanAssembler.rpc_forest` runs the vectorized
     equivalent and is byte-compared against this one.
     """
@@ -338,7 +339,7 @@ def _make_span(name, kind, node, start_ns, end_ns, attributes) -> Span:
     Only the batch pipeline calls this, and only with invariants the
     kernel already guarantees: timestamps come out of a sorted group
     (``end_ns >= start_ns`` by construction) and every kind is one of
-    ours -- so the validation the oracle path runs would be redundant
+    ours -- so the validation ``Span.__init__`` runs would be redundant
     here, and skipping it roughly halves per-span build cost."""
     span = _SPAN_NEW(Span)
     span.name = name
@@ -490,10 +491,6 @@ class SpanAssembler:
 
     def __init__(self, db: TraceDB, registry: Optional[MetricsRegistry] = None):
         self.db = db
-        # Oracle mode: a database without the columnar group-by kernel
-        # (e.g. the legacy row store the PR 5 differential suite keeps)
-        # assembles through the per-row reference path instead.
-        self._batch = hasattr(db, "trace_group_rows")
         self.trees_built = 0
         self.spans_built = 0
         self.orphan_records = 0
@@ -524,8 +521,7 @@ class SpanAssembler:
     # -- memo cache ----------------------------------------------------------
 
     def _cache_get(self, key: Optional[tuple]):
-        generation = getattr(self.db, "generation", None)
-        if key is None or generation is None or self._cache_generation != generation:
+        if key is None or self._cache_generation != self.db.generation:
             return None
         entry = self._cache.get(key)
         if entry is None:
@@ -536,12 +532,11 @@ class SpanAssembler:
         return entry
 
     def _cache_put(self, key: Optional[tuple], trees: Sequence[SpanTree], orphans: int) -> None:
-        generation = getattr(self.db, "generation", None)
-        if key is None or generation is None:
+        if key is None:
             return
-        if self._cache_generation != generation:
+        if self._cache_generation != self.db.generation:
             self._cache.clear()
-            self._cache_generation = generation
+            self._cache_generation = self.db.generation
         self._cache[key] = (tuple(trees), orphans)
 
     def _note_groups(self, count: int) -> None:
@@ -555,10 +550,7 @@ class SpanAssembler:
             self._m_rebuilds.inc()
 
     def _count_trees(self, trees: Sequence[SpanTree], orphans: int) -> None:
-        spans = sum(
-            tree._span_count if tree._span_count is not None else len(tree.spans())
-            for tree in trees
-        )
+        spans = sum(tree._span_count for tree in trees)
         self.trees_built += len(trees)
         self.spans_built += spans
         self.orphan_records += orphans
@@ -575,15 +567,12 @@ class SpanAssembler:
     ) -> Optional[SpanTree]:
         """One packet's tree (counted like a one-tree forest).  Single
         lookups index the live columns directly (no snapshot pass)."""
-        if self._batch:
-            ((_, rows),) = self.db.trace_group_rows([trace_id], snapshot=False)
-            if chain is not None:
-                wanted = set(chain)
-                rows = [row for row in rows if row[3] in wanted]
-            self._note_groups(1)
-            tree = _assemble_tree(trace_id, rows, self.db.clock_skew)
-        else:  # oracle mode (row-store database)
-            tree = build_span_tree(self.db, trace_id, chain=chain)
+        ((_, rows),) = self.db.trace_group_rows([trace_id], snapshot=False)
+        if chain is not None:
+            wanted = set(chain)
+            rows = [row for row in rows if row[3] in wanted]
+        self._note_groups(1)
+        tree = _assemble_tree(trace_id, rows, self.db.clock_skew)
         if tree is None:
             orphaned = self.db.record_count_for_trace(trace_id)
             self.orphan_records += orphaned
@@ -619,14 +608,6 @@ class SpanAssembler:
                     orphan_records=orphans,
                     control_root=control_root,
                 )
-        if not self._batch:  # oracle mode (row-store database)
-            forest = legacy_forest(
-                self.db, trace_ids, chain, complete_only, control_root
-            )
-            self._note_rebuild()
-            self._count_trees(forest.trees, forest.orphan_records)
-            self._cache_put(key, forest.trees, forest.orphan_records)
-            return forest
         ids = self.db.trace_ids() if trace_ids is None else list(trace_ids)
         orphans = 0
         if filtering:
@@ -685,12 +666,6 @@ class SpanAssembler:
         if cached is not None:
             trees, orphans = cached
             return SpanForest(trees=list(trees), orphan_records=orphans)
-        if not self._batch:  # oracle mode (row-store database)
-            forest = build_rpc_forest(self.db, links, chain=chain)
-            self._note_rebuild()
-            self._count_trees(forest.trees, 0)
-            self._cache_put(key, forest.trees, 0)
-            return forest
         trees, groups = self._build_rpc_trees(links, chain)
         self._note_rebuild()
         self._note_groups(groups)

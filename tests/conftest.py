@@ -8,6 +8,12 @@ from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
 
 
+def pack(records) -> bytes:
+    """One packed shipment blob (the only batch type the collector and
+    the streaming aggregator ingest) from ``TraceRecord``s."""
+    return b"".join(record.pack() for record in records)
+
+
 @pytest.fixture
 def engine():
     return Engine()

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import FIGURES, build_parser, main
 
 
@@ -29,6 +30,49 @@ class TestParser:
     def test_duration_flag_parsed(self):
         args = build_parser().parse_args(["run", "fig7a", "--duration-ms", "123"])
         assert args.duration_ms == 123
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rpc", "--shards", "-1"],
+            ["run", "fig7a", "--duration-ms", "0"],
+            ["run", "fig7a", "--duration-ms", "-5"],
+        ],
+    )
+    def test_out_of_range_integers_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "integer" in capsys.readouterr().err
+
+
+class TestRunSeeds:
+    @pytest.fixture
+    def seeds_seen(self, monkeypatch):
+        """Swap every figure runner for one that records its seed."""
+        seen = {}
+        monkeypatch.setattr(
+            cli,
+            "FIGURES",
+            {
+                name: (lambda args, name=name: seen.__setitem__(name, args.seed))
+                for name in FIGURES
+            },
+        )
+        return seen
+
+    def test_explicit_seed_reaches_every_runner(self, seeds_seen, capsys):
+        assert main(["run", "all", "--seed", "99"]) == 0
+        assert seeds_seen == dict.fromkeys(FIGURES, 99)
+
+    def test_default_seeds_are_each_runners_own(self, seeds_seen, capsys):
+        assert main(["run", "all"]) == 0
+        assert set(seeds_seen) == set(FIGURES)
+        assert seeds_seen["fig4"] == 7 and seeds_seen["fig13b"] == 23
+        single = dict(seeds_seen)
+        assert main(["run", "fig10a"]) == 0
+        assert seeds_seen == single  # same default alone as under "all"
 
 
 class TestExecution:

@@ -9,6 +9,7 @@ from repro.core.collector import RawDataCollector
 from repro.core.dispatcher import ControlDataDispatcher, DispatchError
 from repro.net.packet import IPPROTO_UDP
 from repro.sim.engine import Engine
+from tests.conftest import pack
 
 
 def _spec(node_a, node_b, **global_kwargs):
@@ -98,7 +99,7 @@ class TestOfflineCollection:
         _traffic(engine, node_a, node_b, ip_a, ip_b, count=10)
         engine.run(until=500_000_000)
         collected = tracer.collect()
-        assert collected == 20
+        assert collected.records == 20
         assert tracer.db.count("send") == 10
         assert tracer.db.count("recv") == 10
 
@@ -186,7 +187,7 @@ class TestCollectorSemantics:
 
     def test_receive_batch_delegates_alignment_to_db(self, engine):
         """Regression pin: the collector stores *raw* timestamps; skew
-        alignment happens inside TraceDB.insert via set_clock_skew.
+        alignment happens inside TraceDB.insert_packed via set_clock_skew.
         Records ingested before a node's estimate lands keep zero
         offset (see the collector module docstring)."""
         from repro.core.records import TraceRecord
@@ -196,9 +197,9 @@ class TestCollectorSemantics:
         collector = RawDataCollector(engine, db)
         collector.register_labels({1: "a"})
 
-        collector.receive_batch("n2", [TraceRecord(7, 1, 100, 64, 0)])
+        collector.receive_batch("n2", pack([TraceRecord(7, 1, 100, 64, 0)]))
         db.set_clock_skew("n2", 500)
-        collector.receive_batch("n2", [TraceRecord(8, 1, 100, 64, 0)])
+        collector.receive_batch("n2", pack([TraceRecord(8, 1, 100, 64, 0)]))
 
         before, after = db.rows_for_trace(7)[0], db.rows_for_trace(8)[0]
         assert before.timestamp_ns == 100  # pre-sync: zero offset
@@ -209,7 +210,7 @@ class TestCollectorSemantics:
         from repro.core.records import TraceRecord
 
         collector = RawDataCollector(engine)
-        collector.receive_batch("n1", [TraceRecord(1, 99, 10, 64, 0)])
+        collector.receive_batch("n1", pack([TraceRecord(1, 99, 10, 64, 0)]))
         assert collector.unknown_tracepoint_records == 1
         assert collector.db.count("tracepoint-99") == 1
 
@@ -252,7 +253,7 @@ class TestHeartbeats:
 
         engine.run(until=3_000_000_000)
         collected = tracer.collect()
-        assert collected > 0
+        assert collected.records > 0
         assert tracer.db.count("send") == 20  # its buffered data arrived
         stale = tracer.collector.stale_agents(1_000_000_000)
         assert node_a.name in stale  # ... but it is still reported dead

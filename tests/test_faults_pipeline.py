@@ -3,7 +3,7 @@
 Covers the delivery machinery pieces (docs/FAULTS.md) in isolation:
 dispatcher ack/retry, idempotent installs, the collector's resequencer
 and dedup, ring-buffer degradation policies, crash/restart accounting,
-and the typed deploy/collect reports' backward compatibility.
+and the typed deploy/collect reports.
 """
 
 import pytest
@@ -11,14 +11,16 @@ import pytest
 from repro.core import FilterRule, GlobalConfig, TracepointSpec, TracingSpec
 from repro.core.collector import RawDataCollector
 from repro.core.dispatcher import DispatchError
-from repro.core.records import TraceRecord
-from repro.core.reports import CollectReport, DeployReport
+from repro.core.records import MalformedBatchError, TraceRecord
+from repro.core.reports import DeployReport
 from repro.core.ringbuffer import TraceRingBuffer
+from repro.core.tracedb import TraceDB
 from repro.core.vnettracer import VNetTracer
 from repro.faults import ChannelFaults, CrashEvent, FaultPlan
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
+from tests.conftest import pack
 
 
 def _record(tracepoint_id=1, trace_id=1):
@@ -39,10 +41,10 @@ class TestResequencer:
     def test_out_of_order_batches_apply_in_sequence(self, engine):
         collector = RawDataCollector(engine)
         collector.register_labels({1: "tx"})
-        collector.receive_batch("n", [_record(trace_id=2)], seq=2)
+        collector.receive_batch("n", pack([_record(trace_id=2)]), seq=2)
         assert collector.pending_batches("n") == 1
         assert collector.db.rows_inserted == 0
-        collector.receive_batch("n", [_record(trace_id=1)], seq=1)
+        collector.receive_batch("n", pack([_record(trace_id=1)]), seq=1)
         assert collector.pending_batches("n") == 0
         rows = collector.db.table("tx")
         assert [row.trace_id for row in rows] == [1, 2]
@@ -51,8 +53,8 @@ class TestResequencer:
         registry = MetricsRegistry()
         collector = RawDataCollector(engine, registry=registry)
         collector.register_labels({1: "tx"})
-        assert collector.receive_batch("n", [_record()], seq=1)
-        assert not collector.receive_batch("n", [_record()], seq=1)
+        assert collector.receive_batch("n", pack([_record()]), seq=1)
+        assert not collector.receive_batch("n", pack([_record()]), seq=1)
         assert collector.db.rows_inserted == 1
         assert collector.db.deduped_batches == 1
         assert registry.total("vnt_fault_shipment_deduped_total") == 1
@@ -60,8 +62,8 @@ class TestResequencer:
     def test_gap_notice_releases_held_batches(self, engine):
         collector = RawDataCollector(engine)
         collector.register_labels({1: "tx"})
-        collector.receive_batch("n", [_record(trace_id=3)], seq=3)
-        collector.receive_batch("n", [_record(trace_id=2)], seq=2)
+        collector.receive_batch("n", pack([_record(trace_id=3)]), seq=3)
+        collector.receive_batch("n", pack([_record(trace_id=2)]), seq=2)
         assert collector.db.rows_inserted == 0  # wedged behind seq 1
         collector.skip_shipment("n", 1)
         assert collector.db.rows_inserted == 2
@@ -70,18 +72,48 @@ class TestResequencer:
     def test_skip_after_arrival_is_a_noop(self, engine):
         collector = RawDataCollector(engine)
         collector.register_labels({1: "tx"})
-        collector.receive_batch("n", [_record()], seq=1)
+        collector.receive_batch("n", pack([_record()]), seq=1)
         collector.skip_shipment("n", 1)  # already applied: nothing to skip
-        collector.receive_batch("n", [_record(trace_id=2)], seq=2)
+        collector.receive_batch("n", pack([_record(trace_id=2)]), seq=2)
         assert collector.db.rows_inserted == 2
 
     def test_nodes_resequence_independently(self, engine):
         collector = RawDataCollector(engine)
         collector.register_labels({1: "tx"})
-        collector.receive_batch("a", [_record(trace_id=1)], seq=1)
-        collector.receive_batch("b", [_record(trace_id=9)], seq=2)
+        collector.receive_batch("a", pack([_record(trace_id=1)]), seq=1)
+        collector.receive_batch("b", pack([_record(trace_id=9)]), seq=2)
         assert collector.db.rows_inserted == 1
         assert collector.pending_batches("b") == 1
+
+
+class TestMalformedBatch:
+    def test_truncated_batch_rejected_before_any_state_change(self, engine):
+        """A blob cut mid-record must not burn its sequence number: the
+        well-formed retransmission still applies and nothing wedges."""
+        collector = RawDataCollector(engine)
+        collector.register_labels({1: "tx"})
+        good = pack([_record(trace_id=1), _record(trace_id=2)])
+        with pytest.raises(MalformedBatchError):
+            collector.receive_batch("n", good[:-3], seq=1)
+        assert collector.batches_received == 0
+        assert collector.receive_batch("n", good, seq=1)
+        assert collector.receive_batch("n", pack([_record(trace_id=3)]), seq=2)
+        assert collector.pending_batches("n") == 0
+        assert [row.trace_id for row in collector.db.table("tx")] == [1, 2, 3]
+
+    def test_record_list_is_not_a_batch(self, engine):
+        collector = RawDataCollector(engine)
+        with pytest.raises(MalformedBatchError):
+            collector.receive_batch("n", [_record()], seq=1)
+        assert collector.receive_batch("n", pack([_record()]), seq=1)
+
+    def test_insert_packed_validates_too(self):
+        db = TraceDB()
+        generation = db.generation
+        with pytest.raises(MalformedBatchError):
+            db.insert_packed("n", b"\x00" * 25, {})
+        assert db.rows_inserted == 0
+        assert db.generation == generation
 
 
 def _ring(engine, policy, capacity=96, sample_prob=0.5, flushed=None,
@@ -341,34 +373,7 @@ class TestCrashRestart:
         assert report.skipped_nodes == [node_b.name]
 
 
-class TestReportCompatibility:
-    def test_deploy_report_quacks_like_package_list(self, engine, node):
-        tracer = VNetTracer(engine)
-        tracer.add_agent(node)
-        report = tracer.deploy(_spec(node.name))
-        packages = report.packages
-        assert report == packages  # old callers compared the list
-        assert list(report) == packages
-        assert len(report) == 1
-        assert report[0] is packages[0]
-        assert packages[0] in report
-        assert report != packages + packages
-
-    def test_collect_report_quacks_like_int(self):
-        report = CollectReport(records=42, batches=3)
-        assert report == 42
-        assert 42 == report
-        assert report != 41
-        assert report > 40 and report >= 42 and report < 43 and report <= 42
-        assert int(report) == 42
-        assert report + 1 == 43 and 1 + report == 43
-        assert report - 2 == 40 and 50 - report == 8
-        assert bool(report) and not bool(CollectReport())
-        assert f"{report}" == "42" and f"{report:05d}" == "00042"
-        assert str(report) == "42"
-        assert ["x"] * 2 and list(range(report))[-1] == 41  # __index__
-        assert hash(report) == hash(42)
-
+class TestReports:
     def test_deploy_report_completeness(self):
         report = DeployReport(packages=[], deploy_id=1)
         assert report.complete  # vacuously: nothing to ack

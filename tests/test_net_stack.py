@@ -5,7 +5,7 @@ import pytest
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.device import VethDevice
 from repro.net.stack import KernelNode, StackError
-from repro.net.traceid import enable_trace_ids, extract_trace_id
+from repro.net.traceid import TraceIDEngine, extract_trace_id
 from repro.sim.engine import Engine
 
 
@@ -107,8 +107,8 @@ class TestUDPEndToEnd:
 class TestTraceIDs:
     def test_udp_id_embedded_and_stripped_transparently(self, engine, two_nodes):
         node_a, node_b, ip_a, ip_b = two_nodes
-        enable_trace_ids(node_a)
-        enable_trace_ids(node_b)
+        ids_a = TraceIDEngine.attach(node_a)
+        ids_b = TraceIDEngine.attach(node_b)
         server = node_b.bind_udp(ip_b, 9000)
         got = []
         server.on_receive = lambda payload, *rest: got.append(payload)
@@ -116,12 +116,12 @@ class TestTraceIDs:
         engine.run()
         # Application transparency: the app sees exactly its bytes.
         assert got == [b"app-data"]
-        assert node_a.traceid.ids_embedded == 1
-        assert node_b.traceid.ids_stripped == 1
+        assert ids_a.ids_embedded == 1
+        assert ids_b.ids_stripped == 1
 
     def test_id_visible_on_the_wire(self, engine, two_nodes):
         node_a, node_b, ip_a, ip_b = two_nodes
-        enable_trace_ids(node_a)
+        TraceIDEngine.attach(node_a)
         captured = []
         from repro.ebpf.probes import CallbackAttachment
 
@@ -135,9 +135,9 @@ class TestTraceIDs:
         assert trace_id is not None
         assert trace_id == captured[0].metadata["trace_id"]
 
-    def test_enable_idempotent(self, node):
-        first = enable_trace_ids(node)
-        assert enable_trace_ids(node) is first
+    def test_attach_idempotent(self, node):
+        first = TraceIDEngine.attach(node)
+        assert TraceIDEngine.attach(node) is first
 
 
 class TestForwarding:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.addressing import IPv4Address
 from repro.net.tcp import MSS, TCPConnection
-from repro.net.traceid import enable_trace_ids
+from repro.net.traceid import TraceIDEngine
 from repro.sim.engine import Engine
 
 
@@ -154,7 +154,7 @@ class TestLossRecovery:
 class TestTraceIDsOnTCP:
     def test_options_carry_id_when_enabled(self, engine, two_nodes):
         node_a, node_b, ip_a, ip_b = two_nodes
-        enable_trace_ids(node_a)
+        TraceIDEngine.attach(node_a)
         captured = []
         from repro.ebpf.probes import CallbackAttachment
 

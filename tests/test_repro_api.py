@@ -48,7 +48,7 @@ class TestTopLevelAPI:
         assert sorted(documented) == sorted(repro.__all__)
 
     def test_fault_and_report_exports(self):
-        for name in ("TracerSession", "FaultPlan", "ChannelFaults",
+        for name in ("FaultPlan", "ChannelFaults",
                      "CrashEvent", "RingPressureEvent", "DeployReport",
                      "CollectReport"):
             assert name in repro.__all__

@@ -26,6 +26,7 @@ from repro.streaming import (
     TopKSlowest,
     window_indices,
 )
+from tests.conftest import pack
 
 LABELS = {0: "send", 1: "recv"}
 CHAIN = ("send", "recv")
@@ -38,10 +39,8 @@ def _config(**kwargs):
 
 
 def _records(label_ts_tid, plen=100):
-    """[(tracepoint_id, ts, tid), ...] -> TraceRecord list."""
-    return [
-        TraceRecord(tid, tp, ts, plen, 0) for tp, ts, tid in label_ts_tid
-    ]
+    """[(tracepoint_id, ts, tid), ...] -> one packed shipment blob."""
+    return pack(TraceRecord(tid, tp, ts, plen, 0) for tp, ts, tid in label_ts_tid)
 
 
 class TestConfigValidation:
@@ -309,16 +308,12 @@ def _attached(window_ns=100, registry=None):
     return collector, agg
 
 
-def _blob(label_ts_tid, plen=100):
-    return b"".join(r.pack() for r in _records(label_ts_tid, plen))
-
-
 class TestResequencerSemantics:
     """The tap sits downstream of the dedup/resequencing pipeline."""
 
     def test_duplicate_shipment_never_double_counts(self):
         collector, agg = _attached()
-        blob = _blob([(0, 10, 1), (0, 20, 2)])
+        blob = _records([(0, 10, 1), (0, 20, 2)])
         assert collector.receive_batch("a", blob, seq=1) is True
         assert collector.receive_batch("a", blob, seq=1) is False  # dup
         assert agg.records == 2
@@ -327,9 +322,9 @@ class TestResequencerSemantics:
 
     def test_reordered_shipments_apply_in_sequence(self):
         collector, agg = _attached()
-        collector.receive_batch("a", _blob([(0, 50, 2)]), seq=2)
+        collector.receive_batch("a", _records([(0, 50, 2)]), seq=2)
         assert agg.records == 0  # held behind the gap
-        collector.receive_batch("a", _blob([(0, 10, 1)]), seq=1)
+        collector.receive_batch("a", _records([(0, 10, 1)]), seq=1)
         assert agg.records == 2
         agg.close_all()
         assert agg.summary()["late_records"] == 0
@@ -337,9 +332,9 @@ class TestResequencerSemantics:
     def test_gap_notice_increments_kind_gap(self):
         registry = MetricsRegistry()
         collector, agg = _attached(registry=registry)
-        collector.receive_batch("a", _blob([(0, 10, 1)]), seq=1)
+        collector.receive_batch("a", _records([(0, 10, 1)]), seq=1)
         collector.skip_shipment("a", 2)
-        collector.receive_batch("a", _blob([(0, 30, 3)]), seq=3)
+        collector.receive_batch("a", _records([(0, 30, 3)]), seq=3)
         assert agg.gap_notices == 1
         assert agg.records == 2  # seq 3 released past the gap
         metric = registry.get("vnt_stream_late_or_gap_total")
@@ -348,7 +343,7 @@ class TestResequencerSemantics:
 
     def test_skip_of_an_applied_shipment_is_not_a_gap(self):
         collector, agg = _attached()
-        collector.receive_batch("a", _blob([(0, 10, 1)]), seq=1)
+        collector.receive_batch("a", _records([(0, 10, 1)]), seq=1)
         collector.skip_shipment("a", 1)  # it did arrive: no notice
         assert agg.gap_notices == 0
 
@@ -428,7 +423,7 @@ class TestAggregatorUsage:
         collector.register_labels(LABELS)
         agg = StreamingAggregator(_config(window_ns=100)).attach(collector)
         agg.start_emitter(engine, interval_ns=100)
-        blob = _blob([(0, 10, 1), (1, 60, 1)])
+        blob = _records([(0, 10, 1), (1, 60, 1)])
         engine.schedule(50, lambda: collector.receive_batch("a", blob, seq=1))
         engine.run(until=350)
         agg.close_all()

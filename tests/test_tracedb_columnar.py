@@ -35,8 +35,9 @@ from repro.core import metrics
 from repro.core.records import RECORD_STRUCT, TraceRecord
 from repro.core.tracedb import TraceDB, TraceRow
 from repro.tracing.export import chrome_trace_json, otlp_json
-from repro.tracing.reconstruct import SpanAssembler
+from repro.tracing.reconstruct import SpanAssembler, legacy_forest
 from repro.workloads.stats import LatencySummary, summarize_latencies
+from tests.conftest import pack
 
 # ---------------------------------------------------------------------------
 # The legacy row store, ported verbatim from the pre-columnar tracedb.py.
@@ -367,7 +368,7 @@ def assert_exports_equivalent(db: TraceDB, legacy: LegacyTraceDB, chain: Sequenc
     assert segments_new == segments_old
     assert decomposition_table(segments_new) == decomposition_table(segments_old)
     forest_new = SpanAssembler(db).forest(chain=chain)
-    forest_old = SpanAssembler(legacy).forest(chain=chain)
+    forest_old = legacy_forest(legacy, chain=chain)
     assert chrome_trace_json(forest_new) == chrome_trace_json(forest_old)
     assert otlp_json(forest_new) == otlp_json(forest_old)
 
@@ -438,10 +439,6 @@ class TestScenarioEquivalence:
 _LABELS = {0: "send", 1: "nic-out", 2: "nic-in", 3: "deliver"}
 
 
-def _blob(records: Sequence[TraceRecord]) -> bytes:
-    return b"".join(record.pack() for record in records)
-
-
 class TestDirectEquivalence:
     def test_unknown_tracepoints_land_in_fallback_tables(self):
         db = ShadowDB()
@@ -450,7 +447,7 @@ class TestDirectEquivalence:
             TraceRecord(trace_id=1, tracepoint_id=9, timestamp_ns=20, packet_len=100, cpu=1),
             TraceRecord(trace_id=0, tracepoint_id=9, timestamp_ns=30, packet_len=64, cpu=1),
         ]
-        count, unknown = db.insert_packed("tx", _blob(records), _LABELS)
+        count, unknown = db.insert_packed("tx", pack(records), _LABELS)
         assert (count, unknown) == (3, 2)
         assert db.tables() == ["send", "tracepoint-9"]
         assert_db_equivalent(db, db.legacy)
@@ -460,7 +457,7 @@ class TestDirectEquivalence:
         db.set_clock_skew("rx", -1_500_000)
         db.insert_packed(
             "rx",
-            _blob([TraceRecord(7, 2, 2_000_000, 128, 0)]),
+            pack([TraceRecord(7, 2, 2_000_000, 128, 0)]),
             _LABELS,
         )
         row = db.table("nic-in")[0]
@@ -476,14 +473,14 @@ class TestDirectEquivalence:
 
     def test_index_rebuilds_only_after_invalidation(self):
         db = ShadowDB()
-        db.insert_packed("tx", _blob([TraceRecord(1, 0, 30, 100, 0)]), _LABELS)
-        db.insert_packed("tx", _blob([TraceRecord(2, 0, 10, 100, 0)]), _LABELS)
+        db.insert_packed("tx", pack([TraceRecord(1, 0, 30, 100, 0)]), _LABELS)
+        db.insert_packed("tx", pack([TraceRecord(2, 0, 10, 100, 0)]), _LABELS)
         assert db.index_rebuilds == 0
         first = db.ts_index("send")
         assert db.index_rebuilds == 1
         assert db.ts_index("send") is first  # cached: no rebuild on re-query
         assert db.index_rebuilds == 1
-        db.insert_packed("tx", _blob([TraceRecord(3, 0, 20, 100, 0)]), _LABELS)
+        db.insert_packed("tx", pack([TraceRecord(3, 0, 20, 100, 0)]), _LABELS)
         rebuilt = db.ts_index("send")
         assert db.index_rebuilds == 2
         column = db.columns("send").timestamp_ns
@@ -551,7 +548,7 @@ class TestInterleavedProperties:
                 )
                 db.insert(arg_a, label, record)
             elif kind == "packed":
-                db.insert_packed(arg_a, _blob(arg_b), _LABELS)
+                db.insert_packed(arg_a, pack(arg_b), _LABELS)
             elif kind == "mark":
                 db.mark_batch(arg_a, arg_b)
                 assert db.deduped_batches == db.legacy.deduped_batches
@@ -571,7 +568,7 @@ class TestInterleavedProperties:
         packed = ShadowDB()
         for seq, batch in enumerate(batches):
             if packed.mark_batch("tx", seq):
-                packed.insert_packed("tx", _blob(batch), _LABELS)
+                packed.insert_packed("tx", pack(batch), _LABELS)
         # The legacy twin ingested record-by-record; the packed path
         # must be indistinguishable from it.
         assert_db_equivalent(packed, packed.legacy)
@@ -584,12 +581,12 @@ class TestInterleavedProperties:
     def test_query_between_batches_sees_all_rows(self, records, split):
         split = min(split, len(records) - 1)
         db = ShadowDB()
-        db.insert_packed("tx", _blob(records[:split]), _LABELS)
+        db.insert_packed("tx", pack(records[:split]), _LABELS)
         summaries_before = {
             label: metrics.throughput_at(db, label) for label in db.tables()
         }
         assert summaries_before  # index built, caches warm
-        db.insert_packed("rx", _blob(records[split:]), _LABELS)
+        db.insert_packed("rx", pack(records[split:]), _LABELS)
         assert_db_equivalent(db, db.legacy)
         assert_metrics_equivalent(db, db.legacy)
 
