@@ -34,7 +34,7 @@ import struct
 from typing import Optional, Tuple
 
 from repro.ebpf.memory import PACKET_REGION_BASE
-from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP, Packet
+from repro.net.packet import Packet
 
 CTX_SIZE = 56
 
@@ -52,6 +52,36 @@ OFF_PAYLOAD_OFF = 36
 OFF_DATA = 40
 OFF_DATA_END = 48
 
+# The whole table above as one layout, in field order.
+_CTX = struct.Struct("<IH2xIIIIHHB3xIIQQ")
+
+
+class PacketImage:
+    """The ``data`` .. ``data_end`` region of one invocation.
+
+    Its length comes from the headers; the bytes are serialised the
+    first time something reads them (:meth:`materialise`), so a program
+    whose filter misses on context fields never pays for a wire image.
+    """
+
+    __slots__ = ("_packet", "_length", "_bytes")
+
+    def __init__(self, packet: Packet, length: int):
+        self._packet = packet
+        self._length = length
+        self._bytes: Optional[bytearray] = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def materialise(self) -> bytearray:
+        if self._bytes is None:
+            self._bytes = self._packet.wire_image()
+        return self._bytes
+
+    def __bytes__(self) -> bytes:
+        return bytes(self.materialise())
+
 
 def build_skb_context(
     packet: Packet,
@@ -59,52 +89,38 @@ def build_skb_context(
     cpu: int = 0,
     hook_id: int = 0,
     use_inner: bool = False,
-    wire_bytes: Optional[bytes] = None,
-) -> Tuple[bytearray, bytearray]:
-    """Build (ctx, packet_bytes) for one program invocation.
+) -> Tuple[bytearray, PacketImage]:
+    """Build (ctx, packet region) for one program invocation.
 
     ``use_inner`` fills the parsed fields from the innermost packet
-    (after notional VXLAN decap).  ``wire_bytes`` lets callers reuse an
-    already-serialized image instead of re-serializing per probe.
+    (after notional VXLAN decap).
     """
     logical = packet.innermost if use_inner else packet
-    data = bytearray(wire_bytes if wire_bytes is not None else packet.to_bytes())
-
-    ctx = bytearray(CTX_SIZE)
-    struct.pack_into("<I", ctx, OFF_LEN, len(data))
+    length = packet.total_length
     eth = logical.eth
-    struct.pack_into("<H", ctx, OFF_PROTOCOL, eth.ethertype if eth else 0)
-    struct.pack_into("<I", ctx, OFF_IFINDEX, ifindex)
-    struct.pack_into("<I", ctx, OFF_RX_CPU, cpu)
-
     ip = logical.ip
-    if ip is not None:
-        struct.pack_into("<I", ctx, OFF_SRC_IP, ip.src.value)
-        struct.pack_into("<I", ctx, OFF_DST_IP, ip.dst.value)
-        struct.pack_into("<B", ctx, OFF_IP_PROTO, ip.protocol)
-
-    payload_offset = 0
-    if logical.tcp is not None:
-        struct.pack_into("<H", ctx, OFF_SRC_PORT, logical.tcp.src_port)
-        struct.pack_into("<H", ctx, OFF_DST_PORT, logical.tcp.dst_port)
-    elif logical.udp is not None:
-        struct.pack_into("<H", ctx, OFF_SRC_PORT, logical.udp.src_port)
-        struct.pack_into("<H", ctx, OFF_DST_PORT, logical.udp.dst_port)
-
-    # Where the L4 payload of the *logical* packet starts inside `data`.
-    # For encapsulated packets the outer headers precede the inner image.
-    outer_header_len = 0
-    walk = packet
-    while walk is not logical:
-        outer_header_len += walk.header_length
-        walk = walk.payload  # type: ignore[assignment]  # guarded by innermost
-    payload_offset = outer_header_len + logical.header_length
-    struct.pack_into("<I", ctx, OFF_PAYLOAD_OFF, payload_offset)
-
-    struct.pack_into("<I", ctx, OFF_HOOK_ID, hook_id)
-    struct.pack_into("<Q", ctx, OFF_DATA, PACKET_REGION_BASE)
-    struct.pack_into("<Q", ctx, OFF_DATA_END, PACKET_REGION_BASE + len(data))
-    return ctx, data
+    l4 = logical.tcp if logical.tcp is not None else logical.udp
+    ctx = bytearray(CTX_SIZE)
+    _CTX.pack_into(
+        ctx,
+        0,
+        length,
+        eth.ethertype if eth is not None else 0,
+        ifindex,
+        cpu,
+        ip.src.value if ip is not None else 0,
+        ip.dst.value if ip is not None else 0,
+        l4.src_port if l4 is not None else 0,
+        l4.dst_port if l4 is not None else 0,
+        ip.protocol if ip is not None else 0,
+        hook_id,
+        # Where the L4 payload of the *logical* packet starts inside the
+        # image: after the outer headers and the logical packet's own.
+        length - logical.payload_length,
+        PACKET_REGION_BASE,
+        PACKET_REGION_BASE + length,
+    )
+    return ctx, PacketImage(packet, length)
 
 
 def build_empty_context(
@@ -113,18 +129,11 @@ def build_empty_context(
     """A context for probe points with no packet: all packet fields are
     zero, data == data_end (an empty, valid region)."""
     ctx = bytearray(CTX_SIZE)
-    struct.pack_into("<I", ctx, OFF_IFINDEX, ifindex)
-    struct.pack_into("<I", ctx, OFF_RX_CPU, cpu)
-    struct.pack_into("<I", ctx, OFF_HOOK_ID, hook_id)
-    struct.pack_into("<Q", ctx, OFF_DATA, PACKET_REGION_BASE)
-    struct.pack_into("<Q", ctx, OFF_DATA_END, PACKET_REGION_BASE)
+    base = PACKET_REGION_BASE
+    _CTX.pack_into(ctx, 0, 0, 0, ifindex, cpu, 0, 0, 0, 0, 0, hook_id, 0, base, base)
     return ctx, bytearray(0)
 
 
 def context_field(ctx: bytearray, offset: int, size: int) -> int:
     """Read a context field from the byte image (user-space debugging)."""
     return int.from_bytes(ctx[offset : offset + size], "little")
-
-
-_IS_TCP = IPPROTO_TCP
-_IS_UDP = IPPROTO_UDP

@@ -378,8 +378,11 @@ def _addr_lines(pointer: str, offset: int) -> Tuple[List[str], str]:
 def _region_chain(addr: str, size: int, hit, fallback: str) -> List[str]:
     """Bounds-checked fast paths for the three fixed regions.
 
-    Map-value buffers (dynamic regions) and faulting accesses fall back
-    to :meth:`repro.ebpf.memory.Memory` lookup, which raises the same
+    ``_pkt`` may arrive as a lazy image (its ``len()`` is all ``_pl``
+    needs); the first access that lands in the packet region swaps it
+    for the serialised bytes.  Map-value buffers (dynamic regions) and
+    faulting accesses fall back to :meth:`repro.ebpf.memory.Memory`
+    lookup, which raises the same
     :class:`~repro.ebpf.memory.MemoryFault` the interpreter would.
     """
     return [
@@ -389,6 +392,7 @@ def _region_chain(addr: str, size: int, hit, fallback: str) -> List[str]:
         "else:",
         f"    _o = {addr} - {PACKET_REGION_BASE:#x}",
         f"    if 0 <= _o <= _pl - {size}:",
+        "        _pkt = _mem.packet_bytes()",
         f"        {hit('_pkt')}",
         "    else:",
         f"        _o = {addr} - {STACK_REGION_BASE:#x}",

@@ -179,9 +179,11 @@ class CallbackAttachment(Attachment):
 class HookRegistry:
     """Per-kernel registry of hooks and their attachments.
 
-    ``fire`` is called by the simulated stack at every instrumentable
-    point; it is cheap when nothing is attached (a counter increment),
-    which models how an un-probed kernel function costs nothing extra.
+    The simulated stack reaches every instrumentable point through
+    :meth:`fire_unattached` first: with nothing attached a fire is one
+    counter increment and no :class:`ProbeEvent` is built, which models
+    how an un-probed kernel function costs nothing extra.  Only an
+    attached hook pays for the event and goes through :meth:`fire`.
     """
 
     def __init__(self, node_name: str = ""):
@@ -215,6 +217,17 @@ class HookRegistry:
 
     def has_attachments(self, hook_name: str) -> bool:
         return bool(self._attachments.get(hook_name))
+
+    def fire_unattached(self, hook_name: str) -> bool:
+        """Count one fire of ``hook_name`` if nothing is attached to it.
+
+        ``False`` means something is attached and nothing was counted:
+        the caller builds the :class:`ProbeEvent` and calls :meth:`fire`.
+        """
+        if self._attachments.get(hook_name):
+            return False
+        self.fire_counts[hook_name] = self.fire_counts.get(hook_name, 0) + 1
+        return True
 
     def fire(self, event: ProbeEvent) -> int:
         """Fire a hook; returns total handler cost in nanoseconds."""

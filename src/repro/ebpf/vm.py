@@ -169,13 +169,20 @@ class VMState(Memory):
     the compiled tier materializes the final register file in one
     writeback at EXIT, and the interpreter builds its zeroed file when
     it starts.
+
+    ``packet`` is the packet region: ``None``, a ``bytearray``, or a
+    lazy image (``len()`` plus ``materialise() -> bytearray``, see
+    :class:`repro.ebpf.context.PacketImage`) that is serialised only
+    when an access lands in the region -- both tiers and every helper
+    reach it through :meth:`packet_bytes`.
     """
 
-    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns")
+    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "packet")
 
-    def __init__(self, regions: List[Tuple[int, bytearray, str]], env: ExecutionEnv):
-        self._regions = regions
+    def __init__(self, stack: bytearray, ctx: bytearray, packet, env: ExecutionEnv):
+        self._regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx, "ctx")]
         self._next_dynamic_base = MAP_VALUE_REGION_BASE
+        self.packet = packet
         self.regs: Optional[List[int]] = None
         self.env = env
         self.helper_calls: Dict[str, int] = {}
@@ -184,6 +191,19 @@ class VMState(Memory):
     @property
     def memory(self) -> Memory:
         return self
+
+    def packet_bytes(self) -> bytearray:
+        """The packet region's bytes, serialising a lazy image now."""
+        packet = self.packet
+        return packet if packet.__class__ is bytearray else packet.materialise()
+
+    def _locate(self, address: int, size: int) -> Tuple[bytearray, int]:
+        offset = address - PACKET_REGION_BASE
+        # Stack and context sit below the packet base: they fail the
+        # first test and never pay for the region's length.
+        if offset >= 0 and self.packet is not None and offset <= len(self.packet) - size:
+            return self.packet_bytes(), offset
+        return Memory._locate(self, address, size)
 
 
 class ExecResult(NamedTuple):
@@ -352,7 +372,8 @@ class BPFProgram:
         packet_bytes: Optional[bytearray] = None,
     ) -> ExecResult:
         """Execute once.  ``ctx_bytes`` is mapped at the context base and
-        handed to the program in R1; ``packet_bytes`` (if any) is mapped
+        handed to the program in R1; ``packet_bytes`` (if any; a
+        ``bytearray`` or a lazy image, see :class:`VMState`) is mapped
         where the context's data/data_end pointers expect it."""
         native = self._native
         if native is None or self.shadow:
@@ -363,11 +384,8 @@ class BPFProgram:
             state, executed, _stack = self._run_once(env, ctx_bytes, packet_bytes)
             return self._finish(state, executed)
         # Hot path: the compiled tier, inlined (probes take this per packet).
-        stack = bytearray(512)
-        regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx_bytes, "ctx")]
-        if packet_bytes is not None:
-            regions.append((PACKET_REGION_BASE, packet_bytes, "packet"))
-        state = VMState(regions, env)
+        stack = bytearray(isa.STACK_SIZE)
+        state = VMState(stack, ctx_bytes, packet_bytes, env)
         try:
             executed = native(state, stack, ctx_bytes, packet_bytes)
         except HelperError as exc:
@@ -393,10 +411,7 @@ class BPFProgram:
     ) -> Tuple[VMState, int, bytearray]:
         """One execution on the chosen tier, without accounting."""
         stack = bytearray(isa.STACK_SIZE)
-        regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx_bytes, "ctx")]
-        if packet_bytes is not None:
-            regions.append((PACKET_REGION_BASE, packet_bytes, "packet"))
-        state = VMState(regions, env)
+        state = VMState(stack, ctx_bytes, packet_bytes, env)
         if native is None:
             native = self._native is not None
         if native:

@@ -50,7 +50,6 @@ def segment_packet(packet: Packet, mss: int) -> List[Packet]:
         if tcp is not None:
             clone.tcp.seq = (tcp.seq + offset) & 0xFFFFFFFF
         clone.metadata[META_GSO_SEGS] = 1
-        clone.app_seq = packet.app_seq
         segments.append(clone)
         offset += len(chunk)
     return segments

@@ -20,7 +20,6 @@ import struct
 from typing import List, Optional, Tuple, Union
 
 from repro.net.addressing import IPv4Address, MACAddress
-from repro.net.checksum import internet_checksum
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -41,50 +40,79 @@ TCPOPT_TRACE_ID = 0xFD
 
 _packet_uid_counter = itertools.count(1)
 
+# Wire layouts, compiled once.  A 48-bit MAC travels as a 16+32-bit pair.
+_ETH = struct.Struct("!HIHIH")
+_IPV4 = struct.Struct("!BBHHHBBHII")
+_UDP = struct.Struct("!HHHH")
+_TCP = struct.Struct("!HHIIHHHH")
+_VXLAN = struct.Struct("!BBHI")
+
 
 class HeaderError(ValueError):
     """Raised when a header cannot be built or parsed."""
 
 
-class EthernetHeader:
+class _WireHeader:
+    """What the header classes share.  Each defines ``pack_into(buffer,
+    offset)`` -- write the wire form in place, return the offset after
+    it -- and ``slot``, the :class:`Packet` attribute it is reachable
+    through."""
+
+    __slots__ = ()
+
+    def pack(self) -> bytes:
+        buffer = bytearray(self.length)
+        self.pack_into(buffer, 0)
+        return bytes(buffer)
+
+    def copy(self):
+        """A field-for-field duplicate.  Field values are ints, bytes
+        and immutable address objects, so sharing them is safe, and
+        ``__init__``'s validation and re-wrapping has nothing to add."""
+        duplicate = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(duplicate, name, getattr(self, name))
+        return duplicate
+
+
+class EthernetHeader(_WireHeader):
     """14-byte Ethernet II header."""
 
     __slots__ = ("dst", "src", "ethertype")
 
-    LENGTH = 14
+    LENGTH = length = 14
+    slot = "eth"
 
     def __init__(self, dst: MACAddress, src: MACAddress, ethertype: int = ETHERTYPE_IPV4):
         self.dst = MACAddress(dst)
         self.src = MACAddress(src)
         self.ethertype = ethertype
 
-    def pack(self) -> bytes:
-        return self.dst.to_bytes() + self.src.to_bytes() + struct.pack("!H", self.ethertype)
+    def pack_into(self, buffer: bytearray, offset: int) -> int:
+        dst, src = self.dst.value, self.src.value
+        _ETH.pack_into(
+            buffer, offset, dst >> 32, dst & 0xFFFFFFFF, src >> 32, src & 0xFFFFFFFF, self.ethertype
+        )
+        return offset + 14
 
     @classmethod
     def unpack(cls, data: bytes) -> "EthernetHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError("truncated Ethernet header")
-        return cls(
-            MACAddress.from_bytes(data[0:6]),
-            MACAddress.from_bytes(data[6:12]),
-            struct.unpack("!H", data[12:14])[0],
-        )
-
-    @property
-    def length(self) -> int:
-        return self.LENGTH
+        dst_hi, dst_lo, src_hi, src_lo, ethertype = _ETH.unpack_from(data)
+        return cls(MACAddress(dst_hi << 32 | dst_lo), MACAddress(src_hi << 32 | src_lo), ethertype)
 
     def __repr__(self) -> str:
         return f"<Eth {self.src}->{self.dst} type=0x{self.ethertype:04x}>"
 
 
-class IPv4Header:
+class IPv4Header(_WireHeader):
     """20-byte IPv4 header (no IP options)."""
 
     __slots__ = ("src", "dst", "protocol", "ttl", "identification", "total_length", "dscp")
 
-    LENGTH = 20
+    LENGTH = length = 20
+    slot = "ip"
 
     def __init__(
         self,
@@ -104,45 +132,46 @@ class IPv4Header:
         self.total_length = total_length
         self.dscp = dscp
 
-    def pack(self) -> bytes:
-        version_ihl = (4 << 4) | 5
-        header_wo_csum = struct.pack(
-            "!BBHHHBBH4s4s",
-            version_ihl,
-            self.dscp << 2,
+    def pack_into(self, buffer: bytearray, offset: int) -> int:
+        tos = self.dscp << 2
+        src, dst = self.src.value, self.dst.value
+        # RFC 1071 over the header's 16-bit words (version 4 / IHL 5;
+        # flags and fragment offset are zero: nothing fragments in this
+        # substrate).  struct range-checks every field it packs below,
+        # so the words summed here are the words on the wire.
+        total = 0x4500 + tos + self.total_length + self.identification + (self.ttl << 8)
+        total += self.protocol + (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        _IPV4.pack_into(
+            buffer,
+            offset,
+            0x45,
+            tos,
             self.total_length,
             self.identification,
-            0,  # flags/fragment offset: never fragmented in this substrate
+            0,  # flags / fragment offset
             self.ttl,
             self.protocol,
-            0,  # checksum placeholder
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            ~total & 0xFFFF,
+            src,
+            dst,
         )
-        csum = internet_checksum(header_wo_csum)
-        return header_wo_csum[:10] + struct.pack("!H", csum) + header_wo_csum[12:]
+        return offset + 20
 
     @classmethod
     def unpack(cls, data: bytes) -> "IPv4Header":
         if len(data) < cls.LENGTH:
             raise HeaderError("truncated IPv4 header")
-        (
-            version_ihl,
-            tos,
-            total_length,
-            identification,
-            _frag,
-            ttl,
-            protocol,
-            _csum,
-            src,
-            dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[:20])
+        fields = _IPV4.unpack_from(data)
+        version_ihl, tos, total_length, identification, _frag, ttl, protocol, _, src, dst = fields
         if version_ihl >> 4 != 4:
             raise HeaderError(f"not IPv4 (version={version_ihl >> 4})")
+        if version_ihl & 0xF != 5:
+            raise HeaderError(f"IP options are not modeled (IHL={version_ihl & 0xF})")
         return cls(
-            IPv4Address.from_bytes(src),
-            IPv4Address.from_bytes(dst),
+            IPv4Address(src),
+            IPv4Address(dst),
             protocol,
             ttl=ttl,
             identification=identification,
@@ -150,20 +179,17 @@ class IPv4Header:
             dscp=tos >> 2,
         )
 
-    @property
-    def length(self) -> int:
-        return self.LENGTH
-
     def __repr__(self) -> str:
         return f"<IPv4 {self.src}->{self.dst} proto={self.protocol} ttl={self.ttl}>"
 
 
-class UDPHeader:
+class UDPHeader(_WireHeader):
     """8-byte UDP header."""
 
     __slots__ = ("src_port", "dst_port", "udp_length", "checksum")
 
-    LENGTH = 8
+    LENGTH = length = 8
+    slot = "udp"
 
     def __init__(self, src_port: int, dst_port: int, udp_length: int = 0, checksum: int = 0):
         self.src_port = src_port
@@ -171,30 +197,27 @@ class UDPHeader:
         self.udp_length = udp_length
         self.checksum = checksum
 
-    def pack(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.udp_length, self.checksum)
+    def pack_into(self, buffer: bytearray, offset: int) -> int:
+        _UDP.pack_into(buffer, offset, self.src_port, self.dst_port, self.udp_length, self.checksum)
+        return offset + 8
 
     @classmethod
     def unpack(cls, data: bytes) -> "UDPHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError("truncated UDP header")
-        src_port, dst_port, udp_length, checksum = struct.unpack("!HHHH", data[:8])
-        return cls(src_port, dst_port, udp_length, checksum)
-
-    @property
-    def length(self) -> int:
-        return self.LENGTH
+        return cls(*_UDP.unpack_from(data))
 
     def __repr__(self) -> str:
         return f"<UDP {self.src_port}->{self.dst_port} len={self.udp_length}>"
 
 
-class TCPHeader:
+class TCPHeader(_WireHeader):
     """TCP header with an options area (where the trace ID lives)."""
 
     __slots__ = ("src_port", "dst_port", "seq", "ack", "flags", "window", "options")
 
     BASE_LENGTH = 20
+    slot = "tcp"
 
     def __init__(
         self,
@@ -226,30 +249,29 @@ class TCPHeader:
     def length(self) -> int:
         return self.BASE_LENGTH + len(self.options)
 
-    def pack(self) -> bytes:
-        offset_flags = (self.data_offset_words << 12) | (self.flags & 0x1FF)
-        return (
-            struct.pack(
-                "!HHIIHHHH",
-                self.src_port,
-                self.dst_port,
-                self.seq,
-                self.ack,
-                offset_flags,
-                self.window,
-                0,  # checksum: offloaded in this substrate
-                0,  # urgent pointer
-            )
-            + self.options
+    def pack_into(self, buffer: bytearray, offset: int) -> int:
+        options = self.options
+        end = offset + 20 + len(options)
+        _TCP.pack_into(
+            buffer,
+            offset,
+            self.src_port,
+            self.dst_port,
+            self.seq,
+            self.ack,
+            (self.data_offset_words << 12) | (self.flags & 0x1FF),
+            self.window,
+            0,  # checksum: offloaded in this substrate
+            0,  # urgent pointer
         )
+        buffer[offset + 20 : end] = options
+        return end
 
     @classmethod
     def unpack(cls, data: bytes) -> "TCPHeader":
         if len(data) < cls.BASE_LENGTH:
             raise HeaderError("truncated TCP header")
-        (src_port, dst_port, seq, ack, offset_flags, window, _csum, _urg) = struct.unpack(
-            "!HHIIHHHH", data[:20]
-        )
+        src_port, dst_port, seq, ack, offset_flags, window, _csum, _urg = _TCP.unpack_from(data)
         data_offset = (offset_flags >> 12) * 4
         if data_offset < cls.BASE_LENGTH or len(data) < data_offset:
             raise HeaderError("bad TCP data offset")
@@ -289,33 +311,31 @@ class TCPHeader:
         return f"<TCP {self.src_port}->{self.dst_port} seq={self.seq} flags=0x{self.flags:x}>"
 
 
-class VXLANHeader:
+class VXLANHeader(_WireHeader):
     """8-byte VXLAN header (RFC 7348)."""
 
     __slots__ = ("vni",)
 
-    LENGTH = 8
+    LENGTH = length = 8
+    slot = "vxlan"
 
     def __init__(self, vni: int):
         if not 0 <= vni < (1 << 24):
             raise HeaderError(f"VNI out of range: {vni}")
         self.vni = vni
 
-    def pack(self) -> bytes:
-        return struct.pack("!BBHI", 0x08, 0, 0, self.vni << 8)
+    def pack_into(self, buffer: bytearray, offset: int) -> int:
+        _VXLAN.pack_into(buffer, offset, 0x08, 0, 0, self.vni << 8)
+        return offset + 8
 
     @classmethod
     def unpack(cls, data: bytes) -> "VXLANHeader":
         if len(data) < cls.LENGTH:
             raise HeaderError("truncated VXLAN header")
-        flags, _r1, _r2, vni_field = struct.unpack("!BBHI", data[:8])
+        flags, _r1, _r2, vni_field = _VXLAN.unpack_from(data)
         if not flags & 0x08:
             raise HeaderError("VXLAN I flag not set")
         return cls(vni_field >> 8)
-
-    @property
-    def length(self) -> int:
-        return self.LENGTH
 
     def __repr__(self) -> str:
         return f"<VXLAN vni={self.vni}>"
@@ -355,6 +375,11 @@ class Packet:
 
     __slots__ = (
         "headers",
+        "eth",
+        "ip",
+        "udp",
+        "tcp",
+        "vxlan",
         "payload",
         "uid",
         "path",
@@ -372,7 +397,17 @@ class Packet:
         app_seq: int = 0,
         created_at_ns: int = 0,
     ):
-        self.headers = list(headers)
+        self.headers = headers = list(headers)
+        # The header list is fixed from here on, so each layer resolves
+        # once: ``packet.ip`` etc. are plain attributes holding the first
+        # header of their kind, or None.
+        self.eth: Optional[EthernetHeader] = None
+        self.ip: Optional[IPv4Header] = None
+        self.udp: Optional[UDPHeader] = None
+        self.tcp: Optional[TCPHeader] = None
+        self.vxlan: Optional[VXLANHeader] = None
+        for header in reversed(headers):
+            setattr(self, header.slot, header)
         self.payload = payload
         self.uid = next(_packet_uid_counter)
         self.path: List[PathRecord] = []
@@ -380,34 +415,6 @@ class Packet:
         self.app_seq = app_seq
         self.created_at_ns = created_at_ns
         self.metadata: dict = {}
-
-    # -- structured accessors ------------------------------------------------
-
-    def _find(self, header_type) -> Optional[Header]:
-        for header in self.headers:
-            if isinstance(header, header_type):
-                return header
-        return None
-
-    @property
-    def eth(self) -> Optional[EthernetHeader]:
-        return self._find(EthernetHeader)
-
-    @property
-    def ip(self) -> Optional[IPv4Header]:
-        return self._find(IPv4Header)
-
-    @property
-    def udp(self) -> Optional[UDPHeader]:
-        return self._find(UDPHeader)
-
-    @property
-    def tcp(self) -> Optional[TCPHeader]:
-        return self._find(TCPHeader)
-
-    @property
-    def vxlan(self) -> Optional[VXLANHeader]:
-        return self._find(VXLANHeader)
 
     @property
     def inner(self) -> Optional["Packet"]:
@@ -426,37 +433,55 @@ class Packet:
 
     @property
     def payload_length(self) -> int:
-        if isinstance(self.payload, Packet):
-            return self.payload.total_length
-        return len(self.payload)
+        payload = self.payload
+        return payload.total_length if isinstance(payload, Packet) else len(payload)
 
     @property
     def header_length(self) -> int:
-        return sum(h.length for h in self.headers)
+        length = 0
+        for header in self.headers:
+            length += header.length
+        return length
 
     @property
     def total_length(self) -> int:
-        return self.header_length + self.payload_length
+        # Every hop asks (device stats, link serialization, copy costs),
+        # so this walks the nesting in one frame.
+        length = 0
+        payload = self
+        while isinstance(payload, Packet):
+            for header in payload.headers:
+                length += header.length
+            payload = payload.payload
+        return length + len(payload)
 
     # -- wire image ----------------------------------------------------------
 
+    def wire_image(self) -> bytearray:
+        """Serialize to wire format in one pre-sized buffer, fixing up
+        the UDP / IPv4 length fields along the way."""
+        size = self.total_length
+        image = bytearray(size)
+        offset = 0
+        packet = self
+        while True:
+            for header in packet.headers:
+                # A length field covers everything from its header to
+                # the end of the image, nested packets included.
+                if isinstance(header, UDPHeader):
+                    header.udp_length = size - offset
+                elif isinstance(header, IPv4Header):
+                    header.total_length = size - offset
+                offset = header.pack_into(image, offset)
+            payload = packet.payload
+            if not isinstance(payload, Packet):
+                image[offset:] = payload
+                return image
+            packet = payload
+
     def to_bytes(self) -> bytes:
-        """Serialize to wire format, fixing up length fields."""
-        payload_bytes = (
-            self.payload.to_bytes() if isinstance(self.payload, Packet) else bytes(self.payload)
-        )
-        pieces: List[bytes] = []
-        # Walk from the innermost layer outward so length fields include
-        # everything beneath them.
-        trailing = payload_bytes
-        for header in reversed(self.headers):
-            if isinstance(header, UDPHeader):
-                header.udp_length = UDPHeader.LENGTH + len(trailing)
-            elif isinstance(header, IPv4Header):
-                header.total_length = IPv4Header.LENGTH + len(trailing)
-            trailing = header.pack() + trailing
-        pieces.append(trailing)
-        return b"".join(pieces)
+        """The wire image as immutable bytes."""
+        return bytes(self.wire_image())
 
     @classmethod
     def from_bytes(cls, data: bytes, decapsulate_vxlan_port: int = 4789) -> "Packet":
@@ -495,11 +520,10 @@ class Packet:
     def clone(self) -> "Packet":
         """A structural copy with a fresh uid and empty path log (used
         when a bridge floods one frame out several ports)."""
-        import copy
-
+        payload = self.payload
         duplicate = Packet(
-            copy.deepcopy(self.headers),
-            self.payload.clone() if isinstance(self.payload, Packet) else self.payload,
+            [header.copy() for header in self.headers],
+            payload.clone() if isinstance(payload, Packet) else payload,
             app=self.app,
             app_seq=self.app_seq,
             created_at_ns=self.created_at_ns,

@@ -275,8 +275,10 @@ class KernelNode:
     # -- hooks ------------------------------------------------------------------
 
     def fire_device_hook(self, device: NetDevice, packet: Packet, cpu, direction: str) -> int:
+        if self.hooks.fire_unattached(device.hook_name):
+            return 0
         event = ProbeEvent(
-            hook=f"dev:{device.name}",
+            hook=device.hook_name,
             node=self.name,
             packet=packet,
             ifindex=device.ifindex,
@@ -294,6 +296,8 @@ class KernelNode:
         device: Optional[NetDevice] = None,
         extra: Optional[dict] = None,
     ) -> int:
+        if self.hooks.fire_unattached(hook):
+            return 0
         event = ProbeEvent(
             hook=hook,
             node=self.name,
@@ -306,6 +310,8 @@ class KernelNode:
         return self.hooks.fire(event)
 
     def fire_steering_hook(self, device: NetDevice, packet: Packet, cpu_index: int) -> int:
+        if self.hooks.fire_unattached(HOOK_GET_RPS_CPU):
+            return 0
         event = ProbeEvent(
             hook=HOOK_GET_RPS_CPU,
             node=self.name,

@@ -26,17 +26,41 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional
 
 
+# Dead-timer compaction: a heap is rebuilt without its cancelled events
+# once they outnumber the live ones by this factor, and by enough to be
+# worth the pass.
+COMPACT_DEAD_FACTOR = 4
+COMPACT_MIN_DEAD = 64
+
+
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (negative delays, running twice...)."""
+
+
+def compact_if_mostly_dead(heap: List["Event"], live: int) -> None:
+    """Drop the cancelled events from ``heap`` when it is mostly them.
+
+    ``live`` is (an upper bound on) the live events in ``heap``.  A TCP
+    sender cancels and re-arms its RTO on every ACK, so without this the
+    heap is thousands of dead timers around a handful of live events and
+    every push and pop pays for their depth.  ``(time, seq)`` is a total
+    order, so rebuilding the heap cannot change what pops next.  The
+    heap is edited in place: event loops keep their reference to it.
+    """
+    dead = len(heap) - live
+    if dead > COMPACT_MIN_DEAD and dead > COMPACT_DEAD_FACTOR * live:
+        heap[:] = [event for event in heap if not event.cancelled]
+        heapq.heapify(heap)
 
 
 class Event:
     """A single scheduled callback.
 
     Instances are returned by :meth:`Engine.schedule` so callers can
-    :meth:`cancel` them.  Cancelled events stay in the heap but are
-    skipped when popped (lazy deletion); the engine's live-event counter
-    is decremented eagerly so ``pending()`` and the end-of-run clock
+    :meth:`cancel` them.  Cancelled events stay in the heap and are
+    skipped when popped (lazy deletion), or dropped earlier by
+    :func:`compact_if_mostly_dead`; the engine's live-event counter is
+    decremented eagerly so ``pending()`` and the end-of-run clock
     advance never have to rescan the heap.  ``cancelled`` is also set
     when the event fires, so a late ``cancel()`` is a no-op.
     """
@@ -57,7 +81,7 @@ class Event:
         """Prevent the event from firing; safe to call more than once."""
         if not self.cancelled:
             self.cancelled = True
-            self.engine._live -= 1
+            self.engine._on_cancel(self)
 
     def __lt__(self, other: "Event") -> bool:
         # heapq calls this O(log n) times per push/pop; comparing fields
@@ -291,6 +315,10 @@ class Engine:
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
         return self._live
+
+    def _on_cancel(self, event: Event) -> None:
+        self._live -= 1
+        compact_if_mostly_dead(self._heap, self._live)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self._now}ns pending={self.pending()}>"

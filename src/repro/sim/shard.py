@@ -29,7 +29,7 @@ import heapq
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError
+from repro.sim.engine import Engine, Event, SimulationError, compact_if_mostly_dead
 
 # The default conservative-lookahead window, in virtual nanoseconds.
 # The fleet tier requires every cross-shard boundary latency to be at
@@ -116,6 +116,13 @@ class ShardedEngine(Engine):
             yield
         finally:
             self._affinity = previous
+
+    def _on_cancel(self, event: _ShardEvent) -> None:
+        # Same rule as the base engine, per shard heap, with the global
+        # live count standing in for the shard's (an upper bound, so a
+        # shard heap compacts no earlier than the single heap would).
+        self._live -= 1
+        compact_if_mostly_dead(self._shard_heaps[event.shard], self._live)
 
     def shard_of(self, event: Event) -> int:
         """Which shard heap holds ``event`` (0 for plain-Engine events)."""

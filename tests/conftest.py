@@ -30,8 +30,7 @@ def node(engine):
     return KernelNode(engine, "testnode", num_cpus=4)
 
 
-@pytest.fixture
-def two_nodes(engine):
+def build_two_nodes(engine):
     """Two kernel nodes joined by a veth pair with IPs and routes."""
     from repro.net.device import VethDevice
 
@@ -45,3 +44,8 @@ def two_nodes(engine):
     node_a.add_neighbor(ip_b, veth_b.mac)
     node_b.add_neighbor(ip_a, veth_a.mac)
     return node_a, node_b, ip_a, ip_b
+
+
+@pytest.fixture
+def two_nodes(engine):
+    return build_two_nodes(engine)

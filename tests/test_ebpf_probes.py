@@ -5,7 +5,7 @@ import pytest
 from repro.ebpf import context as ctxmod
 from repro.ebpf.assembler import Assembler
 from repro.ebpf.context import build_empty_context, build_skb_context, context_field
-from repro.ebpf.isa import R0, R1, R2
+from repro.ebpf.isa import R0, R1, R2, R3
 from repro.ebpf.memory import PACKET_REGION_BASE
 from repro.ebpf.probes import (
     CallbackAttachment,
@@ -26,6 +26,8 @@ from repro.net.packet import (
     VXLANHeader,
     make_udp_packet,
 )
+from repro.sim.engine import Engine
+from tests.conftest import build_two_nodes
 
 MAC_A, MAC_B = MACAddress.from_index(1), MACAddress.from_index(2)
 IP_A, IP_B = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
@@ -179,3 +181,135 @@ class TestEBPFAttachment:
                                      packet=make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 2, b""),
                                      cpu=3))
         assert env.cpu == 3
+
+
+class TestHookGate:
+    """An unattached hook costs a counter increment: no ProbeEvent."""
+
+    def _run(self, monkeypatch, attach):
+        import repro.net.stack as stack
+
+        built = []
+
+        def counting_event(*args, **kwargs):
+            event = ProbeEvent(*args, **kwargs)
+            built.append(event)
+            return event
+
+        monkeypatch.setattr(stack, "ProbeEvent", counting_event)
+        engine = Engine()
+        node_a, node_b, ip_a, ip_b = build_two_nodes(engine)
+        for node in (node_a, node_b):
+            for hook in attach:
+                node.hooks.attach(hook, CallbackAttachment(lambda event: None))
+        node_b.bind_udp(ip_b, 7000)
+        sender = node_a.bind_udp(ip_a, 7001)
+        for seq in range(5):
+            sender.sendto(ip_b, 7000, b"ping", app_seq=seq)
+        engine.run()
+        return built, [dict(node.hooks.fire_counts) for node in (node_a, node_b)]
+
+    def test_unattached_fires_build_no_events_and_count_the_same(self, monkeypatch):
+        built, idle_counts = self._run(monkeypatch, attach=())
+        assert built == []
+        fired = set(idle_counts[0]) | set(idle_counts[1])
+        # The UDP path crosses all three helpers: function hooks, the
+        # veth device hook, and the RPS steering hook.
+        assert {"kprobe:udp_send_skb", "dev:veth0", "kprobe:get_rps_cpu"} <= fired
+        built, attached_counts = self._run(monkeypatch, attach=sorted(fired))
+        assert attached_counts == idle_counts
+        assert len(built) == sum(sum(counts.values()) for counts in idle_counts)
+        steering = [event for event in built if event.hook == "kprobe:get_rps_cpu"]
+        assert steering and all(
+            event.extra == {"steered_cpu": event.cpu} for event in steering
+        )
+
+    def test_partially_attached_node_builds_events_only_for_that_hook(self, monkeypatch):
+        built, counts = self._run(monkeypatch, attach=("dev:veth0",))
+        assert {event.hook for event in built} == {"dev:veth0"}
+        assert len(built) == sum(c["dev:veth0"] for c in counts)
+
+    def test_fire_unattached_contract(self):
+        hooks = HookRegistry("n")
+        assert hooks.fire_unattached("h") and hooks.fires("h") == 1
+        hooks.attach("h", CallbackAttachment(lambda event: None, cost_ns=5))
+        assert not hooks.fire_unattached("h") and hooks.fires("h") == 1
+        assert hooks.fire(ProbeEvent(hook="h", node="n")) == 5 and hooks.fires("h") == 2
+
+
+class TestLazyPacketRegion:
+    """The packet region is serialised only when a program reads it."""
+
+    @staticmethod
+    def PACKET(port):
+        return make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, port, bytes(range(22)))
+
+    TIERS = {
+        "compiled": {},
+        "interpreter": {"precompile": False},
+        "shadow": {"shadow": True},
+    }
+
+    def _program(self, offset, **tier):
+        """r0 = the 8 packet bytes at ``offset`` if dst_port == 5678, else 0."""
+        asm = Assembler()
+        asm.mov_imm(R0, 0)
+        asm.ldx_h(R2, R1, ctxmod.OFF_DST_PORT)
+        asm.jne_imm(R2, 5678, "out")
+        asm.ldx_dw(R3, R1, ctxmod.OFF_DATA)
+        asm.ldx_dw(R0, R3, offset)
+        asm.label("out")
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name=f"peek{offset}", **tier)
+        program.load()
+        return program
+
+    @pytest.fixture
+    def serialisations(self, monkeypatch):
+        calls = []
+        original = Packet.wire_image
+
+        def counting(packet):
+            calls.append(packet)
+            return original(packet)
+
+        monkeypatch.setattr(Packet, "wire_image", counting)
+        return calls
+
+    @pytest.mark.parametrize("tier", ["compiled", "interpreter"])
+    def test_filter_miss_never_serialises(self, tier, serialisations):
+        attachment = EBPFAttachment(self._program(0, **self.TIERS[tier]), ExecutionEnv())
+        attachment.handle(ProbeEvent(hook="h", node="n", packet=self.PACKET(9)))
+        assert attachment.events_seen == 1 and attachment.events_matched == 0
+        assert serialisations == []
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_filter_hit_sees_exactly_to_bytes(self, tier, serialisations):
+        packet = self.PACKET(5678)
+        image = packet.to_bytes()
+        assert len(image) == 64
+        for offset in range(0, 64, 8):
+            serialisations.clear()
+            program = self._program(offset, **self.TIERS[tier])
+            ctx, data = build_skb_context(packet)
+            result = program.run(ExecutionEnv(), ctx, data)
+            assert result.r0 == int.from_bytes(image[offset : offset + 8], "little")
+            # One image per run, however many tiers replay it.
+            assert len(serialisations) == 1
+
+    def test_shadow_agrees_on_hit_and_miss(self):
+        program = self._program(8, shadow=True)
+        attachment = EBPFAttachment(program, ExecutionEnv())
+        for port in (5678, 9):
+            attachment.handle(ProbeEvent(hook="h", node="n", packet=self.PACKET(port)))
+        assert attachment.events_seen == 2 and attachment.events_matched == 1
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_read_past_data_end_still_faults(self, tier):
+        from repro.ebpf.memory import MemoryFault
+        from repro.ebpf.vm import ExecutionError
+
+        program = self._program(57, **self.TIERS[tier])  # bytes 57..64 of a 64-byte image
+        ctx, data = build_skb_context(self.PACKET(5678))
+        with pytest.raises((MemoryFault, ExecutionError)):
+            program.run(ExecutionEnv(), ctx, data)

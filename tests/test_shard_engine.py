@@ -10,6 +10,10 @@ traces; the heavier scenario-level equivalence lives in
 
 from __future__ import annotations
 
+import heapq
+import random
+from contextlib import nullcontext
+
 import pytest
 
 from repro.sim import (
@@ -19,6 +23,7 @@ from repro.sim import (
     engine_factory,
     new_engine,
 )
+from repro.sim import engine as engine_mod
 from repro.sim.engine import SimulationError
 from repro.obs.registry import MetricsRegistry
 
@@ -206,3 +211,106 @@ class TestMetrics:
 
     def test_default_lookahead_exported(self):
         assert ShardedEngine().lookahead_ns == DEFAULT_LOOKAHEAD_NS
+
+
+def _heap_entries(engine) -> int:
+    return sum(len(heap) for heap in getattr(engine, "_shard_heaps", [engine._heap]))
+
+
+def _engines():
+    return [Engine()] + [ShardedEngine(shards=shards) for shards in (1, 2, 4)]
+
+
+class TestDeadTimerCompaction:
+    """Cancelled timers are dropped once they dominate a heap, without
+    changing what runs, when, or what ``pending()`` says."""
+
+    def test_rearm_cycles_keep_the_heap_bounded(self):
+        """The TCP RTO pattern: every ACK cancels the timer and re-arms it."""
+        cycles = 10_000
+        for engine in _engines():
+            state = {"timer": None, "acks": 0, "timeouts": 0, "worst": 0}
+
+            def timeout():
+                state["timeouts"] += 1
+
+            def ack():
+                state["acks"] += 1
+                if state["timer"] is not None:
+                    state["timer"].cancel()
+                state["timer"] = engine.schedule(200_000_000, timeout)
+                if state["acks"] < cycles:
+                    engine.schedule(10_000, ack)
+                state["worst"] = max(state["worst"], _heap_entries(engine))
+                assert engine.pending() <= 2
+
+            engine.schedule(0, ack)
+            assert engine.run() == cycles + 1
+            assert (state["acks"], state["timeouts"]) == (cycles, 1)
+            # live + the dead a heap may hold before it is compacted
+            bound = (1 + engine_mod.COMPACT_DEAD_FACTOR) * 2 + engine_mod.COMPACT_MIN_DEAD + 1
+            assert state["worst"] <= bound, (engine, state["worst"])
+
+    @staticmethod
+    def _scripted_run(engine, seed=7):
+        """A seeded schedule/cancel script; returns everything observable."""
+        rng = random.Random(seed)
+        log, children, timers, clocks = [], [], [], []
+        shards = getattr(engine, "num_shards", 0)
+
+        def cancel_one(handles, chance):
+            if handles and rng.random() < chance:
+                handles.pop(rng.randrange(len(handles))).cancel()
+
+        def step(tag, depth):
+            log.append((engine.now, tag))
+            cancel_one(children, 0.1)
+            for _ in range(3):  # long timers, nearly always cancelled: the dead weight
+                cancel_one(timers, 0.95)
+                timers.append(engine.schedule(10**9, log.append, (tag, "rto")))
+            if depth:
+                for child in range(rng.randrange(1, 4)):
+                    delay = rng.choice([0, 0, 1, 5, 5, 40, 1000])
+                    children.append(engine.schedule(delay, step, f"{tag}.{child}", depth - 1))
+
+        for lane in range(4):
+            with engine.pinned(lane % shards) if shards else nullcontext():
+                engine.schedule(lane, step, f"lane{lane}", 8)
+        executed = []
+        for until in (3, 50, 2_000, 10**8):  # the last stops short of the timers
+            executed.append(engine.run(until=until))
+            clocks.append((engine.now, engine.pending()))
+        executed.append(engine.run())
+        return log, executed, clocks, engine.now, engine.pending()
+
+    @pytest.mark.parametrize("thresholds", [(0, 0), (64, 4)],
+                             ids=["compact-every-cancel", "default"])
+    def test_scripted_run_is_identical_with_and_without_compaction(
+        self, monkeypatch, thresholds
+    ):
+        monkeypatch.setattr(engine_mod, "COMPACT_MIN_DEAD", 10**9)
+        reference = self._scripted_run(Engine())
+        assert len(reference[0]) > 500
+
+        compactions = []
+        heapify = heapq.heapify
+        monkeypatch.setattr(
+            heapq, "heapify", lambda heap: (compactions.append(len(heap)), heapify(heap))[1]
+        )
+        monkeypatch.setattr(engine_mod, "COMPACT_MIN_DEAD", thresholds[0])
+        monkeypatch.setattr(engine_mod, "COMPACT_DEAD_FACTOR", thresholds[1])
+        for engine in _engines():
+            compactions.clear()
+            assert self._scripted_run(engine) == reference, engine
+            assert compactions, f"{engine} never compacted"
+
+    def test_compaction_keeps_only_live_events(self):
+        engine = Engine()
+        keep = [engine.schedule(10 + i, lambda: None) for i in range(3)]
+        dead = [engine.schedule(1_000 + i, lambda: None) for i in range(200)]
+        for event in dead:
+            event.cancel()
+        assert len(engine._heap) <= 3 + engine_mod.COMPACT_MIN_DEAD
+        assert [event for event in sorted(engine._heap) if not event.cancelled] == keep
+        assert engine.pending() == 3
+        assert engine.run() == 3
