@@ -237,11 +237,27 @@ def _stats(args) -> None:
         print(pipeline_health_report(result.registry, sampler=result.sampler))
 
 
+def _write_export(path, output, forest) -> None:
+    """``output`` to ``path`` (or stdout); ``None`` stands for the
+    forest's Chrome trace, written chunk by chunk so the document is
+    never held whole."""
+    from repro.tracing import write_chrome_trace
+
+    handle = open(path, "w") if path else sys.stdout
+    try:
+        if output is None:
+            write_chrome_trace(forest, handle)
+        else:
+            handle.write(output)
+    finally:
+        if path:
+            handle.close()
+
+
 def _timeline(args) -> int:
     from repro.obs.scenario import QUICKSTART_CHAIN, run_quickstart_scenario
     from repro.tracing import (
         aggregate_hops,
-        chrome_trace_json,
         critical_path,
         flag_anomalies,
         otlp_json,
@@ -277,7 +293,7 @@ def _timeline(args) -> int:
         )
 
     if args.format == "chrome":
-        output = chrome_trace_json(forest)
+        output = None  # streamed by _write_export
     elif args.format == "otlp":
         output = otlp_json(forest)
     else:
@@ -308,13 +324,10 @@ def _timeline(args) -> int:
             )
         output = "\n".join(lines) + "\n"
 
+    _write_export(args.out, output, forest)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(output)
         print(f"wrote {args.out} ({len(forest)} trees, "
               f"{forest.span_count()} spans)")
-    else:
-        print(output, end="")
     return 0
 
 
@@ -475,7 +488,7 @@ def _rpc(args) -> int:
     result = run(seed=args.seed, requests=args.requests, shards=args.shards)
 
     if args.format == "chrome":
-        output = result.chrome_json
+        output = None  # streamed by _write_export
     elif args.deterministic or args.format == "json":
         doc = deterministic_doc(result)
         if args.deterministic:
@@ -508,12 +521,9 @@ def _rpc(args) -> int:
             )
         output = "\n".join(lines) + "\n"
 
+    _write_export(args.out, output, result.forest)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(output)
         print(f"wrote {args.out}")
-    else:
-        print(output, end="")
     return 0
 
 

@@ -18,7 +18,7 @@ parent's trace ID in the embed trailer
 (:mod:`repro.net.traceid`), and every receiver records the
 (child, parents) link it reads back, building the
 ``deployment.links`` map that
-:func:`repro.tracing.reconstruct.build_rpc_forest` turns into
+:meth:`repro.tracing.reconstruct.SpanAssembler.rpc_forest` turns into
 cross-service span forests.  The RPC message itself
 (:data:`RPC_STRUCT`) stays causality-free -- kind, depth, and a
 caller-local sequence tag only -- exactly like a production app whose

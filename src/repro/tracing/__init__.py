@@ -15,39 +15,34 @@ from repro.tracing.critical import (
     segments_from_forest,
 )
 from repro.tracing.export import (
-    chrome_trace_dict,
+    chrome_trace_chunks,
     chrome_trace_json,
-    otlp_dict,
     otlp_json,
     span_tree_text,
     timeline_text,
+    write_chrome_trace,
 )
-from repro.tracing.reconstruct import (
-    SpanAssembler,
-    build_control_root,
-    build_span_tree,
-    hop_name,
-)
-from repro.tracing.spans import Span, SpanForest, SpanTree
+from repro.tracing.reconstruct import SpanAssembler, build_control_root, hop_name
+from repro.tracing.spans import Span, SpanColumns, SpanForest, SpanTree
 
 __all__ = [
     "Anomaly",
     "HopStats",
     "Span",
     "SpanAssembler",
+    "SpanColumns",
     "SpanForest",
     "SpanTree",
     "aggregate_hops",
     "build_control_root",
-    "build_span_tree",
-    "chrome_trace_dict",
+    "chrome_trace_chunks",
     "chrome_trace_json",
     "critical_path",
     "flag_anomalies",
     "hop_name",
-    "otlp_dict",
     "otlp_json",
     "segments_from_forest",
     "span_tree_text",
     "timeline_text",
+    "write_chrome_trace",
 ]

@@ -16,11 +16,15 @@ becomes tree arithmetic:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from itertools import compress
+from operator import sub
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.core.metrics import SegmentLatency
 from repro.tracing.reconstruct import hop_name
-from repro.tracing.spans import Span, SpanForest, SpanTree
+from repro.tracing.spans import HOP, KIND_NAMES, WIRE, Span, SpanForest, SpanTree
 from repro.workloads.stats import percentile
 
 
@@ -52,63 +56,53 @@ def critical_path(tree: SpanTree) -> List[Span]:
 
     Ties break toward the earlier child, so the result is deterministic
     for any input ordering."""
-    path = [tree.root]
-    span = tree.root
-    while span.children:
-        span = max(span.children, key=lambda child: child.duration_ns)
-        path.append(span)
+    columns = tree._cols
+    start, end = columns.start, columns.end
+    row = columns.tree_first[tree.index]
+    path = [Span(columns, row)]
+    while columns.size[row] > 1:
+        row = max(columns.children(row), key=lambda child: end[child] - start[child])
+        path.append(Span(columns, row))
     return path
 
 
-def _leaf_spans(forest: SpanForest) -> Dict[str, List[Tuple[SpanTree, Span]]]:
-    """Every leaf segment as ``(tree, span)``, grouped by hop name in
-    first-appearance order (dicts preserve insertion order); within a
-    group, pairs appear in (forest order, walk order).  One pass over
-    the forest, shared by the aggregation and the anomaly detector --
-    the detector used to re-walk every tree once per hop name."""
-    groups: Dict[str, List[Tuple[SpanTree, Span]]] = {}
-    get = groups.get
-    for tree in forest:
-        # Inlined pre-order walk: same visit order as Span.walk(), minus
-        # the generator overhead (this runs once per span in the forest).
-        stack = [tree.root]
-        pop = stack.pop
-        while stack:
-            span = pop()
-            kind = span.kind
-            if kind == "hop" or kind == "wire":
-                bucket = get(span.name)
-                if bucket is None:
-                    bucket = groups[span.name] = []
-                bucket.append((tree, span))
-            children = span.children
-            if children:
-                stack.extend(reversed(children))
-    return groups
-
-
-def _leaf_durations(forest: SpanForest):
-    """Durations and kind of every leaf segment, keyed by hop name in
-    first-appearance order (dicts preserve insertion order)."""
-    groups = _leaf_spans(forest)
-    durations = {
-        name: [span.duration_ns for _, span in pairs]
-        for name, pairs in groups.items()
-    }
-    kinds = {name: pairs[0][1].kind for name, pairs in groups.items()}
-    return durations, kinds
+def _leaves(forest: SpanForest) -> Dict[int, Tuple[array, array]]:
+    """Every leaf segment (hop or wire) of the forest, grouped by name
+    id in first-appearance order (dicts preserve insertion order):
+    ``name id -> (rows, durations)``, both in (forest order, walk
+    order).  One pass over the columns, memoised on the (immutable)
+    forest so the aggregation, the anomaly detector and the report
+    tables share it."""
+    if forest._leaves is None:
+        columns = forest.trees.columns
+        groups: Dict[int, Tuple[array, array]] = {}
+        for low, high in forest.trees.row_ranges():
+            is_leaf = [kind == HOP or kind == WIRE for kind in columns.kind[low:high]]
+            durations = map(sub, columns.end[low:high], columns.start[low:high])
+            for row, name, duration in zip(
+                compress(range(low, high), is_leaf),
+                compress(columns.name[low:high], is_leaf),
+                compress(durations, is_leaf),
+            ):
+                group = groups.get(name)
+                if group is None:
+                    group = groups[name] = (array("q"), array("q"))
+                group[0].append(row)
+                group[1].append(duration)
+        forest._leaves = groups
+    return forest._leaves
 
 
 def aggregate_hops(forest: SpanForest) -> List[HopStats]:
     """Per-hop latency summaries across the forest, in path order."""
-    durations, kinds = _leaf_durations(forest)
+    columns = forest.trees.columns
     stats = []
-    for name, values in durations.items():
-        ordered = sorted(values)
+    for name, (rows, durations) in _leaves(forest).items():
+        ordered = sorted(durations)
         stats.append(
             HopStats(
-                name=name,
-                kind=kinds[name],
+                name=columns.names[name],
+                kind=KIND_NAMES[columns.kind[rows[0]]],
                 count=len(ordered),
                 avg_ns=sum(ordered) / len(ordered),
                 p50_ns=percentile(ordered, 0.50),
@@ -133,41 +127,39 @@ def flag_anomalies(forest: SpanForest, factor: float = 3.0) -> List[Anomaly]:
     flag; ordering is (hop first-appearance, then forest order)."""
     if factor <= 0:
         raise ValueError(f"anomaly factor must be positive, got {factor}")
-    groups = _leaf_spans(forest)
+    columns = forest.trees.columns
     anomalies = []
-    for name, pairs in groups.items():
-        median = _median(sorted(span.duration_ns for _, span in pairs))
+    for name, (rows, durations) in _leaves(forest).items():
+        median = _median(sorted(durations))
         if median <= 0:
             continue
         threshold = factor * median
-        for tree, span in pairs:  # (forest order, walk order), as before
-            if span.duration_ns > threshold:
+        for row, duration in zip(rows, durations):
+            if duration > threshold:
+                # Trees sit in the columns in row order.
+                tree = bisect_right(columns.tree_first, row) - 1
                 anomalies.append(
                     Anomaly(
-                        trace_id=tree.trace_id,
-                        name=name,
-                        duration_ns=span.duration_ns,
+                        trace_id=columns.tree_trace[tree],
+                        name=columns.names[name],
+                        duration_ns=duration,
                         median_ns=median,
-                        ratio=span.duration_ns / median,
+                        ratio=duration / median,
                     )
                 )
     return anomalies
 
 
-def segments_from_forest(
-    forest: SpanForest, chain: Sequence[str]
-) -> List[SegmentLatency]:
+def segments_from_forest(forest: SpanForest, chain: Sequence[str]) -> List[SegmentLatency]:
     """The forest's leaf durations in :class:`SegmentLatency` form, one
     segment per consecutive chain pair -- what
     :func:`repro.analysis.reports.decomposition_table` renders.  Only
     trees observed at both endpoints of a pair contribute to it."""
     if len(chain) < 2:
         raise ValueError("decomposition needs at least two tracepoints")
-    by_name: Dict[str, List[int]] = {}
-    for tree in forest:
-        for span in tree.hop_spans():
-            by_name.setdefault(span.name, []).append(span.duration_ns)
+    names = forest.trees.columns.names
+    by_name = {names[name]: durations for name, (_, durations) in _leaves(forest).items()}
     return [
-        SegmentLatency(a, b, by_name.get(hop_name(a, b), []))
+        SegmentLatency(a, b, list(by_name.get(hop_name(a, b), ())))
         for a, b in zip(chain, chain[1:])
     ]

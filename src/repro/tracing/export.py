@@ -2,376 +2,277 @@
 
 Two interchange formats plus a terminal rendering:
 
-* :func:`chrome_trace_dict` / :func:`chrome_trace_json` -- the Chrome
+* :func:`chrome_trace_json` / :func:`write_chrome_trace` -- the Chrome
   trace-event format (``ph: "X"`` complete events), directly loadable
   in Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.  Each
   packet becomes a process row, each node a thread row inside it, and
   the control plane (deploys, batch shipments) process 0.
-* :func:`otlp_dict` / :func:`otlp_json` -- an OTLP/JSON-style
-  ``resourceSpans`` document (the OpenTelemetry trace shape), with the
-  32-bit in-packet ID widened into the 128-bit ``traceId`` and span IDs
-  derived deterministically from (trace ID, preorder index).
+* :func:`otlp_json` -- an OTLP/JSON-style ``resourceSpans`` document
+  (the OpenTelemetry trace shape), with the 32-bit in-packet ID widened
+  into the 128-bit ``traceId`` and span IDs derived deterministically
+  from (trace ID, preorder index).
 * :func:`timeline_text` -- indented span trees for the terminal.
 
-Determinism: both JSON serializations are canonical (sorted keys, fixed
-separators, no wall-clock fields), so two runs of the same scenario
-produce byte-identical documents -- the property the determinism CI job
-diffs.
+All three read the forest's columns row by row -- no span views, no
+recursion, no intermediate event dicts -- and the Chrome form comes out
+in chunks (:func:`chrome_trace_chunks`), so a forest can be written to
+a file without ever holding its document in memory.
+
+Determinism: both JSON serializations are canonical (exactly what
+``json.dumps(..., sort_keys=True, separators=(",", ":"))`` would emit
+for the equivalent document, no wall-clock fields), so two runs of the
+same scenario produce byte-identical documents -- the property the
+determinism CI job diffs.  Nothing is memoised across calls: the
+escaped name and node tables are locals of one export.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Dict, List, Optional
+from operator import sub, truediv
+from typing import IO, Dict, Iterator, List, Optional
 
 from repro.analysis.reports import format_ns
-from repro.tracing.spans import Span, SpanForest, SpanTree
+from repro.tracing.spans import (
+    ATTRIBUTES,
+    CONTROL,
+    CONTROL_NAME,
+    DEPLOY,
+    DEVICE,
+    HOP,
+    KIND_NAMES,
+    NAME_PREFIX,
+    PACKET,
+    RPC,
+    SHIP,
+    WIRE,
+    SpanColumns,
+    SpanForest,
+    SpanTree,
+)
 
 # Synthetic trace ID for the control-plane track: one past the u32
 # range, so it can never collide with an in-packet ID.
 CONTROL_TRACE_ID = 1 << 32
 
-_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
-
-
-def _canonical_json(document: Dict) -> str:
-    return json.dumps(document, **_CANONICAL) + "\n"
-
+# Trees serialised per Chrome chunk: bounds what an export holds beyond
+# its own output.
+_CHUNK_TREES = 1024
 
 # -- Chrome trace events ------------------------------------------------------
 
+# One complete event per kind, keys pre-sorted as the canonical encoder
+# would sort them; every format ends with the same five values:
+# duration, name (already escaped), pid, tid, timestamp.
+_EVENT_TAIL = ',"dur":%s,"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s}'
+_EVENT_HEADS = {
+    PACKET: '{"args":{"packet_len":%d,"records":%d,"trace_id":%d},"cat":"packet"',
+    DEVICE: '{"args":{"clock_offset_ns":%d,"records":%d},"cat":"device"',
+    HOP: '{"args":{"cpu":%d},"cat":"hop"',
+    WIRE: '{"args":{"from_node":%s,"to_node":%s},"cat":"wire"',
+    CONTROL: '{"args":{},"cat":"control"',
+    RPC: '{"args":{"parent_id":%d,"rpc_children":%d,"trace_id":%d},"cat":"rpc"',
+    DEPLOY: '{"args":{"phase":"dispatcher -> agent"},"cat":"control"',
+    SHIP: '{"args":{"phase":"agent -> collector","records":%d},"cat":"control"',
+}
+_CHROME_EVENT = {kind: head + _EVENT_TAIL for kind, head in _EVENT_HEADS.items()}
+_PROCESS_NAME = '{"args":{"name":%s},"name":"process_name","ph":"M","pid":%d,"tid":0}'
+_THREAD_NAME = '{"args":{"name":%s},"name":"thread_name","ph":"M","pid":%d,"tid":%d}'
 
-def _us(value_ns: int) -> float:
-    """Trace-event timestamps are microseconds; keep ns precision."""
-    return value_ns / 1000.0
+
+def _chrome_serialiser(columns: SpanColumns):
+    """``rows(low, high, pid, labels, out) -> next pid`` for one export
+    of ``columns``: serialises rows ``low .. high`` (whole trees) as
+    process tracks ``pid``, ``pid + 1``, ... -- per track a name event
+    labelled from ``labels``, the span events in pre-order, then a name
+    event per thread.  Threads are nodes, numbered in first-appearance
+    order."""
+    # The intern tables as JSON strings: low-cardinality, and locals of
+    # this export.
+    nodes = [_escape(node) for node in columns.nodes]
+    names = [_escape(name) for name in columns.names]
+    packet, device, hop, wire = (_CHROME_EVENT[kind] for kind in (PACKET, DEVICE, HOP, WIRE))
+    slot0, slot1, slot2 = columns.slots
+
+    def rows(low: int, high: int, pid: int, labels: Iterator[str], out: List[str]) -> int:
+        append = out.append
+        starts, ends = columns.start[low:high], columns.end[low:high]
+        tids: Dict[int, int] = {}
+        pid -= 1
+        for kind, up, name, node, s0, s1, s2, ts, dur in zip(
+            columns.kind[low:high],
+            columns.up[low:high],
+            columns.name[low:high],
+            columns.node[low:high],
+            slot0[low:high],
+            slot1[low:high],
+            slot2[low:high],
+            # ``repr`` of a finite float is what the canonical encoder emits.
+            map(repr, map(truediv, starts, repeat(1000.0))),
+            map(repr, map(truediv, map(sub, ends, starts), repeat(1000.0))),
+        ):
+            if not up:  # a root: close the previous track, open the next
+                for thread, tid in tids.items():
+                    append(_THREAD_NAME % (nodes[thread], pid, tid))
+                tids = {}
+                pid += 1
+                append(_PROCESS_NAME % (_escape(next(labels)), pid))
+            tid = tids.get(node)
+            if tid is None:
+                tid = tids[node] = len(tids)
+            if kind == HOP:
+                append(hop % (s0, dur, names[name], pid, tid, ts))
+            elif kind == DEVICE:
+                append(device % (s1, s0, dur, '"device:' + nodes[node][1:], pid, tid, ts))
+            elif kind == WIRE:
+                append(wire % (nodes[s0], nodes[s1], dur, names[name], pid, tid, ts))
+            elif kind == PACKET:
+                append(packet % (s2, s1, s0, dur, '"packet:0x%08x"' % s0, pid, tid, ts))
+            elif kind == RPC:
+                append(_CHROME_EVENT[RPC] % (s1, s2, s0, dur, '"rpc:0x%08x"' % s0, pid, tid, ts))
+            else:  # the control plane's few rows
+                named = CONTROL_NAME
+                if kind != CONTROL:
+                    named = f"{NAME_PREFIX[kind]}:{columns.nodes[node]}"
+                records = (s0,) if kind == SHIP else ()
+                append(_CHROME_EVENT[kind] % (records + (dur, _escape(named), pid, tid, ts)))
+        for thread, tid in tids.items():
+            append(_THREAD_NAME % (nodes[thread], pid, tid))
+        return pid + 1
+
+    return rows
 
 
-def _chrome_span_events(
-    span: Span, pid: int, tids: Dict[str, int], events: List[Dict]
-) -> None:
-    tid = tids.setdefault(span.node, len(tids))
-    events.append(
-        {
-            "name": span.name,
-            "cat": span.kind,
-            "ph": "X",
-            "pid": pid,
-            "tid": tid,
-            "ts": _us(span.start_ns),
-            "dur": _us(span.duration_ns),
-            "args": {key: span.attributes[key] for key in sorted(span.attributes)},
-        }
+def chrome_trace_chunks(forest: SpanForest) -> Iterator[str]:
+    """The canonical Chrome trace-event document, a piece at a time
+    (``"".join`` of the pieces is :func:`chrome_trace_json`)."""
+    yield (
+        '{"displayTimeUnit":"ns","otherData":{"generator":"repro.tracing",'
+        '"orphan_records":%d,"trees":%d},"traceEvents":[' % (forest.orphan_records, len(forest))
     )
-    for child in span.children:
-        _chrome_span_events(child, pid, tids, events)
-
-
-def _chrome_process(root: Span, pid: int, label: str, events: List[Dict]) -> None:
-    events.append(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": label},
-        }
-    )
-    tids: Dict[str, int] = {}
-    _chrome_span_events(root, pid, tids, events)
-    for node, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": node},
-            }
+    separator = ""
+    root = forest.control_root
+    if root is not None:
+        events: List[str] = []
+        end = root.index + root._cols.size[root.index]
+        _chrome_serialiser(root._cols)(root.index, end, 0, iter((CONTROL_NAME,)), events)
+        yield ",".join(events)
+        separator = ","
+    columns = forest.trees.columns
+    first, kind, trace = columns.tree_first, columns.kind, columns.tree_trace
+    rows = _chrome_serialiser(columns)
+    pid = 1
+    for at in range(0, len(forest), _CHUNK_TREES):
+        block = forest.trees[at : at + _CHUNK_TREES]
+        labels = (
+            ("request 0x%08x" if kind[first[tree]] == RPC else "packet 0x%08x") % trace[tree]
+            for tree in block.order
         )
-
-
-def chrome_trace_dict(forest: SpanForest) -> Dict:
-    """The forest as a Chrome trace-event document (Perfetto-loadable)."""
-    events: List[Dict] = []
-    if forest.control_root is not None:
-        _chrome_process(forest.control_root, 0, "control-plane", events)
-    for index, tree in enumerate(forest, start=1):
-        noun = "request" if tree.root.kind == "rpc" else "packet"
-        _chrome_process(
-            tree.root, index, f"{noun} 0x{tree.trace_id:08x}", events
-        )
-    return {
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "generator": "repro.tracing",
-            "trees": len(forest.trees),
-            "orphan_records": forest.orphan_records,
-        },
-        "traceEvents": events,
-    }
-
-
-_INF = float("inf")
-
-
-def _fast_value(value) -> str:
-    """One JSON value exactly as the canonical ``json.dumps`` settings
-    would emit it.  The scalar paths reproduce the C encoder's output
-    (``encode_basestring_ascii`` is the same escaper, ``repr`` is what
-    it uses for ints and finite floats); anything else falls back to
-    ``json.dumps`` itself."""
-    kind = type(value)
-    if kind is str:
-        return _escape(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return repr(value)
-    if kind is float and -_INF < value < _INF:
-        return repr(value)
-    return json.dumps(value, **_CANONICAL)
-
-
-# Escaped-string memo: span kinds, attribute keys, hop/device names and
-# node names recur across thousands of spans, so escaping each string
-# once dominates.  Bounded (cleared on overflow) so unique per-trace
-# names cannot grow it without limit.
-_ESCAPE_CACHE: Dict[str, str] = {}
-
-# (attribute keyset in insertion order, span kind, attribute values in
-# insertion order) -> rendered '{"args":{...},"cat":...' event prefix.
-# Attribute payloads repeat heavily (every hop span of a flow carries
-# the same cpu, every wire span the same endpoint pair), so most events
-# reduce to one lookup plus the five per-span tail fields.  Bounded
-# (cleared on overflow) because high-cardinality values -- trace IDs in
-# packet roots -- would otherwise grow it without limit.
-_EVENT_PREFIXES: Dict[tuple, str] = {}
-
-# Span durations repeat across traces of the same flow shape (a hop's
-# latency profile is narrow) while timestamps never do, so duration
-# reprs memoize well.  ns delta -> repr(delta / 1000.0); bounded.
-_DUR_REPRS: Dict[int, str] = {}
-
-
-def _escape_cached(value: str) -> str:
-    cached = _ESCAPE_CACHE.get(value)
-    if cached is None:
-        if len(_ESCAPE_CACHE) > (1 << 16):
-            _ESCAPE_CACHE.clear()
-        cached = _ESCAPE_CACHE[value] = _escape(value)
-    return cached
-
-
-def _chrome_process_fast(root: Span, pid: int, label: str, out: List[str]) -> None:
-    """Serialize one process track (metadata + span events) straight to
-    JSON fragments, matching :func:`_chrome_process`'s dicts under the
-    canonical settings: keys are emitted pre-sorted, the traversal is
-    the same pre-order, and tids are assigned in the same
-    first-appearance order."""
-    append = out.append
-    append(
-        '{"args":{"name":%s},"name":"process_name","ph":"M","pid":%d,"tid":0}'
-        % (_escape(label), pid)
-    )
-    tids: Dict[str, int] = {}
-    # One constant fragment per tid covers everything between "name" and
-    # "ts" in canonical sorted-key order (ph < pid < tid < ts).
-    tails: List[str] = []
-    prefixes = _EVENT_PREFIXES
-    dur_reprs = _DUR_REPRS
-    join = "".join
-    stack = [root]
-    pop = stack.pop
-    while stack:
-        span = pop()
-        node = span.node
-        tid = tids.get(node)
-        if tid is None:
-            tid = tids[node] = len(tids)
-            tails.append(',"ph":"X","pid":%d,"tid":%d,"ts":' % (pid, tid))
-        attributes = span.attributes
-        # dict views iterate in insertion order, so keys + values + kind
-        # pin down the rendered prefix exactly.
-        try:
-            prefix_key = (
-                tuple(attributes),
-                span.kind,
-                tuple(attributes.values()),
-            )
-            prefix = prefixes.get(prefix_key)
-        except TypeError:  # unhashable attribute value (list, dict)
-            prefix_key = None
-            prefix = None
-        if prefix is None:
-            prefix = (
-                '{"args":{'
-                + ",".join(
-                    _escape_cached(key) + ":" + _fast_value(attributes[key])
-                    for key in sorted(attributes)
-                )
-                + '},"cat":'
-                + _escape_cached(span.kind)
-            )
-            if prefix_key is not None:
-                if len(prefixes) > (1 << 15):
-                    prefixes.clear()
-                prefixes[prefix_key] = prefix
-        start_ns = span.start_ns
-        delta = span.end_ns - start_ns
-        dur = dur_reprs.get(delta)
-        if dur is None:
-            if len(dur_reprs) > (1 << 16):
-                dur_reprs.clear()
-            # ``repr`` of a finite float is exactly what the canonical
-            # encoder emits (same for the timestamp below).
-            dur = dur_reprs[delta] = repr(delta / 1000.0)
-        append(
-            join(
-                (
-                    prefix,
-                    ',"dur":',
-                    dur,
-                    ',"name":',
-                    _escape_cached(span.name),
-                    tails[tid],
-                    repr(start_ns / 1000.0),
-                    "}",
-                )
-            )
-        )
-        children = span.children
-        if children:
-            stack.extend(reversed(children))
-    for node, tid in tids.items():
-        append(
-            '{"args":{"name":%s},"name":"thread_name","ph":"M","pid":%d,"tid":%d}'
-            % (_escape_cached(node), pid, tid)
-        )
+        events = []
+        for low, high in block.row_ranges():
+            pid = rows(low, high, pid, labels, events)
+        yield separator + ",".join(events)
+        separator = ","
+    yield "]}\n"
 
 
 def chrome_trace_json(forest: SpanForest) -> str:
-    """Canonical (byte-stable) serialization of :func:`chrome_trace_dict`.
+    """The forest as a canonical (byte-stable) Chrome trace-event
+    document (Perfetto-loadable)."""
+    return "".join(chrome_trace_chunks(forest))
 
-    Built directly as a string in one pass over the forest -- no
-    intermediate event dicts -- but byte-identical to
-    ``json.dumps(chrome_trace_dict(forest), sort_keys=True,
-    separators=(",", ":")) + "\\n"``; the differential suite
-    (tests/test_tracing_batch.py) diffs the two on every scenario."""
-    events: List[str] = []
-    if forest.control_root is not None:
-        _chrome_process_fast(forest.control_root, 0, "control-plane", events)
-    for index, tree in enumerate(forest.trees, start=1):
-        noun = "request" if tree.root.kind == "rpc" else "packet"
-        _chrome_process_fast(
-            tree.root, index, f"{noun} 0x{tree.trace_id:08x}", events
-        )
-    return (
-        '{"displayTimeUnit":"ns","otherData":{"generator":"repro.tracing",'
-        '"orphan_records":%d,"trees":%d},"traceEvents":[%s]}\n'
-        % (forest.orphan_records, len(forest.trees), ",".join(events))
-    )
+
+def write_chrome_trace(forest: SpanForest, fp: IO[str]) -> None:
+    """Write :func:`chrome_trace_json` to ``fp`` chunk by chunk."""
+    for chunk in chrome_trace_chunks(forest):
+        fp.write(chunk)
 
 
 # -- OTLP-style JSON ----------------------------------------------------------
 
-
-def _otlp_attributes(span: Span) -> List[Dict]:
-    attributes = [{"key": "span.kind", "value": {"stringValue": span.kind}}]
-    if span.node:
-        attributes.append({"key": "node", "value": {"stringValue": span.node}})
-    for key in sorted(span.attributes):
-        value = span.attributes[key]
-        if isinstance(value, bool):
-            encoded = {"boolValue": value}
-        elif isinstance(value, int):
-            encoded = {"intValue": str(value)}  # OTLP/JSON int64s are strings
-        elif isinstance(value, float):
-            encoded = {"doubleValue": value}
-        else:
-            encoded = {"stringValue": str(value)}
-        attributes.append({"key": key, "value": encoded})
-    return attributes
+_OTLP_HEAD = (
+    '{"resourceSpans":[{"resource":{"attributes":[{"key":"service.name","value":'
+    '{"stringValue":"vnettracer-repro"}}]},"scopeSpans":[{"scope":{"name":'
+    '"repro.tracing","version":"1"},"spans":['
+)
+_OTLP_SPAN = (
+    '{"attributes":[%s],"endTimeUnixNano":"%d","kind":"SPAN_KIND_INTERNAL","name":%s,'
+    '"parentSpanId":"%s","spanId":"%s","startTimeUnixNano":"%d","traceId":"%032x"}'
+)
+_SORTED_ATTRIBUTES = tuple(tuple(sorted(attributes)) for attributes in ATTRIBUTES)
+_OTLP_STRING = '{"key":%s,"value":{"stringValue":%s}}'
+_OTLP_INT = '{"key":%s,"value":{"intValue":"%d"}}'  # OTLP/JSON int64s are strings
 
 
-def _otlp_spans(
-    span: Span,
-    trace_id: int,
-    parent_span_id: str,
-    counter: List[int],
-    out: List[Dict],
-) -> None:
-    span_id = f"{trace_id & 0xFFFFFFFF:08x}{counter[0]:08x}"
-    counter[0] += 1
-    out.append(
-        {
-            "traceId": f"{trace_id:032x}",
-            "spanId": span_id,
-            "parentSpanId": parent_span_id,  # "" marks a root span
-            "name": span.name,
-            "kind": "SPAN_KIND_INTERNAL",
-            "startTimeUnixNano": str(span.start_ns),
-            "endTimeUnixNano": str(span.end_ns),
-            "attributes": _otlp_attributes(span),
-        }
-    )
-    for child in span.children:
-        _otlp_spans(child, trace_id, span_id, counter, out)
-
-
-def otlp_dict(forest: SpanForest) -> Dict:
-    """The forest as an OTLP-style ``resourceSpans`` document."""
-    spans: List[Dict] = []
-    for tree in forest:
-        _otlp_spans(tree.root, tree.trace_id, "", [0], spans)
-    if forest.control_root is not None:
-        _otlp_spans(forest.control_root, CONTROL_TRACE_ID, "", [0], spans)
-    return {
-        "resourceSpans": [
-            {
-                "resource": {
-                    "attributes": [
-                        {
-                            "key": "service.name",
-                            "value": {"stringValue": "vnettracer-repro"},
-                        }
-                    ]
-                },
-                "scopeSpans": [
-                    {
-                        "scope": {"name": "repro.tracing", "version": "1"},
-                        "spans": spans,
-                    }
-                ],
-            }
-        ]
-    }
+def _otlp_tree(columns: SpanColumns, root: int, trace_id: int, out: List[str]) -> None:
+    """One tree's spans, pre-order; a span's ID is (trace ID, pre-order
+    index) and ``parentSpanId`` "" marks the root."""
+    nodes, slots = columns.nodes, columns.slots
+    span_id = f"{trace_id & 0xFFFFFFFF:08x}%08x"
+    for row in range(root, root + columns.size[root]):
+        kind = columns.kind[row]
+        node = nodes[columns.node[row]]
+        attributes = [_OTLP_STRING % ('"span.kind"', _escape(KIND_NAMES[kind]))]
+        if node:
+            attributes.append(_OTLP_STRING % ('"node"', _escape(node)))
+        for key, slot, is_node, const in _SORTED_ATTRIBUTES[kind]:
+            if slot is None:
+                attributes.append(_OTLP_STRING % (_escape(key), _escape(const)))
+            elif is_node:
+                attributes.append(_OTLP_STRING % (_escape(key), _escape(nodes[slots[slot][row]])))
+            else:
+                attributes.append(_OTLP_INT % (_escape(key), slots[slot][row]))
+        out.append(
+            _OTLP_SPAN
+            % (
+                ",".join(attributes),
+                columns.end[row],
+                _escape(columns.name_of(row)),
+                span_id % (row - columns.up[row] - root) if row > root else "",
+                span_id % (row - root),
+                columns.start[row],
+                trace_id,
+            )
+        )
 
 
 def otlp_json(forest: SpanForest) -> str:
-    """Canonical (byte-stable) serialization of :func:`otlp_dict`."""
-    return _canonical_json(otlp_dict(forest))
+    """The forest as a canonical (byte-stable) OTLP-style
+    ``resourceSpans`` document."""
+    spans: List[str] = []
+    columns = forest.trees.columns
+    for tree in forest.trees.order:
+        _otlp_tree(columns, columns.tree_first[tree], columns.tree_trace[tree], spans)
+    root = forest.control_root
+    if root is not None:
+        _otlp_tree(root._cols, root.index, CONTROL_TRACE_ID, spans)
+    return _OTLP_HEAD + ",".join(spans) + "]}]}]}\n"
 
 
 # -- terminal rendering -------------------------------------------------------
 
 
+def _subtree_lines(columns: SpanColumns, root: int, lines: List[str]) -> None:
+    depths: List[int] = []
+    for row in range(root, root + columns.size[root]):
+        depth = depths[row - columns.up[row] - root] + 1 if row > root else 0
+        depths.append(depth)
+        kind = columns.kind[row]
+        detail = ""
+        if kind == DEVICE:
+            detail = f"  [clock offset {columns.slots[1][row]:+d} ns]"
+        duration = format_ns(columns.end[row] - columns.start[row])
+        lines.append(
+            f"{'  ' * depth}{KIND_NAMES[kind]:7s} {columns.name_of(row):44s} "
+            f"{duration:>10s}{detail}"
+        )
+
+
 def span_tree_text(tree: SpanTree) -> str:
     """One tree as indented text, durations humanized."""
     lines: List[str] = []
-
-    def render(span: Span, depth: int) -> None:
-        pad = "  " * depth
-        detail = ""
-        if span.kind == "device":
-            offset = span.attributes.get("clock_offset_ns", 0)
-            detail = f"  [clock offset {offset:+d} ns]"
-        duration = format_ns(span.duration_ns)
-        lines.append(f"{pad}{span.kind:7s} {span.name:44s} {duration:>10s}{detail}")
-        for child in span.children:
-            render(child, depth + 1)
-
-    render(tree.root, 0)
+    _subtree_lines(tree._cols, tree._cols.tree_first[tree.index], lines)
     return "\n".join(lines)
 
 
@@ -382,15 +283,15 @@ def timeline_text(forest: SpanForest, limit: Optional[int] = 3) -> str:
         f"{forest.orphan_records} orphan records"
     ]
     trees = forest.trees if limit is None else forest.trees[:limit]
-    for tree in trees:
+    columns = trees.columns
+    for tree in trees.order:
         lines.append("")
-        lines.append(span_tree_text(tree))
+        _subtree_lines(columns, columns.tree_first[tree], lines)
     if limit is not None and len(forest.trees) > limit:
         lines.append("")
         lines.append(f"... {len(forest.trees) - limit} more trees")
-    if forest.control_root is not None:
+    root = forest.control_root
+    if root is not None:
         lines.append("")
-        lines.append(
-            span_tree_text(SpanTree(CONTROL_TRACE_ID, forest.control_root, 0))
-        )
+        _subtree_lines(root._cols, root.index, lines)
     return "\n".join(lines)

@@ -22,24 +22,15 @@ per-device durations telescope to the end-to-end latency with zero
 error.  Traces seen at fewer than two tracepoints cannot form a span
 and are counted as orphan records, as are duplicate observations.
 
-Two implementations of that algorithm live here (docs/TIMELINES.md,
-"Reconstruction pipeline"):
-
-* the **batch pipeline** -- :class:`SpanAssembler` rides
-  ``TraceDB.trace_group_rows``, the columnar group-by kernel that
-  buckets every requested trace's rows as plain sorted tuples (no
-  ``TraceRow`` objects), then bulk-builds each tree with a validated
-  fast-path ``Span`` constructor.  Full-database assemblies are
-  memoized keyed on ``TraceDB.generation``: repeated
-  ``span_forest()`` / ``rpc_forest()`` calls on an unchanged database
-  are O(1) cache hits.
-* the **per-row reference** -- :func:`build_span_tree`,
-  :func:`build_rpc_forest`, and :func:`legacy_forest` keep the original
-  row-at-a-time implementation.  Nothing in the pipeline calls them;
-  the differential suites (tests/test_tracing_batch.py,
-  tests/test_tracedb_columnar.py) call them directly and prove the
-  batch pipeline's Chrome / OTLP / text exports byte-identical to
-  theirs on every scenario.
+:class:`SpanAssembler` runs that algorithm over
+``TraceDB.trace_group_rows`` (the columnar group-by kernel) and writes
+straight into :class:`~repro.tracing.spans.SpanColumns`: the traces of
+one flow share their structure, so each distinct *shape* -- label
+sequence plus same-node run pattern -- is compiled once into column
+templates and a trace costs a handful of ``array.extend`` calls, with
+no Python object per span (docs/TIMELINES.md, "Reconstruction
+pipeline").  The per-row reference implementation the differential
+suites compare against lives in ``tests/span_reference.py``.
 
 Control-plane spans (dispatcher -> agent deploys, agent -> collector
 batch shipments) are assembled from the event logs those components
@@ -48,12 +39,28 @@ keep; see :func:`build_control_root`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from array import array
+from operator import itemgetter, ne
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.tracedb import TraceDB, TraceRow
+from repro.core.tracedb import TraceDB
 from repro.obs import contract as obs_contract
 from repro.obs.registry import MetricsRegistry
-from repro.tracing.spans import Span, SpanForest, SpanTree
+from repro.tracing.spans import (
+    CONTROL,
+    DEPLOY,
+    DEVICE,
+    HOP,
+    PACKET,
+    RPC,
+    SHIP,
+    WIRE,
+    Span,
+    SpanColumns,
+    SpanForest,
+    SpanTree,
+    SpanTrees,
+)
 
 
 def hop_name(from_label: str, to_label: str) -> str:
@@ -61,427 +68,157 @@ def hop_name(from_label: str, to_label: str) -> str:
     return f"{from_label} -> {to_label}"
 
 
-def _dedup_rows(rows: Sequence[TraceRow]) -> Tuple[List[TraceRow], int]:
-    """Earliest row per tracepoint label; returns (kept, duplicates)."""
-    seen = set()
-    kept: List[TraceRow] = []
-    duplicates = 0
-    for row in rows:
-        if row.label in seen:
-            duplicates += 1
-            continue
-        seen.add(row.label)
-        kept.append(row)
-    return kept, duplicates
-
-
-def build_span_tree(
-    db: TraceDB,
-    trace_id: int,
-    chain: Optional[Sequence[str]] = None,
-) -> Optional[SpanTree]:
-    """One packet's span tree, or ``None`` when it cannot form a span
-    (zero or one usable record).  ``chain`` restricts the tracepoints
-    considered (records at other labels are ignored, not orphaned).
-
-    This is the per-row reference implementation the batch pipeline is
-    tested against (tests/test_tracing_batch.py byte-compares the
-    exports of both on every scenario)."""
-    rows = db.rows_for_trace(trace_id)
-    if chain is not None:
-        wanted = set(chain)
-        rows = [row for row in rows if row.label in wanted]
-    rows, duplicates = _dedup_rows(rows)
-    if len(rows) < 2:
-        return None
-
-    root = Span(
-        name=f"packet:0x{trace_id:08x}",
-        kind="packet",
-        node=rows[0].node,
-        start_ns=rows[0].timestamp_ns,
-        end_ns=rows[-1].timestamp_ns,
-        attributes={
-            "trace_id": trace_id,
-            "records": len(rows),
-            "packet_len": rows[0].packet_len,
-        },
-    )
-
-    # Contiguous same-node runs become device spans.
-    runs: List[List[TraceRow]] = [[rows[0]]]
-    for row in rows[1:]:
-        if row.node == runs[-1][-1].node:
-            runs[-1].append(row)
-        else:
-            runs.append([row])
-
-    for index, run in enumerate(runs):
-        if index > 0:
-            previous = runs[index - 1][-1]
-            root.add_child(
-                Span(
-                    name=hop_name(previous.label, run[0].label),
-                    kind="wire",
-                    node=f"{previous.node} -> {run[0].node}",
-                    start_ns=previous.timestamp_ns,
-                    end_ns=run[0].timestamp_ns,
-                    attributes={
-                        "from_node": previous.node,
-                        "to_node": run[0].node,
-                    },
-                )
-            )
-        device = root.add_child(
-            Span(
-                name=f"device:{run[0].node}",
-                kind="device",
-                node=run[0].node,
-                start_ns=run[0].timestamp_ns,
-                end_ns=run[-1].timestamp_ns,
-                attributes={
-                    "records": len(run),
-                    # The Cristian correction this node's timestamps got.
-                    "clock_offset_ns": db.clock_skew(run[0].node),
-                },
-            )
-        )
-        for row_a, row_b in zip(run, run[1:]):
-            device.add_child(
-                Span(
-                    name=hop_name(row_a.label, row_b.label),
-                    kind="hop",
-                    node=row_a.node,
-                    start_ns=row_a.timestamp_ns,
-                    end_ns=row_b.timestamp_ns,
-                    attributes={"cpu": row_a.cpu},
-                )
-            )
-
-    return SpanTree(
-        trace_id=trace_id,
-        root=root,
-        record_count=len(rows) + duplicates,
-        duplicate_records=duplicates,
-    )
-
-
-def legacy_forest(
-    db: TraceDB,
-    trace_ids: Optional[Iterable[int]] = None,
-    chain: Optional[Sequence[str]] = None,
-    complete_only: bool = False,
-    control_root: Optional[Span] = None,
-) -> SpanForest:
-    """The per-row forest loop: one :func:`build_span_tree` call per
-    trace ID.  Uncounted (no metrics); it is the reference the batch
-    pipeline is byte-compared against."""
-    if trace_ids is None:
-        trace_ids = db.trace_ids()
-    complete = None
-    if complete_only and chain is not None:
-        complete = set(db.complete_traces(chain))
-    forest = SpanForest(control_root=control_root)
-    for trace_id in trace_ids:
-        if complete is not None and trace_id not in complete:
-            forest.orphan_records += db.record_count_for_trace(trace_id)
-            continue
-        tree = build_span_tree(db, trace_id, chain=chain)
-        if tree is None:
-            forest.orphan_records += db.record_count_for_trace(trace_id)
-            continue
-        forest.trees.append(tree)
-        forest.orphan_records += tree.duplicate_records
-    return forest
-
-
-def build_rpc_forest(
-    db: TraceDB,
-    links: "Mapping[int, Tuple[int, ...]]",
-    chain: Optional[Sequence[str]] = None,
-) -> SpanForest:
-    """Cross-service span forest from trace rows plus causality links.
-
-    ``links`` maps a child trace ID to the parent trace IDs read back
-    from its wire embed (see ``ServiceDeployment.links``).  Each *root*
-    request -- an observed trace ID with no observed parent -- becomes
-    one tree whose spans are ``rpc`` wrappers: the wrapper holds the
-    packet's own span tree (when it formed one) plus the ``rpc``
-    wrappers of its child RPCs, so Perfetto/OTLP render the whole
-    multi-service request under a single track.  Cycles (impossible
-    without trace-ID collisions) and repeated links are ignored; the
-    primary (first) parent places a multi-parent fan-in child.
-
-    Like :func:`build_span_tree` this is the per-row reference; the
-    assembler's :meth:`SpanAssembler.rpc_forest` runs the vectorized
-    equivalent and is byte-compared against this one.
-    """
-    parent_of = {child: parents[0] for child, parents in links.items() if parents}
-    observed = list(db.trace_ids())
-    known = set(observed)
-    children: dict = {}
-    for child, parent in parent_of.items():
-        if child in known:
-            children.setdefault(parent, []).append(child)
-
-    def first_ts(tid: int) -> int:
-        rows = db.rows_for_trace(tid)
-        return rows[0].timestamp_ns if rows else 0
-
-    for kids in children.values():
-        kids.sort(key=lambda tid: (first_ts(tid), tid))
-
-    visited = set()
-
-    def assemble(tid: int) -> Optional[Tuple[Span, int]]:
-        if tid in visited:
-            return None
-        visited.add(tid)
-        rows = db.rows_for_trace(tid)
-        packet_tree = build_span_tree(db, tid, chain=chain)
-        child_spans: List[Span] = []
-        records = len(rows)
-        for kid in children.get(tid, ()):
-            built = assemble(kid)
-            if built is not None:
-                child_spans.append(built[0])
-                records += built[1]
-        bounds = [row.timestamp_ns for row in rows]
-        bounds.extend(span.start_ns for span in child_spans)
-        bounds.extend(span.end_ns for span in child_spans)
-        if packet_tree is not None:
-            bounds.extend((packet_tree.root.start_ns, packet_tree.root.end_ns))
-        if not bounds:
-            return None
-        span = Span(
-            name=f"rpc:0x{tid:08x}",
-            kind="rpc",
-            node=rows[0].node if rows else "",
-            start_ns=min(bounds),
-            end_ns=max(bounds),
-            attributes={
-                "trace_id": tid,
-                "parent_id": parent_of.get(tid, 0),
-                "rpc_children": len(child_spans),
-            },
-        )
-        if packet_tree is not None:
-            span.add_child(packet_tree.root)
-        for child in child_spans:
-            span.add_child(child)
-        return span, records
-
-    forest = SpanForest()
-    for tid in observed:
-        if parent_of.get(tid) in known:
-            continue  # placed under its parent's tree
-        built = assemble(tid)
-        if built is None:
-            continue
-        span, records = built
-        forest.trees.append(
-            SpanTree(trace_id=tid, root=span, record_count=records)
-        )
-    return forest
-
-
 def build_control_root(
     deploy_spans: Iterable[Tuple[int, int, str]],
     ship_spans: Iterable[Tuple[int, int, str, int]],
 ) -> Optional[Span]:
     """The control-plane track: dispatcher -> agent deploy intervals and
-    agent -> collector batch shipments, under one synthetic root."""
-    children: List[Span] = []
-    for start_ns, end_ns, node in deploy_spans:
-        children.append(
-            Span(
-                name=f"deploy:{node}",
-                kind="control",
-                node=node,
-                start_ns=start_ns,
-                end_ns=end_ns,
-                attributes={"phase": "dispatcher -> agent"},
-            )
-        )
-    for start_ns, end_ns, node, records in ship_spans:
-        children.append(
-            Span(
-                name=f"ship:{node}",
-                kind="control",
-                node=node,
-                start_ns=start_ns,
-                end_ns=end_ns,
-                attributes={"phase": "agent -> collector", "records": records},
-            )
-        )
-    if not children:
-        return None
-    children.sort(key=lambda span: (span.start_ns, span.name))
-    root = Span(
-        name="control-plane",
-        kind="control",
-        node="master",
-        start_ns=min(span.start_ns for span in children),
-        end_ns=max(span.end_ns for span in children),
+    agent -> collector batch shipments, under one synthetic root (in a
+    column set of its own)."""
+    legs = [
+        (start_ns, f"deploy:{node}", end_ns, node, DEPLOY, 0)
+        for start_ns, end_ns, node in deploy_spans
+    ]
+    legs.extend(
+        (start_ns, f"ship:{node}", end_ns, node, SHIP, records)
+        for start_ns, end_ns, node, records in ship_spans
     )
-    root.children.extend(children)
-    return root
+    if not legs:
+        return None
+    legs.sort(key=itemgetter(0, 1))  # (start, name)
+    columns = SpanColumns()
+    root = columns.append(
+        CONTROL, "master", min(leg[0] for leg in legs), max(leg[2] for leg in legs)
+    )
+    for start_ns, _, end_ns, node, kind, records in legs:
+        columns.append(kind, node, start_ns, end_ns, parent=root, slots=(records, 0, 0))
+    return Span(columns, root)
 
 
 # -- the columnar batch pipeline ----------------------------------------------
 
-_SPAN_NEW = Span.__new__
+
+class _Shape(NamedTuple):
+    """Column templates for every tree with one label sequence and one
+    same-node run pattern.  ``kind`` / ``name`` / ``up`` / ``size`` are
+    extended as they are; the pickers select, per span, the row that
+    supplies its start and end and the per-tree value (see ``pool`` in
+    :meth:`SpanAssembler._assemble`) behind its node and slots.  Node
+    names are per-tree data, never part of a shape: a fleet where every
+    trace crosses its own node pair still compiles one shape."""
+
+    kind: array
+    name: array
+    up: array
+    size: array
+    starts: Callable
+    ends: Callable
+    nodes: Callable
+    slots: Tuple[Callable, Callable, Callable]
+    wires: Tuple[Tuple[int, int], ...]  # (row before, row after) of each node change
+    constants: Tuple[int, ...]  # pool prefix: constant c sits at index c
 
 
-def _make_span(name, kind, node, start_ns, end_ns, attributes) -> Span:
-    """Span construction without dataclass ``__init__``/``__post_init__``.
-
-    Only the batch pipeline calls this, and only with invariants the
-    kernel already guarantees: timestamps come out of a sorted group
-    (``end_ns >= start_ns`` by construction) and every kind is one of
-    ours -- so the validation ``Span.__init__`` runs would be redundant
-    here, and skipping it roughly halves per-span build cost."""
-    span = _SPAN_NEW(Span)
-    span.name = name
-    span.kind = kind
-    span.node = node
-    span.start_ns = start_ns
-    span.end_ns = end_ns
-    span.children = []
-    span.attributes = attributes
-    return span
-
-
-# Hop/wire/device names recur for every trace of a flow (same labels,
-# same nodes), so format each distinct one once.  Keyed by the exact
-# string pair/node; bounded in practice by chain length x node count.
-_PAIR_NAMES: Dict[Tuple[str, str], str] = {}
-_DEVICE_NAMES: Dict[str, str] = {}
-
-
-def _assemble_tree(trace_id, rows, clock_skew) -> Optional[SpanTree]:
-    """One tree from a kernel row group (``TraceDB.trace_group_rows``
-    tuples, already sorted, already chain-filtered by the caller).
-    Mirrors :func:`build_span_tree` exactly; returns ``None`` when the
-    trace cannot form a span.  The built tree carries ``_span_count``
-    so nothing downstream needs to re-walk it."""
-    # Earliest observation per label wins; duplicates are counted.
-    seen = set()
-    add_seen = seen.add
-    kept = []
-    keep = kept.append
-    duplicates = 0
-    for row in rows:
-        label = row[3]
-        if label in seen:
-            duplicates += 1
-        else:
-            add_seen(label)
-            keep(row)
-    n = len(kept)
-    if n < 2:
-        return None
-
-    first = kept[0]
-    root = _make_span(
-        f"packet:0x{trace_id:08x}",
-        "packet",
-        first[2],
-        first[0],
-        kept[-1][0],
-        {"trace_id": trace_id, "records": n, "packet_len": first[5]},
-    )
-    children = root.children
-    spans = 1
+def _compile_shape(columns: SpanColumns, labels: Tuple[str, ...], breaks: Tuple[bool, ...]):
+    """The :class:`_Shape` of ``labels`` observed with a node change
+    wherever ``breaks`` is true."""
+    n = len(labels)
+    wires = tuple((row, row + 1) for row in range(n - 1) if breaks[row])
+    # Where a tree's values sit in its pool: the constants 0..n, each
+    # row's node id, each row's clock offset, the wire node ids, the
+    # trace id, the packet length, each row's cpu.
+    node_at, skew_at, wire_at = n + 1, 2 * n + 1, 3 * n + 1
+    trace_at = wire_at + len(wires)
+    length_at, cpu_at = trace_at + 1, trace_at + 2
+    # Per span: kind, name id, up, size, start row, end row, then the
+    # pool index behind its node and its three slots (index c < n + 1
+    # is the constant c).  The root's size is filled in at the end.
+    spans = [(PACKET, -1, 0, 0, 0, n - 1, node_at, trace_at, n, length_at)]
     run_start = 0
-    prev_node = first[2]
-    pair_names = _PAIR_NAMES
-    device_names = _DEVICE_NAMES
     for i in range(1, n + 1):
-        if i < n and kept[i][2] == prev_node:
+        if i < n and not breaks[i - 1]:
             continue
-        # Close the contiguous same-node run kept[run_start:i].
-        run_first = kept[run_start]
-        node = run_first[2]
-        if run_start > 0:
-            before = kept[run_start - 1]
-            name_key = (before[3], run_first[3])
-            name = pair_names.get(name_key)
-            if name is None:
-                name = pair_names[name_key] = hop_name(*name_key)
-            wire_key = (before[2], node)
-            wire_node = pair_names.get(wire_key)
-            if wire_node is None:
-                wire_node = pair_names[wire_key] = f"{before[2]} -> {node}"
-            children.append(
-                _make_span(
-                    name,
-                    "wire",
-                    wire_node,
-                    before[0],
-                    run_first[0],
-                    {"from_node": before[2], "to_node": node},
-                )
-            )
-            spans += 1
-        device_name = device_names.get(node)
-        if device_name is None:
-            device_name = device_names[node] = f"device:{node}"
-        device = _make_span(
-            device_name,
-            "device",
-            node,
-            run_first[0],
-            kept[i - 1][0],
-            {"records": i - run_start, "clock_offset_ns": clock_skew(node)},
-        )
-        children.append(device)
-        spans += 1
-        hops = device.children
+        # Close the contiguous same-node run of rows run_start .. i-1.
+        if run_start:
+            before = run_start - 1
+            name = columns.name_id(hop_name(labels[before], labels[run_start]))
+            wire = wire_at + wires.index((before, run_start))
+            spans.append(
+                (WIRE, name, len(spans), 1, before, run_start, wire,
+                 node_at + before, node_at + run_start, 0)
+            )  # fmt: skip
+        device = len(spans)
+        records = i - run_start
+        spans.append(
+            (DEVICE, -1, device, records, run_start, i - 1, node_at + run_start,
+             records, skew_at + run_start, 0)
+        )  # fmt: skip
         for j in range(run_start, i - 1):
-            row_a = kept[j]
-            row_b = kept[j + 1]
-            name_key = (row_a[3], row_b[3])
-            name = pair_names.get(name_key)
-            if name is None:
-                name = pair_names[name_key] = hop_name(*name_key)
-            hops.append(
-                _make_span(
-                    name,
-                    "hop",
-                    row_a[2],
-                    row_a[0],
-                    row_b[0],
-                    {"cpu": row_a[4]},
-                )
+            name = columns.name_id(hop_name(labels[j], labels[j + 1]))
+            spans.append(
+                (HOP, name, len(spans) - device, 1, j, j + 1, node_at + j, cpu_at + j, 0, 0)
             )
-        spans += i - 1 - run_start
-        if i < n:
-            run_start = i
-            prev_node = kept[i][2]
-
-    tree = SpanTree(
-        trace_id=trace_id,
-        root=root,
-        record_count=n + duplicates,
-        duplicate_records=duplicates,
+        run_start = i
+    kind, name, up, size, starts, ends, nodes, slot0, slot1, slot2 = zip(*spans)
+    return _Shape(
+        kind=array("q", kind),
+        name=array("q", name),
+        up=array("q", up),
+        size=array("q", (len(spans),) + size[1:]),
+        starts=itemgetter(*starts),  # a tree has at least three spans
+        ends=itemgetter(*ends),
+        nodes=itemgetter(*nodes),
+        slots=(itemgetter(*slot0), itemgetter(*slot1), itemgetter(*slot2)),
+        wires=wires,
+        constants=tuple(range(n + 1)),
     )
-    tree._span_count = spans
-    return tree
+
+
+def _first_per_label(rows: list) -> list:
+    """Earliest row per tracepoint label (rows are time-sorted)."""
+    seen = set()
+    kept = []
+    for row in rows:
+        if row[3] not in seen:
+            seen.add(row[3])
+            kept.append(row)
+    return kept
+
+
+class _Observed(NamedTuple):
+    """What an assembly saw of every requested trace that has rows,
+    tree or not, before any chain filter -- what ``rpc_forest`` wraps."""
+
+    position: Dict[int, int]  # trace id -> index into the columns below
+    rows: array
+    first_ns: array
+    last_ns: array
+    node: array  # interned node id of the earliest row
+    tree: array  # index of the packet tree the trace formed, or -1
+
+
+class _Assembly(NamedTuple):
+    columns: SpanColumns
+    orphans: int
+    groups: int
+    observed: _Observed
 
 
 class SpanAssembler:
     """Builds span forests from a :class:`TraceDB`, with observability.
 
     Assembly runs the columnar batch pipeline: one
-    ``TraceDB.trace_group_rows`` group-by over the live columns, one
-    :func:`_assemble_tree` per trace group.  Full-database forests
-    (``trace_ids=None``) and RPC forests are memoized keyed on
-    ``TraceDB.generation`` plus the request shape (chain,
-    completeness filter, links signature); any database mutation bumps
-    the generation and invalidates the whole memo.  Cache hits return a
-    fresh :class:`SpanForest` sharing the immutable trees -- they count
-    as ``forest_cache_hits``, not as trees built (nothing was built).
+    ``TraceDB.trace_group_rows`` group-by over the live columns, then
+    per trace a template fill into :class:`SpanColumns`.  Full-database
+    forests (``trace_ids=None``) and RPC forests are memoized keyed on
+    ``TraceDB.generation`` plus the request shape (chain, completeness
+    filter, links signature); any database mutation bumps the generation
+    and invalidates the whole memo.  Cache hits return a fresh
+    :class:`SpanForest` over the same immutable columns -- they count as
+    ``forest_cache_hits``, not as trees built (nothing was built).  An
+    RPC forest wraps the packet columns of its chain and shares them
+    with ``forest()``; the counters count requests, so each request that
+    is not a cache hit counts its trees and spans whoever built them.
 
     When a registry is supplied the assembler registers and drives the
     ``tracing`` stage of the metrics contract: trees built, spans
@@ -497,9 +234,8 @@ class SpanAssembler:
         self.forest_rebuilds = 0
         self.forest_cache_hits = 0
         self.groups_assembled = 0
-        # key -> (trees tuple, orphan_records); valid only while
-        # self._cache_generation == db.generation.
-        self._cache: Dict[tuple, Tuple[Tuple[SpanTree, ...], int]] = {}
+        # Valid only while self._cache_generation == db.generation.
+        self._cache: Dict[tuple, object] = {}
         self._cache_generation: Optional[int] = None
         self._m_trees = self._m_spans = self._m_orphans = self._m_anomalies = None
         self._m_rebuilds = self._m_hits = self._m_groups = None
@@ -508,79 +244,53 @@ class SpanAssembler:
             self._m_spans = registry.register_spec(obs_contract.SPAN_SPANS)
             self._m_orphans = registry.register_spec(obs_contract.SPAN_ORPHANS)
             self._m_anomalies = registry.register_spec(obs_contract.SPAN_ANOMALIES)
-            self._m_rebuilds = registry.register_spec(
-                obs_contract.SPAN_FOREST_REBUILDS
-            )
-            self._m_hits = registry.register_spec(
-                obs_contract.SPAN_FOREST_CACHE_HITS
-            )
-            self._m_groups = registry.register_spec(
-                obs_contract.SPAN_GROUPS_ASSEMBLED
-            )
+            self._m_rebuilds = registry.register_spec(obs_contract.SPAN_FOREST_REBUILDS)
+            self._m_hits = registry.register_spec(obs_contract.SPAN_FOREST_CACHE_HITS)
+            self._m_groups = registry.register_spec(obs_contract.SPAN_GROUPS_ASSEMBLED)
 
-    # -- memo cache ----------------------------------------------------------
+    # -- memo cache and counters ---------------------------------------------
 
-    def _cache_get(self, key: Optional[tuple]):
-        if key is None or self._cache_generation != self.db.generation:
-            return None
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self.forest_cache_hits += 1
-        if self._m_hits is not None:
-            self._m_hits.inc()
-        return entry
-
-    def _cache_put(self, key: Optional[tuple], trees: Sequence[SpanTree], orphans: int) -> None:
-        if key is None:
-            return
+    def _memo(self) -> Dict[tuple, object]:
         if self._cache_generation != self.db.generation:
             self._cache.clear()
             self._cache_generation = self.db.generation
-        self._cache[key] = (tuple(trees), orphans)
+        return self._cache
 
-    def _note_groups(self, count: int) -> None:
-        self.groups_assembled += count
-        if self._m_groups is not None and count:
-            self._m_groups.inc(count)
+    def _note_hit(self) -> None:
+        self.forest_cache_hits += 1
+        if self._m_hits is not None:
+            self._m_hits.inc()
 
     def _note_rebuild(self) -> None:
         self.forest_rebuilds += 1
         if self._m_rebuilds is not None:
             self._m_rebuilds.inc()
 
-    def _count_trees(self, trees: Sequence[SpanTree], orphans: int) -> None:
-        spans = sum(tree._span_count for tree in trees)
-        self.trees_built += len(trees)
-        self.spans_built += spans
+    def _count_build(self, columns: SpanColumns, groups: int, orphans: int) -> None:
+        """Count one answered request: what it assembled, whether or not
+        an earlier request already holds the same columns."""
+        trees = len(columns.tree_first)
+        self.groups_assembled += groups
+        self.trees_built += trees
+        self.spans_built += len(columns)
         self.orphan_records += orphans
-        if self._m_trees is not None and trees:
-            self._m_trees.inc(len(trees))
-            self._m_spans.inc(spans)
-        if self._m_orphans is not None and orphans:
-            self._m_orphans.inc(orphans)
+        if self._m_groups is not None:
+            if groups:
+                self._m_groups.inc(groups)
+            if trees:
+                self._m_trees.inc(trees)
+                self._m_spans.inc(len(columns))
+            if orphans:
+                self._m_orphans.inc(orphans)
 
     # -- assembly ------------------------------------------------------------
 
-    def tree(
-        self, trace_id: int, chain: Optional[Sequence[str]] = None
-    ) -> Optional[SpanTree]:
+    def tree(self, trace_id: int, chain: Optional[Sequence[str]] = None) -> Optional[SpanTree]:
         """One packet's tree (counted like a one-tree forest).  Single
         lookups index the live columns directly (no snapshot pass)."""
-        ((_, rows),) = self.db.trace_group_rows([trace_id], snapshot=False)
-        if chain is not None:
-            wanted = set(chain)
-            rows = [row for row in rows if row[3] in wanted]
-        self._note_groups(1)
-        tree = _assemble_tree(trace_id, rows, self.db.clock_skew)
-        if tree is None:
-            orphaned = self.db.record_count_for_trace(trace_id)
-            self.orphan_records += orphaned
-            if self._m_orphans is not None and orphaned:
-                self._m_orphans.inc(orphaned)
-            return None
-        self._count_trees((tree,), 0)
-        return tree
+        built = self._assemble([trace_id], chain, False, snapshot=False)
+        self._count_build(built.columns, 1, built.orphans)
+        return SpanTree(built.columns, 0) if len(built.columns) else None
 
     def forest(
         self,
@@ -597,176 +307,203 @@ class SpanAssembler:
         Default (full-database) requests are memoized per generation;
         explicit ``trace_ids`` requests always assemble."""
         filtering = complete_only and chain is not None
-        key = None
+        served = False
         if trace_ids is None:
-            key = ("forest", None if chain is None else tuple(chain), filtering)
-            cached = self._cache_get(key)
-            if cached is not None:
-                trees, orphans = cached
-                return SpanForest(
-                    trees=list(trees),
-                    orphan_records=orphans,
-                    control_root=control_root,
-                )
-        ids = self.db.trace_ids() if trace_ids is None else list(trace_ids)
+            memo = self._memo()
+            request = ("forest", None if chain is None else tuple(chain), filtering)
+            served = request in memo
+            memo[request] = True
+            built = self._packets(chain, filtering)
+        else:
+            ids = list(trace_ids)
+            # Snapshotting columns costs O(table) once; worth it unless
+            # the request touches only a handful of traces.
+            built = self._assemble(ids, chain, filtering, snapshot=len(ids) > 32)
+        if served:
+            self._note_hit()
+        else:
+            self._note_rebuild()
+            self._count_build(built.columns, built.groups, built.orphans)
+        return SpanForest(SpanTrees(built.columns), built.orphans, control_root)
+
+    def _packets(self, chain: Optional[Sequence[str]], filtering: bool) -> _Assembly:
+        """The whole database's packet trees for one chain: built once
+        per generation, uncounted -- ``forest`` and ``rpc_forest`` count
+        their own requests."""
+        memo = self._memo()
+        key = ("packets", None if chain is None else tuple(chain), filtering)
+        built = memo.get(key)
+        if built is None:
+            built = memo[key] = self._assemble(self.db.trace_ids(), chain, filtering)
+        return built
+
+    def _assemble(
+        self,
+        ids: List[int],
+        chain: Optional[Sequence[str]],
+        filtering: bool,
+        snapshot: bool = True,
+    ) -> _Assembly:
+        db = self.db
         orphans = 0
         if filtering:
-            complete = set(self.db.complete_traces(chain))
+            complete = set(db.complete_traces(chain))
             wanted_ids = []
             for trace_id in ids:
                 if trace_id in complete:
                     wanted_ids.append(trace_id)
                 else:
-                    orphans += self.db.record_count_for_trace(trace_id)
-        else:
-            wanted_ids = ids
+                    orphans += db.record_count_for_trace(trace_id)
+            ids = wanted_ids
         wanted = None if chain is None else set(chain)
-        if wanted is not None and wanted.issuperset(self.db.tables()):
+        if wanted is not None and wanted.issuperset(db.tables()):
             wanted = None  # chain covers every label: filter is a no-op
-        clock_skew = self.db.clock_skew
-        # Snapshotting columns costs O(table) once; worth it unless the
-        # request touches only a handful of traces.
-        groups = self.db.trace_group_rows(
-            wanted_ids, snapshot=trace_ids is None or len(wanted_ids) > 32
-        )
-        trees: List[SpanTree] = []
+        clock_skew = db.clock_skew
+
+        columns = SpanColumns()
+        # The columns a shape holds ready-made grow once per run of
+        # same-shape trees; the per-tree ones collect in lists (a list
+        # takes a tuple several times faster than an array does) and
+        # become arrays at the end.
+        starts: List[int] = []
+        ends: List[int] = []
+        nodes_of: List[int] = []
+        slots: Tuple[List[int], ...] = ([], [], [])
+        add_starts, add_ends, add_nodes = starts.extend, ends.extend, nodes_of.extend
+        add_slot0, add_slot1, add_slot2 = (column.extend for column in slots)
+        tree_first, tree_trace = columns.tree_first, columns.tree_trace
+        tree_records, tree_duplicates = columns.tree_records, columns.tree_duplicates
+        observed = _Observed({}, array("q"), array("q"), array("q"), array("q"), array("q"))
+        position = observed.position
+        # Everything memoised below is keyed on low-cardinality parts
+        # (label sequences, node names, node pairs) and dies with this call.
+        shapes: Dict[tuple, _Shape] = {}
+        node_id = columns._node_ids.get
+        skews: Dict[int, int] = {}  # id of an observing node -> its clock offset
+        wire_ids: Dict[Tuple[int, int], int] = {}  # (from id, to id) -> wire node id
+
+        def intern(node_name: str) -> int:
+            found = node_id(node_name)
+            if found is None:
+                found = columns.node_id(node_name)
+                skews[found] = clock_skew(node_name)
+            return found
+
+        def node_values(shape: _Shape, nodes: Tuple[str, ...]) -> Tuple[int, ...]:
+            """The pool entries that depend on the node path alone."""
+            ids = tuple(map(intern, nodes))
+            wires = []
+            for before, after in shape.wires:
+                pair = (ids[before], ids[after])
+                if pair not in wire_ids:
+                    wire_ids[pair] = columns.node_id(f"{nodes[before]} -> {nodes[after]}")
+                wires.append(wire_ids[pair])
+            return ids + tuple(skews[found] for found in ids) + tuple(wires)
+
+        def close_run() -> None:
+            if run:
+                columns.kind.extend(shape.kind * run)
+                columns.name.extend(shape.name * run)
+                columns.up.extend(shape.up * run)
+                columns.size.extend(shape.size * run)
+
+        shape = path = prefix = None  # of the previous tree
+        run = 0  # trees since ``shape`` last changed
+        groups = db.trace_group_rows(ids, snapshot=snapshot)
         for trace_id, rows in groups:
+            if not rows:
+                continue  # a trace ID the database never saw
+            seen = len(rows)
+            position[trace_id] = len(observed.rows)
+            observed.rows.append(seen)
+            observed.first_ns.append(rows[0][0])
+            observed.last_ns.append(rows[-1][0])
+            observed.node.append(intern(rows[0][2]))
             if wanted is not None:
                 rows = [row for row in rows if row[3] in wanted]
-            tree = _assemble_tree(trace_id, rows, clock_skew)
-            if tree is None:
-                orphans += self.db.record_count_for_trace(trace_id)
+            duplicates = 0
+            if len(rows) >= 2:
+                stamps, _, nodes, labels, cpus, lengths = zip(*rows)
+                if len(set(labels)) != len(labels):  # first observation wins
+                    kept = _first_per_label(rows)
+                    duplicates = len(rows) - len(kept)
+                    rows = kept
+                    stamps, _, nodes, labels, cpus, lengths = zip(*rows)
+            if len(rows) < 2:
+                orphans += seen
+                observed.tree.append(-1)
                 continue
-            trees.append(tree)
-            orphans += tree.duplicate_records
-        self._note_rebuild()
-        self._note_groups(len(groups))
-        self._count_trees(trees, orphans)
-        self._cache_put(key, trees, orphans)
-        return SpanForest(
-            trees=trees, orphan_records=orphans, control_root=control_root
-        )
+
+            key = (labels, tuple(map(ne, nodes, nodes[1:])))
+            found = shapes.get(key)
+            if found is None:
+                found = shapes[key] = _compile_shape(columns, *key)
+            if found is not shape:
+                close_run()
+                shape, run, path = found, 0, None
+            if nodes != path:  # consecutive traces of a flow share their node path
+                path = nodes
+                prefix = shape.constants + node_values(shape, nodes)
+            run += 1
+            pool = prefix + (trace_id, lengths[0]) + cpus
+
+            observed.tree.append(len(tree_first))
+            tree_first.append(len(starts))
+            tree_trace.append(trace_id)
+            tree_records.append(len(rows) + duplicates)
+            tree_duplicates.append(duplicates)
+            orphans += duplicates
+            add_starts(shape.starts(stamps))
+            add_ends(shape.ends(stamps))
+            add_nodes(shape.nodes(pool))
+            add_slot0(shape.slots[0](pool))
+            add_slot1(shape.slots[1](pool))
+            add_slot2(shape.slots[2](pool))
+        close_run()
+        columns.start, columns.end = array("q", starts), array("q", ends)
+        columns.node = array("q", nodes_of)
+        columns.slots = tuple(array("q", column) for column in slots)
+        return _Assembly(columns, orphans, len(groups), observed)
 
     def rpc_forest(
         self,
         links: Mapping[int, Tuple[int, ...]],
         chain: Optional[Sequence[str]] = None,
     ) -> SpanForest:
-        """Cross-service forest (the vectorized equivalent of
-        :func:`build_rpc_forest`), counted into the ``tracing`` stage
-        metrics like any other assembly and memoized per generation
-        (the cache key includes the links signature, so changed links
-        rebuild even on an unchanged database)."""
+        """Cross-service span forest from trace rows plus causality links.
+
+        ``links`` maps a child trace ID to the parent trace IDs read back
+        from its wire embed (see ``ServiceDeployment.links``).  Each
+        *root* request -- an observed trace ID with no observed parent --
+        becomes one tree whose spans are ``rpc`` wrappers: the wrapper
+        holds the packet's own span tree (when it formed one) plus the
+        ``rpc`` wrappers of its child RPCs, so Perfetto/OTLP render the
+        whole multi-service request under a single track.  The primary
+        (first) parent places a multi-parent fan-in child; repeated
+        links are ignored.  A link cycle (possible only when 32-bit
+        trace IDs collide) is broken at its first-seen member, which
+        becomes a root with its parent link dropped -- so every observed
+        trace sits in exactly one tree and ``orphan_records`` is 0.
+
+        Counted into the ``tracing`` stage metrics like any other
+        assembly and memoized per generation (the cache key includes the
+        links signature, so changed links rebuild even on an unchanged
+        database)."""
         key = (
             "rpc",
             tuple(sorted((child, tuple(parents)) for child, parents in links.items())),
             None if chain is None else tuple(chain),
         )
-        cached = self._cache_get(key)
-        if cached is not None:
-            trees, orphans = cached
-            return SpanForest(trees=list(trees), orphan_records=orphans)
-        trees, groups = self._build_rpc_trees(links, chain)
-        self._note_rebuild()
-        self._note_groups(groups)
-        self._count_trees(trees, 0)
-        self._cache_put(key, trees, 0)
-        return SpanForest(trees=list(trees))
-
-    def _build_rpc_trees(
-        self,
-        links: Mapping[int, Tuple[int, ...]],
-        chain: Optional[Sequence[str]],
-    ) -> Tuple[List[SpanTree], int]:
-        """Mirror of :func:`build_rpc_forest` over kernel row groups:
-        one columnar group-by for the whole database, then the same
-        parent/child recursion without re-materializing rows per trace."""
-        db = self.db
-        parent_of = {child: parents[0] for child, parents in links.items() if parents}
-        observed = db.trace_ids()
-        known = set(observed)
-        groups = dict(db.trace_group_rows())
-        children: Dict[int, List[int]] = {}
-        for child, parent in parent_of.items():
-            if child in known:
-                children.setdefault(parent, []).append(child)
-
-        def first_ts(tid: int) -> int:
-            rows = groups.get(tid)
-            return rows[0][0] if rows else 0
-
-        for kids in children.values():
-            kids.sort(key=lambda tid: (first_ts(tid), tid))
-
-        wanted = None if chain is None else set(chain)
-        clock_skew = db.clock_skew
-        visited = set()
-
-        def assemble(tid: int) -> Optional[Tuple[Span, int, int]]:
-            if tid in visited:
-                return None
-            visited.add(tid)
-            rows = groups.get(tid, [])
-            packet_rows = (
-                rows if wanted is None else [row for row in rows if row[3] in wanted]
-            )
-            packet_tree = _assemble_tree(tid, packet_rows, clock_skew)
-            child_spans: List[Span] = []
-            records = len(rows)
-            spans = 1  # this rpc wrapper
-            for kid in children.get(tid, ()):
-                built = assemble(kid)
-                if built is not None:
-                    child_spans.append(built[0])
-                    records += built[1]
-                    spans += built[2]
-            start = end = None
-            if rows:  # sorted: first/last row bound the observations
-                start = rows[0][0]
-                end = rows[-1][0]
-            for span in child_spans:
-                if start is None or span.start_ns < start:
-                    start = span.start_ns
-                if end is None or span.end_ns > end:
-                    end = span.end_ns
-            if packet_tree is not None:
-                root = packet_tree.root
-                if start is None or root.start_ns < start:
-                    start = root.start_ns
-                if end is None or root.end_ns > end:
-                    end = root.end_ns
-            if start is None:
-                return None
-            span = _make_span(
-                f"rpc:0x{tid:08x}",
-                "rpc",
-                rows[0][2] if rows else "",
-                start,
-                end,
-                {
-                    "trace_id": tid,
-                    "parent_id": parent_of.get(tid, 0),
-                    "rpc_children": len(child_spans),
-                },
-            )
-            if packet_tree is not None:
-                span.children.append(packet_tree.root)
-                spans += packet_tree._span_count
-            span.children.extend(child_spans)
-            return span, records, spans
-
-        trees: List[SpanTree] = []
-        for tid in observed:
-            if parent_of.get(tid) in known:
-                continue  # placed under its parent's tree
-            built = assemble(tid)
-            if built is None:
-                continue
-            span, records, spans = built
-            tree = SpanTree(trace_id=tid, root=span, record_count=records)
-            tree._span_count = spans
-            trees.append(tree)
-        return trees, len(visited)
+        memo = self._memo()
+        columns = memo.get(key)
+        if columns is not None:
+            self._note_hit()
+        else:
+            built = self._packets(chain, False)
+            columns = memo[key] = _wrap_rpcs(built.columns, built.observed, links)
+            self._note_rebuild()
+            self._count_build(columns, len(built.observed.rows), 0)
+        return SpanForest(SpanTrees(columns))
 
     def anomalies(self, forest: SpanForest, factor: float = 3.0):
         """Anomalous spans (see :func:`repro.tracing.critical.flag_anomalies`),
@@ -777,3 +514,98 @@ class SpanAssembler:
         if self._m_anomalies is not None and found:
             self._m_anomalies.inc(len(found))
         return found
+
+
+def _break_cycles(parent_of: Dict[int, int], rank: Mapping[int, int]) -> List[int]:
+    """Drop, from every cycle in ``parent_of``, the link of its member
+    with the lowest ``rank``; returns those members."""
+    cleared = set()  # traces whose chain of parents is known to end
+    dropped = []
+    for trace_id in list(parent_of):
+        trail: Dict[int, int] = {}  # this walk: trace id -> step
+        while trace_id in parent_of and trace_id not in cleared:
+            if trace_id in trail:
+                cycle = list(trail)[trail[trace_id] :]
+                first = min(cycle, key=rank.__getitem__)
+                del parent_of[first]
+                dropped.append(first)
+                break
+            trail[trace_id] = len(trail)
+            trace_id = parent_of[trace_id]
+        cleared.update(trail)
+    return dropped
+
+
+def _wrap_rpcs(
+    packets: SpanColumns, observed: _Observed, links: Mapping[int, Tuple[int, ...]]
+) -> SpanColumns:
+    """The RPC forest over ``packets``: one ``rpc`` wrapper row per
+    observed trace, followed by a copy of the trace's packet subtree
+    (relative ``up`` / ``size`` and shared intern tables make that ten
+    slice copies) and then by its child RPCs, iteratively."""
+    position = observed.position
+    parent_id = {child: parents[0] for child, parents in links.items() if parents}
+    # Placement: observed traces under their observed primary parent.
+    placed = {
+        child: parent
+        for child, parent in parent_id.items()
+        if child in position and parent in position
+    }
+    for first in _break_cycles(placed, position):
+        del parent_id[first]
+    first_ns = observed.first_ns
+    children: Dict[int, List[int]] = {}
+    for child, parent in placed.items():
+        children.setdefault(parent, []).append(child)
+    for kids in children.values():
+        kids.sort(key=lambda trace_id: (first_ns[position[trace_id]], trace_id), reverse=True)
+
+    columns = SpanColumns(interned_from=packets)
+    start, end, up, size = columns.start, columns.end, columns.up, columns.size
+    scalar = (columns.kind, columns.name, columns.node) + columns.slots
+    copied = (
+        (start, packets.start), (end, packets.end), (columns.kind, packets.kind),
+        (columns.name, packets.name), (columns.node, packets.node), (up, packets.up),
+        (size, packets.size), (columns.slots[0], packets.slots[0]),
+        (columns.slots[1], packets.slots[1]), (columns.slots[2], packets.slots[2]),
+    )  # fmt: skip
+    for root in position:
+        if root in placed:
+            continue  # sits under its parent's wrapper
+        records = 0
+        wrappers = []
+        stack = [(root, -1)]
+        while stack:
+            trace_id, parent_row = stack.pop()
+            at = position[trace_id]
+            row = len(start)
+            kids = children.get(trace_id, ())
+            start.append(first_ns[at])
+            end.append(observed.last_ns[at])
+            up.append(row - parent_row if parent_row >= 0 else 0)
+            size.append(1)
+            for column, value in zip(
+                scalar,
+                (RPC, -1, observed.node[at], trace_id, parent_id.get(trace_id, 0), len(kids)),
+            ):
+                column.append(value)
+            wrappers.append(row)
+            records += observed.rows[at]
+            tree = observed.tree[at]
+            if tree >= 0:
+                low = packets.tree_first[tree]
+                high = low + packets.size[low]
+                for target, source in copied:
+                    target.extend(source[low:high])
+                up[row + 1] = 1  # the packet root now hangs off the wrapper
+                size[row] += high - low
+            stack.extend((kid, row) for kid in kids)  # sorted latest first: pops earliest
+        for row in reversed(wrappers[1:]):  # fold children into parents, deepest first
+            parent_row = row - up[row]
+            size[parent_row] += size[row]
+            if start[row] < start[parent_row]:
+                start[parent_row] = start[row]
+            if end[row] > end[parent_row]:
+                end[parent_row] = end[row]
+        columns.append_tree(wrappers[0], root, records)
+    return columns

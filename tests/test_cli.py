@@ -120,6 +120,18 @@ class TestTimeline:
         assert doc["traceEvents"]
         assert doc["otherData"]["trees"] > 0
 
+    def test_file_and_stdout_exports_are_the_same_bytes(self, tmp_path, capsys):
+        # --out streams through write_chrome_trace; stdout gets the
+        # same chunks.  Both must be the one canonical document.
+        for verb in (["timeline", "--duration-ms", "150"], ["rpc", "--requests", "3"]):
+            path = tmp_path / f"{verb[0]}.json"
+            assert main(verb + ["--format", "chrome", "--out", str(path)]) == 0
+            capsys.readouterr()
+            assert main(verb + ["--format", "chrome"]) == 0
+            printed = capsys.readouterr().out
+            assert path.read_text() == printed
+            assert printed.endswith("]}\n")
+
     def test_otlp_export_parses(self, tmp_path):
         import json
 

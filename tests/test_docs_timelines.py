@@ -5,6 +5,9 @@ contract tests:
 
 * the ``group-row`` table mirrors the tuple layout
   ``TraceDB.trace_group_rows`` actually emits;
+* the ``forest-columns`` table mirrors the storage of a
+  ``SpanColumns`` and the ``span-kinds`` table the naming and
+  attribute-slot schema of every kind id;
 * the ``assembler-counters`` table mirrors the counters a
   ``SpanAssembler`` exposes;
 * the ``tracing-metrics`` table lists exactly the contract's
@@ -12,12 +15,14 @@ contract tests:
 """
 
 import re
+from array import array
 from pathlib import Path
 
 from repro.core.records import TraceRecord
 from repro.core.tracedb import TraceDB
 from repro.obs import contract
 from repro.tracing.reconstruct import SpanAssembler
+from repro.tracing.spans import ATTRIBUTES, KIND_NAMES, Span, SpanColumns
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_PATH = REPO / "docs" / "TIMELINES.md"
@@ -39,7 +44,7 @@ def _table_rows(section: str):
         if not line.startswith("|") or set(line) <= {"|", "-", " "}:
             continue
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        if cells and cells[0] in ("position", "counter", "metric", "field"):
+        if cells and cells[0] in ("position", "counter", "metric", "field", "column", "id"):
             continue  # header row
         yield cells
 
@@ -71,6 +76,59 @@ def test_group_row_table_matches_kernel_output():
     assert row[3] == "send"  # label
     assert row[4] == 3  # cpu
     assert row[5] == 77  # packet_len
+
+
+def test_forest_columns_table_matches_storage():
+    documented = {
+        cells[0].strip("`"): (cells[1], cells[2].replace("`", ""))
+        for cells in _table_rows(_section("forest-columns"))
+    }
+    columns = SpanColumns()
+    public = [name for name in SpanColumns.__slots__ if not name.startswith("_")]
+    assert list(documented) == public  # every column, in declaration order
+    for name, (per, kind) in documented.items():
+        value = getattr(columns, name)
+        scope = "tree" if name.startswith("tree_") else "span"
+        assert per == ("forest" if name in ("names", "nodes") else scope), name
+        if kind == "array('q')":
+            assert isinstance(value, array) and value.typecode == "q", name
+            assert per in ("span", "tree")
+        elif kind == "3 × array('q')":
+            assert len(value) == 3
+            assert all(isinstance(slot, array) and slot.typecode == "q" for slot in value)
+        else:
+            assert kind == "list[str]" and value == [] and per == "forest"
+
+
+def test_span_kinds_table_matches_schema():
+    rows = list(_table_rows(_section("span-kinds")))
+    assert [int(cells[0]) for cells in rows] == list(range(len(KIND_NAMES)))
+    for kind, cells in enumerate(rows):
+        assert cells[1].strip("`") == KIND_NAMES[kind]
+        # Slot cells name the attribute read from that slot ("–": unused).
+        documented = {
+            slot: cell.split()[0].strip("`")
+            for slot, cell in enumerate(cells[3:6])
+            if cell != "–"
+        }
+        actual = {attr.slot: attr.key for attr in ATTRIBUTES[kind] if attr.slot is not None}
+        assert documented == actual, KIND_NAMES[kind]
+        for slot, cell in enumerate(cells[3:6]):
+            is_node = any(attr.node for attr in ATTRIBUTES[kind] if attr.slot == slot)
+            assert ("(node id)" in cell) == is_node
+        # The name column, checked against a live row of that kind.
+        columns = SpanColumns()
+        leaf = KIND_NAMES[kind] in ("hop", "wire")
+        row = columns.append(
+            kind, "n1", 0, 1, slots=(0x2A, 0, 0), name="a -> b" if leaf else None
+        )
+        pattern = cells[2].strip("`")
+        expected = (
+            pattern.replace("names[name]", "a -> b")
+            .replace("0x<slot 0>", "0x0000002a")
+            .replace("<node>", "n1")
+        )
+        assert Span(columns, row).name == expected
 
 
 def test_assembler_counters_table_matches_attributes():

@@ -35,9 +35,10 @@ from repro.core import metrics
 from repro.core.records import RECORD_STRUCT, TraceRecord
 from repro.core.tracedb import TraceDB, TraceRow
 from repro.tracing.export import chrome_trace_json, otlp_json
-from repro.tracing.reconstruct import SpanAssembler, legacy_forest
+from repro.tracing.reconstruct import SpanAssembler
 from repro.workloads.stats import LatencySummary, summarize_latencies
 from tests.conftest import pack
+from tests.span_reference import reference_chrome_json, reference_forest, reference_otlp_json
 
 # ---------------------------------------------------------------------------
 # The legacy row store, ported verbatim from the pre-columnar tracedb.py.
@@ -368,9 +369,9 @@ def assert_exports_equivalent(db: TraceDB, legacy: LegacyTraceDB, chain: Sequenc
     assert segments_new == segments_old
     assert decomposition_table(segments_new) == decomposition_table(segments_old)
     forest_new = SpanAssembler(db).forest(chain=chain)
-    forest_old = legacy_forest(legacy, chain=chain)
-    assert chrome_trace_json(forest_new) == chrome_trace_json(forest_old)
-    assert otlp_json(forest_new) == otlp_json(forest_old)
+    forest_old = reference_forest(legacy, chain=chain)
+    assert chrome_trace_json(forest_new) == reference_chrome_json(forest_old)
+    assert otlp_json(forest_new) == reference_otlp_json(forest_old)
 
 
 @pytest.fixture

@@ -1,146 +1,106 @@
 """Differential suite for the batch span-reconstruction pipeline.
 
-The columnar batch assembler (`SpanAssembler` over
-`TraceDB.trace_group_rows`) replaced the per-row loop as the production
-path; the per-row code survives in-tree purely as the oracle
-(:func:`build_span_tree` / :func:`legacy_forest` /
-:func:`build_rpc_forest`).  This suite proves, on every end-to-end
-scenario the repo ships, that the two pipelines produce byte-identical
-exports -- Chrome trace JSON (including the fast one-pass serializer
-against the canonical ``json.dumps`` of the dict form), OTLP JSON, and
-the text timeline -- and that the generation-keyed forest cache can
-never serve a stale forest across any mutation path.
+The columnar assembler (`SpanAssembler` over `TraceDB.trace_group_rows`,
+writing `SpanColumns`) and the streaming serialisers are the only
+implementation in ``src/``; the per-row algorithm survives as the test
+oracle in ``tests/span_reference.py`` (nested dicts, ``json.dumps``).
+This suite proves, on every end-to-end scenario the repo ships, that
+the two produce byte-identical exports -- Chrome trace JSON, OTLP JSON
+and the text timeline -- that those bytes are the ones recorded in
+``tests/golden/span_exports.json`` before the reference left ``src/``,
+and that the generation-keyed forest cache can never serve a stale
+forest across any mutation path.
 """
-
-import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import TraceRecord
 from repro.core.tracedb import TraceDB
-from repro.tracing.export import (
-    chrome_trace_dict,
-    chrome_trace_json,
-    otlp_json,
-    timeline_text,
+from repro.tracing.export import chrome_trace_json, otlp_json
+from repro.tracing.reconstruct import SpanAssembler
+from tests import span_goldens
+from tests.span_reference import (
+    reference_chrome_json,
+    reference_exports,
+    reference_forest,
+    reference_rpc_forest,
+    span_count,
 )
-from repro.tracing.reconstruct import (
-    SpanAssembler,
-    build_rpc_forest,
-    legacy_forest,
-)
-
-_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
 
 
-def _canonical_chrome(forest) -> str:
-    return json.dumps(chrome_trace_dict(forest), **_CANONICAL) + "\n"
+def reference_for(case: span_goldens.Case):
+    if case.links is not None:
+        return reference_rpc_forest(case.db, case.links, chain=case.chain)
+    return reference_forest(case.db, None, case.chain, complete_only=case.complete_only)
 
 
-def assert_forest_equivalent(db, chain, complete_only=True, control_root=None):
-    """Batch assembler vs per-row oracle, byte-compared on every export
-    format.  The fast Chrome serializer is additionally checked against
-    the canonical dumps of the dict form on the *oracle* forest, so a
-    bug that corrupted both batch paths the same way still gets caught
-    by the unchanged per-row dict exporter."""
-    assembler = SpanAssembler(db)
-    batch = assembler.forest(
-        chain=chain, complete_only=complete_only, control_root=control_root
-    )
-    oracle = legacy_forest(
-        db, None, chain, complete_only=complete_only, control_root=control_root
-    )
-    assert chrome_trace_json(batch) == _canonical_chrome(oracle)
-    assert chrome_trace_json(batch) == chrome_trace_json(oracle)
-    assert otlp_json(batch) == otlp_json(oracle)
-    assert timeline_text(batch, limit=None) == timeline_text(oracle, limit=None)
-    assert batch.orphan_records == oracle.orphan_records
-    assert batch.span_count() == oracle.span_count()
-    return batch
+def assert_case_equivalent(case: span_goldens.Case):
+    """Production vs the per-row oracle vs the recorded goldens, byte
+    for byte on every export format."""
+    forest = span_goldens.production_forest(case)
+    oracle = reference_for(case)
+    texts = span_goldens.exports(forest)
+    assert texts == reference_exports(oracle)
+    span_goldens.assert_matches_golden(case, texts)
+    assert forest.orphan_records == oracle["orphan_records"]
+    assert forest.span_count() == span_count(oracle)
+    return texts
 
 
 # ---------------------------------------------------------------------------
 # Scenario differentials: every end-to-end flow the repo ships.
 # ---------------------------------------------------------------------------
 
+_checked = {}  # scenario -> [(case name, exports)], each scenario run once
+
+
+def checked(scenario: str):
+    if scenario not in _checked:
+        _checked[scenario] = [
+            (case.name, assert_case_equivalent(case))
+            for case in span_goldens.SCENARIOS[scenario]()
+        ]
+    return _checked[scenario]
+
+
+def assert_shard_counts_agree(scenario: str, runs: int):
+    """Every case of a scenario that ran at ``runs`` shard counts
+    exported the same bytes each time."""
+    by_name = {}
+    for name, texts in checked(scenario):
+        by_name.setdefault(name, []).append(texts)
+    for name, found in by_name.items():
+        assert len(found) == runs, name
+        assert all(texts == found[0] for texts in found), name
+
 
 class TestScenarioDifferentials:
     def test_quickstart(self):
-        from repro.obs.scenario import QUICKSTART_CHAIN, run_quickstart_scenario
-
-        result = run_quickstart_scenario(seed=42, duration_ns=250_000_000)
-        db = result.tracer.db
-        assert db.rows_inserted > 0
-        assert_forest_equivalent(db, list(QUICKSTART_CHAIN))
-        # Partial trees too (complete_only=False exercises the
-        # no-filter orphan accounting).
-        assert_forest_equivalent(db, list(QUICKSTART_CHAIN), complete_only=False)
-        assert_forest_equivalent(db, None, complete_only=False)
+        # Complete trees, partial trees (the no-filter orphan
+        # accounting) and no chain at all.
+        names = {name for name, _ in checked("quickstart")}
+        assert names == {"quickstart/complete", "quickstart/partial", "quickstart/no-chain"}
 
     def test_quickstart_shard_counts_byte_identical(self):
-        from repro.obs.scenario import QUICKSTART_CHAIN, run_quickstart_scenario
-
-        docs = []
-        for shards in (1, 4):
-            result = run_quickstart_scenario(
-                seed=42, duration_ns=250_000_000, shards=shards
-            )
-            forest = assert_forest_equivalent(
-                result.tracer.db, list(QUICKSTART_CHAIN)
-            )
-            docs.append(chrome_trace_json(forest))
-        assert docs[0] == docs[1]
+        assert_shard_counts_agree("quickstart", runs=2)
 
     def test_ovs_case_iii(self):
-        from repro.experiments.ovs_case import run_case
-
-        result = run_case("III", duration_ns=150_000_000, trace=True)
-        assert result.tracer is not None and result.chain is not None
-        db = result.tracer.db
-        assert db.rows_inserted > 0
-        assert_forest_equivalent(db, result.chain)
+        assert checked("ovs_case_iii")
 
     def test_fault_case_both_legs(self):
-        from repro.experiments.fault_case import default_fault_plan, run_fault_case
-
-        for plan in (None, default_fault_plan()):
-            result = run_fault_case(seed=7, plan=plan, packets=80)
-            assert result.db is not None and result.db.rows_inserted > 0
-            assert_forest_equivalent(result.db, ["send", "recv"])
-            assert_forest_equivalent(result.db, ["send", "recv"], complete_only=False)
+        assert len(checked("fault_case")) == 4  # two legs, complete and partial
 
     def test_macro_fleet(self):
-        from repro.experiments.macro_fleet import (
-            FLEET_CHAIN,
-            FleetConfig,
-            run_macro_fleet,
-        )
-
-        result = run_macro_fleet(FleetConfig(), shards=1)
-        assert result.db.rows_inserted > 0
-        assert_forest_equivalent(result.db, list(FLEET_CHAIN))
+        assert checked("macro_fleet")
 
     def test_rpc_case_both_shard_counts(self):
-        from repro.experiments.rpc_case import run_rpc_case
+        # The request forest and the plain packet forest of the same DB.
+        assert_shard_counts_agree("rpc_case", runs=2)
 
-        docs = []
-        for shards in (1, 4):
-            result = run_rpc_case(seed=21, requests=12, shards=shards)
-            db = result.tracer.db
-            links = result.deployment.links
-            assembler = SpanAssembler(db)
-            batch = assembler.rpc_forest(links)
-            oracle = build_rpc_forest(db, links)
-            assert chrome_trace_json(batch) == _canonical_chrome(oracle)
-            assert otlp_json(batch) == otlp_json(oracle)
-            assert timeline_text(batch, limit=None) == timeline_text(
-                oracle, limit=None
-            )
-            # Plain packet forests on the same DB must agree too.
-            assert_forest_equivalent(db, None, complete_only=False)
-            docs.append(chrome_trace_json(batch))
-        assert docs[0] == docs[1]
+    def test_goldens_cover_exactly_the_scenarios(self):
+        names = {name for scenario in span_goldens.SCENARIOS for name, _ in checked(scenario)}
+        assert names == set(span_goldens.load_goldens())
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +254,7 @@ class TestCacheFreshnessProperty:
             elif op == "skew":
                 db.set_clock_skew("rx", a)
             # Whether this call hits the memo or rebuilds, it must equal
-            # a from-scratch assembly over the per-row oracle.
+            # a from-scratch assembly by the per-row oracle.
             cached = assembler.forest(chain=_CHAIN, complete_only=True)
-            fresh = legacy_forest(db, None, _CHAIN, complete_only=True)
-            assert chrome_trace_json(cached) == _canonical_chrome(fresh)
+            fresh = reference_forest(db, None, _CHAIN, complete_only=True)
+            assert chrome_trace_json(cached) == reference_chrome_json(fresh)

@@ -26,19 +26,18 @@ from repro.obs.registry import MetricsRegistry
 from repro.tracing import (
     Span,
     SpanAssembler,
+    SpanColumns,
     aggregate_hops,
     build_control_root,
-    build_span_tree,
-    chrome_trace_dict,
     chrome_trace_json,
     critical_path,
     flag_anomalies,
-    otlp_dict,
     otlp_json,
     segments_from_forest,
     span_tree_text,
     timeline_text,
 )
+from repro.tracing.spans import DEVICE, HOP, PACKET
 from repro.virt.overlay import OverlayNetwork
 
 CHAIN = ["n1:a", "n1:b", "n2:c", "n2:d"]
@@ -55,36 +54,69 @@ def _populate(db, trace_id, stamps=(100, 250, 900, 1_000)):
         db.insert(node, label, _record(trace_id, ts))
 
 
+def span_tree(db, trace_id, chain=None):
+    return SpanAssembler(db).tree(trace_id, chain=chain)
+
+
 class TestSpanModel:
+    """Hand-built columns: ``SpanColumns.append`` is the validated way in."""
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown span kind"):
-            Span("x", "banana", "n1", 0, 1)
+            SpanColumns().append("banana", "n1", 0, 1)
+        with pytest.raises(ValueError, match="unknown span kind"):
+            SpanColumns().append(8, "n1", 0, 1)
 
     def test_backwards_interval_rejected(self):
         with pytest.raises(ValueError, match="ends before it starts"):
-            Span("x", "hop", "n1", 10, 5)
+            SpanColumns().append(HOP, "n1", 10, 5, name="x")
+
+    def test_name_only_on_leaf_kinds(self):
+        with pytest.raises(ValueError, match="hop span"):
+            SpanColumns().append(HOP, "n1", 0, 5)
+        with pytest.raises(ValueError, match="device span"):
+            SpanColumns().append(DEVICE, "n1", 0, 5, name="x")
 
     def test_walk_is_preorder(self):
-        root = Span("r", "packet", "n1", 0, 10)
-        a = root.add_child(Span("a", "device", "n1", 0, 5))
-        a.add_child(Span("a1", "hop", "n1", 0, 5))
-        root.add_child(Span("b", "device", "n1", 5, 10))
-        assert [s.name for s in root.walk()] == ["r", "a", "a1", "b"]
+        columns = SpanColumns()
+        root = columns.append(PACKET, "n1", 0, 10, slots=(7, 3, 64))
+        a = columns.append(DEVICE, "n1", 0, 5, parent=root)
+        columns.append(HOP, "n1", 0, 5, parent=a, name="a1")
+        columns.append(DEVICE, "n2", 5, 10, parent=root)
+        names = ["packet:0x00000007", "device:n1", "a1", "device:n2"]
+        assert [s.name for s in Span(columns, root).walk()] == names
+        assert [s.name for s in Span(columns, root).children] == [names[1], names[3]]
+        assert [s.name for s in Span(columns, a).walk()] == names[1:3]
+
+    def test_rows_must_arrive_in_preorder(self):
+        columns = SpanColumns()
+        root = columns.append(PACKET, "n1", 0, 10)
+        a = columns.append(DEVICE, "n1", 0, 5, parent=root)
+        columns.append(DEVICE, "n1", 5, 10, parent=root)
+        with pytest.raises(ValueError, match="out of pre-order"):
+            columns.append(HOP, "n1", 0, 5, parent=a, name="late")
+
+    def test_views_compare_by_row(self):
+        columns = SpanColumns()
+        root = columns.append(PACKET, "n1", 0, 10)
+        assert Span(columns, root) == Span(columns, root)
+        assert Span(columns, root) != Span(SpanColumns(), root)
+        assert len({Span(columns, root), Span(columns, root)}) == 1
 
 
 class TestReconstruct:
     def test_single_record_trace_yields_none(self):
         db = TraceDB()
         db.insert("n1", CHAIN[0], _record(1, 100))
-        assert build_span_tree(db, 1) is None
+        assert span_tree(db, 1) is None
 
     def test_unknown_trace_yields_none(self):
-        assert build_span_tree(TraceDB(), 404) is None
+        assert span_tree(TraceDB(), 404) is None
 
     def test_tree_shape_two_nodes(self):
         db = TraceDB()
         _populate(db, 1)
-        tree = build_span_tree(db, 1)
+        tree = span_tree(db, 1)
         kinds = [s.kind for s in tree.spans()]
         # packet > [device(n1) > hop, wire, device(n2) > hop]
         assert kinds == ["packet", "device", "hop", "wire", "device", "hop"]
@@ -96,7 +128,7 @@ class TestReconstruct:
     def test_top_level_children_partition_the_root(self):
         db = TraceDB()
         _populate(db, 1)
-        root = build_span_tree(db, 1).root
+        root = span_tree(db, 1).root
         assert root.children[0].start_ns == root.start_ns
         assert root.children[-1].end_ns == root.end_ns
         for left, right in zip(root.children, root.children[1:]):
@@ -107,7 +139,7 @@ class TestReconstruct:
         db = TraceDB()
         _populate(db, 1)
         db.insert("n1", CHAIN[0], _record(1, 120))  # retransmit-style dup
-        tree = build_span_tree(db, 1)
+        tree = span_tree(db, 1)
         assert tree.duplicate_records == 1
         assert tree.root.start_ns == 100  # earliest observation wins
 
@@ -115,7 +147,7 @@ class TestReconstruct:
         db = TraceDB()
         _populate(db, 1)
         db.insert("n3", "noise:x", _record(1, 500))
-        tree = build_span_tree(db, 1, chain=CHAIN)
+        tree = span_tree(db, 1, chain=CHAIN)
         assert all("noise" not in s.name for s in tree.spans())
         assert tree.duplicate_records == 0
 
@@ -125,7 +157,7 @@ class TestReconstruct:
         _populate(db, 1)
         devices = {
             s.node: s.attributes["clock_offset_ns"]
-            for s in build_span_tree(db, 1).spans()
+            for s in span_tree(db, 1).spans()
             if s.kind == "device"
         }
         assert devices == {"n1": 0, "n2": -1_500}
@@ -138,7 +170,7 @@ class TestReconstruct:
         db.insert("n1", CHAIN[0], _record(1, 100))
         db.insert("n2", CHAIN[3], _record(1, 1_000))
         db.insert("n1", CHAIN[1], _record(1, 250))
-        tree = build_span_tree(db, 1)
+        tree = span_tree(db, 1)
         stamps = [s.start_ns for s in tree.root.children]
         assert stamps == sorted(stamps)
         assert tree.root.duration_ns == 900
@@ -242,7 +274,7 @@ class TestExporters:
         return SpanAssembler(db).forest(chain=CHAIN, control_root=control)
 
     def test_chrome_dict_shape(self):
-        doc = chrome_trace_dict(self._forest())
+        doc = json.loads(chrome_trace_json(self._forest()))
         assert doc["displayTimeUnit"] == "ns"
         events = doc["traceEvents"]
         complete = [e for e in events if e["ph"] == "X"]
@@ -258,7 +290,7 @@ class TestExporters:
         assert text == chrome_trace_json(self._forest())  # stable bytes
 
     def test_otlp_ids_and_times(self):
-        doc = otlp_dict(self._forest())
+        doc = json.loads(otlp_json(self._forest()))
         scope = doc["resourceSpans"][0]["scopeSpans"][0]
         spans = scope["spans"]
         root = spans[0]
@@ -268,7 +300,6 @@ class TestExporters:
         assert children  # tree structure survives the flattening
         for span in spans:
             assert int(span["endTimeUnixNano"]) >= int(span["startTimeUnixNano"])
-        assert json.loads(otlp_json(self._forest())) == doc
 
     def test_text_rendering_mentions_every_span(self):
         forest = self._forest()
