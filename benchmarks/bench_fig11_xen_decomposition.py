@@ -6,20 +6,14 @@ as a 0..1000 us scheduling sawtooth, and jitter explodes from
 (-7.2, 9.2) us to (-117.8, 1041.4) us.
 """
 
-from repro.experiments.xen_case import run_fig11_condition
+from repro.experiments.xen_case import run_fig11
 
 PACKETS = 400
 SCHED_SEGMENT = "dom0:vif1.0 to vm:eth1"
 
 
 def test_fig11_decomposition_sawtooth(benchmark, once, report):
-    def scenario():
-        return {
-            "baseline": run_fig11_condition("baseline", packets=PACKETS),
-            "shared": run_fig11_condition("shared", packets=PACKETS),
-        }
-
-    results = once(scenario)
+    results = once(run_fig11, packets=PACKETS)
     rows = {}
     for condition, result in results.items():
         for key, summary in result.segment_summaries.items():
@@ -56,8 +50,7 @@ def run(preset: str = "smoke") -> dict:
 
     packets = scale_count(preset, PACKETS, floor=100)
     out = {"packets": packets}
-    for condition in ("baseline", "shared"):
-        result = run_fig11_condition(condition, packets=packets)
+    for condition, result in run_fig11(packets=packets).items():
         sched = result.segment_summaries[SCHED_SEGMENT]
         out[f"{condition}_sched_segment_avg_us"] = round(sched.avg_ns / 1e3, 1)
         out[f"{condition}_sched_segment_max_us"] = round(sched.max_ns / 1e3, 1)

@@ -3,13 +3,12 @@
 The rpc_case scenario (docs/SERVICES.md) exercises the full
 correlation path: parent IDs embedded on the wire, links read back at
 every receiver, collected rows joined into one span forest per root
-request.  This scenario prices that pipeline end to end -- requests
-traced per second of wall time, and the link/span volume produced --
-so a regression in the embed, the join, or the forest assembly shows
-up as a throughput drop.
+request.  This scenario runs that pipeline end to end and reports the
+link/span volume it produced, so a change in the embed, the join, or
+the forest assembly shows up as a changed count.
 
-The runner resolves through the ScenarioSpec registry (the same table
-the CLI and the determinism CI use), not a direct import.
+The runner resolves through the ScenarioSpec registry (the table
+``repro rpc`` and ``repro list`` read), not a direct import.
 """
 
 FULL_REQUESTS = 60

@@ -1,6 +1,6 @@
 """Command-line interface: regenerate paper figures from a shell.
 
-    python -m repro.cli list
+    python -m repro.cli list --verbose
     python -m repro.cli run fig7a
     python -m repro.cli run fig10a --duration-ms 300 --seed 11
     python -m repro.cli run all
@@ -11,14 +11,16 @@
     python -m repro.cli faults --seed 7 --format json
     python -m repro.cli watch --window-ms 100
     python -m repro.cli watch --deterministic
-    python -m repro.cli scenarios
     python -m repro.cli rpc --requests 40
     python -m repro.cli rpc --deterministic
     python -m repro.cli bench --preset smoke
-    python -m repro.cli bench --preset smoke --compare benchmarks/baseline.json
+    python -m repro.cli bench --preset smoke --out benchmarks/baseline.json
 
-Each figure prints its paper-vs-measured block; `run all` walks the
-whole evaluation (§IV).  The same runners back `benchmarks/`.
+`list` prints the ScenarioSpec registry (`repro.experiments.SCENARIOS`),
+the one table of runnable things; `--verbose` adds each spec's
+references.  `run` takes its figures from that table: each prints its
+paper-vs-measured block (the presenter beside its runner), `run all`
+walks the whole evaluation (§IV).  The same runners back `benchmarks/`.
 
 `stats` runs the quickstart tracing scenario with the self-observability
 layer attached (see docs/OBSERVABILITY.md) and emits the pipeline's own
@@ -41,180 +43,64 @@ per-flow throughput, per-hop latency/jitter, percentile sketches, and
 the top-K slowest flows -- as a table or JSON; `--deterministic` emits
 one canonical JSON document the CI determinism job byte-diffs.
 
-`scenarios` lists the shared ScenarioSpec registry (`repro.experiments`):
-every runnable scenario with its builder / runner / digest references;
-the bench harness and the determinism CI resolve from the same table.
-
 `rpc` runs the multi-tier service scenario (see docs/SERVICES.md): a
 declarative ServiceGraph compiled onto the simulated stack, every RPC
 carrying its parent's trace ID, reconstructed into a cross-service span
 forest; `--deterministic` emits one canonical JSON document the CI
 determinism job byte-diffs (also across shard counts).
 
-`bench` runs the benchmark harness over every `benchmarks/bench_*.py`
-scenario, writes a schema-versioned `BENCH_<timestamp>.json`, and can
-gate against `benchmarks/baseline.json` (exit code 1 on regression);
-see docs/BENCHMARKS.md.
+`bench` regenerates every `benchmarks/bench_*.py` scenario and reports
+its simulation-deterministic outputs as one canonical JSON document;
+`benchmarks/baseline.json` is that document, committed, and CI diffs a
+fresh run against it (docs/BENCHMARKS.md).  Host speed is
+`pipeline_bench`'s job, not this verb's.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from typing import Callable, Dict
 
 
-def _fig4(args) -> None:
-    from repro.experiments.clocksync_case import run_fig4_sweep
-
-    for r in run_fig4_sweep(seed=args.seed):
-        load = "loaded" if r.background_load else "idle"
-        print(
-            f"  offset {r.configured_offset_ns / 1e6:+7.1f} ms, "
-            f"drift {r.configured_drift_ppm:+5.0f} ppm, {load:6s}: "
-            f"true {r.true_skew_ns} ns, est {r.estimated_skew_ns} ns, "
-            f"err {r.error_ns} ns"
-        )
+# Virtual measurement window for the figures whose runner takes one,
+# unless --duration-ms says otherwise.
+_RUN_DURATION_MS = 400
 
 
-def _fig7a(args) -> None:
-    from repro.experiments.overhead import run_fig7a
+def _list(args) -> None:
+    """Print the ScenarioSpec registry (repro.experiments)."""
+    from repro.experiments import SCENARIOS, scenario_names
 
-    r = run_fig7a(seed=args.seed, duration_ns=args.duration_ns)
-    print(f"  baseline avg {r.baseline.avg_ns / 1e3:.2f} us, "
-          f"traced avg {r.traced.avg_ns / 1e3:.2f} us "
-          f"(+{r.avg_overhead_pct:.2f}%; paper <1%)")
-    print(f"  p99.9 {r.baseline.p999_ns / 1e3:.2f} -> {r.traced.p999_ns / 1e3:.2f} us; "
-          f"loss {r.baseline_loss} -> {r.traced_loss}; records {r.records_collected}")
-
-
-def _fig7b(args) -> None:
-    from repro.experiments.overhead import run_fig7b
-
-    for gbps, paper in ((1.0, "10%"), (10.0, "26.5%")):
-        r = run_fig7b(seed=args.seed, link_gbps=gbps, duration_ns=args.duration_ns)
-        print(f"  {gbps:g}G: baseline {r.baseline_bps / 1e6:.0f} Mbps | "
-              f"vNetTracer -{r.vnettracer_loss_pct:.1f}% | "
-              f"SystemTap -{r.systemtap_loss_pct:.1f}% (paper {paper})")
+    width = max(len(name) for name in scenario_names())
+    for name in scenario_names():
+        spec = SCENARIOS[name]
+        print(f"{name:<{width}}  {spec.title}")
+        if args.verbose:
+            for role in ("run", "present", "build", "digest"):
+                if getattr(spec, role):
+                    print(f"{'':<{width}}    {role + ':':8s} {getattr(spec, role)}")
 
 
-def _fig8b(args) -> None:
-    from repro.experiments.ovs_case import run_fig8b
+def _run(args, parser) -> None:
+    """Regenerate one registered figure, or all of them."""
+    from repro.experiments import SCENARIOS, figure_names
 
-    for case, summary in run_fig8b(seed=args.seed, duration_ns=args.duration_ns).items():
-        s = summary.scaled()
-        print(f"  Case {case:4s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us")
-
-
-def _fig9a(args) -> None:
-    from repro.experiments.ovs_case import run_fig9a
-
-    for case, d in run_fig9a(seed=args.seed, duration_ns=args.duration_ns).items():
-        print(f"  Case {case:4s} sender {d['sender_stack'].avg_ns / 1e3:7.1f} us | "
-              f"OVS {d['ovs'].avg_ns / 1e3:9.1f} us | "
-              f"receiver {d['receiver_stack'].avg_ns / 1e3:7.1f} us")
-
-
-def _fig9b(args) -> None:
-    from repro.experiments.ovs_case import run_fig9b
-
-    for key, summary in run_fig9b(seed=args.seed, duration_ns=args.duration_ns).items():
-        s = summary.scaled()
-        print(f"  {key:15s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us")
-
-
-def _fig10a(args) -> None:
-    from repro.experiments.xen_case import run_fig10a
-
-    results = run_fig10a(seed=args.seed, duration_ns=args.duration_ns)
-    base = results["baseline"].sockperf
-    for condition, r in results.items():
-        s = r.sockperf.scaled()
-        print(f"  {condition:20s} avg {s['avg']:8.1f} us  p99.9 {s['p99.9']:8.1f} us "
-              f"({r.sockperf.p999_ns / base.p999_ns:.1f}x)")
-
-
-def _fig10b(args) -> None:
-    from repro.experiments.xen_case import run_fig10b
-
-    results = run_fig10b(seed=args.seed, duration_ns=args.duration_ns)
-    base = results["baseline"].latency
-    for condition, r in results.items():
-        s = r.latency.scaled()
-        print(f"  {condition:20s} avg {s['avg']:8.1f} us ({r.latency.avg_ns / base.avg_ns:.1f}x)"
-              f"  p99.9 {s['p99.9']:8.1f} us ({r.latency.p999_ns / base.p999_ns:.1f}x)")
-
-
-def _fig11(args) -> None:
-    from repro.experiments.xen_case import run_fig11_condition
-
-    for condition in ("baseline", "shared"):
-        r = run_fig11_condition(condition, seed=args.seed, packets=400)
-        print(f"  [{condition}] (skew estimate {r.clock_skew_estimate_ns / 1e6:+.3f} ms)")
-        for key, summary in r.segment_summaries.items():
-            s = summary.scaled()
-            print(f"    {key:40s} avg {s['avg']:8.1f} us  max {s['max']:8.1f} us")
-
-
-def _fig12b(args) -> None:
-    from repro.experiments.container_case import run_fig12b
-
-    for name, pair in run_fig12b(seed=args.seed, duration_ns=args.duration_ns).items():
-        print(f"  {name:12s} VM {pair.vm_bps / 1e9:6.2f} Gbps | "
-              f"containers {pair.container_bps / 1e9:6.2f} Gbps | "
-              f"ratio {pair.ratio * 100:5.1f}%")
-
-
-def _fig13a(args) -> None:
-    from repro.experiments.container_case import run_fig13a
-
-    results = run_fig13a(seed=args.seed, duration_ns=args.duration_ns)
-    for path, r in results.items():
-        dist = ", ".join(f"cpu{c}:{f * 100:.1f}%" for c, f in r.cpu_distribution.items())
-        print(f"  {path:10s} goodput {r.goodput_bps / 1e9:5.2f} Gbps | "
-              f"net_rx_action {r.net_rx_rate_per_s:8.0f}/s | {dist}")
-    ratio = results["container"].net_rx_rate_per_s / results["vm"].net_rx_rate_per_s
-    print(f"  rate ratio {ratio:.2f}x (paper 4.54x)")
-
-
-def _fig13b(args) -> None:
-    from repro.experiments.container_case import run_fig13b
-
-    for path, r in run_fig13b(seed=args.seed).items():
-        print(f"  {path:10s} ({len(r.hops)} hops): {' -> '.join(r.hops)}")
-
-
-FIGURES: Dict[str, Callable] = {
-    "fig4": _fig4,
-    "fig7a": _fig7a,
-    "fig7b": _fig7b,
-    "fig8b": _fig8b,
-    "fig9a": _fig9a,
-    "fig9b": _fig9b,
-    "fig10a": _fig10a,
-    "fig10b": _fig10b,
-    "fig11": _fig11,
-    "fig12b": _fig12b,
-    "fig13a": _fig13a,
-    "fig13b": _fig13b,
-}
-
-# Each runner's own default seed, used when ``run`` gets no ``--seed``.
-_FIGURE_SEEDS: Dict[str, int] = {
-    "fig4": 7,
-    "fig7a": 7,
-    "fig7b": 11,
-    "fig8b": 13,
-    "fig9a": 13,
-    "fig9b": 13,
-    "fig10a": 17,
-    "fig10b": 17,
-    "fig11": 17,
-    "fig12b": 23,
-    "fig13a": 23,
-    "fig13b": 23,
-}
+    for name in figure_names() if args.figure == "all" else [args.figure]:
+        spec = SCENARIOS[name]
+        run = spec.run_fn()
+        # Omitting seed= leaves each runner on its own default.
+        kwargs = {} if args.seed is None else {"seed": args.seed}
+        if "duration_ns" in inspect.signature(run).parameters:
+            kwargs["duration_ns"] = (args.duration_ms or _RUN_DURATION_MS) * 1_000_000
+        elif args.duration_ms is not None and args.figure != "all":
+            parser.error(f"run {name}: its runner has a fixed workload, no --duration-ms")
+        print(f"== {name} ==")
+        started = time.time()
+        for line in spec.present_fn()(run(**kwargs)):
+            print(line)
+        print(f"  ({time.time() - started:.1f} s wall)")
 
 
 def _stats(args) -> None:
@@ -462,20 +348,6 @@ def _watch(args) -> None:
     print(f"  top slowest: {slowest}")
 
 
-def _scenarios(args) -> None:
-    """List the shared ScenarioSpec registry (repro.experiments)."""
-    from repro.experiments import SCENARIOS, scenario_names
-
-    width = max(len(name) for name in scenario_names())
-    for name in scenario_names():
-        spec = SCENARIOS[name]
-        print(f"{name:<{width}}  {spec.title}")
-        if args.verbose:
-            print(f"{'':<{width}}    build:  {spec.build}")
-            print(f"{'':<{width}}    run:    {spec.run}")
-            print(f"{'':<{width}}    digest: {spec.digest}")
-
-
 def _rpc(args) -> int:
     """Run the multi-tier RPC scenario (docs/SERVICES.md)."""
     import json
@@ -530,16 +402,13 @@ def _rpc(args) -> int:
 def _bench(args) -> int:
     from repro.bench import (
         build_report,
-        compare_reports,
         discover_scenarios,
         dumps_report,
         find_bench_dir,
-        load_report,
         run_suite,
         write_report,
     )
     from repro.bench.discovery import DiscoveryError
-    from repro.bench.schema import SchemaError
 
     try:
         bench_dir = find_bench_dir(args.bench_dir)
@@ -554,53 +423,32 @@ def _bench(args) -> int:
 
             profile = cProfile.Profile()
             profile.enable()
-        results = run_suite(
-            preset=args.preset, only=args.only or None, bench_dir=bench_dir,
-            progress=progress, repeat=args.repeat,
-        )
-        if profile is not None:
-            profile.disable()
-        report = build_report(results, args.preset, deterministic=args.deterministic)
-        if args.json:
-            print(dumps_report(report), end="")
-        if args.out != "-":
-            out = args.out or time.strftime("BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime())
-            path = write_report(report, out)
-            if not args.json:
-                print(f"wrote {path}")
-        if args.update_baseline:
-            baseline_doc = build_report(
-                results, args.preset, deterministic=False, tolerance=args.tolerance
+        try:
+            results = run_suite(
+                preset=args.preset, only=args.only or None, bench_dir=bench_dir,
+                progress=progress,
             )
-            path = write_report(baseline_doc, bench_dir / "baseline.json")
-            if not args.json:
-                print(f"updated baseline {path}")
-        exit_code = 0
-        if args.compare:
-            baseline = load_report(args.compare)
-            regressions, lines = compare_reports(report, baseline)
-            stream = sys.stderr if args.json else sys.stdout
-            for line in lines:
-                print(line, file=stream)
-            if regressions:
-                print(f"\n{len(regressions)} regression(s) beyond the "
-                      f"baseline tolerance:", file=stream)
-                for regression in regressions:
-                    print(f"  {regression.describe()}", file=stream)
-                exit_code = 1
-            else:
-                print("no regressions beyond the baseline tolerance", file=stream)
-        if profile is not None:
-            # Strictly after every line of report output, and only once
-            # stdout is flushed: with ``--json --out -`` the report must
-            # stay one contiguous parseable document even when stdout
-            # and stderr share a pipe.
-            sys.stdout.flush()
-            _print_profile(profile, args.profile)
-        return exit_code
-    except (DiscoveryError, SchemaError) as exc:
+        finally:
+            if profile is not None:
+                profile.disable()
+    except DiscoveryError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
+    report = build_report(results, args.preset)
+    if args.json:
+        print(dumps_report(report), end="")
+    if args.out:
+        path = write_report(report, args.out)
+        if not args.json:
+            print(f"wrote {path}")
+    if profile is not None:
+        # Strictly after every line of report output, and only once
+        # stdout is flushed: with ``--json`` the report must stay one
+        # contiguous parseable document even when stdout and stderr
+        # share a pipe.
+        sys.stdout.flush()
+        _print_profile(profile, args.profile)
+    return 0
 
 
 def _print_profile(profile, top_n: int, stream=None) -> None:
@@ -643,17 +491,29 @@ def _nonnegative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments import figure_names
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Regenerate vNetTracer paper figures."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available figures")
+    listing = sub.add_parser(
+        "list",
+        help="list the ScenarioSpec registry: the figures `run` accepts and "
+             "the scenarios behind stats / timeline / watch / faults / rpc",
+    )
+    listing.add_argument("--verbose", action="store_true",
+                         help="also print each spec's run / present / build / "
+                              "digest references")
     run = sub.add_parser("run", help="run one figure (or 'all')")
-    run.add_argument("figure", choices=sorted(FIGURES) + ["all"])
+    run.add_argument("figure", choices=[*figure_names(), "all"])
     run.add_argument("--seed", type=int, default=None,
                      help="experiment seed (default: each runner's own)")
-    run.add_argument("--duration-ms", type=_positive_int, default=400,
-                     help="virtual measurement window per scenario")
+    run.add_argument("--duration-ms", type=_positive_int, default=None,
+                     help=f"virtual measurement window (default "
+                          f"{_RUN_DURATION_MS}); an error on a single figure "
+                          f"whose runner has a fixed workload, and under "
+                          f"'all' applied to the figures that take one")
     stats = sub.add_parser(
         "stats", help="run the quickstart scenario and emit pipeline-health metrics"
     )
@@ -726,13 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--deterministic", action="store_true",
                        help="emit one canonical JSON document (byte-diffable; "
                             "the CI determinism job diffs two runs)")
-    scenarios = sub.add_parser(
-        "scenarios",
-        help="list the shared ScenarioSpec registry (repro.experiments)",
-    )
-    scenarios.add_argument("--verbose", action="store_true",
-                           help="also print each spec's build/run/digest "
-                                "references")
     rpc = sub.add_parser(
         "rpc",
         help="run the multi-tier RPC service scenario and export the "
@@ -755,34 +608,25 @@ def build_parser() -> argparse.ArgumentParser:
     rpc.add_argument("--out", metavar="PATH", default=None,
                      help="write to a file instead of stdout")
     bench = sub.add_parser(
-        "bench", help="run the benchmark harness over benchmarks/bench_*.py"
+        "bench",
+        help="regenerate every benchmarks/bench_*.py scenario and report its "
+             "deterministic outputs (docs/BENCHMARKS.md)",
     )
     bench.add_argument("--preset", choices=("smoke", "full"), default="smoke",
                        help="workload scale (smoke ~= 10%% of full durations)")
     bench.add_argument("--only", action="append", metavar="NAME",
                        help="run only the named scenario(s); repeatable")
     bench.add_argument("--json", action="store_true",
-                       help="print the report JSON to stdout")
+                       help="print the report JSON to stdout instead of the "
+                            "progress table")
     bench.add_argument("--out", metavar="PATH", default=None,
-                       help="report file (default BENCH_<timestamp>.json; '-' skips)")
-    bench.add_argument("--compare", metavar="BASELINE",
-                       help="compare against a baseline report; exit 1 on regression")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="rewrite benchmarks/baseline.json from this run")
-    bench.add_argument("--tolerance", type=float, default=0.5,
-                       help="tolerance recorded with --update-baseline (default 0.5)")
-    bench.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
-                       help="run each scenario N times and keep the fastest "
-                            "run (wall clock, counters, and metrics all from "
-                            "that run); best-of-N damps scheduler jitter "
-                            "(default 1)")
+                       help="also write the report JSON to PATH "
+                            "(benchmarks/baseline.json to refresh the gate)")
     bench.add_argument("--profile", type=int, nargs="?", const=25, default=None,
                        metavar="N",
                        help="wrap the run in cProfile and print the top N "
                             "functions by cumulative time (default 25) to "
                             "stderr")
-    bench.add_argument("--deterministic", action="store_true",
-                       help="emit only simulation-derived fields (byte-diffable)")
     bench.add_argument("--list", action="store_true",
                        help="list discovered scenarios and exit")
     bench.add_argument("--bench-dir", metavar="DIR", default=None,
@@ -791,18 +635,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
-        for name in sorted(FIGURES):
-            print(name)
+        _list(args)
+        return 0
+    if args.command == "run":
+        _run(args, parser)
         return 0
     if args.command == "bench":
         return _bench(args)
     if args.command == "faults":
         return _faults(args)
-    if args.command == "scenarios":
-        _scenarios(args)
-        return 0
     if args.command == "rpc":
         return _rpc(args)
 
@@ -813,17 +657,7 @@ def main(argv=None) -> int:
     if args.command == "watch":
         _watch(args)
         return 0
-    if args.command == "timeline":
-        return _timeline(args)
-    explicit_seed = args.seed
-    names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    for name in names:
-        print(f"== {name} ==")
-        started = time.time()
-        args.seed = _FIGURE_SEEDS[name] if explicit_seed is None else explicit_seed
-        FIGURES[name](args)
-        print(f"  ({time.time() - started:.1f} s wall)")
-    return 0
+    return _timeline(args)
 
 
 if __name__ == "__main__":

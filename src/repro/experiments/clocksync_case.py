@@ -9,7 +9,7 @@ filter is what defends against interference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 from repro.core.clocksync import ClockSynchronizer
 from repro.experiments.topologies import build_two_host_kvm
@@ -99,3 +99,14 @@ def run_fig4_sweep(seed: int = 7) -> List[ClockSyncResult]:
                 )
             )
     return results
+
+
+def present_fig4(results: List[ClockSyncResult]) -> Iterator[str]:
+    for r in results:
+        load = "loaded" if r.background_load else "idle"
+        yield (
+            f"  offset {r.configured_offset_ns / 1e6:+7.1f} ms, "
+            f"drift {r.configured_drift_ppm:+5.0f} ppm, {load:6s}: "
+            f"true {r.true_skew_ns} ns, est {r.estimated_skew_ns} ns, "
+            f"err {r.error_ns} ns"
+        )

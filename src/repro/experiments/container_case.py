@@ -18,7 +18,7 @@ them (etcd control store).  Measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from repro.core import ActionSpec, FilterRule, TracepointSpec, TracingSpec, VNetTracer
 from repro.experiments.topologies import OverlayCaseScene, build_overlay_case
@@ -86,6 +86,15 @@ def run_fig12b(seed: int = 23, duration_ns: int = 400_000_000) -> Dict[str, Thro
     return results
 
 
+def present_fig12b(results: Dict[str, ThroughputPair]) -> Iterator[str]:
+    for name, pair in results.items():
+        yield (
+            f"  {name:12s} VM {pair.vm_bps / 1e9:6.2f} Gbps | "
+            f"containers {pair.container_bps / 1e9:6.2f} Gbps | "
+            f"ratio {pair.ratio * 100:5.1f}%"
+        )
+
+
 @dataclass
 class SoftirqResult:
     path: str
@@ -142,6 +151,17 @@ def run_fig13a(seed: int = 23, duration_ns: int = 400_000_000) -> Dict[str, Soft
         "vm": run_fig13a_path(False, seed=seed, duration_ns=duration_ns),
         "container": run_fig13a_path(True, seed=seed, duration_ns=duration_ns),
     }
+
+
+def present_fig13a(results: Dict[str, SoftirqResult]) -> Iterator[str]:
+    for path, r in results.items():
+        dist = ", ".join(f"cpu{c}:{f * 100:.1f}%" for c, f in r.cpu_distribution.items())
+        yield (
+            f"  {path:10s} goodput {r.goodput_bps / 1e9:5.2f} Gbps | "
+            f"net_rx_action {r.net_rx_rate_per_s:8.0f}/s | {dist}"
+        )
+    ratio = results["container"].net_rx_rate_per_s / results["vm"].net_rx_rate_per_s
+    yield f"  rate ratio {ratio:.2f}x (paper 4.54x)"
 
 
 @dataclass
@@ -229,3 +249,8 @@ def run_fig13b(seed: int = 23) -> Dict[str, DataPathResult]:
         "vm": run_fig13b_path(False, seed=seed),
         "container": run_fig13b_path(True, seed=seed),
     }
+
+
+def present_fig13b(results: Dict[str, DataPathResult]) -> Iterator[str]:
+    for path, r in results.items():
+        yield f"  {path:10s} ({len(r.hops)} hops): {' -> '.join(r.hops)}"

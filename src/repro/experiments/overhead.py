@@ -14,7 +14,7 @@ vNetTracer ~0 loss; SystemTap ~10 % at 1 G and >25 % at 10 G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, List, Optional
 
 from repro.baselines.systemtap import SystemTapSession
 from repro.core import FilterRule, TracepointSpec, TracingSpec, VNetTracer
@@ -88,6 +88,18 @@ def run_fig7a(
     )
 
 
+def present_fig7a(r: SockperfOverheadResult) -> Iterator[str]:
+    yield (
+        f"  baseline avg {r.baseline.avg_ns / 1e3:.2f} us, "
+        f"traced avg {r.traced.avg_ns / 1e3:.2f} us "
+        f"(+{r.avg_overhead_pct:.2f}%; paper <1%)"
+    )
+    yield (
+        f"  p99.9 {r.baseline.p999_ns / 1e3:.2f} -> {r.traced.p999_ns / 1e3:.2f} us; "
+        f"loss {r.baseline_loss} -> {r.traced_loss}; records {r.records_collected}"
+    )
+
+
 @dataclass
 class NetperfOverheadResult:
     link_gbps: float
@@ -156,3 +168,27 @@ def run_fig7b(
         vnettracer_loss_pct=100.0 * (baseline - vnt) / baseline if baseline else 0.0,
         systemtap_loss_pct=100.0 * (baseline - stap) / baseline if baseline else 0.0,
     )
+
+
+# Link speed -> the SystemTap loss the paper reports on it.
+FIG7B_PAPER_STAP_LOSS = {1.0: "10%", 10.0: "26.5%"}
+
+
+def run_fig7b_sweep(
+    seed: int = 11, duration_ns: int = 1_000_000_000
+) -> List[NetperfOverheadResult]:
+    """Fig. 7(b) on both of the paper's links."""
+    return [
+        run_fig7b(seed=seed, link_gbps=gbps, duration_ns=duration_ns)
+        for gbps in FIG7B_PAPER_STAP_LOSS
+    ]
+
+
+def present_fig7b(results: List[NetperfOverheadResult]) -> Iterator[str]:
+    for r in results:
+        yield (
+            f"  {r.link_gbps:g}G: baseline {r.baseline_bps / 1e6:.0f} Mbps | "
+            f"vNetTracer -{r.vnettracer_loss_pct:.1f}% | "
+            f"SystemTap -{r.systemtap_loss_pct:.1f}% "
+            f"(paper {FIG7B_PAPER_STAP_LOSS[r.link_gbps]})"
+        )

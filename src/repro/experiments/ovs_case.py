@@ -27,7 +27,7 @@ HTB shaping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core import FilterRule, TracepointSpec, TracingSpec, VNetTracer
 from repro.experiments.topologies import build_ovs_case
@@ -258,6 +258,27 @@ def run_fig9b(seed: int = 13, duration_ns: int = 1_000_000_000):
             case, seed=seed, duration_ns=duration_ns, rate_limit=True
         ).sockperf
     return results
+
+
+def present_fig8b(results: Dict[str, LatencySummary]) -> Iterator[str]:
+    for case, summary in results.items():
+        s = summary.scaled()
+        yield f"  Case {case:4s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
+
+
+def present_fig9a(results) -> Iterator[str]:
+    for case, d in results.items():
+        yield (
+            f"  Case {case:4s} sender {d['sender_stack'].avg_ns / 1e3:7.1f} us | "
+            f"OVS {d['ovs'].avg_ns / 1e3:9.1f} us | "
+            f"receiver {d['receiver_stack'].avg_ns / 1e3:7.1f} us"
+        )
+
+
+def present_fig9b(results: Dict[str, LatencySummary]) -> Iterator[str]:
+    for key, summary in results.items():
+        s = summary.scaled()
+        yield f"  {key:15s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
 
 
 def ovs_case_digest(case: str = "I", seed: int = 13, duration_ns: int = 200_000_000) -> str:

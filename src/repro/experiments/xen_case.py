@@ -21,7 +21,7 @@ out the remainder of the hog's minimum slice:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import FilterRule, TracepointSpec, TracingSpec, VNetTracer
 from repro.core.metrics import latency_pairs
@@ -89,6 +89,16 @@ def run_fig10a(seed: int = 17, duration_ns: int = 1_000_000_000) -> Dict[str, Xe
     }
 
 
+def present_fig10a(results: Dict[str, XenSockperfResult]) -> Iterator[str]:
+    base = results["baseline"].sockperf
+    for condition, r in results.items():
+        s = r.sockperf.scaled()
+        yield (
+            f"  {condition:20s} avg {s['avg']:8.1f} us  p99.9 {s['p99.9']:8.1f} us "
+            f"({r.sockperf.p999_ns / base.p999_ns:.1f}x)"
+        )
+
+
 @dataclass
 class XenMemcachedResult:
     condition: str
@@ -129,6 +139,16 @@ def run_fig10b(seed: int = 17, duration_ns: int = 1_000_000_000) -> Dict[str, Xe
         condition: run_fig10b_condition(condition, seed=seed, duration_ns=duration_ns)
         for condition in CONDITIONS
     }
+
+
+def present_fig10b(results: Dict[str, XenMemcachedResult]) -> Iterator[str]:
+    base = results["baseline"].latency
+    for condition, r in results.items():
+        s = r.latency.scaled()
+        yield (
+            f"  {condition:20s} avg {s['avg']:8.1f} us ({r.latency.avg_ns / base.avg_ns:.1f}x)"
+            f"  p99.9 {s['p99.9']:8.1f} us ({r.latency.p999_ns / base.p999_ns:.1f}x)"
+        )
 
 
 @dataclass
@@ -286,3 +306,19 @@ def run_fig11_condition(
         one_way_jitter_range_us=(low / 1e3, high / 1e3),
         clock_skew_estimate_ns=estimate.skew_ns if estimate else None,
     )
+
+
+def run_fig11(seed: int = 17, packets: int = 400) -> Dict[str, XenDecompositionResult]:
+    """Fig. 11(a) and 11(b): the VM alone, then sharing its core."""
+    return {
+        condition: run_fig11_condition(condition, seed=seed, packets=packets)
+        for condition in ("baseline", "shared")
+    }
+
+
+def present_fig11(results: Dict[str, XenDecompositionResult]) -> Iterator[str]:
+    for condition, r in results.items():
+        yield f"  [{condition}] (skew estimate {r.clock_skew_estimate_ns / 1e6:+.3f} ms)"
+        for key, summary in r.segment_summaries.items():
+            s = summary.scaled()
+            yield f"    {key:40s} avg {s['avg']:8.1f} us  max {s['max']:8.1f} us"

@@ -1,27 +1,28 @@
-"""The benchmark harness: presets, discovery, schema, compare, CLI gate."""
+"""The figure suite: presets, discovery, report, CLI, and the exact gate
+against the committed ``benchmarks/baseline.json``."""
 
+import copy
 import json
+import re
 
 import pytest
 
 from repro.bench import (
+    SCHEMA_VERSION,
     build_report,
-    compare_reports,
     discover_scenarios,
     dumps_report,
-    load_report,
+    find_bench_dir,
     run_scenario,
     run_suite,
     scale_count,
     scale_duration,
-    validate_report,
     write_report,
 )
 from repro.bench.discovery import DiscoveryError
 from repro.bench.harness import HarnessError
 from repro.bench.presets import MIN_DURATION_NS
-from repro.bench.schema import SchemaError
-from repro.cli import main
+from repro.cli import build_parser, main
 
 FAKE_SCENARIO = """\
 from repro.sim.engine import Engine
@@ -119,102 +120,112 @@ class TestHarness:
 
 
 class TestSchema:
-    def _report(self, bench_dir, **kwargs):
-        results = run_suite(preset="smoke", bench_dir=bench_dir)
-        return build_report(results, "smoke", **kwargs)
+    def _report(self, bench_dir):
+        return build_report(run_suite(preset="smoke", bench_dir=bench_dir), "smoke")
 
     def test_round_trip_through_disk(self, bench_dir, tmp_path):
-        doc = self._report(bench_dir, tolerance=0.5)
+        doc = self._report(bench_dir)
         path = write_report(doc, tmp_path / "report.json")
-        assert load_report(path) == doc
-
-    def test_measured_report_carries_wall_fields(self, bench_dir):
-        doc = validate_report(self._report(bench_dir))
-        (entry,) = doc["scenarios"]
-        assert entry["wall_ns"] > 0 and "events_per_sec" in entry
-        assert "created_utc" in doc and "host" in doc
+        assert json.loads(path.read_text()) == doc
+        assert path.read_text() == dumps_report(doc)
 
     def test_deterministic_report_omits_wall_fields(self, bench_dir):
-        doc = validate_report(self._report(bench_dir, deterministic=True))
-        assert "created_utc" not in doc and "host" not in doc
-        (entry,) = doc["scenarios"]
-        assert "wall_ns" not in entry and "events_per_sec" not in entry
-        assert entry["events_executed"] == 10
+        """The whole document, so a wall-clock or host field cannot creep
+        back in: everything in it is a function of code and seeds."""
+        doc = self._report(bench_dir)
+        assert doc == {
+            "schema_version": SCHEMA_VERSION,
+            "preset": "smoke",
+            "scenarios": [
+                {"name": "fake", "events_executed": 10, "probe_fires": 0,
+                 "metrics": {"ticks": 10}}
+            ],
+        }
 
     def test_deterministic_serialization_is_stable(self, bench_dir):
-        docs = [
-            dumps_report(self._report(bench_dir, deterministic=True))
-            for _ in range(2)
-        ]
+        docs = [dumps_report(self._report(bench_dir)) for _ in range(2)]
         assert docs[0] == docs[1]
 
-    def test_bad_schema_version_rejected(self):
-        with pytest.raises(SchemaError, match="schema_version"):
-            validate_report({"schema_version": 99, "preset": "smoke", "scenarios": []})
 
-    def test_duplicate_scenarios_rejected(self):
-        entry = {"name": "x", "events_executed": 1, "probe_fires": 0,
-                 "metrics": {}, "wall_ns": 1}
-        with pytest.raises(SchemaError, match="duplicate"):
-            validate_report({"schema_version": 1, "preset": "smoke",
-                             "scenarios": [entry, dict(entry)]})
+BASELINE = find_bench_dir() / "baseline.json"
 
-    def test_tolerance_out_of_range_rejected(self):
-        with pytest.raises(SchemaError, match="tolerance"):
-            validate_report({"schema_version": 1, "preset": "smoke",
-                             "scenarios": [], "tolerance": 1.5})
+# The scenarios that finish in under a second at ``smoke``; tier-1
+# re-runs these.  The other ten -- the longer figures, and
+# ``micro_streaming_agg``, whose host-time budget sits too close to its
+# bound for a loaded test machine -- are left to the CI bench-smoke job,
+# which regenerates all 29 and diffs the whole file.
+TIER1_SCENARIOS = (
+    "ablation_collection_mode",
+    "ablation_ebpf_jit",
+    "ablation_ratelimit_sweep",
+    "ablation_ring_buffer",
+    "ablation_trace_ids",
+    "fig10a_xen_sockperf",
+    "fig10b_xen_memcached",
+    "fig11_xen_decomposition",
+    "fig7a_overhead_latency",
+    "macro_fleet",
+    "macro_fleet_shards4",
+    "macro_fleet_single",
+    "micro_ebpf_dispatch",
+    "micro_engine",
+    "micro_retry_path",
+    "micro_ringbuffer",
+    "micro_rpc_correlate",
+    "micro_span_reconstruct",
+    "micro_tracedb_query",
+)
 
 
-def _doc(scenarios, tolerance=None):
-    doc = {"schema_version": 1, "preset": "smoke", "deterministic": False,
-           "scenarios": scenarios}
-    if tolerance is not None:
-        doc["tolerance"] = tolerance
-    return doc
-
-
-def _entry(name, eps, nspp=None):
-    entry = {"name": name, "events_executed": 100, "probe_fires": 10,
-             "metrics": {}, "wall_ns": 1000, "events_per_sec": eps}
-    if nspp is not None:
-        entry["ns_per_probe"] = nspp
-    return entry
+def _check_against(entry, committed):
+    """Tier-1's form of the CI ``diff``: a freshly computed scenario
+    entry must equal the committed one of the same name exactly."""
+    by_name = {e["name"]: e for e in committed["scenarios"]}
+    name = entry["name"]
+    assert name in by_name, f"{name}: missing from benchmarks/baseline.json"
+    assert entry == by_name[name], (
+        f"{name}: differs from benchmarks/baseline.json (if the change is "
+        f"intended: repro bench --preset smoke --out benchmarks/baseline.json)"
+    )
 
 
 class TestCompare:
-    def test_within_tolerance_passes(self):
-        current = _doc([_entry("a", 80.0)])
-        baseline = _doc([_entry("a", 100.0)], tolerance=0.5)
-        regressions, lines = compare_reports(current, baseline)
-        assert regressions == []
-        assert any("ok" in line for line in lines)
+    """The exact gate against the committed baseline."""
 
-    def test_throughput_drop_beyond_tolerance_fails(self):
-        current = _doc([_entry("a", 40.0)])
-        baseline = _doc([_entry("a", 100.0)], tolerance=0.5)
-        (regression,), _ = compare_reports(current, baseline)
-        assert regression.scenario == "a"
-        assert regression.metric == "events_per_sec"
-        assert regression.allowed == 50.0
+    @pytest.fixture(scope="class")
+    def committed(self):
+        return json.loads(BASELINE.read_text())
 
-    def test_ns_per_probe_growth_beyond_tolerance_fails(self):
-        current = _doc([_entry("a", 100.0, nspp=300.0)])
-        baseline = _doc([_entry("a", 100.0, nspp=100.0)], tolerance=0.5)
-        (regression,), _ = compare_reports(current, baseline)
-        assert regression.metric == "ns_per_probe"
+    def test_committed_baseline_is_canonical(self, committed):
+        assert dumps_report(committed) == BASELINE.read_text()
+        assert committed["schema_version"] == SCHEMA_VERSION
+        assert committed["preset"] == "smoke"
 
-    def test_missing_scenario_is_a_regression(self):
-        regressions, _ = compare_reports(
-            _doc([]), _doc([_entry("gone", 100.0)], tolerance=0.5))
-        assert [r.metric for r in regressions] == ["missing"]
-        assert "gone" in regressions[0].describe()
+    def test_baseline_and_bench_files_name_the_same_scenarios(self, committed):
+        recorded = [entry["name"] for entry in committed["scenarios"]]
+        discovered = [scenario.name for scenario in discover_scenarios()]
+        assert sorted(recorded) == sorted(discovered)  # both directions
+        assert set(TIER1_SCENARIOS) <= set(discovered)
 
-    def test_extra_scenarios_are_noted_not_failed(self):
-        current = _doc([_entry("a", 100.0), _entry("new", 1.0)])
-        baseline = _doc([_entry("a", 100.0)], tolerance=0.5)
-        regressions, lines = compare_reports(current, baseline)
-        assert regressions == []
-        assert any("new" in line for line in lines)
+    @pytest.mark.parametrize("name", TIER1_SCENARIOS)
+    def test_scenario_reproduces_its_committed_entry(self, name, committed):
+        (scenario,) = discover_scenarios(only=[name])
+        (entry,) = build_report([run_scenario(scenario, "smoke")], "smoke")["scenarios"]
+        _check_against(entry, committed)
+
+    def test_one_changed_digit_fails_and_names_the_scenario(self, committed):
+        tampered = copy.deepcopy(committed)
+        entry = next(e for e in committed["scenarios"] if e["name"] == "micro_engine")
+        _check_against(entry, tampered)
+        target = next(e for e in tampered["scenarios"] if e["name"] == "micro_engine")
+        target["metrics"]["final_now_ns"] += 1
+        with pytest.raises(AssertionError, match="micro_engine: differs"):
+            _check_against(entry, tampered)
+
+    def test_missing_scenario_is_a_regression(self, committed):
+        gone = {"name": "gone", "events_executed": 1, "probe_fires": 0, "metrics": {}}
+        with pytest.raises(AssertionError, match="gone: missing"):
+            _check_against(gone, committed)
 
 
 class TestCLI:
@@ -223,32 +234,35 @@ class TestCLI:
         assert capsys.readouterr().out.strip() == "fake"
 
     def test_json_output_validates(self, bench_dir, capsys):
-        code = main(["bench", "--bench-dir", str(bench_dir), "--json", "--out", "-"])
-        assert code == 0
-        doc = validate_report(json.loads(capsys.readouterr().out))
-        assert doc["scenarios"][0]["name"] == "fake"
+        assert main(["bench", "--bench-dir", str(bench_dir), "--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == dumps_report(doc)  # canonical bytes, nothing else on stdout
+        assert doc["schema_version"] == SCHEMA_VERSION
+        assert [entry["name"] for entry in doc["scenarios"]] == ["fake"]
 
     def test_writes_report_file(self, bench_dir, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["bench", "--bench-dir", str(bench_dir), "--out", str(out)]) == 0
-        assert load_report(out)["preset"] == "smoke"
+        assert json.loads(out.read_text())["preset"] == "smoke"
+        assert f"wrote {out}" in capsys.readouterr().out
 
-    def test_compare_pass_and_fail_exit_codes(self, bench_dir, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        argv = ["bench", "--bench-dir", str(bench_dir), "--out", "-"]
-        assert main(argv + ["--update-baseline", "--tolerance", "0.5"]) == 0
-        assert (bench_dir / "baseline.json").is_file()
-        # A fresh run against its own baseline passes...
-        assert main(argv + ["--compare", str(bench_dir / "baseline.json")]) == 0
-        # ...but an impossibly fast baseline fails with exit code 1.
-        doc = load_report(bench_dir / "baseline.json")
-        doc["scenarios"][0]["events_per_sec"] = 1e15
-        write_report(doc, baseline)
-        assert main(argv + ["--compare", str(baseline)]) == 1
-        assert "regression" in capsys.readouterr().out
+    def test_no_file_is_written_without_out(self, bench_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["bench", "--bench-dir", str(bench_dir)]) == 0
+        assert main(["bench", "--bench-dir", str(bench_dir), "--json"]) == 0
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_help_lists_exactly_the_seven_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+        assert flags == {"--preset", "--only", "--json", "--out", "--profile",
+                         "--list", "--bench-dir"}
 
     def test_unknown_scenario_exits_2(self, bench_dir, capsys):
-        argv = ["bench", "--bench-dir", str(bench_dir), "--only", "nope", "--out", "-"]
+        argv = ["bench", "--bench-dir", str(bench_dir), "--only", "nope"]
         assert main(argv) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
@@ -259,32 +273,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "cumulative" in err  # sorted by cumulative time
         assert "-- profile: top 5 functions" in err
-        assert load_report(out)["scenarios"][0]["name"] == "fake"  # report unchanged
+        # report unchanged
+        assert json.loads(out.read_text())["scenarios"][0]["name"] == "fake"
 
     def test_profile_never_interleaves_with_json_report(self, bench_dir, monkeypatch):
         """Regression: ``--profile`` used to print before the report was
-        emitted, so with ``--json --out -`` and stdout/stderr sharing a
-        pipe (the common ``2>&1`` case) the profile table landed in the
-        middle of the JSON document.  The profile must come strictly
-        after the last byte of the report."""
+        emitted, so with ``--json`` and stdout/stderr sharing a pipe (the
+        common ``2>&1`` case) the profile table landed in the middle of
+        the JSON document.  The profile must come strictly after the
+        last byte of the report."""
         import io
         import sys
 
         shared = io.StringIO()
         monkeypatch.setattr(sys, "stdout", shared)
         monkeypatch.setattr(sys, "stderr", shared)
-        argv = ["bench", "--bench-dir", str(bench_dir), "--json", "--out", "-",
-                "--profile", "5"]
+        argv = ["bench", "--bench-dir", str(bench_dir), "--json", "--profile", "5"]
         assert main(argv) == 0
         combined = shared.getvalue()
         marker = combined.index("-- profile: top 5 functions")
         # Everything before the profile is one parseable JSON document.
-        doc = validate_report(json.loads(combined[:marker]))
+        doc = json.loads(combined[:marker])
         assert doc["scenarios"][0]["name"] == "fake"
 
     def test_profile_flag_defaults_to_top_25(self):
-        from repro.cli import build_parser
-
         args = build_parser().parse_args(["bench", "--profile"])
         assert args.profile == 25
         assert build_parser().parse_args(["bench"]).profile is None

@@ -1,17 +1,33 @@
 """The figure-regeneration CLI."""
 
+import inspect
+
 import pytest
 
-import repro.cli as cli
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments import SCENARIOS, ScenarioSpec, figure_names
+
+FIGURES = figure_names()
 
 
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # One line per registry entry, figures and the rest alike.
+        assert [line.split()[0] for line in lines] == sorted(SCENARIOS)
+        assert len(FIGURES) == 12 and set(FIGURES) < set(SCENARIOS)
+
+    def test_list_verbose_prints_each_spec_reference(self, capsys):
+        assert main(["list", "--verbose"]) == 0
         out = capsys.readouterr().out
-        for name in FIGURES:
-            assert name in out
+        for spec in SCENARIOS.values():
+            for ref in (spec.run, spec.present, spec.build, spec.digest):
+                assert ref is None or ref in out
+
+    def test_scenarios_verb_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["scenarios"])
 
     def test_run_requires_figure(self):
         with pytest.raises(SystemExit):
@@ -20,17 +36,22 @@ class TestParser:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99"])
+        with pytest.raises(SystemExit):  # registered, but not a figure
+            build_parser().parse_args(["run", "quickstart"])
 
     def test_all_figures_have_runners(self):
         parser = build_parser()
         for name in FIGURES:
             args = parser.parse_args(["run", name])
             assert args.figure == name
+            assert callable(SCENARIOS[name].run_fn())
+            assert callable(SCENARIOS[name].present_fn())
 
     def test_duration_flag_parsed(self):
         args = build_parser().parse_args(["run", "fig7a", "--duration-ms", "123"])
         assert args.duration_ms == 123
-
+        # None, not 400: the handler has to see whether it was given.
+        assert build_parser().parse_args(["run", "fig7a"]).duration_ms is None
 
     @pytest.mark.parametrize(
         "argv",
@@ -47,32 +68,79 @@ class TestParser:
         assert "integer" in capsys.readouterr().err
 
 
+_REAL_RUN_FN = ScenarioSpec.run_fn
+
+
+@pytest.fixture
+def calls_seen(monkeypatch):
+    """Swap every figure's runner for one with the same signature that
+    records the keywords it was called with, and print nothing."""
+    seen = {}
+
+    def recording_run_fn(spec):
+        def run(**kwargs):
+            seen[spec.name] = kwargs
+
+        run.__signature__ = inspect.signature(_REAL_RUN_FN(spec))
+        return run
+
+    monkeypatch.setattr(ScenarioSpec, "run_fn", recording_run_fn)
+    monkeypatch.setattr(ScenarioSpec, "present_fn", lambda spec: lambda result: ())
+    return seen
+
+
+# The three figures whose runner has a fixed workload.
+FIXED_WORKLOAD = ("fig4", "fig11", "fig13b")
+
+
 class TestRunSeeds:
-    @pytest.fixture
-    def seeds_seen(self, monkeypatch):
-        """Swap every figure runner for one that records its seed."""
-        seen = {}
-        monkeypatch.setattr(
-            cli,
-            "FIGURES",
-            {
-                name: (lambda args, name=name: seen.__setitem__(name, args.seed))
-                for name in FIGURES
-            },
-        )
-        return seen
-
-    def test_explicit_seed_reaches_every_runner(self, seeds_seen, capsys):
+    def test_explicit_seed_reaches_every_runner(self, calls_seen, capsys):
         assert main(["run", "all", "--seed", "99"]) == 0
-        assert seeds_seen == dict.fromkeys(FIGURES, 99)
+        assert {name: kw["seed"] for name, kw in calls_seen.items()} == dict.fromkeys(
+            FIGURES, 99
+        )
 
-    def test_default_seeds_are_each_runners_own(self, seeds_seen, capsys):
+    def test_default_seeds_are_each_runners_own(self, calls_seen, capsys):
         assert main(["run", "all"]) == 0
-        assert set(seeds_seen) == set(FIGURES)
-        assert seeds_seen["fig4"] == 7 and seeds_seen["fig13b"] == 23
-        single = dict(seeds_seen)
+        assert set(calls_seen) == set(FIGURES)
+        # No stored copy of the defaults: the keyword is simply not passed...
+        assert not any("seed" in kw for kw in calls_seen.values())
+        # ...and every runner has a default of its own to fall back on.
+        defaults = {
+            name: inspect.signature(_REAL_RUN_FN(SCENARIOS[name])).parameters["seed"].default
+            for name in FIGURES
+        }
+        assert all(isinstance(seed, int) for seed in defaults.values())
+        assert defaults["fig4"] == 7 and defaults["fig13b"] == 23
+        single = dict(calls_seen)
         assert main(["run", "fig10a"]) == 0
-        assert seeds_seen == single  # same default alone as under "all"
+        assert calls_seen == single  # same call alone as under "all"
+
+
+class TestRunDuration:
+    def test_default_window_is_400_ms_where_the_runner_takes_one(self, calls_seen, capsys):
+        assert main(["run", "all"]) == 0
+        for name in FIGURES:
+            expected = {} if name in FIXED_WORKLOAD else {"duration_ns": 400_000_000}
+            assert calls_seen[name] == expected, name
+
+    def test_explicit_duration_on_a_fixed_workload_figure_is_an_error(
+        self, calls_seen, capsys
+    ):
+        for name in FIXED_WORKLOAD:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", name, "--duration-ms", "50"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert name in captured.err and "--duration-ms" in captured.err
+            assert captured.out == ""  # nothing ran, nothing printed
+        assert calls_seen == {}
+
+    def test_run_all_applies_duration_to_the_figures_that_take_it(self, calls_seen, capsys):
+        assert main(["run", "all", "--duration-ms", "50"]) == 0
+        for name in FIGURES:
+            expected = {} if name in FIXED_WORKLOAD else {"duration_ns": 50_000_000}
+            assert calls_seen[name] == expected, name
 
 
 class TestExecution:
