@@ -1,9 +1,10 @@
 """Macro benchmark: the 1000-node fleet on one plain Engine.
 
-The status-quo leg of the fleet-scaling gate: identical workload and
-deterministic metrics to ``macro_fleet`` (16 shards), so the committed
-baseline documents the sharded substrate's speedup as the events/sec
-ratio between the two scenarios.
+The one-engine reference leg: identical workload to ``macro_fleet``
+(16 shards), so the committed baseline pins that sharding changes no
+count and no digest.  The baseline holds no wall-clock number; how the
+legs compare in speed is docs/SHARDING.md, "Where the speedup comes
+from".
 """
 
 from repro.experiments.macro_fleet import FleetConfig, run_macro_fleet

@@ -27,7 +27,7 @@ def _churn(total_events: int) -> dict:
     cancelled = [0]
 
     def tick(remaining: int, interval: int) -> None:
-        shadow = engine.schedule(interval + 3, _noop)
+        shadow = engine.timer(interval + 3, _noop)
         shadow.cancel()
         cancelled[0] += 1
         engine.schedule(0, _noop)

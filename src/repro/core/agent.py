@@ -413,7 +413,7 @@ class Agent:
         if state.attempts >= 2:
             raw = cfg.ship_backoff_base_ns * (2 ** (state.attempts - 2))
             backoff = min(raw, cfg.ship_backoff_cap_ns)
-        state.timer = self.engine.schedule(
+        state.timer = self.engine.timer(
             SHIP_NET_LATENCY_NS + cfg.ship_ack_timeout_ns + backoff,
             self._check_ship_ack, state,
         )
@@ -483,7 +483,7 @@ class Agent:
 
     def _schedule_heartbeat(self) -> None:
         interval = self.package.global_config.heartbeat_interval_ns
-        self._heartbeat_timer = self.engine.schedule(interval, self._heartbeat)
+        self._heartbeat_timer = self.engine.timer(interval, self._heartbeat)
 
     def _heartbeat(self) -> None:
         self.collector.heartbeat(self.node.name)

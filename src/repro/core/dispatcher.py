@@ -157,7 +157,7 @@ class ControlDataDispatcher:
             if decision is not None and decision.duplicate:
                 self.engine.schedule(
                     delay + latency, self._deliver, deploy_id, state, sent_ns)
-        state.timer = self.engine.schedule(
+        state.timer = self.engine.timer(
             latency + state.cfg.deploy_ack_timeout_ns + self._backoff(state),
             self._check_ack, deploy_id, state,
         )

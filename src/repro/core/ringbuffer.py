@@ -227,7 +227,7 @@ class TraceRingBuffer:
         if self._running:
             return
         self._running = True
-        self._timer = self.engine.schedule(self.flush_interval_ns, self._periodic)
+        self._timer = self.engine.timer(self.flush_interval_ns, self._periodic)
 
     def stop(self) -> None:
         self._running = False
@@ -239,7 +239,7 @@ class TraceRingBuffer:
         if not self._running:
             return
         self.flush()
-        self._timer = self.engine.schedule(self.flush_interval_ns, self._periodic)
+        self._timer = self.engine.timer(self.flush_interval_ns, self._periodic)
 
     def flush(self) -> int:
         """Drain to the consumer; returns the number of records moved."""

@@ -42,7 +42,6 @@ from repro.sim.coordinator import (
     CoordinatorRun,
     InlineOutbox,
     ShardCoordinator,
-    ShardEngine,
 )
 from repro.sim.engine import Engine, SimulationError
 
@@ -381,7 +380,7 @@ def build_fleet_shard(
     """Shard-program builder for :class:`ShardCoordinator`; module-level
     so ``functools.partial(build_fleet_shard, config)`` pickles into
     spawned workers."""
-    return _FleetWorld(config, shard_index, num_shards, outbox, ShardEngine())
+    return _FleetWorld(config, shard_index, num_shards, outbox, Engine())
 
 
 class FleetRunResult(NamedTuple):

@@ -111,7 +111,7 @@ class GROEngine:
                 return
             self.flush(flow)  # gap or retransmit: drain, then start fresh
 
-        timer = self.engine.schedule(self.window_ns, self._timer_flush, flow)
+        timer = self.engine.timer(self.window_ns, self._timer_flush, flow)
         expected = (tcp.seq + len(packet.payload)) & 0xFFFFFFFF
         self._buffers[flow] = ([packet], expected, cpu, timer)
 

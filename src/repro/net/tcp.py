@@ -324,7 +324,7 @@ class TCPConnection:
         if self._rto_event is not None:
             self._rto_event.cancel()
         if self._unacked:
-            self._rto_event = self.node.engine.schedule(DEFAULT_RTO_NS, self._on_rto)
+            self._rto_event = self.node.engine.timer(DEFAULT_RTO_NS, self._on_rto)
         else:
             self._rto_event = None
 

@@ -58,7 +58,7 @@ class StatsSampler:
         if self._running:
             return
         self._running = True
-        self._timer = self.engine.schedule(self.interval_ns, self._tick)
+        self._timer = self.engine.timer(self.interval_ns, self._tick)
 
     def stop(self) -> None:
         self._running = False
@@ -70,7 +70,7 @@ class StatsSampler:
         if not self._running:
             return
         self.sample_now()
-        self._timer = self.engine.schedule(self.interval_ns, self._tick)
+        self._timer = self.engine.timer(self.interval_ns, self._tick)
 
     # -- sampling ----------------------------------------------------------
 

@@ -1,12 +1,15 @@
 """Discrete-event simulation kernel used by every substrate in the repo.
 
-The engine keeps integer-nanosecond virtual time and a binary heap of
-events with deterministic tie-breaking, so any experiment driven from a
-fixed seed regenerates bit-identically.
+The engine keeps integer-nanosecond virtual time and one binary heap of
+``(time, seq, fn, args)`` tuples with deterministic tie-breaking, so any
+experiment driven from a fixed seed regenerates bit-identically.  Every
+tier below runs the same loop, :meth:`Engine.run`.
 
 Public surface:
 
 * :class:`~repro.sim.engine.Engine` -- the event loop.
+* :class:`~repro.sim.engine.Timer` / ``Engine.timer`` -- a scheduled
+  callback that can be cancelled (``schedule`` returns nothing).
 * :class:`~repro.sim.engine.SimProcess` / ``Engine.process`` -- generator
   based cooperative processes (``yield <delay_ns>`` or ``yield Signal``).
 * :class:`~repro.sim.engine.Signal` -- one-shot wakeup primitive.
@@ -14,12 +17,12 @@ Public surface:
   configurable offset and drift (models CLOCK_MONOTONIC on distinct
   machines whose clocks disagree).
 * :mod:`repro.sim.rng` -- deterministic random helpers.
-* :class:`~repro.sim.shard.ShardedEngine` -- Engine-compatible sharded
-  event loop (per-shard heaps, lookahead-bounded rounds, exact global
+* :class:`~repro.sim.shard.ShardedEngine` -- an Engine that also places
+  events on shards and counts lookahead-bounded rounds (same heap, same
   order); :func:`new_engine` / :func:`engine_factory` let scenarios swap
   it in without touching topology builders (docs/SHARDING.md).
-* :mod:`repro.sim.coordinator` -- the fleet tier: independent per-shard
-  engines coupled only by boundary messages, optionally hosted on
+* :mod:`repro.sim.coordinator` -- the fleet tier: one independent Engine
+  per shard, coupled only by boundary messages, optionally hosted on
   ``multiprocessing`` workers.
 """
 
@@ -35,10 +38,9 @@ from repro.sim.coordinator import (
     CoordinatorRun,
     InlineOutbox,
     ShardCoordinator,
-    ShardEngine,
     ShardWorkerError,
 )
-from repro.sim.engine import Engine, Event, Signal, SimProcess
+from repro.sim.engine import Engine, Signal, SimProcess, Timer
 from repro.sim.rng import SeededRNG
 from repro.sim.shard import DEFAULT_LOOKAHEAD_NS, ShardedEngine
 
@@ -70,14 +72,13 @@ def engine_factory(factory: Callable[[], Engine]) -> Iterator[None]:
 
 __all__ = [
     "Engine",
-    "Event",
+    "Timer",
     "Signal",
     "SimProcess",
     "NodeClock",
     "SeededRNG",
     "ShardedEngine",
     "DEFAULT_LOOKAHEAD_NS",
-    "ShardEngine",
     "ShardCoordinator",
     "CoordinatorRun",
     "BoundaryMessage",

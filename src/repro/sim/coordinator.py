@@ -2,12 +2,13 @@
 
 Where :class:`~repro.sim.shard.ShardedEngine` shards the event loop of a
 *shared* world, this module shards the world itself.  Each shard is a
-self-contained *shard program* (its own :class:`ShardEngine`, its own
-nodes and state), and shards communicate **only** through
-:class:`BoundaryMessage` values routed by the coordinator -- the
-simulation analogue of packets crossing a wire/VXLAN boundary.  Because
-no state is shared, shards can run on ``multiprocessing`` workers with
-pickled boundary batches (``workers=True``).
+self-contained *shard program* (its own plain
+:class:`~repro.sim.engine.Engine`, its own nodes and state), and shards
+communicate **only** through :class:`BoundaryMessage` values routed by
+the coordinator -- the simulation analogue of packets crossing a
+wire/VXLAN boundary.  Because no state is shared, shards can run on
+``multiprocessing`` workers with pickled boundary batches
+(``workers=True``).
 
 Synchronization is conservative lookahead (docs/SHARDING.md):
 
@@ -23,20 +24,17 @@ Step 2 is safe because the boundary contract requires every message's
 ``deliver_ns - send_ns >= lookahead_ns`` (checked at send time): nothing
 sent during a round can be delivered inside that round's horizon.
 
-Per-shard engines keep the plain tuple heap ``(time, seq, fn, args)``
-instead of Event objects: heap maintenance then compares tuples in C
-rather than calling ``Event.__lt__`` per comparison, which is where the
-``macro_fleet`` bench gets its single-core speedup over the one-Engine
-baseline (see docs/SHARDING.md, "Where the speedup comes from").
+The coordinator advances each shard's engine with ``run(until=horizon)``
+(inclusive bound, clock left at the horizon -- the round barrier) and
+reads ``next_time()`` to place the next horizon.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.shard import DEFAULT_LOOKAHEAD_NS
+from repro.sim.shard import DEFAULT_LOOKAHEAD_NS, register_shard_stage
 
 
 class BoundaryError(SimulationError):
@@ -79,60 +77,6 @@ _BUCKET_KEY = lambda m: (m.deliver_ns, m.src_shard, m.seq)  # noqa: E731
 # documents both tables and tests/test_docs_sharding.py diffs them.
 PARENT_OPS = ("round", "finish")
 WORKER_REPLIES = ("ready", "done", "result", "error")
-
-
-class ShardEngine:
-    """Minimal single-shard event loop with a tuple-keyed heap.
-
-    Deliberately a subset of :class:`~repro.sim.engine.Engine`:
-    ``schedule`` / ``schedule_at`` / ``now``, no cancellation, no
-    processes -- shard programs are written as plain callbacks.  Events
-    executed here are folded into :meth:`Engine.global_events_executed`
-    so the bench harness counts sharded runs like any other.
-    """
-
-    __slots__ = ("now", "_seq", "_heap", "events_executed")
-
-    def __init__(self) -> None:
-        self.now = 0
-        self._seq = 0
-        self._heap: List[tuple] = []
-        self.events_executed = 0
-
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        if delay_ns < 0:
-            raise SimulationError(f"negative delay {delay_ns}")
-        heapq.heappush(self._heap, (self.now + int(delay_ns), self._seq, fn, args))
-        self._seq += 1
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        if time_ns < self.now:
-            raise SimulationError(f"cannot schedule at {time_ns} before now={self.now}")
-        heapq.heappush(self._heap, (int(time_ns), self._seq, fn, args))
-        self._seq += 1
-
-    def next_time(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def run_until(self, horizon: int) -> int:
-        """Execute every event with ``time <= horizon``; advance ``now``
-        to ``horizon`` afterwards (the round barrier)."""
-        heap = self._heap
-        pop = heapq.heappop
-        executed = 0
-        while heap and heap[0][0] <= horizon:
-            time_ns, _, fn, args = pop(heap)
-            self.now = time_ns
-            fn(*args)
-            executed += 1
-        if self.now < horizon:
-            self.now = horizon
-        self.events_executed += executed
-        Engine._events_executed_global += executed
-        return executed
 
 
 class BoundaryOutbox:
@@ -255,7 +199,7 @@ class ShardCoordinator:
     """Advance ``num_shards`` shard programs in lookahead-bounded rounds.
 
     ``build(shard_index, num_shards, outbox)`` must return a *shard
-    program*: an object with an ``engine`` (:class:`ShardEngine`), a
+    program*: an object with an ``engine`` (an :class:`Engine`), a
     ``deliver(message)`` method for inbound boundary messages, and a
     ``collect()`` method returning a picklable per-shard result.  With
     ``workers=True`` the build callable itself must be picklable (a
@@ -288,7 +232,7 @@ class ShardCoordinator:
         # Filled by run(); read by attach_metrics callbacks.
         self.rounds = 0
         self.last_horizon_ns = 0
-        self.boundary_by_shard = [0] * self.num_shards
+        self.boundary_events_by_shard = [0] * self.num_shards
         self.events_by_shard = [0] * self.num_shards
         self.worker_count = 0
 
@@ -318,20 +262,20 @@ class ShardCoordinator:
                 break
             horizon = min(t_min + self.lookahead_ns, until)
             for shard, program in enumerate(programs):
-                ran = program.engine.run_until(horizon)
+                ran = program.engine.run(until=horizon)
                 executed += ran
                 self.events_by_shard[shard] += ran
             self.rounds += 1
             self.last_horizon_ns = horizon
             for shard, outbox in enumerate(outboxes):
                 messages = outbox.drain()
-                self.boundary_by_shard[shard] += len(messages)
+                self.boundary_events_by_shard[shard] += len(messages)
                 for message in messages:
                     pending[message.dst_shard].append(message)
         return CoordinatorRun(
             results=[program.collect() for program in programs],
             rounds=self.rounds,
-            boundary_messages=sum(self.boundary_by_shard),
+            boundary_messages=sum(self.boundary_events_by_shard),
             events_executed=executed,
             workers=0,
         )
@@ -416,7 +360,7 @@ class ShardCoordinator:
                     next_times[shard] = next_time
                     executed += ran
                     self.events_by_shard[shard] += ran
-                    self.boundary_by_shard[shard] += len(batch.messages)
+                    self.boundary_events_by_shard[shard] += len(batch.messages)
                     for message in batch.messages:
                         pending[message.dst_shard].append(message)
                 self.rounds += 1
@@ -437,7 +381,7 @@ class ShardCoordinator:
             return CoordinatorRun(
                 results=results,
                 rounds=self.rounds,
-                boundary_messages=sum(self.boundary_by_shard),
+                boundary_messages=sum(self.boundary_events_by_shard),
                 events_executed=executed,
                 workers=len(processes),
             )
@@ -463,29 +407,7 @@ class ShardCoordinator:
 
     def attach_metrics(self, registry) -> None:
         """Register the ``shard`` stage over this coordinator's counters."""
-        from repro.obs import contract as obs_contract
-
-        registry.register_spec(obs_contract.SHARD_ROUNDS).add_callback(
-            lambda: float(self.rounds)
-        )
-        registry.register_spec(obs_contract.SHARD_EVENTS).add_callback(
-            lambda: {
-                (str(shard),): float(count)
-                for shard, count in enumerate(self.events_by_shard)
-            }
-        )
-        registry.register_spec(obs_contract.SHARD_BOUNDARY).add_callback(
-            lambda: {
-                (str(shard),): float(count)
-                for shard, count in enumerate(self.boundary_by_shard)
-            }
-        )
-        registry.register_spec(obs_contract.SHARD_HORIZON).add_callback(
-            lambda: float(self.last_horizon_ns)
-        )
-        registry.register_spec(obs_contract.SHARD_WORKERS).add_callback(
-            lambda: float(self.worker_count)
-        )
+        register_shard_stage(registry, self)
 
 
 def _shard_worker_main(conn, build, shard_index: int, num_shards: int,
@@ -507,7 +429,7 @@ def _shard_worker_main(conn, build, shard_index: int, num_shards: int,
                 _, horizon, inbound = op
                 if inbound:
                     inject_messages(program, inbound)
-                executed = program.engine.run_until(horizon)
+                executed = program.engine.run(until=horizon)
                 batch = BoundaryBatch(round_index, shard_index, tuple(outbox.drain()))
                 conn.send(("done", program.engine.next_time(), batch, executed))
                 round_index += 1

@@ -7,28 +7,39 @@ accounting exact: the time a packet spends queued at an OVS ingress port
 and the time a vCPU waits for the Xen rate limit are measured on the same
 clock the tracing scripts read.
 
-Two programming models are supported:
+Three programming models are supported:
 
 * plain callbacks -- ``engine.schedule(delay_ns, fn, *args)``;
+* cancellable callbacks -- ``engine.timer(delay_ns, fn, *args)`` returns
+  a :class:`Timer` whose ``cancel()`` prevents the call;
 * cooperative processes -- ``engine.process(generator)`` where the
   generator yields either an integer delay in nanoseconds or a
   :class:`Signal` to wait on.  This is how workloads (Sockperf, iPerf,
   memcached clients) are written.
 
+There is one event loop, :meth:`Engine.run`, over one binary heap of
+plain tuples ``(time, seq, fn, args)``.  ``(time, seq)`` is unique, so
+``heapq`` orders entries in C and never looks at ``fn``.  A timer's
+entry is ``(time, seq, None, timer)``: only the callers that cancel pay
+for an object, and a cancelled timer stays in the heap until it is
+popped or compacted away (docs/SHARDING.md, "One loop").
+
 Determinism: events firing at the same timestamp run in scheduling order
-(a monotone sequence number breaks ties), so a fixed RNG seed reproduces
-every experiment exactly.
+(the monotone ``seq`` breaks ties), so a fixed RNG seed reproduces every
+experiment exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, Generator, List, Optional
 
 
-# Dead-timer compaction: a heap is rebuilt without its cancelled events
-# once they outnumber the live ones by this factor, and by enough to be
-# worth the pass.
+# Dead-timer compaction: the heap is rebuilt without its cancelled timers
+# once they outnumber the live entries by this factor, and by enough to
+# be worth the pass.
 COMPACT_DEAD_FACTOR = 4
 COMPACT_MIN_DEAD = 64
 
@@ -37,62 +48,46 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the engine (negative delays, running twice...)."""
 
 
-def compact_if_mostly_dead(heap: List["Event"], live: int) -> None:
-    """Drop the cancelled events from ``heap`` when it is mostly them.
+class Timer:
+    """A scheduled callback that can be cancelled (:meth:`Engine.timer`).
 
-    ``live`` is (an upper bound on) the live events in ``heap``.  A TCP
-    sender cancels and re-arms its RTO on every ACK, so without this the
-    heap is thousands of dead timers around a handful of live events and
-    every push and pop pays for their depth.  ``(time, seq)`` is a total
-    order, so rebuilding the heap cannot change what pops next.  The
-    heap is edited in place: event loops keep their reference to it.
-    """
-    dead = len(heap) - live
-    if dead > COMPACT_MIN_DEAD and dead > COMPACT_DEAD_FACTOR * live:
-        heap[:] = [event for event in heap if not event.cancelled]
-        heapq.heapify(heap)
-
-
-class Event:
-    """A single scheduled callback.
-
-    Instances are returned by :meth:`Engine.schedule` so callers can
-    :meth:`cancel` them.  Cancelled events stay in the heap and are
-    skipped when popped (lazy deletion), or dropped earlier by
-    :func:`compact_if_mostly_dead`; the engine's live-event counter is
-    decremented eagerly so ``pending()`` and the end-of-run clock
-    advance never have to rescan the heap.  ``cancelled`` is also set
-    when the event fires, so a late ``cancel()`` is a no-op.
+    ``fn`` is ``None`` once the timer has fired or been cancelled, so a
+    late or repeated :meth:`cancel` is exactly a no-op.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "engine")
+    __slots__ = ("fn", "args", "engine")
 
-    def __init__(
-        self, time: int, seq: int, fn: Callable[..., Any], args: tuple, engine: "Engine"
-    ):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
+    def __init__(self, fn: Callable[..., Any], args: tuple, engine: "Engine"):
+        self.fn: Optional[Callable[..., Any]] = fn
         self.args = args
-        self.cancelled = False
         self.engine = engine
 
     def cancel(self) -> None:
-        """Prevent the event from firing; safe to call more than once."""
-        if not self.cancelled:
-            self.cancelled = True
-            self.engine._on_cancel(self)
+        """Prevent the callback from running; safe to call more than once.
 
-    def __lt__(self, other: "Event") -> bool:
-        # heapq calls this O(log n) times per push/pop; comparing fields
-        # directly avoids allocating two tuples per comparison.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        The heap entry stays where it is (lazy deletion) unless dead
+        entries now dominate the heap.  A TCP sender cancels and re-arms
+        its RTO on every ACK, so without compaction the heap is thousands
+        of dead timers around a handful of live events and every push and
+        pop pays for their depth.  ``(time, seq)`` is a total order, so
+        rebuilding the heap cannot change what pops next.  The heap is
+        edited in place: a running loop keeps its reference to it.
+        """
+        if self.fn is None:
+            return
+        self.fn = None
+        engine = self.engine
+        engine._dead += 1
+        dead, heap = engine._dead, engine._heap
+        if dead > COMPACT_MIN_DEAD and dead > COMPACT_DEAD_FACTOR * (len(heap) - dead):
+            heap[:] = [
+                entry for entry in heap if entry[2] is not None or entry[3].fn is not None
+            ]
+            heapq.heapify(heap)
+            engine._dead = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time} seq={self.seq} {state} fn={self.fn!r}>"
+        return f"<Timer {'done' if self.fn is None else 'armed'} fn={self.fn!r}>"
 
 
 class Signal:
@@ -198,47 +193,34 @@ class Engine:
         return cls._events_executed_global
 
     def __init__(self) -> None:
-        self._now = 0
+        self.now = 0  # current virtual time in nanoseconds
         self._seq = 0
-        self._heap: List[Event] = []
-        self._live = 0  # not-yet-cancelled, not-yet-fired events in the heap
+        self._heap: List[tuple] = []  # (time, seq, fn, args) | (time, seq, None, Timer)
+        self._dead = 0  # cancelled timers still in the heap
         self._running = False
         self.events_executed = 0
 
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
-
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay_ns`` nanoseconds; returns the Event."""
+    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay_ns`` nanoseconds."""
         if delay_ns:
             if delay_ns < 0:
                 raise SimulationError(f"negative delay {delay_ns}")
-            time_ns = self._now + int(delay_ns)
+            time_ns = self.now + int(delay_ns)
         else:
             # Zero-delay wakeups (signal triggers, process steps) dominate
             # scheduling; skip the add/convert entirely.
-            time_ns = self._now
-        event = Event(time_ns, self._seq, fn, args, self)
+            time_ns = self.now
+        heapq.heappush(self._heap, (time_ns, self._seq, fn, args))
         self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``time_ns``."""
-        if time_ns < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns} before now={self._now}"
-            )
-        event = Event(int(time_ns), self._seq, fn, args, self)
+        if time_ns < self.now:
+            raise SimulationError(f"cannot schedule at {time_ns} before now={self.now}")
+        heapq.heappush(self._heap, (int(time_ns), self._seq, fn, args))
         self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def at_or_now(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def at_or_now(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute time ``time_ns``, clamped to now.
 
         Unlike :meth:`schedule_at`, a timestamp already in the past is not
@@ -246,7 +228,16 @@ class Engine:
         plans use this so "crash node X at t=50ms" armed at t=60ms still
         takes effect (immediately) rather than aborting the run.
         """
-        return self.schedule_at(max(int(time_ns), self._now), fn, *args)
+        self.schedule_at(max(int(time_ns), self.now), fn, *args)
+
+    def timer(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Timer:
+        """Like :meth:`schedule`, but returns a :class:`Timer` to cancel."""
+        if delay_ns < 0:
+            raise SimulationError(f"negative delay {delay_ns}")
+        timer = Timer(fn, args, self)
+        heapq.heappush(self._heap, (self.now + int(delay_ns), self._seq, None, timer))
+        self._seq += 1
+        return timer
 
     def process(self, generator: Generator, name: str = "") -> SimProcess:
         """Start a cooperative process; its first step runs at the current time."""
@@ -259,66 +250,65 @@ class Engine:
         return Signal(self)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Execute events until the heap drains, ``until`` ns is reached, or
-        ``max_events`` have run.  Returns the number of events executed."""
+        """Execute events until the heap drains, ``until`` ns is reached
+        (inclusive), or ``max_events`` have run.  Returns the number of
+        events executed; ``now`` ends at ``until`` unless a live event at
+        or before it is still queued."""
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
         self._running = True
+        # An absent bound becomes one no run can reach: one loop for all.
+        horizon = math.inf if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
         executed = 0
         heap = self._heap
         pop = heapq.heappop
         try:
-            if until is None and max_events is None:
-                # Run-to-drain is the overwhelmingly common call; keep the
-                # loop body free of bound checks.
-                while heap:
-                    event = pop(heap)
-                    if event.cancelled:
+            while heap and executed < budget:
+                if heap[0][0] > horizon:
+                    break
+                time_ns, _, fn, args = pop(heap)
+                if fn is None:  # a Timer
+                    timer = args
+                    fn = timer.fn
+                    if fn is None:  # cancelled
+                        self._dead -= 1
                         continue
-                    event.cancelled = True  # fired; late cancel() is a no-op
-                    self._live -= 1
-                    self._now = event.time
-                    event.fn(*event.args)
-                    executed += 1
-            else:
-                while heap:
-                    event = heap[0]
-                    if event.cancelled:
-                        pop(heap)
-                        continue
-                    if until is not None and event.time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop(heap)
-                    event.cancelled = True
-                    self._live -= 1
-                    self._now = event.time
-                    event.fn(*event.args)
-                    executed += 1
+                    timer.fn = None  # fired; a late cancel() is a no-op
+                    args = timer.args
+                self.now = time_ns
+                fn(*args)
+                executed += 1
         finally:
+            # Also reached when a callback raises: the events that did
+            # return are counted, the one that raised is not.
             self._running = False
-        if until is not None and self._now < until:
+            self.events_executed += executed
+            Engine._events_executed_global += executed
+        if until is not None and self.now < until:
             # Advance the clock even if nothing was left to do; callers
-            # rely on `now` reflecting how far the run progressed.  Pop the
-            # cancelled prefix so heap[0] (if any) is the earliest *live*
-            # event -- a heap holding only cancelled events must not pin
-            # the clock.
-            while heap and heap[0].cancelled:
-                pop(heap)
-            if not heap or heap[0].time > until:
-                self._now = until
-        self.events_executed += executed
-        Engine._events_executed_global += executed
+            # rely on `now` reflecting how far the run progressed.
+            head = self.next_time()
+            if head is None or head > until:
+                self.now = until
         return executed
+
+    def next_time(self) -> Optional[int]:
+        """Timestamp of the earliest live event, ``None`` when there is
+        none.  Pops cancelled timers off the top, so a heap holding
+        nothing else cannot pin the clock."""
+        heap = self._heap
+        while heap:
+            time_ns, _, fn, timer = heap[0]
+            if fn is not None or timer.fn is not None:
+                return time_ns
+            heapq.heappop(heap)
+            self._dead -= 1
+        return None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return self._live
-
-    def _on_cancel(self, event: Event) -> None:
-        self._live -= 1
-        compact_if_mostly_dead(self._heap, self._live)
+        return len(self._heap) - self._dead
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine now={self._now}ns pending={self.pending()}>"
+        return f"<{type(self).__name__} now={self.now}ns pending={self.pending()}>"

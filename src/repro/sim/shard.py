@@ -1,11 +1,12 @@
-"""Sharded drop-in engine: per-shard event heaps behind the Engine API.
+"""Sharded drop-in engine: shard placement and round accounting behind
+the Engine API.
 
 This is the *compatibility tier* of the sharded simulation substrate
-(docs/SHARDING.md).  A :class:`ShardedEngine` partitions its event
-population across per-shard binary heaps and advances them in
-lookahead-bounded rounds, but executes events in exact global
-``(time, seq)`` order by merging shard heads inside each round -- so any
-scenario written against :class:`~repro.sim.engine.Engine` produces
+(docs/SHARDING.md).  A :class:`ShardedEngine` *is* an
+:class:`~repro.sim.engine.Engine` -- the one heap, the one loop, hence
+exactly the base engine's ``(time, seq)`` execution order -- that also
+tags every event with a shard and counts lookahead-bounded rounds over
+the execution, so any scenario written against ``Engine`` produces
 byte-identical results on a ShardedEngine, shared object graph and all.
 That property is what the differential suite
 (``tests/test_shard_differential.py``) proves on the quickstart, OVS,
@@ -25,11 +26,10 @@ compat-tier analogue of a cross-shard packet -- and is counted in the
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, List, Optional
 
-from repro.sim.engine import Engine, Event, SimulationError, compact_if_mostly_dead
+from repro.sim.engine import Engine, SimulationError, Timer
 
 # The default conservative-lookahead window, in virtual nanoseconds.
 # The fleet tier requires every cross-shard boundary latency to be at
@@ -38,20 +38,36 @@ from repro.sim.engine import Engine, Event, SimulationError, compact_if_mostly_d
 DEFAULT_LOOKAHEAD_NS = 1_000_000
 
 
-class _ShardEvent(Event):
-    """An Event that remembers which shard heap holds it."""
+def register_shard_stage(registry, source) -> None:
+    """Register the ``shard`` stage of the metrics contract as pull
+    callbacks (no per-event cost) over the counters both tiers keep:
+    ``source`` is a :class:`ShardedEngine` or a ``ShardCoordinator``."""
+    from repro.obs import contract as obs_contract
 
-    __slots__ = ("shard",)
+    def per_shard(counts: List[int]):
+        return {(str(shard),): float(count) for shard, count in enumerate(counts)}
+
+    for spec, read in (
+        (obs_contract.SHARD_ROUNDS, lambda: float(source.rounds)),
+        (obs_contract.SHARD_EVENTS, lambda: per_shard(source.events_by_shard)),
+        (obs_contract.SHARD_BOUNDARY, lambda: per_shard(source.boundary_events_by_shard)),
+        (obs_contract.SHARD_HORIZON, lambda: float(source.last_horizon_ns)),
+        (obs_contract.SHARD_WORKERS, lambda: float(source.worker_count)),
+    ):
+        registry.register_spec(spec).add_callback(read)
 
 
 class ShardedEngine(Engine):
-    """Engine-compatible event loop over ``shards`` per-shard heaps.
+    """An Engine that places its events on ``shards`` shards and counts
+    lookahead-bounded rounds.
 
-    Execution order is exactly the base engine's global ``(time, seq)``
-    order, reconstructed by merging shard heads within each
-    lookahead-bounded round; determinism therefore holds *by
-    construction*, not by scenario discipline.
+    Every callback is scheduled on the base engine wrapped in
+    :meth:`_fire`, which does the accounting; execution order is the
+    base engine's because there is only the base engine's heap, so
+    determinism holds *by construction*, not by scenario discipline.
     """
+
+    worker_count = 0  # the compat tier is always in-process
 
     def __init__(self, shards: int = 4, lookahead_ns: int = DEFAULT_LOOKAHEAD_NS):
         super().__init__()
@@ -61,9 +77,10 @@ class ShardedEngine(Engine):
             raise SimulationError(f"lookahead must be positive, got {lookahead_ns}")
         self.num_shards = int(shards)
         self.lookahead_ns = int(lookahead_ns)
-        self._shard_heaps: List[List[_ShardEvent]] = [[] for _ in range(self.num_shards)]
         self._affinity = 0  # shard receiving newly scheduled events
         self._exec_shard: Optional[int] = None  # shard of the running event
+        self._until: Optional[int] = None  # the current run()'s bound
+        self._horizon = -1  # of the open round; no event time is below 0
         # Counters behind the vnt_shard_* metrics.
         self.rounds = 0
         self.last_horizon_ns = 0
@@ -71,33 +88,27 @@ class ShardedEngine(Engine):
         self.boundary_events_by_shard = [0] * self.num_shards
 
     # -- scheduling --------------------------------------------------------
+    # Base methods are named outright: on the per-event path a zero-argument
+    # super() costs as much as the heap push it would delegate to.
 
-    def _push(self, time_ns: int, fn: Callable[..., Any], args: tuple) -> _ShardEvent:
-        shard = self._affinity
-        event = _ShardEvent(time_ns, self._seq, fn, args, self)
-        event.shard = shard
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._shard_heaps[shard], event)
-        if self._exec_shard is not None and shard != self._exec_shard:
-            self.boundary_events_by_shard[shard] += 1
-        return event
+    def _placed(self) -> None:
+        """Count the event just scheduled onto ``_affinity`` as a boundary
+        event if another shard is executing."""
+        if self._exec_shard is not None and self._affinity != self._exec_shard:
+            self.boundary_events_by_shard[self._affinity] += 1
 
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay_ns:
-            if delay_ns < 0:
-                raise SimulationError(f"negative delay {delay_ns}")
-            time_ns = self._now + int(delay_ns)
-        else:
-            time_ns = self._now
-        return self._push(time_ns, fn, args)
+    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
+        Engine.schedule(self, delay_ns, self._fire, self._affinity, fn, args)
+        self._placed()
 
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> Event:
-        if time_ns < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time_ns} before now={self._now}"
-            )
-        return self._push(int(time_ns), fn, args)
+    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
+        Engine.schedule_at(self, time_ns, self._fire, self._affinity, fn, args)
+        self._placed()
+
+    def timer(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Timer:
+        timer = Engine.timer(self, delay_ns, self._fire, self._affinity, fn, args)
+        self._placed()
+        return timer
 
     @contextmanager
     def pinned(self, shard: int) -> Iterator[None]:
@@ -117,86 +128,32 @@ class ShardedEngine(Engine):
         finally:
             self._affinity = previous
 
-    def _on_cancel(self, event: _ShardEvent) -> None:
-        # Same rule as the base engine, per shard heap, with the global
-        # live count standing in for the shard's (an upper bound, so a
-        # shard heap compacts no earlier than the single heap would).
-        self._live -= 1
-        compact_if_mostly_dead(self._shard_heaps[event.shard], self._live)
-
-    def shard_of(self, event: Event) -> int:
-        """Which shard heap holds ``event`` (0 for plain-Engine events)."""
-        return getattr(event, "shard", 0)
-
     # -- execution ---------------------------------------------------------
 
-    def _min_head(self) -> Optional[_ShardEvent]:
-        """The globally earliest live event, popping cancelled heads."""
-        pop = heapq.heappop
-        best = None
-        for heap in self._shard_heaps:
-            while heap and heap[0].cancelled:
-                pop(heap)
-            if heap:
-                head = heap[0]
-                if (
-                    best is None
-                    or head.time < best.time
-                    or (head.time == best.time and head.seq < best.seq)
-                ):
-                    best = head
-        return best
+    def _fire(self, shard: int, fn: Callable[..., Any], args: tuple) -> None:
+        now = self.now
+        if now > self._horizon:
+            # The first event past the open round's horizon opens the
+            # next round: everything up to ``now + lookahead`` belongs to
+            # it, including events scheduled from inside the round.
+            horizon = now + self.lookahead_ns
+            if self._until is not None and horizon > self._until:
+                horizon = self._until
+            self._horizon = self.last_horizon_ns = horizon
+            self.rounds += 1
+        self._exec_shard = self._affinity = shard
+        fn(*args)
+        self.events_by_shard[shard] += 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        if self._running:
+        if self._running:  # before the open round's state is touched
             raise SimulationError("engine.run() is not reentrant")
-        self._running = True
-        executed = 0
-        heaps = self._shard_heaps
-        pop = heapq.heappop
-        events_by_shard = self.events_by_shard
+        self._until = until
+        self._horizon = -1  # every run() opens a fresh round
         try:
-            while max_events is None or executed < max_events:
-                head = self._min_head()
-                if head is None:
-                    break
-                if until is not None and head.time > until:
-                    break
-                horizon = head.time + self.lookahead_ns
-                if until is not None and horizon > until:
-                    horizon = until
-                self.rounds += 1
-                self.last_horizon_ns = horizon
-                # One round: execute everything up to the horizon in
-                # exact global (time, seq) order.  New events landing
-                # inside the horizon join the round as their heap heads
-                # surface in the merge.
-                while True:
-                    event = self._min_head()
-                    if event is None or event.time > horizon:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    shard = event.shard
-                    pop(heaps[shard])
-                    event.cancelled = True  # fired; late cancel() is a no-op
-                    self._live -= 1
-                    self._now = event.time
-                    self._exec_shard = self._affinity = shard
-                    event.fn(*event.args)
-                    executed += 1
-                    events_by_shard[shard] += 1
-                self._exec_shard = None
+            return Engine.run(self, until, max_events)
         finally:
-            self._running = False
             self._exec_shard = None
-        if until is not None and self._now < until:
-            head = self._min_head()
-            if head is None or head.time > until:
-                self._now = until
-        self.events_executed += executed
-        Engine._events_executed_global += executed
-        return executed
 
     # -- observability -----------------------------------------------------
 
@@ -206,34 +163,5 @@ class ShardedEngine(Engine):
         return sum(self.boundary_events_by_shard)
 
     def attach_metrics(self, registry) -> None:
-        """Register the ``shard`` stage of the metrics contract as pull
-        callbacks over this engine's counters (no per-event cost)."""
-        from repro.obs import contract as obs_contract
-
-        registry.register_spec(obs_contract.SHARD_ROUNDS).add_callback(
-            lambda: float(self.rounds)
-        )
-        registry.register_spec(obs_contract.SHARD_EVENTS).add_callback(
-            lambda: {
-                (str(shard),): float(count)
-                for shard, count in enumerate(self.events_by_shard)
-            }
-        )
-        registry.register_spec(obs_contract.SHARD_BOUNDARY).add_callback(
-            lambda: {
-                (str(shard),): float(count)
-                for shard, count in enumerate(self.boundary_events_by_shard)
-            }
-        )
-        registry.register_spec(obs_contract.SHARD_HORIZON).add_callback(
-            lambda: float(self.last_horizon_ns)
-        )
-        registry.register_spec(obs_contract.SHARD_WORKERS).add_callback(
-            lambda: 0.0  # the compat tier is always in-process
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ShardedEngine now={self._now}ns shards={self.num_shards} "
-            f"pending={self.pending()} rounds={self.rounds}>"
-        )
+        """Register the ``shard`` stage over this engine's counters."""
+        register_shard_stage(registry, self)

@@ -295,7 +295,7 @@ class StreamingAggregator:
         interval = interval_ns or self.config.emit_interval_ns or self._window_ns
         self._emit_engine = engine
         self._emit_interval = interval
-        self._emit_timer = engine.schedule(interval, self._emit)
+        self._emit_timer = engine.timer(interval, self._emit)
 
     def stop_emitter(self) -> None:
         if self._emit_timer is not None:
@@ -313,7 +313,7 @@ class StreamingAggregator:
                 "late_or_gaps": self.late_records + self.gap_notices,
             }
         )
-        self._emit_timer = self._emit_engine.schedule(self._emit_interval, self._emit)
+        self._emit_timer = self._emit_engine.timer(self._emit_interval, self._emit)
 
     # -- ingest ------------------------------------------------------------
 

@@ -129,7 +129,7 @@ class CreditScheduler:
             if chosen is not None and chosen is not vcpu and self._preempt_event is None:
                 # Lost the pick (e.g. woke during a context switch to a
                 # higher-credit vCPU): make sure a re-evaluation fires.
-                self._preempt_event = self.engine.schedule(
+                self._preempt_event = self.engine.timer(
                     max(1, self.ratelimit_ns), self._ratelimit_expired
                 )
             return
@@ -143,7 +143,7 @@ class CreditScheduler:
                 self.ratelimit_deferrals += 1
                 remaining = self.ratelimit_ns - ran_ns
                 if self._preempt_event is None:
-                    self._preempt_event = self.engine.schedule(
+                    self._preempt_event = self.engine.timer(
                         remaining, self._ratelimit_expired
                     )
         else:
@@ -154,7 +154,7 @@ class CreditScheduler:
             crossing_ns = deficit * max(1, self.current.weight) // 256 + 1
             wait_ns = max(crossing_ns, self.ratelimit_ns - ran_ns)
             if self._preempt_event is None:
-                self._preempt_event = self.engine.schedule(
+                self._preempt_event = self.engine.timer(
                     wait_ns, self._ratelimit_expired
                 )
 
@@ -217,7 +217,7 @@ class CreditScheduler:
         self._preempt_event = None
         if self.current is None:
             # Mid context-switch: re-evaluate once the switch lands.
-            self._preempt_event = self.engine.schedule(
+            self._preempt_event = self.engine.timer(
                 CONTEXT_SWITCH_NS, self._ratelimit_expired
             )
             return
@@ -231,7 +231,7 @@ class CreditScheduler:
             # silently parked until the end of a full timeslice.
             deficit = self._live_credit(self.current) - self._live_credit(challenger)
             crossing_ns = deficit * max(1, self.current.weight) // 256 + 1
-            self._preempt_event = self.engine.schedule(
+            self._preempt_event = self.engine.timer(
                 crossing_ns, self._ratelimit_expired
             )
 
@@ -264,7 +264,7 @@ class CreditScheduler:
                     if ran_ns >= self.ratelimit_ns:
                         self._preempt()
                     elif self._preempt_event is None:
-                        self._preempt_event = self.engine.schedule(
+                        self._preempt_event = self.engine.timer(
                             self.ratelimit_ns - ran_ns, self._ratelimit_expired
                         )
                 return
@@ -274,7 +274,7 @@ class CreditScheduler:
             vcpu.cpu.resume()
             if self._timeslice_event is not None:
                 self._timeslice_event.cancel()
-            self._timeslice_event = self.engine.schedule(
+            self._timeslice_event = self.engine.timer(
                 self.timeslice_ns, self._timeslice_expired
             )
             # An always-busy vCPU never calls block(); nothing to do here.
@@ -304,7 +304,7 @@ class CreditScheduler:
         if runnable_others:
             self._preempt()
         else:
-            self._timeslice_event = self.engine.schedule(
+            self._timeslice_event = self.engine.timer(
                 self.timeslice_ns, self._timeslice_expired
             )
 

@@ -131,9 +131,15 @@ class TestChromeExport:
 
 
 class TestDeterminism:
-    def test_byte_identical_at_1_vs_4_shards(self, doc):
+    def test_byte_identical_at_1_vs_4_shards(self, result, doc):
         sharded = run_rpc_case(seed=SEED, requests=REQUESTS, shards=4)
         assert canonical_json(deterministic_doc(sharded)) == canonical_json(doc)
+        # The compat tier's own accounting (vnt_shard_*), as literals.
+        for engine, idle in ((result.engine, []), (sharded.engine, [0, 0, 0])):
+            assert engine.rounds == 42
+            assert engine.last_horizon_ns == 151_000_000
+            assert engine.events_by_shard == [6_392] + idle
+            assert engine.boundary_events_by_shard == [0] + idle
 
     def test_doc_shape(self, doc):
         assert doc["completed_requests"] == REQUESTS

@@ -21,22 +21,21 @@ from repro.sim.coordinator import (
     BoundaryMessage,
     BoundaryOutbox,
     ShardCoordinator,
-    ShardEngine,
     ShardWorkerError,
 )
-from repro.sim.engine import SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 SMALL = FleetConfig(nodes=60, racks=6, ticks=6)
 
 
 class TestShardEngine:
     def test_runs_in_time_order_and_advances_to_horizon(self):
-        engine = ShardEngine()
+        engine = Engine()
         log = []
         engine.schedule(30, log.append, "c")
         engine.schedule(10, log.append, "a")
         engine.schedule_at(20, log.append, "b")
-        executed = engine.run_until(25)
+        executed = engine.run(until=25)
         assert log == ["a", "b"]
         assert executed == 2
         assert engine.now == 25  # the round barrier
@@ -44,20 +43,18 @@ class TestShardEngine:
         assert engine.next_time() == 30
 
     def test_schedule_validation(self):
-        engine = ShardEngine()
+        engine = Engine()
         with pytest.raises(SimulationError):
             engine.schedule(-1, lambda: None)
-        engine.run_until(100)
+        engine.run(until=100)
         with pytest.raises(SimulationError):
             engine.schedule_at(50, lambda: None)
 
     def test_counts_into_global_counter(self):
-        from repro.sim.engine import Engine
-
         before = Engine.global_events_executed()
-        engine = ShardEngine()
+        engine = Engine()
         engine.schedule(1, lambda: None)
-        engine.run_until(10)
+        engine.run(until=10)
         assert Engine.global_events_executed() == before + 1
 
 
@@ -114,6 +111,29 @@ class TestCoordinator:
             ShardCoordinator(0, build)
         with pytest.raises(SimulationError):
             ShardCoordinator(2, build, lookahead_ns=0)
+
+    def test_attach_metrics_registers_shard_stage(self):
+        """Same registration as the compat tier's, over the coordinator's
+        own counters."""
+        from repro.obs import contract
+        from repro.obs.registry import MetricsRegistry
+
+        coordinator = ShardCoordinator(2, functools.partial(build_fleet_shard, SMALL))
+        registry = MetricsRegistry()
+        coordinator.attach_metrics(registry)
+        run = coordinator.run(SMALL.end_ns)
+        flat = registry.flatten()
+        assert flat[contract.SHARD_ROUNDS.name] == run.rounds > 0
+        assert flat[contract.SHARD_HORIZON.name] == coordinator.last_horizon_ns
+        assert flat[contract.SHARD_WORKERS.name] == 0.0
+        for metric, counts, total in (
+            (contract.SHARD_EVENTS, coordinator.events_by_shard, run.events_executed),
+            (contract.SHARD_BOUNDARY, coordinator.boundary_events_by_shard,
+             run.boundary_messages),
+        ):
+            assert sum(counts) == total > 0
+            for shard, count in enumerate(counts):
+                assert flat[f'{metric.name}{{shard="{shard}"}}'] == count
 
     def test_single_shard_is_in_process_even_with_workers(self):
         """--shards 1 is exactly the in-process coordinator: the worker

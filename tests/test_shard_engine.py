@@ -37,7 +37,7 @@ def _workload(engine, log):
 
     def tick(remaining, interval, lane):
         emit(f"tick-{lane}")
-        shadow = engine.schedule(interval + 7, emit, f"shadow-{lane}")
+        shadow = engine.timer(interval + 7, emit, f"shadow-{lane}")
         shadow.cancel()
         engine.schedule(0, emit, f"wake-{lane}")
         if remaining > 1:
@@ -121,20 +121,74 @@ class TestOrderIdentity:
             assert order == ["first", "second"]
 
 
+class TestCallbackRaises:
+    """An exception escaping a callback must not lose the events that
+    ran before it from any counter, nor wedge the engine."""
+
+    @pytest.mark.parametrize("make", [Engine, lambda: ShardedEngine(shards=2)],
+                             ids=["Engine", "ShardedEngine"])
+    def test_executed_events_are_counted_and_the_run_resumes(self, make):
+        engine = make()
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for delay in (1, 2, 3):
+            engine.schedule(delay, log.append, delay)
+        engine.timer(4, boom)
+        engine.schedule(5, log.append, 5)
+        doomed = engine.timer(6, log.append, 6)
+        before = Engine.global_events_executed()
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run()
+
+        # The three callbacks that returned are counted; the raiser is not.
+        assert log == [1, 2, 3]
+        assert engine.events_executed == 3
+        assert Engine.global_events_executed() - before == 3
+        assert (engine.now, engine.pending(), engine.next_time()) == (4, 2, 5)
+        doomed.cancel()
+        assert engine.pending() == 1
+        # run() is callable again (not "reentrant") and picks up where it stopped.
+        assert engine.run() == 1
+        assert log == [1, 2, 3, 5]
+        assert engine.events_executed == 4
+        if isinstance(engine, ShardedEngine):
+            assert engine.events_by_shard == [4, 0]
+            assert sum(engine.events_by_shard) == engine.events_executed
+            assert engine.rounds == 2  # the resumed run() opened its own
+
+    def test_rejected_reentrant_run_leaves_the_open_round_alone(self):
+        engine = ShardedEngine(shards=2, lookahead_ns=100)
+
+        def nested():
+            with pytest.raises(SimulationError):
+                engine.run(until=5)
+            with engine.pinned(1):
+                engine.schedule(10, lambda: None)
+
+        engine.schedule(1, nested)
+        engine.schedule(2, lambda: None)
+        assert engine.run() == 3
+        assert engine.rounds == 1
+        assert engine.last_horizon_ns == 101
+        assert engine.boundary_events_by_shard == [0, 1]
+
+
 class TestShardPlacement:
     def test_pinned_routes_and_inherits(self):
         engine = ShardedEngine(shards=4)
-        seen = []
 
         def child():
-            seen.append(engine.shard_of(engine.schedule(5, lambda: None)))
+            engine.schedule(5, lambda: None)
 
         with engine.pinned(2):
-            event = engine.schedule(10, child)
-        assert engine.shard_of(event) == 2
+            engine.schedule(10, child)
         engine.run()
         # The child's event inherits the executing event's shard.
-        assert seen == [2]
+        assert engine.events_by_shard == [0, 0, 2, 0]
+        assert engine.boundary_events == 0
 
     def test_pinned_out_of_range(self):
         engine = ShardedEngine(shards=2)
@@ -214,7 +268,7 @@ class TestMetrics:
 
 
 def _heap_entries(engine) -> int:
-    return sum(len(heap) for heap in getattr(engine, "_shard_heaps", [engine._heap]))
+    return len(engine._heap)
 
 
 def _engines():
@@ -222,7 +276,7 @@ def _engines():
 
 
 class TestDeadTimerCompaction:
-    """Cancelled timers are dropped once they dominate a heap, without
+    """Cancelled timers are dropped once they dominate the heap, without
     changing what runs, when, or what ``pending()`` says."""
 
     def test_rearm_cycles_keep_the_heap_bounded(self):
@@ -238,7 +292,7 @@ class TestDeadTimerCompaction:
                 state["acks"] += 1
                 if state["timer"] is not None:
                     state["timer"].cancel()
-                state["timer"] = engine.schedule(200_000_000, timeout)
+                state["timer"] = engine.timer(200_000_000, timeout)
                 if state["acks"] < cycles:
                     engine.schedule(10_000, ack)
                 state["worst"] = max(state["worst"], _heap_entries(engine))
@@ -267,11 +321,11 @@ class TestDeadTimerCompaction:
             cancel_one(children, 0.1)
             for _ in range(3):  # long timers, nearly always cancelled: the dead weight
                 cancel_one(timers, 0.95)
-                timers.append(engine.schedule(10**9, log.append, (tag, "rto")))
+                timers.append(engine.timer(10**9, log.append, (tag, "rto")))
             if depth:
                 for child in range(rng.randrange(1, 4)):
                     delay = rng.choice([0, 0, 1, 5, 5, 40, 1000])
-                    children.append(engine.schedule(delay, step, f"{tag}.{child}", depth - 1))
+                    children.append(engine.timer(delay, step, f"{tag}.{child}", depth - 1))
 
         for lane in range(4):
             with engine.pinned(lane % shards) if shards else nullcontext():
@@ -306,11 +360,12 @@ class TestDeadTimerCompaction:
 
     def test_compaction_keeps_only_live_events(self):
         engine = Engine()
-        keep = [engine.schedule(10 + i, lambda: None) for i in range(3)]
-        dead = [engine.schedule(1_000 + i, lambda: None) for i in range(200)]
-        for event in dead:
-            event.cancel()
+        keep = [engine.timer(10 + i, lambda: None) for i in range(3)]
+        dead = [engine.timer(1_000 + i, lambda: None) for i in range(200)]
+        for timer in dead:
+            timer.cancel()
         assert len(engine._heap) <= 3 + engine_mod.COMPACT_MIN_DEAD
-        assert [event for event in sorted(engine._heap) if not event.cancelled] == keep
+        live = [entry[3] for entry in sorted(engine._heap) if entry[3].fn is not None]
+        assert live == keep
         assert engine.pending() == 3
         assert engine.run() == 3

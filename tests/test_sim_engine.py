@@ -40,15 +40,15 @@ class TestScheduling:
 
     def test_cancelled_event_does_not_fire(self, engine):
         seen = []
-        event = engine.schedule(10, seen.append, "x")
-        event.cancel()
+        timer = engine.timer(10, seen.append, "x")
+        timer.cancel()
         engine.run()
         assert seen == []
 
     def test_cancel_is_idempotent(self, engine):
-        event = engine.schedule(10, lambda: None)
-        event.cancel()
-        event.cancel()
+        timer = engine.timer(10, lambda: None)
+        timer.cancel()
+        timer.cancel()
         engine.run()
 
     def test_run_until_stops_at_boundary(self, engine):
@@ -94,43 +94,67 @@ class TestScheduling:
         engine.run()
 
     def test_pending_counts_uncancelled(self, engine):
-        e1 = engine.schedule(10, lambda: None)
+        t1 = engine.timer(10, lambda: None)
         engine.schedule(20, lambda: None)
-        e1.cancel()
+        t1.cancel()
         assert engine.pending() == 1
 
     def test_until_advances_clock_past_only_cancelled_events(self, engine):
         # Regression: a heap holding nothing but cancelled events must not
         # pin the clock -- `now` has to advance all the way to `until`.
         for delay in (10, 20, 30):
-            engine.schedule(delay, lambda: None).cancel()
+            engine.timer(delay, lambda: None).cancel()
         engine.run(until=100)
         assert engine.now == 100
         assert engine.pending() == 0
 
     def test_until_advances_when_live_events_lie_beyond(self, engine):
-        engine.schedule(5, lambda: None).cancel()
+        engine.timer(5, lambda: None).cancel()
         engine.schedule(500, lambda: None)
         engine.run(until=100)
         assert engine.now == 100
         assert engine.pending() == 1
 
     def test_cancel_after_fire_is_a_noop(self, engine):
-        event = engine.schedule(10, lambda: None)
+        timer = engine.timer(10, lambda: None)
         engine.schedule(20, lambda: None)
         engine.run()
-        event.cancel()  # already fired; must not corrupt the live count
-        event.cancel()
+        timer.cancel()  # already fired; must not corrupt the live count
+        timer.cancel()
         assert engine.pending() == 0
 
     def test_cancel_during_run_keeps_pending_exact(self, engine):
-        victim = engine.schedule(50, lambda: None)
+        victim = engine.timer(50, lambda: None)
         engine.schedule(10, victim.cancel)
         engine.schedule(60, lambda: None)
         executed = engine.run(until=20)
         assert executed == 1
         assert engine.pending() == 1
         assert engine.now == 20
+
+    def test_schedule_returns_nothing(self, engine):
+        # Only timer() pays for a handle; nothing else can be cancelled.
+        assert engine.schedule(10, lambda: None) is None
+        assert engine.schedule_at(10, lambda: None) is None
+        assert engine.at_or_now(5, lambda: None) is None
+
+    def test_timer_cancel_inside_its_own_callback_is_a_noop(self, engine):
+        fired = []
+
+        def fire():
+            fired.append(engine.now)
+            timer.cancel()  # already firing
+
+        timer = engine.timer(10, fire)
+        engine.schedule(20, lambda: None)
+        assert engine.run(until=15) == 1
+        assert fired == [10]
+        assert engine.pending() == 1
+
+    def test_negative_timer_delay_rejected(self, engine):
+        with pytest.raises(SimulationError):
+            engine.timer(-1, lambda: None)
+        assert engine.pending() == 0
 
 
 class TestSignal:
