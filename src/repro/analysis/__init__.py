@@ -1,17 +1,1 @@
-"""Offline analysis helpers: report formatting over trace-DB metrics."""
-
-from repro.analysis.reports import (
-    comparison_table,
-    decomposition_table,
-    format_bps,
-    format_ns,
-    latency_table,
-)
-
-__all__ = [
-    "latency_table",
-    "decomposition_table",
-    "comparison_table",
-    "format_ns",
-    "format_bps",
-]
+"""Offline analysis helpers: report formatting (:mod:`repro.analysis.reports`)."""

@@ -1,18 +1,16 @@
 """Plain-text report formatting for trace analyses.
 
 The paper's collector feeds an operator who reads tables; these helpers
-render the same tables from :class:`~repro.workloads.stats.LatencySummary`
-objects and decomposition segments.  Everything returns strings so
-examples, benchmarks, and notebooks can print or log them.
+render them from span forests and the pipeline's own metric registry.
+Everything returns strings so the CLI and the examples can print or log
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.metrics import SegmentLatency
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.workloads.stats import LatencySummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.sampler import StatsSampler
@@ -28,14 +26,6 @@ def format_ns(value_ns: float) -> str:
     return f"{value_ns:.0f} ns"
 
 
-def format_bps(value_bps: float) -> str:
-    """Human-scale rate: bps / Kbps / Mbps / Gbps."""
-    for unit, scale in (("Gbps", 1e9), ("Mbps", 1e6), ("Kbps", 1e3)):
-        if value_bps >= scale:
-            return f"{value_bps / scale:.2f} {unit}"
-    return f"{value_bps:.0f} bps"
-
-
 def _table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
     widths = [
         max(len(str(headers[i])), *(len(str(row[i])) for row in rows)) if rows
@@ -47,69 +37,6 @@ def _table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
 
     separator = "  ".join("-" * w for w in widths)
     return "\n".join([line(headers), separator] + [line(row) for row in rows])
-
-
-def latency_table(summaries: Dict[str, LatencySummary]) -> str:
-    """One row per labelled summary: count/avg/p50/p99/p99.9/max."""
-    rows = []
-    for label, summary in summaries.items():
-        rows.append(
-            [
-                label,
-                summary.count,
-                format_ns(summary.avg_ns),
-                format_ns(summary.p50_ns),
-                format_ns(summary.p99_ns),
-                format_ns(summary.p999_ns),
-                format_ns(summary.max_ns),
-            ]
-        )
-    return _table(["label", "n", "avg", "p50", "p99", "p99.9", "max"], rows)
-
-
-def decomposition_table(segments: Sequence[SegmentLatency]) -> str:
-    """End-to-end decomposition with per-segment share of the total.
-
-    Segments with no samples (an empty flow, or a trace seen at only
-    one tracepoint) render as explicit zero-count rows instead of
-    raising -- operators read this table precisely when something along
-    the chain collected nothing."""
-    summaries = [
-        segment.summary() if segment.latencies_ns else None for segment in segments
-    ]
-    total_avg = sum(s.avg_ns for s in summaries if s is not None)
-    rows = []
-    for segment, summary in zip(segments, summaries):
-        name = f"{segment.from_label} -> {segment.to_label}"
-        if summary is None:
-            rows.append([name, 0, "-", "-", "-"])
-            continue
-        share = 100.0 * summary.avg_ns / total_avg if total_avg else 0.0
-        rows.append(
-            [
-                name,
-                summary.count,
-                format_ns(summary.avg_ns),
-                format_ns(summary.max_ns),
-                f"{share:.1f}%",
-            ]
-        )
-    counts = [s.count for s in summaries if s is not None]
-    rows.append(["TOTAL", counts[0] if counts else 0,
-                 format_ns(total_avg), "", "100.0%"])
-    return _table(["segment", "n", "avg", "max", "share"], rows)
-
-
-def span_decomposition_table(forest: "SpanForest", chain: Sequence[str]) -> str:
-    """The decomposition table computed from reconstructed span trees.
-
-    Same rendering as :func:`decomposition_table`, but the per-segment
-    latencies come from the span layer's wire/hop leaves
-    (``repro.tracing``), so a flow's span durations and its metric-layer
-    decomposition can be compared side by side."""
-    from repro.tracing.critical import segments_from_forest
-
-    return decomposition_table(segments_from_forest(forest, chain))
 
 
 def hop_stats_table(forest: "SpanForest") -> str:
@@ -190,26 +117,3 @@ def pipeline_health_report(
             f"{format_ns(sampler.interval_ns)} spanning {format_ns(span_ns)}"
         )
     return "\n".join(lines)
-
-
-def comparison_table(
-    baseline_label: str,
-    baseline: LatencySummary,
-    others: Dict[str, LatencySummary],
-) -> str:
-    """Conditions against a baseline, with blowup factors (Fig. 10 style)."""
-    rows = [
-        [baseline_label, format_ns(baseline.avg_ns), "1.0x",
-         format_ns(baseline.p999_ns), "1.0x"]
-    ]
-    for label, summary in others.items():
-        rows.append(
-            [
-                label,
-                format_ns(summary.avg_ns),
-                f"{summary.avg_ns / baseline.avg_ns:.1f}x",
-                format_ns(summary.p999_ns),
-                f"{summary.p999_ns / baseline.p999_ns:.1f}x",
-            ]
-        )
-    return _table(["condition", "avg", "avg-x", "p99.9", "p99.9-x"], rows)

@@ -3,12 +3,10 @@
 §II attributes SystemTap's cost to (a) the per-event handler work scaled
 by trace frequency and (b) "the continual data copies between the
 kernel space and user space" via the relayfs channel, plus the
-compilation of the script at start.  The model charges accordingly:
-
-* a start-up compilation delay (stap compiles a kernel module);
-* per event: handler execution + a per-record kernel->user copy with a
-  per-byte term + amortized context-switch/wakeup cost for the
-  userspace reader.
+compilation of the script at start.  The figure measures steady state,
+so the model arms a pre-compiled module and charges per event: handler
+execution + a per-record kernel->user copy with a per-byte term +
+amortized context-switch/wakeup cost for the userspace reader.
 
 Run with ``no_overload=True`` to mimic ``STP_NO_OVERLOAD`` (the paper
 disables the overload threshold so tracing never self-suspends);
@@ -23,7 +21,6 @@ from typing import Callable, List, NamedTuple, Optional
 from repro.ebpf.probes import Attachment, ProbeEvent
 from repro.net.stack import KernelNode
 
-COMPILE_DELAY_NS = 2_000_000_000  # stap module build ~2 s
 HANDLER_COST_NS = 1_600  # probe body execution (interpreted runtime)
 COPYOUT_FIXED_NS = 2_600  # per-record relay write + wakeup share
 COPYOUT_NS_PER_BYTE = 4.0  # record formatting + copy_to_user
@@ -104,16 +101,12 @@ class SystemTapSession:
         self._hooks.append((hook, script))
         return script
 
-    def start(self) -> None:
-        """Compile and insert the module; probes arm after the delay."""
-
-        def arm() -> None:
-            self.active = True
-            self._interval_start_ns = self.node.engine.now
-            for hook, script in self._hooks:
-                self.node.hooks.attach(hook, script)
-
-        self.node.engine.schedule(COMPILE_DELAY_NS, arm)
+    def arm(self) -> None:
+        """Insert the (pre-compiled) module: every probe attaches now."""
+        self.active = True
+        self._interval_start_ns = self.node.engine.now
+        for hook, script in self._hooks:
+            self.node.hooks.attach(hook, script)
 
     def stop(self) -> None:
         self.active = False

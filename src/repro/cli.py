@@ -284,7 +284,7 @@ def _watch(args) -> None:
 
     from repro.obs.registry import estimate_quantile
     from repro.obs.scenario import run_quickstart_scenario
-    from repro.streaming import canonical_json
+    from repro.streaming import LATENCY_SKETCH_BUCKETS_NS, canonical_json
 
     result = run_quickstart_scenario(
         seed=args.seed,
@@ -309,7 +309,6 @@ def _watch(args) -> None:
 
     chain = agg.config.chain
     e2e = f"{chain[0]}->{chain[-1]}"
-    bounds = agg.config.sketch_bounds
     print(
         f"watch: {agg.windows_closed} windows x "
         f"{agg.config.window_ns / 1e6:g} ms over {' -> '.join(chain)}"
@@ -325,7 +324,7 @@ def _watch(args) -> None:
         if hop:
             n = hop["count"]
             avg = f"{hop['sum_ns'] / n / 1e3:9.1f}"
-            p99 = estimate_quantile(bounds, hop["sketch"], 0.99)
+            p99 = estimate_quantile(LATENCY_SKETCH_BUCKETS_NS, hop["sketch"], 0.99)
             p99 = f"{p99 / 1e3:9.1f}" if p99 is not None else f"{'-':>9}"
             n = f"{n:6d}"
         else:

@@ -63,6 +63,14 @@ BATCH_FIXED_COST_NS = 4_000
 BATCH_NS_PER_BYTE = 0.35
 # Agent -> collector network latency for one online batch (or its ack).
 SHIP_NET_LATENCY_NS = 200_000
+# Backoff before shipment attempt N (N >= 2): min(base * 2**(N-2), cap),
+# on top of the ack timeout.
+SHIP_BACKOFF_BASE_NS = 1_000_000
+SHIP_BACKOFF_CAP_NS = 16_000_000
+# Admit probability of the "sample" ring policy once the ring is full.
+RING_SAMPLE_PROB = 0.5
+# Agent -> collector liveness report period.
+HEARTBEAT_INTERVAL_NS = 100_000_000
 
 
 class _PendingShip:
@@ -216,11 +224,10 @@ class Agent:
             flush_interval_ns=cfg.flush_interval_ns,
             on_flush=self._on_ring_flush,
             name=f"{self.node.name}/ring",
-            strict=cfg.ring_strict,
             registry=self.registry,
             node=self.node.name,
             policy=cfg.ring_policy,
-            sample_prob=cfg.ring_sample_prob,
+            sample_prob=RING_SAMPLE_PROB,
             rng=self.node.rng.fork("ring-policy"),
             fault_metrics=self.fault_metrics,
         )
@@ -411,8 +418,8 @@ class Agent:
         cfg = self.package.global_config
         backoff = 0
         if state.attempts >= 2:
-            raw = cfg.ship_backoff_base_ns * (2 ** (state.attempts - 2))
-            backoff = min(raw, cfg.ship_backoff_cap_ns)
+            raw = SHIP_BACKOFF_BASE_NS * (2 ** (state.attempts - 2))
+            backoff = min(raw, SHIP_BACKOFF_CAP_NS)
         state.timer = self.engine.timer(
             SHIP_NET_LATENCY_NS + cfg.ship_ack_timeout_ns + backoff,
             self._check_ship_ack, state,
@@ -482,8 +489,7 @@ class Agent:
     # -- heartbeats -------------------------------------------------------------
 
     def _schedule_heartbeat(self) -> None:
-        interval = self.package.global_config.heartbeat_interval_ns
-        self._heartbeat_timer = self.engine.timer(interval, self._heartbeat)
+        self._heartbeat_timer = self.engine.timer(HEARTBEAT_INTERVAL_NS, self._heartbeat)
 
     def _heartbeat(self) -> None:
         self.collector.heartbeat(self.node.name)

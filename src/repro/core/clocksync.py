@@ -41,13 +41,6 @@ class SkewEstimate(NamedTuple):
     rtt_min_ns: int
     samples: int
 
-    @property
-    def offset_ns(self) -> int:
-        """The per-node correction consumers apply: an alias for
-        :attr:`skew_ns` under the name the span layer uses
-        (``TraceDB.set_clock_skew`` / device-span ``clock_offset_ns``)."""
-        return self.skew_ns
-
 
 class _ProbePoint:
     """One compiled program attached at a NIC hook; timestamps in order."""
@@ -120,14 +113,6 @@ class ClockSynchronizer:
         self._received = 0
         self.result: Optional[SkewEstimate] = None
         self.on_done: Optional[Callable[[SkewEstimate], None]] = None
-
-    @property
-    def offset_ns(self) -> Optional[int]:
-        """The estimated correction to ADD to the target node's
-        timestamps (``None`` until the exchange completes).  This is the
-        per-node offset the trace database aligns with and the span
-        layer stamps onto device spans."""
-        return self.result.skew_ns if self.result is not None else None
 
     def programs(self) -> List:
         """The four compiled probe programs (for eBPF cost accounting)."""

@@ -4,8 +4,7 @@ locations, actions and global configurations").
 
 A :class:`TracingSpec` is what the user gives the dispatcher; the
 dispatcher expands it into per-node :class:`ControlPackage` objects.
-All of it is plain data -- serializable to the "formatted configuration
-files" the paper's dispatcher emits (see :meth:`to_config_dict`).
+All of it is plain data.
 """
 
 from __future__ import annotations
@@ -52,16 +51,6 @@ class FilterRule:
         for prefix in (self.src_prefix_len, self.dst_prefix_len):
             if not 0 <= prefix <= 32:
                 raise ConfigError(f"prefix length out of range: {prefix}")
-
-    @classmethod
-    def for_flow(
-        cls,
-        src_ip: IPv4Address,
-        dst_ip: IPv4Address,
-        dst_port: int,
-        protocol: int = IPPROTO_UDP,
-    ) -> "FilterRule":
-        return cls(src_ip=src_ip, dst_ip=dst_ip, dst_port=dst_port, protocol=protocol)
 
     def matches_everything(self) -> bool:
         return all(
@@ -143,38 +132,29 @@ RING_POLICIES = (RING_POLICY_DROP_NEWEST, RING_POLICY_DROP_OLDEST, RING_POLICY_S
 
 @dataclass
 class GlobalConfig:
-    """§III-D "global information like the database configuration"."""
+    """§III-D "global information": ring sizing, collection mode and
+    the delivery retry budgets."""
 
-    table_prefix: str = "vnettracer"
     ring_buffer_bytes: int = 64 * 1024
     flush_interval_ns: int = 10_000_000  # 10 ms
-    # Strict rings raise RingBufferFull on overflow instead of silently
-    # dropping (the drop counter still increments either way).
-    ring_strict: bool = False
     online_collection: bool = False
-    heartbeat_interval_ns: int = 100_000_000  # 100 ms
-    control_latency_ns: int = 200_000  # dispatcher -> agent delivery
     jit: bool = True
 
     # Resilient delivery (docs/FAULTS.md).  ``*_max_attempts`` counts
-    # every transmission including the first; 1 disables retries.  Backoff
-    # before attempt N (N >= 2) is min(base * 2**(N-2), cap) on top of
-    # the ack timeout.
+    # every transmission including the first; 1 disables retries.  The
+    # capped exponential backoff between attempts is a constant of the
+    # dispatcher and the agent.
     deploy_max_attempts: int = 4
     deploy_ack_timeout_ns: int = 1_000_000  # 1 ms
-    deploy_backoff_base_ns: int = 500_000
-    deploy_backoff_cap_ns: int = 8_000_000
     ship_max_attempts: int = 4
     ship_ack_timeout_ns: int = 2_000_000  # 2 ms
-    ship_backoff_base_ns: int = 1_000_000
-    ship_backoff_cap_ns: int = 16_000_000
 
     # Ring-buffer degradation policy on overflow: "drop-newest" (the
     # classic behaviour: the arriving record is rejected), "drop-oldest"
     # (evict buffered records to make room), or "sample" (admit the
-    # arriving record with probability ``ring_sample_prob`` once full).
+    # arriving record with probability ``agent.RING_SAMPLE_PROB`` once
+    # full).
     ring_policy: str = RING_POLICY_DROP_NEWEST
-    ring_sample_prob: float = 0.5
 
     # The paper's footnote 1: "the buffer size range is from 32 bytes to
     # 128k-16 bytes" (a kmalloc limitation).
@@ -190,21 +170,13 @@ class GlobalConfig:
         for name in ("deploy_max_attempts", "ship_max_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in (
-            "deploy_ack_timeout_ns", "deploy_backoff_base_ns",
-            "deploy_backoff_cap_ns", "ship_ack_timeout_ns",
-            "ship_backoff_base_ns", "ship_backoff_cap_ns",
-        ):
+        for name in ("deploy_ack_timeout_ns", "ship_ack_timeout_ns"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.ring_policy not in RING_POLICIES:
             raise ConfigError(
                 f"unknown ring_policy {self.ring_policy!r} "
                 f"(choose from {sorted(RING_POLICIES)})"
-            )
-        if not 0.0 <= self.ring_sample_prob <= 1.0:
-            raise ConfigError(
-                f"ring_sample_prob must be in [0, 1], got {self.ring_sample_prob}"
             )
 
 
@@ -233,12 +205,6 @@ class TracingSpec:
             seen.setdefault(tp.node, None)
         return list(seen)
 
-    def label_of(self, tracepoint_id: int) -> str:
-        for tp in self.tracepoints:
-            if tp.tracepoint_id == tracepoint_id:
-                return tp.label
-        return f"tracepoint-{tracepoint_id}"
-
 
 @dataclass
 class ControlPackage:
@@ -249,34 +215,3 @@ class ControlPackage:
     tracepoints: List[TracepointSpec]
     action: ActionSpec
     global_config: GlobalConfig
-
-    def to_config_dict(self) -> dict:
-        """The 'formatted configuration file' representation."""
-        return {
-            "node": self.node,
-            "rule": {
-                "src_ip": str(self.rule.src_ip) if self.rule.src_ip else None,
-                "dst_ip": str(self.rule.dst_ip) if self.rule.dst_ip else None,
-                "src_port": self.rule.src_port,
-                "dst_port": self.rule.dst_port,
-                "protocol": self.rule.protocol,
-                "ethertype": self.rule.ethertype,
-            },
-            "tracepoints": [
-                {
-                    "hook": tp.hook,
-                    "id": tp.tracepoint_id,
-                    "label": tp.label,
-                    "strip_vxlan": tp.strip_vxlan,
-                    "id_mode": tp.id_mode,
-                }
-                for tp in self.tracepoints
-            ],
-            "action": {"record": self.action.record, "count": self.action.count},
-            "global": {
-                "table_prefix": self.global_config.table_prefix,
-                "ring_buffer_bytes": self.global_config.ring_buffer_bytes,
-                "flush_interval_ns": self.global_config.flush_interval_ns,
-                "online": self.global_config.online_collection,
-            },
-        }

@@ -37,6 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.inject import FaultInjector
 
 
+# Dispatcher -> agent delivery latency of one package (or its ack).
+CONTROL_LATENCY_NS = 200_000
+# Backoff before attempt N (N >= 2): min(base * 2**(N-2), cap), on top
+# of the ack timeout.
+DEPLOY_BACKOFF_BASE_NS = 500_000
+DEPLOY_BACKOFF_CAP_NS = 8_000_000
+
+
 class DispatchError(RuntimeError):
     """A spec references a node with no registered agent, or a package
     exhausted its delivery retry budget."""
@@ -146,7 +154,7 @@ class ControlDataDispatcher:
         node = state.package.node
         state.report.attempts_by_node[node] = state.attempts
 
-        latency = state.cfg.control_latency_ns
+        latency = CONTROL_LATENCY_NS
         decision = (
             self.injector.control_decision() if self.injector is not None else None
         )
@@ -166,8 +174,8 @@ class ControlDataDispatcher:
         """Capped exponential backoff added before the *next* retry."""
         if state.attempts < 2:
             return 0
-        raw = state.cfg.deploy_backoff_base_ns * (2 ** (state.attempts - 2))
-        return min(raw, state.cfg.deploy_backoff_cap_ns)
+        raw = DEPLOY_BACKOFF_BASE_NS * (2 ** (state.attempts - 2))
+        return min(raw, DEPLOY_BACKOFF_CAP_NS)
 
     def _deliver(self, deploy_id: int, state: _PendingDelivery, sent_ns: int) -> None:
         if state.failed:
@@ -185,7 +193,7 @@ class ControlDataDispatcher:
                 if self.injector is not None else None
             )
             if decision is None or not decision.drop:
-                delay = state.cfg.control_latency_ns + (
+                delay = CONTROL_LATENCY_NS + (
                     decision.extra_delay_ns if decision else 0)
                 self.engine.schedule(delay, self._on_ack, deploy_id, state)
 

@@ -514,17 +514,9 @@ class TraceDB:
 
     # -- data cleaning (§III-C) --------------------------------------------------------
 
-    def incomplete_traces(self, required_labels: Iterable[str]) -> List[int]:
-        """Trace IDs that missed at least one of the given tracepoints
-        (e.g. dropped packets or ring-buffer overruns)."""
-        required = list(required_labels)
-        return [
-            trace_id
-            for trace_id, seen in self._trace_labels.items()
-            if any(label not in seen for label in required)
-        ]
-
     def complete_traces(self, required_labels: Iterable[str]) -> List[int]:
+        """Trace IDs seen at every one of the given tracepoints (the
+        rest were dropped packets or ring-buffer overruns)."""
         required = list(required_labels)
         return [
             trace_id

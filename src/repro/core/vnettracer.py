@@ -264,14 +264,6 @@ class VNetTracer:
         agent = self.agents.get(node_name)
         return agent.histogram(label) if agent else []
 
-    def total_probe_overhead_ns(self) -> int:
-        """Total simulated time spent inside all deployed eBPF programs."""
-        total = 0
-        for agent in self.agents.values():
-            for script in agent.scripts.values():
-                total += script.attachment.program.total_cost_ns
-        return total
-
     # -- self-observability ------------------------------------------------------
 
     def _iter_programs(self):
@@ -300,28 +292,33 @@ class VNetTracer:
         self,
         chain: Sequence[str],
         window_ns: int = 100_000_000,
-        slide_ns: Optional[int] = None,
         allowed_lateness_ns: int = 0,
         top_k: int = 8,
         emit_interval_ns: Optional[int] = None,
     ):
-        """Attach the live window-aggregation layer (idempotent): an
-        aggregator subscribed to this tracer's collector ingest, with
-        its ``vnt_stream_*`` metrics in ``self.obs``.  Call its
-        ``close_all()`` after final collection to flush the last
-        windows (docs/STREAMING.md)."""
-        if self.streaming is not None:
-            return self.streaming
-        from repro.streaming import StreamingAggregator, StreamingConfig
+        """Attach the live window-aggregation layer: an aggregator
+        subscribed to this tracer's collector ingest, with its
+        ``vnt_stream_*`` metrics in ``self.obs``.  Asking again for the
+        configuration already attached returns that aggregator; asking
+        for a different one raises ``StreamingError`` (a tracer carries
+        one).  Call its ``close_all()`` after final collection to flush
+        the last windows (docs/STREAMING.md)."""
+        from repro.streaming import StreamingAggregator, StreamingConfig, StreamingError
 
         config = StreamingConfig(
             chain=tuple(chain),
             window_ns=window_ns,
-            slide_ns=slide_ns,
             allowed_lateness_ns=allowed_lateness_ns,
             top_k=top_k,
             emit_interval_ns=emit_interval_ns,
         )
+        if self.streaming is not None:
+            if self.streaming.config != config:
+                raise StreamingError(
+                    f"streaming is already attached as {self.streaming.config}; "
+                    f"cannot also attach {config}"
+                )
+            return self.streaming
         aggregator = StreamingAggregator(config, registry=self.obs)
         aggregator.attach(self.collector)
         if emit_interval_ns is not None:

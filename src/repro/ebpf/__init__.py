@@ -28,7 +28,7 @@ bytecode programs*, not Python callbacks:
 from repro.ebpf.assembler import Assembler
 from repro.ebpf.isa import Instruction
 from repro.ebpf.maps import ArrayMap, HashMap, PerCPUArrayMap, PerfEventArray
-from repro.ebpf.probes import HookRegistry, ProbeEvent, ProbeKind, ProbeSpec
+from repro.ebpf.probes import HookRegistry, ProbeEvent
 from repro.ebpf.verifier import VerifierError, verify
 from repro.ebpf.vm import BPFProgram, ExecutionEnv, ShadowMismatch
 
@@ -46,6 +46,4 @@ __all__ = [
     "PerfEventArray",
     "HookRegistry",
     "ProbeEvent",
-    "ProbeKind",
-    "ProbeSpec",
 ]

@@ -46,10 +46,6 @@ class Assembler:
         self._labels[name] = len(self._insns)
         return self
 
-    def position(self) -> int:
-        """Index of the next instruction to be emitted."""
-        return len(self._insns)
-
     def _emit(self, insn: Instruction, target: LabelOrOffset = 0) -> "Assembler":
         self._insns.append((insn, target))
         return self

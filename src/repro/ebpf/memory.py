@@ -81,8 +81,3 @@ class Memory:
         buffer, offset = self._locate(address, size)
         # memoryview avoids the intermediate bytearray a slice would copy.
         return bytes(memoryview(buffer)[offset : offset + size])
-
-    def write_bytes(self, address: int, data: bytes) -> None:
-        """Bulk write (used by helpers that fill caller buffers)."""
-        buffer, offset = self._locate(address, len(data))
-        buffer[offset : offset + len(data)] = data

@@ -16,7 +16,6 @@ Hook names are structured: ``kprobe:udp_send_skb``,
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Callable, Dict, List, Optional
 
@@ -25,46 +24,6 @@ from repro.ebpf.vm import BPFProgram, ExecutionEnv
 from repro.net.packet import Packet
 
 _attach_id_counter = itertools.count(1)
-
-
-class ProbeKind(enum.Enum):
-    KPROBE = "kprobe"
-    KRETPROBE = "kretprobe"
-    TRACEPOINT = "tracepoint"
-    DEVICE = "dev"
-    SOCKET = "socket"
-    UPROBE = "uprobe"
-    URETPROBE = "uretprobe"
-
-
-class ProbeSpec:
-    """Where a program attaches: kind + target (+ optional device id)."""
-
-    __slots__ = ("kind", "target", "device_id")
-
-    def __init__(self, kind: ProbeKind, target: str, device_id: Optional[int] = None):
-        self.kind = kind
-        self.target = target
-        self.device_id = device_id
-
-    @property
-    def hook_name(self) -> str:
-        return f"{self.kind.value}:{self.target}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ProbeSpec":
-        """Parse ``"kprobe:udp_send_skb"`` style strings."""
-        kind_text, _, target = text.partition(":")
-        try:
-            kind = ProbeKind(kind_text)
-        except ValueError:
-            raise ValueError(f"unknown probe kind in {text!r}") from None
-        if not target:
-            raise ValueError(f"missing probe target in {text!r}")
-        return cls(kind, target)
-
-    def __repr__(self) -> str:
-        return f"ProbeSpec({self.hook_name!r})"
 
 
 class ProbeEvent:
@@ -201,19 +160,6 @@ class HookRegistry:
             return True
         except ValueError:
             return False
-
-    def detach_all(self, hook_name: Optional[str] = None) -> int:
-        """Detach everything (or everything on one hook); returns count."""
-        if hook_name is not None:
-            removed = len(self._attachments.get(hook_name, []))
-            self._attachments[hook_name] = []
-            return removed
-        removed = sum(len(v) for v in self._attachments.values())
-        self._attachments.clear()
-        return removed
-
-    def attachments(self, hook_name: str) -> List[Attachment]:
-        return list(self._attachments.get(hook_name, []))
 
     def has_attachments(self, hook_name: str) -> bool:
         return bool(self._attachments.get(hook_name))

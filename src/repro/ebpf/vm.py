@@ -348,10 +348,6 @@ class BPFProgram:
         return int(cost)
 
     @property
-    def size(self) -> int:
-        return len(self.insns)
-
-    @property
     def mode(self) -> str:
         """Cost mode executions are charged at -- the obs layer's
         jit-vs-interpreter split.  (Host-side dispatch is the compiled

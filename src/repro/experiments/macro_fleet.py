@@ -69,6 +69,12 @@ FLEET_CHAIN = (
     FLEET_LABELS[TP_REPLY_RX],
 )
 
+# Cadence, tie-free by residue modulo 1000 ns (module docstring).
+TICK_NS = 1_000_000  # residue 0
+LOCAL_NS = 61_003  # polls at residues 3, 6, 9, ...
+POLLS_PER_TICK = 10  # node-local agent polls per tick
+PROBE_EVERY = 4  # each node probes every Nth tick (staggered)
+RECORD_EVERY = 2  # record tracepoints every Nth probing tick
 # Rack leaders stagger their sync rounds by this much so the master
 # never sees two requests at one timestamp (keeps residue 500 mod 1000).
 SYNC_STAGGER_NS = 100_000
@@ -77,20 +83,16 @@ _RECORD = RECORD_STRUCT  # struct.Struct("<IIQII"): the packed-blob layout
 
 
 class FleetConfig(NamedTuple):
-    """Fleet shape and timing.  The defaults are the 1000-node scenario
-    the benchmarks run; timings are chosen tie-free (module docstring).
+    """Fleet shape and wire timing.  The defaults are the 1000-node
+    scenario the benchmarks run; timings are chosen tie-free (module
+    docstring).
     """
 
     nodes: int = 1000
     racks: int = 40
     ticks: int = 20
-    tick_ns: int = 1_000_000  # residue 0 (mod 1000)
-    local_ns: int = 61_003  # polls at residues 3, 6, 9, ...
     wire_ns: int = 1_000_007  # cross-rack latency; arrivals at 7 / 14
     lookahead_ns: int = 1_000_000  # <= wire_ns, the conservative window
-    polls_per_tick: int = 10  # node-local agent polls per tick
-    probe_every: int = 4  # each node probes every Nth tick (staggered)
-    record_every: int = 2  # record tracepoints every Nth probing tick
     seed: int = 42  # rack clock-skew seed
     # Fault injection for the worker-crash tests: raise inside this
     # shard at this virtual time.
@@ -104,7 +106,7 @@ class FleetConfig(NamedTuple):
     @property
     def end_ns(self) -> int:
         """Virtual horizon: last tick plus room for replies in flight."""
-        return (self.ticks + 3) * self.tick_ns
+        return (self.ticks + 3) * TICK_NS
 
 
 def fleet_rack_skews(config: FleetConfig) -> List[int]:
@@ -193,7 +195,7 @@ class _FleetWorld:
         self.rtt_count = 0
 
         for node in self.nodes:
-            engine.schedule_at(config.tick_ns, self._tick, node, 0)
+            engine.schedule_at(TICK_NS, self._tick, node, 0)
         # Telemetry polls are pre-scheduled for the whole run (the
         # always-on agent cadence is known upfront), which keeps the
         # resident heap at fleet scale -- exactly the regime the
@@ -201,14 +203,14 @@ class _FleetWorld:
         for node in self.nodes:
             poll = self._poll
             for tick in range(config.ticks):
-                base = (tick + 1) * config.tick_ns
-                for j in range(1, config.polls_per_tick + 1):
-                    engine.schedule_at(base + j * config.local_ns, poll, node)
+                base = (tick + 1) * TICK_NS
+                for j in range(1, POLLS_PER_TICK + 1):
+                    engine.schedule_at(base + j * LOCAL_NS, poll, node)
         for rack in self.racks:
             if rack == 0:
                 continue  # the master is the reference; it never syncs
             engine.schedule_at(
-                config.tick_ns + rack * SYNC_STAGGER_NS + 500,
+                TICK_NS + rack * SYNC_STAGGER_NS + 500,
                 self._sync_send,
                 rack,
             )
@@ -237,13 +239,13 @@ class _FleetWorld:
         config = self.config
         now = self.engine.now
         if tick + 1 < config.ticks:
-            self.engine.schedule_at(now + config.tick_ns, self._tick, node, tick + 1)
+            self.engine.schedule_at(now + TICK_NS, self._tick, node, tick + 1)
         # Staggered probe cadence: the per-tick probe map stays injective
         # (a subset of a permutation), so no receiver ever sees two
         # probes at one timestamp.
-        if (tick + node) % config.probe_every:
+        if (tick + node) % PROBE_EVERY:
             return
-        recorded = tick % config.record_every == 0
+        recorded = tick % RECORD_EVERY == 0
         trace_id = tick * config.nodes + node + 1 if recorded else 0
         peer = _probe_peer(node, tick, config)
         self.outbox.send(
@@ -419,7 +421,7 @@ def merge_fleet_results(
     # no collector -- so windows only close in close_all(), after every
     # node's whole-run blob has been replayed).
     streaming = StreamingAggregator(
-        StreamingConfig(chain=FLEET_CHAIN, window_ns=config.tick_ns)
+        StreamingConfig(chain=FLEET_CHAIN, window_ns=TICK_NS)
     )
     per_rack = config.per_rack
     for node in sorted(blobs):

@@ -141,9 +141,7 @@ def _run_netperf(
     elif tracer_kind == "systemtap":
         session = SystemTapSession(scene.server_vm.node, no_overload=True)
         session.add_probe("kretprobe:tcp_recvmsg")
-        session.active = True  # pre-compiled: arm immediately for the run
-        for hook, script in session._hooks:
-            scene.server_vm.node.hooks.attach(hook, script)
+        session.arm()
 
     warmup = 100_000_000
     client.start(duration_ns, start_delay_ns=0)

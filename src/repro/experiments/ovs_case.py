@@ -84,7 +84,7 @@ class OVSCaseResult:
 
 
 def run_case(
-    case: str,
+    case: str = "I",
     seed: int = 13,
     duration_ns: int = 1_000_000_000,
     mps: int = 1000,

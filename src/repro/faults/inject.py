@@ -34,10 +34,6 @@ class Decision(NamedTuple):
     duplicate: bool
     extra_delay_ns: int
 
-    @property
-    def clean(self) -> bool:
-        return not self.drop and not self.duplicate and self.extra_delay_ns == 0
-
 
 CLEAN_DECISION = Decision(False, False, 0)
 

@@ -118,33 +118,3 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         self.seed = int(self.seed)
-
-    @property
-    def active(self) -> bool:
-        """Whether the plan injects anything at all."""
-        return (
-            self.control.active
-            or self.shipment.active
-            or bool(self.crashes)
-            or bool(self.ring_pressure)
-        )
-
-    def describe(self) -> str:
-        """One-line human summary (used by the ``repro faults`` CLI)."""
-        parts = [f"seed={self.seed}"]
-        if self.control.active:
-            parts.append(
-                f"control(loss={self.control.loss_prob} dup={self.control.dup_prob} "
-                f"delay<={self.control.delay_ns_max}ns)"
-            )
-        if self.shipment.active:
-            parts.append(
-                f"shipment(loss={self.shipment.loss_prob} "
-                f"dup={self.shipment.dup_prob} "
-                f"delay<={self.shipment.delay_ns_max}ns)"
-            )
-        if self.crashes:
-            parts.append(f"crashes={len(self.crashes)}")
-        if self.ring_pressure:
-            parts.append(f"pressure_windows={len(self.ring_pressure)}")
-        return " ".join(parts) if len(parts) > 1 else f"seed={self.seed} (no faults)"

@@ -13,7 +13,6 @@ softirqs whose distribution across cores can be measured.
 """
 
 from repro.net.addressing import IPv4Address, MACAddress
-from repro.net.icmp import ICMPResponder, Ping
 from repro.net.pcap import PacketCapture, PcapReader, PcapWriter
 from repro.net.flow import FiveTuple, flow_hash
 from repro.net.packet import (
@@ -36,8 +35,6 @@ __all__ = [
     "TCPHeader",
     "UDPHeader",
     "VXLANHeader",
-    "Ping",
-    "ICMPResponder",
     "PacketCapture",
     "PcapReader",
     "PcapWriter",

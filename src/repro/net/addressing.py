@@ -68,9 +68,6 @@ class IPv4Address:
     def __hash__(self) -> int:
         return hash(("ipv4", self.value))
 
-    def __lt__(self, other: "IPv4Address") -> bool:
-        return self.value < other.value
-
     def __str__(self) -> str:
         v = self.value
         return f"{(v >> 24) & 0xFF}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
@@ -126,9 +123,6 @@ class MACAddress:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MACAddress) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("mac", self.value))
 
     def __str__(self) -> str:
         raw = f"{self.value:012x}"

@@ -1,9 +1,8 @@
 """RFC 1071 Internet checksum.
 
-The UDP trace-ID trim path in the paper calls ``pskb_trim_rcsum()``,
-which adjusts the receive checksum after removing the appended ID bytes;
-our :mod:`repro.core.packet_id` does the same incremental update, so the
-arithmetic lives here where tests can hammer it with hypothesis.
+The packet serialiser computes the IPv4 header checksum inline and
+leaves transport checksums to (simulated) offload; this is the plain
+reference the packet tests verify those header bytes against.
 """
 
 from __future__ import annotations
@@ -31,21 +30,3 @@ def internet_checksum(data: bytes) -> int:
 def verify_checksum(data_with_checksum: bytes) -> bool:
     """True when a buffer that embeds its checksum sums to 0xFFFF."""
     return ones_complement_sum(data_with_checksum) == 0xFFFF
-
-
-def checksum_remove_trailing(checksum: int, removed: bytes) -> int:
-    """Incrementally update ``checksum`` after trimming ``removed`` bytes
-    from the end of the checksummed region (the ``pskb_trim_rcsum`` analog).
-
-    Works for regions whose length stays even before and after the trim,
-    which holds for our 4-byte trace IDs.
-    """
-    if len(removed) % 2:
-        raise ValueError("can only trim an even number of bytes incrementally")
-    partial = ones_complement_sum(removed)
-    # checksum = ~sum(all); sum(remaining) = sum(all) - sum(removed)
-    full_sum = (~checksum) & 0xFFFF
-    remaining = (full_sum - partial) & 0xFFFF
-    if partial > full_sum:
-        remaining = (remaining - 1) & 0xFFFF  # borrow in one's complement
-    return (~remaining) & 0xFFFF

@@ -163,21 +163,6 @@ class NetDevice:
         return f"<{type(self).__name__} {self.node.name}:{self.name} ifindex={self.ifindex}>"
 
 
-class LoopbackDevice(NetDevice):
-    """``lo``: transmit loops straight back into the local stack."""
-
-    kind = "loopback"
-
-    def __init__(self, node: "KernelNode"):
-        super().__init__(node, "lo", ip=IPv4Address("127.0.0.1"), mtu=65536)
-
-    def _tx_cost_ns(self, packet: Packet) -> int:
-        return 150
-
-    def _egress(self, packet: Packet, cpu) -> None:
-        self.receive(packet)
-
-
 class VethDevice(NetDevice):
     """One end of a veth pair; transmitting delivers to the peer, which
     raises a fresh softirq (``netif_rx``) -- each veth hop is another

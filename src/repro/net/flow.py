@@ -28,10 +28,6 @@ class FiveTuple(NamedTuple):
         """The reply direction of the same conversation."""
         return FiveTuple(self.dst_ip, self.src_ip, self.dst_port, self.src_port, self.protocol)
 
-    def __str__(self) -> str:
-        proto = {IPPROTO_TCP: "tcp", IPPROTO_UDP: "udp"}.get(self.protocol, str(self.protocol))
-        return f"{proto}:{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}"
-
 
 def packet_five_tuple(packet: Packet) -> Optional[FiveTuple]:
     """Extract the five-tuple of a packet's outermost L3/L4 headers."""

@@ -67,10 +67,6 @@ class Link:
         self.bytes_carried += packet.total_length
         self.engine.schedule_at(arrival, peer.link_receive, packet)
 
-    def utilization_deadline(self, direction: int = 0) -> int:
-        """When the given direction becomes free (testing aid)."""
-        return self._next_free_ns[direction]
-
 
 class PhysicalNIC(NetDevice):
     """A NIC attached to a :class:`Link`."""

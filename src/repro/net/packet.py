@@ -24,7 +24,6 @@ from repro.net.addressing import IPv4Address, MACAddress
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 
-IPPROTO_ICMP = 1
 IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 

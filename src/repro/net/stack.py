@@ -20,7 +20,6 @@ from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.costs import DEFAULT_COSTS, CostModel
 from repro.net.device import NetDevice
 from repro.net.packet import (
-    IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
     Packet,
@@ -108,12 +107,6 @@ class PacketMetadataHooks:
             for engine in self.engines
             if hasattr(engine, "on_tcp_options")
         )
-
-    def __len__(self) -> int:
-        return len(self.engines)
-
-    def __iter__(self):
-        return iter(self.engines)
 
 
 class Route(NamedTuple):
@@ -222,12 +215,8 @@ class KernelNode:
         self._udp_sockets: Dict[tuple, UDPSocket] = {}
         self._vxlan_ports: Dict[int, object] = {}  # udp port -> VXLANDevice
         self.packet_hooks = PacketMetadataHooks()
-        self.icmp = None  # set by repro.net.icmp.ICMPResponder
         self._tcp: Optional["TCPStack"] = None
         self.ip_forward = False
-
-    def register_icmp(self, responder) -> None:
-        self.icmp = responder
 
     # -- plumbing -----------------------------------------------------------
 
@@ -513,8 +502,6 @@ class KernelNode:
                 self._udp_receive(device, packet, cpu)
             elif ip.protocol == IPPROTO_TCP:
                 self._tcp_receive(device, packet, cpu)
-            elif ip.protocol == IPPROTO_ICMP and self.icmp is not None:
-                self.icmp.receive(packet, cpu)
             # other protocols: counted but dropped
 
         self.charge(cpu, hook_cost, dispatch, front=True)

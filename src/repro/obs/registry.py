@@ -282,26 +282,6 @@ class MetricsRegistry:
         self._metrics[spec.name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "", unit: str = "", stage: str = "",
-                label_names: Tuple[str, ...] = ()) -> Counter:
-        return self.register_spec(
-            MetricSpec(name, "counter", help, unit, stage, tuple(label_names))
-        )
-
-    def gauge(self, name: str, help: str = "", unit: str = "", stage: str = "",
-              label_names: Tuple[str, ...] = ()) -> Gauge:
-        return self.register_spec(
-            MetricSpec(name, "gauge", help, unit, stage, tuple(label_names))
-        )
-
-    def histogram(self, name: str, buckets: Tuple[int, ...], help: str = "",
-                  unit: str = "", stage: str = "",
-                  label_names: Tuple[str, ...] = ()) -> Histogram:
-        return self.register_spec(
-            MetricSpec(name, "histogram", help, unit, stage, tuple(label_names),
-                       tuple(buckets))
-        )
-
     # -- lookup ------------------------------------------------------------
 
     def get(self, name: str) -> Metric:

@@ -143,9 +143,6 @@ class ServiceGraph:
     def call_specs(self) -> Tuple[CallSpec, ...]:
         return tuple(self._calls)
 
-    def tier_spec(self, name: str) -> TierSpec:
-        return self._tiers[name]
-
     def calls_from(self, tier_name: str) -> Tuple[CallSpec, ...]:
         return tuple(call for call in self._calls if call.caller == tier_name)
 

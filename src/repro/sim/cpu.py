@@ -138,10 +138,6 @@ class GatedCPU(CPU):
         self._paused = start_paused
         self.on_work_queued: Optional[Callable[[], None]] = None
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     def _can_run(self) -> bool:
         return not self._paused
 

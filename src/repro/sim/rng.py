@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
 
 
 class SeededRNG:
@@ -31,45 +30,17 @@ class SeededRNG:
 
     # -- primitive draws ---------------------------------------------------
 
-    def uniform(self, low: float, high: float) -> float:
-        return self._random.uniform(low, high)
-
-    def randint(self, low: int, high: int) -> int:
-        """Inclusive-bounds integer draw."""
-        return self._random.randint(low, high)
-
     def random(self) -> float:
         return self._random.random()
-
-    def choice(self, seq: Sequence):
-        return self._random.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        self._random.shuffle(seq)
 
     def random_u32(self) -> int:
         """A 32-bit random value; used for packet trace IDs (§III-B)."""
         return self._random.getrandbits(32)
 
-    # -- distributions used by the substrates -------------------------------
-
-    def exponential_ns(self, mean_ns: float) -> int:
-        """Exponential inter-arrival / service jitter, floored at 0."""
-        return max(0, int(self._random.expovariate(1.0 / mean_ns)))
-
-    def normal_ns(self, mean_ns: float, stddev_ns: float) -> int:
-        """Gaussian service-time jitter, floored at 0."""
-        return max(0, int(self._random.gauss(mean_ns, stddev_ns)))
+    # -- the distribution used by the substrates -----------------------------
 
     def lognormal_ns(self, median_ns: float, sigma: float) -> int:
         """Heavy-ish tail for per-packet kernel service times."""
         import math
 
         return max(0, int(self._random.lognormvariate(math.log(median_ns), sigma)))
-
-    def pareto_ns(self, scale_ns: float, alpha: float) -> int:
-        """Pareto tail; used for rare long interference events."""
-        return max(0, int(scale_ns * self._random.paretovariate(alpha)))
-
-    def bernoulli(self, probability: float) -> bool:
-        return self._random.random() < probability

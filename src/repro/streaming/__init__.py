@@ -1,4 +1,4 @@
-"""Streaming query layer: live sliding-window aggregation over
+"""Streaming query layer: live tumbling-window aggregation over
 packed-blob shipments (docs/STREAMING.md)."""
 
 from repro.streaming.aggregate import (
@@ -11,7 +11,7 @@ from repro.streaming.aggregate import (
 )
 from repro.streaming.reference import offline_reference_json, offline_reference_summary
 from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS, StreamSketch
-from repro.streaming.windows import TopKSlowest, WindowFrame, window_indices
+from repro.streaming.windows import TopKSlowest, WindowFrame
 
 __all__ = [
     "DEFAULT_TOP_K",
@@ -26,5 +26,4 @@ __all__ = [
     "canonical_json",
     "offline_reference_json",
     "offline_reference_summary",
-    "window_indices",
 ]

@@ -42,12 +42,11 @@ strand records as late.  Non-monotone slices fall back to a per-record
 loop; a duplicate trace ID keeps its first-*arrival* timestamp,
 mirroring the database's ``first_ts_at``.
 
-The run-level merge (:meth:`summary`) is restricted to tumbling
-windows, where it provably reproduces the offline metric kernels
-byte-for-byte (the differential suite closes every window and compares
-canonical JSON against ``repro.streaming.reference``); sliding windows
-(``slide_ns < window_ns``) still produce per-window frames but refuse
-to merge, since overlapping windows would double-count.
+Windows are tumbling, so every record and hop pair lands in exactly
+one and the run-level merge (:meth:`summary`) reproduces the offline
+metric kernels byte-for-byte (the differential suite closes every
+window and compares canonical JSON against
+``repro.streaming.reference``).
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ from repro.core.records import RECORD_STRUCT
 from repro.core.metrics import TRACE_ID_BYTES
 from repro.obs import contract as obs_contract
 from repro.obs.registry import estimate_quantile
-from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS, StreamSketch
-from repro.streaming.windows import TopKSlowest, WindowFrame, window_indices
+from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS
+from repro.streaming.windows import TopKSlowest, WindowFrame
 
 DEFAULT_WINDOW_NS = 100_000_000
 DEFAULT_TOP_K = 8
@@ -81,10 +80,8 @@ class StreamingConfig(NamedTuple):
 
     chain: Tuple[str, ...]
     window_ns: int = DEFAULT_WINDOW_NS
-    slide_ns: Optional[int] = None  # None = tumbling (slide == window)
     allowed_lateness_ns: int = 0
     top_k: int = DEFAULT_TOP_K
-    sketch_bounds: Tuple[int, ...] = LATENCY_SKETCH_BUCKETS_NS
     emit_interval_ns: Optional[int] = None
 
     def validate(self) -> None:
@@ -94,12 +91,6 @@ class StreamingConfig(NamedTuple):
             raise StreamingError(f"chain labels must be unique: {self.chain!r}")
         if self.window_ns <= 0:
             raise StreamingError(f"window_ns must be positive, got {self.window_ns}")
-        slide = self.slide_ns if self.slide_ns is not None else self.window_ns
-        if slide <= 0 or slide > self.window_ns or self.window_ns % slide:
-            raise StreamingError(
-                f"slide_ns must divide window_ns and be in (0, window_ns]; "
-                f"got slide {slide} for window {self.window_ns}"
-            )
         if self.allowed_lateness_ns < 0:
             raise StreamingError(
                 f"allowed_lateness_ns cannot be negative: {self.allowed_lateness_ns}"
@@ -159,18 +150,13 @@ class _LabelState:
 
 
 class StreamingAggregator:
-    """Sliding/tumbling window aggregation in virtual event time."""
+    """Tumbling-window aggregation in virtual event time."""
 
     def __init__(self, config: StreamingConfig, registry=None):
         config.validate()
         self.config = config
         self._window_ns = config.window_ns
-        self._slide_ns = (
-            config.slide_ns if config.slide_ns is not None else config.window_ns
-        )
-        self._tumbling = self._slide_ns == self._window_ns
         self._lateness = config.allowed_lateness_ns
-        self._sketch_bounds = tuple(config.sketch_bounds)
 
         chain = tuple(config.chain)
         self._chain = chain
@@ -182,10 +168,10 @@ class StreamingAggregator:
         self._hop_keys = [f"{a}->{b}" for a, b in hops]
         self._e2e_idx = len(hops) - 1
 
-        # Tumbling-path matching state: per-label first-occurrence
-        # streams, and per source label the hops it opens (index + the
-        # sink side's stream) -- the deferred join consumed at close.
-        # Per-hop positional cursors/flags live in parallel lists.
+        # Matching state: per-label first-occurrence streams, and per
+        # source label the hops it opens (index + the sink side's
+        # stream) -- the deferred join consumed at close.  Per-hop
+        # positional cursors/flags live in parallel lists.
         self._fstate: Dict[str, _LabelState] = {label: _LabelState() for label in chain}
         self._from_routes: Dict[str, List[Tuple[int, _LabelState]]] = {}
         for idx, (a, b) in enumerate(hops):
@@ -193,34 +179,20 @@ class StreamingAggregator:
         self._hop_pos = [0] * len(hops)  # next unmatched sink entry
         self._hop_dict = [False] * len(hops)  # True = hash-join fallback
 
-        # Sliding-path matching state: eager per-record two-sided
-        # routes over plain first-occurrence dicts (overlapping windows
-        # make the deferred columnar join moot).
-        self._first: Dict[str, Dict[int, int]] = {label: {} for label in chain}
-        self._routes: Dict[str, List[Tuple[int, Dict[int, int], bool]]] = {
-            label: [] for label in chain
-        }
-        for idx, (a, b) in enumerate(hops):
-            self._routes[a].append((idx, self._first[b], True))
-            self._routes[b].append((idx, self._first[a], False))
-
         # Open-window state, keyed on the window index.
         self._wtput: Dict[int, Dict[str, list]] = {}  # w -> label -> [n,pay,lo,hi]
-        self._wpairs: Dict[int, Dict[int, list]] = {}  # sliding only
         self._open: set = set()
         self._closed_upto = _NEG
         self._watermark: Optional[int] = None
         self._node_max: Dict[str, int] = {}
 
-        # Run-level merged state (tumbling only).  Sketches accumulate
-        # as *insertion points* (cumulative counts at each bucket edge)
-        # because those merge by plain vector addition -- bucket counts
-        # are recovered as differences at summary time.  One throwaway
-        # StreamSketch validates the configured bounds up front.
-        StreamSketch(self._sketch_bounds)
+        # Run-level merged state.  Sketches accumulate as *insertion
+        # points* (cumulative counts at each bucket edge) because those
+        # merge by plain vector addition -- bucket counts are recovered
+        # as differences at summary time.
         self._run_tput: Dict[str, list] = {}  # label -> [n, pay, lo, hi]
         self._hop_stats = [[0, 0, None, None] for _ in hops]  # [n, sum, lo, hi]
-        self._hop_pts = [[0] * len(self._sketch_bounds) for _ in hops]
+        self._hop_pts = [[0] * len(LATENCY_SKETCH_BUCKETS_NS) for _ in hops]
         self._jitter_stats = [[0, 0, None, None] for _ in hops]
         self._jitter_prev: List[Optional[int]] = [None] * len(hops)
         self.topk = TopKSlowest(config.top_k)
@@ -389,10 +361,7 @@ class StreamingAggregator:
             self._m_late.inc(1, ("gap",))
 
     def _observe_segments(self, node, segments) -> None:
-        if self._tumbling:
-            count, late = self._ingest_segments(node, segments)
-        else:
-            count, late = self._ingest_segments_sliding(node, segments)
+        count, late = self._ingest_segments(node, segments)
         self.records += count
         if count and self._m_records is not None:
             self._m_records.inc(count, (node,))
@@ -403,13 +372,13 @@ class StreamingAggregator:
         self._advance_watermark()
 
     def _ingest_segments(self, node, segments):
-        """Tumbling ingest over per-label column slices.  Slice-at-a-
-        time: ``bisect`` finds window boundaries (per-node slices are
+        """Ingest over per-label column slices, a slice at a time:
+        ``bisect`` finds window boundaries (per-node slices are
         timestamp-monotone), each window's count/payload/min/max come
         from C-level slice reductions, and first-occurrences fold in
         through :meth:`_fold` (two list extends in the steady state)."""
-        slide = self._slide_ns
-        bound = (self._closed_upto + 1) * slide  # earlier ts = late
+        window = self._window_ns
+        bound = (self._closed_upto + 1) * window  # earlier ts = late
         wtput = self._wtput
         open_set = self._open
         overhead = TRACE_ID_BYTES
@@ -449,8 +418,8 @@ class StreamingAggregator:
                     fresh,
                 )
             while i < n:
-                w = tss[i] // slide
-                j = bisect_left(tss, (w + 1) * slide, i)
+                w = tss[i] // window
+                j = bisect_left(tss, (w + 1) * window, i)
                 m = j - i
                 seg_pl = plens[i:j]
                 if min(seg_pl) > overhead:
@@ -539,7 +508,7 @@ class StreamingAggregator:
         """Per-record fallback for a non-monotone slice (out-of-order
         source).  Preserves arrival-order first-occurrence semantics;
         returns the late-record count."""
-        slide = self._slide_ns
+        window = self._window_ns
         closed = self._closed_upto
         wtput = self._wtput
         overhead = TRACE_ID_BYTES
@@ -554,7 +523,7 @@ class StreamingAggregator:
         dirty = False
         for k in range(len(tss)):
             ts = tss[k]
-            w = ts // slide
+            w = ts // window
             if w <= closed:
                 late += 1
                 continue
@@ -585,73 +554,6 @@ class StreamingAggregator:
             st.dirty = True
         return late
 
-    def _ingest_segments_sliding(self, node, segments):
-        """Sliding windows: each record/pair lands in every covering
-        window (frame-only view; the run-level merge refuses sliding).
-        Stays per-record -- overlap makes slice segmentation moot."""
-        window = self._window_ns
-        slide = self._slide_ns
-        closed = self._closed_upto
-        overhead = TRACE_ID_BYTES
-        node_max = self._node_max.get(node, _NEG)
-        count = 0
-        late = 0
-        for label, tids, tss, plens, _fresh in segments:
-            n = len(tss)
-            if not n:
-                continue
-            count += n
-            peak = max(tss)
-            if peak > node_max:
-                node_max = peak
-            first = self._first.get(label) if label in self._chain_set else None
-            routes = self._routes.get(label)
-            for k in range(n):
-                ts = tss[k]
-                plen = plens[k]
-                pay = plen - overhead if plen > overhead else 0
-                for w in window_indices(ts, window, slide):
-                    if w <= closed:
-                        late += 1
-                        continue
-                    wt = self._wtput.get(w)
-                    if wt is None:
-                        wt = self._wtput[w] = {}
-                        self._open.add(w)
-                    acc = wt.get(label)
-                    if acc is None:
-                        wt[label] = [1, pay, ts, ts]
-                    else:
-                        acc[0] += 1
-                        acc[1] += pay
-                        if ts < acc[2]:
-                            acc[2] = ts
-                        elif ts > acc[3]:
-                            acc[3] = ts
-                if first is None:
-                    continue
-                tid = tids[k]
-                if not tid or tid in first:
-                    continue
-                first[tid] = ts
-                for hop_idx, other, is_from in routes:
-                    mate = other.get(tid)
-                    if mate is None:
-                        continue
-                    if is_from:
-                        from_ts, lat = ts, mate - ts
-                    else:
-                        from_ts, lat = mate, ts - mate
-                    for pw in window_indices(from_ts, window, slide):
-                        if pw <= closed:
-                            late += 1
-                            continue
-                        wp = self._wpairs.setdefault(pw, {})
-                        wp.setdefault(hop_idx, []).append((from_ts, lat, tid))
-        if count:
-            self._node_max[node] = node_max
-        return count, late
-
     # -- watermark / window close ------------------------------------------
 
     def _expected_nodes(self) -> Optional[set]:
@@ -677,10 +579,9 @@ class StreamingAggregator:
             self._m_wm.set(wm)
         open_set = self._open
         window = self._window_ns
-        slide = self._slide_ns
         while open_set:
             w = min(open_set)
-            if w * slide + window > wm:
+            if (w + 1) * window > wm:
                 break
             self._close_window(w)
 
@@ -705,7 +606,7 @@ class StreamingAggregator:
                 self._hop_dict[hop_idx] = True
 
     def _consume_pairs(self, end: int) -> Dict[int, object]:
-        """The deferred hop join for a closing tumbling window: slice
+        """The deferred hop join for a closing window: slice
         every pending source first-occurrence below ``end`` (entries
         below the window start cannot exist -- their window would have
         closed first) and match against the sink stream.
@@ -771,10 +672,9 @@ class StreamingAggregator:
         self._open.discard(w)
         if w > self._closed_upto:
             self._closed_upto = w
-        start = w * self._slide_ns
+        start = w * self._window_ns
         end = start + self._window_ns
-        tumbling = self._tumbling
-        wp = self._consume_pairs(end) if tumbling else self._wpairs.pop(w, {})
+        wp = self._consume_pairs(end)
 
         records = 0
         tput_frame: Dict[str, Dict[str, int]] = {}
@@ -786,20 +686,19 @@ class StreamingAggregator:
                 "min_ts_ns": acc[2],
                 "max_ts_ns": acc[3],
             }
-            if tumbling:
-                run = self._run_tput.get(label)
-                if run is None:
-                    self._run_tput[label] = [acc[0], acc[1], acc[2], acc[3]]
-                else:
-                    run[0] += acc[0]
-                    run[1] += acc[1]
-                    if acc[2] < run[2]:
-                        run[2] = acc[2]
-                    if acc[3] > run[3]:
-                        run[3] = acc[3]
+            run = self._run_tput.get(label)
+            if run is None:
+                self._run_tput[label] = [acc[0], acc[1], acc[2], acc[3]]
+            else:
+                run[0] += acc[0]
+                run[1] += acc[1]
+                if acc[2] < run[2]:
+                    run[2] = acc[2]
+                if acc[3] > run[3]:
+                    run[3] = acc[3]
 
         hops_frame: Dict[str, Dict[str, object]] = {}
-        bounds = self._sketch_bounds
+        bounds = LATENCY_SKETCH_BUCKETS_NS
         for hop_idx, key in enumerate(self._hop_keys):
             data = wp.get(hop_idx)
             if data is None:
@@ -807,9 +706,7 @@ class StreamingAggregator:
             if type(data) is tuple:  # columnar, already canonical order
                 lats = data[1]
                 neg_ids = map(int.__neg__, data[2])
-            else:  # (from_ts, lat, tid) tuples: sliding path (unsorted)
-                if not tumbling:
-                    data.sort()
+            else:  # sorted (from_ts, lat, tid) tuples
                 lats = [pair[1] for pair in data]
                 neg_ids = map(int.__neg__, (pair[2] for pair in data))
             count = len(lats)
@@ -833,8 +730,6 @@ class StreamingAggregator:
                 "jitter_sum_ns": lats[-1] - lats[0],
                 "sketch": counts,
             }
-            if not tumbling:
-                continue
             stats = self._hop_stats[hop_idx]
             stats[0] += count
             stats[1] += lat_sum
@@ -906,12 +801,7 @@ class StreamingAggregator:
     def summary(self) -> Dict[str, object]:
         """Run-level merge of every *closed* window -- byte-for-byte
         the offline TraceDB/metric-kernel answers once all windows are
-        closed (the differential suite proves it).  Tumbling only."""
-        if not self._tumbling:
-            raise StreamingError(
-                "run-level merge needs tumbling windows; sliding windows "
-                "overlap and would double-count (read .frames instead)"
-            )
+        closed (the differential suite proves it)."""
         throughput: Dict[str, Dict[str, object]] = {}
         for label, acc in self._run_tput.items():
             n, payload, lo, hi = acc
@@ -944,8 +834,8 @@ class StreamingAggregator:
                 "min_ns": lo,
                 "max_ns": hi,
                 "sketch": counts,
-                "p50_ns": estimate_quantile(self._sketch_bounds, counts, 0.5),
-                "p99_ns": estimate_quantile(self._sketch_bounds, counts, 0.99),
+                "p50_ns": estimate_quantile(LATENCY_SKETCH_BUCKETS_NS, counts, 0.5),
+                "p99_ns": estimate_quantile(LATENCY_SKETCH_BUCKETS_NS, counts, 0.99),
             }
             jn, jtotal, jlo, jhi = self._jitter_stats[idx]
             jitter[key] = {"count": jn, "sum_ns": jtotal, "min_ns": jlo, "max_ns": jhi}

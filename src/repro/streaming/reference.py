@@ -23,7 +23,7 @@ from typing import Dict
 
 from repro.core.metrics import jitter_of, latency_pairs, throughput_at
 from repro.streaming.aggregate import StreamingConfig, canonical_json
-from repro.streaming.sketch import StreamSketch
+from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS, StreamSketch
 from repro.streaming.windows import TopKSlowest
 
 __all__ = ["offline_reference_summary", "offline_reference_json", "canonical_json"]
@@ -31,10 +31,8 @@ __all__ = ["offline_reference_summary", "offline_reference_json", "canonical_jso
 
 def offline_reference_summary(db, config: StreamingConfig) -> Dict[str, object]:
     """The batch-computed answer a fully-drained streaming aggregator
-    must match byte-for-byte (tumbling windows, zero late/gap events)."""
+    must match byte-for-byte (zero late/gap events)."""
     config.validate()
-    if config.slide_ns is not None and config.slide_ns != config.window_ns:
-        raise ValueError("the offline reference is defined for tumbling windows only")
     chain = tuple(config.chain)
     hops = list(zip(chain, chain[1:]))
     if len(chain) > 2:
@@ -62,7 +60,7 @@ def offline_reference_summary(db, config: StreamingConfig) -> Dict[str, object]:
     for idx, (a, b) in enumerate(hops):
         pairs = latency_pairs(db, a, b)
         lats = [lat for _, lat in pairs]
-        sketch = StreamSketch(config.sketch_bounds)
+        sketch = StreamSketch(LATENCY_SKETCH_BUCKETS_NS)
         for lat in lats:
             sketch.observe(lat)
         hop_docs[f"{a}->{b}"] = {

@@ -1,11 +1,10 @@
-"""Window primitives: frames, index math, and the bounded top-K heap.
+"""Window primitives: frames and the bounded top-K heap.
 
 Windows live in *virtual event time* (aligned record timestamps), never
 arrival time: a record with aligned timestamp ``ts`` belongs to the
 tumbling window ``ts // window_ns`` (floor division, so negative
 aligned timestamps -- possible under clock de-skewing -- still map to a
-well-defined window).  With a ``slide_ns`` dividing ``window_ns`` the
-same record lands in every sliding window covering it.
+well-defined window).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Dict, List, NamedTuple, Tuple
 class WindowFrame(NamedTuple):
     """One closed window, fully aggregated (the ``repro watch`` row)."""
 
-    index: int  # window start // slide_ns
+    index: int  # window start // window_ns
     start_ns: int
     end_ns: int
     records: int
@@ -37,16 +36,6 @@ class WindowFrame(NamedTuple):
             "throughput": self.throughput,
             "hops": self.hops,
         }
-
-
-def window_indices(ts: int, window_ns: int, slide_ns: int) -> range:
-    """Indices of every window covering ``ts``.  A window with index
-    ``i`` spans ``[i * slide_ns, i * slide_ns + window_ns)``; tumbling
-    windows (``slide_ns == window_ns``) cover each timestamp exactly
-    once."""
-    last = ts // slide_ns
-    first = (ts - window_ns) // slide_ns + 1
-    return range(first, last + 1)
 
 
 class TopKSlowest:
@@ -112,6 +101,3 @@ class TopKSlowest:
         """(trace_id, latency_ns), slowest first (ties: smaller ID first)."""
         ordered = sorted(self._heap, reverse=True)
         return [(-neg_id, latency) for latency, neg_id in ordered]
-
-    def __len__(self) -> int:
-        return len(self._heap)

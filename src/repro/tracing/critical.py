@@ -153,8 +153,9 @@ def flag_anomalies(forest: SpanForest, factor: float = 3.0) -> List[Anomaly]:
 def segments_from_forest(forest: SpanForest, chain: Sequence[str]) -> List[SegmentLatency]:
     """The forest's leaf durations in :class:`SegmentLatency` form, one
     segment per consecutive chain pair -- what
-    :func:`repro.analysis.reports.decomposition_table` renders.  Only
-    trees observed at both endpoints of a pair contribute to it."""
+    :func:`repro.core.metrics.decompose_latency` returns for the same
+    rows.  Only trees observed at both endpoints of a pair contribute
+    to it."""
     if len(chain) < 2:
         raise ValueError("decomposition needs at least two tracepoints")
     names = forest.trees.columns.names

@@ -79,11 +79,3 @@ class Container:
 
     def __repr__(self) -> str:
         return f"<Container {self.name} ip={self.ip} veth={self.host_veth_name}>"
-
-
-def create_docker_bridge(
-    node: "KernelNode", name: str = "docker0", ip: Optional[IPv4Address] = None
-) -> BridgeDevice:
-    """The default Docker bridge for a kernel."""
-    bridge = BridgeDevice(node, name, ip=ip)
-    return bridge

@@ -2,19 +2,17 @@
 
 * :mod:`repro.workloads.sockperf` -- UDP latency (ping-pong and
   under-load modes), the paper's primary latency probe.
-* :mod:`repro.workloads.iperf` -- bulk UDP/TCP traffic generators used
+* :mod:`repro.workloads.iperf` -- the bulk UDP traffic generator used
   to congest the OVS data path.
 * :mod:`repro.workloads.netperf` -- TCP/UDP stream throughput
   measurement (Fig. 7b, Fig. 12b).
 * :mod:`repro.workloads.memcached` -- the CloudSuite Data Caching
   stand-in: a memcached-style server plus a fixed-rate GET/SET client
   (Fig. 10b).
-* :mod:`repro.workloads.cpuhog` -- a pure CPU spinner for scheduler
-  interference experiments.
 * :mod:`repro.workloads.stats` -- latency/throughput summaries.
 """
 
-from repro.workloads.iperf import IperfUDPClient, IperfUDPServer, IperfTCPClient
+from repro.workloads.iperf import IperfUDPClient, IperfUDPServer
 from repro.workloads.memcached import DataCachingClient, MemcachedServer
 from repro.workloads.netperf import NetperfClient, NetperfServer
 from repro.workloads.sockperf import SockperfClient, SockperfServer
@@ -25,7 +23,6 @@ __all__ = [
     "SockperfServer",
     "IperfUDPClient",
     "IperfUDPServer",
-    "IperfTCPClient",
     "NetperfClient",
     "NetperfServer",
     "MemcachedServer",

@@ -1,10 +1,8 @@
-"""iPerf: bulk traffic generators [7].
+"""iPerf: the bulk UDP traffic generator [7].
 
-The UDP client paces datagrams at a target packet rate (``-b`` analog);
+The client paces datagrams at a target packet rate (``-b`` analog);
 with a rate beyond what the data path can switch, queues at the OVS
-ingress saturate -- the congestion driver of Case Study I.  The TCP
-client streams through a :class:`~repro.net.tcp.TCPConnection`, so it
-reacts to drops/queueing the way a real iPerf does.
+ingress saturate -- the congestion driver of Case Study I.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from typing import Optional
 
 from repro.net.addressing import IPv4Address
 from repro.net.stack import KernelNode
-from repro.net.tcp import MSS
 from repro.workloads.stats import throughput_bps
 
 DEFAULT_PORT = 5201
@@ -82,9 +79,6 @@ class IperfUDPClient:
         self._deadline_ns = engine.now + start_delay_ns + duration_ns
         engine.schedule(start_delay_ns, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self) -> None:
         engine = self.node.engine
         if not self._running or engine.now >= self._deadline_ns:
@@ -99,49 +93,3 @@ class IperfUDPClient:
             app_seq=self.sent,
         )
         engine.schedule(int(1e9 / self.rate_pps), self._tick)
-
-
-class IperfTCPClient:
-    """Streaming TCP sender: keeps the send buffer topped up."""
-
-    def __init__(
-        self,
-        node: KernelNode,
-        ip: IPv4Address,
-        server_ip: IPv4Address,
-        server_port: int = DEFAULT_PORT,
-        gso_bytes: int = MSS,
-        chunk_bytes: int = 256 * 1024,
-        cpu_index: Optional[int] = None,
-    ):
-        self.node = node
-        self.chunk_bytes = chunk_bytes
-        self.conn = node.tcp.connect(
-            ip,
-            server_ip,
-            server_port,
-            cpu_index=cpu_index,
-            gso_bytes=gso_bytes,
-            app="iperf-tcp",
-        )
-        self._running = False
-        self._deadline_ns = 0
-
-    def start(self, duration_ns: int, start_delay_ns: int = 0) -> None:
-        engine = self.node.engine
-        self._running = True
-        self._deadline_ns = engine.now + start_delay_ns + duration_ns
-        engine.schedule(start_delay_ns, self._refill)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _refill(self) -> None:
-        engine = self.node.engine
-        if not self._running or engine.now >= self._deadline_ns:
-            self._running = False
-            return
-        # Keep several chunks of unsent application data queued.
-        if self.conn._app_pending < self.chunk_bytes:
-            self.conn.send_app_bytes(4 * self.chunk_bytes)
-        engine.schedule(250_000, self._refill)

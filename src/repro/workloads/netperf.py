@@ -118,9 +118,6 @@ class NetperfClient:
         self._deadline_ns = engine.now + start_delay_ns + duration_ns
         engine.schedule(start_delay_ns, self._tick)
 
-    def stop(self) -> None:
-        self._running = False
-
     def _tick(self) -> None:
         engine = self.node.engine
         if not self._running or engine.now >= self._deadline_ns:

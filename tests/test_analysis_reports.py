@@ -1,19 +1,10 @@
 """Report formatting."""
 
-from repro.analysis.reports import (
-    anomaly_table,
-    comparison_table,
-    decomposition_table,
-    format_bps,
-    format_ns,
-    hop_stats_table,
-    latency_table,
-    span_decomposition_table,
-)
-from repro.core.metrics import SegmentLatency, decompose_latency
+from repro.analysis.reports import anomaly_table, format_ns, hop_stats_table
+from repro.core.metrics import decompose_latency
 from repro.core.records import TraceRecord
 from repro.core.tracedb import TraceDB
-from repro.workloads.stats import summarize_latencies
+from repro.tracing.critical import segments_from_forest
 
 CHAIN = ["a:send", "b:recv"]
 
@@ -28,68 +19,23 @@ class TestFormatters:
         assert format_ns(2_500) == "2.50 us"
         assert format_ns(3_000_000) == "3.00 ms"
 
-    def test_format_bps_scales(self):
-        assert format_bps(500) == "500 bps"
-        assert format_bps(2_000) == "2.00 Kbps"
-        assert format_bps(3_000_000) == "3.00 Mbps"
-        assert format_bps(4_500_000_000) == "4.50 Gbps"
-
-
-class TestTables:
-    def test_latency_table_contains_rows(self):
-        table = latency_table({"a": summarize_latencies([1000, 2000, 3000])})
-        assert "a" in table and "2.00 us" in table
-        assert table.count("\n") >= 2  # header + separator + row
-
-    def test_decomposition_table_shares_sum(self):
-        segments = [
-            SegmentLatency("x", "y", [100, 100]),
-            SegmentLatency("y", "z", [300, 300]),
-        ]
-        table = decomposition_table(segments)
-        assert "x -> y" in table and "25.0%" in table
-        assert "75.0%" in table and "TOTAL" in table
-
-    def test_comparison_table_factors(self):
-        base = summarize_latencies([100, 100])
-        other = summarize_latencies([500, 500])
-        table = comparison_table("base", base, {"loaded": other})
-        assert "5.0x" in table
-        assert "base" in table and "loaded" in table
-
 
 class TestEdgeCases:
     """Empty flows, single-record traces, and unordered ingest must
-    render as tables, not tracebacks."""
+    decompose to segments, not tracebacks."""
 
     def test_empty_flow_renders_zero_rows(self):
-        segments = decompose_latency(TraceDB(), CHAIN)
-        table = decomposition_table(segments)
-        assert "a:send -> b:recv" in table
-        assert "TOTAL" in table and "0 ns" in table
-
-    def test_empty_segment_list_renders_total_only(self):
-        table = decomposition_table([])
-        assert "TOTAL" in table
+        (segment,) = decompose_latency(TraceDB(), CHAIN)
+        assert (segment.from_label, segment.to_label) == tuple(CHAIN)
+        assert segment.latencies_ns == []
 
     def test_single_record_trace_contributes_nothing(self):
         # A trace seen at only one tracepoint fails the completeness
-        # cut of §III-C: the segment row must show n=0, not crash.
+        # cut of §III-C: the segment must come out empty, not crash.
         db = TraceDB()
         _insert(db, trace_id=7, label=CHAIN[0], ts=100)
-        table = decomposition_table(decompose_latency(db, CHAIN))
-        lines = table.splitlines()
-        row = next(line for line in lines if "a:send -> b:recv" in line)
-        assert " 0 " in row and "-" in row
-
-    def test_mixed_empty_and_populated_segments(self):
-        segments = [
-            SegmentLatency("a", "b", [100, 200]),
-            SegmentLatency("b", "c", []),
-        ]
-        table = decomposition_table(segments)
-        assert "100.0%" in table  # the populated segment owns the total
-        assert "b -> c" in table
+        (segment,) = decompose_latency(db, CHAIN)
+        assert segment.latencies_ns == []
 
     def test_out_of_order_records_decompose_correctly(self):
         # Batches arrive per-node, so cross-node timestamp order is
@@ -101,7 +47,6 @@ class TestEdgeCases:
         _insert(db, trace_id=1, label=CHAIN[0], ts=1_000)
         (segment,) = decompose_latency(db, CHAIN)
         assert sorted(segment.latencies_ns) == [300, 500]
-        assert "2 " in decomposition_table([segment])
 
 
 class TestSpanTables:
@@ -121,9 +66,7 @@ class TestSpanTables:
 
     def test_span_decomposition_matches_metric_layer(self):
         db = self._db()
-        span_table = span_decomposition_table(self._forest(db), CHAIN)
-        metric_table = decomposition_table(decompose_latency(db, CHAIN))
-        assert span_table == metric_table
+        assert segments_from_forest(self._forest(db), CHAIN) == decompose_latency(db, CHAIN)
 
     def test_hop_stats_table_lists_hops(self):
         table = hop_stats_table(self._forest(self._db()))

@@ -3,23 +3,12 @@
 import pytest
 
 from repro.baselines.systemtap import (
-    COMPILE_DELAY_NS,
     SystemTapSession,
 )
 from repro.ebpf.probes import ProbeEvent
 
 
 class TestSystemTap:
-    def test_start_arms_after_compile_delay(self, engine, node):
-        session = SystemTapSession(node)
-        session.add_probe("kprobe:tcp_recvmsg")
-        session.start()
-        engine.run(until=COMPILE_DELAY_NS - 1)
-        assert not session.active
-        engine.run(until=COMPILE_DELAY_NS + 1)
-        assert session.active
-        assert node.hooks.has_attachments("kprobe:tcp_recvmsg")
-
     def test_per_event_cost_much_higher_than_ebpf(self, engine, node):
         session = SystemTapSession(node, no_overload=True)
         script = session.add_probe("kprobe:x")
@@ -69,7 +58,7 @@ class TestSystemTap:
     def test_stop_detaches(self, engine, node):
         session = SystemTapSession(node)
         session.add_probe("kprobe:x")
-        session.start()
-        engine.run(until=COMPILE_DELAY_NS + 1)
+        session.arm()
+        assert session.active and node.hooks.has_attachments("kprobe:x")
         session.stop()
         assert not node.hooks.has_attachments("kprobe:x")

@@ -5,14 +5,11 @@ import pytest
 from repro.core.config import (
     ActionSpec,
     ConfigError,
-    ControlPackage,
     FilterRule,
     GlobalConfig,
     TracepointSpec,
     TracingSpec,
 )
-from repro.net.addressing import IPv4Address
-from repro.net.packet import IPPROTO_TCP, IPPROTO_UDP
 
 
 class TestFilterRule:
@@ -21,12 +18,6 @@ class TestFilterRule:
 
     def test_specific_rule_not_wildcard(self):
         assert not FilterRule(dst_port=80).matches_everything()
-
-    def test_for_flow_constructor(self):
-        rule = FilterRule.for_flow(
-            IPv4Address("1.1.1.1"), IPv4Address("2.2.2.2"), 80, IPPROTO_TCP
-        )
-        assert rule.dst_port == 80 and rule.protocol == IPPROTO_TCP
 
     @pytest.mark.parametrize("port", [0, -1, 65536])
     def test_bad_ports_rejected(self, port):
@@ -100,24 +91,3 @@ class TestTracingSpec:
         spec = self._spec()
         assert spec.nodes() == ["n1", "n2"]
         assert [tp.label for tp in spec.tracepoints_for("n1")] == ["A", "C"]
-
-    def test_label_lookup(self):
-        spec = self._spec()
-        tp = spec.tracepoints[1]
-        assert spec.label_of(tp.tracepoint_id) == "B"
-        assert spec.label_of(10**9).startswith("tracepoint-")
-
-    def test_control_package_serializes(self):
-        spec = self._spec()
-        package = ControlPackage(
-            node="n1",
-            rule=spec.rule,
-            tracepoints=spec.tracepoints_for("n1"),
-            action=spec.action,
-            global_config=spec.global_config,
-        )
-        config = package.to_config_dict()
-        assert config["node"] == "n1"
-        assert config["rule"]["dst_port"] == 80
-        assert len(config["tracepoints"]) == 2
-        assert config["global"]["ring_buffer_bytes"] == 64 * 1024

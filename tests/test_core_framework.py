@@ -149,16 +149,6 @@ class TestOfflineCollection:
         tracer.collect()
         assert tracer.db.count("send") == 5
 
-    def test_probe_overhead_accounted(self, engine, two_nodes):
-        node_a, node_b, ip_a, ip_b = two_nodes
-        tracer = VNetTracer(engine)
-        tracer.add_agent(node_a)
-        tracer.add_agent(node_b)
-        tracer.deploy(_spec(node_a, node_b))
-        _traffic(engine, node_a, node_b, ip_a, ip_b, count=10)
-        engine.run(until=500_000_000)
-        assert tracer.total_probe_overhead_ns() > 0
-
 
 class TestOnlineCollection:
     def test_online_mode_streams_batches(self, engine, two_nodes):

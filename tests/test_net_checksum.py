@@ -1,9 +1,8 @@
-"""RFC 1071 checksum + the pskb_trim_rcsum incremental update."""
+"""RFC 1071 checksum."""
 
 from hypothesis import given, strategies as st
 
 from repro.net.checksum import (
-    checksum_remove_trailing,
     internet_checksum,
     ones_complement_sum,
     verify_checksum,
@@ -35,19 +34,3 @@ class TestChecksumBasics:
     @given(st.binary(min_size=0, max_size=128))
     def test_sum_is_order_sensitive_but_bounded(self, data):
         assert 0 <= ones_complement_sum(data) <= 0xFFFF
-
-
-class TestTrailingRemoval:
-    @given(st.binary(min_size=2, max_size=128).filter(lambda b: len(b) % 2 == 0),
-           st.binary(min_size=4, max_size=4))
-    def test_incremental_matches_recompute(self, body, trailer):
-        full = body + trailer
-        csum_full = internet_checksum(full)
-        updated = checksum_remove_trailing(csum_full, trailer)
-        assert updated == internet_checksum(body)
-
-    def test_odd_trailer_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            checksum_remove_trailing(0, b"\x01")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.bridge import BridgeDevice
-from repro.net.device import LoopbackDevice, VethDevice
+from repro.net.device import VethDevice
 from repro.net.packet import make_udp_packet
 from repro.net.stack import KernelNode
 from repro.sim.engine import Engine
@@ -43,19 +43,6 @@ class TestVeth:
         lone.transmit(_packet(lone.mac, MACAddress.broadcast()), None)
         engine.run()
         assert lone.stats.tx_dropped == 1
-
-    def test_loopback_roundtrip(self, engine):
-        node = KernelNode(engine, "n")
-        lo = LoopbackDevice(node)
-        got = []
-        sock = node.bind_udp(IPv4Address("127.0.0.1"), 9000)
-        sock.on_receive = lambda payload, *r: got.append(payload)
-        packet = make_udp_packet(
-            lo.mac, lo.mac, IPv4Address("127.0.0.1"), IPv4Address("127.0.0.1"), 1, 9000, b"lo"
-        )
-        lo.transmit(packet, None)
-        engine.run()
-        assert got == [b"lo"]
 
 
 class TestBridge:

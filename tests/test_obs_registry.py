@@ -138,9 +138,9 @@ class TestRegistry:
 
     def test_conflicting_respec_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("x_total", "h")
+        reg.register_spec(MetricSpec("x_total", "counter", "h"))
         with pytest.raises(MetricError):
-            reg.gauge("x_total", "h")
+            reg.register_spec(MetricSpec("x_total", "gauge", "h"))
 
     def test_unknown_metric_errors(self):
         reg = MetricsRegistry()
@@ -150,9 +150,9 @@ class TestRegistry:
 
     def test_metrics_ordered_by_stage_then_name(self):
         reg = MetricsRegistry()
-        reg.counter("z_total", "h", stage="agent")
-        reg.counter("a_total", "h", stage="ringbuffer")
-        reg.counter("b_total", "h", stage="agent")
+        reg.register_spec(MetricSpec("z_total", "counter", "h", stage="agent"))
+        reg.register_spec(MetricSpec("a_total", "counter", "h", stage="ringbuffer"))
+        reg.register_spec(MetricSpec("b_total", "counter", "h", stage="agent"))
         assert [m.spec.name for m in reg.metrics()] == [
             "b_total", "z_total", "a_total"
         ]
@@ -160,9 +160,9 @@ class TestRegistry:
 
     def test_flatten_produces_prometheus_keys(self):
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h", label_names=("node",))
+        c = reg.register_spec(MetricSpec("c_total", "counter", "h", label_names=("node",)))
         c.inc(3, labels=("a",))
-        h = reg.histogram("h_ns", (10, 100), "h")
+        h = reg.register_spec(MetricSpec("h_ns", "histogram", "h", buckets=(10, 100)))
         h.observe(7)
         flat = reg.flatten()
         assert flat['c_total{node="a"}'] == 3.0
@@ -210,7 +210,7 @@ class TestStatsSampler:
     def test_rates_computed_between_samples(self):
         engine = Engine()
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h")
+        c = reg.register_spec(MetricSpec("c_total", "counter", "h"))
         sampler = StatsSampler(engine, reg, interval_ns=1_000_000_000)
         sampler.sample_now()  # baseline at t=0
         c.inc(500)
@@ -221,8 +221,8 @@ class TestStatsSampler:
     def test_rate_gauge_derived(self):
         engine = Engine()
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h")
-        g = reg.gauge("c_rate", "h")
+        c = reg.register_spec(MetricSpec("c_total", "counter", "h"))
+        g = reg.register_spec(MetricSpec("c_rate", "gauge", "h"))
         sampler = StatsSampler(engine, reg, interval_ns=1_000_000_000)
         sampler.add_rate_gauge(g, "c_total")
         sampler.sample_now()
@@ -244,7 +244,7 @@ class TestStatsSampler:
     def test_same_instant_resample_replaces_row(self):
         engine = Engine()
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h")
+        c = reg.register_spec(MetricSpec("c_total", "counter", "h"))
         sampler = StatsSampler(engine, reg, interval_ns=1000)
         sampler.sample_now()  # baseline at t=0
         c.inc(100)
@@ -261,10 +261,13 @@ class TestStatsSampler:
 class TestExporters:
     def _registry(self):
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "count help", unit="records",
-                        stage="collector", label_names=("node",))
+        c = reg.register_spec(
+            MetricSpec("c_total", "counter", "count help", "records", "collector", ("node",))
+        )
         c.inc(3, labels=("a",))
-        h = reg.histogram("h_ns", (10, 100), "hist help", unit="ns", stage="agent")
+        h = reg.register_spec(
+            MetricSpec("h_ns", "histogram", "hist help", "ns", "agent", buckets=(10, 100))
+        )
         h.observe(7)
         h.observe(5000)
         return reg
@@ -294,7 +297,7 @@ class TestExporters:
 
     def test_prometheus_label_escaping(self):
         reg = MetricsRegistry()
-        c = reg.counter("c_total", "h", label_names=("node",))
+        c = reg.register_spec(MetricSpec("c_total", "counter", "h", label_names=("node",)))
         c.inc(1, labels=('we"ird\\node',))
         text = prometheus_text(reg)
         assert r'c_total{node="we\"ird\\node"} 1' in text
@@ -302,7 +305,7 @@ class TestExporters:
     def test_series_json_roundtrips(self):
         engine = Engine()
         reg = MetricsRegistry()
-        reg.counter("c_total", "h").inc(2)
+        reg.register_spec(MetricSpec("c_total", "counter", "h")).inc(2)
         sampler = StatsSampler(engine, reg, interval_ns=1000)
         sampler.sample_now()
         doc = json.loads(series_json(sampler))

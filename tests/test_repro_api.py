@@ -15,7 +15,7 @@ class TestTopLevelAPI:
             assert getattr(repro, name) is not None
 
     def test_net_exports(self):
-        for name in ("Packet", "IPv4Address", "MACAddress", "Ping",
+        for name in ("Packet", "IPv4Address", "MACAddress",
                      "PacketCapture", "PcapReader", "PcapWriter"):
             assert name in net.__all__
 

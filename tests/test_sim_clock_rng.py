@@ -52,16 +52,12 @@ class TestSeededRNG:
     def test_same_seed_same_stream(self):
         a = SeededRNG(99, "x")
         b = SeededRNG(99, "x")
-        assert [a.randint(0, 1000) for _ in range(20)] == [
-            b.randint(0, 1000) for _ in range(20)
-        ]
+        assert [a.random_u32() for _ in range(20)] == [b.random_u32() for _ in range(20)]
 
     def test_different_names_decorrelate(self):
         a = SeededRNG(99, "x")
         b = SeededRNG(99, "y")
-        assert [a.randint(0, 10**9) for _ in range(5)] != [
-            b.randint(0, 10**9) for _ in range(5)
-        ]
+        assert [a.random_u32() for _ in range(5)] != [b.random_u32() for _ in range(5)]
 
     def test_fork_is_deterministic(self):
         a = SeededRNG(7).fork("child")
@@ -70,10 +66,10 @@ class TestSeededRNG:
 
     def test_fork_does_not_disturb_parent(self):
         parent = SeededRNG(7)
-        first = parent.randint(0, 10**9)
+        first = parent.random_u32()
         parent2 = SeededRNG(7)
         parent2.fork("noise")  # forking must not consume parent draws
-        assert parent2.randint(0, 10**9) == first
+        assert parent2.random_u32() == first
 
     def test_random_u32_in_range(self):
         rng = SeededRNG(3)
@@ -84,15 +80,7 @@ class TestSeededRNG:
     def test_distribution_helpers_nonnegative(self):
         rng = SeededRNG(3)
         for _ in range(50):
-            assert rng.exponential_ns(1000) >= 0
-            assert rng.normal_ns(1000, 400) >= 0
             assert rng.lognormal_ns(1000, 0.5) >= 0
-            assert rng.pareto_ns(100, 1.5) >= 0
-
-    def test_bernoulli_extremes(self):
-        rng = SeededRNG(3)
-        assert not any(rng.bernoulli(0.0) for _ in range(20))
-        assert all(rng.bernoulli(1.0) for _ in range(20))
 
     def test_lognormal_centers_near_median(self):
         rng = SeededRNG(5)

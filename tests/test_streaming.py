@@ -11,6 +11,7 @@ from bisect import bisect_left
 
 import pytest
 
+from repro.core import VNetTracer
 from repro.core.collector import RawDataCollector
 from repro.core.records import TraceRecord
 from repro.core.tracedb import TraceDB
@@ -24,7 +25,6 @@ from repro.streaming import (
     StreamingConfig,
     StreamingError,
     TopKSlowest,
-    window_indices,
 )
 from tests.conftest import pack
 
@@ -53,8 +53,6 @@ class TestConfigValidation:
             ({"chain": ("send",)}, "at least two"),
             ({"chain": ("send", "send")}, "unique"),
             ({"window_ns": 0}, "window_ns"),
-            ({"slide_ns": 30}, "divide"),
-            ({"slide_ns": 200}, "divide"),
             ({"allowed_lateness_ns": -1}, "lateness"),
             ({"top_k": 0}, "top_k"),
             ({"emit_interval_ns": 0}, "emit_interval_ns"),
@@ -65,35 +63,38 @@ class TestConfigValidation:
             _config(**kwargs).validate()
 
 
+def _frame_of(ts, window_ns=100):
+    """The one frame a single record at aligned time ``ts`` closes
+    (raw timestamps are unsigned; the node's skew takes it below zero)."""
+    agg = StreamingAggregator(_config(window_ns=window_ns))
+    agg.observe_batch("a", _records([(0, 1_000, 1)]), labels=LABELS, skew_ns=ts - 1_000)
+    agg.close_all()
+    (frame,) = agg.frames
+    return frame
+
+
 class TestWindowIndices:
+    """Windows are tumbling: ``index`` is ``ts // window_ns``."""
+
     def test_tumbling_covers_each_timestamp_once(self):
-        assert list(window_indices(250, 100, 100)) == [2]
-        assert list(window_indices(0, 100, 100)) == [0]
-        assert list(window_indices(99, 100, 100)) == [0]
-        assert list(window_indices(100, 100, 100)) == [1]
+        assert _frame_of(250).index == 2
+        assert _frame_of(0).index == 0
+        assert _frame_of(99).index == 0
+        assert _frame_of(100).index == 1
 
     def test_negative_timestamps_floor_divide(self):
         # Clock de-skewing can push aligned timestamps below zero; they
         # must still map to a well-defined window.
-        assert list(window_indices(-1, 100, 100)) == [-1]
-        assert list(window_indices(-100, 100, 100)) == [-1]
-        assert list(window_indices(-101, 100, 100)) == [-2]
-
-    def test_sliding_covers_every_overlapping_window(self):
-        # Window i spans [i*50, i*50 + 100).
-        assert list(window_indices(120, 100, 50)) == [1, 2]
-        assert list(window_indices(100, 100, 50)) == [1, 2]
-        assert list(window_indices(99, 100, 50)) == [0, 1]
+        assert _frame_of(-1).index == -1
+        assert _frame_of(-100).index == -1
+        assert _frame_of(-101).index == -2
 
     def test_brute_force_agreement(self):
-        window, slide = 90, 30
+        window = 90
         for ts in range(-200, 200):
-            expected = [
-                i
-                for i in range(-10, 10)
-                if i * slide <= ts < i * slide + window
-            ]
-            assert list(window_indices(ts, window, slide)) == expected, ts
+            frame = _frame_of(ts, window)
+            assert frame.start_ns == frame.index * window, ts
+            assert frame.start_ns <= ts < frame.end_ns == frame.start_ns + window, ts
 
 
 class TestTopKSlowest:
@@ -402,20 +403,6 @@ class TestAggregatorUsage:
         with pytest.raises(StreamingError, match="already attached"):
             agg.attach(other)
 
-    def test_sliding_summary_refused(self):
-        agg = StreamingAggregator(_config(window_ns=100, slide_ns=50))
-        agg.observe_batch("a", _records([(0, 10, 1)]), labels=LABELS)
-        agg.close_all()
-        assert agg.frames  # frames still come out
-        with pytest.raises(StreamingError, match="tumbling"):
-            agg.summary()
-
-    def test_sliding_record_lands_in_every_covering_window(self):
-        agg = StreamingAggregator(_config(window_ns=100, slide_ns=50))
-        agg.observe_batch("a", _records([(0, 120, 1)]), labels=LABELS)
-        agg.close_all()
-        assert sorted(frame.index for frame in agg.frames) == [1, 2]
-
     def test_emitter_snapshots_are_virtual_time_only(self):
         engine = Engine()
         db = TraceDB()
@@ -436,3 +423,44 @@ class TestAggregatorUsage:
 
     def test_repr_smoke(self):
         assert "StreamingAggregator" in repr(StreamingAggregator(_config()))
+
+
+class TestAttachStreaming:
+    """``VNetTracer.attach_streaming``: a tracer carries one aggregator."""
+
+    def test_taps_the_tracers_collector_and_registry(self):
+        tracer = VNetTracer(Engine())
+        agg = tracer.attach_streaming(CHAIN, window_ns=100)
+        assert tracer.streaming is agg
+        assert agg.config == _config()
+        tracer.collector.register_labels(LABELS)
+        tracer.collector.receive_batch("a", _records([(0, 10, 1), (1, 60, 1)]), seq=1)
+        agg.close_all()
+        assert agg.summary()["hops"]["send->recv"]["count"] == 1
+        assert tracer.obs.total("vnt_stream_records_total") == 2
+
+    def test_the_same_request_returns_the_same_aggregator(self):
+        tracer = VNetTracer(Engine())
+        first = tracer.attach_streaming(list(CHAIN), window_ns=100)
+        assert tracer.attach_streaming(CHAIN, window_ns=100) is first
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"chain": ("recv", "send")}, {"window_ns": 200}, {"top_k": 3}],
+        ids=["chain", "window", "top_k"],
+    )
+    def test_a_different_request_is_refused(self, other):
+        # Handing back the first aggregator whatever was asked for would
+        # give the caller the wrong hops or windows without a sign.
+        tracer = VNetTracer(Engine())
+        first = tracer.attach_streaming(CHAIN, window_ns=100)
+        with pytest.raises(StreamingError, match="already attached"):
+            tracer.attach_streaming(**{"chain": CHAIN, "window_ns": 100, **other})
+        assert tracer.streaming is first
+
+    def test_emit_interval_starts_the_emitter(self):
+        engine = Engine()
+        agg = VNetTracer(engine).attach_streaming(CHAIN, window_ns=100, emit_interval_ns=50)
+        engine.run(until=120)
+        agg.stop_emitter()
+        assert [snap["t_ns"] for snap in agg.snapshots] == [50, 100]

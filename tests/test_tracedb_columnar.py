@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.vnettracer as vnettracer_module
-from repro.analysis.reports import decomposition_table
 from repro.core import metrics
 from repro.core.records import RECORD_STRUCT, TraceRecord
 from repro.core.tracedb import TraceDB, TraceRow
@@ -127,15 +126,6 @@ class LegacyTraceDB:
 
     def count(self, label: str) -> int:
         return len(self._tables.get(label, []))
-
-    def incomplete_traces(self, required_labels: Iterable[str]) -> List[int]:
-        required = list(required_labels)
-        incomplete = []
-        for trace_id, rows in self._by_trace_id.items():
-            seen = {row.label for row in rows}
-            if any(label not in seen for label in required):
-                incomplete.append(trace_id)
-        return incomplete
 
     def complete_traces(self, required_labels: Iterable[str]) -> List[int]:
         required = list(required_labels)
@@ -319,10 +309,8 @@ def assert_db_equivalent(db: TraceDB, legacy: LegacyTraceDB) -> None:
         assert db.rows_for_trace(trace_id) == legacy.rows_for_trace(trace_id)
         assert db.record_count_for_trace(trace_id) == legacy.record_count_for_trace(trace_id)
     labels = legacy.tables()
-    assert db.incomplete_traces(labels) == legacy.incomplete_traces(labels)
     assert db.complete_traces(labels) == legacy.complete_traces(labels)
     if labels:
-        assert db.incomplete_traces(labels[:1]) == legacy.incomplete_traces(labels[:1])
         assert db.complete_traces(labels[:1]) == legacy.complete_traces(labels[:1])
 
 
@@ -363,11 +351,8 @@ def assert_metrics_equivalent(db: TraceDB, legacy: LegacyTraceDB) -> None:
 
 
 def assert_exports_equivalent(db: TraceDB, legacy: LegacyTraceDB, chain: Sequence[str]) -> None:
-    """Rendered tables and exported timelines are byte-identical."""
-    segments_new = metrics.decompose_latency(db, chain)
-    segments_old = legacy_decompose_latency(legacy, chain)
-    assert segments_new == segments_old
-    assert decomposition_table(segments_new) == decomposition_table(segments_old)
+    """Decomposition segments are equal, exported timelines byte-identical."""
+    assert metrics.decompose_latency(db, chain) == legacy_decompose_latency(legacy, chain)
     forest_new = SpanAssembler(db).forest(chain=chain)
     forest_old = reference_forest(legacy, chain=chain)
     assert chrome_trace_json(forest_new) == reference_chrome_json(forest_old)

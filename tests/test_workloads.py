@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.workloads.cpuhog import CPUHog
-from repro.workloads.iperf import IperfTCPClient, IperfUDPClient, IperfUDPServer
+from repro.workloads.iperf import IperfUDPClient, IperfUDPServer
 from repro.workloads.memcached import (
     DataCachingClient,
     GET_SET_RATIO,
@@ -19,7 +18,6 @@ from repro.workloads.stats import (
     summarize_latencies,
     throughput_bps,
 )
-from repro.sim.cpu import CPU
 
 
 class TestStats:
@@ -101,16 +99,6 @@ class TestIperf:
         assert 150 <= server.datagrams <= 210
         assert server.goodput_bps() > 0
 
-    def test_tcp_client_streams(self, engine, two_nodes):
-        node_a, node_b, ip_a, ip_b = two_nodes
-        from repro.net.addressing import IPv4Address
-
-        sink = NetperfServer(node_b, ip_b, port=5201)
-        client = IperfTCPClient(node_a, ip_a, ip_b, server_port=5201)
-        client.start(20_000_000)
-        engine.run(until=100_000_000)
-        assert sink.bytes_received > 100_000
-
 
 class TestNetperf:
     def test_tcp_stream_goodput(self, engine, two_nodes):
@@ -170,24 +158,3 @@ class TestMemcached:
         engine.run(until=200_000_000)
         total = server.gets + server.sets
         assert total == client.issued
-
-
-class TestCPUHog:
-    def test_keeps_cpu_saturated(self, engine):
-        cpu = CPU(engine, "hog-cpu")
-        hog = CPUHog(cpu, slice_ns=1000)
-        hog.start()
-        engine.run(until=1_000_000)
-        assert cpu.utilization() > 0.99
-        hog.stop()
-
-    def test_stop_stops(self, engine):
-        cpu = CPU(engine, "hog-cpu")
-        hog = CPUHog(cpu, slice_ns=1000)
-        hog.start()
-        engine.run(until=100_000)
-        hog.stop()
-        engine.run(until=200_000)
-        slices = hog.slices_run
-        engine.run(until=400_000)
-        assert hog.slices_run == slices
