@@ -22,7 +22,7 @@ REDEPLOYS = 50
 
 def _build(jit: bool, tracepoint=None):
     perf = PerfEventArray(num_cpus=2)
-    perf.set_consumer(lambda _cpu, _record: None)
+    perf.set_consumer(lambda _record: None)
     if tracepoint is None:
         tracepoint = TracepointSpec(node="n", hook="dev:x")
     program, maps = compile_script(

@@ -237,7 +237,9 @@ class Agent:
             perf_map = PerfEventArray(
                 num_cpus=len(self.node.cpus), name=f"perf:{tracepoint.label}"
             )
-            perf_map.set_consumer(self._on_perf_record)
+            # Bound to this install's ring: every install makes both
+            # anew, and capacity, policy and strict stay on the path.
+            perf_map.set_consumer(self.ring.append)
             counter_map = None
             if package.action.count:
                 counter_map = PerCPUArrayMap(
@@ -364,10 +366,6 @@ class Agent:
             self._heartbeat_timer = None
 
     # -- data plane ------------------------------------------------------------
-
-    def _on_perf_record(self, _cpu: int, record: bytes) -> None:
-        if self.ring is not None:
-            self.ring.append(record)
 
     def _on_ring_flush(self, batch: List[bytes]) -> None:
         # The mmap'd /proc buffer: the drain itself is cheap and does

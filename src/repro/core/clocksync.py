@@ -62,7 +62,7 @@ class _ProbePoint:
         self.attachment = EBPFAttachment(program, env, hook_id=tracepoint.tracepoint_id)
         node.hooks.attach(hook, self.attachment)
 
-    def _on_record(self, _cpu: int, raw: bytes) -> None:
+    def _on_record(self, raw: bytes) -> None:
         self.timestamps.append(TraceRecord.unpack(raw).timestamp_ns)
 
     def detach(self) -> None:

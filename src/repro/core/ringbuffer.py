@@ -142,7 +142,10 @@ class TraceRingBuffer:
 
     def append(self, record: bytes) -> bool:
         size = len(record)
-        capacity = self.effective_capacity_bytes
+        # effective_capacity_bytes, inline: reserve() never grants more
+        # than the capacity, so the difference cannot go negative.
+        capacity = self.capacity_bytes - self._reserved_bytes
+        evicted = 0
         if self._used_bytes + size > capacity:
             if self.policy == RING_POLICY_DROP_NEWEST:
                 return self._reject(size)
@@ -152,7 +155,6 @@ class TraceRingBuffer:
                 return self._reject(size)
             # drop-oldest (or a sample admit): evict from the head until
             # the arriving record fits.
-            evicted = 0
             while self._records and self._used_bytes + size > capacity:
                 oldest = self._records.popleft()
                 self._used_bytes -= len(oldest)
@@ -162,16 +164,6 @@ class TraceRingBuffer:
                 # The record alone exceeds the (possibly squeezed)
                 # capacity; nothing to admit.
                 return self._reject(size)
-            if evicted and self.strict:
-                self._admit(record, size)
-                raise RingBufferFull(
-                    f"{self.name}: evicted {evicted} record(s) to admit a "
-                    f"{size}B record ({self._used_bytes}/{capacity}B used)"
-                )
-        self._admit(record, size)
-        return True
-
-    def _admit(self, record: bytes, size: int) -> None:
         if self._first_append_ns is None:
             self._first_append_ns = self.engine.now
         self._records.append(record)
@@ -181,6 +173,12 @@ class TraceRingBuffer:
             self.occupancy_hwm_bytes = self._used_bytes
             if self._m_hwm is not None:
                 self._m_hwm.set_max(self._used_bytes, labels=(self.node,))
+        if evicted and self.strict:
+            raise RingBufferFull(
+                f"{self.name}: evicted {evicted} record(s) to admit a "
+                f"{size}B record ({self._used_bytes}/{capacity}B used)"
+            )
+        return True
 
     def _reject(self, size: int) -> bool:
         self._count_drops(1)

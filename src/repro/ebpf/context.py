@@ -57,22 +57,48 @@ _CTX = struct.Struct("<IH2xIIIIHHB3xIIQQ")
 
 
 class PacketImage:
-    """The ``data`` .. ``data_end`` region of one invocation.
+    """The ``data`` .. ``data_end`` region of one invocation, as a view
+    over the packet's segments.
 
-    Its length comes from the headers; the bytes are serialised the
-    first time something reads them (:meth:`materialise`), so a program
-    whose filter misses on context fields never pays for a wire image.
+    Nothing is serialised up front.  A :meth:`load` that falls wholly
+    inside the innermost byte payload reads the payload; one wholly
+    inside a header serialises that header alone
+    (:meth:`Packet.wire_header`: same length fix-ups and IPv4 checksum
+    as the full image).  Anything else -- a load straddling segments, a
+    store, a helper read, the interpreter, shadow mode -- builds the
+    whole wire image once (:meth:`materialise`), and every later access
+    of the invocation uses it, so a store is seen by the loads after it.
+    A program whose filter misses on context fields pays for none of it.
     """
 
-    __slots__ = ("_packet", "_length", "_bytes")
+    __slots__ = ("_packet", "_length", "_payload", "_payload_start", "_bytes")
 
-    def __init__(self, packet: Packet, length: int):
+    def __init__(self, packet: Packet, length: int, payload: bytes, payload_start: int):
         self._packet = packet
         self._length = length
+        self._payload = payload  # the innermost packet's bytes ...
+        self._payload_start = payload_start  # ... and where they start in the image
         self._bytes: Optional[bytearray] = None
 
     def __len__(self) -> int:
         return self._length
+
+    def load(self, offset: int, size: int) -> int:
+        """The little-endian value of bytes ``offset .. offset + size``
+        (in bounds -- the caller checked against ``len()``)."""
+        segment = self._bytes
+        if segment is None:
+            start = self._payload_start
+            if offset >= start:
+                segment = self._payload
+            else:
+                found = self._packet.wire_header(offset, size, self._length)
+                if found is None:
+                    segment, start = self.materialise(), 0
+                else:
+                    segment, start = found
+            offset -= start
+        return int.from_bytes(segment[offset : offset + size], "little")
 
     def materialise(self) -> bytearray:
         if self._bytes is None:
@@ -95,8 +121,27 @@ def build_skb_context(
     ``use_inner`` fills the parsed fields from the innermost packet
     (after notional VXLAN decap).
     """
-    logical = packet.innermost if use_inner else packet
-    length = packet.total_length
+    # One walk down the encapsulation for every length the context and
+    # the image need (``total_length`` / ``innermost`` /
+    # ``payload_length`` would each walk it again).
+    length = 0
+    logical = packet
+    while True:
+        for header in logical.headers:
+            length += header.length
+        if logical is packet:
+            outer_headers = length
+        payload = logical.payload
+        if not isinstance(payload, Packet):
+            break
+        logical = payload
+    payload_start = length
+    length += len(payload)
+    if use_inner:
+        payload_off = payload_start
+    else:
+        logical = packet
+        payload_off = outer_headers
     eth = logical.eth
     ip = logical.ip
     l4 = logical.tcp if logical.tcp is not None else logical.udp
@@ -116,11 +161,11 @@ def build_skb_context(
         hook_id,
         # Where the L4 payload of the *logical* packet starts inside the
         # image: after the outer headers and the logical packet's own.
-        length - logical.payload_length,
+        payload_off,
         PACKET_REGION_BASE,
         PACKET_REGION_BASE + length,
     )
-    return ctx, PacketImage(packet, length)
+    return ctx, PacketImage(packet, length, payload, payload_start)
 
 
 def build_empty_context(

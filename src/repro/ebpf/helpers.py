@@ -34,6 +34,8 @@ MAP_PTR_BASE = 0x5_0000_0000
 
 # BPF_F_CURRENT_CPU for perf_event_output's flags argument.
 BPF_F_CURRENT_CPU = 0xFFFFFFFF
+# Largest record perf_event_output accepts.
+PERF_RECORD_MAX_BYTES = 4096
 
 
 class HelperError(RuntimeError):
@@ -125,7 +127,7 @@ def _perf_event_output(
         raise HelperError(f"perf_event_output into non-perf map {bpf_map.name!r}")
     flags &= 0xFFFFFFFF
     cpu = state.env.cpu if flags == BPF_F_CURRENT_CPU else flags
-    if size > 4096:
+    if size > PERF_RECORD_MAX_BYTES:
         raise HelperError(f"perf_event_output record too large ({size})")
     record = state.read_bytes(data_ptr, size)
     bpf_map.output(cpu, record)

@@ -226,8 +226,9 @@ class PerfEventArray(BPFMap):
     """BPF_MAP_TYPE_PERF_EVENT_ARRAY: the record stream to user space.
 
     ``bpf_perf_event_output`` pushes ``(cpu, bytes)`` records here; the
-    agent registers a drain callback (its ring buffer).  If no consumer
-    is attached records accumulate in :attr:`pending` for tests.
+    agent registers its ring buffer's ``append`` as the consumer, which
+    takes the record alone (the CPU is one of its fields).  If no
+    consumer is attached records accumulate in :attr:`pending` for tests.
     """
 
     kind = "perf-event-array"
@@ -236,42 +237,38 @@ class PerfEventArray(BPFMap):
         super().__init__(4, 4, max(1, num_cpus), name)
         self.num_cpus = num_cpus
         self.pending: List[Tuple[int, bytes]] = []
-        self._consumer: Optional[Callable[[int, bytes], None]] = None
+        self._consumer: Optional[Callable[[bytes], None]] = None
         self.events_emitted = 0
         self.events_lost = 0
 
-    def set_consumer(self, consumer: Optional[Callable[[int, bytes], None]]) -> None:
+    def set_consumer(self, consumer: Optional[Callable[[bytes], None]]) -> None:
         self._consumer = consumer
 
     def output(self, cpu: int, record: bytes) -> None:
         """Called by the perf_event_output helper."""
         self.events_emitted += 1
         if self._consumer is not None:
-            self._consumer(cpu, record)
+            self._consumer(record)
         else:
             self.pending.append((cpu, bytes(record)))
 
     def tee(self, capture: Callable[[int, bytes], None]) -> Callable[[], None]:
         """Observe every output without disturbing delivery.
 
-        Wraps the current consumer (or the :attr:`pending` fallback) so
-        ``capture(cpu, record)`` also sees each record; returns an undo
-        callable restoring the previous consumer.  Shadow mode uses this
-        to compare the compiled tier's perf stream against the oracle's.
+        Until the returned undo callable runs, ``capture(cpu, record)``
+        sees each record before :meth:`output` delivers it (one tee at
+        a time).  Shadow mode uses this to compare the compiled tier's
+        perf stream against the oracle's.
         """
-        previous = self._consumer
 
-        def wrapped(cpu: int, record: bytes) -> None:
+        def observed(cpu: int, record: bytes) -> None:
             capture(cpu, record)
-            if previous is not None:
-                previous(cpu, record)
-            else:
-                self.pending.append((cpu, bytes(record)))
+            PerfEventArray.output(self, cpu, record)
 
-        self._consumer = wrapped
+        self.output = observed  # shadows the method on this instance only
 
         def undo() -> None:
-            self._consumer = previous
+            del self.output
 
         return undo
 

@@ -107,11 +107,7 @@ class EBPFAttachment(Attachment):
             )
         else:
             ctx, data = build_skb_context(
-                event.packet,
-                ifindex=event.ifindex,
-                cpu=event.cpu,
-                hook_id=self.hook_id,
-                use_inner=self.use_inner,
+                event.packet, event.ifindex, event.cpu, self.hook_id, self.use_inner
             )
         env = self.env
         env.cpu = event.cpu

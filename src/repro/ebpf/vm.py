@@ -28,7 +28,8 @@ every externally visible number is byte-identical across tiers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ebpf import isa
 from repro.ebpf.helpers import HELPERS, MAP_PTR_BASE, HelperError
@@ -165,16 +166,19 @@ class VMState(Memory):
 
     A ``VMState`` *is* the run's :class:`Memory` -- one object serves as
     both the region registry and the helper-visible state, keeping
-    per-run setup to a single allocation.  ``regs`` starts unallocated:
-    the compiled tier materializes the final register file in one
-    writeback at EXIT, and the interpreter builds its zeroed file when
-    it starts.
+    per-run setup to a single allocation.  ``regs`` starts unset: the
+    compiled tier materializes the final register file in one writeback
+    at EXIT, and the interpreter builds its zeroed file when it starts.
+    ``helper_calls`` / ``helper_cost_ns`` are the interpreter's per-run
+    tallies and exist only on its runs; a compiled run's follow from
+    the blocks it executed (:meth:`CompiledProgram.path_info`).
 
     ``packet`` is the packet region: ``None``, a ``bytearray``, or a
-    lazy image (``len()`` plus ``materialise() -> bytearray``, see
-    :class:`repro.ebpf.context.PacketImage`) that is serialised only
-    when an access lands in the region -- both tiers and every helper
-    reach it through :meth:`packet_bytes`.
+    lazy image (``len()``, ``load()`` and ``materialise() ->
+    bytearray``, see :class:`repro.ebpf.context.PacketImage`).  The
+    compiled tier's loads go through :meth:`packet_load`, which lets an
+    image answer from one header or the payload; stores, helpers and
+    the interpreter reach the whole region through :meth:`packet_bytes`.
     """
 
     __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "packet")
@@ -183,10 +187,7 @@ class VMState(Memory):
         self._regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx, "ctx")]
         self._next_dynamic_base = MAP_VALUE_REGION_BASE
         self.packet = packet
-        self.regs: Optional[List[int]] = None
         self.env = env
-        self.helper_calls: Dict[str, int] = {}
-        self.helper_cost_ns = 0
 
     @property
     def memory(self) -> Memory:
@@ -196,6 +197,14 @@ class VMState(Memory):
         """The packet region's bytes, serialising a lazy image now."""
         packet = self.packet
         return packet if packet.__class__ is bytearray else packet.materialise()
+
+    def packet_load(self, offset: int, size: int) -> int:
+        """Little-endian load inside the packet region (bounds are the
+        caller's: ``0 <= offset <= len(packet) - size``)."""
+        packet = self.packet
+        if packet.__class__ is not bytearray:
+            return packet.load(offset, size)
+        return int.from_bytes(packet[offset : offset + size], "little")
 
     def _locate(self, address: int, size: int) -> Tuple[bytearray, int]:
         offset = address - PACKET_REGION_BASE
@@ -212,11 +221,16 @@ class ExecResult(NamedTuple):
     r0: int
     cost_ns: int
     insns_executed: int
-    helper_calls: Dict[str, int]
+    helper_calls: Mapping[str, int]  # read-only on the compiled tier
     regs: Optional[List[int]] = None
 
     def __repr__(self) -> str:
         return f"<ExecResult r0={self.r0} cost={self.cost_ns}ns insns={self.insns_executed}>"
+
+
+# ExecResult's generated ``__new__`` is a Python frame per run; this is
+# what it calls.
+_new_result = tuple.__new__
 
 
 def _to_signed64(value: int) -> int:
@@ -295,17 +309,19 @@ class BPFProgram:
         self.precompile = precompile
         self.shadow = shadow
         self.loaded = False
-        self.run_count = 0
-        self.total_cost_ns = 0
-        # Self-observability accumulators (exported via repro.obs):
-        # instructions fetched, per-helper invocation totals, the
-        # dispatch split between cost modes, and the compile activity
-        # behind the vnt_ebpf_compile_* counters.
-        self.total_insns_executed = 0
-        self._helper_totals: Dict[str, int] = {}
-        self._unmerged_helper_calls: List[Dict[str, int]] = []
+        # Every run is accounted by *what it did*: outcome key ->
+        # [runs, insns executed, cost_ns, helper calls], one entry per
+        # distinct outcome ever seen.  The compiled tier's key is the
+        # mask of basic blocks the run executed, which fixes the rest
+        # (CompiledProgram.path_info); the interpreter's is the tuple
+        # (insns, helper cost, *helper calls) it counted.  The public
+        # totals (run_count, total_cost_ns, ... exported via repro.obs)
+        # are sums over this table, so a run costs one increment.
+        self._outcomes: Dict[object, list] = {}
+        # Compile activity behind the vnt_ebpf_compile_* counters.
         self.compile_translations = 0
         self.compile_cache_hits = 0
+        self._unit: Optional[CompiledProgram] = None
         self._native = None  # populated by load() unless precompile is off
 
     # -- load-time -----------------------------------------------------------
@@ -338,12 +354,13 @@ class BPFProgram:
             else:
                 _cache_hits += 1
                 self.compile_cache_hits += 1
+            self._unit = unit
             self._native = unit.factory(
                 {pos: MAP_PTR_BASE + self.insns[pos].imm for pos in unit.map_positions}
             )
         else:
             verify(self.insns)
-            self._native = None
+            self._unit = self._native = None
         self.loaded = True
         return int(cost)
 
@@ -373,66 +390,72 @@ class BPFProgram:
         where the context's data/data_end pointers expect it."""
         native = self._native
         if native is None or self.shadow:
-            if not self.loaded:
-                raise ExecutionError(f"program {self.name!r} was not loaded")
-            if self.shadow and native is not None:
-                return self._run_shadowed(env, ctx_bytes, packet_bytes)
-            state, executed, _stack = self._run_once(env, ctx_bytes, packet_bytes)
-            return self._finish(state, executed)
-        # Hot path: the compiled tier, inlined (probes take this per packet).
-        stack = bytearray(isa.STACK_SIZE)
-        state = VMState(stack, ctx_bytes, packet_bytes, env)
-        try:
-            executed = native(state, stack, ctx_bytes, packet_bytes)
-        except HelperError as exc:
-            raise ExecutionError(f"{self.name}: helper error: {exc}")
-        # _finish, inlined.
-        helper_calls = state.helper_calls
-        per_insn = JIT_NS_PER_INSN if self.jit else INTERPRETER_NS_PER_INSN
-        total = int(round(executed * per_insn + state.helper_cost_ns))
-        self.run_count += 1
+            state, outcome = self._run_checked(env, ctx_bytes, packet_bytes)
+        else:
+            # Hot path: the compiled tier, inlined (probes take this per packet).
+            stack = bytearray(isa.STACK_SIZE)
+            state = VMState(stack, ctx_bytes, packet_bytes, env)
+            try:
+                outcome = native(state, stack, ctx_bytes, packet_bytes)
+            except HelperError as exc:
+                raise ExecutionError(f"{self.name}: helper error: {exc}")
+        entry = self._outcomes.get(outcome)
+        if entry is None:
+            entry = self._outcomes[outcome] = self._new_outcome(outcome)
+        entry[0] += 1
         BPFProgram._runs_global += 1
-        self.total_insns_executed += executed
-        if helper_calls:
-            self._unmerged_helper_calls.append(helper_calls)
-        self.total_cost_ns += total
-        return ExecResult(state.regs[0], total, executed, helper_calls, state.regs)
+        regs = state.regs
+        return _new_result(ExecResult, (regs[0], entry[2], entry[1], entry[3], regs))
+
+    def _new_outcome(self, outcome) -> list:
+        """The accounting entry of an outcome key seen for the first time."""
+        if outcome.__class__ is int:
+            executed, helper_cost_ns, calls = self._unit.path_info(outcome)
+        else:
+            executed, helper_cost_ns, *items = outcome
+            calls = dict(items)
+        per_insn = JIT_NS_PER_INSN if self.jit else INTERPRETER_NS_PER_INSN
+        cost_ns = int(round(executed * per_insn + helper_cost_ns))
+        # Every run with this outcome hands out the same tally: read-only.
+        return [0, executed, cost_ns, MappingProxyType(calls)]
+
+    def _run_checked(
+        self, env: ExecutionEnv, ctx_bytes: bytearray, packet_bytes: Optional[bytearray]
+    ) -> Tuple[VMState, object]:
+        """The cold tiers: an interpreter run, or a shadowed compiled
+        one; returns the state and the outcome key."""
+        if not self.loaded:
+            raise ExecutionError(f"program {self.name!r} was not loaded")
+        if self._native is not None:
+            return self._run_shadowed(env, ctx_bytes, packet_bytes)
+        state, executed, _stack = self._run_once(env, ctx_bytes, packet_bytes, native=False)
+        return state, (executed, state.helper_cost_ns, *sorted(state.helper_calls.items()))
 
     def _run_once(
         self,
         env: ExecutionEnv,
         ctx_bytes: bytearray,
         packet_bytes: Optional[bytearray],
-        native: Optional[bool] = None,
+        native: bool,
     ) -> Tuple[VMState, int, bytearray]:
-        """One execution on the chosen tier, without accounting."""
+        """One execution on the chosen tier, without accounting: the
+        state, the compiled tier's path mask or the interpreter's
+        instruction count, and the stack."""
         stack = bytearray(isa.STACK_SIZE)
         state = VMState(stack, ctx_bytes, packet_bytes, env)
-        if native is None:
-            native = self._native is not None
         if native:
             try:
-                executed = self._native(state, stack, ctx_bytes, packet_bytes)
+                outcome = self._native(state, stack, ctx_bytes, packet_bytes)
             except HelperError as exc:
                 raise ExecutionError(f"{self.name}: helper error: {exc}")
         else:
+            state.helper_calls = {}
+            state.helper_cost_ns = 0
             regs = state.regs = [0] * isa.NUM_REGS
             regs[isa.R1] = CTX_REGION_BASE
             regs[isa.R10] = STACK_REGION_BASE + isa.STACK_SIZE
-            executed = self._execute(state)
-        return state, executed, stack
-
-    def _finish(self, state: VMState, executed: int) -> ExecResult:
-        helper_calls = state.helper_calls
-        per_insn = JIT_NS_PER_INSN if self.jit else INTERPRETER_NS_PER_INSN
-        total = int(round(executed * per_insn + state.helper_cost_ns))
-        self.run_count += 1
-        BPFProgram._runs_global += 1
-        self.total_insns_executed += executed
-        if helper_calls:
-            self._unmerged_helper_calls.append(helper_calls)
-        self.total_cost_ns += total
-        return ExecResult(state.regs[0], total, executed, helper_calls, state.regs)
+            outcome = self._execute(state)
+        return state, outcome, stack
 
     @property
     def jit_runs(self) -> int:
@@ -445,20 +468,27 @@ class BPFProgram:
         return 0 if self.jit else self.run_count
 
     @property
-    def helper_call_totals(self) -> Dict[str, int]:
-        """Per-helper invocation totals across every run.
+    def run_count(self) -> int:
+        return sum(runs for runs, _executed, _cost_ns, _calls in self._outcomes.values())
 
-        Per-run dicts are queued on the hot path and folded in here on
-        read -- the obs layer polls this far less often than probes fire.
-        """
-        unmerged = self._unmerged_helper_calls
-        if unmerged:
-            totals = self._helper_totals
-            for calls in unmerged:
-                for helper, count in calls.items():
-                    totals[helper] = totals.get(helper, 0) + count
-            unmerged.clear()
-        return self._helper_totals
+    @property
+    def total_insns_executed(self) -> int:
+        return sum(
+            runs * executed for runs, executed, _cost_ns, _calls in self._outcomes.values()
+        )
+
+    @property
+    def total_cost_ns(self) -> int:
+        return sum(runs * cost_ns for runs, _executed, cost_ns, _calls in self._outcomes.values())
+
+    @property
+    def helper_call_totals(self) -> Dict[str, int]:
+        """Per-helper invocation totals across every run."""
+        totals: Dict[str, int] = {}
+        for runs, _executed, _cost_ns, calls in self._outcomes.values():
+            for helper, count in calls.items():
+                totals[helper] = totals.get(helper, 0) + runs * count
+        return totals
 
     # -- the interpreter (differential oracle) ---------------------------------
 
@@ -531,8 +561,9 @@ class BPFProgram:
         env: ExecutionEnv,
         ctx_bytes: bytearray,
         packet_bytes: Optional[bytearray],
-    ) -> ExecResult:
-        """Run the compiled tier, then replay on the oracle and compare."""
+    ) -> Tuple[VMState, int]:
+        """Run the compiled tier, then replay on the oracle and compare;
+        returns the compiled run's state and path for accounting."""
         ctx_before = bytes(ctx_bytes)
         packet_before = None if packet_bytes is None else bytes(packet_bytes)
         clones = {fd: bpf_map.clone() for fd, bpf_map in env.maps.items()}
@@ -571,12 +602,13 @@ class BPFProgram:
                 perf_seen[fd] = seen
                 undos.append(bpf_map.tee(lambda cpu, rec, _s=seen: _s.append((cpu, bytes(rec)))))
         try:
-            state, executed, stack = self._run_once(
+            state, path, stack = self._run_once(
                 recording_env, ctx_bytes, packet_bytes, native=True
             )
         finally:
             for undo in undos:
                 undo()
+        info = self._unit.path_info(path)
 
         oracle_printks: List[str] = []
         oracle_env = ExecutionEnv(
@@ -595,10 +627,10 @@ class BPFProgram:
         except ExecutionError as exc:
             raise ShadowMismatch(f"{self.name}: oracle faulted where compiled tier ran: {exc}")
 
-        self._diff("insns_executed", executed, oexecuted)
+        self._diff("insns_executed", info.insns_executed, oexecuted)
         self._diff("registers", state.regs, ostate.regs)
-        self._diff("helper_calls", state.helper_calls, ostate.helper_calls)
-        self._diff("helper_cost_ns", state.helper_cost_ns, ostate.helper_cost_ns)
+        self._diff("helper_calls", info.helper_calls, ostate.helper_calls)
+        self._diff("helper_cost_ns", info.helper_cost_ns, ostate.helper_cost_ns)
         self._diff("stack", bytes(stack), bytes(ostack))
         self._diff("ctx", bytes(ctx_bytes), bytes(oracle_ctx))
         if packet_bytes is not None:
@@ -613,7 +645,7 @@ class BPFProgram:
                     bpf_map.state_snapshot(),
                     clones[fd].state_snapshot(),
                 )
-        return self._finish(state, executed)
+        return state, path
 
     def _diff(self, what: str, compiled_value, oracle_value) -> None:
         if compiled_value != oracle_value:

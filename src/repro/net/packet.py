@@ -343,6 +343,17 @@ class VXLANHeader(_WireHeader):
 Header = Union[EthernetHeader, IPv4Header, UDPHeader, TCPHeader, VXLANHeader]
 
 
+def _pack_header(header: Header, buffer: bytearray, offset: int, remaining: int) -> int:
+    """Write ``header`` at ``offset`` with its length field fixed up:
+    ``remaining`` is everything from this header to the end of the wire
+    image, nested packets included.  Returns the offset after it."""
+    if isinstance(header, UDPHeader):
+        header.udp_length = remaining
+    elif isinstance(header, IPv4Header):
+        header.total_length = remaining
+    return header.pack_into(buffer, offset)
+
+
 class PathRecord:
     """Ground-truth record of a packet visiting an instrumentable point.
 
@@ -465,18 +476,33 @@ class Packet:
         packet = self
         while True:
             for header in packet.headers:
-                # A length field covers everything from its header to
-                # the end of the image, nested packets included.
-                if isinstance(header, UDPHeader):
-                    header.udp_length = size - offset
-                elif isinstance(header, IPv4Header):
-                    header.total_length = size - offset
-                offset = header.pack_into(image, offset)
+                offset = _pack_header(header, image, offset, size - offset)
             payload = packet.payload
             if not isinstance(payload, Packet):
                 image[offset:] = payload
                 return image
             packet = payload
+
+    def wire_header(self, offset: int, size: int, total: int) -> Optional[Tuple[bytearray, int]]:
+        """The one header holding bytes ``offset .. offset + size`` of
+        the ``total``-byte wire image, serialised alone exactly as
+        :meth:`wire_image` would write it, and where it starts in the
+        image.  ``None`` when no single header holds the range: it
+        straddles two, or reaches the innermost payload."""
+        start = 0
+        packet = self
+        while isinstance(packet, Packet):
+            for header in packet.headers:
+                end = start + header.length
+                if offset < end:
+                    if offset + size > end:
+                        return None
+                    wire = bytearray(end - start)
+                    _pack_header(header, wire, 0, total - start)
+                    return wire, start
+                start = end
+            packet = packet.payload
+        return None
 
     def to_bytes(self) -> bytes:
         """The wire image as immutable bytes."""

@@ -144,21 +144,22 @@ def _chrome_serialiser(columns: SpanColumns):
     return rows
 
 
-def chrome_trace_chunks(forest: SpanForest) -> Iterator[str]:
-    """The canonical Chrome trace-event document, a piece at a time
-    (``"".join`` of the pieces is :func:`chrome_trace_json`)."""
-    yield (
-        '{"displayTimeUnit":"ns","otherData":{"generator":"repro.tracing",'
-        '"orphan_records":%d,"trees":%d},"traceEvents":[' % (forest.orphan_records, len(forest))
-    )
-    separator = ""
+_CHROME_HEAD = (
+    '{"displayTimeUnit":"ns","otherData":{"generator":"repro.tracing",'
+    '"orphan_records":%d,"trees":%d},"traceEvents":['
+)
+_CHROME_TAIL = "]}\n"
+
+
+def _chrome_event_blocks(forest: SpanForest) -> Iterator[List[str]]:
+    """The document's events in order: the control track's, then those
+    of ``_CHUNK_TREES`` trees at a time."""
     root = forest.control_root
     if root is not None:
         events: List[str] = []
         end = root.index + root._cols.size[root.index]
         _chrome_serialiser(root._cols)(root.index, end, 0, iter((CONTROL_NAME,)), events)
-        yield ",".join(events)
-        separator = ","
+        yield events
     columns = forest.trees.columns
     first, kind, trace = columns.tree_first, columns.kind, columns.tree_trace
     rows = _chrome_serialiser(columns)
@@ -172,15 +173,38 @@ def chrome_trace_chunks(forest: SpanForest) -> Iterator[str]:
         events = []
         for low, high in block.row_ranges():
             pid = rows(low, high, pid, labels, events)
+        yield events
+
+
+def chrome_trace_chunks(forest: SpanForest) -> Iterator[str]:
+    """The canonical Chrome trace-event document, a piece at a time
+    (``"".join`` of the pieces is :func:`chrome_trace_json`)."""
+    yield _CHROME_HEAD % (forest.orphan_records, len(forest))
+    separator = ""
+    for events in _chrome_event_blocks(forest):
         yield separator + ",".join(events)
         separator = ","
-    yield "]}\n"
+    yield _CHROME_TAIL
 
 
 def chrome_trace_json(forest: SpanForest) -> str:
     """The forest as a canonical (byte-stable) Chrome trace-event
     document (Perfetto-loadable)."""
-    return "".join(chrome_trace_chunks(forest))
+    # One join over the events themselves, not over the chunks: every
+    # piece is a small object, so the document is the only block the
+    # export puts on the C heap.  Megabyte chunks would be a second
+    # copy there, in holes the next export fills or misses depending on
+    # what else was allocated in between -- 13 MB of peak RSS either way
+    # (docs/BENCHMARKS.md, PR 22).
+    events: List[str] = []
+    for block in _chrome_event_blocks(forest):
+        events += block
+    head = _CHROME_HEAD % (forest.orphan_records, len(forest))
+    if not events:
+        return head + _CHROME_TAIL
+    events[0] = head + events[0]
+    events[-1] += _CHROME_TAIL
+    return ",".join(events)
 
 
 def write_chrome_trace(forest: SpanForest, fp: IO[str]) -> None:

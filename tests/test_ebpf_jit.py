@@ -20,10 +20,14 @@ from repro.ebpf.helpers import (
     HELPER_PERF_EVENT_OUTPUT,
 )
 from repro.ebpf.isa import R0, R1, R2, R3, R4, R5, R10
+from repro.ebpf.jit import compile_program
 from repro.ebpf.maps import HashMap, PerCPUArrayMap, PerfEventArray
+from repro.ebpf.memory import MemoryFault
+from repro.ebpf.verifier import verify
 from repro.ebpf.vm import (
     BPFProgram,
     ExecutionEnv,
+    ExecutionError,
     ShadowMismatch,
     clear_program_cache,
     program_cache_stats,
@@ -404,7 +408,7 @@ class TestDifferentialCompiledScripts:
     def _redeploy(self, tracepoint, action=ActionSpec(record=True)):
         """One agent install of ``tracepoint``: same script, fresh maps."""
         perf = PerfEventArray(num_cpus=2)
-        perf.set_consumer(lambda _cpu, _record: None)
+        perf.set_consumer(lambda _record: None)
         program, maps = compile_script(
             FilterRule(dst_port=4000, protocol=IPPROTO_UDP),
             tracepoint, action, perf_map=perf, jit=True,
@@ -459,3 +463,198 @@ class TestDifferentialCompiledScripts:
             ctx, data = build_skb_context(packet)
             costs[jit] = program.run(env, ctx, data).cost_ns
         assert costs[True] < costs[False]
+
+
+# -- typed code generation -----------------------------------------------------
+
+_CHAIN_HEAD = "<= _cl - "  # the context test that opens every generic region chain
+
+_RULES = {
+    "everything": FilterRule(),
+    "ethertype": FilterRule(ethertype=0x0800),
+    "protocol": FilterRule(protocol=IPPROTO_UDP),
+    "src_ip": FilterRule(src_ip=IPv4Address("1.1.1.1")),
+    "dst_prefix": FilterRule(dst_ip=IPv4Address("2.2.0.0"), dst_prefix_len=16),
+    "ports": FilterRule(src_port=1, dst_port=4000),
+    "all": FilterRule(
+        ethertype=0x0800, protocol=IPPROTO_UDP, src_ip=IPv4Address("1.1.1.1"),
+        dst_ip=IPv4Address("2.2.2.0"), dst_prefix_len=24, src_port=1, dst_port=4000,
+    ),
+}
+_ACTIONS = {
+    "record": ActionSpec(record=True),
+    "record+count": ActionSpec(record=True, count=True),
+    "count+hist": ActionSpec(record=False, count=True, size_histogram=True),
+    "sampled": ActionSpec(record=True, sample_shift=2),
+    "all": ActionSpec(record=True, count=True, size_histogram=True, sample_shift=1),
+}
+
+
+def _unproven_accesses(insns):
+    """Loads and stores whose pointer the verifier could not type as
+    context or frame (nor hint as packet): each keeps one chain."""
+    reg_types = verify(insns).reg_types
+    count = 0
+    for index, insn in enumerate(insns):
+        cls = insn.insn_class
+        if cls == isa.BPF_LDX:
+            pointer = reg_types[index][insn.src]
+        elif cls in (isa.BPF_ST, isa.BPF_STX):
+            pointer = reg_types[index][insn.dst]
+        else:
+            continue
+        count += pointer is None or pointer[0] not in ("ctx", "fp", "pkt")
+    return count
+
+
+class TestTypedCodegen:
+    """What the compiled tier makes of the verifier's pointer types."""
+
+    @pytest.mark.parametrize("action", list(_ACTIONS))
+    @pytest.mark.parametrize("id_mode", ["udp-trailer", "tcp-option", "none"])
+    @pytest.mark.parametrize("rule", list(_RULES))
+    def test_script_shapes_fold_every_proven_access(self, rule, id_mode, action):
+        spec = _ACTIONS[action]
+        program, maps = compile_script(
+            _RULES[rule],
+            TracepointSpec(node="n", hook="dev:x", id_mode=id_mode),
+            spec,
+            perf_map=PerfEventArray(num_cpus=2),
+            counter_map=PerCPUArrayMap(8, 1, 2),
+            histogram_map=PerCPUArrayMap(8, 17, 2),
+        )
+        source = compile_program(program.insns).source
+        # No context- or frame-typed access emits the generic chain:
+        # the only chains left are the map-value accesses through R0.
+        map_value_accesses = 2 * (spec.count + spec.size_histogram)
+        assert _unproven_accesses(program.insns) == map_value_accesses
+        assert source.count(_CHAIN_HEAD) == map_value_accesses
+        # A record's perf_event_output is a proven site: the stack slice
+        # goes straight to the map, behind the map-type check.
+        assert source.count("is _PEA") == spec.record
+        assert source.count("bytes(_stk[488:512])") == spec.record
+        # ...and every shape agrees with the interpreter on a hit and a miss.
+        program.shadow = True
+        program.load()
+        env = ExecutionEnv(maps=maps, clock=lambda: 999, prandom_u32=lambda: 0)
+        for port in (4000, 5000):
+            packet = make_udp_packet(MAC_A, MAC_B, IPv4Address("1.1.1.1"),
+                                     IPv4Address("2.2.2.2"), 1, port, b"data!")
+            ctx, data = build_skb_context(packet)
+            program.run(env, ctx, data)
+
+    def _both_tiers(self, insns, ctx):
+        outcomes = []
+        for precompile in (True, False):
+            program = BPFProgram(list(insns), name="typed", precompile=precompile)
+            program.load()
+            try:
+                outcomes.append(program.run(ExecutionEnv(), bytearray(ctx)).r0)
+            except MemoryFault as fault:
+                outcomes.append(type(fault))
+        return outcomes
+
+    def test_join_of_pointer_and_scalar_keeps_the_chain_and_agrees(self):
+        asm = Assembler()
+        asm.ldx_w(R3, R1, 0)
+        asm.mov_reg(R2, R1)
+        asm.jeq_imm(R3, 0, "use")
+        asm.mov_imm(R2, 64)
+        asm.label("use")
+        asm.ldx_w(R0, R2, 8)
+        asm.exit_()
+        insns = asm.assemble()
+        assert compile_program(insns).source.count(_CHAIN_HEAD) == 1
+        pointer = bytearray(64)
+        pointer[8:12] = (0xC0FFEE).to_bytes(4, "little")
+        assert self._both_tiers(insns, pointer) == [0xC0FFEE, 0xC0FFEE]
+        scalar = bytearray(64)
+        scalar[0] = 1  # R2 = 64: address 72 hits no region
+        assert self._both_tiers(insns, scalar) == [MemoryFault, MemoryFault]
+
+    def test_unprovable_frame_pointer_still_faults_at_run_time(self):
+        # fp + a register the verifier cannot see: accepted, chained,
+        # and faulting on both tiers when it lands outside the frame.
+        asm = Assembler()
+        asm.ldx_w(R3, R1, 0)
+        asm.mov_reg(R2, R10)
+        asm.add_reg(R2, R3)
+        asm.ldx_dw(R0, R2, 0)
+        asm.exit_()
+        insns = asm.assemble()
+        assert compile_program(insns).source.count(_CHAIN_HEAD) == 1
+        assert self._both_tiers(insns, bytearray(64)) == [MemoryFault, MemoryFault]
+
+    def test_frame_pointer_copy_compiles_to_one_indexed_access(self):
+        asm = Assembler()
+        asm.mov_reg(R2, R10)
+        asm.add_imm(R2, -16)
+        asm.st_imm(8, R2, 8, 0x1234)
+        asm.ldx_dw(R0, R10, -8)
+        asm.exit_()
+        insns = asm.assemble()
+        source = compile_program(insns).source
+        assert "_p8(_stk, 504, 4660)" in source and _CHAIN_HEAD not in source
+        assert self._both_tiers(insns, bytearray(64)) == [0x1234, 0x1234]
+
+    def test_short_context_faults_at_entry(self):
+        # Folded context accesses rest on the 56-byte context the
+        # verifier assumed; the compiled tier checks that once.
+        asm = Assembler()
+        asm.ldx_w(R0, R1, 0)
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name="short")
+        program.load()
+        with pytest.raises(MemoryFault, match="shorter than the 56"):
+            program.run(ExecutionEnv(), bytearray(8))
+
+    def test_unproven_perf_site_takes_the_generic_helper(self):
+        """A record size the verifier cannot see keeps the helper call
+        -- same record, same oversize error."""
+        perf = PerfEventArray(num_cpus=2)
+        asm = Assembler()
+        asm.st_imm(8, R10, -8, 0x1122)
+        asm.ldx_w(R5, R1, 0)  # size from the context: unknown
+        asm.ld_map_fd(R2, perf.fd)
+        asm.mov_imm(R3, 1)
+        asm.mov_reg(R4, R10)
+        asm.add_imm(R4, -8)
+        asm.call(HELPER_PERF_EVENT_OUTPUT)
+        asm.exit_()
+        insns = asm.assemble()
+        assert "is _PEA" not in compile_program(insns).source
+        program = BPFProgram(insns, maps={perf.fd: perf}, name="unproven", shadow=True)
+        program.load()
+        env = ExecutionEnv(maps={perf.fd: perf})
+        ctx = bytearray(64)
+        ctx[0] = 8
+        program.run(env, ctx)
+        assert perf.pending == [(1, (0x1122).to_bytes(8, "little"))]
+        ctx[0:4] = (5000).to_bytes(4, "little")
+        with pytest.raises(ExecutionError, match="too large"):
+            program.run(env, ctx)
+
+    def test_proven_perf_site_keeps_the_map_type_check(self):
+        """The fd table is the environment's: a proven site whose fd
+        names a non-perf map (or nothing) still gets the helper's error."""
+        perf = PerfEventArray(num_cpus=2)
+        asm = Assembler()
+        asm.st_imm(8, R10, -8, 7)
+        asm.mov_imm(R1, 0)
+        asm.ld_map_fd(R2, perf.fd)
+        asm.mov_imm(R3, 0)
+        asm.mov_reg(R4, R10)
+        asm.add_imm(R4, -8)
+        asm.mov_imm(R5, 8)
+        asm.call(HELPER_PERF_EVENT_OUTPUT)
+        asm.exit_()
+        insns = asm.assemble()
+        assert "is _PEA" in compile_program(insns).source
+        program = BPFProgram(insns, maps={perf.fd: perf}, name="proven")
+        program.load()
+        program.run(ExecutionEnv(maps={perf.fd: perf}), bytearray(64))
+        assert perf.events_emitted == 1 and perf.pending == [(0, (7).to_bytes(8, "little"))]
+        with pytest.raises(ExecutionError, match="non-perf map"):
+            program.run(ExecutionEnv(maps={perf.fd: HashMap(4, 8, 4)}), bytearray(64))
+        with pytest.raises(ExecutionError, match="no valid map pointer"):
+            program.run(ExecutionEnv(), bytearray(64))

@@ -113,9 +113,9 @@ class TestPerfEventArray:
     def test_consumer_receives_directly(self):
         perf = PerfEventArray(num_cpus=2)
         got = []
-        perf.set_consumer(lambda cpu, rec: got.append((cpu, rec)))
+        perf.set_consumer(got.append)
         perf.output(0, b"a")
-        assert got == [(0, b"a")] and perf.pending == []
+        assert got == [b"a"] and perf.pending == []
 
     def test_no_data_map_interface(self):
         perf = PerfEventArray(num_cpus=1)

@@ -20,8 +20,10 @@ from repro.net.packet import (
     IPPROTO_UDP,
     IPv4Header,
     Packet,
+    TCPOPT_TRACE_ID,
     UDPHeader,
     VXLANHeader,
+    make_tcp_packet,
     make_udp_packet,
 )
 from repro.sim.engine import Engine
@@ -212,6 +214,20 @@ class TestHookGate:
         assert hooks.fire(ProbeEvent(hook="h", node="n")) == 5 and hooks.fires("h") == 2
 
 
+@pytest.fixture
+def serialisations(monkeypatch):
+    """Every packet ``Packet.wire_image`` serialises during the test."""
+    calls = []
+    original = Packet.wire_image
+
+    def counting(packet):
+        calls.append(packet)
+        return original(packet)
+
+    monkeypatch.setattr(Packet, "wire_image", counting)
+    return calls
+
+
 class TestLazyPacketRegion:
     """The packet region is serialised only when a program reads it."""
 
@@ -239,18 +255,6 @@ class TestLazyPacketRegion:
         program.load()
         return program
 
-    @pytest.fixture
-    def serialisations(self, monkeypatch):
-        calls = []
-        original = Packet.wire_image
-
-        def counting(packet):
-            calls.append(packet)
-            return original(packet)
-
-        monkeypatch.setattr(Packet, "wire_image", counting)
-        return calls
-
     @pytest.mark.parametrize("tier", ["compiled", "interpreter"])
     def test_filter_miss_never_serialises(self, tier, serialisations):
         attachment = EBPFAttachment(self._program(0, **self.TIERS[tier]), ExecutionEnv())
@@ -263,14 +267,22 @@ class TestLazyPacketRegion:
         packet = self.PACKET(5678)
         image = packet.to_bytes()
         assert len(image) == 64
+        # Ethernet 0..14, IPv4 14..34, UDP 34..42, payload 42..64: the
+        # loads at 8, 32 and 40 straddle two segments.
+        straddles = {8, 32, 40}
         for offset in range(0, 64, 8):
             serialisations.clear()
             program = self._program(offset, **self.TIERS[tier])
             ctx, data = build_skb_context(packet)
             result = program.run(ExecutionEnv(), ctx, data)
             assert result.r0 == int.from_bytes(image[offset : offset + 8], "little")
-            # One image per run, however many tiers replay it.
-            assert len(serialisations) == 1
+            if tier == "compiled":
+                # One header alone, or the payload, needs no image.
+                assert len(serialisations) == (1 if offset in straddles else 0)
+            else:
+                # The oracle reads the whole region: one image per run,
+                # however many tiers replay it.
+                assert len(serialisations) == 1
 
     def test_shadow_agrees_on_hit_and_miss(self):
         program = self._program(8, shadow=True)
@@ -288,3 +300,141 @@ class TestLazyPacketRegion:
         ctx, data = build_skb_context(self.PACKET(5678))
         with pytest.raises((MemoryFault, ExecutionError)):
             program.run(ExecutionEnv(), ctx, data)
+
+
+def _udp(payload):
+    return make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1234, 5678, payload)
+
+
+def _tcp_with_trace_option():
+    option = b"\x01\x01" + bytes([TCPOPT_TRACE_ID, 6]) + (0xA97B5A48).to_bytes(4, "big")
+    return make_tcp_packet(MAC_A, MAC_B, IP_A, IP_B, 1234, 5678, b"segment!", seq=77,
+                           options=option)
+
+
+def _vxlan_nested():
+    return Packet(
+        [
+            EthernetHeader(MAC_B, MAC_A),
+            IPv4Header(IPv4Address("192.168.0.1"), IPv4Address("192.168.0.2"), IPPROTO_UDP),
+            UDPHeader(49999, 4789),
+            VXLANHeader(42),
+        ],
+        payload=_tcp_with_trace_option(),
+    )
+
+
+# Built anew for every use: serialising fixes up the length fields of
+# the headers it writes, and a segment read must not depend on an
+# earlier full image having done that.
+PACKET_SHAPES = {
+    "udp": lambda: _udp(bytes(range(22))),
+    "udp-trailer": lambda: _udp(bytes(range(14)) + (0xA97B5A48).to_bytes(4, "big")),
+    "tcp-option": _tcp_with_trace_option,
+    "vxlan-nested": _vxlan_nested,
+    "empty-payload": lambda: _udp(b""),
+}
+
+
+class TestPacketSegmentView:
+    """The law of the lazy packet region: whatever it serialises, a
+    program sees exactly the bytes of ``to_bytes()``."""
+
+    @pytest.mark.parametrize("shape", list(PACKET_SHAPES))
+    def test_every_load_equals_the_wire_image_slice(self, shape):
+        image = PACKET_SHAPES[shape]().to_bytes()
+        packet = PACKET_SHAPES[shape]()
+        for size in (1, 2, 4, 8):
+            for offset in range(len(image) - size + 1):
+                _ctx, data = build_skb_context(packet)  # a fresh view per load
+                assert len(data) == len(image)
+                assert data.load(offset, size) == int.from_bytes(
+                    image[offset : offset + size], "little"
+                ), (shape, offset, size)
+
+    @pytest.mark.parametrize("shape", list(PACKET_SHAPES))
+    def test_only_a_straddling_load_serialises_and_only_once(self, shape, serialisations):
+        packet = PACKET_SHAPES[shape]()
+        image = packet.to_bytes()
+        # Segment boundaries: after each header of each nesting level.
+        boundaries, layer, position = [], packet, 0
+        while isinstance(layer, Packet):
+            for header in layer.headers:
+                position += header.length
+                boundaries.append(position)
+            layer = layer.payload
+        for offset in range(len(image) - 1):
+            serialisations.clear()
+            _ctx, data = build_skb_context(packet)
+            data.load(offset, 2)
+            straddles = offset + 1 in boundaries
+            assert len(serialisations) == straddles, (shape, offset)
+            # Once built, the image serves every later load of the run.
+            data.load(0, 1)
+            data.load(len(image) - 1, 1)
+            if straddles:
+                assert len(serialisations) == 1
+
+    @pytest.mark.parametrize("tier", list(TestLazyPacketRegion.TIERS))
+    def test_store_then_load_sees_the_store(self, tier, serialisations):
+        """*(u32*)(data + 44) = 0xdeadbeef; r0 = *(u64*)(data + 40) --
+        the load straddles nothing the store did not already build."""
+        asm = Assembler()
+        asm.ldx_dw(R3, R1, ctxmod.OFF_DATA)
+        asm.st_imm(4, R3, 44, 0xDEADBEEF)
+        asm.ldx_dw(R0, R3, 40)
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name="poke", **TestLazyPacketRegion.TIERS[tier])
+        program.load()
+        packet = PACKET_SHAPES["udp"]()
+        expected = bytearray(packet.to_bytes())
+        expected[44:48] = (0xDEADBEEF).to_bytes(4, "little")
+        serialisations.clear()
+        ctx, data = build_skb_context(packet)
+        result = program.run(ExecutionEnv(), ctx, data)
+        assert result.r0 == int.from_bytes(expected[40:48], "little")
+        assert bytes(data) == bytes(expected)
+        assert len(serialisations) == 1
+
+    def test_header_mutated_between_hooks_is_reflected(self, serialisations):
+        packet = PACKET_SHAPES["udp-trailer"]()
+        ttl_at, checksum_at = 14 + 8, 14 + 10
+        _ctx, first = build_skb_context(packet)
+        before = (first.load(ttl_at, 1), first.load(checksum_at, 2))
+        packet.ip.ttl -= 1  # a router hop between two tracepoints
+        _ctx, second = build_skb_context(packet)
+        after = (second.load(ttl_at, 1), second.load(checksum_at, 2))
+        assert after[0] == before[0] - 1 and after[1] != before[1]
+        assert serialisations == []
+        image = packet.to_bytes()
+        checksum = int.from_bytes(image[checksum_at : checksum_at + 2], "little")
+        assert after == (image[ttl_at], checksum)
+
+    def test_trace_id_reads_of_the_compiled_scripts_never_serialise(self, serialisations):
+        """The two loads the tracing scripts make: the UDP trailer (in
+        the payload) and the TCP option (in the innermost TCP header)."""
+        from repro.core.compiler import compile_script
+        from repro.core.config import ActionSpec, FilterRule, TracepointSpec
+        from repro.core.records import TraceRecord
+        from repro.ebpf.maps import PerfEventArray
+
+        for shape, id_mode, use_inner in (
+            ("udp-trailer", "udp-trailer", False),
+            ("tcp-option", "tcp-option", False),
+            ("vxlan-nested", "tcp-option", True),
+        ):
+            perf = PerfEventArray(num_cpus=1)
+            program, maps = compile_script(
+                FilterRule(dst_port=5678),
+                TracepointSpec(node="n", hook="dev:x", id_mode=id_mode, strip_vxlan=use_inner),
+                ActionSpec(record=True),
+                perf_map=perf,
+            )
+            program.load()
+            attachment = EBPFAttachment(program, ExecutionEnv(maps=maps), use_inner=use_inner)
+            attachment.handle(ProbeEvent(hook="h", node="n", packet=PACKET_SHAPES[shape]()))
+            assert attachment.events_matched == 1 and serialisations == []
+            (_cpu, raw), = perf.pending
+            assert TraceRecord.unpack(raw).trace_id == int.from_bytes(
+                (0xA97B5A48).to_bytes(4, "big"), "little"
+            )

@@ -223,3 +223,120 @@ class TestRejects:
     def test_register_out_of_range(self):
         with pytest.raises(VerifierError, match="register out of range"):
             verify([Instruction(isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_K, dst=12, imm=0)])
+
+
+class TestPointerTypes:
+    """The register-type dataflow: what it proves, and what it rejects."""
+
+    def _load_through(self, setup, offset=0, size="w"):
+        """``setup(asm)`` prepares R2, then ``r0 = *(size*)(r2 + offset)``."""
+        asm = Assembler()
+        setup(asm)
+        getattr(asm, f"ldx_{size}")(R0, R2, offset)
+        asm.exit_()
+        insns = asm.assemble()
+        return insns, len(insns) - 2
+
+    def test_frame_pointer_copy_out_of_frame_rejected(self):
+        # mov r2, r10; ldx r0, [r2+8] -- verified, then faulted, before.
+        insns, _ = self._load_through(lambda asm: asm.mov_reg(R2, R10), offset=8, size="dw")
+        with pytest.raises(VerifierError, match=r"fp\+8 size 8 outside the 512-byte frame"):
+            verify(insns)
+
+    def test_frame_pointer_copy_below_frame_rejected(self):
+        def setup(asm):
+            asm.mov_reg(R2, R10)
+            asm.add_imm(R2, -510)
+
+        insns, _ = self._load_through(setup, offset=-4)
+        with pytest.raises(VerifierError, match=r"fp-514 size 4 outside the 512-byte frame"):
+            verify(insns)
+
+    def test_frame_pointer_copy_in_frame_is_typed(self):
+        def setup(asm):
+            asm.st_imm(8, R10, -16, 7)
+            asm.mov_reg(R2, R10)
+            asm.add_imm(R2, -24)
+            asm.sub_imm(R2, -8)
+
+        insns, load = self._load_through(setup, size="dw")
+        assert verify(insns).reg_types[load][R2] == ("fp", -16)
+
+    @pytest.mark.parametrize("delta,offset,size", [(0, 56, "b"), (52, 0, "dw"), (-4, 0, "w")])
+    def test_context_copy_out_of_context_rejected(self, delta, offset, size):
+        def setup(asm):
+            asm.mov_reg(R2, R1)
+            asm.add_imm(R2, delta)
+
+        insns, _ = self._load_through(setup, offset=offset, size=size)
+        with pytest.raises(VerifierError, match="outside the 56-byte context"):
+            verify(insns)
+
+    def test_store_through_context_copy_is_checked_too(self):
+        asm = Assembler()
+        asm.mov_reg(R6, R1)
+        asm.st_imm(8, R6, 52, 1)
+        asm.mov_imm(R0, 0)
+        asm.exit_()
+        with pytest.raises(VerifierError, match=r"ctx\+52 size 8 outside the 56-byte context"):
+            verify(asm.assemble())
+
+    def test_last_context_byte_is_in_bounds(self):
+        insns, load = self._load_through(lambda asm: asm.mov_reg(R2, R1), offset=55, size="b")
+        assert verify(insns).reg_types[load][R2] == ("ctx", 0)
+
+    def test_pointer_plus_unknown_register_is_unproven(self):
+        # Pointer + a value the verifier cannot see: no type, no
+        # rejection -- the access keeps its run-time check.
+        def setup(asm):
+            asm.ldx_w(R3, R1, 0)
+            asm.mov_reg(R2, R10)
+            asm.add_reg(R2, R3)
+
+        insns, load = self._load_through(setup, offset=8)
+        assert verify(insns).reg_types[load][R2] is None
+
+    def test_constants_fold_through_mov_and_add(self):
+        def setup(asm):
+            asm.mov_imm(R3, 40)
+            asm.add_imm(R3, 8)
+            asm.mov_reg(R2, R1)
+            asm.add_reg(R2, R3)
+
+        insns, load = self._load_through(setup, size="dw")
+        types = verify(insns).reg_types[load]
+        assert types[R3] == ("const", 48) and types[R2] == ("ctx", 48)
+
+    def test_data_pointers_load_as_packet_hints(self):
+        def setup(asm):
+            asm.ldx_dw(R2, R1, 48)  # data_end
+            asm.sub_imm(R2, 4)
+
+        insns, load = self._load_through(setup)
+        assert verify(insns).reg_types[load][R2] == ("pkt", 0)
+
+    def test_join_of_pointer_and_scalar_is_unknown(self):
+        asm = Assembler()
+        asm.ldx_w(R3, R1, 0)
+        asm.mov_reg(R2, R1)
+        asm.jeq_imm(R3, 0, "use")
+        asm.mov_imm(R2, 64)
+        asm.label("use")
+        asm.ldx_w(R0, R2, 8)
+        asm.exit_()
+        insns = asm.assemble()
+        assert verify(insns).reg_types[4][R2] is None
+
+    def test_calls_clobber_types(self):
+        asm = Assembler()
+        asm.mov_reg(R6, R1)
+        asm.mov_reg(R5, R10)
+        asm.call(5)  # ktime_get_ns
+        asm.mov_imm(R1, 0)
+        asm.call(5)
+        asm.mov_imm(R0, 0)
+        asm.exit_()
+        types = verify(asm.assemble()).reg_types
+        assert types[2][R5] == ("fp", 0) and types[2][R6] == ("ctx", 0)
+        assert types[4][R0] is None and types[4][R5] is None
+        assert types[4][R1] == ("const", 0) and types[4][R6] == ("ctx", 0)

@@ -322,3 +322,92 @@ class TestCostModel:
         program.run(ExecutionEnv(), bytearray(64))
         assert program.run_count == 1
         assert program.total_cost_ns > 0
+
+
+class TestRunAccounting:
+    """Runs are accounted per distinct outcome, not per run."""
+
+    RUNS = 10_000
+
+    def _record_script(self, **tier):
+        from repro.core.compiler import compile_script
+        from repro.core.config import ActionSpec, FilterRule, TracepointSpec
+
+        perf = PerfEventArray(num_cpus=2)
+        perf.set_consumer(lambda _record: None)
+        program, maps = compile_script(
+            FilterRule(dst_port=4000),
+            TracepointSpec(node="n", hook="dev:x", tracepoint_id=7),
+            ActionSpec(record=True),
+            perf_map=perf,
+        )
+        for name, value in tier.items():
+            setattr(program, name, value)
+        program.load()
+        return program, ExecutionEnv(maps=maps, clock=lambda: 5)
+
+    @staticmethod
+    def _contexts():
+        from repro.ebpf.context import build_skb_context
+        from repro.net.addressing import IPv4Address, MACAddress
+        from repro.net.packet import make_udp_packet
+
+        def context(port):
+            packet = make_udp_packet(
+                MACAddress.from_index(1), MACAddress.from_index(2),
+                IPv4Address("1.1.1.1"), IPv4Address("2.2.2.2"), 1, port, b"payload!",
+            )
+            return build_skb_context(packet)
+
+        return context(4000), context(5000)
+
+    @pytest.mark.parametrize("tier", [{}, {"precompile": False}], ids=["compiled", "interpreter"])
+    def test_matching_runs_with_no_obs_read_retain_nothing_per_run(self, tier):
+        """ISSUE 22's retention bug: one helper-call dict per matching
+        run was queued until something read ``helper_call_totals`` --
+        without a sampler, for ever."""
+        import sys
+
+        from repro.obs import contract
+        from repro.obs.instrument import register_ebpf_metrics
+        from repro.obs.registry import MetricsRegistry
+
+        program, env = self._record_script(**tier)
+        (hit_ctx, hit_data), (miss_ctx, miss_data) = self._contexts()
+        program.run(env, hit_ctx, hit_data)  # both outcomes seen once,
+        program.run(env, miss_ctx, miss_data)  # so the table is complete
+        before = sys.getallocatedblocks()
+        for _ in range(self.RUNS):
+            program.run(env, hit_ctx, hit_data)
+        retained = sys.getallocatedblocks() - before
+        assert retained < 100, f"{retained} blocks kept alive by {self.RUNS} runs"
+        assert len(program._outcomes) == 2
+
+        runs = self.RUNS + 1
+        assert program.run_count == runs + 1
+        assert program.helper_call_totals == {
+            "ktime_get_ns": runs, "get_smp_processor_id": runs, "perf_event_output": runs,
+        }
+        registry = MetricsRegistry()
+        register_ebpf_metrics(registry, lambda: [program])
+        assert registry.total(contract.EBPF_HELPER_CALLS.name) == 3 * runs
+        assert registry.total(contract.EBPF_RUNS.name) == runs + 1
+
+    def test_totals_are_the_sum_of_the_per_run_results(self):
+        program, env = self._record_script()
+        results = [program.run(env, ctx, data) for ctx, data in self._contexts() * 3]
+        assert program.run_count == 6
+        assert program.total_cost_ns == sum(r.cost_ns for r in results)
+        assert program.total_insns_executed == sum(r.insns_executed for r in results)
+        totals = {}
+        for result in results:
+            for helper, count in result.helper_calls.items():
+                totals[helper] = totals.get(helper, 0) + count
+        assert program.helper_call_totals == totals
+
+    def test_a_result_cannot_corrupt_the_shared_tally(self):
+        program, env = self._record_script()
+        (ctx, data), _miss = self._contexts()
+        result = program.run(env, ctx, data)
+        with pytest.raises(TypeError):
+            result.helper_calls["ktime_get_ns"] = 99

@@ -112,3 +112,91 @@ class TestEndToEnd:
         # 2000 msg/s of 56B payloads (+headers +id), order microseconds:
         assert result.packets >= client.received
         assert result.bits_per_second > 100_000
+
+
+class TestShadowedScenes:
+    """Every program a scene deploys, replayed on the interpreter: the
+    compiled tier's typed accesses, segment reads and bound perf call
+    sites must leave the same registers, memory, maps and perf output
+    -- and so the same database -- as the oracle."""
+
+    @staticmethod
+    def _shadow_everything(patch):
+        """``BPFProgram(shadow=...)`` defaults to on while ``patch``
+        lasts; returns the list the programs built that way land in."""
+        from repro.ebpf.vm import BPFProgram
+
+        built = []
+        original = BPFProgram.__init__
+
+        def shadowed_init(self, *args, **kwargs):
+            kwargs.setdefault("shadow", True)
+            original(self, *args, **kwargs)
+            built.append(self)
+
+        patch.setattr(BPFProgram, "__init__", shadowed_init)
+        return built
+
+    @staticmethod
+    def _rows(db):
+        # Tracepoint ids come from a process-global allocator.
+        return {
+            label: [row._replace(tracepoint_id=0) for row in db.table(label)]
+            for label in sorted(db.tables())
+        }
+
+    @staticmethod
+    def _quickstart():
+        from repro.obs.scenario import run_quickstart_scenario
+
+        return run_quickstart_scenario(seed=11, duration_ns=150_000_000, shards=0).tracer.db
+
+    @staticmethod
+    def _overlay_tcp():
+        """TCP through VXLAN with trace-ID options, traced on every
+        device of the receiving VM (``pipeline_bench``'s
+        ``tcp_bulk_overlay``, small)."""
+        from repro.core import GlobalConfig
+        from repro.experiments.topologies import build_overlay_case
+        from repro.net.packet import IPPROTO_TCP
+        from repro.workloads.netperf import NetperfClient, NetperfServer
+
+        scene = build_overlay_case(seed=11)
+        receiver = scene.vm2.node
+        NetperfServer(scene.container2.node, scene.c2_ip, port=12865, cpu_index=1)
+        client = NetperfClient(
+            scene.container1.node, scene.c1_ip, scene.c2_ip, server_port=12865,
+            mode="TCP_STREAM", gso_bytes=65160, cpu_index=1,
+        )
+        tracer = VNetTracer(scene.engine)
+        tracer.add_agent(scene.vm1.node)
+        tracer.add_agent(receiver)
+        devices = [name for name in receiver.devices if name != "lo"]
+        # veth names come from a process-global counter: label by kind.
+        labels = ["veth" if name.startswith("veth") else name for name in devices]
+        tracer.deploy(TracingSpec(
+            rule=FilterRule(dst_ip=scene.c2_ip, dst_port=12865, protocol=IPPROTO_TCP),
+            tracepoints=[
+                TracepointSpec(node=receiver.name, hook=f"dev:{name}", label=label,
+                               strip_vxlan=True, id_mode="tcp-option", tracepoint_id=201 + index)
+                for index, (name, label) in enumerate(zip(devices, labels))
+            ],
+            global_config=GlobalConfig(flush_interval_ns=2_000_000),
+        ))
+        scene.engine.run(until=2_000_000)
+        client.start(8_000_000)
+        scene.engine.run(until=30_000_000)
+        tracer.collect()
+        return tracer.db
+
+    @pytest.mark.parametrize("scene", ["_quickstart", "_overlay_tcp"])
+    def test_shadowed_scene_stores_the_same_rows(self, scene):
+        run = getattr(self, scene)
+        plain = self._rows(run())
+        with pytest.MonkeyPatch.context() as patch:
+            programs = self._shadow_everything(patch)
+            shadowed = self._rows(run())  # a ShadowMismatch would raise here
+        assert programs and all(program.shadow for program in programs)
+        assert sum(program.run_count for program in programs) > 100
+        assert sum(len(rows) for rows in plain.values()) > 50
+        assert shadowed == plain

@@ -21,6 +21,7 @@ promises beyond byte-identical exports:
 import gc
 import io
 import json
+import sys
 import tracemalloc
 import types
 from array import array
@@ -319,8 +320,21 @@ class TestChunkedExport:
             )
         )["chrome"]
 
+    def test_json_is_one_join_over_small_events(self):
+        # Every piece of ``chrome_trace_json``'s join fits CPython's
+        # small-object allocator (<= 512 B), so the document is the only
+        # large block an export allocates (docs/TIMELINES.md, Exporters).
+        forest = self._forest(1025)
+        blocks = list(repro.tracing.export._chrome_event_blocks(forest))
+        events = [event for block in blocks for event in block]
+        assert len(blocks) == 3  # the control track, then 1 024 trees a block
+        assert len(events) > forest.span_count()
+        assert max(map(sys.getsizeof, events)) <= 512
+        assert ",".join(events) in chrome_trace_json(forest)
+
     def test_no_control_track_and_no_trees(self):
         empty = SpanAssembler(TraceDB()).forest()
+        assert chrome_trace_json(empty) == "".join(chrome_trace_chunks(empty))
         assert json.loads("".join(chrome_trace_chunks(empty)))["traceEvents"] == []
         assert json.loads(otlp_json(empty))["resourceSpans"][0]["scopeSpans"][0]["spans"] == []
 
