@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.compiler import compile_script
 from repro.core.config import ControlPackage
+from repro.core.delivery import AtLeastOnceSender, Delivery
 from repro.core.records import RECORD_BYTES
 from repro.core.ringbuffer import FLUSH_FIXED_COST_NS, TraceRingBuffer
 from repro.ebpf.maps import PerCPUArrayMap, PerfEventArray
@@ -71,27 +72,6 @@ SHIP_BACKOFF_CAP_NS = 16_000_000
 RING_SAMPLE_PROB = 0.5
 # Agent -> collector liveness report period.
 HEARTBEAT_INTERVAL_NS = 100_000_000
-
-
-class _PendingShip:
-    """Retry state for one sequence-numbered online batch.
-
-    Carries the packed blob exactly as the ring buffer produced it --
-    the records are never decoded on the agent; the collector
-    bulk-ingests the blob straight into the trace database's columns."""
-
-    __slots__ = ("seq", "blob", "count", "shipped_at", "attempts", "acked",
-                 "delivered", "timer")
-
-    def __init__(self, seq: int, blob: bytes, count: int, shipped_at: int):
-        self.seq = seq
-        self.blob = blob
-        self.count = count
-        self.shipped_at = shipped_at
-        self.attempts = 0
-        self.acked = False
-        self.delivered = False  # at least one copy reached the collector
-        self.timer = None
 
 
 class InstalledScript:
@@ -160,13 +140,26 @@ class Agent:
         self._heartbeat_timer = None
         self._online = False
         self.crashed = False
-        self.injector: "Optional[FaultInjector]" = None
         self.fault_metrics = FaultMetrics(registry)
         # At-least-once shipping state: a per-node monotone sequence
-        # number (never reused, survives crash/restart) and the batches
-        # still awaiting the collector's ack.
+        # number (never reused, survives crash/restart), the sender, and
+        # the batches still awaiting the collector's ack.  A delivery's
+        # payload is ``(seq, blob, count, shipped_at)`` -- the packed
+        # blob exactly as the ring buffer produced it; the records are
+        # never decoded on the agent.
         self._ship_seq = 0
-        self._pending_ships: Dict[int, _PendingShip] = {}
+        self._shipments = AtLeastOnceSender(
+            self.engine,
+            latency_ns=SHIP_NET_LATENCY_NS,
+            backoff_base_ns=SHIP_BACKOFF_BASE_NS,
+            backoff_cap_ns=SHIP_BACKOFF_CAP_NS,
+            budget=self._ship_budget,
+            arrived=self._ship_arrived,
+            counted=self._ship_counted,
+            acked=self._ship_acked,
+            gave_up=self._ship_gave_up,
+        )
+        self._pending_ships: Dict[int, Delivery] = {}
         self._installed_deploy_id: Optional[int] = None
 
         self._m_flush_latency = self._m_batches = None
@@ -296,7 +289,8 @@ class Agent:
 
     def set_fault_injector(self, injector: "Optional[FaultInjector]") -> None:
         """Route this agent's shipments through a fault injector."""
-        self.injector = injector
+        self._shipments.decide = (
+            injector.shipment_decision if injector is not None else None)
 
     def crash(self) -> None:
         """The daemon dies: scripts detach, buffered records are lost.
@@ -325,13 +319,9 @@ class Agent:
         if self.local_store:
             self.fault_metrics.records_lost(name, "crash_store", len(self.local_store))
             self.local_store = []
-        for state in list(self._pending_ships.values()):
-            if state.timer is not None:
-                state.timer.cancel()
-                state.timer = None
-            if not state.delivered:
-                self.fault_metrics.records_lost(name, "shipment", state.count)
-                self.collector.skip_shipment(name, state.seq)
+        for delivery in self._pending_ships.values():
+            self._shipments.cancel(delivery)
+            self._account_abandoned(delivery)
         self._pending_ships.clear()
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
@@ -389,82 +379,52 @@ class Agent:
         self.records_forwarded += len(batch)
         self._count_shipment(len(batch))
         self._ship_seq += 1
-        state = _PendingShip(self._ship_seq, blob, len(batch), self.engine.now)
-        self._pending_ships[state.seq] = state
+        delivery = Delivery((self._ship_seq, blob, len(batch), self.engine.now))
+        self._pending_ships[self._ship_seq] = delivery
         # Online shipping consumes agent CPU (once -- retransmissions
         # resend the serialized buffer for free) and takes network time.
-        self.node.cpus[0].submit(cost, lambda: self._transmit(state))
+        self.node.cpus[0].submit(cost, lambda: self._shipments.transmit(delivery))
 
-    def _transmit(self, state: _PendingShip) -> None:
-        """One transmission attempt of a sequence-numbered batch."""
-        if self.crashed or state.acked:
-            return
-        state.attempts += 1
+    # -- the shipment sender's hooks (core/delivery.py) ---------------------
+
+    def _ship_budget(self, delivery: Delivery) -> Tuple[int, int]:
+        # The current package's at every attempt, not the one the batch
+        # was flushed under: a redeploy retunes shipments in flight.
+        cfg = self.package.global_config
+        return cfg.ship_max_attempts, cfg.ship_ack_timeout_ns
+
+    def _ship_counted(self, delivery: Delivery) -> None:
         name = self.node.name
         self.fault_metrics.ship_attempt(name)
-        if state.attempts > 1:
+        if delivery.attempts > 1:
             self.fault_metrics.ship_retry(name)
-        decision = (
-            self.injector.shipment_decision() if self.injector is not None else None
-        )
-        if decision is None or not decision.drop:
-            delay = SHIP_NET_LATENCY_NS + (decision.extra_delay_ns if decision else 0)
-            self.engine.schedule(delay, self._deliver_ship, state)
-            if decision is not None and decision.duplicate:
-                self.engine.schedule(
-                    delay + SHIP_NET_LATENCY_NS, self._deliver_ship, state)
-        cfg = self.package.global_config
-        backoff = 0
-        if state.attempts >= 2:
-            raw = SHIP_BACKOFF_BASE_NS * (2 ** (state.attempts - 2))
-            backoff = min(raw, SHIP_BACKOFF_CAP_NS)
-        state.timer = self.engine.timer(
-            SHIP_NET_LATENCY_NS + cfg.ship_ack_timeout_ns + backoff,
-            self._check_ship_ack, state,
-        )
 
-    def _deliver_ship(self, state: _PendingShip) -> None:
-        """One copy of the batch arrives at the collector."""
-        first = not state.delivered
-        state.delivered = True
-        if first:
-            self.ship_log.append(
-                (state.shipped_at, self.engine.now, self.node.name, state.count)
-            )
-        self.collector.receive_batch(self.node.name, state.blob, seq=state.seq)
-        # The ack crosses the same lossy channel, in the other direction.
-        decision = (
-            self.injector.shipment_decision() if self.injector is not None else None
-        )
-        if decision is None or not decision.drop:
-            delay = SHIP_NET_LATENCY_NS + (decision.extra_delay_ns if decision else 0)
-            self.engine.schedule(delay, self._on_ship_ack, state)
+    def _ship_arrived(self, delivery: Delivery, sent_ns: int) -> bool:
+        """One copy of the batch arrives at the collector -- also one
+        that was on the wire when the agent crashed; dedup on (node,
+        seq) makes every further copy harmless."""
+        seq, blob, count, shipped_at = delivery.payload
+        if delivery.arrivals == 1:
+            self.ship_log.append((shipped_at, self.engine.now, self.node.name, count))
+        self.collector.receive_batch(self.node.name, blob, seq=seq)
+        return True
 
-    def _on_ship_ack(self, state: _PendingShip) -> None:
-        if state.acked:
-            return
-        state.acked = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-        self._pending_ships.pop(state.seq, None)
+    def _ship_acked(self, delivery: Delivery) -> None:
+        del self._pending_ships[delivery.payload[0]]
 
-    def _check_ship_ack(self, state: _PendingShip) -> None:
-        if state.acked or self.crashed:
-            return
-        cfg = self.package.global_config
-        if state.attempts < cfg.ship_max_attempts:
-            self._transmit(state)
-            return
-        # Budget exhausted: abandon the batch.  If no copy ever reached
-        # the collector the records are lost -- account them exactly and
-        # post the gap notice; if only the acks were lost, the data is
-        # safe in the database already.
-        self._pending_ships.pop(state.seq, None)
-        if not state.delivered:
-            self.fault_metrics.records_lost(
-                self.node.name, "shipment", state.count)
-            self.collector.skip_shipment(self.node.name, state.seq)
+    def _ship_gave_up(self, delivery: Delivery) -> None:
+        del self._pending_ships[delivery.payload[0]]
+        self._account_abandoned(delivery)
+
+    def _account_abandoned(self, delivery: Delivery) -> None:
+        """A batch the agent stopped sending (budget spent, or crashed).
+        If no copy ever reached the collector the records are lost --
+        account them exactly and post the gap notice; if only the acks
+        were lost, the data is safe in the database already."""
+        if not delivery.arrivals:
+            seq, _, count, _ = delivery.payload
+            self.fault_metrics.records_lost(self.node.name, "shipment", count)
+            self.collector.skip_shipment(self.node.name, seq)
 
     def collect_local(self) -> int:
         """Offline collection: drain the local store to the collector

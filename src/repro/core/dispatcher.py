@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.config import ControlPackage, GlobalConfig, TracingSpec
+from repro.core.config import ControlPackage, TracingSpec
+from repro.core.delivery import AtLeastOnceSender, Delivery
 from repro.core.reports import DeployReport
 from repro.faults.metrics import FaultMetrics
 from repro.obs.registry import MetricsRegistry
@@ -50,24 +51,6 @@ class DispatchError(RuntimeError):
     exhausted its delivery retry budget."""
 
 
-class _PendingDelivery:
-    """Retry state for one package of one deploy."""
-
-    __slots__ = ("package", "agent", "report", "cfg", "attempts", "acked",
-                 "failed", "timer")
-
-    def __init__(self, package: ControlPackage, agent: "Agent",
-                 report: DeployReport, cfg: GlobalConfig):
-        self.package = package
-        self.agent = agent
-        self.report = report
-        self.cfg = cfg
-        self.attempts = 0
-        self.acked = False
-        self.failed = False
-        self.timer = None
-
-
 class ControlDataDispatcher:
     """Formats and distributes control packages."""
 
@@ -81,21 +64,35 @@ class ControlDataDispatcher:
         self.master_name = master_name
         self.agents: Dict[str, "Agent"] = {}
         self.deployments = 0
-        self.injector: "Optional[FaultInjector]" = None
         self.fault_metrics = FaultMetrics(registry)
         # (dispatch_ns, installed_ns, node) per delivered control
         # package -- the dispatcher->agent legs of the control-plane
         # timeline (docs/TIMELINES.md).
         self.deploy_log: List[Tuple[int, int, str]] = []
         self._deploy_ids = 0
-        self._pending: Dict[Tuple[int, str], _PendingDelivery] = {}
+        # The at-least-once leg to the agents.  A delivery's payload is
+        # ``(deploy_id, package, report)``; its budget is the spec's at
+        # deploy() -- each package carries that config.
+        self._sender = AtLeastOnceSender(
+            engine,
+            latency_ns=CONTROL_LATENCY_NS,
+            backoff_base_ns=DEPLOY_BACKOFF_BASE_NS,
+            backoff_cap_ns=DEPLOY_BACKOFF_CAP_NS,
+            budget=self._budget,
+            arrived=self._arrived,
+            counted=self._counted,
+            acked=self._acked,
+            gave_up=self._gave_up,
+        )
+        # node -> its one delivery still awaiting an ack.
+        self._pending: Dict[str, Delivery] = {}
 
     def register_agent(self, agent: "Agent") -> None:
         self.agents[agent.node.name] = agent
 
     def set_fault_injector(self, injector: "Optional[FaultInjector]") -> None:
         """Route control-channel messages through a fault injector."""
-        self.injector = injector
+        self._sender.decide = injector.control_decision if injector is not None else None
 
     def build_packages(self, spec: TracingSpec) -> List[ControlPackage]:
         packages = []
@@ -126,103 +123,61 @@ class ControlDataDispatcher:
         self._deploy_ids += 1
         deploy_id = self._deploy_ids
         report = DeployReport(packages=packages, deploy_id=deploy_id)
-        cfg = spec.global_config
         for package in packages:
-            # A newer deploy supersedes any still-retrying older one for
-            # the same node; stop its timer so it cannot fail later.
-            for (old_id, node), old in list(self._pending.items()):
-                if node == package.node and not old.acked and not old.failed:
-                    old.failed = True
-                    if old.timer is not None:
-                        old.timer.cancel()
-                    del self._pending[(old_id, node)]
-            state = _PendingDelivery(package, self.agents[package.node], report, cfg)
-            self._pending[(deploy_id, package.node)] = state
-            self._attempt(deploy_id, state)
+            # A newer deploy supersedes a still-retrying older one for
+            # the same node, so that one cannot fail later.
+            old = self._pending.get(package.node)
+            if old is not None:
+                self._sender.cancel(old)
+            delivery = Delivery((deploy_id, package, report))
+            self._pending[package.node] = delivery
+            self._sender.transmit(delivery)
         self.deployments += 1
         return report
 
-    # -- delivery + retry ---------------------------------------------------
+    # -- the sender's hooks (core/delivery.py) ------------------------------
 
-    def _attempt(self, deploy_id: int, state: _PendingDelivery) -> None:
-        state.attempts += 1
-        state.report.attempts += 1
-        if state.attempts > 1:
-            state.report.retries += 1
-            self.fault_metrics.deploy_retry(state.package.node)
-        self.fault_metrics.deploy_attempt(state.package.node)
-        node = state.package.node
-        state.report.attempts_by_node[node] = state.attempts
+    @staticmethod
+    def _budget(delivery: Delivery) -> Tuple[int, int]:
+        cfg = delivery.payload[1].global_config
+        return cfg.deploy_max_attempts, cfg.deploy_ack_timeout_ns
 
-        latency = CONTROL_LATENCY_NS
-        decision = (
-            self.injector.control_decision() if self.injector is not None else None
-        )
-        sent_ns = self.engine.now
-        if decision is None or not decision.drop:
-            delay = latency + (decision.extra_delay_ns if decision else 0)
-            self.engine.schedule(delay, self._deliver, deploy_id, state, sent_ns)
-            if decision is not None and decision.duplicate:
-                self.engine.schedule(
-                    delay + latency, self._deliver, deploy_id, state, sent_ns)
-        state.timer = self.engine.timer(
-            latency + state.cfg.deploy_ack_timeout_ns + self._backoff(state),
-            self._check_ack, deploy_id, state,
-        )
+    def _counted(self, delivery: Delivery) -> None:
+        _, package, report = delivery.payload
+        node = package.node
+        report.attempts += 1
+        if delivery.attempts > 1:
+            report.retries += 1
+            self.fault_metrics.deploy_retry(node)
+        self.fault_metrics.deploy_attempt(node)
+        report.attempts_by_node[node] = delivery.attempts
 
-    def _backoff(self, state: _PendingDelivery) -> int:
-        """Capped exponential backoff added before the *next* retry."""
-        if state.attempts < 2:
-            return 0
-        raw = DEPLOY_BACKOFF_BASE_NS * (2 ** (state.attempts - 2))
-        return min(raw, DEPLOY_BACKOFF_CAP_NS)
-
-    def _deliver(self, deploy_id: int, state: _PendingDelivery, sent_ns: int) -> None:
-        if state.failed:
-            return  # superseded by a newer deploy
-        agent = state.agent
-        if getattr(agent, "crashed", False):
-            return  # a crashed agent neither installs nor acks
-        status = agent.install(state.package, deploy_id=deploy_id)
+    def _arrived(self, delivery: Delivery, sent_ns: int) -> bool:
+        if delivery.abandoned:
+            return False  # superseded by a newer deploy, or given up
+        deploy_id, package, _ = delivery.payload
+        # A crashed agent answers "down": it neither installs nor acks.
+        status = self.agents[package.node].install(package, deploy_id=deploy_id)
         if status == "installed":
-            self.deploy_log.append((sent_ns, self.engine.now, state.package.node))
-        if status in ("installed", "duplicate"):
-            # The ack crosses the same lossy control channel.
-            decision = (
-                self.injector.control_decision()
-                if self.injector is not None else None
-            )
-            if decision is None or not decision.drop:
-                delay = CONTROL_LATENCY_NS + (
-                    decision.extra_delay_ns if decision else 0)
-                self.engine.schedule(delay, self._on_ack, deploy_id, state)
+            self.deploy_log.append((sent_ns, self.engine.now, package.node))
+        return status in ("installed", "duplicate")
 
-    def _on_ack(self, deploy_id: int, state: _PendingDelivery) -> None:
-        if state.acked or state.failed:
-            return
-        state.acked = True
-        if state.timer is not None:
-            state.timer.cancel()
-            state.timer = None
-        state.report.acked_nodes.append(state.package.node)
-        self._pending.pop((deploy_id, state.package.node), None)
+    def _acked(self, delivery: Delivery) -> None:
+        _, package, report = delivery.payload
+        report.acked_nodes.append(package.node)
+        del self._pending[package.node]
 
-    def _check_ack(self, deploy_id: int, state: _PendingDelivery) -> None:
-        if state.acked or state.failed:
-            return
-        if state.attempts < state.cfg.deploy_max_attempts:
-            self._attempt(deploy_id, state)
-            return
-        state.failed = True
-        state.report.failed_nodes.append(state.package.node)
-        self._pending.pop((deploy_id, state.package.node), None)
-        if state.cfg.deploy_max_attempts > 1:
+    def _gave_up(self, delivery: Delivery) -> None:
+        deploy_id, package, report = delivery.payload
+        report.failed_nodes.append(package.node)
+        del self._pending[package.node]
+        if package.global_config.deploy_max_attempts > 1:
             # Retries were enabled and the budget is spent: fail loudly
             # (propagates out of engine.run()).  With retries disabled
             # the loss is visible in the report and fault counters.
             raise DispatchError(
-                f"control package for {state.package.node!r} unacked after "
-                f"{state.attempts} attempts (deploy {deploy_id})"
+                f"control package for {package.node!r} unacked after "
+                f"{delivery.attempts} attempts (deploy {deploy_id})"
             )
 
     def undeploy_all(self) -> None:

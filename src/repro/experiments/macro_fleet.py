@@ -24,6 +24,15 @@ nodes, so no destination ever sees two deliveries at one timestamp and
 results never depend on engine interleaving.  The differential tests in
 ``tests/test_macro_fleet.py`` assert that equality; docs/SHARDING.md
 explains why it holds.
+
+A node keeps **one** poll pending: its tick arms the tick's first poll
+and each poll arms the next (``LOCAL_NS`` apart, ``POLLS_PER_TICK`` per
+tick), so the heap holds about two entries per node however long the
+run is.  With no ties, when an entry was pushed cannot change what
+pops next, so the events, their order and every count are those of a
+run that queued all its polls at t = 0.  A poll still only counts
+itself: draining the node's records there would move the blobs
+``collect()`` packs, and the fingerprint with them, for no reader.
 """
 
 from __future__ import annotations
@@ -196,16 +205,6 @@ class _FleetWorld:
 
         for node in self.nodes:
             engine.schedule_at(TICK_NS, self._tick, node, 0)
-        # Telemetry polls are pre-scheduled for the whole run (the
-        # always-on agent cadence is known upfront), which keeps the
-        # resident heap at fleet scale -- exactly the regime the
-        # sharded substrate exists for.
-        for node in self.nodes:
-            poll = self._poll
-            for tick in range(config.ticks):
-                base = (tick + 1) * TICK_NS
-                for j in range(1, POLLS_PER_TICK + 1):
-                    engine.schedule_at(base + j * LOCAL_NS, poll, node)
         for rack in self.racks:
             if rack == 0:
                 continue  # the master is the reference; it never syncs
@@ -240,6 +239,7 @@ class _FleetWorld:
         now = self.engine.now
         if tick + 1 < config.ticks:
             self.engine.schedule_at(now + TICK_NS, self._tick, node, tick + 1)
+        self.engine.schedule_at(now + LOCAL_NS, self._poll, node, 1)
         # Staggered probe cadence: the per-tick probe map stays injective
         # (a subset of a permutation), so no receiver ever sees two
         # probes at one timestamp.
@@ -270,8 +270,13 @@ class _FleetWorld:
                 )
             )
 
-    def _poll(self, node: int) -> None:
+    def _poll(self, node: int, j: int) -> None:
+        """The tick's j-th node-local agent poll; each arms the next, so
+        a node has one poll pending, not the run's."""
         self.polls += 1
+        if j < POLLS_PER_TICK:
+            self.engine.schedule_at(
+                self.engine.now + LOCAL_NS, self._poll, node, j + 1)
 
     def _sync_send(self, rack: int) -> None:
         now = self.engine.now

@@ -300,9 +300,6 @@ class MetricsRegistry:
         """All metrics ordered by (stage, name) -- the export order."""
         return sorted(self._metrics.values(), key=lambda m: (m.spec.stage, m.spec.name))
 
-    def stages(self) -> List[str]:
-        return sorted({m.spec.stage for m in self._metrics.values() if m.spec.stage})
-
     def total(self, name: str) -> float:
         """Counter/gauge: sum over labels.  Histogram: observation count."""
         return self.get(name).total()

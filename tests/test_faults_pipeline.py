@@ -353,6 +353,33 @@ class TestCrashRestart:
         assert registry.total("vnt_fault_agent_crashes_total") == 1
         assert registry.total("vnt_fault_agent_restarts_total") == 1
 
+    def test_batch_abandoned_before_its_first_send_is_never_sent(self, engine, node):
+        """A batch flushed but still queued on the CPU when the daemon
+        dies is lost and gap-noticed by ``crash()``; the queued first
+        transmission must not send it after ``restart()`` has cleared
+        ``crashed`` (it did: 5 lost records were also shipped, logged as
+        delivered and deduped)."""
+        registry = MetricsRegistry()
+        tracer = VNetTracer(engine, registry=registry)
+        tracer.add_agent(node)
+        tracer.deploy(_spec(node.name, online_collection=True,
+                            flush_interval_ns=3_600_000_000_000))
+        engine.run(until=10_000_000)
+        agent = tracer.agents[node.name]
+        tracepoint_id = agent.package.tracepoints[0].tracepoint_id
+        for i in range(5):
+            agent.ring.append(TraceRecord(i + 1, tracepoint_id, 0, 64, 0).pack())
+        agent.ring.flush()
+        agent.crash()
+        agent.restart()
+        engine.run(until=engine.now + 100_000_000)
+        assert registry.total("vnt_retry_ship_attempts_total") == 0
+        assert agent.ship_log == []
+        assert registry.total("vnt_fault_shipment_deduped_total") == 0
+        lost = registry.get("vnt_fault_records_lost_total")
+        assert dict(lost.samples()) == {(node.name, "shipment"): 5.0}
+        assert tracer.db.rows_inserted == 0 and not agent._pending_ships
+
     def test_offline_collection_skips_crashed_agents(self, engine, two_nodes):
         node_a, node_b, _, _ = two_nodes
         tracer = VNetTracer(engine)

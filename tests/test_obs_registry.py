@@ -156,7 +156,6 @@ class TestRegistry:
         assert [m.spec.name for m in reg.metrics()] == [
             "b_total", "z_total", "a_total"
         ]
-        assert reg.stages() == ["agent", "ringbuffer"]
 
     def test_flatten_produces_prometheus_keys(self):
         reg = MetricsRegistry()
