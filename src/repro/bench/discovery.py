@@ -45,15 +45,25 @@ class BenchScenario(NamedTuple):
 def find_bench_dir(explicit: Optional[Path] = None) -> Path:
     """Locate the benchmarks directory.
 
-    Tries, in order: an explicit path, the repository checkout this
-    package was imported from (editable installs), and ``./benchmarks``.
+    An explicit path is the only candidate: missing, or holding no
+    ``bench_*.py``, it is an error naming it.  Without one, tries the
+    repository checkout this package was imported from (editable
+    installs), then ``./benchmarks``.
     """
-    candidates = []
     if explicit is not None:
-        candidates.append(Path(explicit))
+        directory = Path(explicit)
+        if not directory.is_dir():
+            raise DiscoveryError(f"benchmarks directory {str(directory)!r} does not exist")
+        if not any(directory.glob("bench_*.py")):
+            raise DiscoveryError(
+                f"benchmarks directory {str(directory)!r} holds no bench_*.py files"
+            )
+        return directory
     # src/repro/bench/discovery.py -> repo root is three levels above src/.
-    candidates.append(Path(__file__).resolve().parents[3] / "benchmarks")
-    candidates.append(Path.cwd() / "benchmarks")
+    candidates = [
+        Path(__file__).resolve().parents[3] / "benchmarks",
+        Path.cwd() / "benchmarks",
+    ]
     for candidate in candidates:
         if candidate.is_dir() and any(candidate.glob("bench_*.py")):
             return candidate

@@ -60,6 +60,8 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
+import os
 import sys
 import time
 
@@ -489,6 +491,24 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _output_path(text: str) -> str:
+    """A file to write: its directory must exist, checked before the
+    scenario runs rather than after."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments import figure_names
 
@@ -542,9 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default="chrome",
                           help="chrome = Perfetto-loadable trace-event JSON; "
                                "otlp = OTLP-style JSON; text = indented trees")
-    timeline.add_argument("--out", metavar="PATH", default=None,
+    timeline.add_argument("--out", metavar="PATH", type=_output_path, default=None,
                           help="write to a file instead of stdout")
-    timeline.add_argument("--anomaly-factor", type=float, default=3.0,
+    timeline.add_argument("--anomaly-factor", type=_positive_float, default=3.0,
                           help="text format: flag spans above this multiple "
                                "of their hop's flow median")
     timeline.add_argument("--shards", type=_nonnegative_int, default=2,
@@ -604,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit one canonical JSON document (byte-diffable; "
                           "the CI determinism job diffs runs and shard "
                           "counts)")
-    rpc.add_argument("--out", metavar="PATH", default=None,
+    rpc.add_argument("--out", metavar="PATH", type=_output_path, default=None,
                      help="write to a file instead of stdout")
     bench = sub.add_parser(
         "bench",
@@ -618,10 +638,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", action="store_true",
                        help="print the report JSON to stdout instead of the "
                             "progress table")
-    bench.add_argument("--out", metavar="PATH", default=None,
+    bench.add_argument("--out", metavar="PATH", type=_output_path, default=None,
                        help="also write the report JSON to PATH "
                             "(benchmarks/baseline.json to refresh the gate)")
-    bench.add_argument("--profile", type=int, nargs="?", const=25, default=None,
+    bench.add_argument("--profile", type=_positive_int, nargs="?", const=25, default=None,
                        metavar="N",
                        help="wrap the run in cProfile and print the top N "
                             "functions by cumulative time (default 25) to "

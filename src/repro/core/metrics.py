@@ -18,6 +18,7 @@ based on those raw tracing data":
 from __future__ import annotations
 
 from collections import Counter
+from itertools import filterfalse
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.core.tracedb import TraceDB
@@ -142,14 +143,17 @@ def decompose_latency(db: TraceDB, chain: Sequence[str]) -> List[SegmentLatency]
     if len(chain) < 2:
         raise ValueError("decomposition needs at least two tracepoints")
     complete_ids = set(db.complete_traces(chain))
-    per_label: Dict[str, Dict[int, int]] = {
-        label: {
-            trace_id: ts
-            for trace_id, ts in db.first_ts_at(label).items()
-            if trace_id in complete_ids
-        }
-        for label in chain
-    }
+    per_label: Dict[str, Dict[int, int]] = {}
+    for label in chain:
+        first = db.first_ts_at(label)  # a copy this call owns
+        # The complete set is a subset of every chain label's keys, so
+        # equal length means equal keys: the copy is already filtered.
+        # Otherwise drop the incomplete traces in place; the rest keep
+        # their first-seen order.
+        if len(first) != len(complete_ids):
+            for trace_id in list(filterfalse(complete_ids.__contains__, first)):
+                del first[trace_id]
+        per_label[label] = first
     segments = []
     for from_label, to_label in zip(chain, chain[1:]):
         from_ts = per_label[from_label]

@@ -17,10 +17,14 @@ Query-side indexes are lazy and insert-invalidated:
 * per trace ID, the timestamp-sorted materialized rows
   (:meth:`rows_for_trace`), cached so span reconstruction never re-sorts
   an unchanged trace;
-* per table, the first row position per trace ID, maintained
-  incrementally at append time (:meth:`trace_ids_at` /
-  :meth:`first_ts_at`), and per trace, the set of labels it was seen at
-  (:meth:`complete_traces`).
+* per table, the aligned timestamp of each trace ID's first row
+  (``first_ts``), written at append time in first-occurrence order: the
+  latency kernels read it (:meth:`first_ts_at` copies it), completeness
+  intersects its key sets (:meth:`complete_traces`), and the streaming
+  freshness oracle reads its length;
+* per trace ID, every ``(table, position)`` it was stored at, in global
+  insertion order (:meth:`trace_ids` order, and how the cold
+  :meth:`trace_ids_at` finds a first row).
 
 Every mutation that can change what a consumer would read back --
 row inserts (single or packed), shipment dedup bookkeeping, clock-skew
@@ -83,7 +87,7 @@ class _ColumnTable:
         "packet_len",
         "cpu",
         "node_idx",
-        "first_by_trace",
+        "first_ts",
         "ts_order",
     )
 
@@ -96,9 +100,9 @@ class _ColumnTable:
         self.packet_len = array("q")
         self.cpu = array("q")
         self.node_idx = array("q")  # index into TraceDB._nodes
-        # trace_id -> position of its first (truthy-ID) row, in
+        # trace_id -> aligned timestamp of its first (truthy-ID) row, in
         # first-occurrence order -- the legacy trace_ids_at dict order.
-        self.first_by_trace: Dict[int, int] = {}
+        self.first_ts: Dict[int, int] = {}
         # Positions stable-sorted by aligned timestamp; None = stale.
         self.ts_order: Optional[List[int]] = None
 
@@ -124,8 +128,8 @@ class _ColumnTable:
         self.cpu.append(cpu)
         self.node_idx.append(node_idx)
         self.ts_order = None  # insert invalidates the sorted index
-        if trace_id and trace_id not in self.first_by_trace:
-            self.first_by_trace[trace_id] = pos
+        if trace_id and trace_id not in self.first_ts:
+            self.first_ts[trace_id] = aligned_ns
         return pos
 
     def bytes_stored(self) -> int:
@@ -156,11 +160,9 @@ class TraceDB:
         self._nodes: List[str] = []
         self._node_ids: Dict[str, int] = {}
         # trace_id -> [(table, position), ...] in global insertion order
-        # (truthy IDs only), plus the lazily materialized sorted rows and
-        # the set of labels each trace was observed at.
+        # (truthy IDs only), plus the lazily materialized sorted rows.
         self._trace_refs: Dict[int, List[Tuple[_ColumnTable, int]]] = {}
         self._trace_rows: Dict[int, List[TraceRow]] = {}
-        self._trace_labels: Dict[int, set] = {}
         self._skew_ns: Dict[str, int] = {}  # node -> (master - node) offset
         self.rows_inserted = 0
         # Monotonic mutation counter: bumped by every insert (single or
@@ -220,10 +222,9 @@ class TraceDB:
             self._nodes.append(node)
         return idx
 
-    def _note_trace(self, trace_id: int, label: str, table: _ColumnTable, pos: int) -> None:
+    def _note_trace(self, trace_id: int, table: _ColumnTable, pos: int) -> None:
         self._trace_refs.setdefault(trace_id, []).append((table, pos))
         self._trace_rows.pop(trace_id, None)  # insert invalidates the cache
-        self._trace_labels.setdefault(trace_id, set()).add(label)
 
     def insert(self, node: str, label: str, record: TraceRecord) -> TraceRow:
         aligned = record.timestamp_ns + self._skew_ns.get(node, 0)
@@ -238,7 +239,7 @@ class TraceDB:
             self._node_index(node),
         )
         if record.trace_id:
-            self._note_trace(record.trace_id, label, table, pos)
+            self._note_trace(record.trace_id, table, pos)
         self.rows_inserted += 1
         self.generation += 1
         return TraceRow(
@@ -286,7 +287,7 @@ class TraceDB:
                 trace_id, tracepoint_id, ts + skew, ts, packet_len, cpu, node_idx
             )
             if trace_id:
-                self._note_trace(trace_id, table.label, table, pos)
+                self._note_trace(trace_id, table, pos)
             count += 1
         self.rows_inserted += count
         self.bulk_batches += 1
@@ -477,22 +478,19 @@ class TraceDB:
         table = self._tables.get(label)
         if table is None:
             return {}
-        return {
-            trace_id: self._row(table, pos)
-            for trace_id, pos in table.first_by_trace.items()
-        }
+        rows = {}
+        for trace_id in table.first_ts:
+            pos = next(pos for owner, pos in self._trace_refs[trace_id] if owner is table)
+            rows[trace_id] = self._row(table, pos)
+        return rows
 
     def first_ts_at(self, label: str) -> Dict[int, int]:
         """Aligned timestamp of the first row per trace ID at one
-        tracepoint -- :meth:`trace_ids_at` without materializing rows
-        (the latency kernels only need the timestamps)."""
+        tracepoint, in first-occurrence order -- :meth:`trace_ids_at`
+        without materializing rows (the latency kernels only need the
+        timestamps).  A copy of the index: the caller owns it."""
         table = self._tables.get(label)
-        if table is None:
-            return {}
-        column = table.timestamp_ns
-        return {
-            trace_id: column[pos] for trace_id, pos in table.first_by_trace.items()
-        }
+        return {} if table is None else dict(table.first_ts)
 
     def time_range(
         self, label: str, start_ns: Optional[int] = None, end_ns: Optional[int] = None
@@ -516,13 +514,25 @@ class TraceDB:
 
     def complete_traces(self, required_labels: Iterable[str]) -> List[int]:
         """Trace IDs seen at every one of the given tracepoints (the
-        rest were dropped packets or ring-buffer overruns)."""
-        required = list(required_labels)
-        return [
-            trace_id
-            for trace_id, seen in self._trace_labels.items()
-            if all(label in seen for label in required)
-        ]
+        rest were dropped packets or ring-buffer overruns), in global
+        first-seen order: the intersection of the tables' first-row key
+        sets, smallest first.  A table that saw every trace filters
+        nothing and is skipped."""
+        total = len(self._trace_refs)
+        keys = []
+        for label in required_labels:
+            table = self._tables.get(label)
+            if table is None:
+                return []
+            if len(table.first_ts) < total:
+                keys.append(table.first_ts.keys())
+        if not keys:
+            return list(self._trace_refs)
+        keys.sort(key=len)
+        complete = keys[0]
+        for others in keys[1:]:
+            complete = others & complete  # iterates the smaller side
+        return list(filter(complete.__contains__, self._trace_refs))
 
     # -- self-observability ------------------------------------------------------
 

@@ -248,10 +248,9 @@ class KernelNode:
         cost_ns: int,
         fn: Callable[[], None],
         front: bool = False,
-        noise: bool = False,
     ) -> None:
         """Charge ``cost_ns`` (on ``cpu`` if given) then run ``fn``."""
-        cost = self.noisy(cost_ns) if noise else int(cost_ns)
+        cost = int(cost_ns)
         if cpu is None:
             self.engine.schedule(cost, fn)
         elif cost <= 0:

@@ -246,7 +246,7 @@ class StreamingAggregator:
             for label, table in collector.db._tables.items()
         }
         self._fseen = {
-            label: len(table.first_by_trace)
+            label: len(table.first_ts)
             for label, table in collector.db._tables.items()
         }
         self._labels = collector._labels
@@ -294,7 +294,7 @@ class StreamingAggregator:
         Diffs the per-table cursors against current row counts, so one
         call per applied batch sees exactly that batch's rows -- as
         aligned, label-resolved column slices.  The table's
-        ``first_by_trace`` index (maintained first-wins on the shared
+        ``first_ts`` index (maintained first-wins on the shared
         insert path) doubles as a free freshness oracle: when its
         length grew by exactly the row delta, every ID in the slice is
         truthy, globally new, and in-slice unique -- the fold needs no
@@ -310,7 +310,7 @@ class StreamingAggregator:
             if n > seen:
                 cursors[label] = n
                 if label in chain_set:
-                    nf = len(table.first_by_trace)
+                    nf = len(table.first_ts)
                     fresh = nf - fseen.get(label, 0) == n - seen
                     fseen[label] = nf
                     tids = table.trace_id[seen:n]
@@ -450,7 +450,7 @@ class StreamingAggregator:
 
         Steady state: the slice *is* its own first-occurrence set, so
         the fold is two C-level extends.  An attached tap proves that
-        in O(1) (``fresh`` is the ``first_by_trace`` length-delta
+        in O(1) (``fresh`` is the ``first_ts`` length-delta
         verdict from :meth:`observe_ingest`); a standalone fold
         (``fresh=None``) proves it with a strictly-ascending ID scan.
         Otherwise the label drops to dict mode for good:

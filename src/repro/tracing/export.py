@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
-from operator import sub, truediv
+from operator import floordiv, mod, sub, truediv
 from typing import IO, Dict, Iterator, List, Optional
 
 from repro.analysis.reports import format_ns
@@ -63,9 +63,10 @@ _CHUNK_TREES = 1024
 # -- Chrome trace events ------------------------------------------------------
 
 # One complete event per kind, keys pre-sorted as the canonical encoder
-# would sort them; every format ends with the same five values:
-# duration, name (already escaped), pid, tid, timestamp.
-_EVENT_TAIL = ',"dur":%s,"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s}'
+# would sort them; every format ends with the same seven values:
+# duration (two pieces), name (already escaped), pid, tid, timestamp
+# (two pieces).
+_EVENT_TAIL = ',"dur":%s%s,"name":%s,"ph":"X","pid":%d,"tid":%d,"ts":%s%s}'
 _EVENT_HEADS = {
     PACKET: '{"args":{"packet_len":%d,"records":%d,"trace_id":%d},"cat":"packet"',
     DEVICE: '{"args":{"clock_offset_ns":%d,"records":%d},"cat":"device"',
@@ -77,6 +78,9 @@ _EVENT_HEADS = {
     SHIP: '{"args":{"phase":"agent -> collector","records":%d},"cat":"control"',
 }
 _CHROME_EVENT = {kind: head + _EVENT_TAIL for kind, head in _EVENT_HEADS.items()}
+# Below this many nanoseconds a double is finer than 0.001 us (2**42 us
+# is 4.4e15 ns), so the Chrome export may print microseconds from integers.
+_EXACT_NS = 10**15
 _PROCESS_NAME = '{"args":{"name":%s},"name":"process_name","ph":"M","pid":%d,"tid":0}'
 _THREAD_NAME = '{"args":{"name":%s},"name":"thread_name","ph":"M","pid":%d,"tid":%d}'
 
@@ -94,13 +98,35 @@ def _chrome_serialiser(columns: SpanColumns):
     names = [_escape(name) for name in columns.names]
     packet, device, hop, wire = (_CHROME_EVENT[kind] for kind in (PACKET, DEVICE, HOP, WIRE))
     slot0, slot1, slot2 = columns.slots
+    # For 0 <= ns < _EXACT_NS, ``repr(ns / 1000.0)`` -- what the
+    # canonical encoder emits -- is ``str(ns // 1000) + fractions[ns %
+    # 1000]``: only the nearest multiple of 0.001 rounds to that double,
+    # and its shortest repr spells exactly those digits.
+    fractions = [repr(r / 1000)[1:] for r in range(1000)]
+
+    def micros(values, exact: bool):
+        """``values`` (ns) as two parallel streams whose ``%s%s`` is
+        ``repr(value / 1000.0)``: integer microseconds and the fraction's
+        digits, or (not ``exact``) the float's ``repr`` and nothing."""
+        if exact:
+            return (
+                map(floordiv, values, repeat(1000)),
+                map(fractions.__getitem__, map(mod, values, repeat(1000))),
+            )
+        return map(repr, map(truediv, values, repeat(1000.0))), repeat("")
 
     def rows(low: int, high: int, pid: int, labels: Iterator[str], out: List[str]) -> int:
         append = out.append
         starts, ends = columns.start[low:high], columns.end[low:high]
+        durs = list(map(sub, ends, starts))
+        # Every start >= 0, every duration >= 0 and every end < 10**15
+        # put both in the exact range (skew-aligned starts can be < 0).
+        exact = min(starts) >= 0 and min(durs) >= 0 and max(ends) < _EXACT_NS
+        ts_int, ts_frac = micros(starts, exact)
+        dur_int, dur_frac = micros(durs, exact)
         tids: Dict[int, int] = {}
         pid -= 1
-        for kind, up, name, node, s0, s1, s2, ts, dur in zip(
+        for kind, up, name, node, s0, s1, s2, ts, tsf, dur, durf in zip(
             columns.kind[low:high],
             columns.up[low:high],
             columns.name[low:high],
@@ -108,9 +134,10 @@ def _chrome_serialiser(columns: SpanColumns):
             slot0[low:high],
             slot1[low:high],
             slot2[low:high],
-            # ``repr`` of a finite float is what the canonical encoder emits.
-            map(repr, map(truediv, starts, repeat(1000.0))),
-            map(repr, map(truediv, map(sub, ends, starts), repeat(1000.0))),
+            ts_int,
+            ts_frac,
+            dur_int,
+            dur_frac,
         ):
             if not up:  # a root: close the previous track, open the next
                 for thread, tid in tids.items():
@@ -122,21 +149,28 @@ def _chrome_serialiser(columns: SpanColumns):
             if tid is None:
                 tid = tids[node] = len(tids)
             if kind == HOP:
-                append(hop % (s0, dur, names[name], pid, tid, ts))
+                append(hop % (s0, dur, durf, names[name], pid, tid, ts, tsf))
             elif kind == DEVICE:
-                append(device % (s1, s0, dur, '"device:' + nodes[node][1:], pid, tid, ts))
+                append(
+                    device % (s1, s0, dur, durf, '"device:' + nodes[node][1:], pid, tid, ts, tsf)
+                )
             elif kind == WIRE:
-                append(wire % (nodes[s0], nodes[s1], dur, names[name], pid, tid, ts))
+                append(wire % (nodes[s0], nodes[s1], dur, durf, names[name], pid, tid, ts, tsf))
             elif kind == PACKET:
-                append(packet % (s2, s1, s0, dur, '"packet:0x%08x"' % s0, pid, tid, ts))
+                append(packet % (s2, s1, s0, dur, durf, '"packet:0x%08x"' % s0, pid, tid, ts, tsf))
             elif kind == RPC:
-                append(_CHROME_EVENT[RPC] % (s1, s2, s0, dur, '"rpc:0x%08x"' % s0, pid, tid, ts))
+                append(
+                    _CHROME_EVENT[RPC]
+                    % (s1, s2, s0, dur, durf, '"rpc:0x%08x"' % s0, pid, tid, ts, tsf)
+                )
             else:  # the control plane's few rows
                 named = CONTROL_NAME
                 if kind != CONTROL:
                     named = f"{NAME_PREFIX[kind]}:{columns.nodes[node]}"
                 records = (s0,) if kind == SHIP else ()
-                append(_CHROME_EVENT[kind] % (records + (dur, _escape(named), pid, tid, ts)))
+                append(
+                    _CHROME_EVENT[kind] % (records + (dur, durf, _escape(named), pid, tid, ts, tsf))
+                )
         for thread, tid in tids.items():
             append(_THREAD_NAME % (nodes[thread], pid, tid))
         return pid + 1

@@ -85,6 +85,17 @@ class TestDiscovery:
         with pytest.raises(DiscoveryError, match="unknown scenario"):
             discover_scenarios(bench_dir, only=["nope"])
 
+    def test_explicit_directory_never_falls_back(self, tmp_path):
+        """An explicit directory used to fall back to the shipped
+        benchmarks when it was missing or empty."""
+        missing = tmp_path / "nonexistent"
+        with pytest.raises(DiscoveryError, match="does not exist") as error:
+            find_bench_dir(missing)
+        assert str(missing) in str(error.value)
+        with pytest.raises(DiscoveryError, match="no bench_") as error:
+            find_bench_dir(tmp_path)
+        assert str(tmp_path) in str(error.value)
+
     def test_file_without_run_is_rejected_at_load(self, tmp_path):
         (tmp_path / "bench_empty.py").write_text("x = 1\n")
         (scenario,) = discover_scenarios(tmp_path)
@@ -260,6 +271,13 @@ class TestCLI:
         flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
         assert flags == {"--preset", "--only", "--json", "--out", "--profile",
                          "--list", "--bench-dir"}
+
+    def test_missing_bench_dir_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent"
+        assert main(["bench", "--bench-dir", str(missing), "--list"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not the shipped scenarios
+        assert str(missing) in captured.err
 
     def test_unknown_scenario_exits_2(self, bench_dir, capsys):
         argv = ["bench", "--bench-dir", str(bench_dir), "--only", "nope"]

@@ -67,6 +67,46 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["timeline", "--format", "text", "--anomaly-factor", "-1"],
+            ["timeline", "--format", "text", "--anomaly-factor", "0"],
+            ["timeline", "--format", "text", "--anomaly-factor", "nan"],
+            ["timeline", "--format", "text", "--anomaly-factor", "inf"],
+            ["timeline", "--out", "{missing}"],
+            ["rpc", "--format", "chrome", "--out", "{missing}"],
+            ["bench", "--out", "{missing}"],
+            ["timeline", "--out", "{directory}"],
+            ["bench", "--profile", "0"],
+            ["bench", "--profile", "-3"],
+        ],
+        ids=[
+            "factor-negative",
+            "factor-zero",
+            "factor-nan",
+            "factor-inf",
+            "timeline-out-missing-dir",
+            "rpc-out-missing-dir",
+            "bench-out-missing-dir",
+            "out-is-a-directory",
+            "profile-zero",
+            "profile-negative",
+        ],
+    )
+    def test_bad_values_exit_2_before_anything_runs(self, argv, tmp_path, capsys):
+        """Each of these used to run (part of) a scenario and then raise
+        a traceback, or be accepted as given."""
+        paths = {"missing": tmp_path / "missing" / "x.json", "directory": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert argv[-2] in captured.err  # argparse names the option
+        assert captured.out == ""
+
 
 _REAL_RUN_FN = ScenarioSpec.run_fn
 

@@ -291,6 +291,7 @@ def assert_db_equivalent(db: TraceDB, legacy: LegacyTraceDB) -> None:
         assert db.first_ts_at(label) == {
             trace_id: row.timestamp_ns for trace_id, row in first_old.items()
         }
+        assert list(db.first_ts_at(label)) == list(first_old)  # first-seen order
         rows = legacy.table(label)
         assert db.time_range(label) == legacy.time_range(label)
         if rows:
@@ -309,9 +310,14 @@ def assert_db_equivalent(db: TraceDB, legacy: LegacyTraceDB) -> None:
         assert db.rows_for_trace(trace_id) == legacy.rows_for_trace(trace_id)
         assert db.record_count_for_trace(trace_id) == legacy.record_count_for_trace(trace_id)
     labels = legacy.tables()
-    assert db.complete_traces(labels) == legacy.complete_traces(labels)
-    if labels:
-        assert db.complete_traces(labels[:1]) == legacy.complete_traces(labels[:1])
+    # Every contiguous sub-chain (the empty one asks for every trace),
+    # and chains naming a label no row was stored at.
+    for low in range(len(labels) + 1):
+        for high in range(low, len(labels) + 1):
+            chain = labels[low:high]
+            assert db.complete_traces(chain) == legacy.complete_traces(chain)
+    for chain in (["absent"], labels + ["absent"]):
+        assert db.complete_traces(chain) == legacy.complete_traces(chain) == []
 
 
 def assert_metrics_equivalent(db: TraceDB, legacy: LegacyTraceDB) -> None:

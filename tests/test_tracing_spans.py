@@ -12,6 +12,8 @@ Acceptance properties (docs/TIMELINES.md):
 """
 
 import json
+import random
+import re
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.tracing import (
     Span,
     SpanAssembler,
     SpanColumns,
+    SpanForest,
     aggregate_hops,
     build_control_root,
     chrome_trace_json,
@@ -37,7 +40,7 @@ from repro.tracing import (
     span_tree_text,
     timeline_text,
 )
-from repro.tracing.spans import DEVICE, HOP, PACKET
+from repro.tracing.spans import DEVICE, HOP, PACKET, SpanTrees
 from repro.virt.overlay import OverlayNetwork
 
 CHAIN = ["n1:a", "n1:b", "n2:c", "n2:d"]
@@ -308,6 +311,58 @@ class TestExporters:
         for span in forest.trees[0].spans():
             assert span.name in tree_text
         assert "control-plane" in text
+
+
+_EVENT_TIMES = re.compile(r'"dur":([^,]+),"name":[^,]+,"ph":"X","pid":\d+,"tid":\d+,"ts":([^}]+)\}')
+
+
+def _chrome_times(intervals):
+    """One tree -- a packet root over hop spans at ``intervals`` -- through
+    the Chrome export; the raw ``dur`` / ``ts`` texts of its events."""
+    columns = SpanColumns()
+    low = min(start for start, _ in intervals)
+    high = max(end for _, end in intervals)
+    root = columns.append(PACKET, "n1", low, high, slots=(1, len(intervals), 64))
+    for i, (start, end) in enumerate(intervals):
+        columns.append(HOP, "n1", start, end, parent=root, name=f"h{i}")
+    columns.append_tree(root, 1, len(intervals))
+    text = chrome_trace_json(SpanForest(SpanTrees(columns)))
+    return _EVENT_TIMES.findall(text)
+
+
+def _float_times(intervals):
+    """What the canonical encoder prints for the same events' floats."""
+    low = min(start for start, _ in intervals)
+    high = max(end for _, end in intervals)
+    return [
+        (repr((end - start) / 1000.0), repr(start / 1000.0))
+        for start, end in [(low, high), *intervals]
+    ]
+
+
+class TestMicrosecondPrinter:
+    """The Chrome export prints microseconds from integers; every value
+    must read exactly as ``repr(ns / 1000.0)`` would."""
+
+    def test_random_values_match_float_repr(self):
+        rng = random.Random(25)
+        stamps = sorted(rng.randrange(10**k) for k in range(1, 16) for _ in range(50))
+        intervals = list(zip(stamps, stamps[1:]))  # every stamp a start and a gap
+        assert _chrome_times(intervals) == _float_times(intervals)
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            [(0, 1), (1, 999), (999, 1000), (1000, 10**15 - 1)],  # in range
+            [(0, 10**15)],  # one end at the bound
+            [(0, 9_000_000_000_000_001)],  # where a double is coarser than 0.001 us
+            [(-1_500_000, -1_499_001), (-1_499_001, -1)],  # all negative
+            [(-1_500, 250), (250, 1_000), (1_000, 10**12)],  # mixed sign
+        ],
+        ids=["exact", "bound", "beyond", "negative", "mixed-sign"],
+    )
+    def test_export_matches_float_repr(self, intervals):
+        assert _chrome_times(intervals) == _float_times(intervals)
 
 
 @pytest.fixture(scope="module")
