@@ -265,7 +265,7 @@ class Agent:
             if self._m_load_ns is not None:
                 self._m_load_ns.inc(load_cost, labels=(self.node.name,))
             # Verification/JIT happens in the bpf() syscall on a host CPU.
-            self.node.cpus[0].submit(load_cost, None, tag="bpf-load")
+            self.node.cpus[0].submit(load_cost)
             env = ExecutionEnv(
                 maps=maps,
                 clock=self.node.clock.monotonic_ns,
@@ -360,7 +360,7 @@ class Agent:
     def _on_ring_flush(self, batch: List[bytes]) -> None:
         # The mmap'd /proc buffer: the drain itself is cheap and does
         # not copy per record.
-        self.node.cpus[0].submit(FLUSH_FIXED_COST_NS, None, tag="ring-flush")
+        self.node.cpus[0].submit(FLUSH_FIXED_COST_NS)
         if self._m_flush_latency is not None and self.ring is not None:
             self._m_flush_latency.observe(
                 self.ring.last_flush_age_ns, labels=(self.node.name,))

@@ -65,7 +65,7 @@ class SoftirqNet:
             # ksoftirqd (or the softirq exit path) has gone idle; waking
             # it costs real time.
             cost += node.costs.ksoftirqd_wake_ns
-        cpu.submit(cost, lambda: self._run(cpu_index), tag="net_rx_action")
+        cpu.submit(cost, lambda: self._run(cpu_index))
 
     # -- the invocation ---------------------------------------------------
 
@@ -106,11 +106,10 @@ class SoftirqNet:
             cpu.submit_front(
                 node.noisy(device.rx_job_cost_ns(packet)),
                 self._make_deliver(device, packet, cpu),
-                tag="rx_packet",
             )
         if hook_cost > 0:
             # Probe overhead delays the whole batch (runs first).
-            cpu.submit_front(hook_cost, None, tag="probe")
+            cpu.submit_front(hook_cost)
 
         if backlog:
             # Budget exhausted: NAPI requeues; another invocation follows.

@@ -17,9 +17,9 @@ Public surface:
   configurable offset and drift (models CLOCK_MONOTONIC on distinct
   machines whose clocks disagree).
 * :mod:`repro.sim.rng` -- deterministic random helpers.
-* :class:`~repro.sim.shard.ShardedEngine` -- an Engine that also places
-  events on shards and counts lookahead-bounded rounds (same heap, same
-  order); :func:`new_engine` / :func:`engine_factory` let scenarios swap
+* :class:`~repro.sim.shard.ShardedEngine` -- an Engine that runs in
+  lookahead-bounded rounds and counts them (same heap, same order);
+  :func:`new_engine` / :func:`engine_factory` let scenarios swap
   it in without touching topology builders (docs/SHARDING.md).
 * :mod:`repro.sim.coordinator` -- the fleet tier: one independent Engine
   per shard, coupled only by boundary messages, optionally hosted on

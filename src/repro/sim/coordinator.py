@@ -1,8 +1,8 @@
 """Fleet-tier sharding: independent per-shard engines under a coordinator.
 
-Where :class:`~repro.sim.shard.ShardedEngine` shards the event loop of a
-*shared* world, this module shards the world itself.  Each shard is a
-self-contained *shard program* (its own plain
+Where :class:`~repro.sim.shard.ShardedEngine` counts rounds over the
+event loop of a *shared* world, this module shards the world itself.
+Each shard is a self-contained *shard program* (its own plain
 :class:`~repro.sim.engine.Engine`, its own nodes and state), and shards
 communicate **only** through :class:`BoundaryMessage` values routed by
 the coordinator -- the simulation analogue of packets crossing a

@@ -2,10 +2,13 @@
 
 Softirq processing, protocol stages, and probe overhead all consume CPU
 time; a CPU runs one job at a time, so when per-packet demand exceeds
-capacity a queue builds and (with a bounded queue) packets drop.  This
-is the mechanism behind both overhead experiments (tracing cost eats the
-packet budget) and the container case study (softirqs concentrated on
-one core saturate it).
+capacity a queue builds.  This is the mechanism behind both overhead
+experiments (tracing cost eats the packet budget) and the container case
+study (softirqs concentrated on one core saturate it).
+
+A job submitted to an idle, running CPU with nothing queued starts at
+once, without passing through the queue: that is the common case, and
+it schedules exactly the completion event queue-then-pop would.
 
 :class:`GatedCPU` extends this with a run/pause gate driven by a
 hypervisor scheduler: a Xen vCPU only executes its queued work while the
@@ -24,59 +27,42 @@ from repro.sim.engine import Engine
 class CPU:
     """One hardware thread: FIFO job queue, run-to-completion jobs."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        name: str = "cpu0",
-        index: int = 0,
-        queue_limit: Optional[int] = None,
-    ):
+    def __init__(self, engine: Engine, name: str = "cpu0", index: int = 0):
         self.engine = engine
         self.name = name
         self.index = index
-        self.queue_limit = queue_limit
-        self._queue: Deque[Tuple[int, Optional[Callable[[], Any]], str]] = deque()
+        self._queue: Deque[Tuple[int, Optional[Callable[[], Any]]]] = deque()
         self._busy = False
+        self._paused = False  # only a GatedCPU is ever paused
         self.busy_ns = 0
         self.jobs_completed = 0
-        self.jobs_dropped = 0
-        self._created_at = engine.now
         # Fired when the CPU transitions to fully idle (used by the
         # hypervisor scheduler to detect a vCPU going to sleep).
         self.on_idle: Optional[Callable[[], None]] = None
 
-    def submit(
-        self,
-        cost_ns: int,
-        callback: Optional[Callable[[], Any]] = None,
-        tag: str = "",
-    ) -> bool:
-        """Queue a job; ``callback`` runs when its service completes.
-
-        Returns False (and drops the job) if the queue is full -- the
-        receive-ring-overflow analog.
-        """
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
-            self.jobs_dropped += 1
-            return False
-        self._queue.append((int(cost_ns), callback, tag))
-        self._maybe_start()
-        return True
+    def submit(self, cost_ns: int, callback: Optional[Callable[[], Any]] = None) -> None:
+        """Queue a job; ``callback`` runs when its service completes."""
+        cost_ns = int(cost_ns)
+        if self._busy or self._paused:
+            self._queue.append((cost_ns, callback))
+        elif self._queue:  # a completion callback, with jobs still waiting
+            self._queue.append((cost_ns, callback))
+            self._start()
+        else:
+            self._busy = True
+            self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
 
     def submit_front(
-        self,
-        cost_ns: int,
-        callback: Optional[Callable[[], Any]] = None,
-        tag: str = "",
-    ) -> bool:
+        self, cost_ns: int, callback: Optional[Callable[[], Any]] = None
+    ) -> None:
         """Queue a job ahead of everything waiting (run-to-completion
         continuations within one softirq context use this)."""
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
-            self.jobs_dropped += 1
-            return False
-        self._queue.appendleft((int(cost_ns), callback, tag))
-        self._maybe_start()
-        return True
+        cost_ns = int(cost_ns)
+        if self._busy or self._paused:
+            self._queue.appendleft((cost_ns, callback))
+        else:  # the job would be the queue's head: start it
+            self._busy = True
+            self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
 
     @property
     def queue_depth(self) -> int:
@@ -86,14 +72,9 @@ class CPU:
     def busy(self) -> bool:
         return self._busy
 
-    def _can_run(self) -> bool:
-        return True
-
-    def _maybe_start(self) -> None:
-        if self._busy or not self._queue or not self._can_run():
-            return
+    def _start(self) -> None:
         self._busy = True
-        cost_ns, callback, _tag = self._queue.popleft()
+        cost_ns, callback = self._queue.popleft()
         self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
 
     def _complete(self, cost_ns: int, callback: Optional[Callable[[], Any]]) -> None:
@@ -102,16 +83,16 @@ class CPU:
         self.jobs_completed += 1
         if callback is not None:
             callback()
-        self._maybe_start()
-        if not self._busy and not self._queue and self.on_idle is not None:
+        if self._busy:  # the callback's own submit started a job
+            return
+        queue = self._queue
+        if queue:
+            if not self._paused:
+                self._busy = True
+                cost_ns, callback = queue.popleft()
+                self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+        elif self.on_idle is not None:
             self.on_idle()
-
-    def utilization(self) -> float:
-        """Fraction of wall time spent executing since creation."""
-        elapsed = self.engine.now - self._created_at
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_ns / elapsed)
 
     def __repr__(self) -> str:
         return f"<CPU {self.name} busy={self._busy} depth={len(self._queue)}>"
@@ -131,39 +112,25 @@ class GatedCPU(CPU):
         engine: Engine,
         name: str = "vcpu0",
         index: int = 0,
-        queue_limit: Optional[int] = None,
         start_paused: bool = False,
     ):
-        super().__init__(engine, name, index, queue_limit)
+        super().__init__(engine, name, index)
         self._paused = start_paused
         self.on_work_queued: Optional[Callable[[], None]] = None
 
-    def _can_run(self) -> bool:
-        return not self._paused
-
-    def submit(
-        self,
-        cost_ns: int,
-        callback: Optional[Callable[[], Any]] = None,
-        tag: str = "",
-    ) -> bool:
-        accepted = super().submit(cost_ns, callback, tag)
+    def submit(self, cost_ns: int, callback: Optional[Callable[[], Any]] = None) -> None:
+        super().submit(cost_ns, callback)
         # Tell the hypervisor there is pending work (event-channel kick),
         # even while paused -- that is what wakes a blocked vCPU.
-        if accepted and self.on_work_queued is not None:
+        if self.on_work_queued is not None:
             self.on_work_queued()
-        return accepted
 
     def submit_front(
-        self,
-        cost_ns: int,
-        callback: Optional[Callable[[], Any]] = None,
-        tag: str = "",
-    ) -> bool:
-        accepted = super().submit_front(cost_ns, callback, tag)
-        if accepted and self.on_work_queued is not None:
+        self, cost_ns: int, callback: Optional[Callable[[], Any]] = None
+    ) -> None:
+        super().submit_front(cost_ns, callback)
+        if self.on_work_queued is not None:
             self.on_work_queued()
-        return accepted
 
     def pause(self) -> None:
         self._paused = True
@@ -171,7 +138,8 @@ class GatedCPU(CPU):
     def resume(self) -> None:
         if self._paused:
             self._paused = False
-            self._maybe_start()
+            if not self._busy and self._queue:
+                self._start()
 
     def has_pending_work(self) -> bool:
         return self._busy or bool(self._queue)

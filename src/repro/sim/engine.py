@@ -129,7 +129,8 @@ class SimProcess:
 
     The generator may yield:
 
-    * ``int``/``float`` >= 0 -- sleep that many nanoseconds;
+    * finite ``int``/``float`` >= 0 (not a ``bool``) -- sleep that many
+      nanoseconds;
     * :class:`Signal` -- block until triggered; the triggered value is
       sent back into the generator;
     * ``None`` -- yield to the scheduler (resume at the same timestamp).
@@ -163,10 +164,10 @@ class SimProcess:
             self.engine.schedule(0, self._step, None)
         elif isinstance(yielded, Signal):
             yielded.add_waiter(self._step)
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
+        elif isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
+            if not 0 <= yielded < math.inf:  # also false for NaN
                 raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {yielded}"
+                    f"process {self.name!r} yielded invalid delay {yielded}"
                 )
             self.engine.schedule(int(yielded), self._step, None)
         else:
@@ -256,10 +257,19 @@ class Engine:
         or before it is still queued."""
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
-        self._running = True
         # An absent bound becomes one no run can reach: one loop for all.
-        horizon = math.inf if until is None else until
-        budget = sys.maxsize if max_events is None else max_events
+        executed = self._drain(
+            math.inf if until is None else until,
+            sys.maxsize if max_events is None else max_events,
+        )
+        self._settle(until)
+        return executed
+
+    def _drain(self, horizon: float, budget: int) -> int:
+        """The loop: execute events at or before ``horizon``, at most
+        ``budget`` of them, and return how many ran.  The clock stays at
+        the last event executed."""
+        self._running = True
         executed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -285,13 +295,17 @@ class Engine:
             self._running = False
             self.events_executed += executed
             Engine._events_executed_global += executed
+        return executed
+
+    def _settle(self, until: Optional[int]) -> None:
+        """The end-of-run clock rule: advance the clock to ``until`` even
+        if nothing was left to do, unless a live event at or before it is
+        still queued; callers rely on ``now`` reflecting how far the run
+        progressed."""
         if until is not None and self.now < until:
-            # Advance the clock even if nothing was left to do; callers
-            # rely on `now` reflecting how far the run progressed.
             head = self.next_time()
             if head is None or head > until:
                 self.now = until
-        return executed
 
     def next_time(self) -> Optional[int]:
         """Timestamp of the earliest live event, ``None`` when there is

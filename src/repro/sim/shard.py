@@ -1,35 +1,33 @@
-"""Sharded drop-in engine: shard placement and round accounting behind
-the Engine API.
+"""Sharded drop-in engine: round accounting behind the Engine API.
 
 This is the *compatibility tier* of the sharded simulation substrate
 (docs/SHARDING.md).  A :class:`ShardedEngine` *is* an
-:class:`~repro.sim.engine.Engine` -- the one heap, the one loop, hence
-exactly the base engine's ``(time, seq)`` execution order -- that also
-tags every event with a shard and counts lookahead-bounded rounds over
-the execution, so any scenario written against ``Engine`` produces
-byte-identical results on a ShardedEngine, shared object graph and all.
-That property is what the differential suite
-(``tests/test_shard_differential.py``) proves on the quickstart, OVS,
-and fault scenarios.
+:class:`~repro.sim.engine.Engine` -- the one heap, the one loop, the
+base engine's own ``(time, seq, fn, args)`` entries, hence exactly the
+base engine's execution order -- whose :meth:`~ShardedEngine.run`
+drains that heap in lookahead-bounded rounds and counts them, so any
+scenario written against ``Engine`` produces byte-identical results on
+a ShardedEngine, shared object graph and all.  That property is what
+the differential suite (``tests/test_shard_differential.py``) proves on
+the quickstart, OVS, and fault scenarios.
 
 The *fleet tier* (:mod:`repro.sim.coordinator`) drops the shared-state
 assumption: fully independent per-shard engines coupled only through
 boundary queues, which is what permits ``multiprocessing`` workers.
 
-Shard placement is *affinity* based: every scheduled event lands on the
-shard of the event currently executing (causal inheritance), or on the
-shard pinned with :meth:`ShardedEngine.pinned`.  An event scheduled onto
-a shard other than the one executing is a *boundary event* -- the
-compat-tier analogue of a cross-shard packet -- and is counted in the
-``vnt_shard_*`` metrics (docs/OBSERVABILITY.md, ``shard`` stage).
+This tier places nothing: every event is counted on shard 0 and no
+event crosses a boundary, so the ``vnt_shard_*`` metrics
+(docs/OBSERVABILITY.md, ``shard`` stage) report ``num_shards`` series of
+which only shard 0's events move.  Rounds and the horizon are a function
+of event times alone.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional
+import sys
+from typing import List, Optional
 
-from repro.sim.engine import Engine, SimulationError, Timer
+from repro.sim.engine import Engine, SimulationError
 
 # The default conservative-lookahead window, in virtual nanoseconds.
 # The fleet tier requires every cross-shard boundary latency to be at
@@ -58,13 +56,12 @@ def register_shard_stage(registry, source) -> None:
 
 
 class ShardedEngine(Engine):
-    """An Engine that places its events on ``shards`` shards and counts
-    lookahead-bounded rounds.
+    """An Engine whose :meth:`run` advances in lookahead-bounded rounds,
+    the way the fleet tier advances its shards, and counts them.
 
-    Every callback is scheduled on the base engine wrapped in
-    :meth:`_fire`, which does the accounting; execution order is the
-    base engine's because there is only the base engine's heap, so
-    determinism holds *by construction*, not by scenario discipline.
+    Scheduling is the base engine's, untouched; only the edge of the
+    loop differs, so determinism holds *by construction*, not by
+    scenario discipline.
     """
 
     worker_count = 0  # the compat tier is always in-process
@@ -77,89 +74,45 @@ class ShardedEngine(Engine):
             raise SimulationError(f"lookahead must be positive, got {lookahead_ns}")
         self.num_shards = int(shards)
         self.lookahead_ns = int(lookahead_ns)
-        self._affinity = 0  # shard receiving newly scheduled events
-        self._exec_shard: Optional[int] = None  # shard of the running event
-        self._until: Optional[int] = None  # the current run()'s bound
-        self._horizon = -1  # of the open round; no event time is below 0
         # Counters behind the vnt_shard_* metrics.
         self.rounds = 0
         self.last_horizon_ns = 0
         self.events_by_shard = [0] * self.num_shards
         self.boundary_events_by_shard = [0] * self.num_shards
 
-    # -- scheduling --------------------------------------------------------
-    # Base methods are named outright: on the per-event path a zero-argument
-    # super() costs as much as the heap push it would delegate to.
-
-    def _placed(self) -> None:
-        """Count the event just scheduled onto ``_affinity`` as a boundary
-        event if another shard is executing."""
-        if self._exec_shard is not None and self._affinity != self._exec_shard:
-            self.boundary_events_by_shard[self._affinity] += 1
-
-    def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        Engine.schedule(self, delay_ns, self._fire, self._affinity, fn, args)
-        self._placed()
-
-    def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
-        Engine.schedule_at(self, time_ns, self._fire, self._affinity, fn, args)
-        self._placed()
-
-    def timer(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Timer:
-        timer = Engine.timer(self, delay_ns, self._fire, self._affinity, fn, args)
-        self._placed()
-        return timer
-
-    @contextmanager
-    def pinned(self, shard: int) -> Iterator[None]:
-        """Route events scheduled inside the block onto ``shard``.
-
-        Used to place causally independent domains (workloads, clock
-        sync, samplers) on their own shards; events they schedule in
-        turn inherit the placement.
-        """
-        if not 0 <= shard < self.num_shards:
-            raise SimulationError(
-                f"shard {shard} out of range [0, {self.num_shards})"
-            )
-        previous, self._affinity = self._affinity, shard
-        try:
-            yield
-        finally:
-            self._affinity = previous
-
-    # -- execution ---------------------------------------------------------
-
-    def _fire(self, shard: int, fn: Callable[..., Any], args: tuple) -> None:
-        now = self.now
-        if now > self._horizon:
-            # The first event past the open round's horizon opens the
-            # next round: everything up to ``now + lookahead`` belongs to
-            # it, including events scheduled from inside the round.
-            horizon = now + self.lookahead_ns
-            if self._until is not None and horizon > self._until:
-                horizon = self._until
-            self._horizon = self.last_horizon_ns = horizon
-            self.rounds += 1
-        self._exec_shard = self._affinity = shard
-        fn(*args)
-        self.events_by_shard[shard] += 1
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        if self._running:  # before the open round's state is touched
+        """:meth:`Engine.run`, one round at a time: the next live event
+        opens a round with horizon ``min(head + lookahead, until)``, which
+        is drained (events the round schedules inside it included) before
+        the next one opens.  Every ``run`` opens a fresh round."""
+        if self._running:  # before any round is opened
             raise SimulationError("engine.run() is not reentrant")
-        self._until = until
-        self._horizon = -1  # every run() opens a fresh round
+        budget = sys.maxsize if max_events is None else max_events
+        before = self.events_executed
         try:
-            return Engine.run(self, until, max_events)
+            while self.events_executed - before < budget:
+                head = self.next_time()
+                if head is None or (until is not None and head > until):
+                    break
+                horizon = head + self.lookahead_ns
+                if until is not None and horizon > until:
+                    horizon = until
+                self.rounds += 1
+                self.last_horizon_ns = horizon
+                self._drain(horizon, budget - (self.events_executed - before))
         finally:
-            self._exec_shard = None
+            # Also reached when a callback raises: the events that did
+            # return are counted, the one that raised is not.
+            self.events_by_shard[0] += self.events_executed - before
+        self._settle(until)
+        return self.events_executed - before
 
     # -- observability -----------------------------------------------------
 
     @property
     def boundary_events(self) -> int:
-        """Total events routed onto a shard other than their scheduler's."""
+        """Total events routed onto a shard other than their scheduler's
+        (always 0 on this tier)."""
         return sum(self.boundary_events_by_shard)
 
     def attach_metrics(self, registry) -> None:

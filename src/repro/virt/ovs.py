@@ -252,9 +252,7 @@ class OVSBridge(NetDevice):
             node.costs.ovs_switch_ns
             + (busy_ports - 1) * node.costs.ovs_switch_per_busy_port_ns
         )
-        self.datapath_cpu.submit(
-            service_ns, lambda: self._switch(chosen, packet), tag="ovs-switch"
-        )
+        self.datapath_cpu.submit(service_ns, lambda: self._switch(chosen, packet))
 
     def _switch(self, in_port: OVSPort, packet: Packet) -> None:
         node = self.node

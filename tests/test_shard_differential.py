@@ -97,8 +97,8 @@ class TestQuickstartDifferential:
         result = run_quickstart_scenario(seed=42, duration_ns=QUICKSTART_NS, shards=shards)
         assert quickstart_digest(result) == plain
         # The accounting behind vnt_shard_*, as literals: pipeline_bench
-        # hashes the round count into sim_digest.  Nothing under src/
-        # calls pinned(), so every event lands on shard 0.
+        # hashes the round count into sim_digest.  The compat tier places
+        # nothing, so every event lands on shard 0.
         engine, idle = result.engine, [0] * (shards - 1)
         assert (engine.rounds, engine.last_horizon_ns) == (302, 400_000_000)
         assert engine.events_by_shard == [26_212] + idle

@@ -2,7 +2,7 @@
 
 A :class:`ShardedEngine` must be a drop-in for :class:`Engine`: same
 execution order, same clock behavior, same cancellation and process
-semantics -- whatever the shard count and pinning.  These tests run the
+semantics -- whatever the shard count.  These tests run the
 same scripted workloads on both engines and compare full execution
 traces; the heavier scenario-level equivalence lives in
 ``test_shard_differential.py``.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from contextlib import nullcontext
 
 import pytest
 
@@ -90,6 +89,19 @@ class TestOrderIdentity:
         assert log == [0, 1, 2, 3, 4]
         assert engine.run() == 15
 
+    def test_max_events_is_one_budget_across_rounds(self):
+        engine = ShardedEngine(shards=2, lookahead_ns=10)
+        log = []
+        for t in (1, 2, 50, 51, 52, 100):
+            engine.schedule_at(t, log.append, t)
+        # Round 1..11 runs two events, round 50..60 gets what is left: one.
+        assert engine.run(max_events=3) == 3
+        assert (log, engine.rounds, engine.now) == ([1, 2, 50], 2, 50)
+        assert engine.run(max_events=2) == 2  # a fresh round, at 51
+        assert (log[3:], engine.rounds) == ([51, 52], 3)
+        assert engine.run() == 1
+        assert (engine.rounds, engine.events_by_shard) == (4, [6, 0])
+
     def test_processes_and_signals(self):
         def trace(engine):
             out = []
@@ -165,51 +177,75 @@ class TestCallbackRaises:
         def nested():
             with pytest.raises(SimulationError):
                 engine.run(until=5)
-            with engine.pinned(1):
-                engine.schedule(10, lambda: None)
+            engine.schedule(10, lambda: None)
 
         engine.schedule(1, nested)
         engine.schedule(2, lambda: None)
         assert engine.run() == 3
+        # The rejected run() opened no round: the one open round, 1..101,
+        # holds all three events, the nested one's included.
         assert engine.rounds == 1
         assert engine.last_horizon_ns == 101
-        assert engine.boundary_events_by_shard == [0, 1]
+        assert engine.events_by_shard == [3, 0]
+
+    def test_raise_in_mid_round_keeps_the_round_and_counts_what_returned(self):
+        engine = ShardedEngine(shards=2, lookahead_ns=100)
+        log = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for t in (10, 20, 250):
+            engine.schedule_at(t, log.append, t)
+        engine.schedule_at(30, boom)
+        engine.schedule_at(40, log.append, 40)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run(until=1_000)
+        assert (engine.rounds, engine.last_horizon_ns) == (1, 110)
+        assert engine.events_by_shard == [2, 0] and engine.events_executed == 2
+        # The clock stays at the raiser, not at `until` or the horizon.
+        assert engine.now == 30
+        assert engine.run(until=1_000) == 2
+        assert log == [10, 20, 40, 250]
+        # The resumed run() opened its own round at 40, and one more at 250.
+        assert (engine.rounds, engine.last_horizon_ns) == (3, 350)
+        assert engine.events_by_shard == [4, 0]
+        assert engine.now == 1_000
 
 
 class TestShardPlacement:
-    def test_pinned_routes_and_inherits(self):
+    """What is left of placement: this tier places nothing, so
+    scheduling is the base engine's and every event is shard 0's."""
+
+    def test_scheduled_callbacks_sit_in_the_heap_as_themselves(self):
+        engine = ShardedEngine(shards=2)
+
+        def callback(*args):
+            pass
+
+        engine.schedule(5, callback, "x")
+        engine.schedule_at(7, callback)
+        timer = engine.timer(9, callback)
+        assert sorted(engine._heap) == [
+            (5, 0, callback, ("x",)), (7, 1, callback, ()), (9, 2, None, timer),
+        ]
+        assert timer.fn is callback
+
+    def test_no_scheduling_override(self):
+        for name in ("schedule", "schedule_at", "timer", "_fire", "pinned"):
+            assert name not in vars(ShardedEngine), name
+
+    def test_every_event_is_shard_zeros(self):
         engine = ShardedEngine(shards=4)
 
         def child():
             engine.schedule(5, lambda: None)
 
-        with engine.pinned(2):
-            engine.schedule(10, child)
+        engine.schedule(10, child)
         engine.run()
-        # The child's event inherits the executing event's shard.
-        assert engine.events_by_shard == [0, 0, 2, 0]
+        assert engine.events_by_shard == [2, 0, 0, 0]
+        assert engine.boundary_events_by_shard == [0, 0, 0, 0]
         assert engine.boundary_events == 0
-
-    def test_pinned_out_of_range(self):
-        engine = ShardedEngine(shards=2)
-        with pytest.raises(SimulationError):
-            with engine.pinned(2):
-                pass
-
-    def test_boundary_counter(self):
-        engine = ShardedEngine(shards=2)
-
-        def cross():
-            with engine.pinned(1):
-                engine.schedule(10, lambda: None)
-
-        with engine.pinned(0):
-            engine.schedule(1, cross)
-        engine.run()
-        assert engine.boundary_events == 1
-        assert engine.boundary_events_by_shard == [0, 1]
-        assert engine.events_by_shard[0] == 1
-        assert engine.events_by_shard[1] == 1
 
     def test_constructor_validation(self):
         with pytest.raises(SimulationError):
@@ -225,6 +261,16 @@ class TestShardPlacement:
         # (10,50) | (500,510) | (5000,) -> three lookahead rounds.
         assert engine.rounds == 3
         assert engine.last_horizon_ns == 5100
+        # Without `until` the clock stays at the last event, not the horizon.
+        assert engine.now == 5000
+
+    def test_horizon_is_clamped_to_until(self):
+        engine = ShardedEngine(shards=2, lookahead_ns=100)
+        log = []
+        for t in (10, 60):
+            engine.schedule_at(t, log.append, t)
+        assert engine.run(until=50) == 1
+        assert (log, engine.rounds, engine.last_horizon_ns, engine.now) == ([10], 1, 50, 50)
 
 
 class TestEngineFactory:
@@ -252,14 +298,15 @@ class TestMetrics:
         engine = ShardedEngine(shards=2)
         registry = MetricsRegistry()
         engine.attach_metrics(registry)
-        with engine.pinned(1):
-            engine.schedule(10, lambda: None)
+        engine.schedule(10, lambda: None)
         engine.schedule(20, lambda: None)
         engine.run()
         flat = registry.flatten()
         assert flat[contract.SHARD_ROUNDS.name] > 0
-        assert flat[contract.SHARD_EVENTS.name + '{shard="0"}'] == 1.0
-        assert flat[contract.SHARD_EVENTS.name + '{shard="1"}'] == 1.0
+        assert flat[contract.SHARD_EVENTS.name + '{shard="0"}'] == 2.0
+        assert flat[contract.SHARD_EVENTS.name + '{shard="1"}'] == 0.0
+        for shard in ("0", "1"):
+            assert flat[contract.SHARD_BOUNDARY.name + f'{{shard="{shard}"}}'] == 0.0
         assert flat[contract.SHARD_WORKERS.name] == 0.0
         assert flat[contract.SHARD_HORIZON.name] == engine.last_horizon_ns
 
@@ -310,7 +357,6 @@ class TestDeadTimerCompaction:
         """A seeded schedule/cancel script; returns everything observable."""
         rng = random.Random(seed)
         log, children, timers, clocks = [], [], [], []
-        shards = getattr(engine, "num_shards", 0)
 
         def cancel_one(handles, chance):
             if handles and rng.random() < chance:
@@ -328,8 +374,7 @@ class TestDeadTimerCompaction:
                     children.append(engine.timer(delay, step, f"{tag}.{child}", depth - 1))
 
         for lane in range(4):
-            with engine.pinned(lane % shards) if shards else nullcontext():
-                engine.schedule(lane, step, f"lane{lane}", 8)
+            engine.schedule(lane, step, f"lane{lane}", 8)
         executed = []
         for until in (3, 50, 2_000, 10**8):  # the last stops short of the timers
             executed.append(engine.run(until=until))

@@ -1,6 +1,11 @@
 """Node clocks and deterministic RNG streams."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import NodeClock
 from repro.sim.engine import Engine
@@ -86,3 +91,26 @@ class TestSeededRNG:
         rng = SeededRNG(5)
         samples = [rng.lognormal_ns(1000, 0.05) for _ in range(500)]
         assert 950 < sorted(samples)[250] < 1050
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        median=st.one_of(
+            st.just(1), st.integers(1, 10**7),
+            st.floats(0.01, 1e7, allow_nan=False, allow_infinity=False),
+        ),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        draws=st.integers(1, 6),
+    )
+    def test_lognormal_matches_the_standard_library(self, seed, median, sigma, draws):
+        """The inlined draw is ``random.lognormvariate`` bit for bit: the
+        same values, and the stream left where the library leaves it."""
+        rng = SeededRNG(seed)
+        library = random.Random(SeededRNG._derive(seed, "root"))
+        ours = [rng.lognormal_ns(median, sigma) for _ in range(draws)]
+        theirs = [
+            max(0, int(library.lognormvariate(math.log(median), sigma)))
+            for _ in range(draws)
+        ]
+        assert ours == theirs
+        assert rng.random() == library.random()

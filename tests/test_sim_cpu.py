@@ -1,7 +1,10 @@
-"""CPUs: serialized service, queue bounds, gating, idle callbacks."""
+"""CPUs: serialized service, gating, idle callbacks.
+
+Generated scripts against a queue-then-pop reference live in
+``test_sim_cpu_model.py``.
+"""
 
 from repro.sim.cpu import CPU, GatedCPU
-from repro.sim.engine import Engine
 
 
 class TestCPU:
@@ -23,13 +26,6 @@ class TestCPU:
         # "first" is already in service; "front" jumps ahead of "queued".
         assert done == ["first", "front", "queued"]
 
-    def test_queue_limit_drops(self, engine):
-        cpu = CPU(engine, queue_limit=2)
-        accepted = [cpu.submit(10) for _ in range(4)]
-        # First job starts service immediately; two fit in the queue.
-        assert accepted == [True, True, True, False]
-        assert cpu.jobs_dropped == 1
-
     def test_busy_time_accounting(self, engine):
         cpu = CPU(engine)
         cpu.submit(300)
@@ -38,12 +34,13 @@ class TestCPU:
         assert cpu.busy_ns == 500
         assert cpu.jobs_completed == 2
 
-    def test_utilization_fraction(self, engine):
+    def test_submit_from_a_callback_starts_the_waiting_job_first(self, engine):
         cpu = CPU(engine)
-        cpu.submit(250)
-        engine.schedule(1000, lambda: None)
+        done = []
+        cpu.submit(10, lambda: cpu.submit(1, lambda: done.append(("late", engine.now))))
+        cpu.submit(5, lambda: done.append(("queued", engine.now)))
         engine.run()
-        assert abs(cpu.utilization() - 0.25) < 1e-9
+        assert done == [("queued", 15), ("late", 16)]
 
     def test_on_idle_fires_when_queue_drains(self, engine):
         cpu = CPU(engine)

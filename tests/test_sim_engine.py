@@ -250,6 +250,31 @@ class TestSimProcess:
         with pytest.raises(SimulationError):
             engine.run()
 
+    @pytest.mark.parametrize(
+        "value", [True, False, float("nan"), float("inf"), float("-inf"), -0.5],
+        ids=["True", "False", "nan", "inf", "-inf", "negative-float"],
+    )
+    def test_non_delay_yield_raises_naming_the_process(self, engine, value):
+        """A bool is not a delay, and a non-finite one cannot be slept."""
+        def proc():
+            yield value
+
+        engine.process(proc(), name="sleeper")
+        with pytest.raises(SimulationError, match="'sleeper'"):
+            engine.run()
+        assert engine.now == 0
+
+    def test_finite_float_yield_sleeps_its_integer_part(self, engine):
+        marks = []
+
+        def proc():
+            yield 2.9
+            marks.append(engine.now)
+
+        engine.process(proc())
+        engine.run()
+        assert marks == [2]
+
     def test_yield_none_resumes_same_timestamp(self, engine):
         marks = []
 

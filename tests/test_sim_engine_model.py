@@ -2,20 +2,22 @@
 
 Hypothesis writes scripts of ``schedule`` / ``schedule_at`` / ``timer`` /
 ``cancel`` / ``run`` calls whose callbacks themselves schedule, arm
-timers on other shards through ``pinned()`` and cancel any timer ever
-armed (live, fired, cancelled already, their own).  Each script runs on
-:class:`Engine`, on :class:`ShardedEngine` and on :class:`ReferenceEngine`
-below -- a list searched with ``min()`` on every pop, sharing no code
-with ``repro.sim`` -- and after every ``run`` everything observable must
-agree: the execution log, the return value, the clock, ``pending()``,
-``next_time()``, the event count and, for the sharded pair, the round
-and placement accounting behind ``vnt_shard_*``.
+timers, cancel any timer ever armed (live, fired, cancelled already,
+their own) and sometimes raise.  Each script runs on :class:`Engine`, on
+:class:`ShardedEngine` and on :class:`ReferenceEngine` below -- a list
+searched with ``min()`` on every pop, sharing no code with
+``repro.sim`` -- and after every ``run`` everything observable must
+agree: the execution log, the return value (or the exception), the
+clock, ``pending()``, ``next_time()``, the event count and, for the
+sharded pair, the round accounting behind ``vnt_shard_*``.  The
+reference opens a round when an event *executes* past the open round's
+horizon; ``ShardedEngine`` opens one at the loop's edge before draining
+it, so the two formulations check each other.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
@@ -30,9 +32,8 @@ LOOKAHEAD_NS = 16
 
 
 class _ReferenceEntry:
-    def __init__(self, time_ns, seq, shard, fn, args):
+    def __init__(self, time_ns, seq, fn, args):
         self.key = (time_ns, seq)
-        self.shard = shard
         self.fn = fn
         self.args = args
         self.live = True
@@ -49,22 +50,25 @@ class ReferenceEngine:
         self.events_executed = 0
         self.rounds = 0
         self.last_horizon_ns = 0
-        self.events_by_shard = [0] * SHARDS
-        self.boundary_events_by_shard = [0] * SHARDS
         self._entries = []
         self._seq = itertools.count()
-        self._affinity = 0
-        self._executing = None  # shard of the running callback
+
+    @property
+    def events_by_shard(self):
+        # The compat tier places nothing: every event is shard 0's.
+        return [self.events_executed] + [0] * (SHARDS - 1)
+
+    @property
+    def boundary_events_by_shard(self):
+        return [0] * SHARDS
 
     def _live(self):
         return [entry for entry in self._entries if entry.live]
 
     def schedule_at(self, time_ns, fn, *args):
         assert time_ns >= self.now
-        entry = _ReferenceEntry(time_ns, next(self._seq), self._affinity, fn, args)
+        entry = _ReferenceEntry(time_ns, next(self._seq), fn, args)
         self._entries.append(entry)
-        if self._executing is not None and entry.shard != self._executing:
-            self.boundary_events_by_shard[entry.shard] += 1
         return entry
 
     def timer(self, delay_ns, fn, *args):
@@ -72,12 +76,6 @@ class ReferenceEngine:
 
     def schedule(self, delay_ns, fn, *args):
         self.timer(delay_ns, fn, *args)
-
-    @contextmanager
-    def pinned(self, shard):
-        previous, self._affinity = self._affinity, shard
-        yield
-        self._affinity = previous
 
     def pending(self):
         return len(self._live())
@@ -88,42 +86,44 @@ class ReferenceEngine:
     def run(self, until=None, max_events=None):
         executed = 0
         round_end = None  # every run() opens a fresh round
-        while max_events is None or executed < max_events:
-            head = min(self._live(), key=lambda entry: entry.key, default=None)
-            if head is None or (until is not None and head.key[0] > until):
-                break
-            self.now = head.key[0]
-            if round_end is None or self.now > round_end:
-                round_end = self.now + LOOKAHEAD_NS
-                if until is not None:
-                    round_end = min(round_end, until)
-                self.rounds += 1
-                self.last_horizon_ns = round_end
-            head.live = False  # fired: a late cancel() changes nothing
-            self._executing = self._affinity = head.shard
-            head.fn(*head.args)
-            executed += 1
-            self.events_by_shard[head.shard] += 1
-        self._executing = None
+        try:
+            while max_events is None or executed < max_events:
+                head = min(self._live(), key=lambda entry: entry.key, default=None)
+                if head is None or (until is not None and head.key[0] > until):
+                    break
+                self.now = head.key[0]
+                if round_end is None or self.now > round_end:
+                    round_end = self.now + LOOKAHEAD_NS
+                    if until is not None:
+                        round_end = min(round_end, until)
+                    self.rounds += 1
+                    self.last_horizon_ns = round_end
+                head.live = False  # fired: a late cancel() changes nothing
+                head.fn(*head.args)
+                executed += 1
+        finally:
+            self.events_executed += executed  # the raiser is not counted
         if until is not None and self.now < until:
             upcoming = self.next_time()
             if upcoming is None or upcoming > until:
                 self.now = until
-        self.events_executed += executed
         return executed
+
+
+class _Boom(Exception):
+    """What a ``raise`` action throws out of its callback."""
 
 
 # -- scripts -----------------------------------------------------------------
 
 _delays = st.integers(0, 40)
-_placement = st.one_of(st.none(), st.integers(0, SHARDS - 1))  # None: inherit
 
 
 def _actions(bodies):
     return st.one_of(
-        st.tuples(st.sampled_from(["schedule", "schedule_at", "timer"]),
-                  _delays, _placement, bodies),
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "timer"]), _delays, bodies),
         st.tuples(st.just("cancel"), st.integers(-3, 30)),
+        st.tuples(st.just("raise")),  # abandons the rest of its body too
     )
 
 
@@ -137,16 +137,18 @@ _runs = st.tuples(
     st.one_of(st.none(), st.integers(0, 60)),  # until = now + k
     st.one_of(st.none(), st.integers(0, 5)),  # max_events
 )
-_scripts = st.lists(st.one_of(_actions(_bodies), _runs), max_size=14).map(
-    lambda script: script + [("run", None, None)]
-)
+# Top-level actions never raise: only a callback does, in mid-run.
+_scripts = st.lists(
+    st.one_of(_actions(_bodies).filter(lambda action: action[0] != "raise"), _runs),
+    max_size=14,
+).map(lambda script: script + [("run", None, None)])
 
 
 def play(engine, script):
     """Run ``script`` on ``engine``; return one snapshot per ``run``."""
     log, timers, snapshots = [], [], []
     labels = itertools.count()
-    pinned = getattr(engine, "pinned", None)  # plain Engine: no placement
+    sharded = hasattr(engine, "rounds")
 
     def fire(label, body):
         log.append((engine.now, label))
@@ -154,18 +156,20 @@ def play(engine, script):
 
     def perform(body):
         for action in body:
-            if action[0] == "cancel":
+            kind = action[0]
+            if kind == "raise":
+                raise _Boom
+            if kind == "cancel":
                 if timers:
                     timers[action[1] % len(timers)].cancel()
                 continue
-            kind, delay, shard, child = action
-            with pinned(shard) if pinned and shard is not None else nullcontext():
-                if kind == "schedule":
-                    assert engine.schedule(delay, fire, next(labels), child) is None
-                elif kind == "schedule_at":
-                    engine.schedule_at(engine.now + delay, fire, next(labels), child)
-                else:
-                    timers.append(engine.timer(delay, fire, next(labels), child))
+            _, delay, child = action
+            if kind == "schedule":
+                assert engine.schedule(delay, fire, next(labels), child) is None
+            elif kind == "schedule_at":
+                engine.schedule_at(engine.now + delay, fire, next(labels), child)
+            else:
+                timers.append(engine.timer(delay, fire, next(labels), child))
 
     for op in script:
         if op[0] != "run":
@@ -173,12 +177,15 @@ def play(engine, script):
             continue
         _, horizon, max_events = op
         until = None if horizon is None else engine.now + horizon
-        executed = engine.run(until=until, max_events=max_events)
+        try:
+            executed = engine.run(until=until, max_events=max_events)
+        except _Boom:
+            executed = "raised"
         snapshot = [
             list(log), executed, engine.now, engine.pending(),
             engine.next_time(), engine.events_executed,
         ]
-        if pinned:
+        if sharded:
             assert sum(engine.events_by_shard) == engine.events_executed
             snapshot += [
                 engine.rounds, engine.last_horizon_ns,
@@ -200,5 +207,5 @@ def test_generated_scripts_match_the_reference(thresholds, script):
         sharded = play(ShardedEngine(shards=SHARDS, lookahead_ns=LOOKAHEAD_NS), script)
         plain = play(Engine(), script)
     assert sharded == reference
-    # The plain engine has no placement or rounds; the rest must agree.
+    # The plain engine has no rounds; the rest must agree.
     assert plain == [snapshot[:6] for snapshot in reference]
