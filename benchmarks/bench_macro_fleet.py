@@ -2,10 +2,8 @@
 
 The fleet-scaling gate: the same 1000-node scenario also runs as
 ``macro_fleet_single`` (one Engine) and ``macro_fleet_shards4``; the
-committed baseline pins all three so a regression in the shard
-coordinator -- or in the plain engine -- shows up as an events/sec drop.
-The three scenarios report identical deterministic metrics (same
-``digest16``), which the CI determinism job byte-diffs.
+pin table (``tests/golden/pins.json``) holds all three.  The three
+scenarios report identical deterministic metrics (same ``digest16``).
 """
 
 from repro.experiments.macro_fleet import FleetConfig, run_macro_fleet

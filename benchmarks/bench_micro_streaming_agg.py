@@ -19,7 +19,7 @@ four-point chain, then enforces the documented budgets:
   advances; the bound keeps the whole frame-emission side cheaper
   than re-reading the data.
 
-``run()`` raises on a violation, which fails the CI bench-smoke job
+``run()`` raises on a violation, which fails ``python -m tests.pins``
 loudly; the wall-clock ratios themselves are deliberately *not*
 reported (bench metrics must be simulation-deterministic), only the
 budget verdicts are.

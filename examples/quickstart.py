@@ -17,8 +17,9 @@ Run:  python examples/quickstart.py [--shards N]
 
 ``--shards N`` runs the identical scenario on a compat-tier
 ShardedEngine with N shards (docs/SHARDING.md); the output is
-byte-identical to the default single-heap engine -- CI diffs the two to
-prove it.
+byte-identical to the default single-heap engine.  Both are one row of
+the pin table, ``tests/golden/pins.json`` (``--shards 4`` as an alias;
+``python -m tests.pins`` checks it).
 """
 
 import argparse

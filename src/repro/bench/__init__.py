@@ -4,9 +4,10 @@ The ``benchmarks/bench_*.py`` scenario files each expose a tiny
 ``run(preset)`` entry point; this package discovers them, runs them
 under a preset (``smoke``/``full``) and reports what each one
 *computed* -- engine events, probe fires, the scenario's own metrics --
-as one canonical JSON document.  ``benchmarks/baseline.json`` is that
-document for the smoke preset, committed; CI regenerates it and fails
-on any byte of difference.  Host speed is printed per scenario for
+as one canonical JSON document.  At the smoke preset each scenario's
+entry is a ``bench:`` row of the pin table, ``tests/golden/pins.json``;
+``python -m tests.pins`` regenerates every row and fails on any digit
+of difference.  Host speed is printed per scenario for
 orientation and never stored: measuring it is ``pipeline_bench``'s job.
 
 See ``docs/BENCHMARKS.md`` for the schema, presets, and workflow.

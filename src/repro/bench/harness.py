@@ -24,9 +24,9 @@ the code and the seeds alone, so the report built from them::
       ]
     }
 
-is **byte-identical** across runs and hosts; ``benchmarks/baseline.json``
-is the committed copy CI diffs against.  The wall clock is measured too,
-but only for the progress table.
+is **byte-identical** across runs and hosts; its smoke-preset entries
+are the ``bench:`` rows of the pin table, ``tests/golden/pins.json``.
+The wall clock is measured too, but only for the progress table.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@
     python -m repro.cli rpc --requests 40
     python -m repro.cli rpc --deterministic
     python -m repro.cli bench --preset smoke
-    python -m repro.cli bench --preset smoke --out benchmarks/baseline.json
+    python -m repro.cli bench --preset smoke --out bench.json
 
 `list` prints the ScenarioSpec registry (`repro.experiments.SCENARIOS`),
 the one table of runnable things; `--verbose` adds each spec's
@@ -41,19 +41,19 @@ or loss-accounting invariants.
 attached (see docs/STREAMING.md) and prints the closed window frames --
 per-flow throughput, per-hop latency/jitter, percentile sketches, and
 the top-K slowest flows -- as a table or JSON; `--deterministic` emits
-one canonical JSON document the CI determinism job byte-diffs.
+one canonical JSON document (a row of the pin table).
 
 `rpc` runs the multi-tier service scenario (see docs/SERVICES.md): a
 declarative ServiceGraph compiled onto the simulated stack, every RPC
 carrying its parent's trace ID, reconstructed into a cross-service span
-forest; `--deterministic` emits one canonical JSON document the CI
-determinism job byte-diffs (also across shard counts).
+forest; `--deterministic` emits one canonical JSON document (a row of
+the pin table, identical across shard counts).
 
 `bench` regenerates every `benchmarks/bench_*.py` scenario and reports
-its simulation-deterministic outputs as one canonical JSON document;
-`benchmarks/baseline.json` is that document, committed, and CI diffs a
-fresh run against it (docs/BENCHMARKS.md).  Host speed is
-`pipeline_bench`'s job, not this verb's.
+its simulation-deterministic outputs as one canonical JSON document.
+Each scenario's entry is a row of the pin table, `tests/golden/pins.json`,
+which `python -m tests.pins` regenerates and diffs (docs/BENCHMARKS.md).
+Host speed is `pipeline_bench`'s job, not this verb's.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ def _timeline(args) -> int:
     complete_only = args.flow == "complete"
     forest = tracer.span_forest(QUICKSTART_CHAIN, complete_only=complete_only)
     if args.warm_cache:
-        # Assemble again and export the cache-served forest: the
-        # determinism CI job byte-diffs this against a cold-cache run.
+        # Assemble again and export the cache-served forest: the pin
+        # table holds it to the cold-cache run's bytes.
         forest = tracer.span_forest(QUICKSTART_CHAIN, complete_only=complete_only)
 
     if args.trace_id is not None:
@@ -257,7 +257,7 @@ def _faults(args) -> int:
         },
     }
     if args.format == "json":
-        # Canonical form: the CI determinism job byte-diffs two runs.
+        # Canonical form: a row of the pin table.
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         b, f, lossy = r.baseline, r.faulty, r.lossy_no_retries
@@ -466,13 +466,17 @@ def _print_profile(profile, top_n: int, stream=None) -> None:
 
 
 def _trace_id(text: str) -> int:
-    """Trace IDs as the tools print them: 0x-prefixed hex or decimal."""
+    """Trace IDs as the tools print them: 0x-prefixed hex or decimal,
+    and 32 bits wide."""
     try:
-        return int(text, 0)
+        value = int(text, 0)
     except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2**32:
         raise argparse.ArgumentTypeError(
-            f"expected a trace ID like 0xc2a5e8a3 or 1234, got {text!r}"
+            f"expected a 32-bit trace ID like 0xc2a5e8a3 or 1234, got {text!r}"
         )
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -571,13 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="engine shard count for the scenario run; 0 = "
                                "plain single-heap engine (output is "
-                               "byte-identical at any count; the CI "
-                               "determinism job diffs 1 vs 4)")
+                               "byte-identical at any count)")
     timeline.add_argument("--warm-cache", action="store_true",
                           help="assemble the forest twice and export the "
                                "second, cache-served copy (byte-identical "
-                               "to the cold one; the CI determinism job "
-                               "diffs the two)")
+                               "to the cold one)")
     faults = sub.add_parser(
         "faults",
         help="run the fault-equivalence experiment: resilient delivery "
@@ -603,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--format", choices=("table", "json"), default="table",
                        help="output format")
     watch.add_argument("--deterministic", action="store_true",
-                       help="emit one canonical JSON document (byte-diffable; "
-                            "the CI determinism job diffs two runs)")
+                       help="emit one canonical JSON document (byte-diffable)")
     rpc = sub.add_parser(
         "rpc",
         help="run the multi-tier RPC service scenario and export the "
@@ -621,9 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="chrome = Perfetto-loadable trace-event JSON of "
                           "the RPC span forest")
     rpc.add_argument("--deterministic", action="store_true",
-                     help="emit one canonical JSON document (byte-diffable; "
-                          "the CI determinism job diffs runs and shard "
-                          "counts)")
+                     help="emit one canonical JSON document (byte-diffable, "
+                          "identical at any shard count)")
     rpc.add_argument("--out", metavar="PATH", type=_output_path, default=None,
                      help="write to a file instead of stdout")
     bench = sub.add_parser(
@@ -639,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the report JSON to stdout instead of the "
                             "progress table")
     bench.add_argument("--out", metavar="PATH", type=_output_path, default=None,
-                       help="also write the report JSON to PATH "
-                            "(benchmarks/baseline.json to refresh the gate)")
+                       help="also write the report JSON to PATH (the gate is "
+                            "the pin table: python -m tests.pins)")
     bench.add_argument("--profile", type=_positive_int, nargs="?", const=25, default=None,
                        metavar="N",
                        help="wrap the run in cProfile and print the top N "

@@ -9,7 +9,7 @@ data; :class:`~repro.faults.inject.FaultInjector` turns it into engine
 events and per-message drop/duplicate/delay decisions drawn from
 :class:`~repro.sim.rng.SeededRNG` streams keyed off ``plan.seed`` --
 so the same plan and seed reproduce the same faults byte-for-byte
-(tested by the CI determinism job; see ``docs/FAULTS.md``).
+(pinned in ``tests/golden/pins.json``; see ``docs/FAULTS.md``).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ Determinism: both JSON serializations are canonical (exactly what
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` would emit
 for the equivalent document, no wall-clock fields), so two runs of the
 same scenario produce byte-identical documents -- the property the
-determinism CI job diffs.  Nothing is memoised across calls: the
+pin table (``tests/golden/pins.json``) checks.  Nothing is memoised across calls: the
 escaped name and node tables are locals of one export.
 """
 

@@ -1,5 +1,5 @@
 """The figure suite: presets, discovery, report, CLI, and the exact gate
-against the committed ``benchmarks/baseline.json``."""
+against the committed pin table, ``tests/golden/pins.json``."""
 
 import copy
 import json
@@ -23,6 +23,7 @@ from repro.bench.discovery import DiscoveryError
 from repro.bench.harness import HarnessError
 from repro.bench.presets import MIN_DURATION_NS
 from repro.cli import build_parser, main
+from tests import pins
 
 FAKE_SCENARIO = """\
 from repro.sim.engine import Engine
@@ -158,85 +159,102 @@ class TestSchema:
         assert docs[0] == docs[1]
 
 
-BASELINE = find_bench_dir() / "baseline.json"
-
-# The scenarios that finish in under a second at ``smoke``; tier-1
-# re-runs these.  The other ten -- the longer figures, and
-# ``micro_streaming_agg``, whose host-time budget sits too close to its
-# bound for a loaded test machine -- are left to the CI bench-smoke job,
-# which regenerates all 29 and diffs the whole file.
-TIER1_SCENARIOS = (
-    "ablation_collection_mode",
-    "ablation_ebpf_jit",
-    "ablation_ratelimit_sweep",
-    "ablation_ring_buffer",
-    "ablation_trace_ids",
-    "fig10a_xen_sockperf",
-    "fig10b_xen_memcached",
-    "fig11_xen_decomposition",
-    "fig7a_overhead_latency",
-    "macro_fleet",
-    "macro_fleet_shards4",
-    "macro_fleet_single",
-    "micro_ebpf_dispatch",
-    "micro_engine",
-    "micro_retry_path",
-    "micro_ringbuffer",
-    "micro_rpc_correlate",
-    "micro_span_reconstruct",
-    "micro_tracedb_query",
+# The rows tier-1 regenerates: every registry digest, and the bench
+# scenarios that finish in under a second at ``smoke``.  The other ten
+# -- the longer figures, and ``micro_streaming_agg``, whose host-time
+# budget sits too close to its bound for a loaded test machine -- are
+# left to ``python -m tests.pins``, which CI runs over every row.
+FAST_ROWS = (
+    "bench:ablation_collection_mode",
+    "bench:ablation_ebpf_jit",
+    "bench:ablation_ratelimit_sweep",
+    "bench:ablation_ring_buffer",
+    "bench:ablation_trace_ids",
+    "bench:fig10a_xen_sockperf",
+    "bench:fig10b_xen_memcached",
+    "bench:fig11_xen_decomposition",
+    "bench:fig7a_overhead_latency",
+    "bench:macro_fleet",
+    "bench:macro_fleet_shards4",
+    "bench:macro_fleet_single",
+    "bench:micro_ebpf_dispatch",
+    "bench:micro_engine",
+    "bench:micro_retry_path",
+    "bench:micro_ringbuffer",
+    "bench:micro_rpc_correlate",
+    "bench:micro_span_reconstruct",
+    "bench:micro_tracedb_query",
+    *(f"digest:{name}" for name in pins.digest_specs()),
 )
 
 
-def _check_against(entry, committed):
-    """Tier-1's form of the CI ``diff``: a freshly computed scenario
-    entry must equal the committed one of the same name exactly."""
-    by_name = {e["name"]: e for e in committed["scenarios"]}
-    name = entry["name"]
-    assert name in by_name, f"{name}: missing from benchmarks/baseline.json"
-    assert entry == by_name[name], (
-        f"{name}: differs from benchmarks/baseline.json (if the change is "
-        f"intended: repro bench --preset smoke --out benchmarks/baseline.json)"
-    )
+def _bump(value):
+    """``value`` with one digit changed."""
+    if isinstance(value, int):
+        return value + 1
+    return value[:-1] + ("1" if value[-1] == "0" else "0")
 
 
 class TestCompare:
-    """The exact gate against the committed baseline."""
+    """The pin table, ``tests/golden/pins.json`` (``tests/pins.py``)."""
 
     @pytest.fixture(scope="class")
-    def committed(self):
-        return json.loads(BASELINE.read_text())
+    def table(self):
+        return pins.load()
 
-    def test_committed_baseline_is_canonical(self, committed):
-        assert dumps_report(committed) == BASELINE.read_text()
-        assert committed["schema_version"] == SCHEMA_VERSION
-        assert committed["preset"] == "smoke"
+    def test_committed_table_is_canonical(self, table):
+        assert pins.dumps(table) == pins.TABLE_PATH.read_text()
 
-    def test_baseline_and_bench_files_name_the_same_scenarios(self, committed):
-        recorded = [entry["name"] for entry in committed["scenarios"]]
-        discovered = [scenario.name for scenario in discover_scenarios()]
-        assert sorted(recorded) == sorted(discovered)  # both directions
-        assert set(TIER1_SCENARIOS) <= set(discovered)
+    def test_every_producer_has_a_row_and_every_row_a_producer(self, table):
+        # Bench files, digest specs, span cases and CLI invocations.
+        assert set(table) == pins.expected_keys()  # both directions
+        assert set(FAST_ROWS) <= set(table)
 
-    @pytest.mark.parametrize("name", TIER1_SCENARIOS)
-    def test_scenario_reproduces_its_committed_entry(self, name, committed):
-        (scenario,) = discover_scenarios(only=[name])
-        (entry,) = build_report([run_scenario(scenario, "smoke")], "smoke")["scenarios"]
-        _check_against(entry, committed)
+    @pytest.mark.parametrize("key", FAST_ROWS, ids=lambda key: key.removeprefix("bench:"))
+    def test_scenario_reproduces_its_committed_entry(self, key):
+        kind, name = key.split(":", 1)
+        produce = pins.bench_rows if kind == "bench" else pins.digest_rows
+        pins.assert_rows(dict(produce([name])))
 
-    def test_one_changed_digit_fails_and_names_the_scenario(self, committed):
-        tampered = copy.deepcopy(committed)
-        entry = next(e for e in committed["scenarios"] if e["name"] == "micro_engine")
-        _check_against(entry, tampered)
-        target = next(e for e in tampered["scenarios"] if e["name"] == "micro_engine")
-        target["metrics"]["final_now_ns"] += 1
-        with pytest.raises(AssertionError, match="micro_engine: differs"):
-            _check_against(entry, tampered)
+    def test_one_changed_digit_fails_and_names_the_scenario(self, table):
+        """One row of each kind that used to live in its own pin file."""
+        for key, path in (
+            ("bench:micro_engine", ("metrics", "final_now_ns")),
+            ("digest:quickstart", ("digest",)),
+            ("export:quickstart/complete:chrome", ("sha256",)),
+            ("cli:examples/quickstart.py", ("bytes",)),
+        ):
+            found = {key: table[key]}
+            tampered = copy.deepcopy(table)
+            pins.assert_rows(found, tampered)
+            *parents, leaf = path
+            row = tampered[key]
+            for name in parents:
+                row = row[name]
+            row[leaf] = _bump(row[leaf])
+            field = re.escape(f"{key}  {'.'.join(path)}: ")
+            with pytest.raises(AssertionError, match=f"(?s)^{field}.*observable fields moved$"):
+                pins.assert_rows(found, tampered)
 
-    def test_missing_scenario_is_a_regression(self, committed):
-        gone = {"name": "gone", "events_executed": 1, "probe_fires": 0, "metrics": {}}
-        with pytest.raises(AssertionError, match="gone: missing"):
-            _check_against(gone, committed)
+    def test_schedule_only_change_says_so(self, table):
+        found = {key: table[key] for key in ("bench:macro_fleet", "bench:micro_engine")}
+        tampered = copy.deepcopy(table)
+        tampered["bench:macro_fleet"]["events_executed"] += 1
+        tampered["bench:macro_fleet"]["metrics"]["rounds"] += 1
+        tampered["bench:micro_engine"]["metrics"]["events_executed"] += 1
+        with pytest.raises(AssertionError, match="3 field.* in 2 row.*: schedule fields only$"):
+            pins.assert_rows(found, tampered)
+        tampered["bench:macro_fleet"]["metrics"]["rows_inserted"] += 1
+        with pytest.raises(AssertionError, match="observable fields moved$"):
+            pins.assert_rows(found, tampered)
+
+    def test_missing_scenario_is_a_regression(self, table):
+        gone = {"bench:gone": {"events_executed": 1, "probe_fires": 0, "metrics": {}}}
+        with pytest.raises(AssertionError, match="bench:gone  row: 'absent' -> 'new'"):
+            pins.assert_rows(gone, table)
+        # ... and so is a committed row that nothing produces any more.
+        moved = pins.diff({**table, **gone}, table, complete=True)
+        assert moved == [("bench:gone", "row", "committed", "no producer")]
 
 
 class TestCLI:

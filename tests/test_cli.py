@@ -80,6 +80,8 @@ class TestParser:
             ["timeline", "--out", "{directory}"],
             ["bench", "--profile", "0"],
             ["bench", "--profile", "-3"],
+            ["timeline", "--format", "text", "--trace-id", "-5"],
+            ["timeline", "--format", "text", "--trace-id", "0x1ffffffff"],
         ],
         ids=[
             "factor-negative",
@@ -92,6 +94,8 @@ class TestParser:
             "out-is-a-directory",
             "profile-zero",
             "profile-negative",
+            "trace-id-negative",
+            "trace-id-over-32-bits",
         ],
     )
     def test_bad_values_exit_2_before_anything_runs(self, argv, tmp_path, capsys):

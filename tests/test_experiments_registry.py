@@ -7,7 +7,6 @@ importable (they *are* the implementations the specs point at).
 """
 
 import inspect
-import json
 import os
 import re
 import subprocess
@@ -193,17 +192,3 @@ class TestDigests:
         assert first == second
         assert len(first) == 16
         int(first, 16)  # hex
-
-    def test_digests_match_the_committed_goldens(self):
-        """Every registered digest on its defaults, against
-        tests/golden/scenario_digests.json: a change that moves one
-        shows up here, not in a PR text.  A spec registered with a
-        digest and no golden fails; re-record a value only when the
-        scenario's behaviour is meant to change."""
-        golden = json.loads((REPO / "tests/golden/scenario_digests.json").read_text())
-        computed = {
-            name: get_scenario(name).digest_fn()()
-            for name in scenario_names()
-            if get_scenario(name).digest is not None
-        }
-        assert computed == golden

@@ -6,10 +6,10 @@ implementation in ``src/``; the per-row algorithm survives as the test
 oracle in ``tests/span_reference.py`` (nested dicts, ``json.dumps``).
 This suite proves, on every end-to-end scenario the repo ships, that
 the two produce byte-identical exports -- Chrome trace JSON, OTLP JSON
-and the text timeline -- that those bytes are the ones recorded in
-``tests/golden/span_exports.json`` before the reference left ``src/``,
-and that the generation-keyed forest cache can never serve a stale
-forest across any mutation path.
+and the text timeline -- that those bytes are the ones the pin table
+(``tests/golden/pins.json``) recorded before the reference left
+``src/``, and that the generation-keyed forest cache can never serve a
+stale forest across any mutation path.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +19,7 @@ from repro.core.records import TraceRecord
 from repro.core.tracedb import TraceDB
 from repro.tracing.export import chrome_trace_json, otlp_json
 from repro.tracing.reconstruct import SpanAssembler
-from tests import span_goldens
+from tests import pins
 from tests.span_reference import (
     reference_chrome_json,
     reference_exports,
@@ -29,20 +29,20 @@ from tests.span_reference import (
 )
 
 
-def reference_for(case: span_goldens.Case):
+def reference_for(case: pins.Case):
     if case.links is not None:
         return reference_rpc_forest(case.db, case.links, chain=case.chain)
     return reference_forest(case.db, None, case.chain, complete_only=case.complete_only)
 
 
-def assert_case_equivalent(case: span_goldens.Case):
-    """Production vs the per-row oracle vs the recorded goldens, byte
-    for byte on every export format."""
-    forest = span_goldens.production_forest(case)
+def assert_case_equivalent(case: pins.Case):
+    """Production vs the per-row oracle vs the pinned rows, byte for
+    byte on every export format."""
+    forest = pins.production_forest(case)
     oracle = reference_for(case)
-    texts = span_goldens.exports(forest)
+    texts = pins.exports(forest)
     assert texts == reference_exports(oracle)
-    span_goldens.assert_matches_golden(case, texts)
+    pins.assert_rows(pins.export_pins(case.name, texts))
     assert forest.orphan_records == oracle["orphan_records"]
     assert forest.span_count() == span_count(oracle)
     return texts
@@ -59,8 +59,10 @@ def checked(scenario: str):
     if scenario not in _checked:
         _checked[scenario] = [
             (case.name, assert_case_equivalent(case))
-            for case in span_goldens.SCENARIOS[scenario]()
+            for case in pins.SPAN_SCENARIOS[scenario]()
         ]
+        # The names the pin table's coverage test reads without running.
+        assert {name for name, _ in _checked[scenario]} == set(pins.SPAN_CASES[scenario])
     return _checked[scenario]
 
 
@@ -97,10 +99,6 @@ class TestScenarioDifferentials:
     def test_rpc_case_both_shard_counts(self):
         # The request forest and the plain packet forest of the same DB.
         assert_shard_counts_agree("rpc_case", runs=2)
-
-    def test_goldens_cover_exactly_the_scenarios(self):
-        names = {name for scenario in span_goldens.SCENARIOS for name, _ in checked(scenario)}
-        assert names == set(span_goldens.load_goldens())
 
 
 # ---------------------------------------------------------------------------
