@@ -26,6 +26,11 @@ the *inner* packet (the paper: "the tracing scripts need to strip the
 VXLAN header off to read the skb information").  The parsed fields then
 refer to the inner five-tuple while data/data_end still cover the bytes
 visible at the hook.
+
+A probe fire starts from the *field tuple* (:func:`skb_fields`, the
+table's values in order) and packs the 56 bytes only when something
+reads the context as memory (:func:`pack_context`); a whole-field load
+the verifier proved reads the tuple.
 """
 
 from __future__ import annotations
@@ -52,8 +57,36 @@ OFF_PAYLOAD_OFF = 36
 OFF_DATA = 40
 OFF_DATA_END = 48
 
-# The whole table above as one layout, in field order.
+# The table above as (name, offset, size), in field order: the order of
+# the field tuple :func:`skb_fields` returns and of the one pack.
+FIELDS = (
+    ("len", OFF_LEN, 4),
+    ("protocol", OFF_PROTOCOL, 2),
+    ("ifindex", OFF_IFINDEX, 4),
+    ("rx_cpu", OFF_RX_CPU, 4),
+    ("src_ip", OFF_SRC_IP, 4),
+    ("dst_ip", OFF_DST_IP, 4),
+    ("src_port", OFF_SRC_PORT, 2),
+    ("dst_port", OFF_DST_PORT, 2),
+    ("ip_proto", OFF_IP_PROTO, 1),
+    ("hook_id", OFF_HOOK_ID, 4),
+    ("payload_off", OFF_PAYLOAD_OFF, 4),
+    ("data", OFF_DATA, 8),
+    ("data_end", OFF_DATA_END, 8),
+)
+# offset -> (tuple index, size, name): what a whole-field load reads.
+FIELD_AT = {offset: (index, size, name) for index, (name, offset, size) in enumerate(FIELDS)}
+
+# The whole layout as one struct, in field order.
 _CTX = struct.Struct("<IH2xIIIIHHB3xIIQQ")
+unpack_context = _CTX.unpack_from
+
+
+def pack_context(fields: tuple) -> bytearray:
+    """The 56-byte context of a field tuple."""
+    ctx = bytearray(CTX_SIZE)
+    _CTX.pack_into(ctx, 0, *fields)
+    return ctx
 
 
 class PacketImage:
@@ -62,16 +95,20 @@ class PacketImage:
 
     Nothing is serialised up front.  A :meth:`load` that falls wholly
     inside the innermost byte payload reads the payload; one wholly
-    inside a header serialises that header alone
-    (:meth:`Packet.wire_header`: same length fix-ups and IPv4 checksum
-    as the full image).  Anything else -- a load straddling segments, a
-    store, a helper read, the interpreter, shadow mode -- builds the
-    whole wire image once (:meth:`materialise`), and every later access
-    of the invocation uses it, so a store is seen by the loads after it.
-    A program whose filter misses on context fields pays for none of it.
+    inside a header gets that header's segment from
+    :meth:`Packet.wire_header` -- the header serialised alone, with the
+    same length fix-ups and IPv4 checksum as the full image, or a TCP
+    header's options as they are -- and keeps it, so a second load in
+    the same header neither walks the packet nor serialises.  Anything
+    else -- a load straddling segments, a store, a helper read, the
+    interpreter, shadow mode -- builds the whole wire image once
+    (:meth:`materialise`), and every later access of the invocation
+    uses it, kept header or not, so a store is seen by the loads after
+    it.  A program whose filter misses on context fields pays for none
+    of it.
     """
 
-    __slots__ = ("_packet", "_length", "_payload", "_payload_start", "_bytes")
+    __slots__ = ("_packet", "_length", "_payload", "_payload_start", "_bytes", "_header")
 
     def __init__(self, packet: Packet, length: int, payload: bytes, payload_start: int):
         self._packet = packet
@@ -79,6 +116,8 @@ class PacketImage:
         self._payload = payload  # the innermost packet's bytes ...
         self._payload_start = payload_start  # ... and where they start in the image
         self._bytes: Optional[bytearray] = None
+        # The header segment found last and where it starts in the image.
+        self._header: Optional[Tuple[bytes, int]] = None
 
     def __len__(self) -> int:
         return self._length
@@ -92,7 +131,11 @@ class PacketImage:
             if offset >= start:
                 segment = self._payload
             else:
-                found = self._packet.wire_header(offset, size, self._length)
+                found = self._header
+                if found is None or not (
+                    found[1] <= offset and offset + size <= found[1] + len(found[0])
+                ):
+                    found = self._header = self._packet.wire_header(offset, size, self._length)
                 if found is None:
                     segment, start = self.materialise(), 0
                 else:
@@ -109,21 +152,22 @@ class PacketImage:
         return bytes(self.materialise())
 
 
-def build_skb_context(
+def skb_fields(
     packet: Packet,
     ifindex: int = 0,
     cpu: int = 0,
     hook_id: int = 0,
     use_inner: bool = False,
-) -> Tuple[bytearray, PacketImage]:
-    """Build (ctx, packet region) for one program invocation.
+) -> Tuple[tuple, PacketImage]:
+    """The context's field tuple (:data:`FIELDS` order) and the packet
+    region for one invocation, from one walk down the encapsulation.
 
     ``use_inner`` fills the parsed fields from the innermost packet
     (after notional VXLAN decap).
     """
-    # One walk down the encapsulation for every length the context and
-    # the image need (``total_length`` / ``innermost`` /
-    # ``payload_length`` would each walk it again).
+    # One walk for every length the context and the image need
+    # (``total_length`` / ``innermost`` / ``payload_length`` would each
+    # walk it again).
     length = 0
     logical = packet
     while True:
@@ -145,19 +189,20 @@ def build_skb_context(
     eth = logical.eth
     ip = logical.ip
     l4 = logical.tcp if logical.tcp is not None else logical.udp
-    ctx = bytearray(CTX_SIZE)
-    _CTX.pack_into(
-        ctx,
-        0,
+    if ip is None:
+        src_ip = dst_ip = ip_proto = 0
+    else:
+        src_ip, dst_ip, ip_proto = ip.src.value, ip.dst.value, ip.protocol
+    fields = (
         length,
         eth.ethertype if eth is not None else 0,
         ifindex,
         cpu,
-        ip.src.value if ip is not None else 0,
-        ip.dst.value if ip is not None else 0,
+        src_ip,
+        dst_ip,
         l4.src_port if l4 is not None else 0,
         l4.dst_port if l4 is not None else 0,
-        ip.protocol if ip is not None else 0,
+        ip_proto,
         hook_id,
         # Where the L4 payload of the *logical* packet starts inside the
         # image: after the outer headers and the logical packet's own.
@@ -165,18 +210,27 @@ def build_skb_context(
         PACKET_REGION_BASE,
         PACKET_REGION_BASE + length,
     )
-    return ctx, PacketImage(packet, length, payload, payload_start)
+    return fields, PacketImage(packet, length, payload, payload_start)
 
 
-def build_empty_context(
-    ifindex: int = 0, cpu: int = 0, hook_id: int = 0
-) -> Tuple[bytearray, bytearray]:
-    """A context for probe points with no packet: all packet fields are
-    zero, data == data_end (an empty, valid region)."""
-    ctx = bytearray(CTX_SIZE)
+def empty_fields(ifindex: int = 0, cpu: int = 0, hook_id: int = 0) -> tuple:
+    """The field tuple of a probe point with no packet: every packet
+    field is zero and data == data_end (an empty, valid region)."""
     base = PACKET_REGION_BASE
-    _CTX.pack_into(ctx, 0, 0, 0, ifindex, cpu, 0, 0, 0, 0, 0, hook_id, 0, base, base)
-    return ctx, bytearray(0)
+    return (0, 0, ifindex, cpu, 0, 0, 0, 0, 0, hook_id, 0, base, base)
+
+
+def build_skb_context(
+    packet: Packet,
+    ifindex: int = 0,
+    cpu: int = 0,
+    hook_id: int = 0,
+    use_inner: bool = False,
+) -> Tuple[bytearray, PacketImage]:
+    """(packed ctx, packet region) for one invocation: :func:`skb_fields`
+    with the fields packed."""
+    fields, image = skb_fields(packet, ifindex, cpu, hook_id, use_inner)
+    return pack_context(fields), image
 
 
 def context_field(ctx: bytearray, offset: int, size: int) -> int:

@@ -12,6 +12,7 @@ from typing import Dict, List, NamedTuple
 from repro.ebpf import isa
 from repro.ebpf.helpers import HELPERS
 from repro.ebpf.isa import disassemble
+from repro.ebpf.jit import compile_program
 from repro.ebpf.vm import BPFProgram, INTERPRETER_NS_PER_INSN, JIT_NS_PER_INSN
 
 
@@ -85,10 +86,19 @@ def inspect_program(program: BPFProgram) -> ProgramInfo:
 def dump_program(program: BPFProgram) -> str:
     """A ``bpftool prog dump xlated``-style listing with a header."""
     info = inspect_program(program)
+    # The blocks and context fields the filter guard covers, or why
+    # there is none (repro.ebpf.jit).
+    if not program.precompile:
+        guard = "none (interpreter tier)"
+    elif program.shadow:
+        guard = "none (shadow mode)"
+    else:
+        guard = (program._unit or compile_program(program.insns)).guard_note
     header = [
         f"program {info.name!r}: {info.instructions} insns "
         f"({info.alu_ops} alu, {info.jumps} jmp, {info.loads} ld, {info.stores} st)",
         f"tier: {program.tier} ({program.mode} cost model)",
+        f"guard: {guard}",
         f"helpers: {info.helper_calls or 'none'}   maps: {info.map_fds or 'none'}",
         f"worst-case cost: {info.max_cost_ns_interp} ns interp / "
         f"{info.max_cost_ns_jit} ns jit",

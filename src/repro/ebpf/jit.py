@@ -16,15 +16,23 @@ The translation leans on facts the verifier proves
   cascade of ``if _b == N:`` guards is enough;
 * a load or store through a proven context or frame pointer (R1 / R10,
   or a copy plus a constant) is in bounds, so it compiles to one
-  indexed read or write with the offset folded in; only an access
-  through an unproven pointer keeps the run-time region chain;
+  indexed read or write with the offset folded in -- a load of one
+  whole context field indexes the field tuple, and the 56 context bytes
+  are packed only for a partial load, a store, an unproven access or a
+  helper that reads memory; only an access through an unproven pointer
+  keeps the run-time region chain;
 * helper call sites name known helpers, so the host function, its
   simulated cost, and its argument count are bound at compile time --
   and a ``perf_event_output`` whose map, flags, frame offset and size
   are all proven constants hands the stack slice straight to the map;
 * every basic block runs whole or not at all, so the set of blocks a
   run executed (returned as a bit mask) fixes its instruction count,
-  helper cost and helper tallies (:meth:`CompiledProgram.path_info`).
+  helper cost and helper tallies (:meth:`CompiledProgram.path_info`);
+* the blocks a run can reach before its first side effect -- ALU ops,
+  whole-field context loads, jumps, ``exit`` -- translate a second time
+  into the *guard* (``guard(fields) -> (path, r0) | None``), which
+  settles a run that exits among them from the field tuple alone, so a
+  filter miss needs no context bytes, stack or VM state.
 
 The *simulated* cost model is unchanged (that lives in
 :mod:`repro.ebpf.vm`); this is a host-side speedup only.  Semantics must
@@ -40,7 +48,7 @@ import struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ebpf import isa
-from repro.ebpf.context import CTX_SIZE
+from repro.ebpf.context import CTX_SIZE, FIELD_AT
 from repro.ebpf.helpers import (
     BPF_F_CURRENT_CPU,
     HELPER_GET_PRANDOM_U32,
@@ -108,10 +116,16 @@ class CompiledProgram(NamedTuple):
 
     ``factory`` takes ``{insn_index: tagged map pointer}`` for every
     LD_IMM64/BPF_PSEUDO_MAP_FD slot and returns the run entry point
-    ``fn(state, stack, ctx, packet) -> path``, the bit mask of the basic
-    blocks the run executed (bit ``n`` = block ``n``).  Binding map
+    ``fn(state, stack, fields, packet) -> path``, the bit mask of the
+    basic blocks the run executed (bit ``n`` = block ``n``).  Binding map
     pointers through the factory is what lets the program cache share
     one code object between redeploys that differ only in map fds.
+
+    ``guard`` (``None`` when the program has none) takes the context's
+    field tuple and returns ``(path, r0)`` for a run that exits inside
+    the guarded blocks, ``None`` for one the full program must make;
+    ``guard_note`` says which blocks and fields it covers, or why there
+    is no guard.
     """
 
     factory: Callable[[Dict[int, int]], Callable]
@@ -119,6 +133,8 @@ class CompiledProgram(NamedTuple):
     source: str
     # per basic block: (instruction slots, helper ids it calls)
     blocks: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    guard: Optional[Callable[[tuple], Optional[Tuple[int, int]]]]
+    guard_note: str
 
     def path_info(self, path: int) -> PathInfo:
         """Account one run from the blocks it executed."""
@@ -163,9 +179,17 @@ def compile_program(
     starts = sorted(leaders)
     block_of = {start: number for number, start in enumerate(starts)}
 
-    needs = {"ctx": False, "packet": False, "chain": False, "env": False}
+    # A store through anything but the frame may write the context, so
+    # a program that also reads whole fields re-reads the tuple after it.
+    uses_fields = any(
+        insn.insn_class == isa.BPF_LDX
+        and _field_index(insn, analysis.reg_types[index][insn.src]) is not None
+        for index, insn in enumerate(insns)
+    )
+    needs = {"ctx": False, "packet": False, "chain": False, "env": False, "fields": uses_fields}
     body_blocks = []
     block_table = []
+    bounds = []
     for number, start in enumerate(starts):
         end = starts[number + 1] if number + 1 < len(starts) else count
         lines, slots, helper_ids = _emit_block(
@@ -173,19 +197,21 @@ def compile_program(
         )
         body_blocks.append(lines)
         block_table.append((slots, helper_ids))
+        bounds.append((start, end))
 
     body = []
     if needs["ctx"]:
-        # The premise of every folded context access, checked once.
-        body.append(f"if len(_ctx) < {CTX_SIZE}:")
+        # The premise of every folded context access, checked once: a
+        # caller's context bytes were long enough to hold every field.
+        body.append("if _f is None:")
         body.append(
-            f'    raise _MF(f"context of {{len(_ctx)}} bytes is shorter than the '
+            f'    raise _MF(f"context of {{len(_st.ctx)}} bytes is shorter than the '
             f'{CTX_SIZE} the verifier assumed")'
         )
     if needs["env"]:
         body.append("_env = _st.env")
     if needs["chain"]:
-        body.append("_cl = len(_ctx)")
+        body.append(f"_cl = {CTX_SIZE} if _st.ctx is None else len(_st.ctx)")
     if needs["packet"]:
         body.append("_pl = -1 if _pkt is None else len(_pkt)")
     body.append("r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
@@ -202,10 +228,12 @@ def compile_program(
     lines = ["def _make(_maps):"]
     for position in map_positions:
         lines.append(f"    _m{position} = _maps[{position}]")
-        lines.append(f"    _f{position} = _m{position} - {MAP_PTR_BASE:#x}")
-    lines.append("    def _prog(_st, _stk, _ctx, _pkt):")
+        lines.append(f"    _fd{position} = _m{position} - {MAP_PTR_BASE:#x}")
+    lines.append("    def _prog(_st, _stk, _f, _pkt):")
     lines.extend("        " + line for line in body)
     lines.append("    return _prog")
+    guard_lines, guard_note = _emit_guard(insns, bounds, block_of, analysis)
+    lines.extend(guard_lines)
     source = "\n".join(lines) + "\n"
 
     namespace: Dict[str, object] = {
@@ -220,7 +248,121 @@ def compile_program(
     for position, helper_id in analysis.helper_sites:
         namespace[f"_h{position}"] = HELPERS[helper_id].func
     exec(compile(source, "<bpf-native>", "exec"), namespace)
-    return CompiledProgram(namespace["_make"], map_positions, source, tuple(block_table))
+    return CompiledProgram(
+        namespace["_make"],
+        map_positions,
+        source,
+        tuple(block_table),
+        namespace.get("_guard"),
+        guard_note,
+    )
+
+
+def _field_index(insn: Instruction, pointer: RegType) -> Optional[int]:
+    """The field tuple index a load reads, if it is a load of one whole
+    context field through a proven context pointer."""
+    if pointer is None or pointer[0] != "ctx":
+        return None
+    field = FIELD_AT.get(pointer[1] + insn.offset)
+    if field is None or field[1] != insn.size_bytes:
+        return None
+    return field[0]
+
+
+_LOAD_KINDS = {"ctx": "a partial context load", "fp": "a stack load", "pkt": "a packet load"}
+
+
+def _impurity(
+    insns: List[Instruction], start: int, end: int, analysis: VerifierAnalysis
+) -> Optional[str]:
+    """Why instructions ``start .. end`` cannot run in the guard (the
+    first one that has a side effect or reads more than a field), or
+    ``None`` if they are ALU ops, whole-field context loads and jumps."""
+    for index in range(start, end):
+        insn = insns[index]
+        cls = insn.insn_class
+        if cls in (isa.BPF_ALU64, isa.BPF_ALU):
+            continue
+        if cls == isa.BPF_JMP:
+            if insn.alu_op == isa.BPF_CALL:
+                return f"a call to {HELPERS[insn.imm].name} at insn {index}"
+            continue
+        if cls == isa.BPF_LDX:
+            pointer = analysis.reg_types[index][insn.src]
+            if _field_index(insn, pointer) is not None:
+                continue
+            kind = pointer[0] if pointer is not None else None
+            return f"{_LOAD_KINDS.get(kind, 'a memory load')} at insn {index}"
+        if cls in (isa.BPF_ST, isa.BPF_STX):
+            return f"a store at insn {index}"
+        return f"ld_imm64 at insn {index}"
+    return None
+
+
+def _emit_guard(
+    insns: List[Instruction],
+    bounds: List[Tuple[int, int]],
+    block_of: Dict[int, int],
+    analysis: VerifierAnalysis,
+) -> Tuple[List[str], str]:
+    """The guard's source lines (none without a guard) and its note.
+
+    The guard covers the blocks a run can reach from the entry through
+    side-effect-free blocks (:func:`_impurity`) *and* leave by an
+    ``exit`` among them; they compile exactly as in the program, except
+    that ``exit`` returns ``(path, r0)``.  A run that jumps anywhere else
+    falls off the end of the guard: ``None``, run the program."""
+    why = [_impurity(insns, start, end, analysis) for start, end in bounds]
+    successors = []
+    for number, (start, end) in enumerate(bounds):
+        last = insns[end - 1]
+        if last.insn_class != isa.BPF_JMP or last.alu_op == isa.BPF_CALL:
+            successors.append((number + 1,))  # falls into the next leader
+        elif last.alu_op == isa.BPF_EXIT:
+            successors.append(())
+        else:
+            taken = block_of[end + last.offset]
+            successors.append((taken,) if last.alu_op == isa.BPF_JA else (taken, number + 1))
+    if why[0] is not None:
+        return [], f"none (block 0 has {why[0]})"
+    reached = {0}
+    for number in range(len(bounds)):  # forward jumps: program order is topological
+        if number in reached:
+            reached.update(s for s in successors[number] if why[s] is None)
+    covered = set()
+    for number in sorted(reached, reverse=True):
+        if not successors[number] or covered.intersection(successors[number]):
+            covered.add(number)
+    if 0 not in covered:
+        frontier = min(
+            s for number in reached for s in successors[number] if s not in reached
+        )
+        return [], f"none (every path meets {why[frontier]} before an exit)"
+
+    needs = {"ctx": False, "packet": False, "chain": False, "env": False, "fields": True}
+    body: List[str] = []
+    fields: List[str] = []
+    for number in sorted(covered):
+        start, end = bounds[number]
+        for index in range(start, end):
+            insn = insns[index]
+            if insn.insn_class == isa.BPF_LDX:
+                name = FIELD_AT[analysis.reg_types[index][insn.src][1] + insn.offset][2]
+                if name not in fields:
+                    fields.append(name)
+        block_lines, _slots, _helpers = _emit_block(
+            insns, start, end, number, block_of, analysis, needs, guard=True
+        )
+        if number == 0:
+            body.extend(block_lines)
+        else:
+            body.append(f"if _b == {number}:")
+            body.extend("    " + line for line in block_lines)
+    # The verifier proved every other register written before it is read.
+    prologue = [f"r1 = {CTX_REGION_BASE:#x}", f"r10 = {STACK_REGION_BASE + isa.STACK_SIZE:#x}"]
+    lines = ["def _guard(_f):"] + ["    " + line for line in prologue + body]
+    note = f"blocks {', '.join(map(str, sorted(covered)))}; fields {', '.join(fields) or 'none'}"
+    return lines, note
 
 
 def _emit_block(
@@ -231,8 +373,11 @@ def _emit_block(
     block_of: Dict[int, int],
     analysis: VerifierAnalysis,
     needs: Dict[str, bool],
+    guard: bool = False,
 ) -> Tuple[List[str], int, Tuple[int, ...]]:
-    """One basic block: (source lines, instruction slots, helper ids)."""
+    """One basic block: (source lines, instruction slots, helper ids).
+    In the ``guard``, ``exit`` returns ``(path, r0)`` instead of writing
+    the register file back."""
     lines: List[str] = []
     helper_ids: List[int] = []
     slots = 0
@@ -268,8 +413,12 @@ def _emit_block(
                 index += 1
                 continue
             if op == isa.BPF_EXIT:
-                lines.append(_WRITEBACK)
-                lines.append(f"return {bit}" if number == 0 else f"return _p + {bit}")
+                path = str(bit) if number == 0 else f"_p + {bit}"
+                if guard:
+                    lines.append(f"return {path}, r0")
+                else:
+                    lines.append(_WRITEBACK)
+                    lines.append(f"return {path}")
             elif op == isa.BPF_JA:
                 lines.append(mark)
                 lines.append(f"_b = {block_of[index + 1 + insn.offset]}")
@@ -372,13 +521,18 @@ def _cond_expr(insn: Instruction) -> str:
 def _emit_ldx(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> List[str]:
     size = insn.size_bytes
     d = f"r{insn.dst}"
+    field = _field_index(insn, pointer)
+    if field is not None:  # one whole field: the tuple holds it
+        needs["ctx"] = True
+        return [f"{d} = _f[{field}]"]
 
     def hit(buf: str, at: str = "_o") -> List[str]:
         if buf == "_pkt":  # a lazy image answers from one segment
             return [f"{d} = _st.packet_load({at}, {size})"]
+        lines = ["_ctx = _st.ctx_bytes()"] if buf == "_ctx" else []
         if size == 1:
-            return [f"{d} = {buf}[{at}]"]
-        return [f"{d} = _u{size}({buf}, {at})[0]"]
+            return lines + [f"{d} = {buf}[{at}]"]
+        return lines + [f"{d} = _u{size}({buf}, {at})[0]"]
 
     def fallback(addr: str) -> str:
         return f"{d} = _st.load({addr}, {size})"
@@ -399,6 +553,8 @@ def _emit_store(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> 
         lines = []
         if buf == "_pkt":  # a store serialises a lazy image
             lines.append("_pkt = _st.packet_bytes()")
+        elif buf == "_ctx":  # ... and packs the context
+            lines.append("_ctx = _st.ctx_bytes()")
         if size == 1:
             return lines + [f"{buf}[{at}] = {inline}"]
         return lines + [f"_p{size}({buf}, {at}, {inline})"]
@@ -406,7 +562,10 @@ def _emit_store(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> 
     def fallback(addr: str) -> str:
         return f"_st.store({addr}, {size}, {raw})"
 
-    return _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
+    lines = _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
+    if needs["fields"] and (pointer is None or pointer[0] != "fp"):
+        lines.append("_f = _st.ctx_fields()")  # the store may have hit a field
+    return lines
 
 
 def _emit_access(
@@ -488,7 +647,7 @@ def _emit_call(
             # is looked up and type-checked per call; anything but a
             # perf array goes to the helper, which raises what it must.
             return [
-                f"_mp = _env.maps.get(_f{position})",
+                f"_mp = _env.maps.get(_fd{position})",
                 "if _mp.__class__ is _PEA:",
                 f"    _mp.output({output})",
                 "    r0 = 0",

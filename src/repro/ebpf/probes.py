@@ -17,9 +17,9 @@ Hook names are structured: ``kprobe:udp_send_skb``,
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.ebpf.context import build_empty_context, build_skb_context
+from repro.ebpf.context import empty_fields, skb_fields
 from repro.ebpf.vm import BPFProgram, ExecutionEnv
 from repro.net.packet import Packet
 
@@ -27,32 +27,19 @@ _attach_id_counter = itertools.count(1)
 
 
 class ProbeEvent:
-    """What a firing hook passes to handlers."""
+    """What a firing hook passes to handlers: the hook, the packet (if
+    the probe point has one), the device's ifindex and the CPU."""
 
-    __slots__ = ("hook", "node", "packet", "ifindex", "devname", "cpu", "direction", "extra")
+    __slots__ = ("hook", "packet", "ifindex", "cpu")
 
-    def __init__(
-        self,
-        hook: str,
-        node: str,
-        packet: Optional[Packet] = None,
-        ifindex: int = 0,
-        devname: str = "",
-        cpu: int = 0,
-        direction: str = "",
-        extra: Optional[dict] = None,
-    ):
+    def __init__(self, hook: str, packet: Optional[Packet] = None, ifindex: int = 0, cpu: int = 0):
         self.hook = hook
-        self.node = node
         self.packet = packet
         self.ifindex = ifindex
-        self.devname = devname
         self.cpu = cpu
-        self.direction = direction
-        self.extra = extra or {}
 
     def __repr__(self) -> str:
-        return f"<ProbeEvent {self.node}:{self.hook} cpu{self.cpu} pkt={self.packet!r}>"
+        return f"<ProbeEvent {self.hook} cpu{self.cpu} pkt={self.packet!r}>"
 
 
 class Attachment:
@@ -99,22 +86,21 @@ class EBPFAttachment(Attachment):
 
     def handle(self, event: ProbeEvent) -> int:
         self.events_seen += 1
-        if event.packet is None:
+        packet = event.packet
+        if packet is None:
             # kprobe on a function without an skb (e.g. net_rx_action):
             # the program runs against a zeroed context.
-            ctx, data = build_empty_context(
-                ifindex=event.ifindex, cpu=event.cpu, hook_id=self.hook_id
-            )
+            fields, data = empty_fields(event.ifindex, event.cpu, self.hook_id), bytearray(0)
         else:
-            ctx, data = build_skb_context(
-                event.packet, event.ifindex, event.cpu, self.hook_id, self.use_inner
+            fields, data = skb_fields(
+                packet, event.ifindex, event.cpu, self.hook_id, self.use_inner
             )
         env = self.env
         env.cpu = event.cpu
-        result = self.program.run(env, ctx, data)
-        if result.r0:
+        r0, cost_ns = self.program.fire(env, fields, data)
+        if r0:
             self.events_matched += 1
-        return result.cost_ns
+        return cost_ns
 
 
 class CallbackAttachment(Attachment):
@@ -139,26 +125,37 @@ class HookRegistry:
     counter increment and no :class:`ProbeEvent` is built, which models
     how an un-probed kernel function costs nothing extra.  Only an
     attached hook pays for the event and goes through :meth:`fire`.
+
+    Each hook's handlers are a tuple that :meth:`attach` and
+    :meth:`detach` replace rather than edit (copy-on-write, as an RCU
+    probe list is): a fire runs exactly the handlers attached when it
+    began, even if one of them detaches itself or another mid-fire.
     """
 
     def __init__(self, node_name: str = ""):
         self.node_name = node_name
-        self._attachments: Dict[str, List[Attachment]] = {}
+        self._attachments: Dict[str, Tuple[Attachment, ...]] = {}
         self.fire_counts: Dict[str, int] = {}
 
     def attach(self, hook_name: str, attachment: Attachment) -> Attachment:
-        self._attachments.setdefault(hook_name, []).append(attachment)
+        self._attachments[hook_name] = self._attachments.get(hook_name, ()) + (attachment,)
         return attachment
 
     def detach(self, hook_name: str, attachment: Attachment) -> bool:
+        handlers = self._attachments.get(hook_name, ())
         try:
-            self._attachments.get(hook_name, []).remove(attachment)
-            return True
+            at = handlers.index(attachment)
         except ValueError:
             return False
+        remaining = handlers[:at] + handlers[at + 1 :]
+        if remaining:
+            self._attachments[hook_name] = remaining
+        else:
+            del self._attachments[hook_name]
+        return True
 
     def has_attachments(self, hook_name: str) -> bool:
-        return bool(self._attachments.get(hook_name))
+        return hook_name in self._attachments
 
     def fire_unattached(self, hook_name: str) -> bool:
         """Count one fire of ``hook_name`` if nothing is attached to it.
@@ -166,7 +163,7 @@ class HookRegistry:
         ``False`` means something is attached and nothing was counted:
         the caller builds the :class:`ProbeEvent` and calls :meth:`fire`.
         """
-        if self._attachments.get(hook_name):
+        if hook_name in self._attachments:
             return False
         self.fire_counts[hook_name] = self.fire_counts.get(hook_name, 0) + 1
         return True
@@ -174,11 +171,8 @@ class HookRegistry:
     def fire(self, event: ProbeEvent) -> int:
         """Fire a hook; returns total handler cost in nanoseconds."""
         self.fire_counts[event.hook] = self.fire_counts.get(event.hook, 0) + 1
-        handlers = self._attachments.get(event.hook)
-        if not handlers:
-            return 0
         total_cost = 0
-        for handler in handlers:
+        for handler in self._attachments.get(event.hook, ()):
             total_cost += handler.handle(event)
         return total_cost
 
@@ -186,5 +180,5 @@ class HookRegistry:
         return self.fire_counts.get(hook_name, 0)
 
     def __repr__(self) -> str:
-        active = {k: len(v) for k, v in self._attachments.items() if v}
+        active = {k: len(v) for k, v in self._attachments.items()}
         return f"<HookRegistry {self.node_name!r} active={active}>"

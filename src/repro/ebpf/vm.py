@@ -32,6 +32,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ebpf import isa
+from repro.ebpf.context import CTX_SIZE, pack_context, unpack_context
 from repro.ebpf.helpers import HELPERS, MAP_PTR_BASE, HelperError
 from repro.ebpf.isa import Instruction
 from repro.ebpf.jit import CompiledProgram, compile_program
@@ -179,19 +180,47 @@ class VMState(Memory):
     compiled tier's loads go through :meth:`packet_load`, which lets an
     image answer from one header or the payload; stores, helpers and
     the interpreter reach the whole region through :meth:`packet_bytes`.
+
+    The context is lazy the same way: ``fields`` is its field tuple
+    (``None`` when a caller's bytes are too short to hold one), ``ctx``
+    its packed bytes, ``None`` until something reads the context as
+    memory (:meth:`ctx_bytes`).
     """
 
-    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "packet")
+    __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "packet", "fields", "ctx")
 
-    def __init__(self, stack: bytearray, ctx: bytearray, packet, env: ExecutionEnv):
-        self._regions = [(STACK_REGION_BASE, stack, "stack"), (CTX_REGION_BASE, ctx, "ctx")]
+    def __init__(
+        self,
+        stack: bytearray,
+        fields: Optional[tuple],
+        ctx: Optional[bytearray],
+        packet,
+        env: ExecutionEnv,
+    ):
+        self._regions = [(STACK_REGION_BASE, stack, "stack")]
         self._next_dynamic_base = MAP_VALUE_REGION_BASE
+        self.fields = fields
+        self.ctx = ctx
         self.packet = packet
         self.env = env
 
     @property
     def memory(self) -> Memory:
         return self
+
+    def ctx_bytes(self) -> bytearray:
+        """The context's bytes, packing the field tuple now."""
+        ctx = self.ctx
+        if ctx is None:
+            ctx = self.ctx = pack_context(self.fields)
+        return ctx
+
+    def ctx_fields(self) -> Optional[tuple]:
+        """The field tuple again after a store that may have written the
+        context bytes."""
+        if self.ctx is not None:
+            self.fields = unpack_context(self.ctx)
+        return self.fields
 
     def packet_bytes(self) -> bytearray:
         """The packet region's bytes, serialising a lazy image now."""
@@ -212,6 +241,9 @@ class VMState(Memory):
         # first test and never pay for the region's length.
         if offset >= 0 and self.packet is not None and offset <= len(self.packet) - size:
             return self.packet_bytes(), offset
+        offset = address - CTX_REGION_BASE
+        if 0 <= offset <= (CTX_SIZE if self.ctx is None else len(self.ctx)) - size:
+            return self.ctx_bytes(), offset
         return Memory._locate(self, address, size)
 
 
@@ -323,6 +355,7 @@ class BPFProgram:
         self.compile_cache_hits = 0
         self._unit: Optional[CompiledProgram] = None
         self._native = None  # populated by load() unless precompile is off
+        self._guard = None  # the unit's guard, if it has one
 
     # -- load-time -----------------------------------------------------------
 
@@ -358,9 +391,10 @@ class BPFProgram:
             self._native = unit.factory(
                 {pos: MAP_PTR_BASE + self.insns[pos].imm for pos in unit.map_positions}
             )
+            self._guard = unit.guard
         else:
             verify(self.insns)
-            self._unit = self._native = None
+            self._unit = self._native = self._guard = None
         self.loaded = True
         return int(cost)
 
@@ -378,25 +412,55 @@ class BPFProgram:
 
     # -- run-time --------------------------------------------------------------
 
+    def fire(self, env: ExecutionEnv, fields: tuple, packet) -> Tuple[int, int]:
+        """One probe fire: ``(r0, cost_ns)``.
+
+        ``fields`` is the context's field tuple
+        (:func:`repro.ebpf.context.skb_fields`), ``packet`` the packet
+        region.  A run the program's guard settles -- one that exits
+        before its first side effect, as a filter miss does -- is
+        accounted under the same path as a full run and builds nothing
+        else; any other run, and every run on the interpreter tier or in
+        shadow mode, is a full :meth:`run`.
+        """
+        guard = self._guard
+        if guard is not None and not self.shadow:
+            settled = guard(fields)
+            if settled is not None:
+                path, r0 = settled
+                entry = self._outcomes.get(path)
+                if entry is None:
+                    entry = self._outcomes[path] = self._new_outcome(path)
+                entry[0] += 1
+                BPFProgram._runs_global += 1
+                return r0, entry[2]
+        result = self.run(env, fields, packet)
+        return result[0], result[1]
+
     def run(
         self,
         env: ExecutionEnv,
-        ctx_bytes: bytearray,
+        ctx,
         packet_bytes: Optional[bytearray] = None,
     ) -> ExecResult:
-        """Execute once.  ``ctx_bytes`` is mapped at the context base and
-        handed to the program in R1; ``packet_bytes`` (if any; a
-        ``bytearray`` or a lazy image, see :class:`VMState`) is mapped
-        where the context's data/data_end pointers expect it."""
+        """Execute once.  ``ctx`` is the context handed to the program in
+        R1 -- its field tuple, packed only if the program reads it as
+        memory, or its bytes; ``packet_bytes`` (if any; a ``bytearray``
+        or a lazy image, see :class:`VMState`) is mapped where the
+        context's data/data_end pointers expect it."""
+        if ctx.__class__ is tuple:
+            fields, ctx = ctx, None
+        else:
+            fields = unpack_context(ctx) if len(ctx) >= CTX_SIZE else None
         native = self._native
         if native is None or self.shadow:
-            state, outcome = self._run_checked(env, ctx_bytes, packet_bytes)
+            state, outcome = self._run_checked(env, fields, ctx, packet_bytes)
         else:
             # Hot path: the compiled tier, inlined (probes take this per packet).
             stack = bytearray(isa.STACK_SIZE)
-            state = VMState(stack, ctx_bytes, packet_bytes, env)
+            state = VMState(stack, fields, ctx, packet_bytes, env)
             try:
-                outcome = native(state, stack, ctx_bytes, packet_bytes)
+                outcome = native(state, stack, fields, packet_bytes)
             except HelperError as exc:
                 raise ExecutionError(f"{self.name}: helper error: {exc}")
         entry = self._outcomes.get(outcome)
@@ -420,21 +484,30 @@ class BPFProgram:
         return [0, executed, cost_ns, MappingProxyType(calls)]
 
     def _run_checked(
-        self, env: ExecutionEnv, ctx_bytes: bytearray, packet_bytes: Optional[bytearray]
+        self,
+        env: ExecutionEnv,
+        fields: Optional[tuple],
+        ctx_bytes: Optional[bytearray],
+        packet_bytes: Optional[bytearray],
     ) -> Tuple[VMState, object]:
         """The cold tiers: an interpreter run, or a shadowed compiled
         one; returns the state and the outcome key."""
         if not self.loaded:
             raise ExecutionError(f"program {self.name!r} was not loaded")
         if self._native is not None:
-            return self._run_shadowed(env, ctx_bytes, packet_bytes)
-        state, executed, _stack = self._run_once(env, ctx_bytes, packet_bytes, native=False)
+            if ctx_bytes is None:
+                ctx_bytes = pack_context(fields)
+            return self._run_shadowed(env, fields, ctx_bytes, packet_bytes)
+        state, executed, _stack = self._run_once(
+            env, fields, ctx_bytes, packet_bytes, native=False
+        )
         return state, (executed, state.helper_cost_ns, *sorted(state.helper_calls.items()))
 
     def _run_once(
         self,
         env: ExecutionEnv,
-        ctx_bytes: bytearray,
+        fields: Optional[tuple],
+        ctx_bytes: Optional[bytearray],
         packet_bytes: Optional[bytearray],
         native: bool,
     ) -> Tuple[VMState, int, bytearray]:
@@ -442,10 +515,10 @@ class BPFProgram:
         state, the compiled tier's path mask or the interpreter's
         instruction count, and the stack."""
         stack = bytearray(isa.STACK_SIZE)
-        state = VMState(stack, ctx_bytes, packet_bytes, env)
+        state = VMState(stack, fields, ctx_bytes, packet_bytes, env)
         if native:
             try:
-                outcome = self._native(state, stack, ctx_bytes, packet_bytes)
+                outcome = self._native(state, stack, fields, packet_bytes)
             except HelperError as exc:
                 raise ExecutionError(f"{self.name}: helper error: {exc}")
         else:
@@ -559,6 +632,7 @@ class BPFProgram:
     def _run_shadowed(
         self,
         env: ExecutionEnv,
+        fields: Optional[tuple],
         ctx_bytes: bytearray,
         packet_bytes: Optional[bytearray],
     ) -> Tuple[VMState, int]:
@@ -603,7 +677,7 @@ class BPFProgram:
                 undos.append(bpf_map.tee(lambda cpu, rec, _s=seen: _s.append((cpu, bytes(rec)))))
         try:
             state, path, stack = self._run_once(
-                recording_env, ctx_bytes, packet_bytes, native=True
+                recording_env, fields, ctx_bytes, packet_bytes, native=True
             )
         finally:
             for undo in undos:
@@ -622,7 +696,7 @@ class BPFProgram:
         oracle_packet = None if packet_before is None else bytearray(packet_before)
         try:
             ostate, oexecuted, ostack = self._run_once(
-                oracle_env, oracle_ctx, oracle_packet, native=False
+                oracle_env, fields, oracle_ctx, oracle_packet, native=False
             )
         except ExecutionError as exc:
             raise ShadowMismatch(f"{self.name}: oracle faulted where compiled tier ran: {exc}")

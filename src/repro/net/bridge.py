@@ -44,7 +44,7 @@ class BridgeDevice(NetDevice):
             self.fdb[eth.src.value] = from_port  # learn
 
         packet.log_point(node.name, f"dev:{self.name}:fwd", node.engine.now, cpu.index)
-        hook_cost = node.fire_device_hook(self, packet, cpu, direction="forward")
+        hook_cost = node.fire_device_hook(self, packet, cpu)
 
         def forward() -> None:
             if eth is None:

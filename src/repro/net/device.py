@@ -4,7 +4,7 @@ A :class:`NetDevice` belongs to one kernel (a :class:`~repro.net.stack.KernelNod
 and participates in three flows:
 
 * ``transmit(packet, cpu)`` -- the kernel sends a packet OUT through the
-  device.  The ``dev:<name>`` hook fires with direction ``tx`` (this is
+  device.  The ``dev:<name>`` hook fires on the way out (this is
   how the paper attaches scripts "to device flannel_i"), the device's
   transmit cost is charged on ``cpu``, then the subclass ``_egress``
   moves the packet to its peer / link / switch.
@@ -101,7 +101,7 @@ class NetDevice:
         packet.log_point(
             node.name, f"dev:{self.name}:tx", node.engine.now, cpu.index if cpu else 0
         )
-        hook_cost = node.fire_device_hook(self, packet, cpu, direction="tx")
+        hook_cost = node.fire_device_hook(self, packet, cpu)
 
         def after_hook() -> None:
             self._egress(packet, cpu)
@@ -149,7 +149,7 @@ class NetDevice:
         """Process a received packet in softirq context on ``cpu``."""
         node = self.node
         packet.log_point(node.name, f"dev:{self.name}:rx", node.engine.now, cpu.index)
-        hook_cost = node.fire_device_hook(self, packet, cpu, direction="rx")
+        hook_cost = node.fire_device_hook(self, packet, cpu)
 
         def continue_up() -> None:
             if self.master is not None:

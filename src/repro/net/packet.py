@@ -483,12 +483,14 @@ class Packet:
                 return image
             packet = payload
 
-    def wire_header(self, offset: int, size: int, total: int) -> Optional[Tuple[bytearray, int]]:
+    def wire_header(self, offset: int, size: int, total: int) -> Optional[Tuple[bytes, int]]:
         """The one header holding bytes ``offset .. offset + size`` of
         the ``total``-byte wire image, serialised alone exactly as
         :meth:`wire_image` would write it, and where it starts in the
-        image.  ``None`` when no single header holds the range: it
-        straddles two, or reaches the innermost payload."""
+        image -- or, for a range inside a TCP header's options, the
+        options and where they start: they go on the wire verbatim.
+        ``None`` when no single header holds the range: it straddles
+        two, or reaches the innermost payload."""
         start = 0
         packet = self
         while isinstance(packet, Packet):
@@ -497,6 +499,9 @@ class Packet:
                 if offset < end:
                     if offset + size > end:
                         return None
+                    fixed = start + TCPHeader.BASE_LENGTH
+                    if header.__class__ is TCPHeader and offset >= fixed:
+                        return header.options, fixed
                     wire = bytearray(end - start)
                     _pack_header(header, wire, 0, total - start)
                     return wire, start

@@ -74,9 +74,7 @@ class SoftirqNet:
         cpu = node.cpus[cpu_index]
         self._invocation_pending[cpu_index] = False
         self.invocations[cpu_index] += 1
-        hook_cost = node.fire_function_hook(
-            HOOK_NET_RX_ACTION, None, cpu, extra={"cpu": cpu_index}
-        )
+        hook_cost = node.fire_function_hook(HOOK_NET_RX_ACTION, None, cpu)
 
         backlog = self._backlogs[cpu_index]
         if not backlog:

@@ -262,19 +262,11 @@ class KernelNode:
 
     # -- hooks ------------------------------------------------------------------
 
-    def fire_device_hook(self, device: NetDevice, packet: Packet, cpu, direction: str) -> int:
+    def fire_device_hook(self, device: NetDevice, packet: Packet, cpu) -> int:
         if self.hooks.fire_unattached(device.hook_name):
             return 0
-        event = ProbeEvent(
-            hook=device.hook_name,
-            node=self.name,
-            packet=packet,
-            ifindex=device.ifindex,
-            devname=device.name,
-            cpu=cpu.index if cpu is not None else 0,
-            direction=direction,
-        )
-        return self.hooks.fire(event)
+        cpu_index = cpu.index if cpu is not None else 0
+        return self.hooks.fire(ProbeEvent(device.hook_name, packet, device.ifindex, cpu_index))
 
     def fire_function_hook(
         self,
@@ -282,34 +274,17 @@ class KernelNode:
         packet: Optional[Packet],
         cpu,
         device: Optional[NetDevice] = None,
-        extra: Optional[dict] = None,
     ) -> int:
         if self.hooks.fire_unattached(hook):
             return 0
-        event = ProbeEvent(
-            hook=hook,
-            node=self.name,
-            packet=packet,
-            ifindex=device.ifindex if device else 0,
-            devname=device.name if device else "",
-            cpu=cpu.index if cpu is not None else 0,
-            extra=extra,
-        )
-        return self.hooks.fire(event)
+        ifindex = device.ifindex if device is not None else 0
+        cpu_index = cpu.index if cpu is not None else 0
+        return self.hooks.fire(ProbeEvent(hook, packet, ifindex, cpu_index))
 
     def fire_steering_hook(self, device: NetDevice, packet: Packet, cpu_index: int) -> int:
         if self.hooks.fire_unattached(HOOK_GET_RPS_CPU):
             return 0
-        event = ProbeEvent(
-            hook=HOOK_GET_RPS_CPU,
-            node=self.name,
-            packet=packet,
-            ifindex=device.ifindex,
-            devname=device.name,
-            cpu=cpu_index,
-            extra={"steered_cpu": cpu_index},
-        )
-        return self.hooks.fire(event)
+        return self.hooks.fire(ProbeEvent(HOOK_GET_RPS_CPU, packet, device.ifindex, cpu_index))
 
     # -- routing ---------------------------------------------------------------------
 

@@ -154,7 +154,7 @@ class VXLANDevice(NetDevice):
         if eth is not None and outer.ip is not None:
             self.vtep_fdb.setdefault(eth.src.value, outer.ip.src)  # learn
         inner.log_point(node.name, f"dev:{self.name}:decap", node.engine.now, cpu.index)
-        hook_cost = node.fire_device_hook(self, inner, cpu, direction="rx")
+        hook_cost = node.fire_device_hook(self, inner, cpu)
         node.charge(
             cpu,
             hook_cost + node.noisy(node.costs.vxlan_decap_ns),

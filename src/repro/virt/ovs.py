@@ -258,7 +258,7 @@ class OVSBridge(NetDevice):
         node = self.node
         self.switched += 1
         packet.log_point(node.name, f"dev:{self.name}:switch", node.engine.now)
-        hook_cost = node.fire_device_hook(self, packet, self.datapath_cpu, direction="forward")
+        hook_cost = node.fire_device_hook(self, packet, self.datapath_cpu)
 
         def egress() -> None:
             eth = packet.eth

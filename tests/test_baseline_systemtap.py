@@ -13,7 +13,7 @@ class TestSystemTap:
         session = SystemTapSession(node, no_overload=True)
         script = session.add_probe("kprobe:x")
         session.active = True
-        cost = script.handle(ProbeEvent(hook="kprobe:x", node=node.name))
+        cost = script.handle(ProbeEvent(hook="kprobe:x"))
         # Several microseconds per event (vs ~0.1-0.3us for eBPF).
         assert cost > 4_000
 
@@ -22,7 +22,7 @@ class TestSystemTap:
         script = session.add_probe("kprobe:x")
         session.active = True
         for _ in range(3):
-            script.handle(ProbeEvent(hook="kprobe:x", node=node.name, cpu=1))
+            script.handle(ProbeEvent(hook="kprobe:x", cpu=1))
         assert script.events == 3
         assert len(script.records) == 3
         assert script.records[0].cpu == 1
@@ -30,7 +30,7 @@ class TestSystemTap:
     def test_inactive_session_costs_nothing(self, engine, node):
         session = SystemTapSession(node)
         script = session.add_probe("kprobe:x")
-        assert script.handle(ProbeEvent(hook="kprobe:x", node=node.name)) == 0
+        assert script.handle(ProbeEvent(hook="kprobe:x")) == 0
 
     def test_overload_protection_detaches(self, engine, node):
         session = SystemTapSession(node, no_overload=False)
@@ -41,7 +41,7 @@ class TestSystemTap:
         for _ in range(200_000):
             if not session.active:
                 break
-            script.handle(ProbeEvent(hook="kprobe:x", node=node.name))
+            script.handle(ProbeEvent(hook="kprobe:x"))
         assert session.overload_trips == 1
         assert not session.active
         assert not node.hooks.has_attachments("kprobe:x")
@@ -51,7 +51,7 @@ class TestSystemTap:
         script = session.add_probe("kprobe:x")
         session.active = True
         for _ in range(200_000):
-            script.handle(ProbeEvent(hook="kprobe:x", node=node.name))
+            script.handle(ProbeEvent(hook="kprobe:x"))
         assert session.overload_trips == 0
         assert session.active
 

@@ -180,6 +180,15 @@ def _assemble_subset_program(inits, steps, hash_fd, perf_fd):
     asm = Assembler()
     for reg, value in enumerate(inits):
         asm.mov_imm(reg, value)
+    _emit_subset_steps(asm, steps, hash_fd, perf_fd)
+    asm.ja("end")
+    asm.label("end")
+    asm.exit_()
+    return asm.assemble()
+
+
+def _emit_subset_steps(asm, steps, hash_fd, perf_fd):
+    """The generated steps over r0-r5 and the stack; branches go to ``end``."""
     for kind, what, a, b in steps:
         if kind == "alu":
             if what in ("lsh", "rsh"):
@@ -234,10 +243,6 @@ def _assemble_subset_program(inits, steps, hash_fd, perf_fd):
             # are always initialized.
             for reg in (R1, R2, R3, R4, R5):
                 asm.mov_imm(reg, reg)
-    asm.ja("end")
-    asm.label("end")
-    asm.exit_()
-    return asm.assemble()
 
 
 def _deterministic_env(maps):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ebpf import context as ctxmod
 from repro.ebpf.assembler import Assembler
-from repro.ebpf.context import build_empty_context, build_skb_context, context_field
+from repro.ebpf.context import build_skb_context, context_field, empty_fields, pack_context
 from repro.ebpf.isa import R0, R1, R2, R3
 from repro.ebpf.memory import PACKET_REGION_BASE
 from repro.ebpf.probes import (
@@ -78,8 +78,7 @@ class TestContext:
         assert context_field(ctx, ctxmod.OFF_PAYLOAD_OFF, 4) == (14 + 20 + 8 + 8) + (14 + 20 + 8)
 
     def test_empty_context(self):
-        ctx, data = build_empty_context(ifindex=1, cpu=3, hook_id=7)
-        assert len(data) == 0
+        ctx = pack_context(empty_fields(ifindex=1, cpu=3, hook_id=7))
         assert context_field(ctx, ctxmod.OFF_DATA, 8) == context_field(
             ctx, ctxmod.OFF_DATA_END, 8
         )
@@ -89,7 +88,7 @@ class TestContext:
 class TestHookRegistry:
     def test_fire_counts_even_without_attachments(self):
         hooks = HookRegistry("n")
-        event = ProbeEvent(hook="kprobe:foo", node="n")
+        event = ProbeEvent(hook="kprobe:foo")
         assert hooks.fire(event) == 0
         assert hooks.fires("kprobe:foo") == 1
 
@@ -97,21 +96,21 @@ class TestHookRegistry:
         hooks = HookRegistry("n")
         seen = []
         hooks.attach("dev:eth0", CallbackAttachment(seen.append, cost_ns=50))
-        cost = hooks.fire(ProbeEvent(hook="dev:eth0", node="n"))
+        cost = hooks.fire(ProbeEvent(hook="dev:eth0"))
         assert cost == 50 and len(seen) == 1
 
     def test_multiple_attachments_costs_sum(self):
         hooks = HookRegistry("n")
         hooks.attach("h", CallbackAttachment(lambda e: None, cost_ns=10))
         hooks.attach("h", CallbackAttachment(lambda e: None, cost_ns=20))
-        assert hooks.fire(ProbeEvent(hook="h", node="n")) == 30
+        assert hooks.fire(ProbeEvent(hook="h")) == 30
 
     def test_detach(self):
         hooks = HookRegistry("n")
         att = hooks.attach("h", CallbackAttachment(lambda e: None, cost_ns=10))
         assert hooks.detach("h", att)
         assert not hooks.detach("h", att)
-        assert hooks.fire(ProbeEvent(hook="h", node="n")) == 0
+        assert hooks.fire(ProbeEvent(hook="h")) == 0
 
 
 class TestEBPFAttachment:
@@ -133,15 +132,15 @@ class TestEBPFAttachment:
         attachment = EBPFAttachment(program, ExecutionEnv())
         hit = make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 5678, b"")
         miss = make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 9, b"")
-        attachment.handle(ProbeEvent(hook="h", node="n", packet=hit))
-        attachment.handle(ProbeEvent(hook="h", node="n", packet=miss))
+        attachment.handle(ProbeEvent(hook="h", packet=hit))
+        attachment.handle(ProbeEvent(hook="h", packet=miss))
         assert attachment.events_seen == 2
         assert attachment.events_matched == 1
 
     def test_packetless_event_runs_with_empty_context(self):
         program = self._counting_program()
         attachment = EBPFAttachment(program, ExecutionEnv())
-        cost = attachment.handle(ProbeEvent(hook="h", node="n", packet=None))
+        cost = attachment.handle(ProbeEvent(hook="h", packet=None))
         assert cost > 0
         assert attachment.events_seen == 1
         assert attachment.events_matched == 0  # dst_port is 0 in empty ctx
@@ -154,7 +153,7 @@ class TestEBPFAttachment:
         program.load()
         env = ExecutionEnv()
         attachment = EBPFAttachment(program, env)
-        attachment.handle(ProbeEvent(hook="h", node="n",
+        attachment.handle(ProbeEvent(hook="h",
                                      packet=make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 2, b""),
                                      cpu=3))
         assert env.cpu == 3
@@ -196,22 +195,57 @@ class TestHookGate:
         built, attached_counts = self._run(monkeypatch, attach=sorted(fired))
         assert attached_counts == idle_counts
         assert len(built) == sum(sum(counts.values()) for counts in idle_counts)
-        steering = [event for event in built if event.hook == "kprobe:get_rps_cpu"]
-        assert steering and all(
-            event.extra == {"steered_cpu": event.cpu} for event in steering
-        )
+        # The steering event's CPU is the one the packet is then received on.
+        steering = [at for at, event in enumerate(built) if event.hook == "kprobe:get_rps_cpu"]
+        assert steering
+        for at in steering:
+            event = built[at]
+            received = next(
+                later for later in built[at + 1 :]
+                if later.hook == "dev:veth0" and later.packet is event.packet
+            )
+            assert event.cpu == received.cpu
 
     def test_partially_attached_node_builds_events_only_for_that_hook(self, monkeypatch):
         built, counts = self._run(monkeypatch, attach=("dev:veth0",))
         assert {event.hook for event in built} == {"dev:veth0"}
         assert len(built) == sum(c["dev:veth0"] for c in counts)
 
+    def test_handler_detached_mid_fire_does_not_skip_the_next(self, node):
+        seen = []
+        first = node.hooks.attach(
+            "kprobe:x", CallbackAttachment(lambda event: node.hooks.detach("kprobe:x", first))
+        )
+        node.hooks.attach("kprobe:x", CallbackAttachment(seen.append))
+        node.fire_function_hook("kprobe:x", None, None)
+        node.fire_function_hook("kprobe:x", None, None)
+        assert len(seen) == 2
+        assert not node.hooks.detach("kprobe:x", first)
+
+    def test_stap_overload_trip_does_not_skip_a_later_handler(self, node):
+        """The overload guard detaches the session's scripts from inside
+        a script's handler; a handler attached after them still sees
+        that fire."""
+        from repro.baselines.systemtap import SystemTapSession
+
+        session = SystemTapSession(node, no_overload=False)
+        session.add_probe("kprobe:x")
+        session.arm()
+        calls = []
+        node.hooks.attach("kprobe:x", CallbackAttachment(calls.append))
+        fires = 0
+        while session.active:
+            node.fire_function_hook("kprobe:x", None, None)
+            fires += 1
+        assert session.overload_trips == 1 and fires > 1
+        assert len(calls) == fires
+
     def test_fire_unattached_contract(self):
         hooks = HookRegistry("n")
         assert hooks.fire_unattached("h") and hooks.fires("h") == 1
         hooks.attach("h", CallbackAttachment(lambda event: None, cost_ns=5))
         assert not hooks.fire_unattached("h") and hooks.fires("h") == 1
-        assert hooks.fire(ProbeEvent(hook="h", node="n")) == 5 and hooks.fires("h") == 2
+        assert hooks.fire(ProbeEvent(hook="h")) == 5 and hooks.fires("h") == 2
 
 
 @pytest.fixture
@@ -258,7 +292,7 @@ class TestLazyPacketRegion:
     @pytest.mark.parametrize("tier", ["compiled", "interpreter"])
     def test_filter_miss_never_serialises(self, tier, serialisations):
         attachment = EBPFAttachment(self._program(0, **self.TIERS[tier]), ExecutionEnv())
-        attachment.handle(ProbeEvent(hook="h", node="n", packet=self.PACKET(9)))
+        attachment.handle(ProbeEvent(hook="h", packet=self.PACKET(9)))
         assert attachment.events_seen == 1 and attachment.events_matched == 0
         assert serialisations == []
 
@@ -288,7 +322,7 @@ class TestLazyPacketRegion:
         program = self._program(8, shadow=True)
         attachment = EBPFAttachment(program, ExecutionEnv())
         for port in (5678, 9):
-            attachment.handle(ProbeEvent(hook="h", node="n", packet=self.PACKET(port)))
+            attachment.handle(ProbeEvent(hook="h", packet=self.PACKET(port)))
         assert attachment.events_seen == 2 and attachment.events_matched == 1
 
     @pytest.mark.parametrize("tier", list(TIERS))
@@ -432,7 +466,7 @@ class TestPacketSegmentView:
             )
             program.load()
             attachment = EBPFAttachment(program, ExecutionEnv(maps=maps), use_inner=use_inner)
-            attachment.handle(ProbeEvent(hook="h", node="n", packet=PACKET_SHAPES[shape]()))
+            attachment.handle(ProbeEvent(hook="h", packet=PACKET_SHAPES[shape]()))
             assert attachment.events_matched == 1 and serialisations == []
             (_cpu, raw), = perf.pending
             assert TraceRecord.unpack(raw).trace_id == int.from_bytes(

@@ -116,26 +116,39 @@ class TestEndToEnd:
 
 class TestShadowedScenes:
     """Every program a scene deploys, replayed on the interpreter: the
-    compiled tier's typed accesses, segment reads and bound perf call
-    sites must leave the same registers, memory, maps and perf output
-    -- and so the same database -- as the oracle."""
+    compiled tier's typed accesses, segment reads, bound perf call sites
+    and filter guards must leave the same registers, memory, maps and
+    perf output -- and so the same database and ``vnt_ebpf_*`` numbers
+    -- as the oracle."""
 
     @staticmethod
-    def _shadow_everything(patch):
-        """``BPFProgram(shadow=...)`` defaults to on while ``patch``
-        lasts; returns the list the programs built that way land in."""
-        from repro.ebpf.vm import BPFProgram
+    def _programs(patch, shadow):
+        """``BPFProgram(shadow=...)`` defaults to ``shadow`` while
+        ``patch`` lasts; returns the list the programs built that way
+        land in.  The program cache starts empty, so both runs compile
+        alike."""
+        from repro.ebpf.vm import BPFProgram, clear_program_cache
 
         built = []
         original = BPFProgram.__init__
 
         def shadowed_init(self, *args, **kwargs):
-            kwargs.setdefault("shadow", True)
+            kwargs.setdefault("shadow", shadow)
             original(self, *args, **kwargs)
             built.append(self)
 
         patch.setattr(BPFProgram, "__init__", shadowed_init)
+        clear_program_cache()
         return built
+
+    @staticmethod
+    def _ebpf_metrics(programs):
+        from repro.obs.instrument import register_ebpf_metrics
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        register_ebpf_metrics(registry, lambda: programs)
+        return registry.flatten()
 
     @staticmethod
     def _rows(db):
@@ -192,11 +205,17 @@ class TestShadowedScenes:
     @pytest.mark.parametrize("scene", ["_quickstart", "_overlay_tcp"])
     def test_shadowed_scene_stores_the_same_rows(self, scene):
         run = getattr(self, scene)
-        plain = self._rows(run())
         with pytest.MonkeyPatch.context() as patch:
-            programs = self._shadow_everything(patch)
+            guarded = self._programs(patch, shadow=False)
+            plain = self._rows(run())
+        with pytest.MonkeyPatch.context() as patch:
+            programs = self._programs(patch, shadow=True)
             shadowed = self._rows(run())  # a ShadowMismatch would raise here
         assert programs and all(program.shadow for program in programs)
+        assert all(program._guard is not None for program in guarded)
         assert sum(program.run_count for program in programs) > 100
         assert sum(len(rows) for rows in plain.values()) > 50
         assert shadowed == plain
+        metrics = self._ebpf_metrics(guarded)
+        assert metrics["vnt_ebpf_runs_total{mode=\"jit\"}"] > 100
+        assert self._ebpf_metrics(programs) == metrics

@@ -154,5 +154,5 @@ class TestLiveCapture:
         capture = PacketCapture(node_b)
         from repro.ebpf.probes import ProbeEvent
 
-        cost = capture.handle(ProbeEvent(hook="dev:veth0", node="n", packet=_packet()))
+        cost = capture.handle(ProbeEvent(hook="dev:veth0", packet=_packet()))
         assert cost > 0
