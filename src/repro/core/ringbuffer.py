@@ -51,7 +51,6 @@ from repro.core.config import (
     GlobalConfig,
     RING_POLICIES,
     RING_POLICY_DROP_NEWEST,
-    RING_POLICY_DROP_OLDEST,
     RING_POLICY_SAMPLE,
 )
 from repro.obs import contract as obs_contract

@@ -86,19 +86,19 @@ def inspect_program(program: BPFProgram) -> ProgramInfo:
 def dump_program(program: BPFProgram) -> str:
     """A ``bpftool prog dump xlated``-style listing with a header."""
     info = inspect_program(program)
-    # The blocks and context fields the filter guard covers, or why
-    # there is none (repro.ebpf.jit).
+    # The blocks a run passes before it builds a stack or VM state and
+    # the context fields they read, or why there are none (repro.ebpf.jit).
     if not program.precompile:
-        guard = "none (interpreter tier)"
+        prefix = "none (interpreter tier)"
     elif program.shadow:
-        guard = "none (shadow mode)"
+        prefix = "none (shadow mode)"
     else:
-        guard = (program._unit or compile_program(program.insns)).guard_note
+        prefix = (program._unit or compile_program(program.insns)).prefix
     header = [
         f"program {info.name!r}: {info.instructions} insns "
         f"({info.alu_ops} alu, {info.jumps} jmp, {info.loads} ld, {info.stores} st)",
         f"tier: {program.tier} ({program.mode} cost model)",
-        f"guard: {guard}",
+        f"prefix: {prefix}",
         f"helpers: {info.helper_calls or 'none'}   maps: {info.map_fds or 'none'}",
         f"worst-case cost: {info.max_cost_ns_interp} ns interp / "
         f"{info.max_cost_ns_jit} ns jit",

@@ -28,11 +28,10 @@ The translation leans on facts the verifier proves
 * every basic block runs whole or not at all, so the set of blocks a
   run executed (returned as a bit mask) fixes its instruction count,
   helper cost and helper tallies (:meth:`CompiledProgram.path_info`);
-* the blocks a run can reach before its first side effect -- ALU ops,
-  whole-field context loads, jumps, ``exit`` -- translate a second time
-  into the *guard* (``guard(fields) -> (path, r0) | None``), which
-  settles a run that exits among them from the field tuple alone, so a
-  filter miss needs no context bytes, stack or VM state.
+* the stack and the VM state are built at the first instruction that
+  touches them, so a run that exits among ALU ops, whole-field context
+  loads and jumps -- a filter miss -- builds neither, and needs nothing
+  but the context's field tuple.
 
 The *simulated* cost model is unchanged (that lives in
 :mod:`repro.ebpf.vm`); this is a host-side speedup only.  Semantics must
@@ -95,9 +94,6 @@ _SIGNED_CMP = {
     isa.BPF_JSLE: "<=",
 }
 
-_WRITEBACK = "_st.regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]"
-
-
 class JITError(RuntimeError):
     """Compilation failed (should be unreachable for verified programs)."""
 
@@ -116,16 +112,18 @@ class CompiledProgram(NamedTuple):
 
     ``factory`` takes ``{insn_index: tagged map pointer}`` for every
     LD_IMM64/BPF_PSEUDO_MAP_FD slot and returns the run entry point
-    ``fn(state, stack, fields, packet) -> path``, the bit mask of the
-    basic blocks the run executed (bit ``n`` = block ``n``).  Binding map
+    ``fn(env, fields, packet, state=None, stack=None) -> (path, r0)``,
+    ``path`` being the bit mask of the basic blocks the run executed
+    (bit ``n`` = block ``n``).  Without ``state`` the entry builds the
+    stack and a :class:`repro.ebpf.vm.VMState` where the run first
+    needs them; with one (and its ``stack``) it runs on them and writes
+    the register file back to ``state.regs`` at ``exit``.  Binding map
     pointers through the factory is what lets the program cache share
     one code object between redeploys that differ only in map fds.
 
-    ``guard`` (``None`` when the program has none) takes the context's
-    field tuple and returns ``(path, r0)`` for a run that exits inside
-    the guarded blocks, ``None`` for one the full program must make;
-    ``guard_note`` says which blocks and fields it covers, or why there
-    is no guard.
+    ``prefix`` names the blocks a run can pass before it builds
+    anything and the context fields they read, or says why there are
+    none.
     """
 
     factory: Callable[[Dict[int, int]], Callable]
@@ -133,8 +131,7 @@ class CompiledProgram(NamedTuple):
     source: str
     # per basic block: (instruction slots, helper ids it calls)
     blocks: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    guard: Optional[Callable[[tuple], Optional[Tuple[int, int]]]]
-    guard_note: str
+    prefix: str
 
     def path_info(self, path: int) -> PathInfo:
         """Account one run from the blocks it executed."""
@@ -159,6 +156,8 @@ def compile_program(
     insns: Sequence[Instruction], analysis: Optional[VerifierAnalysis] = None
 ) -> CompiledProgram:
     """Translate verified ``insns`` into a :class:`CompiledProgram`."""
+    from repro.ebpf.vm import VMState  # vm imports this module
+
     insns = list(insns)
     if analysis is None:
         analysis = verify(insns)
@@ -178,6 +177,17 @@ def compile_program(
             leaders.add(index + 1)
     starts = sorted(leaders)
     block_of = {start: number for number, start in enumerate(starts)}
+    bounds = list(zip(starts, starts[1:] + [count]))
+    successors = []
+    for number, (start, end) in enumerate(bounds):
+        last = insns[end - 1]
+        if last.insn_class != isa.BPF_JMP or last.alu_op == isa.BPF_CALL:
+            successors.append((number + 1,))  # falls into the next leader
+        elif last.alu_op == isa.BPF_EXIT:
+            successors.append(())
+        else:
+            taken = block_of[end + last.offset]
+            successors.append((taken,) if last.alu_op == isa.BPF_JA else (taken, number + 1))
 
     # A store through anything but the frame may write the context, so
     # a program that also reads whole fields re-reads the tuple after it.
@@ -186,18 +196,25 @@ def compile_program(
         and _field_index(insn, analysis.reg_types[index][insn.src]) is not None
         for index, insn in enumerate(insns)
     )
-    needs = {"ctx": False, "packet": False, "chain": False, "env": False, "fields": uses_fields}
+    # What the prologue must set up, and (``_build``) what every path
+    # to the point being emitted has built.  Jumps go forward, so each
+    # block's predecessors are emitted before it.
+    needs = {"ctx": False, "chain": False, "fields": uses_fields}
+    built_out: List[Tuple[bool, ...]] = []
+    predecessors: List[List[int]] = [[] for _ in bounds]
+    for number, following in enumerate(successors):
+        for successor in following:
+            predecessors[successor].append(number)
     body_blocks = []
     block_table = []
-    bounds = []
-    for number, start in enumerate(starts):
-        end = starts[number + 1] if number + 1 < len(starts) else count
-        lines, slots, helper_ids = _emit_block(
-            insns, start, end, number, block_of, analysis, needs
-        )
+    for number, (start, end) in enumerate(bounds):
+        into = [built_out[p] for p in predecessors[number]]
+        for slot, what in enumerate(_BUILT):
+            needs[what] = bool(into) and all(out[slot] for out in into)
+        lines, slots, helper_ids = _emit_block(insns, start, end, number, block_of, analysis, needs)
+        built_out.append(tuple(needs[what] for what in _BUILT))
         body_blocks.append(lines)
         block_table.append((slots, helper_ids))
-        bounds.append((start, end))
 
     body = []
     if needs["ctx"]:
@@ -205,15 +222,12 @@ def compile_program(
         # caller's context bytes were long enough to hold every field.
         body.append("if _f is None:")
         body.append(
-            f'    raise _MF(f"context of {{len(_st.ctx)}} bytes is shorter than the '
+            f'    raise _MF(f"context of {{len(_rs.ctx)}} bytes is shorter than the '
             f'{CTX_SIZE} the verifier assumed")'
         )
-    if needs["env"]:
-        body.append("_env = _st.env")
+    body.append("_st = _rs")
     if needs["chain"]:
-        body.append(f"_cl = {CTX_SIZE} if _st.ctx is None else len(_st.ctx)")
-    if needs["packet"]:
-        body.append("_pl = -1 if _pkt is None else len(_pkt)")
+        body.append(f"_cl = {CTX_SIZE} if _rs is None or _rs.ctx is None else len(_rs.ctx)")
     body.append("r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
     body.append(f"r1 = {CTX_REGION_BASE:#x}")
     body.append(f"r10 = {STACK_REGION_BASE + isa.STACK_SIZE:#x}")
@@ -229,18 +243,18 @@ def compile_program(
     for position in map_positions:
         lines.append(f"    _m{position} = _maps[{position}]")
         lines.append(f"    _fd{position} = _m{position} - {MAP_PTR_BASE:#x}")
-    lines.append("    def _prog(_st, _stk, _f, _pkt):")
+    lines.append("    def _prog(_env, _f, _pkt, _rs=None, _stk=None):")
     lines.extend("        " + line for line in body)
     lines.append("    return _prog")
-    guard_lines, guard_note = _emit_guard(insns, bounds, block_of, analysis)
-    lines.extend(guard_lines)
     source = "\n".join(lines) + "\n"
 
     namespace: Dict[str, object] = {
-        "__builtins__": {"len": len, "bytes": bytes},
+        "__builtins__": {"len": len, "bytes": bytes, "bytearray": bytearray},
         "_bs": _bswap,
         "_MF": MemoryFault,
         "_PEA": PerfEventArray,
+        "_B": bytearray,  # a stack, built where a run first needs one
+        "_VM": VMState,
     }
     for size, packer in _STRUCTS.items():
         namespace[f"_u{size}"] = packer.unpack_from
@@ -253,8 +267,7 @@ def compile_program(
         map_positions,
         source,
         tuple(block_table),
-        namespace.get("_guard"),
-        guard_note,
+        _prefix_note(insns, bounds, successors, analysis),
     )
 
 
@@ -275,9 +288,10 @@ _LOAD_KINDS = {"ctx": "a partial context load", "fp": "a stack load", "pkt": "a 
 def _impurity(
     insns: List[Instruction], start: int, end: int, analysis: VerifierAnalysis
 ) -> Optional[str]:
-    """Why instructions ``start .. end`` cannot run in the guard (the
-    first one that has a side effect or reads more than a field), or
-    ``None`` if they are ALU ops, whole-field context loads and jumps."""
+    """Why instructions ``start .. end`` may need the stack or the VM
+    state (the first one that has a side effect or reads more than a
+    field), or ``None`` if they are ALU ops, whole-field context loads
+    and jumps."""
     for index in range(start, end):
         insn = insns[index]
         cls = insn.insn_class
@@ -299,50 +313,25 @@ def _impurity(
     return None
 
 
-def _emit_guard(
+def _prefix_note(
     insns: List[Instruction],
     bounds: List[Tuple[int, int]],
-    block_of: Dict[int, int],
+    successors: List[Tuple[int, ...]],
     analysis: VerifierAnalysis,
-) -> Tuple[List[str], str]:
-    """The guard's source lines (none without a guard) and its note.
-
-    The guard covers the blocks a run can reach from the entry through
-    side-effect-free blocks (:func:`_impurity`) *and* leave by an
-    ``exit`` among them; they compile exactly as in the program, except
-    that ``exit`` returns ``(path, r0)``.  A run that jumps anywhere else
-    falls off the end of the guard: ``None``, run the program."""
+) -> str:
+    """The blocks a run can pass before any state exists -- those it
+    reaches from the entry through side-effect-free blocks
+    (:func:`_impurity`) -- and the context fields they read, or
+    ``none`` and why."""
     why = [_impurity(insns, start, end, analysis) for start, end in bounds]
-    successors = []
-    for number, (start, end) in enumerate(bounds):
-        last = insns[end - 1]
-        if last.insn_class != isa.BPF_JMP or last.alu_op == isa.BPF_CALL:
-            successors.append((number + 1,))  # falls into the next leader
-        elif last.alu_op == isa.BPF_EXIT:
-            successors.append(())
-        else:
-            taken = block_of[end + last.offset]
-            successors.append((taken,) if last.alu_op == isa.BPF_JA else (taken, number + 1))
     if why[0] is not None:
-        return [], f"none (block 0 has {why[0]})"
+        return f"none (block 0 has {why[0]})"
     reached = {0}
     for number in range(len(bounds)):  # forward jumps: program order is topological
         if number in reached:
             reached.update(s for s in successors[number] if why[s] is None)
-    covered = set()
-    for number in sorted(reached, reverse=True):
-        if not successors[number] or covered.intersection(successors[number]):
-            covered.add(number)
-    if 0 not in covered:
-        frontier = min(
-            s for number in reached for s in successors[number] if s not in reached
-        )
-        return [], f"none (every path meets {why[frontier]} before an exit)"
-
-    needs = {"ctx": False, "packet": False, "chain": False, "env": False, "fields": True}
-    body: List[str] = []
     fields: List[str] = []
-    for number in sorted(covered):
+    for number in sorted(reached):
         start, end = bounds[number]
         for index in range(start, end):
             insn = insns[index]
@@ -350,19 +339,30 @@ def _emit_guard(
                 name = FIELD_AT[analysis.reg_types[index][insn.src][1] + insn.offset][2]
                 if name not in fields:
                     fields.append(name)
-        block_lines, _slots, _helpers = _emit_block(
-            insns, start, end, number, block_of, analysis, needs, guard=True
-        )
-        if number == 0:
-            body.extend(block_lines)
-        else:
-            body.append(f"if _b == {number}:")
-            body.extend("    " + line for line in block_lines)
-    # The verifier proved every other register written before it is read.
-    prologue = [f"r1 = {CTX_REGION_BASE:#x}", f"r10 = {STACK_REGION_BASE + isa.STACK_SIZE:#x}"]
-    lines = ["def _guard(_f):"] + ["    " + line for line in prologue + body]
-    note = f"blocks {', '.join(map(str, sorted(covered)))}; fields {', '.join(fields) or 'none'}"
-    return lines, note
+    return f"blocks {', '.join(map(str, sorted(reached)))}; fields {', '.join(fields) or 'none'}"
+
+
+# What a run builds where it first needs it: the packet region's
+# length, the stack, the VMState (which holds the stack).
+_BUILT = ("pl", "stk", "st")
+
+
+def _build(what: str, needs: Dict[str, bool], sure: bool = True) -> List[str]:
+    """The lines that make ``what`` (one of :data:`_BUILT`) exist unless
+    every path here has it.  ``sure`` -- the lines run whenever this
+    point does -- records that the code after them has it."""
+    if needs[what]:
+        return []
+    if what == "pl":  # fixed for the run: working it out twice is harmless
+        lines = ["_pl = -1 if _pkt is None else len(_pkt)"]
+    else:
+        lines = [] if needs["stk"] else ["if _stk is None:", f"    _stk = _B({isa.STACK_SIZE})"]
+        if what == "st":
+            lines = ["if _st is None:", *("    " + line for line in lines)]
+            lines.append("    _st = _VM(_stk, _f, None, _pkt, _env)")
+            needs["stk"] = needs["stk"] or sure
+    needs[what] = needs[what] or sure
+    return lines
 
 
 def _emit_block(
@@ -373,11 +373,8 @@ def _emit_block(
     block_of: Dict[int, int],
     analysis: VerifierAnalysis,
     needs: Dict[str, bool],
-    guard: bool = False,
 ) -> Tuple[List[str], int, Tuple[int, ...]]:
-    """One basic block: (source lines, instruction slots, helper ids).
-    In the ``guard``, ``exit`` returns ``(path, r0)`` instead of writing
-    the register file back."""
+    """One basic block: (source lines, instruction slots, helper ids)."""
     lines: List[str] = []
     helper_ids: List[int] = []
     slots = 0
@@ -414,11 +411,9 @@ def _emit_block(
                 continue
             if op == isa.BPF_EXIT:
                 path = str(bit) if number == 0 else f"_p + {bit}"
-                if guard:
-                    lines.append(f"return {path}, r0")
-                else:
-                    lines.append(_WRITEBACK)
-                    lines.append(f"return {path}")
+                lines.append("if _rs is not None:")  # a run() reads the registers
+                lines.append(f"    _rs.regs = [{', '.join(f'r{n}' for n in range(11))}]")
+                lines.append(f"return {path}, r0")
             elif op == isa.BPF_JA:
                 lines.append(mark)
                 lines.append(f"_b = {block_of[index + 1 + insn.offset]}")
@@ -527,12 +522,11 @@ def _emit_ldx(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> Li
         return [f"{d} = _f[{field}]"]
 
     def hit(buf: str, at: str = "_o") -> List[str]:
+        read = f"{buf}[{at}]" if size == 1 else f"_u{size}({buf}, {at})[0]"
         if buf == "_pkt":  # a lazy image answers from one segment
-            return [f"{d} = _st.packet_load({at}, {size})"]
+            return [f"{d} = {read} if _pkt.__class__ is bytearray else _pkt.load({at}, {size})"]
         lines = ["_ctx = _st.ctx_bytes()"] if buf == "_ctx" else []
-        if size == 1:
-            return lines + [f"{d} = {buf}[{at}]"]
-        return lines + [f"{d} = _u{size}({buf}, {at})[0]"]
+        return lines + [f"{d} = {read}"]
 
     def fallback(addr: str) -> str:
         return f"{d} = _st.load({addr}, {size})"
@@ -562,7 +556,10 @@ def _emit_store(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> 
     def fallback(addr: str) -> str:
         return f"_st.store({addr}, {size}, {raw})"
 
-    lines = _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
+    # Only a frame store leaves the VMState unbuilt: the rest reach the
+    # region through it.
+    lines = [] if pointer is not None and pointer[0] == "fp" else _build("st", needs)
+    lines += _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
     if needs["fields"] and (pointer is None or pointer[0] != "fp"):
         lines.append("_f = _st.ctx_fields()")  # the store may have hit a field
     return lines
@@ -575,18 +572,20 @@ def _emit_access(
     the verifier's type for ``base`` allows.  ``hit(buffer, index)`` is
     the access once its region is known; ``fallback(address)`` is the
     region-registry lookup, which also serves dynamic regions and
-    raises every fault."""
+    raises every fault.  Each builds the stack or the VMState first
+    where it needs one; a proven packet load needs neither."""
     kind = pointer[0] if pointer is not None else None
     if kind == "fp":  # verified in-frame
-        return hit("_stk", str(isa.STACK_SIZE + pointer[1] + offset))
+        return _build("stk", needs) + hit("_stk", str(isa.STACK_SIZE + pointer[1] + offset))
     if kind == "ctx":  # verified inside the context the prologue checked
         needs["ctx"] = True
-        return hit("_ctx", str(pointer[1] + offset))
-    needs["packet"] = True
+        return _build("st", needs) + hit("_ctx", str(pointer[1] + offset))
+    lines = _build("pl", needs)
     if offset == 0:
-        lines, addr = [], base  # registers are already masked to u64
+        addr = base  # registers are already masked to u64
     else:
-        lines, addr = [f"_a = ({base} + {offset}) & {_U64_HEX}"], "_a"
+        lines.append(f"_a = ({base} + {offset}) & {_U64_HEX}")
+        addr = "_a"
 
     def region(base: int, buffer: str, last: str, miss: List[str]) -> List[str]:
         """``hit`` if the address is at offset 0 .. ``last`` of the
@@ -599,10 +598,10 @@ def _emit_access(
             *("    " + line for line in miss),
         ]
 
-    registry = [fallback(addr)]
     if kind == "pkt":
         # Most likely the packet region, so that is tested first; a miss
         # (a fault, nearly always) goes to the registry.
+        registry = _build("st", needs, sure=False) + [fallback(addr)]
         return lines + region(PACKET_REGION_BASE, "_pkt", f"_pl - {size}", registry)
     # Unproven pointer: bounds-checked fast paths for the three fixed
     # regions.  Map-value buffers (dynamic regions) and faulting
@@ -610,6 +609,8 @@ def _emit_access(
     # which raises the same :class:`~repro.ebpf.memory.MemoryFault` the
     # interpreter would.
     needs["chain"] = True
+    lines = _build("st", needs) + lines
+    registry = [fallback(addr)]
     stack = region(STACK_REGION_BASE, "_stk", str(isa.STACK_SIZE - size), registry)
     packet = region(PACKET_REGION_BASE, "_pkt", f"_pl - {size}", stack)
     return lines + region(CTX_REGION_BASE, "_ctx", f"_cl - {size}", packet)
@@ -631,7 +632,6 @@ def _emit_call(
 ) -> List[str]:
     inline = _INLINE_CALLS.get(insn.imm)
     if inline is not None:
-        needs["env"] = True
         return [f"r0 = {inline}"]
     # Argument registers pass positionally (helpers never read the
     # register file); locals stay live across the call, matching the
@@ -641,20 +641,21 @@ def _emit_call(
     if insn.imm == HELPER_PERF_EVENT_OUTPUT:
         proven = _proven_perf_output(types)
         if proven is not None:
-            needs["env"] = True
             position, output = proven
             # The fd table belongs to the run's environment, so the map
             # is looked up and type-checked per call; anything but a
             # perf array goes to the helper, which raises what it must.
-            return [
+            lines = _build("stk", needs)
+            fallback = _build("st", needs, sure=False) + [generic]
+            return lines + [
                 f"_mp = _env.maps.get(_fd{position})",
                 "if _mp.__class__ is _PEA:",
                 f"    _mp.output({output})",
                 "    r0 = 0",
                 "else:",
-                f"    {generic}",
+                *("    " + line for line in fallback),
             ]
-    return [generic]
+    return _build("st", needs) + [generic]
 
 
 def _proven_perf_output(types: Tuple[RegType, ...]) -> Optional[Tuple[int, str]]:

@@ -41,6 +41,7 @@ from repro.ebpf.memory import (
     CTX_REGION_BASE,
     MAP_VALUE_REGION_BASE,
     Memory,
+    MemoryFault,
     PACKET_REGION_BASE,
     STACK_REGION_BASE,
 )
@@ -167,9 +168,11 @@ class VMState(Memory):
 
     A ``VMState`` *is* the run's :class:`Memory` -- one object serves as
     both the region registry and the helper-visible state, keeping
-    per-run setup to a single allocation.  ``regs`` starts unset: the
-    compiled tier materializes the final register file in one writeback
-    at EXIT, and the interpreter builds its zeroed file when it starts.
+    per-run setup to a single allocation.  A compiled fire builds one
+    only if its run reaches an instruction that needs it.  ``regs``
+    starts unset: a compiled :meth:`BPFProgram.run` materializes the
+    final register file in one writeback at EXIT, and the interpreter
+    builds its zeroed file when it starts.
     ``helper_calls`` / ``helper_cost_ns`` are the interpreter's per-run
     tallies and exist only on its runs; a compiled run's follow from
     the blocks it executed (:meth:`CompiledProgram.path_info`).
@@ -177,9 +180,10 @@ class VMState(Memory):
     ``packet`` is the packet region: ``None``, a ``bytearray``, or a
     lazy image (``len()``, ``load()`` and ``materialise() ->
     bytearray``, see :class:`repro.ebpf.context.PacketImage`).  The
-    compiled tier's loads go through :meth:`packet_load`, which lets an
-    image answer from one header or the payload; stores, helpers and
-    the interpreter reach the whole region through :meth:`packet_bytes`.
+    compiled tier's proven loads ask the region itself, which lets an
+    image answer from one header or the payload, and need no state;
+    stores, helpers and the interpreter reach the whole region through
+    :meth:`packet_bytes`.
 
     The context is lazy the same way: ``fields`` is its field tuple
     (``None`` when a caller's bytes are too short to hold one), ``ctx``
@@ -226,14 +230,6 @@ class VMState(Memory):
         """The packet region's bytes, serialising a lazy image now."""
         packet = self.packet
         return packet if packet.__class__ is bytearray else packet.materialise()
-
-    def packet_load(self, offset: int, size: int) -> int:
-        """Little-endian load inside the packet region (bounds are the
-        caller's: ``0 <= offset <= len(packet) - size``)."""
-        packet = self.packet
-        if packet.__class__ is not bytearray:
-            return packet.load(offset, size)
-        return int.from_bytes(packet[offset : offset + size], "little")
 
     def _locate(self, address: int, size: int) -> Tuple[bytearray, int]:
         offset = address - PACKET_REGION_BASE
@@ -355,7 +351,6 @@ class BPFProgram:
         self.compile_cache_hits = 0
         self._unit: Optional[CompiledProgram] = None
         self._native = None  # populated by load() unless precompile is off
-        self._guard = None  # the unit's guard, if it has one
 
     # -- load-time -----------------------------------------------------------
 
@@ -391,10 +386,9 @@ class BPFProgram:
             self._native = unit.factory(
                 {pos: MAP_PTR_BASE + self.insns[pos].imm for pos in unit.map_positions}
             )
-            self._guard = unit.guard
         else:
             verify(self.insns)
-            self._unit = self._native = self._guard = None
+            self._unit = self._native = None
         self.loaded = True
         return int(cost)
 
@@ -417,25 +411,26 @@ class BPFProgram:
 
         ``fields`` is the context's field tuple
         (:func:`repro.ebpf.context.skb_fields`), ``packet`` the packet
-        region.  A run the program's guard settles -- one that exits
-        before its first side effect, as a filter miss does -- is
-        accounted under the same path as a full run and builds nothing
-        else; any other run, and every run on the interpreter tier or in
-        shadow mode, is a full :meth:`run`.
+        region.  On the compiled tier the fire is one call into the
+        program, which builds the stack and VM state only if the run
+        gets that far (a filter miss does not), and no
+        :class:`ExecResult`; every run on the interpreter tier or in
+        shadow mode is a full :meth:`run`.
         """
-        guard = self._guard
-        if guard is not None and not self.shadow:
-            settled = guard(fields)
-            if settled is not None:
-                path, r0 = settled
-                entry = self._outcomes.get(path)
-                if entry is None:
-                    entry = self._outcomes[path] = self._new_outcome(path)
-                entry[0] += 1
-                BPFProgram._runs_global += 1
-                return r0, entry[2]
-        result = self.run(env, fields, packet)
-        return result[0], result[1]
+        native = self._native
+        if native is None or self.shadow:
+            result = self.run(env, fields, packet)
+            return result[0], result[1]
+        try:
+            path, r0 = native(env, fields, packet)
+        except HelperError as exc:
+            raise ExecutionError(f"{self.name}: helper error: {exc}")
+        entry = self._outcomes.get(path)
+        if entry is None:
+            entry = self._outcomes[path] = self._new_outcome(path)
+        entry[0] += 1
+        BPFProgram._runs_global += 1
+        return r0, entry[2]
 
     def run(
         self,
@@ -448,21 +443,20 @@ class BPFProgram:
         memory, or its bytes; ``packet_bytes`` (if any; a ``bytearray``
         or a lazy image, see :class:`VMState`) is mapped where the
         context's data/data_end pointers expect it."""
+        if not self.loaded:
+            raise ExecutionError(f"program {self.name!r} was not loaded")
         if ctx.__class__ is tuple:
             fields, ctx = ctx, None
         else:
             fields = unpack_context(ctx) if len(ctx) >= CTX_SIZE else None
-        native = self._native
-        if native is None or self.shadow:
-            state, outcome = self._run_checked(env, fields, ctx, packet_bytes)
+        if self.shadow and self._native is not None:
+            if ctx is None:
+                ctx = pack_context(fields)
+            state, outcome = self._run_shadowed(env, fields, ctx, packet_bytes)
         else:
-            # Hot path: the compiled tier, inlined (probes take this per packet).
-            stack = bytearray(isa.STACK_SIZE)
-            state = VMState(stack, fields, ctx, packet_bytes, env)
-            try:
-                outcome = native(state, stack, fields, packet_bytes)
-            except HelperError as exc:
-                raise ExecutionError(f"{self.name}: helper error: {exc}")
+            state, outcome, _stack = self._run_once(
+                env, fields, ctx, packet_bytes, native=self._native is not None
+            )
         entry = self._outcomes.get(outcome)
         if entry is None:
             entry = self._outcomes[outcome] = self._new_outcome(outcome)
@@ -483,26 +477,6 @@ class BPFProgram:
         # Every run with this outcome hands out the same tally: read-only.
         return [0, executed, cost_ns, MappingProxyType(calls)]
 
-    def _run_checked(
-        self,
-        env: ExecutionEnv,
-        fields: Optional[tuple],
-        ctx_bytes: Optional[bytearray],
-        packet_bytes: Optional[bytearray],
-    ) -> Tuple[VMState, object]:
-        """The cold tiers: an interpreter run, or a shadowed compiled
-        one; returns the state and the outcome key."""
-        if not self.loaded:
-            raise ExecutionError(f"program {self.name!r} was not loaded")
-        if self._native is not None:
-            if ctx_bytes is None:
-                ctx_bytes = pack_context(fields)
-            return self._run_shadowed(env, fields, ctx_bytes, packet_bytes)
-        state, executed, _stack = self._run_once(
-            env, fields, ctx_bytes, packet_bytes, native=False
-        )
-        return state, (executed, state.helper_cost_ns, *sorted(state.helper_calls.items()))
-
     def _run_once(
         self,
         env: ExecutionEnv,
@@ -510,25 +484,26 @@ class BPFProgram:
         ctx_bytes: Optional[bytearray],
         packet_bytes: Optional[bytearray],
         native: bool,
-    ) -> Tuple[VMState, int, bytearray]:
+    ) -> Tuple[VMState, object, bytearray]:
         """One execution on the chosen tier, without accounting: the
-        state, the compiled tier's path mask or the interpreter's
-        instruction count, and the stack."""
+        state, the outcome key (the compiled tier's path mask, or what
+        the interpreter counted), and the stack."""
         stack = bytearray(isa.STACK_SIZE)
         state = VMState(stack, fields, ctx_bytes, packet_bytes, env)
         if native:
             try:
-                outcome = self._native(state, stack, fields, packet_bytes)
+                outcome, _r0 = self._native(env, fields, packet_bytes, state, stack)
             except HelperError as exc:
                 raise ExecutionError(f"{self.name}: helper error: {exc}")
-        else:
-            state.helper_calls = {}
-            state.helper_cost_ns = 0
-            regs = state.regs = [0] * isa.NUM_REGS
-            regs[isa.R1] = CTX_REGION_BASE
-            regs[isa.R10] = STACK_REGION_BASE + isa.STACK_SIZE
-            outcome = self._execute(state)
-        return state, outcome, stack
+            return state, outcome, stack
+        state.helper_calls = {}
+        state.helper_cost_ns = 0
+        regs = state.regs = [0] * isa.NUM_REGS
+        regs[isa.R1] = CTX_REGION_BASE
+        regs[isa.R10] = STACK_REGION_BASE + isa.STACK_SIZE
+        executed = self._execute(state)
+        calls = sorted(state.helper_calls.items())
+        return state, (executed, state.helper_cost_ns, *calls), stack
 
     @property
     def jit_runs(self) -> int:
@@ -637,7 +612,9 @@ class BPFProgram:
         packet_bytes: Optional[bytearray],
     ) -> Tuple[VMState, int]:
         """Run the compiled tier, then replay on the oracle and compare;
-        returns the compiled run's state and path for accounting."""
+        returns the compiled run's state and path for accounting.  A
+        fault on both tiers is the compiled tier's to raise; a fault on
+        one is a divergence."""
         ctx_before = bytes(ctx_bytes)
         packet_before = None if packet_bytes is None else bytes(packet_bytes)
         clones = {fd: bpf_map.clone() for fd, bpf_map in env.maps.items()}
@@ -675,14 +652,16 @@ class BPFProgram:
                 seen: List[Tuple[int, bytes]] = []
                 perf_seen[fd] = seen
                 undos.append(bpf_map.tee(lambda cpu, rec, _s=seen: _s.append((cpu, bytes(rec)))))
+        fault = None
         try:
             state, path, stack = self._run_once(
                 recording_env, fields, ctx_bytes, packet_bytes, native=True
             )
+        except (ExecutionError, MemoryFault) as exc:
+            fault = exc
         finally:
             for undo in undos:
                 undo()
-        info = self._unit.path_info(path)
 
         oracle_printks: List[str] = []
         oracle_env = ExecutionEnv(
@@ -695,12 +674,17 @@ class BPFProgram:
         oracle_ctx = bytearray(ctx_before)
         oracle_packet = None if packet_before is None else bytearray(packet_before)
         try:
-            ostate, oexecuted, ostack = self._run_once(
+            ostate, (oexecuted, *_counted), ostack = self._run_once(
                 oracle_env, fields, oracle_ctx, oracle_packet, native=False
             )
-        except ExecutionError as exc:
+        except (ExecutionError, MemoryFault) as exc:
+            if fault is not None:
+                raise fault from None
             raise ShadowMismatch(f"{self.name}: oracle faulted where compiled tier ran: {exc}")
+        if fault is not None:
+            raise ShadowMismatch(f"{self.name}: compiled tier faulted where oracle ran: {fault}")
 
+        info = self._unit.path_info(path)
         self._diff("insns_executed", info.insns_executed, oexecuted)
         self._diff("registers", state.regs, ostate.regs)
         self._diff("helper_calls", info.helper_calls, ostate.helper_calls)

@@ -29,7 +29,7 @@ from repro.experiments.topologies import XenCaseScene, build_xen_case
 from repro.net.packet import IPPROTO_UDP
 from repro.workloads.memcached import DataCachingClient, MemcachedServer
 from repro.workloads.sockperf import SockperfClient, SockperfServer
-from repro.workloads.stats import LatencySummary, jitter_range
+from repro.workloads.stats import LatencySummary
 
 SOCKPERF_PORT = 11111
 WARMUP_NS = 100_000_000

@@ -10,7 +10,6 @@ round-trips captures for tests and offline analysis.
 
 from __future__ import annotations
 
-import io
 import struct
 from typing import BinaryIO, Iterator, List, Optional, Tuple, Union
 

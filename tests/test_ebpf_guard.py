@@ -1,11 +1,14 @@
-"""The filter guard: the blocks before a program's first side effect,
-translated a second time to settle a run from the context's field tuple.
+"""The program's one entry: ``fire`` and ``run`` call the same
+translation, which builds the stack and the VM state only where a run
+first needs them.
 
-Whatever the guard settles must be what the full compiled run and the
-interpreter would have done -- same r0, cost, instructions, outcome
-entry, maps and perf output -- and it must settle exactly the runs that
-exit inside the blocks it covers.
+A fire must do what ``run`` and the interpreter do -- same r0, cost,
+instructions, outcome entry, maps and perf output -- and a run that
+exits among the blocks of the program's pure prefix (ALU ops,
+whole-field context loads, jumps) builds neither a stack nor a state.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +20,7 @@ from repro.ebpf.helpers import HELPER_GET_PRANDOM_U32
 from repro.ebpf.inspect import dump_program
 from repro.ebpf.isa import R0, R1, R2, R6, R10
 from repro.ebpf.maps import HashMap, PerfEventArray
+from repro.ebpf.memory import MemoryFault
 from repro.ebpf.probes import EBPFAttachment, ProbeEvent
 from repro.ebpf.vm import BPFProgram, ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
@@ -42,7 +46,7 @@ _POOL = (0, 1, 6, 17, 4789, 5001, 0xFFFF)
 _FILTER_STEP = st.one_of(
     # rN = one whole context field
     st.tuples(st.just("field"), st.integers(0, len(FIELDS) - 1), st.integers(0, 5), st.just(0)),
-    # rN = the low byte of a field: not a whole field, so the guard stops here
+    # rN = the low byte of a field: not a whole field, so the prefix stops here
     st.tuples(st.just("partial"), st.integers(0, len(FIELDS) - 1), st.integers(0, 5), st.just(0)),
     st.tuples(
         st.just("alu"),
@@ -69,9 +73,10 @@ field_tuples = st.tuples(
 )
 
 
-def _assemble_guarded(inits, prefix, steps):
+def _assemble_filtered(inits, prefix, steps, tail=()):
     """``mov r6, r1``, the registers, a filter prefix whose misses exit
-    with codes 100 + k, then the whole-subset steps and ``exit``."""
+    with codes 100 + k, then the whole-subset steps, whose branches jump
+    to the ``tail`` steps, and ``exit``."""
     asm = Assembler()
     asm.mov_reg(R6, R1)
     for reg, value in enumerate(inits):
@@ -92,6 +97,7 @@ def _assemble_guarded(inits, prefix, steps):
     _emit_subset_steps(asm, steps, _HASH_TAG, _PERF_TAG)
     asm.ja("end")
     asm.label("end")
+    _emit_subset_steps(asm, tail, _HASH_TAG, _PERF_TAG)
     asm.exit_()
     for code in sorted(used):
         asm.label(f"miss{code}")
@@ -100,27 +106,50 @@ def _assemble_guarded(inits, prefix, steps):
     return asm.assemble()
 
 
-def _covered(program):
-    """The block numbers the guard note lists."""
-    note = program._unit.guard_note
+def _prefix(program):
+    """The block numbers the program's prefix note lists."""
+    note = program._unit.prefix
     if note.startswith("none"):
         return set()
     return {int(n) for n in note.split(";")[0][len("blocks "):].split(", ")}
 
 
+@contextlib.contextmanager
+def _constructions(program):
+    """Counts the stacks and VM states the compiled entry builds while
+    the block lasts: ``{"stack": n, "state": n}``."""
+    namespace = program._native.__globals__
+    built = {"stack": 0, "state": 0}
+
+    def counting(name, make):
+        def build(*args):
+            built[name] += 1
+            return make(*args)
+
+        return build
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(namespace, "_B", counting("stack", namespace["_B"]))
+        patch.setitem(namespace, "_VM", counting("state", namespace["_VM"]))
+        yield built
+
+
 def _dispatch(insns, fields, how):
-    """One run of ``insns`` on fresh maps: ``guarded`` is the probe's
-    path (:meth:`BPFProgram.fire`), ``full`` the compiled run, ``interp``
-    the interpreter.  Returns everything observable."""
+    """One run of ``insns`` on fresh maps: ``fire`` is the probe's path
+    (:meth:`BPFProgram.fire`), ``run`` the compiled run, ``interp`` the
+    interpreter.  Returns everything observable, the outcome key, the
+    program and, for a fire, what its entry built."""
     hash_map = HashMap(4, 8, 16)
     perf_map = PerfEventArray(num_cpus=2)
     insns = _rebind_map_fds(insns, hash_map.fd, perf_map.fd)
-    program = BPFProgram(list(insns), name="guarded", precompile=how != "interp")
+    program = BPFProgram(list(insns), name="filtered", precompile=how != "interp")
     program.load()
     env, printks = _deterministic_env({hash_map.fd: hash_map, perf_map.fd: perf_map})
     before = BPFProgram.global_runs()
-    if how == "guarded":
-        r0, cost_ns = program.fire(env, fields, None)
+    built = None
+    if how == "fire":
+        with _constructions(program) as built:
+            r0, cost_ns = program.fire(env, fields, None)
     else:
         result = program.run(env, fields)
         r0, cost_ns = result.r0, result.cost_ns
@@ -136,44 +165,58 @@ def _dispatch(insns, fields, how):
         "perf": list(perf_map.pending),
         "printk": printks,
     }
-    return observed, key, program
+    return observed, key, program, built
 
 
-class TestGuardedDispatchEqualsFullRun:
+class TestFireEqualsRun:
     @settings(max_examples=150, deadline=None)
     @given(
         inits=random_inits,
         prefix=st.lists(_FILTER_STEP, min_size=1, max_size=8),
         steps=st.lists(_STEP, max_size=8),
+        # steps after the join of every branch: no branch of their own
+        tail=st.lists(_STEP.filter(lambda step: step[0] != "branch"), max_size=3),
         fields=field_tuples,
     )
-    # A filter that misses on the first field: settled by the guard.
+    # A filter that misses on the first field: pure blocks only.
     @example(
         inits=[0] * 6,
         prefix=[("field", 7, 2, 0), ("miss", "jne", 2, (5001, 0))],
         steps=[("call", "perf", 0, 0)],
+        tail=[],
         fields=(0,) * 13,
     )
-    # A helper right after the filter: a hit is a full run.
+    # A helper after a proven perf output, whose fallback alone may
+    # have built the state: the helper must build it.
     @example(
         inits=[0] * 6,
         prefix=[("field", 7, 2, 0), ("miss", "jne", 2, (5001, 0))],
-        steps=[("call", "ktime", 0, 0)],
+        steps=[("call", "perf", 0, 0), ("call", "lookup", 0, 0)],
+        tail=[],
         fields=(0,) * 7 + (5001,) + (0,) * 5,
     )
-    def test_guard_settles_exactly_the_pure_exits(self, inits, prefix, steps, fields):
-        insns = _assemble_guarded(inits, prefix, steps)
-        guarded, path, program = _dispatch(insns, fields, "guarded")
-        full, full_path, _ = _dispatch(insns, fields, "full")
-        interp, _key, _ = _dispatch(insns, fields, "interp")
-        assert guarded == full == interp
-        assert path == full_path
-        # The guard settles a run iff every block it ran is covered.
+    # A join of a path with the state and a path without it (the branch
+    # is taken): the joined block must build it.
+    @example(
+        inits=[0] * 6,
+        prefix=[("field", 7, 2, 0), ("miss", "jne", 2, (5001, 0))],
+        steps=[("branch", "jeq", 0, 0), ("call", "lookup", 0, 0)],
+        tail=[("call", "lookup", 1, 0), ("stack", "w", 1, 2)],
+        fields=(0,) * 7 + (5001,) + (0,) * 5,
+    )
+    def test_pure_exits_build_nothing(self, inits, prefix, steps, tail, fields):
+        insns = _assemble_filtered(inits, prefix, steps, tail)
+        fired, path, program, built = _dispatch(insns, fields, "fire")
+        run, run_path, _, _ = _dispatch(insns, fields, "run")
+        interp, _key, _, _ = _dispatch(insns, fields, "interp")
+        assert fired == run == interp
+        assert path == run_path
+        # Nothing is built twice, and a run that stays in the prefix
+        # builds nothing at all.
+        assert built["stack"] <= 1 and built["state"] <= 1
         blocks = {n for n in range(path.bit_length()) if path >> n & 1}
-        settled = program._guard(fields) if program._guard is not None else None
-        assert (settled is not None) == (bool(blocks) and blocks <= _covered(program))
-        if settled is not None:
-            assert settled == (path, guarded["r0"])
+        if blocks <= _prefix(program):
+            assert built == {"stack": 0, "state": 0}
 
 
 def _port_filter():
@@ -200,23 +243,25 @@ def _fields(dst_port):
     return skb_fields(_udp(dst_port))
 
 
+def _no_run(*args):
+    raise AssertionError("a compiled fire calls the entry, not run()")
+
+
 class TestDirectedGuards:
     def test_port_filter_settles_both_exits_without_a_run(self, monkeypatch):
         program = BPFProgram(_port_filter(), name="port-filter")
         program.load()
-        assert program._unit.guard_note == "blocks 0, 1, 2; fields dst_port"
-
-        def no_run(*args):
-            raise AssertionError("the guard should have settled this fire")
-
-        monkeypatch.setattr(program, "run", no_run)
+        assert program._unit.prefix == "blocks 0, 1, 2; fields dst_port"
+        monkeypatch.setattr(program, "run", _no_run)
         env = ExecutionEnv()
         hit_fields, hit_image = _fields(4789)
         miss_fields, miss_image = _fields(9)
         cost_ns = round(4 * 0.35)  # four instructions on either path, no helper
-        assert program.fire(env, hit_fields, hit_image) == (1, cost_ns)
-        assert program.fire(env, miss_fields, miss_image) == (0, cost_ns)
-        assert program.fire(env, miss_fields, miss_image) == (0, cost_ns)
+        with _constructions(program) as built:
+            assert program.fire(env, hit_fields, hit_image) == (1, cost_ns)
+            assert program.fire(env, miss_fields, miss_image) == (0, cost_ns)
+            assert program.fire(env, miss_fields, miss_image) == (0, cost_ns)
+        assert built == {"stack": 0, "state": 0}
         assert sorted((key, entry[0]) for key, entry in program._outcomes.items()) == [
             (0b011, 1),
             (0b101, 2),
@@ -224,10 +269,12 @@ class TestDirectedGuards:
         assert program.run_count == 3 and program.total_insns_executed == 12
 
     def test_a_guarded_miss_bumps_the_full_runs_entry(self):
+        """A fired miss and a run() of the same miss share one entry."""
         program = BPFProgram(_port_filter(), name="port-filter")
         program.load()
         miss_fields, miss_image = _fields(9)
         full = program.run(ExecutionEnv(), miss_fields, miss_image)
+        assert full.regs[0] == 0 and full.regs[2] == 9  # run() still writes back
         entry = program._outcomes[0b101]
         before = BPFProgram.global_runs()
         assert program.fire(ExecutionEnv(), miss_fields, miss_image) == (0, full.cost_ns)
@@ -236,7 +283,9 @@ class TestDirectedGuards:
         assert program.total_cost_ns == 2 * full.cost_ns
 
     @staticmethod
-    def _note(build):
+    def _fire(build):
+        """The prefix note of ``build`` + a ``dst_port`` filter, and what
+        a miss builds."""
         asm = Assembler()
         build(asm)
         asm.jne_imm(R2, 4789, "miss")
@@ -247,34 +296,49 @@ class TestDirectedGuards:
         asm.exit_()
         program = BPFProgram(asm.assemble(), name="p")
         program.load()
-        return program._guard, program._unit.guard_note
+        fields, image = _fields(9)
+        with _constructions(program) as built:
+            assert program.fire(ExecutionEnv(), fields, image)[0] == 0
+        return program._unit.prefix, built
 
     @pytest.mark.parametrize(
-        "build, why",
+        "build, why, built",
         [
-            # the low byte of dst_port, and two bytes of padding
-            (lambda asm: asm.ldx_b(R2, R1, ctxmod.OFF_DST_PORT), _PARTIAL),
-            (lambda asm: asm.ldx_h(R2, R1, ctxmod.OFF_PROTOCOL + 2), _PARTIAL),
+            # the low byte of dst_port, and two bytes of padding: the
+            # context read as memory needs the state
+            (lambda asm: asm.ldx_b(R2, R1, ctxmod.OFF_DST_PORT), _PARTIAL, (1, 1)),
+            (lambda asm: asm.ldx_h(R2, R1, ctxmod.OFF_PROTOCOL + 2), _PARTIAL, (1, 1)),
             (
+                # an environment-only helper reads neither
                 lambda asm: (
                     asm.mov_reg(R6, R1),
                     asm.call(HELPER_GET_PRANDOM_U32),
                     asm.ldx_h(R2, R6, ctxmod.OFF_DST_PORT),
                 ),
                 "a call to get_prandom_u32 at insn 1",
+                (0, 0),
             ),
             (
+                # a frame store needs the stack alone
                 lambda asm: (asm.st_imm(4, R10, -8, 7), asm.ldx_h(R2, R1, ctxmod.OFF_DST_PORT)),
                 "a store at insn 0",
+                (1, 0),
             ),
         ],
         ids=["partial-field", "padding", "helper", "store"],
     )
-    def test_a_side_effect_or_partial_read_before_the_filter_gets_no_guard(self, build, why):
-        guard, note = self._note(build)
-        assert guard is None and note == f"none (block 0 has {why})"
+    def test_a_side_effect_or_partial_read_before_the_filter_gets_no_guard(
+        self, build, why, built
+    ):
+        """Block 0 is not pure: no prefix, and a miss builds what its
+        first instructions need and nothing more."""
+        note, counted = self._fire(build)
+        assert note == f"none (block 0 has {why})"
+        assert (counted["stack"], counted["state"]) == built
 
-    def test_no_exit_before_a_side_effect_gets_no_guard(self):
+    def test_packet_loads_past_the_prefix_build_nothing(self, monkeypatch):
+        """A proven packet load reads the region without a state; only
+        its out-of-bounds fallback builds one (and faults)."""
         asm = Assembler()
         asm.ldx_dw(R2, R1, ctxmod.OFF_DATA)
         asm.jeq_imm(R2, 0, "other")
@@ -285,10 +349,29 @@ class TestDirectedGuards:
         asm.exit_()
         program = BPFProgram(asm.assemble(), name="p")
         program.load()
-        assert program._guard is None
-        assert program._unit.guard_note == (
-            "none (every path meets a packet load at insn 2 before an exit)"
-        )
+        assert program._unit.prefix == "blocks 0; fields data"
+        monkeypatch.setattr(program, "run", _no_run)
+        fields, image = _fields(9)
+        with _constructions(program) as built:
+            assert program.fire(ExecutionEnv(), fields, image)[0] == image.load(0, 1)
+        assert built == {"stack": 0, "state": 0}
+        with _constructions(program) as built:
+            with pytest.raises(MemoryFault):
+                program.fire(ExecutionEnv(), fields, PacketImage(_udp(9), 0, b"", 0))
+        assert built == {"stack": 1, "state": 1}
+
+    def test_a_straight_path_builds_each_at_one_site(self):
+        """Once every path has the state, the stack it holds is never
+        checked for again, and neither is the state."""
+        asm = Assembler()
+        asm.ldx_b(R2, R1, ctxmod.OFF_DST_PORT)  # the context as memory: the state
+        asm.st_imm(4, R10, -8, 7)  # a frame store: the stack, already built
+        asm.ldx_b(R0, R1, ctxmod.OFF_DST_PORT + 1)
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name="p")
+        program.load()
+        source = program._unit.source
+        assert source.count("_B(512)") == 1 and source.count("_VM(") == 1
 
     @pytest.mark.parametrize("tier", [{"precompile": False}, {"shadow": True}])
     def test_interpreter_and_shadow_run_every_fire(self, tier, monkeypatch):
@@ -307,13 +390,36 @@ class TestDirectedGuards:
             program.fire(ExecutionEnv(), fields, image)
         assert len(runs) == 2 and program.run_count == 2
 
-    def test_dump_names_the_guard(self):
+    def test_a_script_hit_builds_a_stack_and_no_state(self, monkeypatch):
+        """A compiler script's record: the filter once, the stack for
+        the record, the proven perf output, no state and no run()."""
+        from repro.core import ActionSpec, FilterRule, TracepointSpec
+        from repro.core.compiler import compile_script
+        from repro.net.packet import IPPROTO_UDP
+
+        perf = PerfEventArray(num_cpus=2)
+        program, maps = compile_script(
+            FilterRule(dst_port=4789, protocol=IPPROTO_UDP),
+            TracepointSpec(node="n", hook="dev:x"),
+            ActionSpec(record=True),
+            perf_map=perf,
+        )
+        program.load()
+        monkeypatch.setattr(program, "run", _no_run)
+        with _constructions(program) as built:
+            for port in (4789, 9):
+                fields, image = _fields(port)
+                program.fire(ExecutionEnv(maps=maps), fields, image)
+        assert built == {"stack": 1, "state": 0}
+        assert perf.events_emitted == 1 and program.run_count == 2
+
+    def test_dump_names_the_prefix(self):
         program = BPFProgram(_port_filter(), name="port-filter")
-        assert "guard: blocks 0, 1, 2; fields dst_port" in dump_program(program)
+        assert "prefix: blocks 0, 1, 2; fields dst_port" in dump_program(program)
         program = BPFProgram(_port_filter(), name="port-filter", precompile=False)
-        assert "guard: none (interpreter tier)" in dump_program(program)
+        assert "prefix: none (interpreter tier)" in dump_program(program)
         program = BPFProgram(_port_filter(), name="port-filter", shadow=True)
-        assert "guard: none (shadow mode)" in dump_program(program)
+        assert "prefix: none (shadow mode)" in dump_program(program)
 
 
 class TestLazyContext:
@@ -445,7 +551,8 @@ class TestHeaderMemo:
 
 def test_attachment_counts_guarded_and_full_fires_alike():
     """An EBPFAttachment on a probe path: matched counts and costs are
-    the same whether or not the guard settled the fire."""
+    the same whether a fire calls the compiled entry alone or goes
+    through shadow mode's run()."""
     program = BPFProgram(_port_filter(), name="port-filter")
     program.load()
     shadowed = BPFProgram(_port_filter(), name="port-filter", shadow=True)

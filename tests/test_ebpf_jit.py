@@ -348,12 +348,64 @@ class TestShadowMode:
         program, env, _hash_map, _perf_map = self._shadow_program()
         native = program._native
 
-        def corrupted(state, stack, ctx, packet):
-            return native(state, stack, ctx, packet) + 1  # wrong insn count
+        def corrupted(*args):
+            path, r0 = native(*args)
+            return path + 1, r0  # wrong insn count
 
         program._native = corrupted
         with pytest.raises(ShadowMismatch):
             program.run(env, bytearray(64))
+
+    @staticmethod
+    def _faulting(monkeypatch, compiled, oracle):
+        """``ldx_w r2, [r1+8]; mov r0, 1; exit`` in shadow mode, with a
+        fault injected into the compiled tier, the oracle, or both;
+        returns the program and the oracle's run count."""
+        from repro.ebpf.vm import VMState
+
+        asm = Assembler()
+        asm.ldx_w(R2, R1, 8)  # ifindex: a tuple index compiled, a load interpreted
+        asm.mov_imm(R0, 1)
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name="faulty", shadow=True)
+        program.load()
+        oracle_runs = []
+        execute = program._execute
+        monkeypatch.setattr(
+            program, "_execute", lambda state: oracle_runs.append(1) or execute(state)
+        )
+
+        def raise_fault(*_args):
+            raise MemoryFault("injected compiled fault")
+
+        if compiled:
+            monkeypatch.setattr(program, "_native", raise_fault)
+        if oracle:
+
+            def oracle_fault(self, address, size):
+                raise MemoryFault("injected oracle fault")
+
+            monkeypatch.setattr(VMState, "load", oracle_fault)
+        return program, oracle_runs
+
+    def test_shadow_oracle_fault_alone_is_a_mismatch(self, monkeypatch):
+        program, oracle_runs = self._faulting(monkeypatch, compiled=False, oracle=True)
+        with pytest.raises(ShadowMismatch, match="oracle faulted"):
+            program.run(ExecutionEnv(), bytearray(64))
+        assert oracle_runs == [1]
+
+    def test_shadow_compiled_fault_alone_is_a_mismatch(self, monkeypatch):
+        program, oracle_runs = self._faulting(monkeypatch, compiled=True, oracle=False)
+        with pytest.raises(ShadowMismatch, match="compiled tier faulted"):
+            program.run(ExecutionEnv(), bytearray(64))
+        assert oracle_runs == [1]
+
+    def test_shadow_fault_on_both_tiers_is_the_compiled_fault(self, monkeypatch):
+        program, oracle_runs = self._faulting(monkeypatch, compiled=True, oracle=True)
+        with pytest.raises(MemoryFault, match="injected compiled fault") as raised:
+            program.run(ExecutionEnv(), bytearray(64))
+        assert not isinstance(raised.value, ShadowMismatch)
+        assert oracle_runs == [1] and program.run_count == 0
 
     def test_attachment_shadow_flag_arms_the_program(self):
         from repro.ebpf.probes import EBPFAttachment

@@ -117,7 +117,7 @@ class TestEndToEnd:
 class TestShadowedScenes:
     """Every program a scene deploys, replayed on the interpreter: the
     compiled tier's typed accesses, segment reads, bound perf call sites
-    and filter guards must leave the same registers, memory, maps and
+    and on-demand state must leave the same registers, memory, maps and
     perf output -- and so the same database and ``vnt_ebpf_*`` numbers
     -- as the oracle."""
 
@@ -140,6 +140,30 @@ class TestShadowedScenes:
         patch.setattr(BPFProgram, "__init__", shadowed_init)
         clear_program_cache()
         return built
+
+    @staticmethod
+    def _states_per_fire(patch):
+        """``(r0, VMStates built)`` per ``BPFProgram.fire`` while
+        ``patch`` lasts."""
+        from repro.ebpf.vm import BPFProgram, VMState
+
+        fires = []
+        built = [0]
+        original_init, original_fire = VMState.__init__, BPFProgram.fire
+
+        def counting_init(self, *args):
+            built[0] += 1
+            original_init(self, *args)
+
+        def recording_fire(self, *args):
+            before = built[0]
+            r0, cost_ns = original_fire(self, *args)
+            fires.append((r0, built[0] - before))
+            return r0, cost_ns
+
+        patch.setattr(VMState, "__init__", counting_init)
+        patch.setattr(BPFProgram, "fire", recording_fire)
+        return fires
 
     @staticmethod
     def _ebpf_metrics(programs):
@@ -207,12 +231,15 @@ class TestShadowedScenes:
         run = getattr(self, scene)
         with pytest.MonkeyPatch.context() as patch:
             guarded = self._programs(patch, shadow=False)
+            states = self._states_per_fire(patch)
             plain = self._rows(run())
         with pytest.MonkeyPatch.context() as patch:
             programs = self._programs(patch, shadow=True)
             shadowed = self._rows(run())  # a ShadowMismatch would raise here
         assert programs and all(program.shadow for program in programs)
-        assert all(program._guard is not None for program in guarded)
+        # A default-run miss builds no VMState.
+        misses = [built for r0, built in states if r0 == 0]
+        assert misses and not any(misses)
         assert sum(program.run_count for program in programs) > 100
         assert sum(len(rows) for rows in plain.values()) > 50
         assert shadowed == plain
