@@ -383,7 +383,7 @@ class Agent:
         self._pending_ships[self._ship_seq] = delivery
         # Online shipping consumes agent CPU (once -- retransmissions
         # resend the serialized buffer for free) and takes network time.
-        self.node.cpus[0].submit(cost, lambda: self._shipments.transmit(delivery))
+        self.node.cpus[0].submit(cost, self._shipments.transmit, delivery)
 
     # -- the shipment sender's hooks (core/delivery.py) ---------------------
 

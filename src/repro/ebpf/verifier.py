@@ -184,7 +184,7 @@ def verify(program: Sequence[Instruction]) -> VerifierAnalysis:
 
         if cls in (isa.BPF_ALU, isa.BPF_ALU64):
             op = insn.alu_op
-            if op not in (isa.BPF_MOV, isa.BPF_NEG, isa.BPF_END):
+            if op != isa.BPF_MOV:  # neg / end read their destination too
                 _require_init(state, insn.dst, i, "dst")
             if not insn.uses_imm and op not in (isa.BPF_NEG, isa.BPF_END):
                 _require_init(state, insn.src, i, "src")

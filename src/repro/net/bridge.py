@@ -43,35 +43,35 @@ class BridgeDevice(NetDevice):
         if eth is not None:
             self.fdb[eth.src.value] = from_port  # learn
 
-        packet.log_point(node.name, f"dev:{self.name}:fwd", node.engine.now, cpu.index)
         hook_cost = node.fire_device_hook(self, packet, cpu)
-
-        def forward() -> None:
-            if eth is None:
-                return
-            if eth.dst == self.mac or (
-                self.ip is not None
-                and packet.ip is not None
-                and packet.ip.dst == self.ip
-            ):
-                # Addressed to the bridge itself: up the local stack.
-                node.l3_receive(self, packet, cpu)
-                return
-            out_port = self.fdb.get(eth.dst.value)
-            if out_port is not None and out_port is not from_port:
-                self.forwarded += 1
-                out_port.transmit(packet, cpu)
-                return
-            if out_port is from_port:
-                return  # hairpin: drop
-            self._flood(from_port, packet, cpu)
-
         node.charge(
             cpu,
             hook_cost + node.noisy(node.costs.bridge_forward_ns),
-            forward,
+            self._forward,
+            from_port,
+            packet,
+            cpu,
             front=True,
         )
+
+    def _forward(self, from_port: NetDevice, packet: Packet, cpu) -> None:
+        eth = packet.eth
+        if eth is None:
+            return
+        if eth.dst == self.mac or (
+            self.ip is not None and packet.ip is not None and packet.ip.dst == self.ip
+        ):
+            # Addressed to the bridge itself: up the local stack.
+            self.node.l3_receive(self, packet, cpu)
+            return
+        out_port = self.fdb.get(eth.dst.value)
+        if out_port is not None and out_port is not from_port:
+            self.forwarded += 1
+            out_port.transmit(packet, cpu)
+            return
+        if out_port is from_port:
+            return  # hairpin: drop
+        self._flood(from_port, packet, cpu)
 
     def _flood(self, from_port: NetDevice, packet: Packet, cpu) -> None:
         self.flooded += 1

@@ -98,16 +98,14 @@ class NetDevice:
         self.stats.tx_packets += 1
         self.stats.tx_bytes += packet.total_length
         node = self.node
-        packet.log_point(
-            node.name, f"dev:{self.name}:tx", node.engine.now, cpu.index if cpu else 0
-        )
         hook_cost = node.fire_device_hook(self, packet, cpu)
-
-        def after_hook() -> None:
-            self._egress(packet, cpu)
-
         node.charge(
-            cpu, hook_cost + node.noisy(self._tx_cost_ns(packet)), after_hook, front=True
+            cpu,
+            hook_cost + node.noisy(self._tx_cost_ns(packet)),
+            self._egress,
+            packet,
+            cpu,
+            front=True,
         )
 
     def _tx_cost_ns(self, packet: Packet) -> int:
@@ -148,16 +146,16 @@ class NetDevice:
     def deliver(self, packet: Packet, cpu) -> None:
         """Process a received packet in softirq context on ``cpu``."""
         node = self.node
-        packet.log_point(node.name, f"dev:{self.name}:rx", node.engine.now, cpu.index)
         hook_cost = node.fire_device_hook(self, packet, cpu)
+        node.charge(cpu, hook_cost, self._continue_up, packet, cpu, front=True)
 
-        def continue_up() -> None:
-            if self.master is not None:
-                self.master.ingress(self, packet, cpu)
-            else:
-                node.l3_receive(self, packet, cpu)
-
-        node.charge(cpu, hook_cost, continue_up, front=True)
+    def _continue_up(self, packet: Packet, cpu) -> None:
+        """Hand a received packet to the master (bridge/OVS), else up
+        the local IP stack."""
+        if self.master is not None:
+            self.master.ingress(self, packet, cpu)
+        else:
+            self.node.l3_receive(self, packet, cpu)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.node.name}:{self.name} ifindex={self.ifindex}>"

@@ -354,26 +354,6 @@ def _pack_header(header: Header, buffer: bytearray, offset: int, remaining: int)
     return header.pack_into(buffer, offset)
 
 
-class PathRecord:
-    """Ground-truth record of a packet visiting an instrumentable point.
-
-    The simulator appends these as packets move; tests validate the
-    vNetTracer-measured decompositions against them.  (Real systems have
-    no such oracle -- that is the paper's point.)
-    """
-
-    __slots__ = ("node", "point", "true_time_ns", "cpu")
-
-    def __init__(self, node: str, point: str, true_time_ns: int, cpu: int = 0):
-        self.node = node
-        self.point = point
-        self.true_time_ns = true_time_ns
-        self.cpu = cpu
-
-    def __repr__(self) -> str:
-        return f"<Path {self.node}:{self.point}@{self.true_time_ns}ns cpu{self.cpu}>"
-
-
 class Packet:
     """A simulated packet: structured headers + payload (+ wire image on demand).
 
@@ -392,7 +372,6 @@ class Packet:
         "vxlan",
         "payload",
         "uid",
-        "path",
         "app",
         "app_seq",
         "created_at_ns",
@@ -420,7 +399,6 @@ class Packet:
             setattr(self, header.slot, header)
         self.payload = payload
         self.uid = next(_packet_uid_counter)
-        self.path: List[PathRecord] = []
         self.app = app
         self.app_seq = app_seq
         self.created_at_ns = created_at_ns
@@ -548,8 +526,8 @@ class Packet:
         return cls(headers, payload)
 
     def clone(self) -> "Packet":
-        """A structural copy with a fresh uid and empty path log (used
-        when a bridge floods one frame out several ports)."""
+        """A structural copy with a fresh uid (used when a bridge floods
+        one frame out several ports)."""
         payload = self.payload
         duplicate = Packet(
             [header.copy() for header in self.headers],
@@ -560,14 +538,6 @@ class Packet:
         )
         duplicate.metadata = dict(self.metadata)
         return duplicate
-
-    # -- ground truth path log -----------------------------------------------
-
-    def log_point(self, node: str, point: str, true_time_ns: int, cpu: int = 0) -> None:
-        self.path.append(PathRecord(node, point, true_time_ns, cpu))
-
-    def path_summary(self) -> List[Tuple[str, str]]:
-        return [(rec.node, rec.point) for rec in self.path]
 
     def __repr__(self) -> str:
         layers = "/".join(type(h).__name__.replace("Header", "") for h in self.headers)

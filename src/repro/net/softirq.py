@@ -65,7 +65,7 @@ class SoftirqNet:
             # ksoftirqd (or the softirq exit path) has gone idle; waking
             # it costs real time.
             cost += node.costs.ksoftirqd_wake_ns
-        cpu.submit(cost, lambda: self._run(cpu_index))
+        cpu.submit(cost, self._run, cpu_index)
 
     # -- the invocation ---------------------------------------------------
 
@@ -102,8 +102,7 @@ class SoftirqNet:
         for device, packet in reversed(batch):
             self.packets_processed[cpu_index] += 1
             cpu.submit_front(
-                node.noisy(device.rx_job_cost_ns(packet)),
-                self._make_deliver(device, packet, cpu),
+                node.noisy(device.rx_job_cost_ns(packet)), device.deliver, packet, cpu
             )
         if hook_cost > 0:
             # Probe overhead delays the whole batch (runs first).
@@ -112,13 +111,6 @@ class SoftirqNet:
         if backlog:
             # Budget exhausted: NAPI requeues; another invocation follows.
             self._kick(cpu_index)
-
-    @staticmethod
-    def _make_deliver(device: "NetDevice", packet: Packet, cpu):
-        def deliver() -> None:
-            device.deliver(packet, cpu)
-
-        return deliver
 
     # -- introspection ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ so probe overhead genuinely delays packets and steals CPU capacity.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.ebpf.probes import HookRegistry, ProbeEvent
 from repro.net.addressing import IPv4Address, MACAddress
@@ -246,19 +246,23 @@ class KernelNode:
         self,
         cpu: Optional[CPU],
         cost_ns: int,
-        fn: Callable[[], None],
+        fn: Callable[..., None],
+        *args: Any,
         front: bool = False,
     ) -> None:
-        """Charge ``cost_ns`` (on ``cpu`` if given) then run ``fn``."""
+        """Charge ``cost_ns`` (on ``cpu`` if given) then run ``fn(*args)``.
+
+        A stage passes its continuation as a bound method and its
+        arguments, so a hop allocates no closure."""
         cost = int(cost_ns)
         if cpu is None:
-            self.engine.schedule(cost, fn)
+            self.engine.schedule(cost, fn, *args)
         elif cost <= 0:
-            fn()
+            fn(*args)
         elif front:
-            cpu.submit_front(cost, fn)
+            cpu.submit_front(cost, fn, *args)
         else:
-            cpu.submit(cost, fn)
+            cpu.submit(cost, fn, *args)
 
     # -- hooks ------------------------------------------------------------------
 
@@ -374,41 +378,45 @@ class KernelNode:
         )
         cpu = self.cpus[socket.cpu_index]
         costs = self.costs
-
-        def stage_udp_send_skb() -> None:
-            packet.log_point(self.name, "udp_send_skb", self.engine.now, cpu.index)
-            # Metadata engines write first (the paper's kernel patch
-            # runs inside udp_send_skb), so a probe here already sees
-            # the trace ID on the wire bytes.
-            embed_cost = self.packet_hooks.on_udp_send(
-                packet, mtu=device.mtu, parent=parent_id
-            )
-            hook_cost = self.fire_function_hook(HOOK_UDP_SEND_SKB, packet, cpu, device)
-            self.charge(cpu, hook_cost + embed_cost, stage_ip_output, front=True)
-
-        def stage_ip_output() -> None:
-            packet.log_point(self.name, "ip_output", self.engine.now, cpu.index)
-            hook_cost = self.fire_function_hook(HOOK_IP_OUTPUT, packet, cpu, device)
-            self.charge(
-                cpu,
-                hook_cost + self.noisy(costs.ip_output_ns),
-                stage_dev_queue_xmit,
-                front=True,
-            )
-
-        def stage_dev_queue_xmit() -> None:
-            hook_cost = self.fire_function_hook(HOOK_DEV_QUEUE_XMIT, packet, cpu, device)
-            self.charge(
-                cpu,
-                hook_cost + self.noisy(costs.dev_queue_xmit_ns),
-                lambda: device.transmit(packet, cpu),
-                front=True,
-            )
-
         self.charge(
             cpu,
             self.noisy(costs.syscall_send_ns + costs.udp_send_skb_ns),
-            stage_udp_send_skb,
+            self._udp_send_skb,
+            packet,
+            cpu,
+            device,
+            parent_id,
+        )
+
+    def _udp_send_skb(self, packet: Packet, cpu, device: NetDevice, parent_id) -> None:
+        # Metadata engines write first (the paper's kernel patch runs
+        # inside udp_send_skb), so a probe here already sees the trace ID
+        # on the wire bytes.
+        embed_cost = self.packet_hooks.on_udp_send(packet, mtu=device.mtu, parent=parent_id)
+        hook_cost = self.fire_function_hook(HOOK_UDP_SEND_SKB, packet, cpu, device)
+        self.charge(cpu, hook_cost + embed_cost, self._ip_output, packet, cpu, device, front=True)
+
+    def _ip_output(self, packet: Packet, cpu, device: NetDevice) -> None:
+        hook_cost = self.fire_function_hook(HOOK_IP_OUTPUT, packet, cpu, device)
+        self.charge(
+            cpu,
+            hook_cost + self.noisy(self.costs.ip_output_ns),
+            self._dev_queue_xmit,
+            packet,
+            cpu,
+            device,
+            front=True,
+        )
+
+    def _dev_queue_xmit(self, packet: Packet, cpu, device: NetDevice) -> None:
+        hook_cost = self.fire_function_hook(HOOK_DEV_QUEUE_XMIT, packet, cpu, device)
+        self.charge(
+            cpu,
+            hook_cost + self.noisy(self.costs.dev_queue_xmit_ns),
+            device.transmit,
+            packet,
+            cpu,
+            front=True,
         )
 
     def send_ip(self, packet: Packet, cpu, dst_ip: Optional[IPv4Address] = None) -> None:
@@ -419,19 +427,7 @@ class KernelNode:
         if packet.eth is not None:
             packet.eth.src = device.mac
             packet.eth.dst = self.resolve_mac(route.gateway or target)
-
-        def stage_xmit() -> None:
-            hook_cost = self.fire_function_hook(HOOK_DEV_QUEUE_XMIT, packet, cpu, device)
-            self.charge(
-                cpu,
-                hook_cost + self.noisy(self.costs.dev_queue_xmit_ns),
-                lambda: device.transmit(packet, cpu),
-                front=True,
-            )
-
-        hook_cost = self.fire_function_hook(HOOK_IP_OUTPUT, packet, cpu, device)
-        packet.log_point(self.name, "ip_output", self.engine.now, cpu.index if cpu else 0)
-        self.charge(cpu, hook_cost + self.noisy(self.costs.ip_output_ns), stage_xmit, front=True)
+        self._ip_output(packet, cpu, device)
 
     # -- receive path --------------------------------------------------------------------------
 
@@ -452,33 +448,29 @@ class KernelNode:
         ip = packet.ip
         if ip is None:
             return  # non-IP frames (ARP etc.) are not modeled
-        packet.log_point(self.name, "ip_rcv", self.engine.now, cpu.index)
         hook_cost = self.fire_function_hook(HOOK_IP_RCV, packet, cpu, device)
+        if (
+            device.ip != ip.dst
+            and self.ip_forward
+            and (self.owns_ip(ip.dst) or self._has_forward_route(ip.dst))
+        ):
+            self.charge(cpu, hook_cost, self._ip_forward, packet, cpu, front=True)
+        else:  # ours, or Linux's weak-host model: deliver to the socket
+            self.charge(cpu, hook_cost, self._ip_local_deliver, device, packet, cpu, front=True)
 
-        if device.ip == ip.dst:
-            local = True
-        elif self.ip_forward and (self.owns_ip(ip.dst) or self._has_forward_route(ip.dst)):
-            local = False
-        else:
-            local = True  # Linux weak-host model: deliver to the socket
+    def _ip_forward(self, packet: Packet, cpu) -> None:
+        # ip_forward: back out through the routing table.
+        self.charge(
+            cpu, self.noisy(self.costs.ip_forward_ns), self.send_ip, packet, cpu, front=True
+        )
 
-        def dispatch() -> None:
-            if not local:
-                # ip_forward: back out through the routing table.
-                self.charge(
-                    cpu,
-                    self.noisy(self.costs.ip_forward_ns),
-                    lambda: self.send_ip(packet, cpu),
-                    front=True,
-                )
-                return
-            if ip.protocol == IPPROTO_UDP:
-                self._udp_receive(device, packet, cpu)
-            elif ip.protocol == IPPROTO_TCP:
-                self._tcp_receive(device, packet, cpu)
-            # other protocols: counted but dropped
-
-        self.charge(cpu, hook_cost, dispatch, front=True)
+    def _ip_local_deliver(self, device: NetDevice, packet: Packet, cpu) -> None:
+        protocol = packet.ip.protocol
+        if protocol == IPPROTO_UDP:
+            self._udp_receive(device, packet, cpu)
+        elif protocol == IPPROTO_TCP:
+            self._tcp_receive(device, packet, cpu)
+        # other protocols: counted but dropped
 
     def _has_forward_route(self, dst: IPv4Address) -> bool:
         try:
@@ -488,60 +480,74 @@ class KernelNode:
             return False
 
     def _udp_receive(self, device: NetDevice, packet: Packet, cpu) -> None:
-        udp = packet.udp
         costs = self.costs
-        vxlan_device = self._vxlan_ports.get(udp.dst_port)
+        vxlan_device = self._vxlan_ports.get(packet.udp.dst_port)
         if vxlan_device is not None:
             self.charge(
                 cpu,
                 self.noisy(costs.udp_rcv_ns),
-                lambda: vxlan_device.decap_receive(packet, cpu),
+                vxlan_device.decap_receive,
+                packet,
+                cpu,
                 front=True,
             )
             return
-
         hook_cost = self.fire_function_hook(HOOK_UDP_RCV, packet, cpu, device)
-        packet.log_point(self.name, "udp_rcv", self.engine.now, cpu.index)
+        self.charge(
+            cpu,
+            hook_cost + self.noisy(costs.udp_rcv_ns),
+            self._udp_deliver,
+            device,
+            packet,
+            cpu,
+            front=True,
+        )
 
-        def deliver_to_socket() -> None:
-            socket = self.lookup_udp(packet.ip.dst, udp.dst_port)
-            if socket is None:
-                return  # ICMP port-unreachable in real life
-            # Probe point at the entry of the app-buffer copy: the
-            # trace ID is still on the skb here; pskb_trim_rcsum()
-            # removes it just before the bytes reach the application.
-            copy_hook_cost = self.fire_function_hook(
-                HOOK_SKB_COPY_DATAGRAM, packet, cpu, device
-            )
-            strip_cost = self.packet_hooks.on_udp_deliver(packet)
-            payload = packet.payload if isinstance(packet.payload, bytes) else b""
+    def _udp_deliver(self, device: NetDevice, packet: Packet, cpu) -> None:
+        socket = self.lookup_udp(packet.ip.dst, packet.udp.dst_port)
+        if socket is None:
+            return  # ICMP port-unreachable in real life
+        # Probe point at the entry of the app-buffer copy: the trace ID
+        # is still on the skb here; pskb_trim_rcsum() removes it just
+        # before the bytes reach the application.
+        copy_hook_cost = self.fire_function_hook(HOOK_SKB_COPY_DATAGRAM, packet, cpu, device)
+        strip_cost = self.packet_hooks.on_udp_deliver(packet)
+        payload = packet.payload if isinstance(packet.payload, bytes) else b""
+        costs = self.costs
+        self.charge(
+            cpu,
+            strip_cost + self.noisy(costs.socket_deliver_ns + costs.socket_wakeup_ns),
+            self._udp_copy_to_user,
+            socket,
+            payload,
+            packet,
+            cpu,
+            copy_hook_cost,
+            front=True,
+        )
 
-            def finish() -> None:
-                packet.log_point(self.name, "socket_deliver", self.engine.now, cpu.index)
-                self.charge(
-                    cpu,
-                    copy_hook_cost,
-                    lambda: socket.deliver(payload, packet.ip.src, udp.src_port, packet),
-                    front=True,
-                )
-
-            self.charge(
-                cpu,
-                strip_cost
-                + self.noisy(costs.socket_deliver_ns + costs.socket_wakeup_ns),
-                finish,
-                front=True,
-            )
-
-        self.charge(cpu, hook_cost + self.noisy(costs.udp_rcv_ns), deliver_to_socket, front=True)
+    def _udp_copy_to_user(
+        self, socket: UDPSocket, payload: bytes, packet: Packet, cpu, copy_hook_cost: int
+    ) -> None:
+        self.charge(
+            cpu,
+            copy_hook_cost,
+            socket.deliver,
+            payload,
+            packet.ip.src,
+            packet.udp.src_port,
+            packet,
+            front=True,
+        )
 
     def _tcp_receive(self, device: NetDevice, packet: Packet, cpu) -> None:
         hook_cost = self.fire_function_hook(HOOK_TCP_V4_RCV, packet, cpu, device)
-        packet.log_point(self.name, "tcp_v4_rcv", self.engine.now, cpu.index)
         self.charge(
             cpu,
             hook_cost + self.noisy(self.costs.tcp_v4_rcv_ns),
-            lambda: self.tcp.handle_segment(packet, cpu),
+            self.tcp.handle_segment,
+            packet,
+            cpu,
             front=True,
         )
 

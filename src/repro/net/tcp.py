@@ -185,17 +185,16 @@ class TCPConnection:
         self._unacked.append([seq, size])
         self.bytes_sent += size
         self._arm_rto()
-
-        def after_send() -> None:
-            self._sending = False
-            self._pump()
-
         self._send_segment(
             flags=TCP_FLAG_ACK | TCP_FLAG_PSH,
             seq=seq,
             payload=bytes(size),
-            then=after_send,
+            then=self._sent,
         )
+
+    def _sent(self) -> None:
+        self._sending = False
+        self._pump()
 
     # -- segment transmission (the instrumented send path) -----------------------------
 
@@ -228,31 +227,38 @@ class TCPConnection:
         )
         if payload:
             self.segments_sent += 1
-
-        def stage_options_write() -> None:
-            hook_cost = node.fire_function_hook(HOOK_TCP_OPTIONS_WRITE, packet, cpu, device)
-            embed_cost = node.packet_hooks.on_tcp_options(packet, parent=self.trace_parent)
-            node.charge(
-                cpu,
-                hook_cost + embed_cost + node.noisy(costs.tcp_options_write_ns),
-                lambda: node.send_ip(packet, cpu, dst_ip=self.remote_ip),
-                front=True,
-            )
-            if then is not None:
-                then()
-
-        def stage_transmit() -> None:
-            packet.log_point(node.name, "tcp_transmit_skb", node.engine.now, cpu.index)
-            hook_cost = node.fire_function_hook(HOOK_TCP_TRANSMIT_SKB, packet, cpu, device)
-            node.charge(cpu, hook_cost, stage_options_write, front=True)
-
         # Pure ACKs and handshake segments are kernel-generated: no
         # syscall crossing, cheaper transmit work.
         if payload:
             base_cost = costs.syscall_send_ns + costs.tcp_transmit_skb_ns
         else:
             base_cost = costs.tcp_transmit_skb_ns // 2
-        node.charge(cpu, node.noisy(base_cost), stage_transmit)
+        node.charge(cpu, node.noisy(base_cost), self._transmit_skb, packet, cpu, device, then)
+
+    def _transmit_skb(
+        self, packet: Packet, cpu, device, then: Optional[Callable[[], None]]
+    ) -> None:
+        node = self.node
+        hook_cost = node.fire_function_hook(HOOK_TCP_TRANSMIT_SKB, packet, cpu, device)
+        node.charge(cpu, hook_cost, self._options_write, packet, cpu, device, then, front=True)
+
+    def _options_write(
+        self, packet: Packet, cpu, device, then: Optional[Callable[[], None]]
+    ) -> None:
+        node = self.node
+        hook_cost = node.fire_function_hook(HOOK_TCP_OPTIONS_WRITE, packet, cpu, device)
+        embed_cost = node.packet_hooks.on_tcp_options(packet, parent=self.trace_parent)
+        node.charge(
+            cpu,
+            hook_cost + embed_cost + node.noisy(node.costs.tcp_options_write_ns),
+            node.send_ip,
+            packet,
+            cpu,
+            self.remote_ip,
+            front=True,
+        )
+        if then is not None:
+            then()
 
     # -- receive path -----------------------------------------------------------------------
 
@@ -357,25 +363,25 @@ class TCPConnection:
     def _deliver_to_app(self, nbytes: int, packet: Packet, cpu) -> None:
         node = self.node
         costs = node.costs
-
-        def app_read() -> None:
-            packet.log_point(node.name, "tcp_recvmsg", node.engine.now, cpu.index)
-            hook_cost = node.fire_function_hook(HOOK_TCP_RECVMSG, packet, cpu)
-
-            def finish() -> None:
-                self.bytes_delivered += nbytes
-                self._send_ack()
-                if self.on_data is not None:
-                    self.on_data(self, nbytes, packet)
-
-            node.charge(cpu, hook_cost, finish, front=True)
-
         node.charge(
             cpu,
             node.noisy(costs.socket_deliver_ns + costs.socket_wakeup_ns),
-            app_read,
+            self._app_read,
+            nbytes,
+            packet,
+            cpu,
             front=True,
         )
+
+    def _app_read(self, nbytes: int, packet: Packet, cpu) -> None:
+        hook_cost = self.node.fire_function_hook(HOOK_TCP_RECVMSG, packet, cpu)
+        self.node.charge(cpu, hook_cost, self._app_delivered, nbytes, packet, front=True)
+
+    def _app_delivered(self, nbytes: int, packet: Packet) -> None:
+        self.bytes_delivered += nbytes
+        self._send_ack()
+        if self.on_data is not None:
+            self.on_data(self, nbytes, packet)
 
     def _send_ack(self) -> None:
         self.acks_sent += 1

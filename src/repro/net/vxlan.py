@@ -16,7 +16,7 @@ decapsulation.  Two behaviours matter for the paper's Case Study III:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.device import NetDevice
@@ -104,22 +104,36 @@ class VXLANDevice(NetDevice):
             return
         # Software segmentation: the tunnel cannot carry super-segments.
         segments = segment_packet(packet, self.inner_mss)
+        node.charge(
+            cpu,
+            node.noisy(node.costs.vxlan_encap_ns),
+            self._emit_segment,
+            segments,
+            0,
+            vtep_ip,
+            cpu,
+            front=True,
+        )
 
-        def emit(index: int) -> None:
-            if index >= len(segments):
-                return
-            inner = segments[index]
-            outer = self._encapsulate(inner, vtep_ip)
-            self.encapsulated += 1
-            node.send_ip(outer, cpu, dst_ip=vtep_ip)
-            node.charge(
-                cpu,
-                node.noisy(node.costs.vxlan_encap_ns),
-                lambda: emit(index + 1),
-                front=True,
-            )
-
-        node.charge(cpu, node.noisy(node.costs.vxlan_encap_ns), lambda: emit(0), front=True)
+    def _emit_segment(self, segments: List[Packet], index: int, vtep_ip: IPv4Address, cpu) -> None:
+        """Encapsulate and send segment ``index``, then charge the next
+        one's encap cost: one wire packet per stage."""
+        if index >= len(segments):
+            return
+        node = self.node
+        outer = self._encapsulate(segments[index], vtep_ip)
+        self.encapsulated += 1
+        node.send_ip(outer, cpu, dst_ip=vtep_ip)
+        node.charge(
+            cpu,
+            node.noisy(node.costs.vxlan_encap_ns),
+            self._emit_segment,
+            segments,
+            index + 1,
+            vtep_ip,
+            cpu,
+            front=True,
+        )
 
     def _encapsulate(self, inner: Packet, vtep_ip: IPv4Address) -> Packet:
         flow = packet_five_tuple(inner)
@@ -149,16 +163,16 @@ class VXLANDevice(NetDevice):
             self.stats.rx_dropped += 1
             return
         self.decapsulated += 1
-        inner.path = outer.path  # keep the ground-truth trail continuous
         eth = inner.eth
         if eth is not None and outer.ip is not None:
             self.vtep_fdb.setdefault(eth.src.value, outer.ip.src)  # learn
-        inner.log_point(node.name, f"dev:{self.name}:decap", node.engine.now, cpu.index)
         hook_cost = node.fire_device_hook(self, inner, cpu)
         node.charge(
             cpu,
             hook_cost + node.noisy(node.costs.vxlan_decap_ns),
-            lambda: self.gro.push(inner, cpu),
+            self.gro.push,
+            inner,
+            cpu,
             front=True,
         )
 
@@ -167,10 +181,6 @@ class VXLANDevice(NetDevice):
         # by the *inner* flow hash (this device has RPS enabled).
         NetDevice.receive(self, inner)
 
-    def deliver(self, packet: Packet, cpu) -> None:
-        # The dev hook already fired at decap time; after reinjection the
-        # frame goes straight to the overlay bridge (or the local stack).
-        if self.master is not None:
-            self.master.ingress(self, packet, cpu)
-        else:
-            self.node.l3_receive(self, packet, cpu)
+    # The dev hook already fired at decap time; after reinjection the
+    # frame goes straight to the overlay bridge (or the local stack).
+    deliver = NetDevice._continue_up

@@ -25,13 +25,18 @@ from repro.sim.engine import Engine
 
 
 class CPU:
-    """One hardware thread: FIFO job queue, run-to-completion jobs."""
+    """One hardware thread: FIFO job queue, run-to-completion jobs.
+
+    A job is ``(cost_ns, fn, args)``: when its service completes the CPU
+    calls ``fn(*args)``, so a stage hands its continuation over as a
+    bound method and its arguments instead of building a closure.
+    """
 
     def __init__(self, engine: Engine, name: str = "cpu0", index: int = 0):
         self.engine = engine
         self.name = name
         self.index = index
-        self._queue: Deque[Tuple[int, Optional[Callable[[], Any]]]] = deque()
+        self._queue: Deque[Tuple[int, Optional[Callable[..., Any]], tuple]] = deque()
         self._busy = False
         self._paused = False  # only a GatedCPU is ever paused
         self.busy_ns = 0
@@ -40,29 +45,29 @@ class CPU:
         # hypervisor scheduler to detect a vCPU going to sleep).
         self.on_idle: Optional[Callable[[], None]] = None
 
-    def submit(self, cost_ns: int, callback: Optional[Callable[[], Any]] = None) -> None:
-        """Queue a job; ``callback`` runs when its service completes."""
+    def submit(self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any) -> None:
+        """Queue a job; ``fn(*args)`` runs when its service completes."""
         cost_ns = int(cost_ns)
         if self._busy or self._paused:
-            self._queue.append((cost_ns, callback))
+            self._queue.append((cost_ns, fn, args))
         elif self._queue:  # a completion callback, with jobs still waiting
-            self._queue.append((cost_ns, callback))
+            self._queue.append((cost_ns, fn, args))
             self._start()
         else:
             self._busy = True
-            self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+            self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
 
     def submit_front(
-        self, cost_ns: int, callback: Optional[Callable[[], Any]] = None
+        self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any
     ) -> None:
         """Queue a job ahead of everything waiting (run-to-completion
         continuations within one softirq context use this)."""
         cost_ns = int(cost_ns)
         if self._busy or self._paused:
-            self._queue.appendleft((cost_ns, callback))
+            self._queue.appendleft((cost_ns, fn, args))
         else:  # the job would be the queue's head: start it
             self._busy = True
-            self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+            self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
 
     @property
     def queue_depth(self) -> int:
@@ -74,23 +79,23 @@ class CPU:
 
     def _start(self) -> None:
         self._busy = True
-        cost_ns, callback = self._queue.popleft()
-        self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+        cost_ns, fn, args = self._queue.popleft()
+        self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
 
-    def _complete(self, cost_ns: int, callback: Optional[Callable[[], Any]]) -> None:
+    def _complete(self, cost_ns: int, fn: Optional[Callable[..., Any]], args: tuple) -> None:
         self._busy = False
         self.busy_ns += cost_ns
         self.jobs_completed += 1
-        if callback is not None:
-            callback()
+        if fn is not None:
+            fn(*args)
         if self._busy:  # the callback's own submit started a job
             return
         queue = self._queue
         if queue:
             if not self._paused:
                 self._busy = True
-                cost_ns, callback = queue.popleft()
-                self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+                cost_ns, fn, args = queue.popleft()
+                self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
         elif self.on_idle is not None:
             self.on_idle()
 
@@ -118,17 +123,17 @@ class GatedCPU(CPU):
         self._paused = start_paused
         self.on_work_queued: Optional[Callable[[], None]] = None
 
-    def submit(self, cost_ns: int, callback: Optional[Callable[[], Any]] = None) -> None:
-        super().submit(cost_ns, callback)
+    def submit(self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any) -> None:
+        super().submit(cost_ns, fn, *args)
         # Tell the hypervisor there is pending work (event-channel kick),
         # even while paused -- that is what wakes a blocked vCPU.
         if self.on_work_queued is not None:
             self.on_work_queued()
 
     def submit_front(
-        self, cost_ns: int, callback: Optional[Callable[[], Any]] = None
+        self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any
     ) -> None:
-        super().submit_front(cost_ns, callback)
+        super().submit_front(cost_ns, fn, *args)
         if self.on_work_queued is not None:
             self.on_work_queued()
 

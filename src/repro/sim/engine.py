@@ -206,7 +206,10 @@ class Engine:
         if delay_ns:
             if delay_ns < 0:
                 raise SimulationError(f"negative delay {delay_ns}")
-            time_ns = self.now + int(delay_ns)
+            try:
+                time_ns = self.now + int(delay_ns)
+            except (ValueError, OverflowError):  # NaN, infinity
+                raise SimulationError(f"invalid delay {delay_ns}") from None
         else:
             # Zero-delay wakeups (signal triggers, process steps) dominate
             # scheduling; skip the add/convert entirely.
@@ -218,7 +221,11 @@ class Engine:
         """Run ``fn(*args)`` at absolute virtual time ``time_ns``."""
         if time_ns < self.now:
             raise SimulationError(f"cannot schedule at {time_ns} before now={self.now}")
-        heapq.heappush(self._heap, (int(time_ns), self._seq, fn, args))
+        try:
+            time_ns = int(time_ns)
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise SimulationError(f"invalid time {time_ns}") from None
+        heapq.heappush(self._heap, (time_ns, self._seq, fn, args))
         self._seq += 1
 
     def at_or_now(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -229,14 +236,18 @@ class Engine:
         plans use this so "crash node X at t=50ms" armed at t=60ms still
         takes effect (immediately) rather than aborting the run.
         """
-        self.schedule_at(max(int(time_ns), self.now), fn, *args)
+        self.schedule_at(max(time_ns, self.now), fn, *args)
 
     def timer(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Timer:
         """Like :meth:`schedule`, but returns a :class:`Timer` to cancel."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay {delay_ns}")
+        try:
+            time_ns = self.now + int(delay_ns)
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise SimulationError(f"invalid delay {delay_ns}") from None
         timer = Timer(fn, args, self)
-        heapq.heappush(self._heap, (self.now + int(delay_ns), self._seq, None, timer))
+        heapq.heappush(self._heap, (time_ns, self._seq, None, timer))
         self._seq += 1
         return timer
 

@@ -107,12 +107,11 @@ class HTBShaper:
         cls._next_free_ns = start + int(packet.total_length / cls.rate_bytes_per_ns)
         cls.shaped += 1
         cls.pending += 1
+        self.engine.schedule_at(cls._next_free_ns, self._release, cls, packet)
 
-        def fire() -> None:
-            cls.pending -= 1
-            self.release(packet)
-
-        self.engine.schedule_at(cls._next_free_ns, fire)
+    def _release(self, cls: HTBClass, packet: Packet) -> None:
+        cls.pending -= 1
+        self.release(packet)
 
 
 class OVSPort:
@@ -152,11 +151,6 @@ class OVSPort:
         if len(self.queue) >= self.queue_capacity:
             self.queue_drops += 1
             return
-        packet.log_point(
-            self.bridge.node.name,
-            f"ovs:{self.device.name}:enqueue",
-            self.bridge.node.engine.now,
-        )
         self.queue.append(packet)
         self.enqueued += 1
         self.bridge._kick()
@@ -215,11 +209,7 @@ class OVSBridge(NetDevice):
         eth = packet.eth
         if eth is not None:
             self.fdb[eth.src.value] = port  # learn
-
-        def enqueue() -> None:
-            port.submit(packet)
-
-        node.charge(cpu, node.noisy(node.costs.ovs_port_rx_ns), enqueue, front=True)
+        node.charge(cpu, node.noisy(node.costs.ovs_port_rx_ns), port.submit, packet, front=True)
 
     # -- the serialized datapath ---------------------------------------------------
 
@@ -252,39 +242,42 @@ class OVSBridge(NetDevice):
             node.costs.ovs_switch_ns
             + (busy_ports - 1) * node.costs.ovs_switch_per_busy_port_ns
         )
-        self.datapath_cpu.submit(service_ns, lambda: self._switch(chosen, packet))
+        self.datapath_cpu.submit(service_ns, self._switch, chosen, packet)
 
     def _switch(self, in_port: OVSPort, packet: Packet) -> None:
-        node = self.node
         self.switched += 1
-        packet.log_point(node.name, f"dev:{self.name}:switch", node.engine.now)
-        hook_cost = node.fire_device_hook(self, packet, self.datapath_cpu)
+        hook_cost = self.node.fire_device_hook(self, packet, self.datapath_cpu)
+        self.node.charge(
+            self.datapath_cpu, hook_cost, self._switch_out, in_port, packet, front=True
+        )
 
-        def egress() -> None:
-            eth = packet.eth
-            if eth is not None and (
-                eth.dst == self.mac
-                or (self.ip is not None and packet.ip is not None and packet.ip.dst == self.ip)
-            ):
-                # The LOCAL port: traffic for the host stack itself.
-                node.l3_receive(self, packet, self.datapath_cpu)
-                self._serve_next()
-                return
-            out_port: Optional[OVSPort] = None
-            if eth is not None:
-                out_port = self.fdb.get(eth.dst.value)
-            if out_port is not None and out_port is not in_port:
-                node.charge(
-                    self.datapath_cpu,
-                    node.noisy(node.costs.ovs_port_tx_ns),
-                    lambda: out_port.device.transmit(packet, self.datapath_cpu),
-                    front=True,
-                )
-            elif out_port is None:
-                self._flood(in_port, packet)
+    def _switch_out(self, in_port: OVSPort, packet: Packet) -> None:
+        node = self.node
+        cpu = self.datapath_cpu
+        eth = packet.eth
+        if eth is not None and (
+            eth.dst == self.mac
+            or (self.ip is not None and packet.ip is not None and packet.ip.dst == self.ip)
+        ):
+            # The LOCAL port: traffic for the host stack itself.
+            node.l3_receive(self, packet, cpu)
             self._serve_next()
-
-        node.charge(self.datapath_cpu, hook_cost, egress, front=True)
+            return
+        out_port: Optional[OVSPort] = None
+        if eth is not None:
+            out_port = self.fdb.get(eth.dst.value)
+        if out_port is not None and out_port is not in_port:
+            node.charge(
+                cpu,
+                node.noisy(node.costs.ovs_port_tx_ns),
+                out_port.device.transmit,
+                packet,
+                cpu,
+                front=True,
+            )
+        elif out_port is None:
+            self._flood(in_port, packet)
+        self._serve_next()
 
     def _flood(self, in_port: OVSPort, packet: Packet) -> None:
         self.flooded += 1

@@ -84,7 +84,7 @@ class MemcachedServer:
             self.gets += 1
             service_ns, response = GET_SERVICE_NS, GET_RESPONSE_BYTES
         cpu = self.node.cpus[self.cpu_index]
-        self.node.charge(cpu, self.node.noisy(service_ns), lambda: conn.send_app_bytes(response))
+        self.node.charge(cpu, self.node.noisy(service_ns), conn.send_app_bytes, response)
 
 
 class DataCachingClient:

@@ -1,7 +1,10 @@
 """Shared fixtures for the test suite."""
 
+from functools import partial
+
 import pytest
 
+from repro.ebpf.probes import CallbackAttachment
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.stack import KernelNode
 from repro.sim.engine import Engine
@@ -12,6 +15,41 @@ def pack(records) -> bytes:
     """One packed shipment blob (the only batch type the collector and
     the streaming aggregator ingest) from ``TraceRecord``s."""
     return b"".join(record.pack() for record in records)
+
+
+class HookRecorder:
+    """The simulator's ground-truth oracle, kept on the test side.
+
+    :meth:`attach` puts a zero-cost :class:`CallbackAttachment` on hooks
+    of a node; every fire appends ``(node, hook, engine time, cpu,
+    packet)`` to :attr:`log`.  The handler charges nothing and a fire
+    counts in ``fire_counts`` attached or not, so recording moves no
+    event and no random draw -- and it reads the engine clock, the one
+    a tracer's timestamps are taken from when clocks have no offset.
+    """
+
+    def __init__(self):
+        self.log = []
+
+    def attach(self, node, *hooks):
+        for hook in hooks:
+            node.hooks.attach(hook, CallbackAttachment(partial(self._record, node)))
+        return self
+
+    def _record(self, node, event):
+        self.log.append((node.name, event.hook, node.engine.now, event.cpu, event.packet))
+
+    def times(self, node_name, hook):
+        """``{packet uid: engine time}`` of ``hook``'s fires on one node."""
+        return {
+            packet.uid: now
+            for name, fired, now, _cpu, packet in self.log
+            if name == node_name and fired == hook
+        }
+
+    def hooks_seen(self, packet):
+        """``(node, hook)`` of every recorded fire that carried ``packet``."""
+        return [(name, hook) for name, hook, _now, _cpu, seen in self.log if seen is packet]
 
 
 @pytest.fixture

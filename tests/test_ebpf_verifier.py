@@ -116,6 +116,19 @@ class TestRejects:
         with pytest.raises(VerifierError, match="uninitialized"):
             verify(asm.assemble())
 
+    @pytest.mark.parametrize("op", [isa.BPF_NEG, isa.BPF_END], ids=["neg", "end"])
+    def test_neg_and_end_read_their_destination(self, op):
+        # Linux's check_alu_op checks dst_reg as a source for both ops:
+        # negating or byte-swapping an unset register reads it.
+        program = [
+            Instruction(isa.BPF_ALU | op | isa.BPF_K, dst=R3, imm=32),
+            Instruction(isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_X, dst=R0, src=R3),
+            Instruction(isa.BPF_JMP | isa.BPF_EXIT),
+        ]
+        with pytest.raises(VerifierError, match=r"insn 0: .* register r3 \(dst\)"):
+            verify(program)
+        verify([Instruction(isa.BPF_ALU64 | isa.BPF_MOV | isa.BPF_K, dst=R3, imm=5)] + program)
+
     def test_r0_uninitialized_at_exit(self):
         asm = Assembler()
         asm.mov_imm(R2, 1)

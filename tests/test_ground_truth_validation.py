@@ -1,10 +1,11 @@
 """Oracle validation: vNetTracer's measured latencies must equal the
-simulator's ground-truth path log.
+simulator's ground truth.
 
-Every packet carries a `path` of (node, point, true_time) entries the
-substrate appends as it moves -- an oracle no real system has.  With
-zero clock offsets, eBPF timestamps are the same engine clock, so the
-tracer's per-packet latencies must match the oracle exactly.
+The oracle is a zero-cost test-side handler on the traced hooks
+(:class:`tests.conftest.HookRecorder`) logging the engine time of every
+fire -- an oracle no real system has.  With zero clock offsets, eBPF
+timestamps are the same engine clock, so the tracer's per-packet
+latencies must match the oracle exactly.
 """
 
 import pytest
@@ -14,8 +15,10 @@ from repro.net.packet import IPPROTO_UDP
 from repro.net.stack import KernelNode
 from repro.net.device import VethDevice
 from repro.net.addressing import IPv4Address
+from repro.experiments.topologies import build_two_host_kvm
 from repro.sim.clock import NodeClock
 from repro.sim.engine import Engine
+from tests.conftest import HookRecorder
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -46,6 +49,9 @@ def test_measured_latency_equals_oracle(seed):
         ],
     )
     tracer.deploy(spec)
+    oracle_log = HookRecorder()
+    oracle_log.attach(node_a, "kprobe:udp_send_skb")
+    oracle_log.attach(node_b, "kprobe:udp_rcv")
 
     delivered = []
     server = node_b.bind_udp(ip_b, 9000)
@@ -57,13 +63,10 @@ def test_measured_latency_equals_oracle(seed):
     engine.run(until=500_000_000)
     tracer.collect()
 
-    # Oracle latencies from the packets' ground-truth path logs.
-    oracle = []
-    for packet in delivered:
-        points = {rec.point: rec.true_time_ns for rec in packet.path}
-        # The udp_rcv hook fires at the instant the path log records
-        # the "udp_rcv" point; the send hook likewise at "udp_send_skb".
-        oracle.append(points["udp_rcv"] - points["udp_send_skb"])
+    # Oracle latencies: engine time between the two fires per packet.
+    sent = oracle_log.times(node_a.name, "kprobe:udp_send_skb")
+    received = oracle_log.times(node_b.name, "kprobe:udp_rcv")
+    oracle = [received[packet.uid] - sent[packet.uid] for packet in delivered]
 
     measured = tracer.latencies("send", "recv")
     assert len(measured) == len(oracle) == 20
@@ -94,3 +97,47 @@ def test_clock_base_cancels_in_measurements(engine, two_nodes):
     tracer.collect()
     (latency,) = tracer.latencies("s1", "s2")
     assert 0 < latency < 10_000  # one stack stage, not an hour
+
+
+def test_oracle_holds_through_ovs_on_the_kvm_scene():
+    """The same oracle on a virt path: guest stack, virtio, the host's
+    OVS datapath, the wire, the peer host's OVS and the peer guest."""
+    scene = build_two_host_kvm(seed=5, clock_offset2_ns=0, clock_drift2_ppm=0.0)
+    engine = scene.engine
+    points = [
+        (scene.vm1.node, "kprobe:udp_send_skb", "vm1:send"),
+        (scene.host1.node, "dev:ovs-br1", "h1:ovs"),
+        (scene.host2.node, "dev:ovs-br1", "h2:ovs"),
+        (scene.vm2.node, "kprobe:udp_rcv", "vm2:recv"),
+    ]
+    tracer = VNetTracer(engine)
+    for node in (scene.host1.node, scene.host2.node, scene.vm1.node, scene.vm2.node):
+        tracer.add_agent(node)
+    tracer.deploy(TracingSpec(
+        rule=FilterRule(dst_port=9000, protocol=IPPROTO_UDP),
+        tracepoints=[
+            TracepointSpec(node=node.name, hook=hook, label=label)
+            for node, hook, label in points
+        ],
+    ))
+    recorder = HookRecorder()
+    for node, hook, _label in points:
+        recorder.attach(node, hook)
+
+    delivered = []
+    server = scene.vm2.node.bind_udp(scene.vm2_ip, 9000)
+    server.on_receive = lambda payload, src, sport, pkt: delivered.append(pkt)
+    client = scene.vm1.node.bind_udp(scene.vm1_ip, 9001)
+    for i in range(20):
+        engine.schedule(1_000_000 + i * 555_000, client.sendto, scene.vm2_ip, 9000,
+                        b"y" * (20 + i), "oracle", i)
+    engine.run(until=200_000_000)
+    tracer.collect()
+
+    assert len(delivered) == 20
+    sent = recorder.times(scene.vm1.node.name, "kprobe:udp_send_skb")
+    for node, hook, label in points[1:]:
+        reached = recorder.times(node.name, hook)
+        oracle = [reached[packet.uid] - sent[packet.uid] for packet in delivered]
+        assert all(latency > 0 for latency in oracle)
+        assert sorted(tracer.latencies("vm1:send", label)) == sorted(oracle)

@@ -161,10 +161,8 @@ class TestPacket:
     def test_clone_copies_structure_not_identity(self):
         packet = make_tcp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 2, b"abc", seq=9)
         packet.metadata["k"] = "v"
-        packet.log_point("n", "p", 1)
         clone = packet.clone()
         assert clone.uid != packet.uid
-        assert clone.path == []
         assert clone.metadata == {"k": "v"}
         clone.tcp.seq = 100
         assert packet.tcp.seq == 9  # deep header copy
@@ -188,12 +186,6 @@ class TestPacket:
         assert parsed.inner is not None
         assert parsed.inner.payload == b"inner-data"
         assert parsed.innermost.udp.dst_port == 6
-
-    def test_path_log_records_points(self, engine):
-        packet = make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1, 2, b"")
-        packet.log_point("node1", "dev:eth0:tx", 100, cpu=2)
-        assert packet.path_summary() == [("node1", "dev:eth0:tx")]
-        assert packet.path[0].cpu == 2
 
 
 class TestWireImage:
@@ -273,11 +265,10 @@ class TestCloneIndependence:
     def _check(self, build, mutate, target=lambda packet: packet):
         original = build()
         original.metadata["gso_segs"] = 3
-        original.log_point("n", "p", 1)
         before = original.to_bytes()
         clone = original.clone()
         assert clone.to_bytes() == before
-        assert clone.uid != original.uid and clone.path == []
+        assert clone.uid != original.uid
         mutate(target(clone))
         clone.metadata["gso_segs"] = 1
         assert clone.to_bytes() != before

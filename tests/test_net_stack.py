@@ -7,6 +7,7 @@ from repro.net.device import VethDevice
 from repro.net.stack import KernelNode, StackError
 from repro.net.traceid import TraceIDEngine, extract_trace_id
 from repro.sim.engine import Engine
+from tests.conftest import HookRecorder
 
 
 class TestRouting:
@@ -167,9 +168,14 @@ class TestForwarding:
         server.on_receive = lambda payload, src, sport, pkt: got.append(pkt)
         node_a.add_route(IPv4Address("172.16.0.0"), 16, node_a.device("veth0"))
         node_a.add_neighbor(target_ip, node_b.device("veth0").mac)
+        recorder = HookRecorder().attach(node_b, "dev:veth0", "dev:leg0", "dev:leg1")
         node_a.bind_udp(ip_a, 9001).sendto(target_ip, 9000, b"x")
         engine.run()
         assert len(got) == 1
-        # The packet's ground-truth path shows the extra veth hop.
-        points = [point for _node, point in got[0].path_summary()]
-        assert "dev:leg0:tx" in points and "dev:leg1:rx" in points
+        # The packet takes the extra veth hop: in at veth0, out through
+        # leg0 (tx), in again at leg1 (rx).
+        assert recorder.hooks_seen(got[0]) == [
+            ("beta", "dev:veth0"),
+            ("beta", "dev:leg0"),
+            ("beta", "dev:leg1"),
+        ]

@@ -7,7 +7,9 @@ calls, made directly, from events scheduled later, and from the
 completion callbacks of earlier jobs, and plays each on the real CPU and
 on :class:`ReferenceCPU` below -- every job goes through the queue,
 written to be obviously right rather than fast, sharing no code with
-``repro.sim.cpu``.  After every ``run`` the completion log, the busy
+``repro.sim.cpu``.  Every job carries a generated argument tuple, and
+its callback must receive exactly those arguments.  After every ``run``
+the completion log (with the arguments each callback got), the busy
 time, the completed-job count, the ``on_idle`` times, the
 ``on_work_queued`` count, the queue state and the engine's own event
 count and clock must agree.
@@ -40,12 +42,12 @@ class ReferenceCPU:
         self.on_idle = None
         self.on_work_queued = None
 
-    def submit(self, cost_ns, callback=None):
-        self.queue.append((cost_ns, callback))
+    def submit(self, cost_ns, callback=None, *args):
+        self.queue.append((cost_ns, callback, args))
         self._arrived()
 
-    def submit_front(self, cost_ns, callback=None):
-        self.queue.appendleft((cost_ns, callback))
+    def submit_front(self, cost_ns, callback=None, *args):
+        self.queue.appendleft((cost_ns, callback, args))
         self._arrived()
 
     def _arrived(self):
@@ -57,15 +59,16 @@ class ReferenceCPU:
         if self.running or self.paused or not self.queue:
             return
         self.running = True
-        cost_ns, callback = self.queue.popleft()
-        self.engine.schedule(cost_ns, self._complete, cost_ns, callback)
+        job = self.queue.popleft()
+        self.engine.schedule(job[0], self._complete, job)
 
-    def _complete(self, cost_ns, callback):
+    def _complete(self, job):
+        cost_ns, callback, args = job
         self.running = False
         self.busy_ns += cost_ns
         self.jobs_completed += 1
         if callback is not None:
-            callback()
+            callback(*args)
         self._maybe_start()
         if not self.running and not self.queue and self.on_idle is not None:
             self.on_idle()
@@ -93,14 +96,15 @@ def _real_state(cpu):
 # -- scripts -----------------------------------------------------------------
 
 _costs = st.integers(0, 30)
+_args = st.lists(st.integers(-3, 3), max_size=3).map(tuple)
 
 
 def _actions(bodies):
     return st.one_of(
-        # A job: its cost and what its completion callback does (None: no
-        # callback at all).
+        # A job: its cost, what its completion callback does (None: no
+        # callback at all) and the arguments it is submitted with.
         st.tuples(st.sampled_from(["submit", "submit_front"]), _costs,
-                  st.one_of(st.none(), bodies)),
+                  st.one_of(st.none(), bodies), _args),
         st.tuples(st.sampled_from(["pause", "resume"])),  # gated CPUs only
         st.tuples(st.just("later"), st.integers(0, 40), bodies),
     )
@@ -125,8 +129,9 @@ def play(make, state, gated, start_paused, script):
     if gated:
         cpu.on_work_queued = lambda: kicks.append(engine.now)
 
-    def done(label, body):
-        log.append((engine.now, label))
+    def done(label, body, expected, *received):
+        assert received == expected
+        log.append((engine.now, label, received))
         perform(body)
 
     def perform(body):
@@ -138,9 +143,9 @@ def play(make, state, gated, start_paused, script):
             elif kind == "later":
                 engine.schedule(action[1], perform, action[2])
             else:
-                _, cost, then = action
-                callback = None if then is None else partial(done, next(labels), then)
-                getattr(cpu, kind)(cost, callback)
+                _, cost, then, args = action
+                callback = None if then is None else partial(done, next(labels), then, args)
+                getattr(cpu, kind)(cost, callback, *args)
 
     for op in script:
         if op[0] != "run":

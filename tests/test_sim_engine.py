@@ -32,6 +32,13 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.schedule(-1, lambda: None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at", "timer", "at_or_now"])
+    def test_non_finite_time_is_a_simulation_error(self, engine, entry, value):
+        with pytest.raises(SimulationError):
+            getattr(engine, entry)(value, lambda: None)
+        assert engine.pending() == 0
+
     def test_schedule_at_past_rejected(self, engine):
         engine.schedule(50, lambda: None)
         engine.run()
