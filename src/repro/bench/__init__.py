@@ -1,22 +1,24 @@
 """The figure suite (`repro bench`).
 
-The ``benchmarks/bench_*.py`` scenario files each expose a tiny
-``run(preset)`` entry point; this package discovers them, runs them
-under a preset (``smoke``/``full``) and reports what each one
-*computed* -- engine events, probe fires, the scenario's own metrics --
-as one canonical JSON document.  At the smoke preset each scenario's
-entry is a ``bench:`` row of the pin table, ``tests/golden/pins.json``;
-``python -m tests.pins`` regenerates every row and fails on any digit
-of difference.  Host speed is printed per scenario for
-orientation and never stored: measuring it is ``pipeline_bench``'s job.
+Every :data:`repro.experiments.SCENARIOS` entry with a ``pinned``
+reference is a bench scenario: the twelve paper figures, the fleet legs,
+the ablations and the micro benches (:mod:`repro.bench.micro`).  This
+package runs them under a preset (``smoke``/``full``) and reports what
+each one *computed* -- engine events, probe fires, the scenario's own
+metrics -- as one canonical JSON document.  At the smoke preset each
+scenario's entry is a ``bench:`` row of the pin table,
+``tests/golden/pins.json``; ``python -m tests.pins`` regenerates every
+row and fails on any digit of difference.  Host speed is printed per
+scenario for orientation and never stored: measuring it is
+``pipeline_bench``'s job.
 
 See ``docs/BENCHMARKS.md`` for the schema, presets, and workflow.
 """
 
-from repro.bench.discovery import BenchScenario, discover_scenarios, find_bench_dir
 from repro.bench.harness import (
     SCHEMA_VERSION,
     ScenarioResult,
+    bench_specs,
     build_report,
     dumps_report,
     run_scenario,
@@ -26,15 +28,13 @@ from repro.bench.harness import (
 from repro.bench.presets import PRESETS, check_preset, scale_count, scale_duration
 
 __all__ = [
-    "BenchScenario",
     "PRESETS",
     "SCHEMA_VERSION",
     "ScenarioResult",
+    "bench_specs",
     "build_report",
     "check_preset",
-    "discover_scenarios",
     "dumps_report",
-    "find_bench_dir",
     "run_scenario",
     "run_suite",
     "scale_count",

@@ -1,4 +1,4 @@
-"""Run scenarios and report what they computed.
+"""Run the bench scenarios and report what they computed.
 
 For every scenario the harness snapshots two process-wide simulation
 counters around the run:
@@ -16,7 +16,7 @@ the code and the seeds alone, so the report built from them::
       "preset": "smoke",
       "scenarios": [
         {
-          "name": "fig7a_overhead_latency",
+          "name": "fig7a",
           "events_executed": 123456,
           "probe_fires": 2880,
           "metrics": {...}
@@ -35,11 +35,11 @@ import gc
 import json
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Union
 
-from repro.bench.discovery import BenchScenario, discover_scenarios
 from repro.bench.presets import check_preset
 from repro.ebpf.vm import BPFProgram
+from repro.experiments import SCENARIOS, ScenarioSpec, pinned_names
 from repro.sim.engine import Engine
 
 SCHEMA_VERSION = 2
@@ -73,10 +73,26 @@ class ScenarioResult(NamedTuple):
         return self.wall_ns / self.probe_fires
 
 
-def run_scenario(scenario: BenchScenario, preset: str = "smoke") -> ScenarioResult:
-    """Load and execute one scenario under ``preset``."""
+def bench_specs(only: Optional[Iterable[str]] = None) -> List[ScenarioSpec]:
+    """The registered bench scenarios, sorted by name; ``only`` keeps
+    the named ones, and naming one that is not registered with a
+    ``pinned`` reference is an error, not a silent empty run."""
+    names = pinned_names()
+    if only:
+        wanted = set(only)
+        unknown = sorted(wanted.difference(names))
+        if unknown:
+            raise ValueError(
+                f"unknown bench scenario(s) {', '.join(unknown)}; registered: {', '.join(names)}"
+            )
+        names = [name for name in names if name in wanted]
+    return [SCENARIOS[name] for name in names]
+
+
+def run_scenario(spec: ScenarioSpec, preset: str = "smoke") -> ScenarioResult:
+    """Execute one scenario's ``pinned`` callable under ``preset``."""
     check_preset(preset)
-    run = scenario.load()
+    run = spec.pinned_fn()
     # Keep collector pauses out of the timed window: collect what
     # earlier scenarios left behind, then freeze the surviving heap so
     # full collections triggered *during* the window scan only this
@@ -95,11 +111,11 @@ def run_scenario(scenario: BenchScenario, preset: str = "smoke") -> ScenarioResu
         gc.unfreeze()
     if not isinstance(metrics, dict):
         raise HarnessError(
-            f"scenario {scenario.name}: run(preset) must return a dict of "
+            f"scenario {spec.name}: its pinned(preset) must return a dict of "
             f"metrics, got {type(metrics).__name__}"
         )
     return ScenarioResult(
-        name=scenario.name,
+        name=spec.name,
         preset=preset,
         wall_ns=wall_ns,
         events_executed=Engine.global_events_executed() - events_before,
@@ -109,16 +125,15 @@ def run_scenario(scenario: BenchScenario, preset: str = "smoke") -> ScenarioResu
 
 
 def run_suite(
+    specs: List[ScenarioSpec],
     preset: str = "smoke",
-    only: Optional[List[str]] = None,
-    bench_dir: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[ScenarioResult]:
-    """Discover and run scenarios; ``progress`` gets one line per scenario."""
+    """Run ``specs`` in order; ``progress`` gets one line per scenario."""
     check_preset(preset)
     results = []
-    for scenario in discover_scenarios(bench_dir, only=only):
-        result = run_scenario(scenario, preset)
+    for spec in specs:
+        result = run_scenario(spec, preset)
         results.append(result)
         if progress is not None:
             nspp = result.ns_per_probe

@@ -20,7 +20,8 @@
 the one table of runnable things; `--verbose` adds each spec's
 references.  `run` takes its figures from that table: each prints its
 paper-vs-measured block (the presenter beside its runner), `run all`
-walks the whole evaluation (§IV).  The same runners back `benchmarks/`.
+walks the whole evaluation (§IV).  The same runners back `repro bench`
+and the paper-claims tests (`tests/test_paper_claims.py`).
 
 `stats` runs the quickstart tracing scenario with the self-observability
 layer attached (see docs/OBSERVABILITY.md) and emits the pipeline's own
@@ -49,9 +50,10 @@ carrying its parent's trace ID, reconstructed into a cross-service span
 forest; `--deterministic` emits one canonical JSON document (a row of
 the pin table, identical across shard counts).
 
-`bench` regenerates every `benchmarks/bench_*.py` scenario and reports
-its simulation-deterministic outputs as one canonical JSON document.
-Each scenario's entry is a row of the pin table, `tests/golden/pins.json`,
+`bench` runs every registered spec with a `pinned` reference (`repro
+list` prints them) and reports its simulation-deterministic outputs as
+one canonical JSON document.  Each scenario's entry is a row of the pin
+table, `tests/golden/pins.json`,
 which `python -m tests.pins` regenerates and diffs (docs/BENCHMARKS.md).
 Host speed is `pipeline_bench`'s job, not this verb's.
 """
@@ -80,7 +82,7 @@ def _list(args) -> None:
         spec = SCENARIOS[name]
         print(f"{name:<{width}}  {spec.title}")
         if args.verbose:
-            for role in ("run", "present", "build", "digest"):
+            for role in ("run", "present", "build", "digest", "pinned"):
                 if getattr(spec, role):
                     print(f"{'':<{width}}    {role + ':':8s} {getattr(spec, role)}")
 
@@ -401,40 +403,25 @@ def _rpc(args) -> int:
 
 
 def _bench(args) -> int:
-    from repro.bench import (
-        build_report,
-        discover_scenarios,
-        dumps_report,
-        find_bench_dir,
-        run_suite,
-        write_report,
-    )
-    from repro.bench.discovery import DiscoveryError
+    from repro.bench import bench_specs, build_report, dumps_report, run_suite, write_report
 
     try:
-        bench_dir = find_bench_dir(args.bench_dir)
-        if args.list:
-            for scenario in discover_scenarios(bench_dir):
-                print(scenario.name)
-            return 0
-        progress = None if args.json else print
-        profile = None
-        if args.profile is not None:
-            import cProfile
-
-            profile = cProfile.Profile()
-            profile.enable()
-        try:
-            results = run_suite(
-                preset=args.preset, only=args.only or None, bench_dir=bench_dir,
-                progress=progress,
-            )
-        finally:
-            if profile is not None:
-                profile.disable()
-    except DiscoveryError as exc:
+        specs = bench_specs(args.only)
+    except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
+    progress = None if args.json else print
+    profile = None
+    if args.profile is not None:
+        import cProfile
+
+        profile = cProfile.Profile()
+        profile.enable()
+    try:
+        results = run_suite(specs, preset=args.preset, progress=progress)
+    finally:
+        if profile is not None:
+            profile.disable()
     report = build_report(results, args.preset)
     if args.json:
         print(dumps_report(report), end="")
@@ -628,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write to a file instead of stdout")
     bench = sub.add_parser(
         "bench",
-        help="regenerate every benchmarks/bench_*.py scenario and report its "
+        help="run every registered scenario with a pinned role and report its "
              "deterministic outputs (docs/BENCHMARKS.md)",
     )
     bench.add_argument("--preset", choices=("smoke", "full"), default="smoke",
@@ -646,10 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wrap the run in cProfile and print the top N "
                             "functions by cumulative time (default 25) to "
                             "stderr")
-    bench.add_argument("--list", action="store_true",
-                       help="list discovered scenarios and exit")
-    bench.add_argument("--bench-dir", metavar="DIR", default=None,
-                       help="benchmarks directory (default: auto-detect)")
     return parser
 
 

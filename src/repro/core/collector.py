@@ -125,10 +125,10 @@ class RawDataCollector:
         """Ingest one packed shipment blob (N x 24-byte records,
         bulk-decoded by ``TraceDB.insert_packed``); timestamps are
         aligned by the database using the node's registered skew offset
-        (see the module docstring).  A blob that is not bytes-like or
-        not a whole number of records raises
-        :class:`~repro.core.records.MalformedBatchError` before any
-        state changes, so a well-formed retransmission of the same
+        (see the module docstring).  A blob that is not bytes-like, not
+        a whole number of records or holding an out-of-range timestamp
+        raises :class:`~repro.core.records.MalformedBatchError` before
+        any state changes, so a well-formed retransmission of the same
         ``seq`` still applies.
 
         ``liveness`` controls whether the batch refreshes the node's

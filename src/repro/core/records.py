@@ -25,16 +25,24 @@ RECORD_BYTES = RECORD_STRUCT.size  # 24
 
 assert RECORD_BYTES == 24
 
+# Timestamps must stay below 2**62 ns (~146 years of ktime): with every
+# clock skew below it too (TraceDB.set_clock_skew), an aligned timestamp
+# always fits the TraceDB's signed 64-bit columns.
+MAX_TIMESTAMP_NS = 1 << 62
+# The top byte of a timestamp below MAX_TIMESTAMP_NS is one of these.
+_TIMESTAMP_TOP_BYTES = bytes(range(MAX_TIMESTAMP_NS >> 56))
+
 
 class MalformedBatchError(ValueError):
-    """A shipment blob that is not bytes-like, or not a whole number of
-    :data:`RECORD_BYTES`-byte records (truncated in flight)."""
+    """A shipment blob that is not bytes-like, not a whole number of
+    :data:`RECORD_BYTES`-byte records (truncated in flight), or holding
+    a timestamp of :data:`MAX_TIMESTAMP_NS` or more."""
 
     @classmethod
     def check(cls, blob) -> None:
-        """Raise unless ``blob`` can be bulk-decoded.  Ingest calls this
-        before touching any state, so a rejected blob leaves no trace
-        and its well-formed retransmission still applies."""
+        """Raise unless ``blob`` can be bulk-decoded and stored.  Ingest
+        calls this before touching any state, so a rejected blob leaves
+        no trace and its well-formed retransmission still applies."""
         if not isinstance(blob, (bytes, bytearray, memoryview)):
             raise cls(f"shipment blob must be bytes-like, got {type(blob).__name__}")
         size = memoryview(blob).nbytes
@@ -43,6 +51,9 @@ class MalformedBatchError(ValueError):
                 f"shipment blob of {size} bytes is not a whole number of "
                 f"{RECORD_BYTES}-byte records"
             )
+        # Byte 15 of each record is its timestamp's most significant byte.
+        if bytes(blob[15::RECORD_BYTES]).translate(None, _TIMESTAMP_TOP_BYTES):
+            raise cls(f"shipment blob holds a timestamp of {MAX_TIMESTAMP_NS} ns or more")
 
 
 class TraceRecord(NamedTuple):

@@ -41,10 +41,16 @@ legacy row-store byte-for-byte (see tests/test_tracedb_columnar.py).
 
 from __future__ import annotations
 
+import struct
 from array import array
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.core.records import RECORD_STRUCT, MalformedBatchError, TraceRecord
+from repro.core.records import (
+    MAX_TIMESTAMP_NS,
+    RECORD_STRUCT,
+    MalformedBatchError,
+    TraceRecord,
+)
 from repro.obs import contract as obs_contract
 from repro.obs.registry import MetricsRegistry
 
@@ -195,8 +201,13 @@ class TraceDB:
         """Record the estimated offset to ADD to ``node`` timestamps to
         express them on the master clock.  Counts as a mutation: device
         spans stamp the current skew at assembly time, so cached forests
-        must not survive a skew change."""
-        self._skew_ns[node] = int(skew_ns)
+        must not survive a skew change.  ``|skew_ns|`` must stay below
+        :data:`~repro.core.records.MAX_TIMESTAMP_NS`, so that every
+        aligned timestamp fits a signed 64-bit column."""
+        skew_ns = int(skew_ns)
+        if not -MAX_TIMESTAMP_NS < skew_ns < MAX_TIMESTAMP_NS:
+            raise ValueError(f"clock skew {skew_ns} ns of {node!r} is not below 2**62 ns")
+        self._skew_ns[node] = skew_ns
         self.generation += 1
 
     def clock_skew(self, node: str) -> int:
@@ -227,6 +238,15 @@ class TraceDB:
         self._trace_rows.pop(trace_id, None)  # insert invalidates the cache
 
     def insert(self, node: str, label: str, record: TraceRecord) -> TraceRow:
+        """Store one record; a record that does not pack into the wire
+        format, or whose timestamp is out of range, raises
+        :class:`~repro.core.records.MalformedBatchError` and stores
+        nothing."""
+        try:
+            packed = record.pack()
+        except struct.error as exc:
+            raise MalformedBatchError(f"trace record {record} does not pack: {exc}") from None
+        MalformedBatchError.check(packed)
         aligned = record.timestamp_ns + self._skew_ns.get(node, 0)
         table = self._table(label)
         pos = table.append(
@@ -263,9 +283,9 @@ class TraceDB:
         table labels; records with an unregistered ID land in a
         ``tracepoint-<id>`` table and are counted.  Returns
         ``(records_ingested, unknown_tracepoint_records)``; a blob that
-        is not a whole number of records raises
-        :class:`~repro.core.records.MalformedBatchError` and stores
-        nothing."""
+        :meth:`~repro.core.records.MalformedBatchError.check` rejects
+        raises :class:`~repro.core.records.MalformedBatchError` and
+        stores nothing."""
         MalformedBatchError.check(blob)
         skew = self._skew_ns.get(node, 0)
         node_idx = self._node_index(node)

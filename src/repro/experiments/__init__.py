@@ -1,9 +1,9 @@
 """Experiment scenarios reproducing the paper's evaluation (§IV).
 
 Each module builds its topology from :mod:`repro.experiments.topologies`
-and returns structured results; the ``benchmarks/`` tree and the
-runnable ``examples/`` are thin wrappers over these runners, so every
-figure regenerates from one code path.
+and returns structured results; ``repro run``, ``repro bench``, the
+paper-claims tests and the runnable ``examples/`` all call these
+runners, so every figure regenerates from one code path.
 
 ==================  ================================================
 module              paper content
@@ -14,17 +14,20 @@ ovs_case            Case Study I: Fig. 8(b), Fig. 9(a), Fig. 9(b)
 xen_case            Case Study II: Fig. 10(a/b), Fig. 11(a/b)
 container_case      Case Study III: Fig. 12(b), Fig. 13(a/b)
 clocksync_case      §III-B Cristian estimation accuracy (Fig. 4)
+ablations           the §II / §III-C ablations (DESIGN.md §5)
 rpc_case            cross-service RPC tracing (docs/SERVICES.md)
 ==================  ================================================
 
 :data:`SCENARIOS` is the one table of runnable things: ``repro list``
 prints it, ``repro run`` takes its choices, runners and presenters from
 it (the entries with a ``present`` reference are the paper figures),
-and ``repro rpc`` resolves its runner through it.  Specs hold *dotted
-references* (``"module:attr"``), so registering or listing a scenario
-imports nothing -- ``import repro.experiments`` runs inside every
-``pipeline_bench`` child; the referenced callables load on first use
-via :meth:`ScenarioSpec.run_fn` and its siblings.
+``repro bench`` and the pin table's ``bench:`` rows run every entry
+with a ``pinned`` reference, and ``repro rpc`` resolves its runner
+through it.  Specs hold *dotted references* (``"module:attr"``), so
+registering or listing a scenario imports nothing -- ``import
+repro.experiments`` runs inside every ``pipeline_bench`` child; the
+referenced callables load on first use via :meth:`ScenarioSpec.run_fn`
+and its siblings.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ class ScenarioSpec:
     * ``build`` -- constructs the scenario's topology / config without
       running it (a scene builder, a ServiceGraph, a FleetConfig ...);
     * ``digest`` -- a zero-to-few-argument callable returning a short
-      deterministic hex digest of a small run.
+      deterministic hex digest of a small run;
+    * ``pinned`` -- ``preset -> dict``: the metrics ``repro bench``
+      reports at that preset (``smoke`` / ``full``), the ``bench:`` row
+      of the pin table.
     """
 
     name: str
@@ -54,6 +60,7 @@ class ScenarioSpec:
     present: Optional[str] = None
     build: Optional[str] = None
     digest: Optional[str] = None
+    pinned: Optional[str] = None
 
     def _resolve(self, role: str) -> Callable:
         ref = getattr(self, role)
@@ -75,6 +82,9 @@ class ScenarioSpec:
 
     def digest_fn(self) -> Callable:
         return self._resolve("digest")
+
+    def pinned_fn(self) -> Callable:
+        return self._resolve("pinned")
 
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
@@ -106,8 +116,15 @@ def figure_names() -> Tuple[str, ...]:
     return tuple(name for name in scenario_names() if SCENARIOS[name].present)
 
 
+def pinned_names() -> Tuple[str, ...]:
+    """What ``repro bench`` runs, in its order: the specs with a
+    ``pinned`` reference."""
+    return tuple(name for name in scenario_names() if SCENARIOS[name].pinned)
+
+
 # The paper figures -- name, title, module, runner -- each with its
-# presenter ``present_<name>`` beside the runner.
+# presenter ``present_<name>`` and its bench metrics ``pinned_<name>``
+# beside the runner.
 for _name, _title, _module, _runner in (
     ("fig4", "Fig. 4: Cristian clock-skew estimation accuracy", "clocksync_case", "run_fig4_sweep"),
     ("fig7a", "Fig. 7(a): sockperf latency, traced vs. untraced", "overhead", "run_fig7a"),
@@ -128,6 +145,7 @@ for _name, _title, _module, _runner in (
             title=_title,
             run=f"repro.experiments.{_module}:{_runner}",
             present=f"repro.experiments.{_module}:present_{_name}",
+            pinned=f"repro.experiments.{_module}:pinned_{_name}",
         )
     )
 register_scenario(
@@ -164,8 +182,23 @@ register_scenario(
         run="repro.experiments.macro_fleet:run_macro_fleet",
         build="repro.experiments.macro_fleet:FleetConfig",
         digest="repro.experiments.macro_fleet:macro_fleet_digest",
+        pinned="repro.experiments.macro_fleet:pinned_macro_fleet",
     )
 )
+# The same fleet on one plain Engine and at four shards: every metric
+# but the mode fields equals the 16-shard leg's.
+for _name, _title in (
+    ("macro_fleet_single", "1000-node fleet on one Engine (the sharding reference leg)"),
+    ("macro_fleet_shards4", "1000-node fleet at 4 shards"),
+):
+    register_scenario(
+        ScenarioSpec(
+            name=_name,
+            title=_title,
+            run="repro.experiments.macro_fleet:run_macro_fleet",
+            pinned=f"repro.experiments.macro_fleet:pinned_{_name}",
+        )
+    )
 register_scenario(
     ScenarioSpec(
         name="rpc_case",
@@ -175,3 +208,43 @@ register_scenario(
         digest="repro.experiments.rpc_case:rpc_case_digest",
     )
 )
+
+# Bench-only scenarios: no presenter, no digest.  The ablations measure
+# one design choice of §II / §III-C each (DESIGN.md §5); the micro
+# benches time one hot path each.
+# fmt: off
+for _name, _title, _run in (
+    ("ablation_collection_mode", "Ablation: online vs offline collection",
+     "repro.experiments.ablations:run_collection_modes"),
+    ("ablation_ebpf_jit", "Ablation: eBPF interpreter vs JIT per-probe cost",
+     "repro.experiments.ablations:run_interp_vs_jit"),
+    ("ablation_filter_selectivity", "Ablation: filter selectivity on a 10G receive path",
+     "repro.experiments.ablations:run_filter_selectivity"),
+    ("ablation_ratelimit_sweep", "Ablation: credit2 rate-limit sweep",
+     "repro.experiments.xen_case:run_ratelimit_sweep"),
+    ("ablation_ring_buffer", "Ablation: ring-buffer size vs record loss",
+     "repro.experiments.ablations:run_ring_buffer_sweep"),
+    ("ablation_trace_ids", "Ablation: trace-ID embed/trim cost",
+     "repro.experiments.ablations:run_trace_id_cost"),
+    ("micro_ebpf_dispatch", "Micro: eBPF dispatch, JIT vs interpreter",
+     "repro.bench.micro:run_ebpf_dispatch"),
+    ("micro_engine", "Micro: engine schedule/run/cancel churn",
+     "repro.bench.micro:run_engine_churn"),
+    ("micro_retry_path", "Micro: no-fault deploy/ship round trips",
+     "repro.bench.micro:run_retry_path"),
+    ("micro_ringbuffer", "Micro: ring append/flush with metrics attached",
+     "repro.bench.micro:run_ringbuffer_churn"),
+    ("micro_rpc_correlate", "Micro: RPC parent-link correlation",
+     "repro.bench.micro:run_rpc_correlate"),
+    ("micro_span_reconstruct", "Micro: span-tree assembly + Chrome export",
+     "repro.bench.micro:run_span_reconstruct"),
+    ("micro_streaming_agg", "Micro: packed-blob fan-in, streaming windows on vs off",
+     "repro.bench.micro:run_streaming_agg"),
+    ("micro_tracedb_query", "Micro: blob ingest + repeated metric queries",
+     "repro.bench.micro:run_tracedb_query"),
+):
+    _module = "repro.experiments.ablations" if _name.startswith("ablation") else "repro.bench.micro"
+    register_scenario(
+        ScenarioSpec(name=_name, title=_title, run=_run, pinned=f"{_module}:pinned_{_name}")
+    )
+# fmt: on

@@ -110,3 +110,13 @@ def present_fig4(results: List[ClockSyncResult]) -> Iterator[str]:
             f"true {r.true_skew_ns} ns, est {r.estimated_skew_ns} ns, "
             f"err {r.error_ns} ns"
         )
+
+
+def pinned_fig4(preset: str) -> dict:
+    """``repro bench`` metrics: the sweep has a fixed size at every preset."""
+    results = run_fig4_sweep()
+    return {
+        "sweep_points": len(results),
+        "max_error_ns": max(r.error_ns for r in results),
+        "min_one_way_us": round(min(r.one_way_ns for r in results) / 1e3, 1),
+    }

@@ -95,6 +95,19 @@ def present_fig12b(results: Dict[str, ThroughputPair]) -> Iterator[str]:
         )
 
 
+def pinned_fig12b(preset: str) -> dict:
+    """``repro bench`` metrics: 300 ms per path at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig12b(duration_ns=scale_duration(preset, 300_000_000))
+    out = {}
+    for name, pair in results.items():
+        out[f"{name}_vm_gbps"] = round(pair.vm_bps / 1e9, 3)
+        out[f"{name}_container_gbps"] = round(pair.container_bps / 1e9, 3)
+        out[f"{name}_ratio_pct"] = round(pair.ratio * 100, 2)
+    return out
+
+
 @dataclass
 class SoftirqResult:
     path: str
@@ -162,6 +175,18 @@ def present_fig13a(results: Dict[str, SoftirqResult]) -> Iterator[str]:
         )
     ratio = results["container"].net_rx_rate_per_s / results["vm"].net_rx_rate_per_s
     yield f"  rate ratio {ratio:.2f}x (paper 4.54x)"
+
+
+def pinned_fig13a(preset: str) -> dict:
+    """``repro bench`` metrics: 300 ms per path at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig13a(duration_ns=scale_duration(preset, 300_000_000))
+    out = {}
+    for path, r in results.items():
+        out[f"{path}_goodput_gbps"] = round(r.goodput_bps / 1e9, 3)
+        out[f"{path}_net_rx_rate_per_s"] = round(r.net_rx_rate_per_s, 1)
+    return out
 
 
 @dataclass
@@ -254,3 +279,12 @@ def run_fig13b(seed: int = 23) -> Dict[str, DataPathResult]:
 def present_fig13b(results: Dict[str, DataPathResult]) -> Iterator[str]:
     for path, r in results.items():
         yield f"  {path:10s} ({len(r.hops)} hops): {' -> '.join(r.hops)}"
+
+
+def pinned_fig13b(preset: str) -> dict:
+    """``repro bench`` metrics: the hop counts, the same at every preset."""
+    results = run_fig13b()
+    return {
+        "vm_hops": len(results["vm"].hops),
+        "container_hops": len(results["container"].hops),
+    }

@@ -100,6 +100,19 @@ def present_fig7a(r: SockperfOverheadResult) -> Iterator[str]:
     )
 
 
+def pinned_fig7a(preset: str) -> dict:
+    """``repro bench`` metrics: 500 ms of 1000 msg/s sockperf at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    result = run_fig7a(duration_ns=scale_duration(preset, 500_000_000), mps=1000)
+    return {
+        "baseline_avg_us": round(result.baseline.avg_ns / 1e3, 2),
+        "traced_avg_us": round(result.traced.avg_ns / 1e3, 2),
+        "avg_overhead_pct": round(result.avg_overhead_pct, 3),
+        "records_collected": result.records_collected,
+    }
+
+
 @dataclass
 class NetperfOverheadResult:
     link_gbps: float
@@ -190,3 +203,20 @@ def present_fig7b(results: List[NetperfOverheadResult]) -> Iterator[str]:
             f"SystemTap -{r.systemtap_loss_pct:.1f}% "
             f"(paper {FIG7B_PAPER_STAP_LOSS[r.link_gbps]})"
         )
+
+
+def pinned_fig7b(preset: str) -> dict:
+    """``repro bench`` metrics: 300 ms of netperf at ``full``, on the 10G
+    link only at ``smoke``."""
+    from repro.bench.presets import scale_duration
+
+    duration_ns = scale_duration(preset, 300_000_000)
+    links = (10.0,) if preset == "smoke" else (1.0, 10.0)
+    out = {}
+    for link_gbps in links:
+        result = run_fig7b(link_gbps=link_gbps, duration_ns=duration_ns)
+        key = f"{link_gbps:g}g"
+        out[f"{key}_baseline_mbps"] = round(result.baseline_bps / 1e6, 1)
+        out[f"{key}_vnettracer_loss_pct"] = round(result.vnettracer_loss_pct, 2)
+        out[f"{key}_systemtap_loss_pct"] = round(result.systemtap_loss_pct, 2)
+    return out

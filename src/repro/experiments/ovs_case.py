@@ -266,6 +266,18 @@ def present_fig8b(results: Dict[str, LatencySummary]) -> Iterator[str]:
         yield f"  Case {case:4s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
 
 
+def pinned_fig8b(preset: str) -> dict:
+    """``repro bench`` metrics: 400 ms per case at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig8b(duration_ns=scale_duration(preset, 400_000_000))
+    return {
+        f"case_{case}_{stat}_us": round(value, 1)
+        for case, summary in results.items()
+        for stat, value in (("avg", summary.avg_ns / 1e3), ("p999", summary.p999_ns / 1e3))
+    }
+
+
 def present_fig9a(results) -> Iterator[str]:
     for case, d in results.items():
         yield (
@@ -275,10 +287,33 @@ def present_fig9a(results) -> Iterator[str]:
         )
 
 
+def pinned_fig9a(preset: str) -> dict:
+    """``repro bench`` metrics: 300 ms per case at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig9a(duration_ns=scale_duration(preset, 300_000_000))
+    return {
+        f"case_{case}_{segment}_avg_us": round(summary.avg_ns / 1e3, 1)
+        for case, decomposition in results.items()
+        for segment, summary in decomposition.items()
+    }
+
+
 def present_fig9b(results: Dict[str, LatencySummary]) -> Iterator[str]:
     for key, summary in results.items():
         s = summary.scaled()
         yield f"  {key:15s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
+
+
+def pinned_fig9b(preset: str) -> dict:
+    """``repro bench`` metrics: 400 ms per case at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig9b(duration_ns=scale_duration(preset, 400_000_000))
+    return {
+        f"{key.replace('+', '_')}_avg_us": round(summary.avg_ns / 1e3, 1)
+        for key, summary in results.items()
+    }
 
 
 def ovs_case_digest(case: str = "I", seed: int = 13, duration_ns: int = 200_000_000) -> str:

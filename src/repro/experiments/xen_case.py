@@ -99,6 +99,17 @@ def present_fig10a(results: Dict[str, XenSockperfResult]) -> Iterator[str]:
         )
 
 
+def pinned_fig10a(preset: str) -> dict:
+    """``repro bench`` metrics: 500 ms per condition at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig10a(duration_ns=scale_duration(preset, 500_000_000))
+    return {
+        f"{condition.replace('+', '_')}_p999_us": round(result.sockperf.p999_ns / 1e3, 1)
+        for condition, result in results.items()
+    }
+
+
 @dataclass
 class XenMemcachedResult:
     condition: str
@@ -149,6 +160,21 @@ def present_fig10b(results: Dict[str, XenMemcachedResult]) -> Iterator[str]:
             f"  {condition:20s} avg {s['avg']:8.1f} us ({r.latency.avg_ns / base.avg_ns:.1f}x)"
             f"  p99.9 {s['p99.9']:8.1f} us ({r.latency.p999_ns / base.p999_ns:.1f}x)"
         )
+
+
+def pinned_fig10b(preset: str) -> dict:
+    """``repro bench`` metrics: 500 ms per condition at ``full``."""
+    from repro.bench.presets import scale_duration
+
+    results = run_fig10b(duration_ns=scale_duration(preset, 500_000_000))
+    return {
+        f"{condition.replace('+', '_')}_{stat}_us": round(value, 1)
+        for condition, result in results.items()
+        for stat, value in (
+            ("avg", result.latency.avg_ns / 1e3),
+            ("p999", result.latency.p999_ns / 1e3),
+        )
+    }
 
 
 @dataclass
@@ -308,6 +334,11 @@ def run_fig11_condition(
     )
 
 
+# The segment the credit2 rate limit lands in: the wait for the I/O VM's
+# vCPU between Dom0's backend and the guest's front end.
+FIG11_SCHED_SEGMENT = "dom0:vif1.0 to vm:eth1"
+
+
 def run_fig11(seed: int = 17, packets: int = 400) -> Dict[str, XenDecompositionResult]:
     """Fig. 11(a) and 11(b): the VM alone, then sharing its core."""
     return {
@@ -322,3 +353,16 @@ def present_fig11(results: Dict[str, XenDecompositionResult]) -> Iterator[str]:
         for key, summary in r.segment_summaries.items():
             s = summary.scaled()
             yield f"    {key:40s} avg {s['avg']:8.1f} us  max {s['max']:8.1f} us"
+
+
+def pinned_fig11(preset: str) -> dict:
+    """``repro bench`` metrics: 400 packets per condition at ``full``."""
+    from repro.bench.presets import scale_count
+
+    packets = scale_count(preset, 400, floor=100)
+    out = {"packets": packets}
+    for condition, result in run_fig11(packets=packets).items():
+        sched = result.segment_summaries[FIG11_SCHED_SEGMENT]
+        out[f"{condition}_sched_segment_avg_us"] = round(sched.avg_ns / 1e3, 1)
+        out[f"{condition}_sched_segment_max_us"] = round(sched.max_ns / 1e3, 1)
+    return out

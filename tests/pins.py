@@ -3,9 +3,9 @@
 ``tests/golden/pins.json`` maps what produces an output to what it
 produced.  Four kinds of row:
 
-* ``bench:<scenario>`` -- ``events_executed``, ``probe_fires`` and the
-  ``metrics`` of ``benchmarks/bench_<scenario>.py`` at the smoke preset,
-  as ``repro bench`` reports them;
+* ``bench:<spec>`` -- ``events_executed``, ``probe_fires`` and the
+  ``metrics`` of a ``ScenarioSpec``'s ``pinned`` role at the smoke
+  preset, as ``repro bench`` reports them;
 * ``digest:<spec>`` -- a ``ScenarioSpec``'s registry digest on its
   defaults;
 * ``export:<case>:<fmt>`` -- sha256 and byte length of one span-forest
@@ -44,8 +44,8 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.bench import discover_scenarios, run_scenario
-from repro.experiments import get_scenario, scenario_names
+from repro.bench import bench_specs, run_scenario
+from repro.experiments import get_scenario, pinned_names, scenario_names
 from repro.tracing.export import chrome_trace_json, otlp_json, timeline_text
 from repro.tracing.reconstruct import SpanAssembler
 
@@ -103,8 +103,8 @@ def fingerprint(data: bytes) -> Dict[str, object]:
 
 
 def bench_rows(names: Optional[Sequence[str]] = None) -> Iterator[Tuple[str, dict]]:
-    for scenario in discover_scenarios(only=names):
-        result = run_scenario(scenario, "smoke")
+    for spec in bench_specs(names):
+        result = run_scenario(spec, "smoke")
         yield f"bench:{result.name}", {
             "events_executed": result.events_executed,
             "probe_fires": result.probe_fires,
@@ -258,7 +258,7 @@ def cli_rows() -> Iterator[Tuple[str, dict]]:
 def expected_keys() -> set:
     """Every row key some producer makes, without running any."""
     return (
-        {f"bench:{scenario.name}" for scenario in discover_scenarios()}
+        {f"bench:{name}" for name in pinned_names()}
         | {f"digest:{name}" for name in digest_specs()}
         | {
             f"export:{case}:{fmt}"

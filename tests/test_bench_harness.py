@@ -1,5 +1,5 @@
-"""The figure suite: presets, discovery, report, CLI, and the exact gate
-against the committed pin table, ``tests/golden/pins.json``."""
+"""The figure suite: presets, scenario selection, report, CLI, and the
+exact gate against the committed pin table, ``tests/golden/pins.json``."""
 
 import copy
 import json
@@ -9,42 +9,53 @@ import pytest
 
 from repro.bench import (
     SCHEMA_VERSION,
+    bench_specs,
     build_report,
-    discover_scenarios,
     dumps_report,
-    find_bench_dir,
     run_scenario,
     run_suite,
     scale_count,
     scale_duration,
     write_report,
 )
-from repro.bench.discovery import DiscoveryError
 from repro.bench.harness import HarnessError
 from repro.bench.presets import MIN_DURATION_NS
 from repro.cli import build_parser, main
+from repro.experiments import SCENARIOS, ScenarioSpec, get_scenario, pinned_names
+from repro.sim.engine import Engine
 from tests import pins
 
-FAKE_SCENARIO = """\
-from repro.sim.engine import Engine
 
-def run(preset="smoke"):
+def fake_pinned(preset="smoke"):
     engine = Engine()
     ticks = 10 if preset == "smoke" else 100
     fired = [0]
+
     def tick():
         fired[0] += 1
+
     for i in range(ticks):
         engine.schedule(i + 1, tick)
     engine.run()
     return {"ticks": fired[0]}
-"""
+
+
+def not_a_dict(preset="smoke"):
+    return 7
+
+
+def _spec(name, pinned):
+    return ScenarioSpec(
+        name=name, title=name, run=f"{__name__}:{pinned}", pinned=f"{__name__}:{pinned}"
+    )
 
 
 @pytest.fixture
-def bench_dir(tmp_path):
-    (tmp_path / "bench_fake.py").write_text(FAKE_SCENARIO)
-    return tmp_path
+def fake(monkeypatch):
+    """A bench scenario registered for one test: ten engine events."""
+    spec = _spec("fake", "fake_pinned")
+    monkeypatch.setitem(SCENARIOS, "fake", spec)
+    return spec
 
 
 class TestPresets:
@@ -72,79 +83,60 @@ class TestPresets:
 
 class TestDiscovery:
     def test_repo_benchmarks_are_discovered(self):
-        names = {s.name for s in discover_scenarios()}
-        assert "micro_engine" in names
-        assert "fig7a_overhead_latency" in names
-        assert len(names) >= 18
+        """The bench scenarios are the registry's specs with a ``pinned``
+        role, found by name."""
+        names = [spec.name for spec in bench_specs()]
+        assert names == sorted(names) == list(pinned_names())
+        assert {"micro_engine", "fig7a", "macro_fleet_single"} <= set(names)
+        assert len(names) == 29
+        assert set(pinned_names()) >= {name for name in SCENARIOS if SCENARIOS[name].present}
 
-    def test_only_filter_accepts_both_name_forms(self, bench_dir):
-        for wanted in ("fake", "bench_fake"):
-            scenarios = discover_scenarios(bench_dir, only=[wanted])
-            assert [s.name for s in scenarios] == ["fake"]
-
-    def test_unknown_only_name_is_an_error(self, bench_dir):
-        with pytest.raises(DiscoveryError, match="unknown scenario"):
-            discover_scenarios(bench_dir, only=["nope"])
-
-    def test_explicit_directory_never_falls_back(self, tmp_path):
-        """An explicit directory used to fall back to the shipped
-        benchmarks when it was missing or empty."""
-        missing = tmp_path / "nonexistent"
-        with pytest.raises(DiscoveryError, match="does not exist") as error:
-            find_bench_dir(missing)
-        assert str(missing) in str(error.value)
-        with pytest.raises(DiscoveryError, match="no bench_") as error:
-            find_bench_dir(tmp_path)
-        assert str(tmp_path) in str(error.value)
-
-    def test_file_without_run_is_rejected_at_load(self, tmp_path):
-        (tmp_path / "bench_empty.py").write_text("x = 1\n")
-        (scenario,) = discover_scenarios(tmp_path)
-        with pytest.raises(DiscoveryError, match="run"):
-            scenario.load()
+    def test_unknown_only_name_is_an_error(self, fake):
+        assert bench_specs(["fake"]) == [fake]
+        with pytest.raises(ValueError, match="unknown bench scenario.*nope.*registered: .*fake"):
+            bench_specs(["fake", "nope"])
+        # A registered spec without a pinned role is not a bench scenario.
+        with pytest.raises(ValueError, match="unknown bench scenario.*quickstart"):
+            bench_specs(["quickstart"])
 
 
 class TestHarness:
-    def test_run_scenario_counts_engine_events(self, bench_dir):
-        (scenario,) = discover_scenarios(bench_dir)
-        result = run_scenario(scenario, preset="smoke")
+    def test_run_scenario_counts_engine_events(self, fake):
+        result = run_scenario(fake, preset="smoke")
         assert result.events_executed == 10
         assert result.metrics == {"ticks": 10}
         assert result.wall_ns > 0
         assert result.probe_fires == 0
         assert result.ns_per_probe is None
 
-    def test_preset_reaches_the_scenario(self, bench_dir):
-        (scenario,) = discover_scenarios(bench_dir)
-        assert run_scenario(scenario, preset="full").metrics == {"ticks": 100}
+    def test_preset_reaches_the_scenario(self, fake):
+        assert run_scenario(fake, preset="full").metrics == {"ticks": 100}
 
-    def test_non_dict_return_is_a_harness_error(self, tmp_path):
-        (tmp_path / "bench_bad.py").write_text("def run(preset='smoke'):\n    return 7\n")
-        (scenario,) = discover_scenarios(tmp_path)
-        with pytest.raises(HarnessError, match="must return a dict"):
-            run_scenario(scenario)
+    def test_non_dict_return_is_a_harness_error(self):
+        with pytest.raises(HarnessError, match="bad: its pinned.* must return a dict"):
+            run_scenario(_spec("bad", "not_a_dict"))
 
-    def test_run_suite_reports_progress(self, bench_dir):
+    def test_run_suite_reports_progress(self, fake):
         lines = []
-        results = run_suite(preset="smoke", bench_dir=bench_dir, progress=lines.append)
+        results = run_suite([fake], preset="smoke", progress=lines.append)
         assert [r.name for r in results] == ["fake"]
         assert len(lines) == 1 and "fake" in lines[0]
 
 
 class TestSchema:
-    def _report(self, bench_dir):
-        return build_report(run_suite(preset="smoke", bench_dir=bench_dir), "smoke")
+    def _report(self, spec):
+        return build_report(run_suite([spec], preset="smoke"), "smoke")
 
-    def test_round_trip_through_disk(self, bench_dir, tmp_path):
-        doc = self._report(bench_dir)
+    def test_round_trip_through_disk(self, fake, tmp_path):
+        doc = self._report(fake)
         path = write_report(doc, tmp_path / "report.json")
         assert json.loads(path.read_text()) == doc
         assert path.read_text() == dumps_report(doc)
 
-    def test_deterministic_report_omits_wall_fields(self, bench_dir):
+    def test_deterministic_report_omits_wall_fields(self, fake):
         """The whole document, so a wall-clock or host field cannot creep
         back in: everything in it is a function of code and seeds."""
-        doc = self._report(bench_dir)
+        doc = self._report(fake)
         assert doc == {
             "schema_version": SCHEMA_VERSION,
             "preset": "smoke",
@@ -154,8 +146,8 @@ class TestSchema:
             ],
         }
 
-    def test_deterministic_serialization_is_stable(self, bench_dir):
-        docs = [dumps_report(self._report(bench_dir)) for _ in range(2)]
+    def test_deterministic_serialization_is_stable(self, fake):
+        docs = [dumps_report(self._report(fake)) for _ in range(2)]
         assert docs[0] == docs[1]
 
 
@@ -170,10 +162,10 @@ FAST_ROWS = (
     "bench:ablation_ratelimit_sweep",
     "bench:ablation_ring_buffer",
     "bench:ablation_trace_ids",
-    "bench:fig10a_xen_sockperf",
-    "bench:fig10b_xen_memcached",
-    "bench:fig11_xen_decomposition",
-    "bench:fig7a_overhead_latency",
+    "bench:fig10a",
+    "bench:fig10b",
+    "bench:fig11",
+    "bench:fig7a",
     "bench:macro_fleet",
     "bench:macro_fleet_shards4",
     "bench:macro_fleet_single",
@@ -206,7 +198,7 @@ class TestCompare:
         assert pins.dumps(table) == pins.TABLE_PATH.read_text()
 
     def test_every_producer_has_a_row_and_every_row_a_producer(self, table):
-        # Bench files, digest specs, span cases and CLI invocations.
+        # Bench specs, digest specs, span cases and CLI invocations.
         assert set(table) == pins.expected_keys()  # both directions
         assert set(FAST_ROWS) <= set(table)
 
@@ -258,53 +250,53 @@ class TestCompare:
 
 
 class TestCLI:
-    def test_list_prints_scenarios(self, bench_dir, capsys):
-        assert main(["bench", "--list", "--bench-dir", str(bench_dir)]) == 0
-        assert capsys.readouterr().out.strip() == "fake"
+    def test_list_prints_scenarios(self, fake, capsys):
+        """``repro list`` names every bench scenario, a registered fake too."""
+        assert main(["list"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert set(pinned_names()) <= set(names)
+        assert "fake" in names
 
-    def test_json_output_validates(self, bench_dir, capsys):
-        assert main(["bench", "--bench-dir", str(bench_dir), "--json"]) == 0
+    def test_json_output_validates(self, fake, capsys):
+        assert main(["bench", "--only", "fake", "--json"]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert out == dumps_report(doc)  # canonical bytes, nothing else on stdout
         assert doc["schema_version"] == SCHEMA_VERSION
         assert [entry["name"] for entry in doc["scenarios"]] == ["fake"]
 
-    def test_writes_report_file(self, bench_dir, tmp_path, capsys):
+    def test_writes_report_file(self, fake, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["bench", "--bench-dir", str(bench_dir), "--out", str(out)]) == 0
+        assert main(["bench", "--only", "fake", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["preset"] == "smoke"
         assert f"wrote {out}" in capsys.readouterr().out
 
-    def test_no_file_is_written_without_out(self, bench_dir, tmp_path, monkeypatch, capsys):
+    def test_no_file_is_written_without_out(self, fake, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         before = sorted(tmp_path.iterdir())
-        assert main(["bench", "--bench-dir", str(bench_dir)]) == 0
-        assert main(["bench", "--bench-dir", str(bench_dir), "--json"]) == 0
+        assert main(["bench", "--only", "fake"]) == 0
+        assert main(["bench", "--only", "fake", "--json"]) == 0
         assert sorted(tmp_path.iterdir()) == before
 
-    def test_help_lists_exactly_the_seven_flags(self, capsys):
+    def test_help_lists_exactly_the_five_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--help"])
         flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-        assert flags == {"--preset", "--only", "--json", "--out", "--profile",
-                         "--list", "--bench-dir"}
+        assert flags == {"--preset", "--only", "--json", "--out", "--profile"}
 
-    def test_missing_bench_dir_exits_2(self, tmp_path, capsys):
-        missing = tmp_path / "nonexistent"
-        assert main(["bench", "--bench-dir", str(missing), "--list"]) == 2
+    def test_unknown_scenario_exits_2(self, capsys):
+        """One line on stderr that names every registered bench scenario,
+        and nothing run."""
+        assert main(["bench", "--only", "micro_engine", "--only", "nope"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""  # not the shipped scenarios
-        assert str(missing) in captured.err
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("bench: unknown bench scenario(s) nope; registered: ")
+        assert line.endswith(", ".join(pinned_names()))
 
-    def test_unknown_scenario_exits_2(self, bench_dir, capsys):
-        argv = ["bench", "--bench-dir", str(bench_dir), "--only", "nope"]
-        assert main(argv) == 2
-        assert "unknown scenario" in capsys.readouterr().err
-
-    def test_profile_prints_cumulative_hotspots(self, bench_dir, tmp_path, capsys):
+    def test_profile_prints_cumulative_hotspots(self, fake, tmp_path, capsys):
         out = tmp_path / "report.json"
-        argv = ["bench", "--bench-dir", str(bench_dir), "--out", str(out), "--profile", "5"]
+        argv = ["bench", "--only", "fake", "--out", str(out), "--profile", "5"]
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "cumulative" in err  # sorted by cumulative time
@@ -312,7 +304,7 @@ class TestCLI:
         # report unchanged
         assert json.loads(out.read_text())["scenarios"][0]["name"] == "fake"
 
-    def test_profile_never_interleaves_with_json_report(self, bench_dir, monkeypatch):
+    def test_profile_never_interleaves_with_json_report(self, fake, monkeypatch):
         """Regression: ``--profile`` used to print before the report was
         emitted, so with ``--json`` and stdout/stderr sharing a pipe (the
         common ``2>&1`` case) the profile table landed in the middle of
@@ -324,7 +316,7 @@ class TestCLI:
         shared = io.StringIO()
         monkeypatch.setattr(sys, "stdout", shared)
         monkeypatch.setattr(sys, "stderr", shared)
-        argv = ["bench", "--bench-dir", str(bench_dir), "--json", "--profile", "5"]
+        argv = ["bench", "--only", "fake", "--json", "--profile", "5"]
         assert main(argv) == 0
         combined = shared.getvalue()
         marker = combined.index("-- profile: top 5 functions")
@@ -343,8 +335,7 @@ class TestScenarioRegressions:
         """The stale-baseline bug: a fixed 50 ms warm-up reset landing
         after the smoke preset's 25 ms of traffic restarted an idle
         measurement window and reported 0.0 Mbps on every leg."""
-        (scenario,) = discover_scenarios(only=["ablation_filter_selectivity"])
-        result = run_scenario(scenario, preset="smoke")
+        result = run_scenario(get_scenario("ablation_filter_selectivity"), preset="smoke")
         assert result.metrics, "selectivity scenario returned no metrics"
         for name, mbps in result.metrics.items():
             assert mbps > 0, f"{name} regressed to zero throughput"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.records import RECORD_BYTES, TraceRecord
+from repro.core.collector import RawDataCollector
+from repro.core.records import RECORD_BYTES, MalformedBatchError, TraceRecord
 from repro.core.ringbuffer import RingBufferFull, TraceRingBuffer
 from repro.core.tracedb import TraceDB
 from repro.obs import contract
@@ -198,3 +199,82 @@ class TestTraceDB:
         db.insert("n", "b", _record(trace_id=1, ts=2))
         db.insert("n", "a", _record(trace_id=2, ts=3))  # dropped before b
         assert db.complete_traces(["a", "b"]) == [1]
+
+
+_COLUMNS = (
+    "trace_id", "tracepoint_id", "timestamp_ns", "raw_timestamp_ns", "packet_len", "cpu",
+    "node_idx",
+)  # fmt: skip
+
+
+def _state(db):
+    """Every column length of every table, the counters and the counts."""
+    return (
+        {label: [len(getattr(db._tables[label], c)) for c in _COLUMNS] for label in db.tables()},
+        db.rows_inserted,
+        db.generation,
+        {label: db.count(label) for label in db.tables()},
+    )
+
+
+class TestOverflowingTimestamp:
+    """A timestamp of 2**63 used to raise a raw OverflowError halfway
+    through one row's columns, after the blob's earlier rows were stored
+    and without counting them; through ``receive_batch(seq=...)`` the
+    sequence number was already marked, so the well-formed
+    retransmission was dropped as a duplicate."""
+
+    def _db(self):
+        db = TraceDB()
+        db.insert("n", "a", _record(ts=5))
+        return db
+
+    def _blob(self, ts):
+        return b"".join(_record(trace_id=t, ts=stamp).pack() for t, stamp in ((2, 10), (3, ts)))
+
+    @pytest.mark.parametrize("ts", [2**63, 2**62])
+    def test_insert_packed_stores_nothing(self, ts):
+        db = self._db()
+        before = _state(db)
+        with pytest.raises(MalformedBatchError, match="timestamp"):
+            db.insert_packed("n", self._blob(ts), {1: "a"})
+        assert _state(db) == before
+        assert db.insert_packed("n", self._blob(2**62 - 1), {1: "a"}) == (2, 0)
+        assert db.count("a") == 3 and db.rows_inserted == 3
+
+    @pytest.mark.parametrize(
+        "record", [_record(ts=2**63), _record(ts=2**62), _record(tp=2**63), _record(ts=-1)]
+    )
+    def test_insert_stores_nothing(self, record):
+        db = self._db()
+        before = _state(db)
+        with pytest.raises(MalformedBatchError):
+            db.insert("n", "a", record)
+        assert _state(db) == before
+        assert db.insert("n", "a", _record(ts=2**62 - 1)).timestamp_ns == 2**62 - 1
+        assert db.count("a") == 2 and db.rows_inserted == 2
+
+    def test_receive_batch_keeps_the_sequence_number(self):
+        collector = RawDataCollector(Engine(), self._db())
+        collector.register_labels({1: "a"})
+        before = _state(collector.db)
+        with pytest.raises(MalformedBatchError):
+            collector.receive_batch("n", self._blob(2**63), seq=1)
+        assert _state(collector.db) == before
+        assert collector.batches_received == 0
+        # The well-formed retransmission of seq 1 still applies.
+        assert collector.receive_batch("n", self._blob(20), seq=1)
+        assert [row.trace_id for row in collector.db.table("a")] == [1, 2, 3]
+        assert collector.db.rows_inserted == 3
+
+    def test_clock_skew_is_bounded_so_aligned_timestamps_fit(self):
+        db = TraceDB()
+        generation = db.generation
+        for skew in (2**62, -(2**62)):
+            with pytest.raises(ValueError, match="clock skew"):
+                db.set_clock_skew("n", skew)
+        assert db.clock_skew("n") == 0 and db.generation == generation
+        db.set_clock_skew("n", 2**62 - 1)
+        row = db.insert("n", "a", _record(ts=2**62 - 1))
+        assert row.timestamp_ns == 2**63 - 2
+        assert db.ts_minmax("a") == (2**63 - 2, 2**63 - 2)

@@ -8,7 +8,6 @@ Same pattern as the SHARDING.md and OBSERVABILITY.md contract tests:
 * the config defaults and bench budgets match the code constants.
 """
 
-import importlib.util
 import re
 from pathlib import Path
 
@@ -102,12 +101,8 @@ def test_documented_config_defaults_match_code():
 
 
 def test_documented_budgets_match_bench_constants():
-    spec = importlib.util.spec_from_file_location(
-        "bench_micro_streaming_agg",
-        REPO / "benchmarks" / "bench_micro_streaming_agg.py",
-    )
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    from repro.bench import micro as bench
+
     documented = {
         cells[0].strip("`"): float(cells[1])
         for cells in _table_rows(_section("budgets"))

@@ -1,9 +1,10 @@
 """The ScenarioSpec registry: the one table of runnable things.
 
 `repro list` prints :data:`repro.experiments.SCENARIOS`, `repro run`
-takes its figures from it and `repro rpc` (with one micro bench)
-resolves its runner through it; the per-module entry points stay
-importable (they *are* the implementations the specs point at).
+takes its figures from it, `repro bench` its scenarios (the specs with a
+`pinned` role) and `repro rpc` (with one micro bench) resolves its
+runner through it; the per-module entry points stay importable (they
+*are* the implementations the specs point at).
 """
 
 import inspect
@@ -20,6 +21,7 @@ from repro.experiments import (
     ScenarioSpec,
     figure_names,
     get_scenario,
+    pinned_names,
     register_scenario,
     scenario_names,
 )
@@ -30,8 +32,20 @@ FIGURES = (
     "fig10a", "fig10b", "fig11", "fig12b", "fig13a", "fig13b",
     "fig4", "fig7a", "fig7b", "fig8b", "fig9a", "fig9b",
 )  # fmt: skip
+BENCH_ONLY = (
+    "ablation_collection_mode", "ablation_ebpf_jit", "ablation_filter_selectivity",
+    "ablation_ratelimit_sweep", "ablation_ring_buffer", "ablation_trace_ids",
+    "macro_fleet_shards4", "macro_fleet_single",
+    "micro_ebpf_dispatch", "micro_engine", "micro_retry_path", "micro_ringbuffer",
+    "micro_rpc_correlate", "micro_span_reconstruct", "micro_streaming_agg",
+    "micro_tracedb_query",
+)  # fmt: skip
 EXPECTED = tuple(
-    sorted(FIGURES + ("fault_case", "macro_fleet", "ovs_case", "quickstart", "rpc_case"))
+    sorted(
+        FIGURES
+        + BENCH_ONLY
+        + ("fault_case", "macro_fleet", "ovs_case", "quickstart", "rpc_case")
+    )
 )
 
 
@@ -66,7 +80,7 @@ class TestRegistry:
         for name in scenario_names():
             spec = get_scenario(name)
             assert callable(spec.run_fn())
-            for role in ("present", "build", "digest"):
+            for role in ("present", "build", "digest", "pinned"):
                 if getattr(spec, role) is not None:
                     assert callable(getattr(spec, f"{role}_fn")()), (name, role)
 
@@ -76,6 +90,12 @@ class TestRegistry:
         for name in scenario_names():
             # Raises TypeError, naming the argument, if one is required.
             inspect.signature(get_scenario(name).run_fn()).bind()
+
+    def test_bench_scenarios_are_the_specs_with_a_pinned_role(self):
+        assert pinned_names() == tuple(sorted(FIGURES + BENCH_ONLY + ("macro_fleet",)))
+        for name in BENCH_ONLY:
+            spec = get_scenario(name)
+            assert spec.present is None and spec.digest is None, name
 
     def test_figures_are_the_specs_with_a_presenter(self):
         assert figure_names() == FIGURES
@@ -108,9 +128,9 @@ class TestRegistry:
 
 
 class TestOneTable:
-    """EXPERIMENTS.md names the registry's figures and runner paths
-    (`repro run` choices and `repro list` output are pinned to the same
-    table by tests/test_cli.py::TestParser)."""
+    """EXPERIMENTS.md names the registry's figures, runner paths and
+    the claims test of each (`repro run` choices and `repro list` output
+    are pinned to the same table by tests/test_cli.py::TestParser)."""
 
     def test_experiments_md_figure_table_matches_the_registry(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
@@ -122,8 +142,9 @@ class TestOneTable:
         for line in match.group(1).splitlines():
             cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
             if len(cells) == 4 and cells[1].startswith("fig"):
-                _figure, name, bench, runner = cells
-                assert (REPO / "benchmarks" / bench).is_file(), bench
+                _figure, name, runner, claims = cells
+                path, _, test = claims.partition("::")
+                assert f"def {test}(" in (REPO / path).read_text(), claims
                 documented[name] = runner
         assert documented == {
             name: SCENARIOS[name].run.replace(":", ".") for name in FIGURES

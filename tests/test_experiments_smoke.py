@@ -1,8 +1,8 @@
 """Fast smoke tests over the experiment runners (tiny durations).
 
-The full-shape assertions live in benchmarks/; these verify the
-scenario plumbing end to end so a refactor cannot silently break a
-figure between benchmark runs.
+The full-shape assertions are the paper-claims tests
+(tests/test_paper_claims.py, tests/paper_claims_long.py); these verify
+the scenario plumbing end to end at a fraction of their size.
 """
 
 import pytest

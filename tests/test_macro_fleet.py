@@ -118,15 +118,13 @@ class TestConfig:
 
 class TestBenchLegsAgree:
     def test_all_three_bench_modules_report_identical_metrics(self):
-        """The three committed bench scenarios run the same workload;
+        """The three registered bench scenarios run the same workload;
         every deterministic metric except the mode fields must agree."""
-        from repro.bench.discovery import discover_scenarios
+        from repro.experiments import get_scenario
 
         runs = {
-            scenario.name: scenario.load()("smoke")
-            for scenario in discover_scenarios(
-                only=["macro_fleet", "macro_fleet_single", "macro_fleet_shards4"]
-            )
+            name: get_scenario(name).pinned_fn()("smoke")
+            for name in ("macro_fleet", "macro_fleet_single", "macro_fleet_shards4")
         }
         assert len(runs) == 3
         mode_fields = {"shards", "workers", "rounds", "boundary_messages"}

@@ -2,7 +2,7 @@
 """Which functions under ``src/repro`` does any entry point call?
 
 Runs one table of non-test entry points (``drives`` below: every bench
-smoke preset, every registry runner and digest, every CLI verb and
+scenario's smoke preset, every registry runner and digest, every CLI verb and
 format, the examples, the five ``pipeline_bench`` workloads at a small
 scale) under a hook that notes each function entered, and compares that
 with an ``ast`` index of every ``def`` in the package.  A function no
@@ -351,32 +351,28 @@ def drives(root: Path, tmp: Path) -> Iterator[Drive]:
         ("--format", "chrome", "--out", str(tmp / "rpc.chrome")), ("--shards", "4"),
     ):
         yield f"cli:rpc {' '.join(flags[:2])}", _cli("rpc", "--requests", "12", *flags)
-    bench_dir = ("--bench-dir", str(root / "benchmarks"))
-    yield "cli:bench --list", _cli("bench", "--list", *bench_dir)
-    yield "cli:bench --only", _cli("bench", "--only", "micro_engine", *bench_dir)
+    yield "cli:bench --only", _cli("bench", "--only", "micro_engine")
     yield "cli:bench --only --json --out --profile", _cli(
         "bench", "--only", "micro_engine", "--json", "--profile", "5",
-        "--out", str(tmp / "bench.json"), *bench_dir,
+        "--out", str(tmp / "bench.json"),
     )
 
     # The registry: every runner and digest on its defaults (the figures
-    # ran under `run all`), every builder resolved.
+    # ran under `run all`, the bench-only specs run below), every builder
+    # resolved.
     from repro.experiments import SCENARIOS
 
     for name in sorted(SCENARIOS):
         spec = SCENARIOS[name]
-        if not spec.present:
+        if spec.digest:
             yield f"registry:{name}.run", lambda spec=spec: (spec.build_fn(), spec.run_fn()())
             yield f"registry:{name}.digest", lambda spec=spec: spec.digest_fn()()
 
-    # The figure suite, smoke preset, one row per scenario file.
-    def bench(path: Path):
-        from repro.bench import BenchScenario, run_scenario
+    # The figure suite, smoke preset, one row per registered bench scenario.
+    from repro.bench import bench_specs, run_scenario
 
-        return run_scenario(BenchScenario(path.stem[len("bench_"):], path), "smoke")
-
-    for path in sorted((root / "benchmarks").glob("bench_*.py")):
-        yield f"bench:{path.stem[len('bench_'):]}", lambda path=path: bench(path)
+    for spec in bench_specs():
+        yield f"bench:{spec.name}", lambda spec=spec: run_scenario(spec, "smoke")
 
     # Examples (README rows).  The three case-study walkthroughs take five
     # minutes between them to re-run the figure runners above; what only
