@@ -36,7 +36,7 @@ from repro.core.records import RECORD_STRUCT, TraceRecord, unpack_batch
 from repro.core.ringbuffer import TraceRingBuffer
 from repro.core.tracedb import TraceDB
 from repro.core.vnettracer import VNetTracer
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import skb_fields
 from repro.ebpf.maps import PerfEventArray
 from repro.ebpf.vm import ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
@@ -71,8 +71,8 @@ def _dispatch_program(jit: bool, tracepoint: TracepointSpec):
         11111,
         b"x" * 60,
     )
-    ctx, data = build_skb_context(packet)
-    return program, ExecutionEnv(maps=maps), ctx, data
+    fields, data = skb_fields(packet)
+    return program, ExecutionEnv(maps=maps), fields, data
 
 
 def run_ebpf_dispatch(runs: int = 40_000, redeploys: int = 50) -> dict:
@@ -81,10 +81,10 @@ def run_ebpf_dispatch(runs: int = 40_000, redeploys: int = 50) -> dict:
     way agents reinstall a control package on reconfiguration."""
     out = {}
     for mode, jit in (("jit", True), ("interp", False)):
-        program, env, ctx, data = _dispatch_program(jit, TracepointSpec(node="n", hook="dev:x"))
+        program, env, fields, data = _dispatch_program(jit, TracepointSpec(node="n", hook="dev:x"))
         sim_cost = 0
         for _ in range(runs):
-            sim_cost += program.run(env, ctx, data).cost_ns
+            sim_cost += program.run(env, fields, data).cost_ns
         out[f"{mode}_runs"] = program.run_count
         out[f"{mode}_sim_ns_per_run"] = round(sim_cost / runs, 2)
     tracepoint = TracepointSpec(node="redeploy", hook="dev:x")

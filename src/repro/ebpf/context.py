@@ -27,10 +27,12 @@ VXLAN header off to read the skb information").  The parsed fields then
 refer to the inner five-tuple while data/data_end still cover the bytes
 visible at the hook.
 
-A probe fire starts from the *field tuple* (:func:`skb_fields`, the
-table's values in order) and packs the 56 bytes only when something
-reads the context as memory (:func:`pack_context`); a whole-field load
-the verifier proved reads the tuple.
+The context is read-only (the verifier rejects a store through a
+proven context pointer; one through any other pointer faults), so it
+has one representation: the *field tuple* (:func:`skb_fields`, the
+table's values in order).  The 56 bytes are packed from it only when
+something reads the context as memory (:func:`pack_context`); a
+whole-field load the verifier proved reads the tuple.
 """
 
 from __future__ import annotations
@@ -79,14 +81,12 @@ FIELD_AT = {offset: (index, size, name) for index, (name, offset, size) in enume
 
 # The whole layout as one struct, in field order.
 _CTX = struct.Struct("<IH2xIIIIHHB3xIIQQ")
-unpack_context = _CTX.unpack_from
 
 
-def pack_context(fields: tuple) -> bytearray:
-    """The 56-byte context of a field tuple."""
-    ctx = bytearray(CTX_SIZE)
-    _CTX.pack_into(ctx, 0, *fields)
-    return ctx
+def pack_context(fields: tuple) -> bytes:
+    """The 56 context bytes of a field tuple (immutable: nothing can
+    write the context)."""
+    return _CTX.pack(*fields)
 
 
 class PacketImage:
@@ -219,20 +219,3 @@ def empty_fields(ifindex: int = 0, cpu: int = 0, hook_id: int = 0) -> tuple:
     base = PACKET_REGION_BASE
     return (0, 0, ifindex, cpu, 0, 0, 0, 0, 0, hook_id, 0, base, base)
 
-
-def build_skb_context(
-    packet: Packet,
-    ifindex: int = 0,
-    cpu: int = 0,
-    hook_id: int = 0,
-    use_inner: bool = False,
-) -> Tuple[bytearray, PacketImage]:
-    """(packed ctx, packet region) for one invocation: :func:`skb_fields`
-    with the fields packed."""
-    fields, image = skb_fields(packet, ifindex, cpu, hook_id, use_inner)
-    return pack_context(fields), image
-
-
-def context_field(ctx: bytearray, offset: int, size: int) -> int:
-    """Read a context field from the byte image (user-space debugging)."""
-    return int.from_bytes(ctx[offset : offset + size], "little")

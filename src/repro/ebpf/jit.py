@@ -14,13 +14,14 @@ The translation leans on facts the verifier proves
 * jumps are forward-only, so basic blocks execute in program order at
   most once -- no dispatch loop and no runaway check are needed; a
   cascade of ``if _b == N:`` guards is enough;
-* a load or store through a proven context or frame pointer (R1 / R10,
-  or a copy plus a constant) is in bounds, so it compiles to one
-  indexed read or write with the offset folded in -- a load of one
-  whole context field indexes the field tuple, and the 56 context bytes
-  are packed only for a partial load, a store, an unproven access or a
-  helper that reads memory; only an access through an unproven pointer
-  keeps the run-time region chain;
+* a load or store through a proven frame pointer (R10, or a copy plus
+  a constant) and a load through a proven context pointer (R1 likewise;
+  the context is read-only, so no store reaches it) are in bounds, so
+  each compiles to one indexed read or write with the offset folded in
+  -- a load of one whole context field indexes the field tuple, and the
+  56 context bytes are packed only for a partial load, an unproven load
+  or a helper that reads memory; only an access through an unproven
+  pointer keeps the run-time region chain;
 * helper call sites name known helpers, so the host function, its
   simulated cost, and its argument count are bound at compile time --
   and a ``perf_event_output`` whose map, flags, frame offset and size
@@ -47,7 +48,7 @@ import struct
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ebpf import isa
-from repro.ebpf.context import CTX_SIZE, FIELD_AT
+from repro.ebpf.context import FIELD_AT
 from repro.ebpf.helpers import (
     BPF_F_CURRENT_CPU,
     HELPER_GET_PRANDOM_U32,
@@ -62,7 +63,6 @@ from repro.ebpf.isa import Instruction
 from repro.ebpf.maps import PerfEventArray
 from repro.ebpf.memory import (
     CTX_REGION_BASE,
-    MemoryFault,
     PACKET_REGION_BASE,
     STACK_REGION_BASE,
 )
@@ -147,7 +147,8 @@ class CompiledProgram(NamedTuple):
         return PathInfo(executed, cost, calls)
 
 
-def _bswap(value: int, width_bits: int) -> int:
+def bswap(value: int, width_bits: int) -> int:
+    """The low ``width_bits`` of ``value``, byte-reversed."""
     nbytes = width_bits // 8
     return int.from_bytes((value & ((1 << width_bits) - 1)).to_bytes(nbytes, "little"), "big")
 
@@ -189,17 +190,10 @@ def compile_program(
             taken = block_of[end + last.offset]
             successors.append((taken,) if last.alu_op == isa.BPF_JA else (taken, number + 1))
 
-    # A store through anything but the frame may write the context, so
-    # a program that also reads whole fields re-reads the tuple after it.
-    uses_fields = any(
-        insn.insn_class == isa.BPF_LDX
-        and _field_index(insn, analysis.reg_types[index][insn.src]) is not None
-        for index, insn in enumerate(insns)
-    )
-    # What the prologue must set up, and (``_build``) what every path
-    # to the point being emitted has built.  Jumps go forward, so each
-    # block's predecessors are emitted before it.
-    needs = {"ctx": False, "chain": False, "fields": uses_fields}
+    # What every path to the point being emitted has built
+    # (``_build``).  Jumps go forward, so each block's predecessors are
+    # emitted before it.
+    needs = dict.fromkeys(_BUILT, False)
     built_out: List[Tuple[bool, ...]] = []
     predecessors: List[List[int]] = [[] for _ in bounds]
     for number, following in enumerate(successors):
@@ -216,21 +210,12 @@ def compile_program(
         body_blocks.append(lines)
         block_table.append((slots, helper_ids))
 
-    body = []
-    if needs["ctx"]:
-        # The premise of every folded context access, checked once: a
-        # caller's context bytes were long enough to hold every field.
-        body.append("if _f is None:")
-        body.append(
-            f'    raise _MF(f"context of {{len(_rs.ctx)}} bytes is shorter than the '
-            f'{CTX_SIZE} the verifier assumed")'
-        )
-    body.append("_st = _rs")
-    if needs["chain"]:
-        body.append(f"_cl = {CTX_SIZE} if _rs is None or _rs.ctx is None else len(_rs.ctx)")
-    body.append("r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0")
-    body.append(f"r1 = {CTX_REGION_BASE:#x}")
-    body.append(f"r10 = {STACK_REGION_BASE + isa.STACK_SIZE:#x}")
+    body = [
+        "_st = _rs",
+        "r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0",
+        f"r1 = {CTX_REGION_BASE:#x}",
+        f"r10 = {STACK_REGION_BASE + isa.STACK_SIZE:#x}",
+    ]
     for number, block_lines in enumerate(body_blocks):
         if number == 0:
             body.extend(block_lines)
@@ -250,8 +235,7 @@ def compile_program(
 
     namespace: Dict[str, object] = {
         "__builtins__": {"len": len, "bytes": bytes, "bytearray": bytearray},
-        "_bs": _bswap,
-        "_MF": MemoryFault,
+        "_bs": bswap,
         "_PEA": PerfEventArray,
         "_B": bytearray,  # a stack, built where a run first needs one
         "_VM": VMState,
@@ -359,7 +343,7 @@ def _build(what: str, needs: Dict[str, bool], sure: bool = True) -> List[str]:
         lines = [] if needs["stk"] else ["if _stk is None:", f"    _stk = _B({isa.STACK_SIZE})"]
         if what == "st":
             lines = ["if _st is None:", *("    " + line for line in lines)]
-            lines.append("    _st = _VM(_stk, _f, None, _pkt, _env)")
+            lines.append("    _st = _VM(_stk, _f, _pkt, _env)")
             needs["stk"] = needs["stk"] or sure
     needs[what] = needs[what] or sure
     return lines
@@ -488,8 +472,10 @@ def _emit_alu(insn: Instruction) -> List[str]:
         return lines
     if op == isa.BPF_NEG:
         return [f"{d} = -{value} & {mask}"]
-    if op == isa.BPF_END:
-        return [f"{d} = _bs({value}, {insn.imm}) & {mask}"]
+    if op == isa.BPF_END:  # 32-bit class only; the width is imm
+        if insn.uses_imm:  # to_le: this machine's order, so a truncation
+            return [f"{d} = {d} & {(1 << insn.imm) - 1:#x}"]
+        return [f"{d} = _bs({d}, {insn.imm})"]
     raise JITError(f"bad ALU op {op:#x}")  # pragma: no cover
 
 
@@ -518,7 +504,6 @@ def _emit_ldx(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> Li
     d = f"r{insn.dst}"
     field = _field_index(insn, pointer)
     if field is not None:  # one whole field: the tuple holds it
-        needs["ctx"] = True
         return [f"{d} = _f[{field}]"]
 
     def hit(buf: str, at: str = "_o") -> List[str]:
@@ -544,11 +529,8 @@ def _emit_store(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> 
         inline = str(insn.imm & U64 & ((1 << (size * 8)) - 1))
 
     def hit(buf: str, at: str = "_o") -> List[str]:
-        lines = []
-        if buf == "_pkt":  # a store serialises a lazy image
-            lines.append("_pkt = _st.packet_bytes()")
-        elif buf == "_ctx":  # ... and packs the context
-            lines.append("_ctx = _st.ctx_bytes()")
+        # A store into the packet serialises a lazy image.
+        lines = ["_pkt = _st.packet_bytes()"] if buf == "_pkt" else []
         if size == 1:
             return lines + [f"{buf}[{at}] = {inline}"]
         return lines + [f"_p{size}({buf}, {at}, {inline})"]
@@ -559,10 +541,7 @@ def _emit_store(insn: Instruction, pointer: RegType, needs: Dict[str, bool]) -> 
     # Only a frame store leaves the VMState unbuilt: the rest reach the
     # region through it.
     lines = [] if pointer is not None and pointer[0] == "fp" else _build("st", needs)
-    lines += _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
-    if needs["fields"] and (pointer is None or pointer[0] != "fp"):
-        lines.append("_f = _st.ctx_fields()")  # the store may have hit a field
-    return lines
+    return lines + _emit_access(f"r{insn.dst}", insn.offset, size, pointer, hit, fallback, needs)
 
 
 def _emit_access(
@@ -571,14 +550,14 @@ def _emit_access(
     """``size`` bytes at register ``base`` + ``offset``, as cheaply as
     the verifier's type for ``base`` allows.  ``hit(buffer, index)`` is
     the access once its region is known; ``fallback(address)`` is the
-    region-registry lookup, which also serves dynamic regions and
-    raises every fault.  Each builds the stack or the VMState first
-    where it needs one; a proven packet load needs neither."""
+    region-registry lookup, which also serves the context and dynamic
+    regions and raises every fault (a store into the read-only context
+    among them).  Each builds the stack or the VMState first where it
+    needs one; a proven packet load needs neither."""
     kind = pointer[0] if pointer is not None else None
     if kind == "fp":  # verified in-frame
         return _build("stk", needs) + hit("_stk", str(isa.STACK_SIZE + pointer[1] + offset))
-    if kind == "ctx":  # verified inside the context the prologue checked
-        needs["ctx"] = True
+    if kind == "ctx":  # a load (stores are rejected) verified inside the context
         return _build("st", needs) + hit("_ctx", str(pointer[1] + offset))
     lines = _build("pl", needs)
     if offset == 0:
@@ -603,17 +582,15 @@ def _emit_access(
         # (a fault, nearly always) goes to the registry.
         registry = _build("st", needs, sure=False) + [fallback(addr)]
         return lines + region(PACKET_REGION_BASE, "_pkt", f"_pl - {size}", registry)
-    # Unproven pointer: bounds-checked fast paths for the three fixed
-    # regions.  Map-value buffers (dynamic regions) and faulting
-    # accesses fall back to :class:`repro.ebpf.memory.Memory` lookup,
-    # which raises the same :class:`~repro.ebpf.memory.MemoryFault` the
-    # interpreter would.
-    needs["chain"] = True
+    # Unproven pointer: bounds-checked fast paths for the stack and the
+    # packet.  The context, map-value buffers (dynamic regions) and
+    # faulting accesses fall back to :class:`repro.ebpf.memory.Memory`
+    # lookup, which raises the same
+    # :class:`~repro.ebpf.memory.MemoryFault` the interpreter would.
     lines = _build("st", needs) + lines
     registry = [fallback(addr)]
-    stack = region(STACK_REGION_BASE, "_stk", str(isa.STACK_SIZE - size), registry)
-    packet = region(PACKET_REGION_BASE, "_pkt", f"_pl - {size}", stack)
-    return lines + region(CTX_REGION_BASE, "_ctx", f"_cl - {size}", packet)
+    packet = region(PACKET_REGION_BASE, "_pkt", f"_pl - {size}", registry)
+    return lines + region(STACK_REGION_BASE, "_stk", str(isa.STACK_SIZE - size), packet)
 
 
 # Helpers that only read the execution environment inline to a single

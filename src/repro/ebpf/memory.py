@@ -8,7 +8,8 @@ Pointers inside the VM are plain 64-bit integers.  Each execution sees:
 * value buffers returned by map lookups (they alias map storage, so
   stores through them persist across invocations, as in the kernel).
 
-Loads and stores outside a registered region raise
+Loads and stores outside a registered region, and stores into a
+read-only one (a ``bytes`` buffer: the context), raise
 :class:`MemoryFault` -- the runtime backstop behind the verifier.
 """
 
@@ -72,6 +73,8 @@ class Memory:
 
     def store(self, address: int, size: int, value: int) -> None:
         buffer, offset = self._locate(address, size)
+        if buffer.__class__ is bytes:
+            raise MemoryFault(f"store of {size} bytes at {address:#x} into a read-only region")
         buffer[offset : offset + size] = (value & ((1 << (size * 8)) - 1)).to_bytes(
             size, "little"
         )

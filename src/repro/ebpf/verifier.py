@@ -19,11 +19,17 @@ verifier of the paper-era kernels at the level our programs exercise):
   proven initialized; R1-R5 are clobbered by calls, R0 holds the result;
 * reads of never-written registers are rejected via a dataflow pass
   (merge = intersection over predecessors; entry state = {R1, R10});
+* ``end`` (byteswap) is 32-bit class only, with ``imm`` 16, 32 or 64
+  and zero ``src`` / ``offset`` ("BPF_END uses reserved fields");
 * the same pass tracks register *types* (:data:`RegType`: context or
   frame pointer plus a constant, packet pointer, map pointer, constant
   scalar, or unknown; merge = equal or unknown), and a load or store
   through a proven context / frame pointer must fall inside the
-  56-byte context / the 512-byte frame.
+  56-byte context / the 512-byte frame;
+* the context is read-only: a store through a proven context pointer
+  is rejected, as the kernel's ``is_valid_access`` refuses every
+  ``BPF_WRITE`` to a kprobe or tracepoint context (a store that
+  reaches it through an unproven pointer faults at run time).
 """
 
 from __future__ import annotations
@@ -61,9 +67,8 @@ class VerifierError(ValueError):
 #     proof;
 # ``("pkt", 0)``
 #     loaded from ``ctx->data`` / ``ctx->data_end``, plus or minus
-#     anything -- only a hint (the program may have overwritten the
-#     context field, and nothing bounds the offset), so accesses through
-#     it stay checked at run time.
+#     anything -- only a hint (nothing bounds the offset), so accesses
+#     through it stay checked at run time.
 RegType = Optional[Tuple[str, int]]
 
 _ENTRY_TYPES: Tuple[RegType, ...] = tuple(
@@ -207,7 +212,13 @@ def verify(program: Sequence[Instruction]) -> VerifierAnalysis:
             _require_init(state, insn.dst, i, "dst")
             if cls == isa.BPF_STX:
                 _require_init(state, insn.src, i, "src")
-            _check_access(i, types[insn.dst], insn.offset, insn.size_bytes)
+            pointer = types[insn.dst]
+            _check_access(i, pointer, insn.offset, insn.size_bytes)
+            if pointer is not None and pointer[0] == "ctx":
+                raise VerifierError(
+                    f"insn {i}: store at ctx{pointer[1] + insn.offset:+} size "
+                    f"{insn.size_bytes} into the read-only context"
+                )
             reg_types[i] = types
             propagate(i + 1, state, types, i)
 
@@ -333,6 +344,10 @@ def _check_structural(insns: List[Instruction], i: int, insn: Instruction) -> No
         op = insn.alu_op
         if op not in _VALID_ALU_OPS:
             raise VerifierError(f"insn {i}: unknown ALU op {op:#x}")
+        if op == isa.BPF_END and (
+            cls == isa.BPF_ALU64 or insn.src or insn.offset or insn.imm not in (16, 32, 64)
+        ):
+            raise VerifierError(f"insn {i}: BPF_END uses reserved fields")
         if op in (isa.BPF_DIV, isa.BPF_MOD) and insn.uses_imm and insn.imm == 0:
             raise VerifierError(f"insn {i}: division by constant zero")
         if op in (isa.BPF_LSH, isa.BPF_RSH, isa.BPF_ARSH) and insn.uses_imm:

@@ -32,10 +32,10 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.ebpf import isa
-from repro.ebpf.context import CTX_SIZE, pack_context, unpack_context
+from repro.ebpf.context import CTX_SIZE, FIELDS, pack_context
 from repro.ebpf.helpers import HELPERS, MAP_PTR_BASE, HelperError
 from repro.ebpf.isa import Instruction
-from repro.ebpf.jit import CompiledProgram, compile_program
+from repro.ebpf.jit import CompiledProgram, bswap, compile_program
 from repro.ebpf.maps import BPFMap, PerfEventArray
 from repro.ebpf.memory import (
     CTX_REGION_BASE,
@@ -185,26 +185,19 @@ class VMState(Memory):
     stores, helpers and the interpreter reach the whole region through
     :meth:`packet_bytes`.
 
-    The context is lazy the same way: ``fields`` is its field tuple
-    (``None`` when a caller's bytes are too short to hold one), ``ctx``
-    its packed bytes, ``None`` until something reads the context as
-    memory (:meth:`ctx_bytes`).
+    The context is lazy the same way: ``fields`` is its field tuple,
+    ``ctx`` its packed bytes, ``None`` until something reads the context
+    as memory (:meth:`ctx_bytes`).  The bytes are immutable, so a store
+    that lands in the context faults (:meth:`Memory.store`).
     """
 
     __slots__ = ("regs", "env", "helper_calls", "helper_cost_ns", "packet", "fields", "ctx")
 
-    def __init__(
-        self,
-        stack: bytearray,
-        fields: Optional[tuple],
-        ctx: Optional[bytearray],
-        packet,
-        env: ExecutionEnv,
-    ):
+    def __init__(self, stack: bytearray, fields: tuple, packet, env: ExecutionEnv):
         self._regions = [(STACK_REGION_BASE, stack, "stack")]
         self._next_dynamic_base = MAP_VALUE_REGION_BASE
         self.fields = fields
-        self.ctx = ctx
+        self.ctx: Optional[bytes] = None
         self.packet = packet
         self.env = env
 
@@ -212,19 +205,12 @@ class VMState(Memory):
     def memory(self) -> Memory:
         return self
 
-    def ctx_bytes(self) -> bytearray:
+    def ctx_bytes(self) -> bytes:
         """The context's bytes, packing the field tuple now."""
         ctx = self.ctx
         if ctx is None:
             ctx = self.ctx = pack_context(self.fields)
         return ctx
-
-    def ctx_fields(self) -> Optional[tuple]:
-        """The field tuple again after a store that may have written the
-        context bytes."""
-        if self.ctx is not None:
-            self.fields = unpack_context(self.ctx)
-        return self.fields
 
     def packet_bytes(self) -> bytearray:
         """The packet region's bytes, serialising a lazy image now."""
@@ -238,7 +224,7 @@ class VMState(Memory):
         if offset >= 0 and self.packet is not None and offset <= len(self.packet) - size:
             return self.packet_bytes(), offset
         offset = address - CTX_REGION_BASE
-        if 0 <= offset <= (CTX_SIZE if self.ctx is None else len(self.ctx)) - size:
+        if 0 <= offset <= CTX_SIZE - size:
             return self.ctx_bytes(), offset
         return Memory._locate(self, address, size)
 
@@ -263,11 +249,6 @@ _new_result = tuple.__new__
 
 def _to_signed64(value: int) -> int:
     return value - (1 << 64) if value & (1 << 63) else value
-
-
-def _bswap(value: int, width_bits: int) -> int:
-    nbytes = width_bits // 8
-    return int.from_bytes((value & ((1 << width_bits) - 1)).to_bytes(nbytes, "little"), "big")
 
 
 def _replay(values: List[int], what: str) -> Callable[[], int]:
@@ -308,8 +289,8 @@ class BPFProgram:
         is replayed on the interpreter against cloned maps and recorded
         clock / prandom draws, and :class:`ShadowMismatch` is raised unless
         registers, executed-instruction counts, helper activity, stack
-        / context / packet memory, final map state, perf-event output,
-        and trace_printk lines all match exactly.
+        and packet memory, final map state, perf-event output, and
+        trace_printk lines all match exactly.
     """
 
     # Process-wide total of program executions (probe fires) across all
@@ -432,30 +413,25 @@ class BPFProgram:
         BPFProgram._runs_global += 1
         return r0, entry[2]
 
-    def run(
-        self,
-        env: ExecutionEnv,
-        ctx,
-        packet_bytes: Optional[bytearray] = None,
-    ) -> ExecResult:
-        """Execute once.  ``ctx`` is the context handed to the program in
-        R1 -- its field tuple, packed only if the program reads it as
-        memory, or its bytes; ``packet_bytes`` (if any; a ``bytearray``
-        or a lazy image, see :class:`VMState`) is mapped where the
-        context's data/data_end pointers expect it."""
+    def run(self, env: ExecutionEnv, fields: tuple, packet=None) -> ExecResult:
+        """Execute once.  ``fields`` is the context handed to the program
+        in R1, as :meth:`fire` takes it: its field tuple
+        (:func:`repro.ebpf.context.skb_fields` / ``empty_fields``),
+        packed only if the program reads it as memory.  ``packet`` (if
+        any; a ``bytearray`` or a lazy image, see :class:`VMState`) is
+        mapped where the context's data/data_end pointers expect it."""
         if not self.loaded:
             raise ExecutionError(f"program {self.name!r} was not loaded")
-        if ctx.__class__ is tuple:
-            fields, ctx = ctx, None
-        else:
-            fields = unpack_context(ctx) if len(ctx) >= CTX_SIZE else None
+        if fields.__class__ is not tuple or len(fields) != len(FIELDS):
+            raise TypeError(
+                f"{self.name}: the context is a tuple of the {len(FIELDS)} context "
+                f"fields, not {type(fields).__name__}"
+            )
         if self.shadow and self._native is not None:
-            if ctx is None:
-                ctx = pack_context(fields)
-            state, outcome = self._run_shadowed(env, fields, ctx, packet_bytes)
+            state, outcome = self._run_shadowed(env, fields, packet)
         else:
             state, outcome, _stack = self._run_once(
-                env, fields, ctx, packet_bytes, native=self._native is not None
+                env, fields, packet, native=self._native is not None
             )
         entry = self._outcomes.get(outcome)
         if entry is None:
@@ -480,19 +456,18 @@ class BPFProgram:
     def _run_once(
         self,
         env: ExecutionEnv,
-        fields: Optional[tuple],
-        ctx_bytes: Optional[bytearray],
-        packet_bytes: Optional[bytearray],
+        fields: tuple,
+        packet,
         native: bool,
     ) -> Tuple[VMState, object, bytearray]:
         """One execution on the chosen tier, without accounting: the
         state, the outcome key (the compiled tier's path mask, or what
         the interpreter counted), and the stack."""
         stack = bytearray(isa.STACK_SIZE)
-        state = VMState(stack, fields, ctx_bytes, packet_bytes, env)
+        state = VMState(stack, fields, packet, env)
         if native:
             try:
-                outcome, _r0 = self._native(env, fields, packet_bytes, state, stack)
+                outcome, _r0 = self._native(env, fields, packet, state, stack)
             except HelperError as exc:
                 raise ExecutionError(f"{self.name}: helper error: {exc}")
             return state, outcome, stack
@@ -607,15 +582,13 @@ class BPFProgram:
     def _run_shadowed(
         self,
         env: ExecutionEnv,
-        fields: Optional[tuple],
-        ctx_bytes: bytearray,
-        packet_bytes: Optional[bytearray],
+        fields: tuple,
+        packet_bytes,
     ) -> Tuple[VMState, int]:
         """Run the compiled tier, then replay on the oracle and compare;
         returns the compiled run's state and path for accounting.  A
         fault on both tiers is the compiled tier's to raise; a fault on
         one is a divergence."""
-        ctx_before = bytes(ctx_bytes)
         packet_before = None if packet_bytes is None else bytes(packet_bytes)
         clones = {fd: bpf_map.clone() for fd, bpf_map in env.maps.items()}
 
@@ -654,9 +627,7 @@ class BPFProgram:
                 undos.append(bpf_map.tee(lambda cpu, rec, _s=seen: _s.append((cpu, bytes(rec)))))
         fault = None
         try:
-            state, path, stack = self._run_once(
-                recording_env, fields, ctx_bytes, packet_bytes, native=True
-            )
+            state, path, stack = self._run_once(recording_env, fields, packet_bytes, native=True)
         except (ExecutionError, MemoryFault) as exc:
             fault = exc
         finally:
@@ -671,11 +642,10 @@ class BPFProgram:
             prandom_u32=_replay(prandom_draws, "prandom"),
             printk_sink=oracle_printks.append,
         )
-        oracle_ctx = bytearray(ctx_before)
         oracle_packet = None if packet_before is None else bytearray(packet_before)
         try:
             ostate, (oexecuted, *_counted), ostack = self._run_once(
-                oracle_env, fields, oracle_ctx, oracle_packet, native=False
+                oracle_env, fields, oracle_packet, native=False
             )
         except (ExecutionError, MemoryFault) as exc:
             if fault is not None:
@@ -690,7 +660,6 @@ class BPFProgram:
         self._diff("helper_calls", info.helper_calls, ostate.helper_calls)
         self._diff("helper_cost_ns", info.helper_cost_ns, ostate.helper_cost_ns)
         self._diff("stack", bytes(stack), bytes(ostack))
-        self._diff("ctx", bytes(ctx_bytes), bytes(oracle_ctx))
         if packet_bytes is not None:
             self._diff("packet", bytes(packet_bytes), bytes(oracle_packet))
         self._diff("trace_printk", printk_lines, oracle_printks)
@@ -718,6 +687,12 @@ class BPFProgram:
     def _alu(regs: List[int], insn: Instruction, is32: bool) -> None:
         op = insn.alu_op
         dst = insn.dst
+        if op == isa.BPF_END:
+            # 32-bit class only, imm the width; this machine is little-
+            # endian, so to_be swaps and to_le (source bit 0) truncates.
+            value = regs[dst] & ((1 << insn.imm) - 1)
+            regs[dst] = value if insn.uses_imm else bswap(value, insn.imm)
+            return
         if insn.uses_imm:
             operand = insn.imm & (U32 if is32 else U64)
             if insn.imm < 0 and not is32:
@@ -758,10 +733,6 @@ class BPFProgram:
             result = signed >> shift
         elif op == isa.BPF_NEG:
             result = -value
-        elif op == isa.BPF_END:
-            # imm selects the width (16/32/64); we model a little-endian
-            # machine, so the to-BE form is a byte swap.
-            result = _bswap(value, insn.imm)
         else:  # pragma: no cover - verifier rejects these
             raise ExecutionError(f"bad ALU op {op:#x}")
 

@@ -32,7 +32,7 @@ from repro.core import (
     VNetTracer,
 )
 from repro.core.compiler import compile_script
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import skb_fields
 from repro.ebpf.maps import PerfEventArray
 from repro.ebpf.vm import ExecutionEnv
 from repro.experiments.topologies import build_netperf_xen, build_two_host_kvm
@@ -127,13 +127,13 @@ def _script_cost(jit: bool, steady_runs: int) -> Tuple[int, int, int]:
         11111,
         b"x" * 60,
     )
-    ctx, data = build_skb_context(packet)
+    fields, data = skb_fields(packet)
     env = ExecutionEnv(maps=maps)
     # The first fire gives the deterministic simulated costs; the rest
     # keep the loaded program hot.
-    result = program.run(env, ctx, data)
+    result = program.run(env, fields, data)
     for _ in range(steady_runs - 1):
-        program.run(env, ctx, data)
+        program.run(env, fields, data)
     return load_cost, result.cost_ns, result.insns_executed
 
 

@@ -16,7 +16,7 @@ from repro.core.config import (
     TracepointSpec,
 )
 from repro.core.records import TraceRecord
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import skb_fields
 from repro.ebpf.maps import PerCPUArrayMap, PerfEventArray
 from repro.ebpf.vm import ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
@@ -69,9 +69,9 @@ def _build(rule, id_mode=ID_MODE_UDP_TRAILER, action=None, num_cpus=2):
 
 
 def _run_on(program, env, packet, cpu=0):
-    ctx, data = build_skb_context(packet, cpu=cpu)
+    fields, data = skb_fields(packet, cpu=cpu)
     env.cpu = cpu
-    return program.run(env, ctx, data)
+    return program.run(env, fields, data)
 
 
 class TestCompilerVsReference:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import HISTOGRAM_BUCKETS, compile_script, histogram_bucket
 from repro.core.config import ActionSpec, ConfigError, FilterRule, ID_MODE_NONE, TracepointSpec
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import skb_fields
 from repro.ebpf.maps import PerCPUArrayMap, PerfEventArray
 from repro.ebpf.vm import ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
@@ -37,8 +37,8 @@ def _packet(src="10.1.2.3", dst="10.9.8.7", payload=b"x" * 50):
 
 
 def _run(program, env, packet):
-    ctx, data = build_skb_context(packet)
-    return program.run(env, ctx, data)
+    fields, data = skb_fields(packet)
+    return program.run(env, fields, data)
 
 
 class TestPrefixFilters:

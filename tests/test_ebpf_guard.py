@@ -22,6 +22,7 @@ from repro.ebpf.isa import R0, R1, R2, R6, R10
 from repro.ebpf.maps import HashMap, PerfEventArray
 from repro.ebpf.memory import MemoryFault
 from repro.ebpf.probes import EBPFAttachment, ProbeEvent
+from repro.ebpf.verifier import VerifierError
 from repro.ebpf.vm import BPFProgram, ExecutionEnv
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.packet import Packet, TCPOPT_TRACE_ID, make_tcp_packet, make_udp_packet
@@ -470,7 +471,9 @@ class TestLazyContext:
         assert program.fire(ExecutionEnv(), fields, image)[0] == 4789
         assert len(packed) == 1
 
-    def test_a_store_into_the_context_is_seen_by_a_whole_field_load(self):
+    def test_a_store_into_the_context_is_rejected(self):
+        """The context is read-only, so the field tuple a whole-field
+        load reads is the context for the whole run."""
         asm = Assembler()
         asm.mov_reg(R2, R1)
         asm.st_imm(2, R2, ctxmod.OFF_DST_PORT, 77)
@@ -478,9 +481,8 @@ class TestLazyContext:
         asm.exit_()
         for tier in ({}, {"precompile": False}, {"shadow": True}):
             program = BPFProgram(asm.assemble(), name="p", **tier)
-            program.load()
-            fields, image = _fields(4789)
-            assert program.fire(ExecutionEnv(), fields, image)[0] == 77
+            with pytest.raises(VerifierError, match=r"store at ctx\+26 size 2 into the read-only"):
+                program.load()
 
 
 class TestHeaderMemo:

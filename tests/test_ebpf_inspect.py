@@ -2,7 +2,7 @@
 
 from repro.core.compiler import compile_script
 from repro.core.config import ActionSpec, FilterRule, TracepointSpec
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import skb_fields
 from repro.ebpf.inspect import dump_program, inspect_program
 from repro.ebpf.maps import PerCPUArrayMap, PerfEventArray
 from repro.ebpf.vm import ExecutionEnv
@@ -56,8 +56,8 @@ class TestInspect:
             MACAddress.from_index(1), MACAddress.from_index(2),
             IPv4Address("1.1.1.1"), IPv4Address("2.2.2.2"), 1, 4000, b"x",
         )
-        ctx, data = build_skb_context(packet)
-        program.run(ExecutionEnv(maps=maps), ctx, data)
+        fields, data = skb_fields(packet)
+        program.run(ExecutionEnv(maps=maps), fields, data)
         info = inspect_program(program)
         assert info.run_count == 1
         assert info.total_cost_ns > 0

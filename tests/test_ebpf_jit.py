@@ -9,7 +9,7 @@ from repro.core.compiler import compile_script
 from repro.core.config import ActionSpec, FilterRule, TracepointSpec
 from repro.ebpf import isa
 from repro.ebpf.assembler import Assembler
-from repro.ebpf.context import build_skb_context
+from repro.ebpf.context import FIELDS, empty_fields, skb_fields
 from repro.ebpf.helpers import (
     HELPER_GET_PRANDOM_U32,
     HELPER_GET_SMP_PROCESSOR_ID,
@@ -22,7 +22,7 @@ from repro.ebpf.helpers import (
 from repro.ebpf.isa import R0, R1, R2, R3, R4, R5, R10
 from repro.ebpf.jit import compile_program
 from repro.ebpf.maps import HashMap, PerCPUArrayMap, PerfEventArray
-from repro.ebpf.memory import MemoryFault
+from repro.ebpf.memory import MemoryFault, STACK_REGION_BASE
 from repro.ebpf.verifier import verify
 from repro.ebpf.vm import (
     BPFProgram,
@@ -69,13 +69,22 @@ def _build_random_program(inits, steps):
     return asm.assemble()
 
 
+def _fields(**values):
+    """:func:`empty_fields` with the named fields set."""
+    fields = list(empty_fields())
+    for index, (name, _offset, _size) in enumerate(FIELDS):
+        fields[index] = values.pop(name, fields[index])
+    assert not values, values
+    return tuple(fields)
+
+
 def _run(insns, jit):
     # jit=False runs the genuine interpreter loop (precompile off);
     # jit=True the pre-decoded closures -- that is the differential pair,
     # since by default both cost modes dispatch through closures.
     program = BPFProgram(list(insns), name="diff", jit=jit, precompile=jit)
     program.load()
-    return program.run(ExecutionEnv(clock=lambda: 123456), bytearray(64))
+    return program.run(ExecutionEnv(clock=lambda: 123456), empty_fields())
 
 
 class TestDifferentialALU:
@@ -265,7 +274,7 @@ def _run_subset(insns, precompile):
     program = BPFProgram(list(insns), name="subset", jit=True, precompile=precompile)
     program.load()
     env, printks = _deterministic_env(maps)
-    result = program.run(env, bytearray(64))
+    result = program.run(env, empty_fields())
     return result, hash_map.state_snapshot(), list(perf_map.pending), printks
 
 
@@ -336,7 +345,7 @@ class TestShadowMode:
     def test_shadow_agreement_passes_and_counts_once(self):
         program, env, hash_map, perf_map = self._shadow_program()
         for _ in range(3):
-            result = program.run(env, bytearray(64))
+            result = program.run(env, empty_fields())
             assert result.r0 == 0
         # Externally the shadowed runs count once each, against the
         # real maps only.
@@ -354,7 +363,7 @@ class TestShadowMode:
 
         program._native = corrupted
         with pytest.raises(ShadowMismatch):
-            program.run(env, bytearray(64))
+            program.run(env, empty_fields())
 
     @staticmethod
     def _faulting(monkeypatch, compiled, oracle):
@@ -391,19 +400,19 @@ class TestShadowMode:
     def test_shadow_oracle_fault_alone_is_a_mismatch(self, monkeypatch):
         program, oracle_runs = self._faulting(monkeypatch, compiled=False, oracle=True)
         with pytest.raises(ShadowMismatch, match="oracle faulted"):
-            program.run(ExecutionEnv(), bytearray(64))
+            program.run(ExecutionEnv(), empty_fields())
         assert oracle_runs == [1]
 
     def test_shadow_compiled_fault_alone_is_a_mismatch(self, monkeypatch):
         program, oracle_runs = self._faulting(monkeypatch, compiled=True, oracle=False)
         with pytest.raises(ShadowMismatch, match="compiled tier faulted"):
-            program.run(ExecutionEnv(), bytearray(64))
+            program.run(ExecutionEnv(), empty_fields())
         assert oracle_runs == [1]
 
     def test_shadow_fault_on_both_tiers_is_the_compiled_fault(self, monkeypatch):
         program, oracle_runs = self._faulting(monkeypatch, compiled=True, oracle=True)
         with pytest.raises(MemoryFault, match="injected compiled fault") as raised:
-            program.run(ExecutionEnv(), bytearray(64))
+            program.run(ExecutionEnv(), empty_fields())
         assert not isinstance(raised.value, ShadowMismatch)
         assert oracle_runs == [1] and program.run_count == 0
 
@@ -456,8 +465,8 @@ class TestDifferentialCompiledScripts:
         outcomes = []
         for jit in (False, True):
             program, env, perf = self._script(action, jit)
-            ctx, data = build_skb_context(packet)
-            result = program.run(env, ctx, data)
+            fields, data = skb_fields(packet)
+            result = program.run(env, fields, data)
             outcomes.append((result.r0, result.insns_executed,
                              result.helper_calls, perf.events_emitted))
         assert outcomes[0] == outcomes[1]
@@ -483,8 +492,8 @@ class TestDifferentialCompiledScripts:
         emitted = []
         for _ in range(3):
             program, env, perf = self._redeploy(tracepoint)
-            ctx, data = build_skb_context(packet)
-            program.run(env, ctx, data)
+            fields, data = skb_fields(packet)
+            program.run(env, fields, data)
             emitted.append(perf.events_emitted)
         stats = program_cache_stats()
         assert stats["misses"] == 1
@@ -517,14 +526,15 @@ class TestDifferentialCompiledScripts:
         costs = {}
         for jit in (False, True):
             program, env, perf = self._script(ActionSpec(record=True), jit)
-            ctx, data = build_skb_context(packet)
-            costs[jit] = program.run(env, ctx, data).cost_ns
+            fields, data = skb_fields(packet)
+            costs[jit] = program.run(env, fields, data).cost_ns
         assert costs[True] < costs[False]
 
 
 # -- typed code generation -----------------------------------------------------
 
-_CHAIN_HEAD = "<= _cl - "  # the context test that opens every generic region chain
+# The stack test that opens every generic region chain.
+_CHAIN_HEAD = f" - {STACK_REGION_BASE:#x}\n"
 
 _RULES = {
     "everything": FilterRule(),
@@ -597,16 +607,16 @@ class TestTypedCodegen:
         for port in (4000, 5000):
             packet = make_udp_packet(MAC_A, MAC_B, IPv4Address("1.1.1.1"),
                                      IPv4Address("2.2.2.2"), 1, port, b"data!")
-            ctx, data = build_skb_context(packet)
-            program.run(env, ctx, data)
+            fields, data = skb_fields(packet)
+            program.run(env, fields, data)
 
-    def _both_tiers(self, insns, ctx):
+    def _both_tiers(self, insns, fields):
         outcomes = []
         for precompile in (True, False):
             program = BPFProgram(list(insns), name="typed", precompile=precompile)
             program.load()
             try:
-                outcomes.append(program.run(ExecutionEnv(), bytearray(ctx)).r0)
+                outcomes.append(program.run(ExecutionEnv(), fields).r0)
             except MemoryFault as fault:
                 outcomes.append(type(fault))
         return outcomes
@@ -622,11 +632,9 @@ class TestTypedCodegen:
         asm.exit_()
         insns = asm.assemble()
         assert compile_program(insns).source.count(_CHAIN_HEAD) == 1
-        pointer = bytearray(64)
-        pointer[8:12] = (0xC0FFEE).to_bytes(4, "little")
+        pointer = empty_fields(ifindex=0xC0FFEE)
         assert self._both_tiers(insns, pointer) == [0xC0FFEE, 0xC0FFEE]
-        scalar = bytearray(64)
-        scalar[0] = 1  # R2 = 64: address 72 hits no region
+        scalar = _fields(len=1)  # R2 = 64: address 72 hits no region
         assert self._both_tiers(insns, scalar) == [MemoryFault, MemoryFault]
 
     def test_unprovable_frame_pointer_still_faults_at_run_time(self):
@@ -640,7 +648,7 @@ class TestTypedCodegen:
         asm.exit_()
         insns = asm.assemble()
         assert compile_program(insns).source.count(_CHAIN_HEAD) == 1
-        assert self._both_tiers(insns, bytearray(64)) == [MemoryFault, MemoryFault]
+        assert self._both_tiers(insns, empty_fields()) == [MemoryFault, MemoryFault]
 
     def test_frame_pointer_copy_compiles_to_one_indexed_access(self):
         asm = Assembler()
@@ -652,18 +660,7 @@ class TestTypedCodegen:
         insns = asm.assemble()
         source = compile_program(insns).source
         assert "_p8(_stk, 504, 4660)" in source and _CHAIN_HEAD not in source
-        assert self._both_tiers(insns, bytearray(64)) == [0x1234, 0x1234]
-
-    def test_short_context_faults_at_entry(self):
-        # Folded context accesses rest on the 56-byte context the
-        # verifier assumed; the compiled tier checks that once.
-        asm = Assembler()
-        asm.ldx_w(R0, R1, 0)
-        asm.exit_()
-        program = BPFProgram(asm.assemble(), name="short")
-        program.load()
-        with pytest.raises(MemoryFault, match="shorter than the 56"):
-            program.run(ExecutionEnv(), bytearray(8))
+        assert self._both_tiers(insns, empty_fields()) == [0x1234, 0x1234]
 
     def test_unproven_perf_site_takes_the_generic_helper(self):
         """A record size the verifier cannot see keeps the helper call
@@ -683,13 +680,10 @@ class TestTypedCodegen:
         program = BPFProgram(insns, maps={perf.fd: perf}, name="unproven", shadow=True)
         program.load()
         env = ExecutionEnv(maps={perf.fd: perf})
-        ctx = bytearray(64)
-        ctx[0] = 8
-        program.run(env, ctx)
+        program.run(env, _fields(len=8))
         assert perf.pending == [(1, (0x1122).to_bytes(8, "little"))]
-        ctx[0:4] = (5000).to_bytes(4, "little")
         with pytest.raises(ExecutionError, match="too large"):
-            program.run(env, ctx)
+            program.run(env, _fields(len=5000))
 
     def test_proven_perf_site_keeps_the_map_type_check(self):
         """The fd table is the environment's: a proven site whose fd
@@ -709,9 +703,9 @@ class TestTypedCodegen:
         assert "is _PEA" in compile_program(insns).source
         program = BPFProgram(insns, maps={perf.fd: perf}, name="proven")
         program.load()
-        program.run(ExecutionEnv(maps={perf.fd: perf}), bytearray(64))
+        program.run(ExecutionEnv(maps={perf.fd: perf}), empty_fields())
         assert perf.events_emitted == 1 and perf.pending == [(0, (7).to_bytes(8, "little"))]
         with pytest.raises(ExecutionError, match="non-perf map"):
-            program.run(ExecutionEnv(maps={perf.fd: HashMap(4, 8, 4)}), bytearray(64))
+            program.run(ExecutionEnv(maps={perf.fd: HashMap(4, 8, 4)}), empty_fields())
         with pytest.raises(ExecutionError, match="no valid map pointer"):
-            program.run(ExecutionEnv(), bytearray(64))
+            program.run(ExecutionEnv(), empty_fields())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ebpf import context as ctxmod
 from repro.ebpf.assembler import Assembler
-from repro.ebpf.context import build_skb_context, context_field, empty_fields, pack_context
+from repro.ebpf.context import empty_fields, pack_context, skb_fields
 from repro.ebpf.isa import R0, R1, R2, R3
 from repro.ebpf.memory import PACKET_REGION_BASE
 from repro.ebpf.probes import (
@@ -33,32 +33,37 @@ MAC_A, MAC_B = MACAddress.from_index(1), MACAddress.from_index(2)
 IP_A, IP_B = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
 
 
+def _named(fields):
+    """A field tuple by field name."""
+    return {name: value for (name, _offset, _size), value in zip(ctxmod.FIELDS, fields)}
+
+
 class TestContext:
     def _packet(self):
         return make_udp_packet(MAC_A, MAC_B, IP_A, IP_B, 1234, 5678, b"payload")
 
     def test_fields_populated(self):
-        ctx, data = build_skb_context(self._packet(), ifindex=3, cpu=2, hook_id=9)
-        assert context_field(ctx, ctxmod.OFF_LEN, 4) == len(data)
-        assert context_field(ctx, ctxmod.OFF_IFINDEX, 4) == 3
-        assert context_field(ctx, ctxmod.OFF_RX_CPU, 4) == 2
-        assert context_field(ctx, ctxmod.OFF_HOOK_ID, 4) == 9
-        assert context_field(ctx, ctxmod.OFF_SRC_IP, 4) == IP_A.value
-        assert context_field(ctx, ctxmod.OFF_DST_IP, 4) == IP_B.value
-        assert context_field(ctx, ctxmod.OFF_SRC_PORT, 2) == 1234
-        assert context_field(ctx, ctxmod.OFF_DST_PORT, 2) == 5678
-        assert context_field(ctx, ctxmod.OFF_IP_PROTO, 1) == IPPROTO_UDP
+        fields, data = skb_fields(self._packet(), ifindex=3, cpu=2, hook_id=9)
+        named = _named(fields)
+        assert named["len"] == len(data)
+        assert named["ifindex"] == 3
+        assert named["rx_cpu"] == 2
+        assert named["hook_id"] == 9
+        assert named["src_ip"] == IP_A.value
+        assert named["dst_ip"] == IP_B.value
+        assert named["src_port"] == 1234
+        assert named["dst_port"] == 5678
+        assert named["ip_proto"] == IPPROTO_UDP
 
     def test_data_pointers_span_packet(self):
-        ctx, data = build_skb_context(self._packet())
-        start = context_field(ctx, ctxmod.OFF_DATA, 8)
-        end = context_field(ctx, ctxmod.OFF_DATA_END, 8)
+        fields, data = skb_fields(self._packet())
+        start, end = _named(fields)["data"], _named(fields)["data_end"]
         assert start == PACKET_REGION_BASE
         assert end - start == len(data)
 
     def test_payload_offset_plain(self):
-        ctx, _ = build_skb_context(self._packet())
-        assert context_field(ctx, ctxmod.OFF_PAYLOAD_OFF, 4) == 14 + 20 + 8
+        fields, _ = skb_fields(self._packet())
+        assert _named(fields)["payload_off"] == 14 + 20 + 8
 
     def test_inner_context_strips_vxlan(self):
         inner = self._packet()
@@ -71,18 +76,24 @@ class TestContext:
             ],
             inner,
         )
-        ctx, data = build_skb_context(outer, use_inner=True)
-        assert context_field(ctx, ctxmod.OFF_SRC_IP, 4) == IP_A.value
-        assert context_field(ctx, ctxmod.OFF_DST_PORT, 2) == 5678
+        fields, data = skb_fields(outer, use_inner=True)
+        named = _named(fields)
+        assert named["src_ip"] == IP_A.value
+        assert named["dst_port"] == 5678
         # payload offset covers outer headers + inner headers
-        assert context_field(ctx, ctxmod.OFF_PAYLOAD_OFF, 4) == (14 + 20 + 8 + 8) + (14 + 20 + 8)
+        assert named["payload_off"] == (14 + 20 + 8 + 8) + (14 + 20 + 8)
 
     def test_empty_context(self):
-        ctx = pack_context(empty_fields(ifindex=1, cpu=3, hook_id=7))
-        assert context_field(ctx, ctxmod.OFF_DATA, 8) == context_field(
-            ctx, ctxmod.OFF_DATA_END, 8
-        )
-        assert context_field(ctx, ctxmod.OFF_RX_CPU, 4) == 3
+        named = _named(empty_fields(ifindex=1, cpu=3, hook_id=7))
+        assert named["data"] == named["data_end"]
+        assert named["rx_cpu"] == 3
+
+    def test_packed_bytes_follow_the_layout(self):
+        fields, _data = skb_fields(self._packet(), ifindex=3, cpu=2, hook_id=9)
+        packed = pack_context(fields)
+        assert packed.__class__ is bytes and len(packed) == ctxmod.CTX_SIZE
+        for (name, offset, size), value in zip(ctxmod.FIELDS, fields):
+            assert int.from_bytes(packed[offset : offset + size], "little") == value, name
 
 
 class TestHookRegistry:
@@ -307,8 +318,8 @@ class TestLazyPacketRegion:
         for offset in range(0, 64, 8):
             serialisations.clear()
             program = self._program(offset, **self.TIERS[tier])
-            ctx, data = build_skb_context(packet)
-            result = program.run(ExecutionEnv(), ctx, data)
+            fields, data = skb_fields(packet)
+            result = program.run(ExecutionEnv(), fields, data)
             assert result.r0 == int.from_bytes(image[offset : offset + 8], "little")
             if tier == "compiled":
                 # One header alone, or the payload, needs no image.
@@ -331,9 +342,9 @@ class TestLazyPacketRegion:
         from repro.ebpf.vm import ExecutionError
 
         program = self._program(57, **self.TIERS[tier])  # bytes 57..64 of a 64-byte image
-        ctx, data = build_skb_context(self.PACKET(5678))
+        fields, data = skb_fields(self.PACKET(5678))
         with pytest.raises((MemoryFault, ExecutionError)):
-            program.run(ExecutionEnv(), ctx, data)
+            program.run(ExecutionEnv(), fields, data)
 
 
 def _udp(payload):
@@ -380,7 +391,7 @@ class TestPacketSegmentView:
         packet = PACKET_SHAPES[shape]()
         for size in (1, 2, 4, 8):
             for offset in range(len(image) - size + 1):
-                _ctx, data = build_skb_context(packet)  # a fresh view per load
+                _fields, data = skb_fields(packet)  # a fresh view per load
                 assert len(data) == len(image)
                 assert data.load(offset, size) == int.from_bytes(
                     image[offset : offset + size], "little"
@@ -399,7 +410,7 @@ class TestPacketSegmentView:
             layer = layer.payload
         for offset in range(len(image) - 1):
             serialisations.clear()
-            _ctx, data = build_skb_context(packet)
+            _fields, data = skb_fields(packet)
             data.load(offset, 2)
             straddles = offset + 1 in boundaries
             assert len(serialisations) == straddles, (shape, offset)
@@ -424,8 +435,8 @@ class TestPacketSegmentView:
         expected = bytearray(packet.to_bytes())
         expected[44:48] = (0xDEADBEEF).to_bytes(4, "little")
         serialisations.clear()
-        ctx, data = build_skb_context(packet)
-        result = program.run(ExecutionEnv(), ctx, data)
+        fields, data = skb_fields(packet)
+        result = program.run(ExecutionEnv(), fields, data)
         assert result.r0 == int.from_bytes(expected[40:48], "little")
         assert bytes(data) == bytes(expected)
         assert len(serialisations) == 1
@@ -433,10 +444,10 @@ class TestPacketSegmentView:
     def test_header_mutated_between_hooks_is_reflected(self, serialisations):
         packet = PACKET_SHAPES["udp-trailer"]()
         ttl_at, checksum_at = 14 + 8, 14 + 10
-        _ctx, first = build_skb_context(packet)
+        _fields, first = skb_fields(packet)
         before = (first.load(ttl_at, 1), first.load(checksum_at, 2))
         packet.ip.ttl -= 1  # a router hop between two tracepoints
-        _ctx, second = build_skb_context(packet)
+        _fields, second = skb_fields(packet)
         after = (second.load(ttl_at, 1), second.load(checksum_at, 2))
         assert after[0] == before[0] - 1 and after[1] != before[1]
         assert serialisations == []

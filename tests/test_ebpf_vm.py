@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.ebpf import context as ctxmod, isa
 from repro.ebpf.assembler import Assembler
-from repro.ebpf.isa import R0, R1, R2, R3, R4, R5, R6, R10
+from repro.ebpf.context import empty_fields, pack_context
+from repro.ebpf.isa import Instruction, R0, R1, R2, R3, R4, R5, R6, R10
+from repro.ebpf.memory import MemoryFault
 from repro.ebpf.maps import HashMap, PerfEventArray
 from repro.ebpf.vm import (
     BPFProgram,
@@ -13,16 +16,17 @@ from repro.ebpf.vm import (
     INTERPRETER_NS_PER_INSN,
     JIT_NS_PER_INSN,
 )
+from repro.ebpf.verifier import VerifierError
 
 U64 = 0xFFFFFFFFFFFFFFFF
 u64s = st.integers(min_value=0, max_value=U64)
 imm32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 
 
-def run_program(asm, env=None, ctx=None, data=None, jit=True):
+def run_program(asm, env=None, fields=None, data=None, jit=True):
     program = BPFProgram(asm.assemble(), name="t", jit=jit)
     program.load()
-    return program.run(env or ExecutionEnv(), ctx if ctx is not None else bytearray(64), data)
+    return program.run(env or ExecutionEnv(), fields or empty_fields(), data)
 
 
 class TestALU:
@@ -127,9 +131,7 @@ class TestMemoryAndJumps:
         asm = Assembler()
         asm.ldx_w(R0, R1, 8)
         asm.exit_()
-        ctx = bytearray(64)
-        ctx[8:12] = (4242).to_bytes(4, "little")
-        assert run_program(asm, ctx=ctx).r0 == 4242
+        assert run_program(asm, fields=empty_fields(ifindex=4242)).r0 == 4242
 
     def test_out_of_region_access_faults(self):
         asm = Assembler()
@@ -228,7 +230,7 @@ class TestHelpersAndMaps:
         asm = self._map_update_lookup_program(bpf_map)
         program = BPFProgram(asm.assemble(), maps={bpf_map.fd: bpf_map}, name="m")
         program.load()
-        result = program.run(ExecutionEnv(maps={bpf_map.fd: bpf_map}), bytearray(64))
+        result = program.run(ExecutionEnv(maps={bpf_map.fd: bpf_map}), empty_fields())
         assert result.r0 == 99
 
     def test_store_through_lookup_pointer_persists(self):
@@ -252,8 +254,8 @@ class TestHelpersAndMaps:
         program = BPFProgram(asm.assemble(), maps={bpf_map.fd: bpf_map}, name="m")
         program.load()
         env = ExecutionEnv(maps={bpf_map.fd: bpf_map})
-        program.run(env, bytearray(64))
-        program.run(env, bytearray(64))
+        program.run(env, empty_fields())
+        program.run(env, empty_fields())
         value = bpf_map.lookup((1).to_bytes(4, "little"))
         assert int.from_bytes(value, "little") == 7
 
@@ -272,7 +274,7 @@ class TestHelpersAndMaps:
         asm.exit_()
         program = BPFProgram(asm.assemble(), maps={perf.fd: perf}, name="p")
         program.load()
-        program.run(ExecutionEnv(maps={perf.fd: perf}, cpu=1), bytearray(64))
+        program.run(ExecutionEnv(maps={perf.fd: perf}, cpu=1), empty_fields())
         assert perf.pending == [(1, (0x1122).to_bytes(8, "little"))]
 
 
@@ -280,7 +282,7 @@ class TestCostModel:
     def test_unloaded_program_cannot_run(self):
         program = BPFProgram(Assembler().mov_imm(R0, 0).exit_().assemble())
         with pytest.raises(ExecutionError):
-            program.run(ExecutionEnv(), bytearray(64))
+            program.run(ExecutionEnv(), empty_fields())
 
     def test_jit_cheaper_than_interpreter(self):
         def cost(jit):
@@ -319,7 +321,7 @@ class TestCostModel:
         asm.exit_()
         program = BPFProgram(asm.assemble(), name="s")
         assert program.load() > 0
-        program.run(ExecutionEnv(), bytearray(64))
+        program.run(ExecutionEnv(), empty_fields())
         assert program.run_count == 1
         assert program.total_cost_ns > 0
 
@@ -348,7 +350,7 @@ class TestRunAccounting:
 
     @staticmethod
     def _contexts():
-        from repro.ebpf.context import build_skb_context
+        from repro.ebpf.context import skb_fields
         from repro.net.addressing import IPv4Address, MACAddress
         from repro.net.packet import make_udp_packet
 
@@ -357,7 +359,7 @@ class TestRunAccounting:
                 MACAddress.from_index(1), MACAddress.from_index(2),
                 IPv4Address("1.1.1.1"), IPv4Address("2.2.2.2"), 1, port, b"payload!",
             )
-            return build_skb_context(packet)
+            return skb_fields(packet)
 
         return context(4000), context(5000)
 
@@ -373,12 +375,12 @@ class TestRunAccounting:
         from repro.obs.registry import MetricsRegistry
 
         program, env = self._record_script(**tier)
-        (hit_ctx, hit_data), (miss_ctx, miss_data) = self._contexts()
-        program.run(env, hit_ctx, hit_data)  # both outcomes seen once,
-        program.run(env, miss_ctx, miss_data)  # so the table is complete
+        (hit_fields, hit_data), (miss_fields, miss_data) = self._contexts()
+        program.run(env, hit_fields, hit_data)  # both outcomes seen once,
+        program.run(env, miss_fields, miss_data)  # so the table is complete
         before = sys.getallocatedblocks()
         for _ in range(self.RUNS):
-            program.run(env, hit_ctx, hit_data)
+            program.run(env, hit_fields, hit_data)
         retained = sys.getallocatedblocks() - before
         assert retained < 100, f"{retained} blocks kept alive by {self.RUNS} runs"
         assert len(program._outcomes) == 2
@@ -395,7 +397,7 @@ class TestRunAccounting:
 
     def test_totals_are_the_sum_of_the_per_run_results(self):
         program, env = self._record_script()
-        results = [program.run(env, ctx, data) for ctx, data in self._contexts() * 3]
+        results = [program.run(env, fields, data) for fields, data in self._contexts() * 3]
         assert program.run_count == 6
         assert program.total_cost_ns == sum(r.cost_ns for r in results)
         assert program.total_insns_executed == sum(r.insns_executed for r in results)
@@ -407,7 +409,138 @@ class TestRunAccounting:
 
     def test_a_result_cannot_corrupt_the_shared_tally(self):
         program, env = self._record_script()
-        (ctx, data), _miss = self._contexts()
-        result = program.run(env, ctx, data)
+        (fields, data), _miss = self._contexts()
+        result = program.run(env, fields, data)
         with pytest.raises(TypeError):
             result.helper_calls["ktime_get_ns"] = 99
+
+
+TIERS = {"compiled": {}, "interpreter": {"precompile": False}, "shadow": {"shadow": True}}
+
+_SWAPPED = 0x0102030405060708
+# The kernel's BPF_END on a little-endian machine (Linux's
+# ___bpf_prog_run: ALU_END_TO_BE / ALU_END_TO_LE): to_be swaps the low
+# imm bits, to_le truncates to them, both zero-extend.  The verifier's
+# check_alu_op rejects the 64-bit class and any other imm as "BPF_END
+# uses reserved fields".
+_END_TABLE = [
+    (isa.BPF_ALU, isa.BPF_X, 16, 0x0807),
+    (isa.BPF_ALU, isa.BPF_X, 32, 0x08070605),
+    (isa.BPF_ALU, isa.BPF_X, 64, 0x0807060504030201),
+    (isa.BPF_ALU, isa.BPF_K, 16, 0x0708),
+    (isa.BPF_ALU, isa.BPF_K, 32, 0x05060708),
+    (isa.BPF_ALU, isa.BPF_K, 64, _SWAPPED),
+] + [
+    (cls, source, imm, VerifierError)
+    for cls in (isa.BPF_ALU, isa.BPF_ALU64)
+    for source in (isa.BPF_K, isa.BPF_X)
+    for imm in (16, 32, 64, -1, 0, 8, 24, 128)
+    if cls == isa.BPF_ALU64 or imm not in (16, 32, 64)
+]
+
+
+class TestByteswap:
+    @staticmethod
+    def _program(cls, source, imm, **fields):
+        asm = Assembler()
+        asm.ld_imm64(R0, _SWAPPED)
+        program = asm.assemble()
+        program.insert(2, Instruction(cls | isa.BPF_END | source, dst=R0, imm=imm, **fields))
+        return program + [Instruction(isa.BPF_JMP | isa.BPF_EXIT)]
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    @pytest.mark.parametrize(
+        "cls,source,imm,expected",
+        _END_TABLE,
+        ids=[
+            f"{'alu64' if c == isa.BPF_ALU64 else 'alu'}-{'be' if s else 'le'}{i}"
+            for c, s, i, _e in _END_TABLE
+        ],
+    )
+    def test_end_matches_the_kernel(self, cls, source, imm, expected, tier):
+        program = BPFProgram(self._program(cls, source, imm), name="end", **TIERS[tier])
+        if expected is VerifierError:
+            with pytest.raises(VerifierError, match="BPF_END uses reserved fields"):
+                program.load()
+            return
+        program.load()
+        assert program.run(ExecutionEnv(), empty_fields()).r0 == expected
+
+    @pytest.mark.parametrize("field", [{"src": R1}, {"offset": 1}])
+    def test_end_with_a_reserved_field_set_is_rejected(self, field):
+        insns = self._program(isa.BPF_ALU, isa.BPF_X, 16, **field)
+        with pytest.raises(VerifierError, match="BPF_END uses reserved fields"):
+            BPFProgram(insns, name="end").load()
+
+
+class TestReadOnlyContext:
+    """The verifier rejects a store through a proven context pointer; a
+    store that reaches the context through any other pointer faults."""
+
+    @staticmethod
+    def _unproven_store(store):
+        """``r2 = r1 + ctx->len`` (0 here: a pointer the verifier cannot
+        type), then ``store(asm)`` writes through it."""
+        asm = Assembler()
+        asm.ldx_w(R3, R1, ctxmod.OFF_LEN)
+        asm.mov_reg(R2, R1)
+        asm.add_reg(R2, R3)
+        store(asm)
+        asm.mov_imm(R0, 0)
+        asm.exit_()
+        return asm.assemble()
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    @pytest.mark.parametrize(
+        "store",
+        [
+            lambda asm: asm.st_imm(2, R2, ctxmod.OFF_DST_PORT, 77),
+            lambda asm: asm.stx_w(R2, R3, ctxmod.OFF_IFINDEX),
+            lambda asm: asm.stx_dw(R2, R1, ctxmod.OFF_DATA_END),
+        ],
+        ids=["st", "stx", "stx-dw"],
+    )
+    def test_an_unproven_store_into_the_context_faults(self, store, tier):
+        program = BPFProgram(self._unproven_store(store), name="poke", **TIERS[tier])
+        program.load()
+        fields = empty_fields(ifindex=3)
+        with pytest.raises(MemoryFault, match="read-only") as raised:
+            program.run(ExecutionEnv(), fields)
+        assert raised.type is MemoryFault
+        with pytest.raises(MemoryFault, match="read-only"):
+            program.fire(ExecutionEnv(), fields, None)
+        assert program.run_count == 0
+
+    @pytest.mark.parametrize(
+        "store",
+        [
+            lambda asm: asm.st_imm(4, R1, ctxmod.OFF_LEN, 1),
+            lambda asm: asm.stx_b(R1, R1, ctxmod.OFF_IP_PROTO),
+            lambda asm: (asm.mov_reg(R2, R1), asm.add_imm(R2, 8), asm.stx_dw(R2, R1, 40)),
+        ],
+        ids=["st-r1", "stx-r1", "stx-copy"],
+    )
+    def test_a_proven_store_into_the_context_is_rejected(self, store):
+        asm = Assembler()
+        store(asm)
+        asm.mov_imm(R0, 0)
+        asm.exit_()
+        with pytest.raises(VerifierError, match="into the read-only context"):
+            BPFProgram(asm.assemble(), name="poke").load()
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    @pytest.mark.parametrize(
+        "context",
+        [bytearray(ctxmod.CTX_SIZE), pack_context(empty_fields()), list(empty_fields()),
+         empty_fields()[:-1], None],
+        ids=["bytearray", "bytes", "list", "short-tuple", "none"],
+    )
+    def test_run_takes_only_a_field_tuple(self, context, tier):
+        asm = Assembler()
+        asm.ldx_h(R0, R1, ctxmod.OFF_DST_PORT)
+        asm.exit_()
+        program = BPFProgram(asm.assemble(), name="entry", **TIERS[tier])
+        program.load()
+        with pytest.raises(TypeError, match="tuple of the 13 context fields"):
+            program.run(ExecutionEnv(), context)
+        assert program.run_count == 0
