@@ -176,14 +176,15 @@ def run_retry_path(deploys: int = 60, batches: int = 1_500) -> dict:
     tracepoint_id = agent.package.tracepoints[0].tracepoint_id
     payload = TraceRecord(1, tracepoint_id, 0, 64, 0).pack()
 
-    def producer():
-        for _ in range(batches):
-            for _ in range(RETRY_RECORDS_PER_BATCH):
-                agent.ring.append(payload)
-            agent.ring.flush()
-            yield RETRY_SHIP_PERIOD_NS
+    def ship(left):
+        if not left:  # a last, empty step: the pinned event count has it
+            return
+        for _ in range(RETRY_RECORDS_PER_BATCH):
+            agent.ring.append(payload)
+        agent.ring.flush()
+        engine.schedule(RETRY_SHIP_PERIOD_NS, ship, left - 1)
 
-    engine.process(producer(), name="shipper")
+    engine.schedule(0, ship, batches)
     # Past the last ship by several ack round trips and backoff timers.
     engine.run(until=engine.now + batches * RETRY_SHIP_PERIOD_NS + 50_000_000)
     return {
@@ -234,12 +235,13 @@ def run_ringbuffer_churn(total_records: int = 200_000) -> dict:
     ring.start()
     record = TraceRecord(1, 2, 3, 64, 0).pack()
 
-    def producer():
-        for _ in range(total_records):
-            ring.append(record)
-            yield RING_APPEND_PERIOD_NS
+    def produce(left):
+        if not left:
+            return
+        ring.append(record)
+        engine.schedule(RING_APPEND_PERIOD_NS, produce, left - 1)
 
-    engine.process(producer(), name="producer")
+    engine.schedule(0, produce, total_records)
     engine.run(until=total_records * RING_APPEND_PERIOD_NS + 2 * RING_FLUSH_INTERVAL_NS)
     ring.flush()
     ring.stop()

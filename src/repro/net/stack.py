@@ -28,7 +28,7 @@ from repro.net.packet import (
 from repro.net.softirq import SoftirqNet
 from repro.sim.clock import NodeClock
 from repro.sim.cpu import CPU
-from repro.sim.engine import Engine, Signal
+from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,8 +124,9 @@ class StackError(RuntimeError):
 class UDPSocket:
     """A bound UDP endpoint.
 
-    Receive either by assigning :attr:`on_receive` (callback style) or
-    by waiting on :meth:`recv_signal` from a SimProcess.
+    Receive by assigning :attr:`on_receive`; a datagram that reaches a
+    socket without one is counted in :attr:`rx_packets` /
+    :attr:`rx_bytes` and dropped.
     """
 
     def __init__(self, node: "KernelNode", ip: IPv4Address, port: int, cpu_index: int = 0):
@@ -134,8 +135,6 @@ class UDPSocket:
         self.port = port
         self.cpu_index = cpu_index
         self.on_receive: Optional[Callable[[bytes, IPv4Address, int, Packet], None]] = None
-        self.recv_queue: List[tuple] = []
-        self._waiter: Optional[Signal] = None
         self.rx_packets = 0
         self.rx_bytes = 0
         self.tx_packets = 0
@@ -162,20 +161,6 @@ class UDPSocket:
         self.rx_bytes += len(payload)
         if self.on_receive is not None:
             self.on_receive(payload, src_ip, src_port, packet)
-            return
-        self.recv_queue.append((payload, src_ip, src_port, packet))
-        if self._waiter is not None:
-            waiter, self._waiter = self._waiter, None
-            waiter.trigger()
-
-    def recv_signal(self) -> Signal:
-        """A signal that fires when a datagram is (or already was) queued."""
-        signal = Signal(self.node.engine)
-        if self.recv_queue:
-            signal.trigger()
-        else:
-            self._waiter = signal
-        return signal
 
     def close(self) -> None:
         self.closed = True

@@ -10,9 +10,6 @@ Public surface:
 * :class:`~repro.sim.engine.Engine` -- the event loop.
 * :class:`~repro.sim.engine.Timer` / ``Engine.timer`` -- a scheduled
   callback that can be cancelled (``schedule`` returns nothing).
-* :class:`~repro.sim.engine.SimProcess` / ``Engine.process`` -- generator
-  based cooperative processes (``yield <delay_ns>`` or ``yield Signal``).
-* :class:`~repro.sim.engine.Signal` -- one-shot wakeup primitive.
 * :class:`~repro.sim.clock.NodeClock` -- a per-node monotonic clock with
   configurable offset and drift (models CLOCK_MONOTONIC on distinct
   machines whose clocks disagree).
@@ -40,7 +37,7 @@ from repro.sim.coordinator import (
     ShardCoordinator,
     ShardWorkerError,
 )
-from repro.sim.engine import Engine, Signal, SimProcess, Timer
+from repro.sim.engine import Engine, Timer
 from repro.sim.rng import SeededRNG
 from repro.sim.shard import DEFAULT_LOOKAHEAD_NS, ShardedEngine
 
@@ -73,8 +70,6 @@ def engine_factory(factory: Callable[[], Engine]) -> Iterator[None]:
 __all__ = [
     "Engine",
     "Timer",
-    "Signal",
-    "SimProcess",
     "NodeClock",
     "SeededRNG",
     "ShardedEngine",

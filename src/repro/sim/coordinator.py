@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError, run_bound
 from repro.sim.shard import DEFAULT_LOOKAHEAD_NS, register_shard_stage
 
 
@@ -399,9 +399,10 @@ class ShardCoordinator:
 
     def run(self, until: int) -> CoordinatorRun:
         """Advance every shard to ``until`` and return the merged run."""
+        until = run_bound(until)
         if self.workers:
-            return self._run_on_workers(int(until))
-        return self._run_in_process(int(until))
+            return self._run_on_workers(until)
+        return self._run_in_process(until)
 
     # -- observability -----------------------------------------------------
 

@@ -7,15 +7,11 @@ accounting exact: the time a packet spends queued at an OVS ingress port
 and the time a vCPU waits for the Xen rate limit are measured on the same
 clock the tracing scripts read.
 
-Three programming models are supported:
-
-* plain callbacks -- ``engine.schedule(delay_ns, fn, *args)``;
-* cancellable callbacks -- ``engine.timer(delay_ns, fn, *args)`` returns
-  a :class:`Timer` whose ``cancel()`` prevents the call;
-* cooperative processes -- ``engine.process(generator)`` where the
-  generator yields either an integer delay in nanoseconds or a
-  :class:`Signal` to wait on.  This is how workloads (Sockperf, iPerf,
-  memcached clients) are written.
+There is one programming model: a callback and its arguments, run at
+a virtual time.  ``engine.schedule(delay_ns, fn, *args)`` arms one;
+``engine.timer(delay_ns, fn, *args)`` arms one and returns a
+:class:`Timer` whose ``cancel()`` prevents the call.  Work that repeats
+(a workload's sender, an agent's heartbeat) reschedules itself.
 
 There is one event loop, :meth:`Engine.run`, over one binary heap of
 plain tuples ``(time, seq, fn, args)``.  ``(time, seq)`` is unique, so
@@ -34,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
 
 # Dead-timer compaction: the heap is rebuilt without its cancelled timers
@@ -46,6 +42,16 @@ COMPACT_MIN_DEAD = 64
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the engine (negative delays, running twice...)."""
+
+
+def run_bound(until: float) -> int:
+    """A run's ``until`` as the integer nanosecond it stops after, the
+    way :meth:`Engine.schedule_at` takes a time: truncated, and a NaN or
+    infinite bound is an error rather than a run that never stops."""
+    try:
+        return int(until)
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise SimulationError(f"invalid run bound {until}") from None
 
 
 class Timer:
@@ -90,96 +96,6 @@ class Timer:
         return f"<Timer {'done' if self.fn is None else 'armed'} fn={self.fn!r}>"
 
 
-class Signal:
-    """A one-shot wakeup that processes can ``yield`` to block on.
-
-    ``trigger(value)`` wakes every waiter with ``value``.  Triggering an
-    already-triggered signal is an error; waiting on a triggered signal
-    resumes immediately with the stored value.
-    """
-
-    __slots__ = ("engine", "_waiters", "triggered", "value")
-
-    def __init__(self, engine: "Engine"):
-        self.engine = engine
-        self._waiters: List[Callable[[Any], None]] = []
-        self.triggered = False
-        self.value: Any = None
-
-    def add_waiter(self, callback: Callable[[Any], None]) -> None:
-        """Register ``callback(value)``; fires now if already triggered."""
-        if self.triggered:
-            self.engine.schedule(0, callback, self.value)
-        else:
-            self._waiters.append(callback)
-
-    def trigger(self, value: Any = None) -> None:
-        """Wake all waiters at the current simulation time."""
-        if self.triggered:
-            raise SimulationError("Signal triggered twice")
-        self.triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for callback in waiters:
-            self.engine.schedule(0, callback, value)
-
-
-class SimProcess:
-    """Drives a generator as a cooperative process.
-
-    The generator may yield:
-
-    * finite ``int``/``float`` >= 0 (not a ``bool``) -- sleep that many
-      nanoseconds;
-    * :class:`Signal` -- block until triggered; the triggered value is
-      sent back into the generator;
-    * ``None`` -- yield to the scheduler (resume at the same timestamp).
-
-    When the generator returns, :attr:`done` becomes ``True`` and
-    :attr:`completion` (a :class:`Signal`) is triggered with the return
-    value, so processes can wait on each other.
-    """
-
-    __slots__ = ("engine", "generator", "done", "result", "completion", "name")
-
-    def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
-        self.engine = engine
-        self.generator = generator
-        self.done = False
-        self.result: Any = None
-        self.completion = Signal(engine)
-        self.name = name or getattr(generator, "__name__", "process")
-
-    def _step(self, send_value: Any = None) -> None:
-        if self.done:
-            return
-        try:
-            yielded = self.generator.send(send_value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            self.completion.trigger(stop.value)
-            return
-        if yielded is None:
-            self.engine.schedule(0, self._step, None)
-        elif isinstance(yielded, Signal):
-            yielded.add_waiter(self._step)
-        elif isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
-            if not 0 <= yielded < math.inf:  # also false for NaN
-                raise SimulationError(
-                    f"process {self.name!r} yielded invalid delay {yielded}"
-                )
-            self.engine.schedule(int(yielded), self._step, None)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported value {yielded!r}"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else "running"
-        return f"<SimProcess {self.name} {state}>"
-
-
 class Engine:
     """Single-threaded discrete-event loop with integer-ns virtual time."""
 
@@ -203,17 +119,12 @@ class Engine:
 
     def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay_ns`` nanoseconds."""
-        if delay_ns:
-            if delay_ns < 0:
-                raise SimulationError(f"negative delay {delay_ns}")
-            try:
-                time_ns = self.now + int(delay_ns)
-            except (ValueError, OverflowError):  # NaN, infinity
-                raise SimulationError(f"invalid delay {delay_ns}") from None
-        else:
-            # Zero-delay wakeups (signal triggers, process steps) dominate
-            # scheduling; skip the add/convert entirely.
-            time_ns = self.now
+        if delay_ns < 0:
+            raise SimulationError(f"negative delay {delay_ns}")
+        try:
+            time_ns = self.now + int(delay_ns)
+        except (ValueError, OverflowError):  # NaN, infinity
+            raise SimulationError(f"invalid delay {delay_ns}") from None
         heapq.heappush(self._heap, (time_ns, self._seq, fn, args))
         self._seq += 1
 
@@ -251,16 +162,6 @@ class Engine:
         self._seq += 1
         return timer
 
-    def process(self, generator: Generator, name: str = "") -> SimProcess:
-        """Start a cooperative process; its first step runs at the current time."""
-        proc = SimProcess(self, generator, name=name)
-        self.schedule(0, proc._step, None)
-        return proc
-
-    def signal(self) -> Signal:
-        """Convenience constructor for a :class:`Signal` bound to this engine."""
-        return Signal(self)
-
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Execute events until the heap drains, ``until`` ns is reached
         (inclusive), or ``max_events`` have run.  Returns the number of
@@ -268,6 +169,8 @@ class Engine:
         or before it is still queued."""
         if self._running:
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None:
+            until = run_bound(until)
         # An absent bound becomes one no run can reach: one loop for all.
         executed = self._drain(
             math.inf if until is None else until,

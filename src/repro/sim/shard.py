@@ -27,7 +27,7 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine, SimulationError, run_bound
 
 # The default conservative-lookahead window, in virtual nanoseconds.
 # The fleet tier requires every cross-shard boundary latency to be at
@@ -87,6 +87,8 @@ class ShardedEngine(Engine):
         the next one opens.  Every ``run`` opens a fresh round."""
         if self._running:  # before any round is opened
             raise SimulationError("engine.run() is not reentrant")
+        if until is not None:
+            until = run_bound(until)
         budget = sys.maxsize if max_events is None else max_events
         before = self.events_executed
         try:

@@ -49,22 +49,6 @@ class StreamSketch:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
 
-    def observe_sorted(self, ascending: list) -> None:
-        """Bulk fill from an ascending list (the window-close hot
-        path): one C-speed bisect per *bucket edge* instead of one per
-        value, since the counts are just differences of insertion
-        points."""
-        from bisect import bisect_right
-
-        counts = self.counts
-        previous = 0
-        for i, bound in enumerate(self.bounds):
-            at = bisect_right(ascending, bound)
-            counts[i] += at - previous
-            previous = at
-        counts[-1] += len(ascending) - previous
-        self.count += len(ascending)
-
     def merge(self, other: "StreamSketch") -> None:
         """Fold ``other`` in; exact (bucket counts simply add)."""
         if other.bounds != self.bounds:

@@ -1,5 +1,5 @@
 """Small units not covered elsewhere: cost model, stats plumbing,
-engine/process odds and ends."""
+engine odds and ends."""
 
 import pytest
 

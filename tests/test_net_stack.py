@@ -1,12 +1,13 @@
 """Kernel node: sockets, routing, UDP end-to-end over veth, trace IDs."""
 
+import gc
+
 import pytest
 
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.device import VethDevice
-from repro.net.stack import KernelNode, StackError
+from repro.net.stack import StackError
 from repro.net.traceid import TraceIDEngine, extract_trace_id
-from repro.sim.engine import Engine
 from tests.conftest import HookRecorder
 
 
@@ -79,19 +80,21 @@ class TestUDPEndToEnd:
         node_a.bind_udp(ip_a, 9001).sendto(ip_b, 4242, b"x")
         engine.run()  # must not raise
 
-    def test_recv_signal_process_style(self, engine, two_nodes):
+    def test_handlerless_socket_counts_and_drops(self, engine, two_nodes):
+        """No ``on_receive``: the datagram is counted and nothing keeps
+        its packet (``Packet`` has no ``__weakref__`` slot, so ask the
+        collector who still refers to it)."""
         node_a, node_b, ip_a, ip_b = two_nodes
         server = node_b.bind_udp(ip_b, 9000)
-        results = []
-
-        def reader():
-            yield server.recv_signal()
-            results.append(server.recv_queue.pop(0)[0])
-
-        engine.process(reader())
+        delivered = []
+        deliver = server.deliver
+        server.deliver = lambda *args: (delivered.append(args[3]), deliver(*args))
         node_a.bind_udp(ip_a, 9001).sendto(ip_b, 9000, b"data")
         engine.run()
-        assert results == [b"data"]
+        assert (server.rx_packets, server.rx_bytes) == (1, 4)
+        assert len(delivered) == 1
+        gc.collect()
+        assert gc.get_referrers(delivered[0]) == [delivered]
 
     def test_kernel_hooks_fire_along_path(self, engine, two_nodes):
         node_a, node_b, ip_a, ip_b = two_nodes

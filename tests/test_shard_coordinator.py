@@ -112,6 +112,21 @@ class TestCoordinator:
         with pytest.raises(SimulationError):
             ShardCoordinator(2, build, lookahead_ns=0)
 
+    @pytest.mark.parametrize("workers", [False, True], ids=["in-process", "workers"])
+    def test_non_finite_until_is_a_simulation_error(self, workers):
+        """Refused before any shard is built or any worker started."""
+        built = []
+
+        def build(*args):
+            built.append(args)
+            return build_fleet_shard(SMALL, *args)
+
+        coordinator = ShardCoordinator(2, build, workers=workers)
+        for until in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="invalid run bound"):
+                coordinator.run(until)
+        assert built == [] and coordinator.rounds == 0
+
     def test_attach_metrics_registers_shard_stage(self):
         """Same registration as the compat tier's, over the coordinator's
         own counters."""

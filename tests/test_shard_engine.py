@@ -102,35 +102,51 @@ class TestOrderIdentity:
         assert engine.run() == 1
         assert (engine.rounds, engine.events_by_shard) == (4, [6, 0])
 
-    def test_processes_and_signals(self):
-        def trace(engine):
-            out = []
-            sig = engine.signal()
-
-            def waiter():
-                value = yield sig
-                out.append(("woke", engine.now, value))
-                yield 50
-                out.append(("slept", engine.now))
-
-            def kicker():
-                yield 100
-                sig.trigger("go")
-
-            engine.process(waiter(), name="w")
-            engine.process(kicker(), name="k")
-            engine.run()
-            return out
-
-        assert trace(ShardedEngine(shards=4)) == trace(Engine())
-
-    def test_zero_delay_fast_path_matches(self):
+    def test_zero_delay_events_run_in_schedule_order(self):
         for engine in (Engine(), ShardedEngine(shards=2)):
             order = []
             engine.schedule(0, order.append, "first")
             engine.schedule(0, order.append, "second")
             engine.run()
             assert order == ["first", "second"]
+
+
+class TestRunBound:
+    """``until`` is a time like any other: truncated to integer
+    nanoseconds, and a NaN or infinite bound is refused before any event
+    runs -- a self-rescheduling timer would otherwise never let the run
+    return."""
+
+    ENGINES = pytest.mark.parametrize(
+        "make", [Engine, lambda: ShardedEngine(shards=2)], ids=["Engine", "ShardedEngine"]
+    )
+
+    @ENGINES
+    @pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_until_is_refused(self, make, until):
+        engine = make()
+        ticks = []
+
+        def heartbeat():
+            ticks.append(engine.now)
+            engine.schedule(10, heartbeat)
+
+        engine.schedule(10, heartbeat)
+        with pytest.raises(SimulationError, match="invalid run bound"):
+            engine.run(until=until, max_events=1_000)
+        assert (ticks, engine.now, engine.events_executed) == ([], 0, 0)
+        assert engine.run(until=35) == 3  # the engine is not wedged
+
+    @ENGINES
+    def test_fractional_until_keeps_an_integer_clock(self, make):
+        engine = make()
+        seen = []
+        engine.schedule(1, seen.append, "a")
+        engine.schedule(2, seen.append, "b")
+        assert engine.run(until=1.5) == 1
+        assert seen == ["a"]
+        assert engine.now == 1 and type(engine.now) is int
 
 
 class TestCallbackRaises:

@@ -1,8 +1,8 @@
-"""Engine: event ordering, processes, signals, determinism."""
+"""Engine: event ordering, timers, determinism."""
 
 import pytest
 
-from repro.sim.engine import Engine, Signal, SimulationError
+from repro.sim.engine import Engine, SimulationError
 
 
 class TestScheduling:
@@ -162,136 +162,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.timer(-1, lambda: None)
         assert engine.pending() == 0
-
-
-class TestSignal:
-    def test_waiters_fire_on_trigger(self, engine):
-        signal = Signal(engine)
-        seen = []
-        signal.add_waiter(seen.append)
-        engine.schedule(10, signal.trigger, "value")
-        engine.run()
-        assert seen == ["value"]
-
-    def test_late_waiter_fires_immediately(self, engine):
-        signal = Signal(engine)
-        signal.trigger(42)
-        seen = []
-        signal.add_waiter(seen.append)
-        engine.run()
-        assert seen == [42]
-
-    def test_double_trigger_rejected(self, engine):
-        signal = Signal(engine)
-        signal.trigger()
-        with pytest.raises(SimulationError):
-            signal.trigger()
-
-    def test_multiple_waiters_all_fire(self, engine):
-        signal = Signal(engine)
-        seen = []
-        for _ in range(3):
-            signal.add_waiter(seen.append)
-        signal.trigger("v")
-        engine.run()
-        assert seen == ["v", "v", "v"]
-
-
-class TestSimProcess:
-    def test_yield_delay_advances_time(self, engine):
-        marks = []
-
-        def proc():
-            marks.append(engine.now)
-            yield 100
-            marks.append(engine.now)
-            yield 50
-            marks.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert marks == [0, 100, 150]
-
-    def test_yield_signal_blocks_until_trigger(self, engine):
-        signal = Signal(engine)
-        got = []
-
-        def proc():
-            value = yield signal
-            got.append((engine.now, value))
-
-        engine.process(proc())
-        engine.schedule(75, signal.trigger, "hello")
-        engine.run()
-        assert got == [(75, "hello")]
-
-    def test_completion_signal_carries_return_value(self, engine):
-        def worker():
-            yield 10
-            return "result"
-
-        def waiter(proc):
-            value = yield proc.completion
-            results.append(value)
-
-        results = []
-        proc = engine.process(worker())
-        engine.process(waiter(proc))
-        engine.run()
-        assert results == ["result"]
-        assert proc.done and proc.result == "result"
-
-    def test_negative_yield_raises(self, engine):
-        def proc():
-            yield -5
-
-        engine.process(proc())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_bad_yield_type_raises(self, engine):
-        def proc():
-            yield "nonsense"
-
-        engine.process(proc())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    @pytest.mark.parametrize(
-        "value", [True, False, float("nan"), float("inf"), float("-inf"), -0.5],
-        ids=["True", "False", "nan", "inf", "-inf", "negative-float"],
-    )
-    def test_non_delay_yield_raises_naming_the_process(self, engine, value):
-        """A bool is not a delay, and a non-finite one cannot be slept."""
-        def proc():
-            yield value
-
-        engine.process(proc(), name="sleeper")
-        with pytest.raises(SimulationError, match="'sleeper'"):
-            engine.run()
-        assert engine.now == 0
-
-    def test_finite_float_yield_sleeps_its_integer_part(self, engine):
-        marks = []
-
-        def proc():
-            yield 2.9
-            marks.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert marks == [2]
-
-    def test_yield_none_resumes_same_timestamp(self, engine):
-        marks = []
-
-        def proc():
-            yield None
-            marks.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert marks == [0]
 
 
 class TestDeterminism:

@@ -156,16 +156,6 @@ class TestStreamSketch:
         assert sketch.bucket_counts() == (2, 1, 1)
         assert sketch.count == 4
 
-    def test_observe_sorted_matches_observe(self):
-        values = sorted((500, 1_000, 1_001, 3_000, 250_000, 400_000_000))
-        one = StreamSketch()
-        for value in values:
-            one.observe(value)
-        bulk = StreamSketch()
-        bulk.observe_sorted(values)
-        assert bulk.bucket_counts() == one.bucket_counts()
-        assert bulk.count == one.count
-
     def test_merge_is_exact_vector_addition(self):
         left, right, joint = StreamSketch(), StreamSketch(), StreamSketch()
         for value in (2_000, 90_000, 2_000_000):
