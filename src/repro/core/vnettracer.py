@@ -47,6 +47,7 @@ from repro.obs.instrument import register_ebpf_metrics
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import StatsSampler
 from repro.sim.engine import Engine
+from repro.streaming.windows import DEFAULT_TOP_K, DEFAULT_WINDOW_NS
 
 
 class VNetTracer:
@@ -291,9 +292,9 @@ class VNetTracer:
     def attach_streaming(
         self,
         chain: Sequence[str],
-        window_ns: int = 100_000_000,
+        window_ns: int = DEFAULT_WINDOW_NS,
         allowed_lateness_ns: int = 0,
-        top_k: int = 8,
+        top_k: int = DEFAULT_TOP_K,
         emit_interval_ns: Optional[int] = None,
     ):
         """Attach the live window-aggregation layer: an aggregator
@@ -322,7 +323,7 @@ class VNetTracer:
         aggregator = StreamingAggregator(config, registry=self.obs)
         aggregator.attach(self.collector)
         if emit_interval_ns is not None:
-            aggregator.start_emitter(self.engine, emit_interval_ns)
+            aggregator.start_emitter(self.engine)
         self.streaming = aggregator
         return aggregator
 

@@ -421,13 +421,14 @@ def merge_fleet_results(
 
     db = TraceDB()
     digest = hashlib.sha256()
-    # One streaming aggregator spans the whole merge: every shard's
-    # collected blobs fan into the same tumbling windows (standalone --
-    # no collector -- so windows only close in close_all(), after every
-    # node's whole-run blob has been replayed).
+    # One streaming aggregator spans the whole merge: it reads the merge
+    # database, so every shard's blobs, decoded once by insert_packed,
+    # fan into the same tumbling windows.  No collector means no
+    # expected nodes: windows only close in close_all(), after every
+    # node's whole-run blob is in.
     streaming = StreamingAggregator(
         StreamingConfig(chain=FLEET_CHAIN, window_ns=TICK_NS)
-    )
+    ).attach(db)
     per_rack = config.per_rack
     for node in sorted(blobs):
         name = f"node-{node:04d}"
@@ -435,9 +436,7 @@ def merge_fleet_results(
         if estimate:
             db.set_clock_skew(name, -estimate)
         db.insert_packed(name, blobs[node], FLEET_LABELS)
-        streaming.observe_batch(
-            name, blobs[node], FLEET_LABELS, skew_ns=-estimate if estimate else 0
-        )
+        streaming.observe_ingest(name)
         digest.update(struct.pack("<I", node))
         digest.update(blobs[node])
     streaming.close_all()

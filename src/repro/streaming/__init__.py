@@ -1,9 +1,7 @@
-"""Streaming query layer: live tumbling-window aggregation over
-packed-blob shipments (docs/STREAMING.md)."""
+"""Streaming query layer: live tumbling-window aggregation over the
+rows a TraceDB ingests (docs/STREAMING.md)."""
 
 from repro.streaming.aggregate import (
-    DEFAULT_TOP_K,
-    DEFAULT_WINDOW_NS,
     StreamingAggregator,
     StreamingConfig,
     StreamingError,
@@ -11,7 +9,7 @@ from repro.streaming.aggregate import (
 )
 from repro.streaming.reference import offline_reference_json, offline_reference_summary
 from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS, StreamSketch
-from repro.streaming.windows import TopKSlowest, WindowFrame
+from repro.streaming.windows import DEFAULT_TOP_K, DEFAULT_WINDOW_NS, TopKSlowest, WindowFrame
 
 __all__ = [
     "DEFAULT_TOP_K",

@@ -1,42 +1,45 @@
-"""The incremental aggregation engine over packed-blob shipments.
+"""The incremental aggregation engine over a TraceDB's appended rows.
 
-A :class:`StreamingAggregator` subscribes to the collector's ingest
-path (:meth:`attach`), **downstream of the resequencer**: by the time
-``RawDataCollector._apply`` taps it, duplicates have been discarded via
-``TraceDB.mark_batch`` and batches arrive in strict per-node sequence
-order, so windows see exactly the deduplicated, in-order record stream
-the database stores -- plus explicit :meth:`observe_gap` notices when a
-shipment is abandoned (``skip_shipment``).  It can also run standalone
-(no collector) for merge paths like ``macro_fleet``, where per-shard
-blobs are replayed through :meth:`observe_batch` directly.
+A :class:`StreamingAggregator` reads one :class:`~repro.core.tracedb.TraceDB`
+(:meth:`attach`) and folds in, on each :meth:`observe_ingest`, exactly
+the rows ``TraceDB.insert_packed`` appended since the last call -- so
+every record it sees was decoded, checked (``MalformedBatchError``)
+and skew-aligned once, by the database.  Attached to a
+``RawDataCollector``, it taps the collector's ingest **downstream of
+the resequencer**: by the time ``RawDataCollector._apply`` calls it,
+duplicates have been discarded via ``TraceDB.mark_batch`` and batches
+arrive in strict per-node sequence order, so windows see exactly the
+deduplicated, in-order record stream the database stores -- plus
+explicit :meth:`observe_gap` notices when a shipment is abandoned
+(``skip_shipment``).  Attached to a bare database, the caller calls
+:meth:`observe_ingest` after each insert: ``macro_fleet``'s merge does
+so for every per-shard blob.
 
-The attached tap is *columnar*: the collector bulk-decodes each blob
-straight into the TraceDB's per-label column arrays, and
-:meth:`observe_ingest` picks up exactly the freshly appended slices (a
-per-table cursor diff), so the aggregator never re-unpacks a record the
-database already decoded.  Ingest then runs on whole slices with
-C-speed primitives -- ``bisect`` window segmentation and
-``sum``/``min``/``max`` slice reductions for throughput, and per-label
-*first-occurrence streams* for hop matching: as long as a label's
-trace IDs arrive strictly ascending (ring-buffer order in, strict
-resequencing through -- the steady state here), first-occurrence
-extraction is two plain list extends, with no per-record or per-entry
-dict work at all.  Hop-pair matching is deferred to window close,
-where the source window's ID slice is compared against the sink
-stream's next positional slice: one C-level list equality and one
-``map(sub)`` latency pass when the streams align.  The first duplicate,
-reordered, or missing ID flips the label (and any hop sinking at it)
-into *dict mode* -- the classic first-occurrence hash join -- which is
-slower but handles every fault the collector can surface.  Either way
-a pair counts iff both sides arrived before the source window closed
-(watermark + allowed lateness): the same set an eager per-record join
-admits, without its per-record cost.
+The fold is *columnar*: :meth:`observe_ingest` picks up the freshly
+appended column slices (a per-table cursor diff).  Ingest then runs on
+whole slices with C-speed primitives -- ``bisect`` window segmentation
+and ``sum``/``min``/``max`` slice reductions for throughput, and
+per-label *first-occurrence streams* for hop matching: as long as
+every slice a label receives holds only new trace IDs (ring-buffer
+order in, strict resequencing through -- the steady state here),
+first-occurrence extraction is two plain list extends, with no
+per-record or per-entry dict work at all.  Hop-pair matching is
+deferred to window close, where the source window's ID slice is
+compared against the sink stream's next positional slice: one C-level
+list equality and one ``map(sub)`` latency pass when the streams
+align.  A slice holding a seen, repeated or zero ID flips its label
+into *dict mode*, and a sink slice out of step flips its hop -- the
+classic first-occurrence hash join -- which is slower but handles
+every fault the collector can surface.  Either way a pair counts iff
+both sides arrived before the source window closed (watermark +
+allowed lateness): the same set an eager per-record join admits,
+without its per-record cost.
 
 Everything is keyed by *aligned event time* (record timestamp + the
-node's clock skew; the attached tap reads the DB's already-aligned
-timestamp column, so streaming and offline attribution can never
-diverge).  Window close is driven by a conservative watermark -- the
-minimum, over every expected node, of the newest aligned timestamp seen
+node's clock skew, read from the DB's already-aligned timestamp
+column, so streaming and offline attribution can never diverge).
+Window close is driven by a conservative watermark -- the minimum,
+over every expected node, of the newest aligned timestamp seen
 from that node, minus the allowed lateness -- so a slow shard can never
 strand records as late.  Non-monotone slices fall back to a per-record
 loop; a duplicate trace ID keeps its first-*arrival* timestamp,
@@ -58,17 +61,19 @@ from itertools import islice
 from operator import le as _le, lt as _lt
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core.records import RECORD_STRUCT
 from repro.core.metrics import TRACE_ID_BYTES
+from repro.core.tracedb import TraceDB
 from repro.obs import contract as obs_contract
 from repro.obs.registry import estimate_quantile
 from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS
-from repro.streaming.windows import TopKSlowest, WindowFrame
-
-DEFAULT_WINDOW_NS = 100_000_000
-DEFAULT_TOP_K = 8
+from repro.streaming.windows import DEFAULT_TOP_K, DEFAULT_WINDOW_NS, TopKSlowest, WindowFrame
 
 _NEG = -(1 << 62)  # "no window closed yet" sentinel (below any real index)
+
+_NO_BLOB_ENTRY = (
+    "streaming folds no blobs: attach(db) the aggregator to a TraceDB and "
+    "call observe_ingest(node) after each db.insert_packed(...)"
+)
 
 
 class StreamingError(ValueError):
@@ -89,6 +94,11 @@ class StreamingConfig(NamedTuple):
             raise StreamingError("streaming needs a chain of at least two tracepoints")
         if len(set(self.chain)) != len(self.chain):
             raise StreamingError(f"chain labels must be unique: {self.chain!r}")
+        for name in ("window_ns", "allowed_lateness_ns", "top_k", "emit_interval_ns"):
+            value = getattr(self, name)
+            # ``type`` rather than ``isinstance``: a bool is an int too.
+            if type(value) is not int and not (name == "emit_interval_ns" and value is None):
+                raise StreamingError(f"{name} must be an int, got {value!r}")
         if self.window_ns <= 0:
             raise StreamingError(f"window_ns must be positive, got {self.window_ns}")
         if self.allowed_lateness_ns < 0:
@@ -128,21 +138,20 @@ class _LabelState:
     every 64-bit value.  ``done`` is the from-side close cursor:
     entries before it were consumed by a closed window (cursor, not
     deletion, so positional sink cursors into the same columns stay
-    valid).  ``fdict`` is ``None`` while the stream has only ever seen
-    strictly ascending IDs (fast mode: appends need no dedup); the
-    first duplicate/reordered/zero ID materializes it and the label
-    folds through the dict from then on.  ``dirty`` flags a timestamp
-    regression in the unconsumed suffix (close re-sorts before
-    slicing); ``ties`` flags that two entries may share a timestamp,
-    which forces the sorted-tuple pair order on the close path.
+    valid).  ``fdict`` is ``None`` while every slice the stream took
+    held only new IDs (fast mode: appends need no dedup); the first
+    seen/repeated/zero ID materializes it and the label folds through
+    the dict from then on.  ``dirty`` flags a timestamp regression in
+    the unconsumed suffix (close re-sorts before slicing); ``ties``
+    flags that two entries may share a timestamp, which forces the
+    sorted-tuple pair order on the close path.
     """
 
-    __slots__ = ("f_ts", "f_tid", "last_tid", "fdict", "done", "dirty", "ties")
+    __slots__ = ("f_ts", "f_tid", "fdict", "done", "dirty", "ties")
 
     def __init__(self):
         self.f_ts = array("q")
         self.f_tid = array("q")
-        self.last_tid = 0  # zero doubles as the untraced-filler ID
         self.fdict: Optional[Dict[int, int]] = None
         self.done = 0
         self.dirty = False
@@ -209,8 +218,6 @@ class StreamingAggregator:
         self._db = None
         self._cursors: Dict[str, int] = {}
         self._fseen: Dict[str, int] = {}
-        self._labels: Dict[int, str] = {}
-        self._skew_of = lambda node: 0
         self._expected_override: Optional[set] = None
         self._emit_timer = None
         self._emit_engine = None
@@ -231,40 +238,43 @@ class StreamingAggregator:
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, collector) -> "StreamingAggregator":
-        """Subscribe to a collector's post-resequencer ingest.  The tap
-        is columnar: per-table cursors start at the database's current
-        row counts, and each applied batch hands over exactly the
-        column slices ``insert_packed`` just appended -- timestamps
-        already skew-aligned, labels already resolved."""
-        if self._collector is not None and self._collector is not collector:
-            raise StreamingError("aggregator is already attached to a collector")
-        self._collector = collector
-        self._db = collector.db
-        self._cursors = {
-            label: len(table.timestamp_ns)
-            for label, table in collector.db._tables.items()
-        }
-        self._fseen = {
-            label: len(table.first_ts)
-            for label, table in collector.db._tables.items()
-        }
-        self._labels = collector._labels
-        self._skew_of = collector.db.clock_skew
-        collector.set_streaming_tap(self)
+    def attach(self, source) -> "StreamingAggregator":
+        """Read a database's appended rows from here on: per-table
+        cursors start at its current row counts, and each
+        :meth:`observe_ingest` folds exactly the column slices
+        ``insert_packed`` appended since -- timestamps already
+        skew-aligned, labels already resolved.  ``source`` is a
+        ``TraceDB`` (the caller then calls :meth:`observe_ingest` after
+        each insert) or a ``RawDataCollector``: the aggregator then
+        reads the collector's database, is its post-resequencer tap,
+        and waits for the collector's agents before it closes a
+        window."""
+        collector = None if isinstance(source, TraceDB) else source
+        db = source if collector is None else collector.db
+        if self._db is not None and self._db is not db:
+            raise StreamingError("aggregator is already attached to another database")
+        self._db = db
+        tables = db._tables.items()
+        self._cursors = {label: len(table.timestamp_ns) for label, table in tables}
+        self._fseen = {label: len(table.first_ts) for label, table in tables}
+        if collector is not None:
+            self._collector = collector
+            collector.set_streaming_tap(self)
         return self
 
     def expect_nodes(self, names) -> None:
-        """Override the watermark's expected-node set (standalone use;
-        attached aggregators default to the collector's agents)."""
+        """Override the watermark's expected-node set (the nodes a
+        database-attached aggregator waits for; collector-attached ones
+        default to the collector's agents)."""
         self._expected_override = set(names)
 
-    def start_emitter(self, engine, interval_ns: Optional[int] = None) -> None:
-        """Schedule deterministic periodic snapshots on the engine (the
-        live-emit path; snapshots carry only virtual-time state)."""
+    def start_emitter(self, engine) -> None:
+        """Schedule deterministic periodic snapshots on the engine, every
+        ``emit_interval_ns`` (else every window), the live-emit path;
+        snapshots carry only virtual-time state."""
         if self._emit_timer is not None:
             return
-        interval = interval_ns or self.config.emit_interval_ns or self._window_ns
+        interval = self.config.emit_interval_ns or self._window_ns
         self._emit_engine = engine
         self._emit_interval = interval
         self._emit_timer = engine.timer(interval, self._emit)
@@ -290,14 +300,15 @@ class StreamingAggregator:
     # -- ingest ------------------------------------------------------------
 
     def observe_ingest(self, node) -> None:
-        """Collector tap: fold in whatever the database just appended.
-        Diffs the per-table cursors against current row counts, so one
-        call per applied batch sees exactly that batch's rows -- as
-        aligned, label-resolved column slices.  The table's
-        ``first_ts`` index (maintained first-wins on the shared
-        insert path) doubles as a free freshness oracle: when its
-        length grew by exactly the row delta, every ID in the slice is
-        truthy, globally new, and in-slice unique -- the fold needs no
+        """The one fold entry: fold in whatever the attached database
+        appended since the last call (the collector tap calls it per
+        applied batch).  Diffs the per-table cursors against current
+        row counts, so one call per batch sees exactly that batch's
+        rows -- as aligned, label-resolved column slices.  The table's
+        ``first_ts`` index (maintained first-wins on the shared insert
+        path) doubles as a free freshness oracle: when its length grew
+        by exactly the row delta, every ID in the slice is truthy,
+        globally new, and in-slice unique -- the fold needs no
         per-element scan at all."""
         cursors = self._cursors
         fseen = self._fseen
@@ -324,34 +335,13 @@ class StreamingAggregator:
             self._observe_segments(node, segments)
 
     def observe_batch(self, node, blob, labels=None, skew_ns=None) -> None:
-        """Standalone entry: fold one packed shipment blob in.
-        ``labels`` and ``skew_ns`` default to the attached collector's
-        state.  (An attached collector feeds the aggregator through
-        :meth:`observe_ingest` instead; don't mix the two for the same
-        records.)"""
-        if labels is None:
-            labels = self._labels
-        skew = skew_ns if skew_ns is not None else self._skew_of(node)
-        groups: Dict[int, Tuple[list, list, list]] = {}
-        for tid, tp, ts, plen, _cpu in RECORD_STRUCT.iter_unpack(blob):
-            group = groups.get(tp)
-            if group is None:
-                group = groups[tp] = ([], [], [])
-            group[0].append(tid)
-            group[1].append(ts + skew)
-            group[2].append(plen)
-        labels_get = labels.get
-        segments = [
-            (labels_get(tp) or f"tracepoint-{tp}", tids, tss, plens, None)
-            for tp, (tids, tss, plens) in groups.items()
-        ]
-        if segments:
-            self._observe_segments(node, segments)
+        """Gone: streaming reads only the TraceDB (kept by name for the
+        benchmark's layer table)."""
+        raise StreamingError(_NO_BLOB_ENTRY)
 
     def observe_packed(self, node, blob, labels, skew_ns=0) -> None:
-        """:meth:`observe_batch` with explicit labels and skew (merge
-        paths with no collector attached)."""
-        self.observe_batch(node, blob, labels=labels, skew_ns=skew_ns)
+        """Gone, as :meth:`observe_batch`."""
+        raise StreamingError(_NO_BLOB_ENTRY)
 
     def observe_gap(self, node, seq) -> None:
         """A ``skip_shipment`` gap notice: that sequence number will
@@ -445,15 +435,14 @@ class StreamingAggregator:
             self._node_max[node] = node_max
         return count, late
 
-    def _fold(self, label, tids, tss, strict_ts: bool, fresh=None) -> None:
+    def _fold(self, label, tids, tss, strict_ts: bool, fresh: bool) -> None:
         """Append a slice's first-occurrences to the label's stream.
 
         Steady state: the slice *is* its own first-occurrence set, so
-        the fold is two C-level extends.  An attached tap proves that
-        in O(1) (``fresh`` is the ``first_ts`` length-delta
-        verdict from :meth:`observe_ingest`); a standalone fold
-        (``fresh=None``) proves it with a strictly-ascending ID scan.
-        Otherwise the label drops to dict mode for good:
+        the fold is two C-level extends.  ``fresh`` proves that in O(1)
+        (the ``first_ts`` length-delta verdict from
+        :meth:`observe_ingest`).  Otherwise the label drops to dict
+        mode for good:
         first-arrival-wins via a reversed ``dict(zip(...))`` sweep,
         exactly the eager per-record rule.  ``strict_ts`` is the
         caller's no-timestamp-ties verdict for the slice; anything
@@ -461,11 +450,7 @@ class StreamingAggregator:
         st = self._fstate[label]
         fdict = st.fdict
         if fdict is None:
-            if (
-                fresh
-                if fresh is not None
-                else tids[0] > st.last_tid and _strictly_ascending(tids)
-            ):
+            if fresh:
                 f_ts = st.f_ts
                 if f_ts:
                     head = tss[0]
@@ -478,7 +463,6 @@ class StreamingAggregator:
                     st.ties = True
                 f_ts.extend(tss)
                 st.f_tid.extend(tids)
-                st.last_tid = tids[-1]
                 return
             fdict = st.fdict = dict(zip(st.f_tid, st.f_ts))
         st.ties = True  # dict mode: don't chase tie-freedom, just sort
@@ -561,7 +545,7 @@ class StreamingAggregator:
             return self._expected_override
         if self._collector is not None:
             return set(self._collector.agents)
-        return None  # standalone: only close_all() closes windows
+        return None  # nothing to wait for: only close_all() closes windows
 
     def _advance_watermark(self) -> None:
         expected = self._expected_nodes()

@@ -13,6 +13,12 @@ import heapq
 from itertools import chain
 from typing import Dict, List, NamedTuple, Tuple
 
+# StreamingConfig's defaults.  They live here, in a module that imports
+# nothing from ``repro.core``, so ``VNetTracer.attach_streaming`` can
+# default to them without an import cycle.
+DEFAULT_WINDOW_NS = 100_000_000
+DEFAULT_TOP_K = 8
+
 
 class WindowFrame(NamedTuple):
     """One closed window, fully aggregated (the ``repro watch`` row)."""

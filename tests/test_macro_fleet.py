@@ -21,6 +21,7 @@ from repro.experiments.macro_fleet import (
     run_macro_fleet,
     shard_of_rack,
 )
+from repro.streaming import offline_reference_json
 
 SMALL = FleetConfig(nodes=80, racks=8, ticks=8)
 
@@ -95,6 +96,19 @@ class TestPhysics:
 
     def test_rtt_is_twice_wire(self, single_run):
         assert single_run.metrics["rtt_avg_ns"] == 2 * SMALL.wire_ns
+
+
+class TestStreamingMerge:
+    """The merge's aggregator reads the merge database, so its summary
+    is the offline answer over that database and it saw every row."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_streaming_equals_offline_over_the_merged_db(self, shards):
+        result = run_macro_fleet(FleetConfig(ticks=6, seed=3), shards=shards)
+        streaming, db = result.streaming, result.db
+        assert db.rows_inserted > 0
+        assert streaming.summary_json() == offline_reference_json(db, streaming.config)
+        assert streaming.records == db.rows_inserted
 
 
 class TestConfig:

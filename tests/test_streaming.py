@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import VNetTracer
 from repro.core.collector import RawDataCollector
-from repro.core.records import TraceRecord
+from repro.core.records import MalformedBatchError, TraceRecord
 from repro.core.tracedb import TraceDB
 from repro.obs import MetricsRegistry
 from repro.obs.registry import MetricError, estimate_quantile
@@ -43,6 +43,19 @@ def _records(label_ts_tid, plen=100):
     return pack(TraceRecord(tid, tp, ts, plen, 0) for tp, ts, tid in label_ts_tid)
 
 
+def _on_db(**kwargs):
+    """An aggregator attached to a fresh TraceDB (no collector)."""
+    db = TraceDB()
+    return db, StreamingAggregator(_config(**kwargs)).attach(db)
+
+
+def _feed(db, agg, node, label_ts_tid):
+    """Ingest one blob the one way streaming sees records: the database
+    decodes it, then the aggregator folds the rows it appended."""
+    db.insert_packed(node, _records(label_ts_tid), LABELS)
+    agg.observe_ingest(node)
+
+
 class TestConfigValidation:
     def test_defaults_validate(self):
         _config().validate()
@@ -56,6 +69,20 @@ class TestConfigValidation:
             ({"allowed_lateness_ns": -1}, "lateness"),
             ({"top_k": 0}, "top_k"),
             ({"emit_interval_ns": 0}, "emit_interval_ns"),
+            # A bool is an int to Python, a float window yields float
+            # window indices, and a NaN window closes nothing.
+            ({"window_ns": True}, "window_ns"),
+            ({"window_ns": 1.5}, "window_ns"),
+            ({"window_ns": float("nan")}, "window_ns"),
+            ({"allowed_lateness_ns": False}, "lateness"),
+            ({"allowed_lateness_ns": 0.5}, "lateness"),
+            ({"allowed_lateness_ns": float("inf")}, "lateness"),
+            ({"top_k": True}, "top_k"),
+            ({"top_k": 2.0}, "top_k"),
+            ({"top_k": float("inf")}, "top_k"),
+            ({"emit_interval_ns": True}, "emit_interval_ns"),
+            ({"emit_interval_ns": "100"}, "emit_interval_ns"),
+            ({"emit_interval_ns": float("nan")}, "emit_interval_ns"),
         ],
     )
     def test_rejects_bad_config(self, kwargs, message):
@@ -66,8 +93,9 @@ class TestConfigValidation:
 def _frame_of(ts, window_ns=100):
     """The one frame a single record at aligned time ``ts`` closes
     (raw timestamps are unsigned; the node's skew takes it below zero)."""
-    agg = StreamingAggregator(_config(window_ns=window_ns))
-    agg.observe_batch("a", _records([(0, 1_000, 1)]), labels=LABELS, skew_ns=ts - 1_000)
+    db, agg = _on_db(window_ns=window_ns)
+    db.set_clock_skew("a", ts - 1_000)
+    _feed(db, agg, "a", [(0, 1_000, 1)])
     agg.close_all()
     (frame,) = agg.frames
     return frame
@@ -220,68 +248,68 @@ class TestEstimateQuantile:
 
 class TestWatermark:
     def _agg(self, **kwargs):
-        agg = StreamingAggregator(_config(**kwargs))
+        db, agg = _on_db(**kwargs)
         agg.expect_nodes(["a", "b"])
-        return agg
+        return db, agg
 
     # Record sets below populate windows [0,100), [100,200), [200,300).
     A = [(0, 10, 1), (0, 150, 2), (0, 260, 3)]
     B = [(1, 30, 1), (1, 170, 2), (1, 280, 3)]
 
     def test_waits_for_every_expected_node(self):
-        agg = self._agg()
-        agg.observe_batch("a", _records(self.A), labels=LABELS)
+        db, agg = self._agg()
+        _feed(db, agg, "a", self.A)
         assert agg.watermark_ns is None
         assert agg.windows_closed == 0
-        agg.observe_batch("b", _records(self.B), labels=LABELS)
+        _feed(db, agg, "b", self.B)
         assert agg.watermark_ns == 260  # min over nodes, zero lateness
         # Windows [0,100) and [100,200) are closed; [200,300) stays open.
         assert agg.windows_closed == 2
         assert agg.open_windows() == 1
 
     def test_watermark_is_monotone(self):
-        agg = self._agg()
-        agg.observe_batch("a", _records([(0, 260, 1)]), labels=LABELS)
-        agg.observe_batch("b", _records([(1, 280, 1)]), labels=LABELS)
+        db, agg = self._agg()
+        _feed(db, agg, "a", [(0, 260, 1)])
+        _feed(db, agg, "b", [(1, 280, 1)])
         assert agg.watermark_ns == 260
         # An older (but not late) record cannot regress the watermark.
-        agg.observe_batch("a", _records([(0, 250, 2)]), labels=LABELS)
+        _feed(db, agg, "a", [(0, 250, 2)])
         assert agg.watermark_ns == 260
 
     def test_late_record_dropped_and_counted(self):
-        agg = self._agg()
-        agg.observe_batch("a", _records(self.A), labels=LABELS)
-        agg.observe_batch("b", _records(self.B), labels=LABELS)
+        db, agg = self._agg()
+        _feed(db, agg, "a", self.A)
+        _feed(db, agg, "b", self.B)
         assert agg.windows_closed == 2
-        agg.observe_batch("a", _records([(0, 40, 9)]), labels=LABELS)
+        _feed(db, agg, "a", [(0, 40, 9)])
         assert agg.late_records == 1
         # The drop is total: the closed window's throughput is frozen.
         frame = agg.frames[0]
         assert frame.records == 2  # one send + one recv, not the late one
 
     def test_allowed_lateness_keeps_windows_open(self):
-        prompt = self._agg()
-        prompt.observe_batch("a", _records(self.A), labels=LABELS)
-        prompt.observe_batch("b", _records(self.B), labels=LABELS)
+        prompt_db, prompt = self._agg()
+        _feed(prompt_db, prompt, "a", self.A)
+        _feed(prompt_db, prompt, "b", self.B)
         # Without lateness ts=155's window [100,200) has already closed...
-        prompt.observe_batch("a", _records([(0, 155, 9)]), labels=LABELS)
+        _feed(prompt_db, prompt, "a", [(0, 155, 9)])
         assert prompt.late_records == 1
 
-        patient = self._agg(allowed_lateness_ns=100)
-        patient.observe_batch("a", _records(self.A), labels=LABELS)
-        patient.observe_batch("b", _records(self.B), labels=LABELS)
+        patient_db, patient = self._agg(allowed_lateness_ns=100)
+        _feed(patient_db, patient, "a", self.A)
+        _feed(patient_db, patient, "b", self.B)
         assert patient.watermark_ns == 160  # 260 - lateness
         assert patient.windows_closed == 1  # only [0,100) closed
         # ...with 100 ns of allowed lateness it lands in its window.
-        patient.observe_batch("a", _records([(0, 155, 9)]), labels=LABELS)
+        _feed(patient_db, patient, "a", [(0, 155, 9)])
         assert patient.late_records == 0
         patient.close_all()
         (window1,) = [f for f in patient.frames if f.index == 1]
         assert window1.throughput["send"]["records"] == 2
 
     def test_standalone_without_expected_nodes_only_closes_at_end(self):
-        agg = StreamingAggregator(_config())
-        agg.observe_batch("a", _records([(0, 10, 1), (0, 950, 2)]), labels=LABELS)
+        db, agg = _on_db()
+        _feed(db, agg, "a", [(0, 10, 1), (0, 950, 2)])
         assert agg.windows_closed == 0
         agg.close_all()
         assert agg.windows_closed == 2
@@ -341,48 +369,67 @@ class TestResequencerSemantics:
 
 class TestFirstOccurrence:
     def test_duplicate_trace_id_keeps_first_arrival_timestamp(self):
-        agg = StreamingAggregator(_config(window_ns=1_000))
-        agg.observe_batch(
-            "a", _records([(0, 10, 1), (0, 50, 1), (1, 100, 1)]), labels=LABELS
-        )
+        db, agg = _on_db(window_ns=1_000)
+        _feed(db, agg, "a", [(0, 10, 1), (0, 50, 1), (1, 100, 1)])
         agg.close_all()
         hop = agg.summary()["hops"]["send->recv"]
         assert hop["count"] == 1
         assert hop["sum_ns"] == 90  # 100 - 10, never 100 - 50
 
     def test_non_monotone_slice_takes_slow_path_correctly(self):
-        agg = StreamingAggregator(_config(window_ns=1_000))
-        agg.observe_batch(
-            "a",
-            _records([(0, 50, 2), (0, 10, 1), (0, 30, 3)]),  # out of order
-            labels=LABELS,
-        )
-        agg.observe_batch(
-            "b", _records([(1, 110, 1), (1, 150, 2), (1, 130, 3)]), labels=LABELS
-        )
+        db, agg = _on_db(window_ns=1_000)
+        _feed(db, agg, "a", [(0, 50, 2), (0, 10, 1), (0, 30, 3)])  # out of order
+        _feed(db, agg, "b", [(1, 110, 1), (1, 150, 2), (1, 130, 3)])
         agg.close_all()
         hop = agg.summary()["hops"]["send->recv"]
         assert hop["count"] == 3
         assert hop["sum_ns"] == (110 - 10) + (150 - 50) + (130 - 30)
 
     def test_non_ascending_ids_fall_back_to_dict_mode(self):
-        agg = StreamingAggregator(_config(window_ns=1_000))
-        agg.observe_batch("a", _records([(0, 10, 5), (0, 20, 3)]), labels=LABELS)
-        agg.observe_batch("b", _records([(1, 40, 3), (1, 60, 5)]), labels=LABELS)
+        db, agg = _on_db(window_ns=1_000)
+        _feed(db, agg, "a", [(0, 10, 5), (0, 20, 3)])
+        _feed(db, agg, "b", [(1, 40, 3), (1, 60, 5)])
         agg.close_all()
         hop = agg.summary()["hops"]["send->recv"]
         assert hop["count"] == 2
         assert hop["sum_ns"] == (40 - 20) + (60 - 10)
 
     def test_zero_trace_id_is_untraced_filler(self):
-        agg = StreamingAggregator(_config(window_ns=1_000))
-        agg.observe_batch(
-            "a", _records([(0, 10, 1), (0, 20, 0), (1, 90, 1)]), labels=LABELS
-        )
+        db, agg = _on_db(window_ns=1_000)
+        _feed(db, agg, "a", [(0, 10, 1), (0, 20, 0), (1, 90, 1)])
         agg.close_all()
         summary = agg.summary()
         assert summary["throughput"]["send"]["packets"] == 2  # counted there
         assert summary["hops"]["send->recv"]["count"] == 1  # never joined
+
+
+class TestMalformedInput:
+    """Every record reaches streaming through ``insert_packed``'s check,
+    so a blob the database rejects leaves the aggregator as it was."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [_records([(0, 20, 2)])[:-1], "not a blob", _records([(0, 1 << 62, 2)])],
+        ids=["torn", "str", "timestamp-2**62"],
+    )
+    def test_rejected_blob_changes_nothing(self, blob):
+        db, agg = _on_db()
+        _feed(db, agg, "a", [(0, 10, 1)])
+        before = (db.rows_inserted, agg.records, dict(agg._cursors))
+        with pytest.raises(MalformedBatchError):
+            db.insert_packed("a", blob, LABELS)
+        agg.observe_ingest("a")
+        assert (db.rows_inserted, agg.records, agg._cursors) == before
+        _feed(db, agg, "b", [(1, 60, 1)])  # the next good blob folds
+        assert agg.records == 2
+        agg.close_all()
+        assert agg.summary()["hops"]["send->recv"]["count"] == 1
+
+    def test_the_blob_entries_point_at_the_database(self):
+        _db, agg = _on_db()
+        for entry in (agg.observe_batch, agg.observe_packed):
+            with pytest.raises(StreamingError, match="observe_ingest"):
+                entry("a", _records([(0, 10, 1)]), LABELS)
 
 
 class TestAggregatorUsage:
@@ -398,8 +445,8 @@ class TestAggregatorUsage:
         db = TraceDB()
         collector = RawDataCollector(engine, db)
         collector.register_labels(LABELS)
-        agg = StreamingAggregator(_config(window_ns=100)).attach(collector)
-        agg.start_emitter(engine, interval_ns=100)
+        agg = StreamingAggregator(_config(window_ns=100, emit_interval_ns=100)).attach(collector)
+        agg.start_emitter(engine)
         blob = _records([(0, 10, 1), (1, 60, 1)])
         engine.schedule(50, lambda: collector.receive_batch("a", blob, seq=1))
         engine.run(until=350)
