@@ -20,8 +20,10 @@ Query-side indexes are lazy and insert-invalidated:
 * per table, the aligned timestamp of each trace ID's first row
   (``first_ts``), written at append time in first-occurrence order: the
   latency kernels read it (:meth:`first_ts_at` copies it), completeness
-  intersects its key sets (:meth:`complete_traces`), and the streaming
-  freshness oracle reads its length;
+  intersects its key sets (:meth:`complete_traces`), and it is the
+  streaming aggregator's one first-occurrence index (the IDs it gained
+  since the last fold are the new first occurrences; the hop join
+  looks sink IDs up in it);
 * per trace ID, every ``(table, position)`` it was stored at, in global
   insertion order (:meth:`trace_ids` order, and how the cold
   :meth:`trace_ids_at` finds a first row).

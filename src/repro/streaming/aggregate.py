@@ -18,22 +18,17 @@ so for every per-shard blob.
 The fold is *columnar*: :meth:`observe_ingest` picks up the freshly
 appended column slices (a per-table cursor diff).  Ingest then runs on
 whole slices with C-speed primitives -- ``bisect`` window segmentation
-and ``sum``/``min``/``max`` slice reductions for throughput, and
-per-label *first-occurrence streams* for hop matching: as long as
-every slice a label receives holds only new trace IDs (ring-buffer
-order in, strict resequencing through -- the steady state here),
-first-occurrence extraction is two plain list extends, with no
-per-record or per-entry dict work at all.  Hop-pair matching is
-deferred to window close, where the source window's ID slice is
-compared against the sink stream's next positional slice: one C-level
-list equality and one ``map(sub)`` latency pass when the streams
-align.  A slice holding a seen, repeated or zero ID flips its label
-into *dict mode*, and a sink slice out of step flips its hop -- the
-classic first-occurrence hash join -- which is slower but handles
-every fault the collector can surface.  Either way a pair counts iff
-both sides arrived before the source window closed (watermark +
-allowed lateness): the same set an eager per-record join admits,
-without its per-record cost.
+and ``sum``/``min``/``max`` slice reductions; an out-of-order slice is
+sorted once first, so every slice takes the same path.  The one
+first-occurrence index is the database's own ``first_ts`` (per table,
+trace ID -> aligned timestamp of its first row).  A label that opens a
+hop files the IDs ``first_ts`` gained in this call under their windows
+-- the slice's own columns when every row was new, else the tail of
+``first_ts`` -- and at window close each filed ID is looked up in the
+sink table's ``first_ts``.  A pair counts iff the source's first
+occurrence was on time and the sink's first occurrence is in the
+database when the source window closes: the same set an eager
+per-record join admits, without its per-record cost.
 
 Everything is keyed by *aligned event time* (record timestamp + the
 node's clock skew, read from the DB's already-aligned timestamp
@@ -41,9 +36,7 @@ column, so streaming and offline attribution can never diverge).
 Window close is driven by a conservative watermark -- the minimum,
 over every expected node, of the newest aligned timestamp seen
 from that node, minus the allowed lateness -- so a slow shard can never
-strand records as late.  Non-monotone slices fall back to a per-record
-loop; a duplicate trace ID keeps its first-*arrival* timestamp,
-mirroring the database's ``first_ts_at``.
+strand records as late.
 
 Windows are tumbling, so every record and hop pair lands in exactly
 one and the run-level merge (:meth:`summary`) reproduces the offline
@@ -128,36 +121,6 @@ def _strictly_ascending(seq) -> bool:
     return all(map(_lt, seq, islice(seq, 1, None)))
 
 
-class _LabelState:
-    """One chain label's first-occurrence stream, in arrival order.
-
-    ``f_ts``/``f_tid`` are parallel append-only ``array('q')`` columns
-    -- one entry per *new* trace ID, timestamped with its first-arrival
-    aligned time (the database's ``first_ts_at`` rule); arrays keep
-    extends and slice comparisons at memcpy speed instead of boxing
-    every 64-bit value.  ``done`` is the from-side close cursor:
-    entries before it were consumed by a closed window (cursor, not
-    deletion, so positional sink cursors into the same columns stay
-    valid).  ``fdict`` is ``None`` while every slice the stream took
-    held only new IDs (fast mode: appends need no dedup); the first
-    seen/repeated/zero ID materializes it and the label folds through
-    the dict from then on.  ``dirty`` flags a timestamp regression in
-    the unconsumed suffix (close re-sorts before slicing); ``ties``
-    flags that two entries may share a timestamp, which forces the
-    sorted-tuple pair order on the close path.
-    """
-
-    __slots__ = ("f_ts", "f_tid", "fdict", "done", "dirty", "ties")
-
-    def __init__(self):
-        self.f_ts = array("q")
-        self.f_tid = array("q")
-        self.fdict: Optional[Dict[int, int]] = None
-        self.done = 0
-        self.dirty = False
-        self.ties = False
-
-
 class StreamingAggregator:
     """Tumbling-window aggregation in virtual event time."""
 
@@ -169,7 +132,6 @@ class StreamingAggregator:
 
         chain = tuple(config.chain)
         self._chain = chain
-        self._chain_set = frozenset(chain)
         hops = list(zip(chain, chain[1:]))
         if len(chain) > 2:
             hops.append((chain[0], chain[-1]))  # end-to-end
@@ -177,19 +139,16 @@ class StreamingAggregator:
         self._hop_keys = [f"{a}->{b}" for a, b in hops]
         self._e2e_idx = len(hops) - 1
 
-        # Matching state: per-label first-occurrence streams, and per
-        # source label the hops it opens (index + the sink side's
-        # stream) -- the deferred join consumed at close.  Per-hop
-        # positional cursors/flags live in parallel lists.
-        self._fstate: Dict[str, _LabelState] = {label: _LabelState() for label in chain}
-        self._from_routes: Dict[str, List[Tuple[int, _LabelState]]] = {}
+        # Per source label, the hops it opens (index, sink label): the
+        # deferred join consumed at close, against the sink table's
+        # ``first_ts``.
+        self._from_routes: Dict[str, List[Tuple[int, str]]] = {}
         for idx, (a, b) in enumerate(hops):
-            self._from_routes.setdefault(a, []).append((idx, self._fstate[b]))
-        self._hop_pos = [0] * len(hops)  # next unmatched sink entry
-        self._hop_dict = [False] * len(hops)  # True = hash-join fallback
+            self._from_routes.setdefault(a, []).append((idx, b))
 
-        # Open-window state, keyed on the window index.
-        self._wtput: Dict[int, Dict[str, list]] = {}  # w -> label -> [n,pay,lo,hi]
+        # Open-window state, keyed on the window index: per label
+        # [n, payload, lo, hi, first-occurrence ts, their trace IDs].
+        self._wtput: Dict[int, Dict[str, list]] = {}
         self._open: set = set()
         self._closed_upto = _NEG
         self._watermark: Optional[int] = None
@@ -304,33 +263,32 @@ class StreamingAggregator:
         appended since the last call (the collector tap calls it per
         applied batch).  Diffs the per-table cursors against current
         row counts, so one call per batch sees exactly that batch's
-        rows -- as aligned, label-resolved column slices.  The table's
-        ``first_ts`` index (maintained first-wins on the shared insert
-        path) doubles as a free freshness oracle: when its length grew
-        by exactly the row delta, every ID in the slice is truthy,
-        globally new, and in-slice unique -- the fold needs no
-        per-element scan at all."""
+        rows -- as aligned, label-resolved column slices.  For a label
+        that opens a hop it also diffs the table's ``first_ts`` length:
+        the IDs that index gained are the call's new first occurrences,
+        and when it grew by exactly the row delta they are the slice's
+        own rows."""
+        db = self._db
+        if db is None:
+            raise StreamingError(
+                "observe_ingest before attach: attach(db) the aggregator to a "
+                "TraceDB (or a RawDataCollector) first"
+            )
         cursors = self._cursors
         fseen = self._fseen
-        chain_set = self._chain_set
+        routes = self._from_routes
         segments = []
-        for label, table in self._db._tables.items():
-            column = table.timestamp_ns
-            n = len(column)
-            seen = cursors.get(label, 0)
-            if n > seen:
-                cursors[label] = n
-                if label in chain_set:
+        for label, table in db._tables.items():
+            stop = len(table.timestamp_ns)
+            start = cursors.get(label, 0)
+            if stop > start:
+                cursors[label] = stop
+                new = 0
+                if label in routes:
                     nf = len(table.first_ts)
-                    fresh = nf - fseen.get(label, 0) == n - seen
+                    new = nf - fseen.get(label, 0)
                     fseen[label] = nf
-                    tids = table.trace_id[seen:n]
-                else:
-                    fresh = False
-                    tids = None
-                segments.append(
-                    (label, tids, column[seen:n], table.packet_len[seen:n], fresh)
-                )
+                segments.append((label, table, start, stop, new))
         if segments:
             self._observe_segments(node, segments)
 
@@ -362,11 +320,12 @@ class StreamingAggregator:
         self._advance_watermark()
 
     def _ingest_segments(self, node, segments):
-        """Ingest over per-label column slices, a slice at a time:
-        ``bisect`` finds window boundaries (per-node slices are
-        timestamp-monotone), each window's count/payload/min/max come
-        from C-level slice reductions, and first-occurrences fold in
-        through :meth:`_fold` (two list extends in the steady state)."""
+        """Ingest over per-label column slices, a slice at a time: an
+        out-of-order slice is sorted once, then ``bisect`` finds window
+        boundaries, each window's count/payload/min/max come from
+        C-level slice reductions, and a source label files its new
+        first occurrences, split by the same windows.  Returns the
+        record and late-record counts."""
         window = self._window_ns
         bound = (self._closed_upto + 1) * window  # earlier ts = late
         wtput = self._wtput
@@ -375,41 +334,38 @@ class StreamingAggregator:
         node_max = self._node_max.get(node, _NEG)
         count = 0
         late = 0
-        for label, tids, tss, plens, fresh in segments:
-            n = len(tss)
-            if not n:
-                continue
+        for label, table, start, stop, new in segments:
+            n = stop - start
             count += n
-            # One strict pass covers both questions: strictly ascending
-            # implies monotone with no in-slice timestamp ties; only the
-            # tied case pays for the second (non-strict) check.
-            strict_ts = _strictly_ascending(tss)
-            if not strict_ts and (tss[0] > tss[-1] or not _ascending(tss)):
-                late += self._ingest_segment_slow(label, tids, tss, plens)
-                peak = max(tss)
-                if peak > node_max:
-                    node_max = peak
-                continue
+            tss = table.timestamp_ns[start:stop]
+            plens = table.packet_len[start:stop]
+            ordered = _ascending(tss)
+            if not ordered:
+                rows = sorted(zip(tss, plens))
+                tss = [row[0] for row in rows]
+                plens = [row[1] for row in rows]
             if tss[-1] > node_max:
                 node_max = tss[-1]
-            i = 0
+            # The first occurrences first_ts gained, ascending by time.
+            if new == n and ordered:
+                f_ts, f_tid = tss, table.trace_id[start:stop]
+            elif new:
+                firsts = sorted(
+                    (ts, tid) for tid, ts in islice(reversed(table.first_ts.items()), new)
+                )
+                f_ts = [first[0] for first in firsts]
+                f_tid = [first[1] for first in firsts]
+            else:
+                f_ts = f_tid = ()
+            i = fi = 0
             if tss[0] < bound:
                 i = bisect_left(tss, bound)
                 late += i
-                if i == n:
-                    continue
-            if label in self._chain_set:
-                # A suffix of an all-fresh slice is still all-fresh.
-                self._fold(
-                    label,
-                    tids if i == 0 else tids[i:],
-                    tss if i == 0 else tss[i:],
-                    strict_ts,
-                    fresh,
-                )
+                fi = bisect_left(f_ts, bound)
             while i < n:
                 w = tss[i] // window
-                j = bisect_left(tss, (w + 1) * window, i)
+                end = (w + 1) * window
+                j = bisect_left(tss, end, i)
                 m = j - i
                 seg_pl = plens[i:j]
                 if min(seg_pl) > overhead:
@@ -422,121 +378,23 @@ class StreamingAggregator:
                     open_set.add(w)
                 acc = wt.get(label)
                 if acc is None:
-                    wt[label] = [m, payload, tss[i], tss[j - 1]]
+                    acc = wt[label] = [0, 0, tss[i], tss[j - 1], array("q"), array("q")]
                 else:
-                    acc[0] += m
-                    acc[1] += payload
                     if tss[i] < acc[2]:
                         acc[2] = tss[i]
                     if tss[j - 1] > acc[3]:
                         acc[3] = tss[j - 1]
+                acc[0] += m
+                acc[1] += payload
+                if f_ts:
+                    fj = bisect_left(f_ts, end, fi)
+                    acc[4].extend(f_ts[fi:fj])
+                    acc[5].extend(f_tid[fi:fj])
+                    fi = fj
                 i = j
         if count:
             self._node_max[node] = node_max
         return count, late
-
-    def _fold(self, label, tids, tss, strict_ts: bool, fresh: bool) -> None:
-        """Append a slice's first-occurrences to the label's stream.
-
-        Steady state: the slice *is* its own first-occurrence set, so
-        the fold is two C-level extends.  ``fresh`` proves that in O(1)
-        (the ``first_ts`` length-delta verdict from
-        :meth:`observe_ingest`).  Otherwise the label drops to dict
-        mode for good:
-        first-arrival-wins via a reversed ``dict(zip(...))`` sweep,
-        exactly the eager per-record rule.  ``strict_ts`` is the
-        caller's no-timestamp-ties verdict for the slice; anything
-        weaker marks the label tied (sorted-tuple order at close)."""
-        st = self._fstate[label]
-        fdict = st.fdict
-        if fdict is None:
-            if fresh:
-                f_ts = st.f_ts
-                if f_ts:
-                    head = tss[0]
-                    tail = f_ts[-1]
-                    if head < tail:
-                        st.dirty = True  # cross-batch timestamp regression
-                    elif head == tail:
-                        st.ties = True
-                if not strict_ts:
-                    st.ties = True
-                f_ts.extend(tss)
-                st.f_tid.extend(tids)
-                return
-            fdict = st.fdict = dict(zip(st.f_tid, st.f_ts))
-        st.ties = True  # dict mode: don't chase tie-freedom, just sort
-        fresh = dict(zip(reversed(tids), reversed(tss)))
-        if 0 in fresh:
-            del fresh[0]  # zero = untraced filler records
-        if not fresh:
-            return
-        stale = fresh.keys() & fdict.keys()
-        if stale:
-            for tid in stale:
-                del fresh[tid]
-            if not fresh:
-                return
-        fdict.update(fresh)
-        f_ts = st.f_ts
-        tail = f_ts[-1] if f_ts else _NEG
-        appended = list(reversed(fresh.values()))
-        st.f_tid.extend(reversed(fresh.keys()))
-        f_ts.extend(appended)
-        # An in-slice duplicate can leave the winning timestamp out of
-        # place; flag the label so close re-sorts before slicing.
-        if appended[0] < tail or not _ascending(appended):
-            st.dirty = True
-
-    def _ingest_segment_slow(self, label, tids, tss, plens) -> int:
-        """Per-record fallback for a non-monotone slice (out-of-order
-        source).  Preserves arrival-order first-occurrence semantics;
-        returns the late-record count."""
-        window = self._window_ns
-        closed = self._closed_upto
-        wtput = self._wtput
-        overhead = TRACE_ID_BYTES
-        st = self._fstate.get(label)
-        fdict = None
-        if st is not None:
-            st.ties = True  # arbitrary order: be conservative at close
-            fdict = st.fdict
-            if fdict is None:  # dict mode from here on
-                fdict = st.fdict = dict(zip(st.f_tid, st.f_ts))
-        late = 0
-        dirty = False
-        for k in range(len(tss)):
-            ts = tss[k]
-            w = ts // window
-            if w <= closed:
-                late += 1
-                continue
-            wt = wtput.get(w)
-            if wt is None:
-                wt = wtput[w] = {}
-                self._open.add(w)
-            plen = plens[k]
-            acc = wt.get(label)
-            if acc is None:
-                wt[label] = [1, plen - overhead if plen > overhead else 0, ts, ts]
-            else:
-                acc[0] += 1
-                if plen > overhead:
-                    acc[1] += plen - overhead
-                if ts < acc[2]:
-                    acc[2] = ts
-                elif ts > acc[3]:
-                    acc[3] = ts
-            if fdict is not None:
-                tid = tids[k]
-                if tid and tid not in fdict:
-                    fdict[tid] = ts
-                    st.f_ts.append(ts)
-                    st.f_tid.append(tid)
-                    dirty = True
-        if dirty:
-            st.dirty = True
-        return late
 
     # -- watermark / window close ------------------------------------------
 
@@ -575,79 +433,35 @@ class StreamingAggregator:
             self._close_window(min(self._open))
         self.stop_emitter()
 
-    def _resort(self, label: str, st: _LabelState) -> None:
-        """Re-sort a from-label's unconsumed suffix after a timestamp
-        regression.  Reordering the columns invalidates positional
-        cursors into them, so every hop *sinking* at this label drops
-        to the hash join for good."""
-        done = st.done
-        order = sorted(zip(st.f_ts[done:], st.f_tid[done:]))
-        st.f_ts[done:] = array("q", (entry[0] for entry in order))
-        st.f_tid[done:] = array("q", (entry[1] for entry in order))
-        st.dirty = False
-        for hop_idx, (_a, b) in enumerate(self._hops):
-            if b == label:
-                self._hop_dict[hop_idx] = True
-
-    def _consume_pairs(self, end: int) -> Dict[int, object]:
-        """The deferred hop join for a closing window: slice
-        every pending source first-occurrence below ``end`` (entries
-        below the window start cannot exist -- their window would have
-        closed first) and match against the sink stream.
-
-        Fast path: the sink's next unmatched positional slice carries
-        the *same* ID sequence (one C-level list equality), so mates
-        are positional and latencies one ``map(sub)`` pass -- returned
-        as a ``(from_ts, lats, tids)`` column triple already in
-        canonical order.  Any mismatch flips the hop to the hash join
-        against the sink's first-occurrence dict, returned as sorted
-        ``(from_ts, lat, tid)`` tuples."""
+    def _consume_pairs(self, wt) -> Dict[int, object]:
+        """The deferred hop join for a closing window: every source
+        first occurrence filed under it is looked up in the sink
+        table's ``first_ts``.  A strictly ascending, fully matched
+        window returns the ``(from_ts, lats, tids)`` column triple,
+        already in canonical order; anything else returns the matched
+        IDs as sorted ``(from_ts, lat, tid)`` tuples."""
         wp: Dict[int, object] = {}
-        hop_pos = self._hop_pos
-        hop_dict = self._hop_dict
+        tables = self._db._tables
         for label, routes in self._from_routes.items():
-            st = self._fstate[label]
-            if st.dirty:
-                self._resort(label, st)
-            f_ts = st.f_ts
-            done = st.done
-            if done == len(f_ts) or f_ts[done] >= end:
+            acc = wt.get(label)
+            if acc is None or not acc[4]:
                 continue
-            cut = bisect_left(f_ts, end, done)
-            take_ts = f_ts[done:cut]
-            take_tid = st.f_tid[done:cut]
-            st.done = cut
-            m = cut - done
-            # Ties in from-timestamps break the "arrival order is
-            # canonical order" shortcut; fall back to sorted tuples.
-            # (Tracked incrementally at fold time -- O(1) here.)
-            aligned_ok = m == 1 or not st.ties
-            take_bytes = take_tid.tobytes()  # ID equality at memcmp speed
+            take_ts, take_tid = acc[4], acc[5]
+            ordered = _strictly_ascending(take_ts)
             for hop_idx, sink in routes:
-                if not hop_dict[hop_idx]:
-                    pos = hop_pos[hop_idx]
-                    mates = sink.f_ts[pos : pos + m]
-                    if sink.f_tid[pos : pos + m].tobytes() == take_bytes:
-                        hop_pos[hop_idx] = pos + m
-                        lats = list(map(int.__sub__, mates, take_ts))
-                        if aligned_ok:
-                            wp[hop_idx] = (take_ts, lats, take_tid)
-                        else:
-                            wp[hop_idx] = sorted(zip(take_ts, lats, take_tid))
-                        continue
-                    hop_dict[hop_idx] = True
-                fdict = sink.fdict
-                if fdict is None:
-                    fdict = sink.fdict = dict(zip(sink.f_tid, sink.f_ts))
-                pairs = [
+                table = tables.get(sink)
+                if table is None:
+                    continue
+                mates = list(map(table.first_ts.get, take_tid))
+                if ordered and None not in mates:
+                    wp[hop_idx] = (take_ts, list(map(int.__sub__, mates, take_ts)), take_tid)
+                    continue
+                pairs = sorted(
                     (ts, mate - ts, tid)
-                    for ts, mate, tid in zip(
-                        take_ts, map(fdict.get, take_tid), take_tid
-                    )
+                    for ts, mate, tid in zip(take_ts, mates, take_tid)
                     if mate is not None
-                ]
+                )
                 if pairs:
-                    pairs.sort()
                     wp[hop_idx] = pairs
         return wp
 
@@ -658,7 +472,7 @@ class StreamingAggregator:
             self._closed_upto = w
         start = w * self._window_ns
         end = start + self._window_ns
-        wp = self._consume_pairs(end)
+        wp = self._consume_pairs(wt)
 
         records = 0
         tput_frame: Dict[str, Dict[str, int]] = {}

@@ -1,14 +1,21 @@
 """Shared fixtures for the test suite."""
 
+import os
 from functools import partial
 
 import pytest
+from hypothesis import settings
 
 from repro.ebpf.probes import CallbackAttachment
 from repro.net.addressing import IPv4Address, MACAddress
 from repro.net.stack import KernelNode
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
+
+# ``HYPOTHESIS_PROFILE=long`` (CI's properties job) runs every property
+# test that does not pin its own ``max_examples`` at 2,000 examples.
+settings.register_profile("long", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pack(records) -> bytes:

@@ -376,7 +376,7 @@ class TestFirstOccurrence:
         assert hop["count"] == 1
         assert hop["sum_ns"] == 90  # 100 - 10, never 100 - 50
 
-    def test_non_monotone_slice_takes_slow_path_correctly(self):
+    def test_non_monotone_slice_is_sorted_once(self):
         db, agg = _on_db(window_ns=1_000)
         _feed(db, agg, "a", [(0, 50, 2), (0, 10, 1), (0, 30, 3)])  # out of order
         _feed(db, agg, "b", [(1, 110, 1), (1, 150, 2), (1, 130, 3)])
@@ -385,7 +385,7 @@ class TestFirstOccurrence:
         assert hop["count"] == 3
         assert hop["sum_ns"] == (110 - 10) + (150 - 50) + (130 - 30)
 
-    def test_non_ascending_ids_fall_back_to_dict_mode(self):
+    def test_non_ascending_ids_pair_by_lookup(self):
         db, agg = _on_db(window_ns=1_000)
         _feed(db, agg, "a", [(0, 10, 5), (0, 20, 3)])
         _feed(db, agg, "b", [(1, 40, 3), (1, 60, 5)])
@@ -401,6 +401,42 @@ class TestFirstOccurrence:
         summary = agg.summary()
         assert summary["throughput"]["send"]["packets"] == 2  # counted there
         assert summary["hops"]["send->recv"]["count"] == 1  # never joined
+
+
+class TestOneIndex:
+    """Both sides of a hop are the database's ``first_ts``: a pair
+    counts iff the source's first occurrence was on time and the sink's
+    first occurrence is stored when the source window closes -- a late
+    row is dropped from the windows but stays in that index."""
+
+    def _agg(self):
+        db, agg = _on_db()
+        agg.expect_nodes(["a", "b"])
+        return db, agg
+
+    def test_a_late_sink_row_pairs(self):
+        db, agg = self._agg()
+        _feed(db, agg, "a", [(0, 10, 1), (0, 150, 2), (0, 250, 3)])
+        _feed(db, agg, "b", [(1, 40, 1), (1, 160, 2), (1, 260, 4)])
+        assert agg.windows_closed == 2
+        _feed(db, agg, "b", [(1, 120, 3)])  # the recv of trace 3, late
+        assert agg.late_records == 1
+        agg.close_all()
+        hop = agg.summary()["hops"]["send->recv"]
+        assert hop["count"] == 3
+        assert hop["sum_ns"] == (40 - 10) + (160 - 150) + (120 - 250)
+
+    def test_an_on_time_duplicate_of_a_late_source_does_not_pair(self):
+        db, agg = self._agg()
+        _feed(db, agg, "a", [(0, 10, 0), (0, 150, 0)])
+        _feed(db, agg, "b", [(1, 30, 0), (1, 160, 0)])
+        assert agg.windows_closed == 1
+        _feed(db, agg, "a", [(0, 40, 9)])  # trace 9's first send, late
+        _feed(db, agg, "a", [(0, 170, 9)])  # on time, but not its first
+        _feed(db, agg, "b", [(1, 190, 9)])
+        assert agg.late_records == 1
+        agg.close_all()
+        assert agg.summary()["hops"]["send->recv"]["count"] == 0
 
 
 class TestMalformedInput:
@@ -433,6 +469,11 @@ class TestMalformedInput:
 
 
 class TestAggregatorUsage:
+    def test_observe_ingest_before_attach_is_refused(self):
+        agg = StreamingAggregator(_config())
+        with pytest.raises(StreamingError, match=r"attach\(db\)"):
+            agg.observe_ingest("a")
+
     def test_attach_to_second_collector_rejected(self):
         collector, agg = _attached()
         engine, db = Engine(), TraceDB()
