@@ -13,6 +13,7 @@ so probe overhead genuinely delays packets and steals CPU capacity.
 from __future__ import annotations
 
 import itertools
+from math import exp, log, sqrt
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.ebpf.probes import HookRegistry, ProbeEvent
@@ -35,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.tcp import TCPStack
 
 _mac_counter = itertools.count(0x10)
+
+# Kinderman & Monahan's ratio-of-uniforms constant, 4 e^-0.5 / sqrt(2),
+# spelled as ``random.normalvariate`` spells it (see KernelNode.noisy).
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 HOOK_UDP_SEND_SKB = "kprobe:udp_send_skb"
 HOOK_IP_OUTPUT = "kprobe:ip_output"
@@ -65,6 +70,11 @@ class PacketMetadataHooks:
 
     def __init__(self) -> None:
         self.engines: List[object] = []
+        # Each hook's bound methods, in registration order, resolved
+        # when an engine registers rather than on every packet.
+        self._udp_send: List[Callable[..., int]] = []
+        self._udp_deliver: List[Callable[..., int]] = []
+        self._tcp_options: List[Callable[..., int]] = []
 
     def register(self, engine: object) -> object:
         """Add ``engine`` (idempotent); it must implement at least one
@@ -75,6 +85,11 @@ class PacketMetadataHooks:
             )
         if engine not in self.engines:
             self.engines.append(engine)
+            for method, hooks in zip(
+                self._METHODS, (self._udp_send, self._udp_deliver, self._tcp_options)
+            ):
+                if hasattr(engine, method):
+                    hooks.append(getattr(engine, method))
         return engine
 
     def find(self, kind: type) -> Optional[object]:
@@ -86,27 +101,24 @@ class PacketMetadataHooks:
 
     def on_udp_send(self, packet: Packet, mtu: Optional[int] = None, parent=None) -> int:
         """``udp_send_skb`` time: engines may append wire bytes."""
-        return sum(
-            engine.on_udp_send(packet, mtu=mtu, parent=parent)
-            for engine in self.engines
-            if hasattr(engine, "on_udp_send")
-        )
+        cost = 0
+        for hook in self._udp_send:
+            cost += hook(packet, mtu=mtu, parent=parent)
+        return cost
 
     def on_udp_deliver(self, packet: Packet) -> int:
         """Pre-copy trim time: engines remove what they appended."""
-        return sum(
-            engine.on_udp_deliver(packet)
-            for engine in self.engines
-            if hasattr(engine, "on_udp_deliver")
-        )
+        cost = 0
+        for hook in self._udp_deliver:
+            cost += hook(packet)
+        return cost
 
     def on_tcp_options(self, packet: Packet, parent=None) -> int:
         """``tcp_options_write`` time: engines may add TCP options."""
-        return sum(
-            engine.on_tcp_options(packet, parent=parent)
-            for engine in self.engines
-            if hasattr(engine, "on_tcp_options")
-        )
+        cost = 0
+        for hook in self._tcp_options:
+            cost += hook(packet, parent=parent)
+        return cost
 
 
 class Route(NamedTuple):
@@ -221,11 +233,24 @@ class KernelNode:
             raise StackError(f"{self.name}: no device {name!r}") from None
 
     def noisy(self, base_ns: int) -> int:
-        """Service-time jitter: lognormal around the base cost."""
+        """Service-time jitter: ``int(lognormvariate(log(base_ns),
+        sigma))``, drawn from the node's stream in this one frame (it
+        runs for every kernel job).  The Kinderman--Monahan loop draws
+        the same floats in the same order and applies the same float
+        operations as ``random.normalvariate``, so the result is bit
+        for bit the standard library's, and the draws (hence every
+        digest) do not depend on the library keeping its algorithm.
+        ``exp`` is never negative, so the ``int`` needs no clamp."""
         sigma = self.costs.timer_noise_sigma
         if sigma <= 0 or base_ns <= 0:
             return int(base_ns)
-        return self.rng.lognormal_ns(base_ns, sigma)
+        random = self.rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return int(exp(log(base_ns) + z * sigma))
 
     def charge(
         self,
@@ -244,10 +269,8 @@ class KernelNode:
             self.engine.schedule(cost, fn, *args)
         elif cost <= 0:
             fn(*args)
-        elif front:
-            cpu.submit_front(cost, fn, *args)
-        else:
-            cpu.submit(cost, fn, *args)
+        else:  # a positive int: the CPU's own entry takes it as it is
+            cpu._enqueue(cost, fn, args, front)
 
     # -- hooks ------------------------------------------------------------------
 

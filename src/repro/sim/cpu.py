@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, _whole_ns
 
 
 class CPU:
@@ -47,27 +47,36 @@ class CPU:
 
     def submit(self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any) -> None:
         """Queue a job; ``fn(*args)`` runs when its service completes."""
-        cost_ns = int(cost_ns)
-        if self._busy or self._paused:
-            self._queue.append((cost_ns, fn, args))
-        elif self._queue:  # a completion callback, with jobs still waiting
-            self._queue.append((cost_ns, fn, args))
-            self._start()
-        else:
-            self._busy = True
-            self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
+        if cost_ns.__class__ is not int or cost_ns < 0:
+            cost_ns = _whole_ns(cost_ns, "job cost")
+        self._enqueue(cost_ns, fn, args, False)
 
     def submit_front(
         self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any
     ) -> None:
         """Queue a job ahead of everything waiting (run-to-completion
         continuations within one softirq context use this)."""
-        cost_ns = int(cost_ns)
+        if cost_ns.__class__ is not int or cost_ns < 0:
+            cost_ns = _whole_ns(cost_ns, "job cost")
+        self._enqueue(cost_ns, fn, args, True)
+
+    def _enqueue(
+        self, cost_ns: int, fn: Optional[Callable[..., Any]], args: tuple, front: bool
+    ) -> None:
+        """Queue one job whose cost is already a valid ``int``: the one
+        entry behind :meth:`submit` / :meth:`submit_front`, and the one
+        ``KernelNode.charge`` calls, which has checked its cost itself."""
         if self._busy or self._paused:
-            self._queue.appendleft((cost_ns, fn, args))
-        else:  # the job would be the queue's head: start it
+            if front:
+                self._queue.appendleft((cost_ns, fn, args))
+            else:
+                self._queue.append((cost_ns, fn, args))
+        elif front or not self._queue:  # the job is the queue's head: start it
             self._busy = True
             self.engine.schedule(cost_ns, self._complete, cost_ns, fn, args)
+        else:  # a completion callback, with jobs still waiting
+            self._queue.append((cost_ns, fn, args))
+            self._start()
 
     @property
     def queue_depth(self) -> int:
@@ -123,17 +132,12 @@ class GatedCPU(CPU):
         self._paused = start_paused
         self.on_work_queued: Optional[Callable[[], None]] = None
 
-    def submit(self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any) -> None:
-        super().submit(cost_ns, fn, *args)
+    def _enqueue(
+        self, cost_ns: int, fn: Optional[Callable[..., Any]], args: tuple, front: bool
+    ) -> None:
+        super()._enqueue(cost_ns, fn, args, front)
         # Tell the hypervisor there is pending work (event-channel kick),
         # even while paused -- that is what wakes a blocked vCPU.
-        if self.on_work_queued is not None:
-            self.on_work_queued()
-
-    def submit_front(
-        self, cost_ns: int, fn: Optional[Callable[..., Any]] = None, *args: Any
-    ) -> None:
-        super().submit_front(cost_ns, fn, *args)
         if self.on_work_queued is not None:
             self.on_work_queued()
 

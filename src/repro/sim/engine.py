@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 
@@ -52,6 +53,19 @@ def run_bound(until: float) -> int:
         return int(until)
     except (ValueError, OverflowError):  # NaN, infinity
         raise SimulationError(f"invalid run bound {until}") from None
+
+
+def _whole_ns(value: float, what: str = "delay") -> int:
+    """A delay (or a CPU job's cost) as whole nanoseconds: truncated,
+    and a negative, NaN or infinite one is a :class:`SimulationError`
+    at the call.  Callers test for a non-negative ``int`` first, the
+    common case, and call this only for anything else."""
+    if value < 0:
+        raise SimulationError(f"negative {what} {value}")
+    try:
+        return int(value)
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise SimulationError(f"invalid {what} {value}") from None
 
 
 class Timer:
@@ -119,24 +133,21 @@ class Engine:
 
     def schedule(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay_ns`` nanoseconds."""
-        if delay_ns < 0:
-            raise SimulationError(f"negative delay {delay_ns}")
-        try:
-            time_ns = self.now + int(delay_ns)
-        except (ValueError, OverflowError):  # NaN, infinity
-            raise SimulationError(f"invalid delay {delay_ns}") from None
-        heapq.heappush(self._heap, (time_ns, self._seq, fn, args))
+        if delay_ns.__class__ is not int or delay_ns < 0:
+            delay_ns = _whole_ns(delay_ns)
+        heappush(self._heap, (self.now + delay_ns, self._seq, fn, args))
         self._seq += 1
 
     def schedule_at(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``time_ns``."""
         if time_ns < self.now:
             raise SimulationError(f"cannot schedule at {time_ns} before now={self.now}")
-        try:
-            time_ns = int(time_ns)
-        except (ValueError, OverflowError):  # NaN, infinity
-            raise SimulationError(f"invalid time {time_ns}") from None
-        heapq.heappush(self._heap, (time_ns, self._seq, fn, args))
+        if time_ns.__class__ is not int:
+            try:
+                time_ns = int(time_ns)
+            except (ValueError, OverflowError):  # NaN, infinity
+                raise SimulationError(f"invalid time {time_ns}") from None
+        heappush(self._heap, (time_ns, self._seq, fn, args))
         self._seq += 1
 
     def at_or_now(self, time_ns: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -151,14 +162,10 @@ class Engine:
 
     def timer(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> Timer:
         """Like :meth:`schedule`, but returns a :class:`Timer` to cancel."""
-        if delay_ns < 0:
-            raise SimulationError(f"negative delay {delay_ns}")
-        try:
-            time_ns = self.now + int(delay_ns)
-        except (ValueError, OverflowError):  # NaN, infinity
-            raise SimulationError(f"invalid delay {delay_ns}") from None
+        if delay_ns.__class__ is not int or delay_ns < 0:
+            delay_ns = _whole_ns(delay_ns)
         timer = Timer(fn, args, self)
-        heapq.heappush(self._heap, (time_ns, self._seq, None, timer))
+        heappush(self._heap, (self.now + delay_ns, self._seq, None, timer))
         self._seq += 1
         return timer
 

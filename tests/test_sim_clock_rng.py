@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.costs import CostModel
+from repro.net.stack import KernelNode
 from repro.sim.clock import NodeClock
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
+
+
+def _jitter_node(rng, sigma):
+    """A node whose per-hop jitter is drawn from ``rng`` with ``sigma``."""
+    return KernelNode(Engine(), "n", costs=CostModel(timer_noise_sigma=sigma), rng=rng)
 
 
 class TestNodeClock:
@@ -83,13 +90,13 @@ class TestSeededRNG:
             assert 0 <= value <= 0xFFFFFFFF
 
     def test_distribution_helpers_nonnegative(self):
-        rng = SeededRNG(3)
+        node = _jitter_node(SeededRNG(3), 0.5)
         for _ in range(50):
-            assert rng.lognormal_ns(1000, 0.5) >= 0
+            assert node.noisy(1000) >= 0
 
     def test_lognormal_centers_near_median(self):
-        rng = SeededRNG(5)
-        samples = [rng.lognormal_ns(1000, 0.05) for _ in range(500)]
+        node = _jitter_node(SeededRNG(5), 0.05)
+        samples = [node.noisy(1000) for _ in range(500)]
         assert 950 < sorted(samples)[250] < 1050
 
     @settings(max_examples=300, deadline=None)
@@ -98,19 +105,27 @@ class TestSeededRNG:
         median=st.one_of(
             st.just(1), st.integers(1, 10**7),
             st.floats(0.01, 1e7, allow_nan=False, allow_infinity=False),
+            st.just(0), st.integers(-10**4, -1), st.floats(-1e4, 0.0),
         ),
-        sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(-2.0, 0.0)),
         draws=st.integers(1, 6),
     )
     def test_lognormal_matches_the_standard_library(self, seed, median, sigma, draws):
-        """The inlined draw is ``random.lognormvariate`` bit for bit: the
-        same values, and the stream left where the library leaves it."""
+        """The draw the stack makes per hop, ``KernelNode.noisy``, is
+        ``int(random.lognormvariate(...))`` bit for bit: the same values,
+        and the stream left where the library leaves it.  A non-positive
+        sigma or base cost is the base cost, truncated, and draws
+        nothing."""
         rng = SeededRNG(seed)
+        node = _jitter_node(rng, sigma)
         library = random.Random(SeededRNG._derive(seed, "root"))
-        ours = [rng.lognormal_ns(median, sigma) for _ in range(draws)]
-        theirs = [
-            max(0, int(library.lognormvariate(math.log(median), sigma)))
-            for _ in range(draws)
-        ]
+        ours = [node.noisy(median) for _ in range(draws)]
+        if sigma <= 0 or median <= 0:
+            theirs = [int(median)] * draws
+        else:
+            theirs = [
+                int(library.lognormvariate(math.log(median), sigma))
+                for _ in range(draws)
+            ]
         assert ours == theirs
         assert rng.random() == library.random()

@@ -4,7 +4,10 @@ Generated scripts against a queue-then-pop reference live in
 ``test_sim_cpu_model.py``.
 """
 
+import pytest
+
 from repro.sim.cpu import CPU, GatedCPU
+from repro.sim.engine import SimulationError
 
 
 class TestCPU:
@@ -58,6 +61,23 @@ class TestCPU:
         cpu.submit(10, lambda: cpu.submit(5))
         engine.run()
         assert idles == [15]
+
+    @pytest.mark.parametrize("busy", [False, True])
+    @pytest.mark.parametrize("cost", [-5, -0.5, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("entry", ["submit", "submit_front"])
+    def test_invalid_cost_is_rejected_at_the_call(self, engine, entry, cost, busy):
+        # A busy CPU queues the job, so a bad cost would otherwise
+        # surface only when the job starts, inside another job's
+        # completion; it is rejected here, and nothing is queued.
+        cpu = CPU(engine)
+        if busy:
+            cpu.submit(100)
+        with pytest.raises(SimulationError):
+            getattr(cpu, entry)(cost, lambda: None)
+        assert cpu.queue_depth == 0
+        engine.run()
+        assert cpu.jobs_completed == int(busy)
+        assert engine.now == (100 if busy else 0)
 
 
 class TestGatedCPU:

@@ -3,7 +3,9 @@
 ``CPU.submit`` / ``submit_front`` start a job on an idle, running CPU
 with nothing queued without passing it through the queue.  Hypothesis
 writes scripts of ``submit`` / ``submit_front`` / ``pause`` / ``resume``
-calls, made directly, from events scheduled later, and from the
+calls and of ``KernelNode.charge`` calls, back and front (the path a
+protocol stage hands its job to the CPU by, which skips the public
+entries), made directly, from events scheduled later, and from the
 completion callbacks of earlier jobs, and plays each on the real CPU and
 on :class:`ReferenceCPU` below -- every job goes through the queue,
 written to be obviously right rather than fast, sharing no code with
@@ -24,6 +26,7 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.stack import KernelNode
 from repro.sim.cpu import CPU, GatedCPU
 from repro.sim.engine import Engine
 
@@ -49,6 +52,15 @@ class ReferenceCPU:
     def submit_front(self, cost_ns, callback=None, *args):
         self.queue.appendleft((cost_ns, callback, args))
         self._arrived()
+
+    def charge(self, cost_ns, callback, args, front):
+        """``KernelNode.charge``: a job of no cost runs at once."""
+        if cost_ns <= 0:
+            callback(*args)
+        elif front:
+            self.submit_front(cost_ns, callback, *args)
+        else:
+            self.submit(cost_ns, callback, *args)
 
     def _arrived(self):
         self._maybe_start()
@@ -89,6 +101,17 @@ def _real(engine, gated, start_paused):
     return GatedCPU(engine, start_paused=start_paused) if gated else CPU(engine)
 
 
+def _reference_charge(engine, cpu):
+    return cpu.charge
+
+
+def _real_charge(engine, cpu):
+    node = KernelNode(engine, "n", cpus=[cpu])
+    return lambda cost, callback, args, front: node.charge(
+        cpu, cost, callback, *args, front=front
+    )
+
+
 def _real_state(cpu):
     return cpu.busy, cpu.queue_depth
 
@@ -105,6 +128,9 @@ def _actions(bodies):
         # callback at all) and the arguments it is submitted with.
         st.tuples(st.sampled_from(["submit", "submit_front"]), _costs,
                   st.one_of(st.none(), bodies), _args),
+        # The same through KernelNode.charge, whose continuation is never
+        # None.
+        st.tuples(st.sampled_from(["charge", "charge_front"]), _costs, bodies, _args),
         st.tuples(st.sampled_from(["pause", "resume"])),  # gated CPUs only
         st.tuples(st.just("later"), st.integers(0, 40), bodies),
     )
@@ -119,10 +145,12 @@ _scripts = st.lists(st.one_of(_actions(_bodies), _runs), max_size=14).map(
 )
 
 
-def play(make, state, gated, start_paused, script):
-    """Run ``script`` on the CPU ``make`` builds; one snapshot per ``run``."""
+def play(make, state, charger, gated, start_paused, script):
+    """Run ``script`` on the CPU ``make`` builds, charging through what
+    ``charger`` returns for it; one snapshot per ``run``."""
     engine = Engine()
     cpu = make(engine, gated, start_paused)
+    charge = charger(engine, cpu)
     log, idles, kicks, snapshots = [], [], [], []
     labels = itertools.count()
     cpu.on_idle = lambda: idles.append(engine.now)
@@ -142,6 +170,10 @@ def play(make, state, gated, start_paused, script):
                     getattr(cpu, kind)()
             elif kind == "later":
                 engine.schedule(action[1], perform, action[2])
+            elif kind.startswith("charge"):
+                _, cost, then, args = action
+                callback = partial(done, next(labels), then, args)
+                charge(cost, callback, args, kind == "charge_front")
             else:
                 _, cost, then, args = action
                 callback = None if then is None else partial(done, next(labels), then, args)
@@ -162,5 +194,7 @@ def play(make, state, gated, start_paused, script):
 @settings(max_examples=300, deadline=None)
 @given(gated=st.booleans(), start_paused=st.booleans(), script=_scripts)
 def test_generated_scripts_match_queue_then_pop(gated, start_paused, script):
-    reference = play(ReferenceCPU, ReferenceCPU.state, gated, start_paused, script)
-    assert play(_real, _real_state, gated, start_paused, script) == reference
+    reference = play(
+        ReferenceCPU, ReferenceCPU.state, _reference_charge, gated, start_paused, script
+    )
+    assert play(_real, _real_state, _real_charge, gated, start_paused, script) == reference
