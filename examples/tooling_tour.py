@@ -9,7 +9,8 @@ tools you would reach for alongside it:
 * sampling: trace only ~1/2^n of a hot flow;
 * program introspection: a `bpftool prog`-style dump of what the
   compiler actually emitted;
-* packet capture: a tcpdump analog writing real .pcap files.
+* packet capture: a tcpdump analog writing real .pcap files;
+* runtime reconfiguration: undeploying detaches every script.
 
 Run:  python examples/tooling_tour.py
 """
@@ -87,6 +88,15 @@ def main() -> None:
     print(f"\npcap capture at host2:eth0: {written} frames, "
           f"{sum(len(w) for _t, w in frames)} bytes")
     print("first frame parses back to:", capture.packets()[0])
+
+    # -- runtime reconfiguration ------------------------------------------------
+    # undeploy() detaches every script and flushes and stops each ring;
+    # a second deploy() onto an installed agent tears it down the same way.
+    hook = "kprobe:udp_send_skb"
+    attached = scene.vm1.node.hooks.has_attachments(hook)
+    tracer.undeploy()
+    print(f"\nundeploy: {hook} attached {attached} -> "
+          f"{scene.vm1.node.hooks.has_attachments(hook)}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """The figure suite (`repro bench`).
 
 Every :data:`repro.experiments.SCENARIOS` entry with a ``pinned``
-reference is a bench scenario: the twelve paper figures, the fleet legs,
-the ablations and the micro benches (:mod:`repro.bench.micro`).  This
-package runs them under a preset (``smoke``/``full``) and reports what
-each one *computed* -- engine events, probe fires, the scenario's own
-metrics -- as one canonical JSON document.  At the smoke preset each
+reference is a bench scenario: the twelve paper figures, the fleet legs
+and the ablations.  This package runs them under a preset
+(``smoke``/``full``) and reports what each one *computed* -- engine
+events, probe fires, the scenario's own metrics -- as one canonical
+JSON document.  At the smoke preset each
 scenario's entry is a ``bench:`` row of the pin table,
 ``tests/golden/pins.json``; ``python -m tests.pins`` regenerates every
 row and fails on any digit of difference.  Host speed is printed per

@@ -149,7 +149,6 @@ def _timeline(args) -> int:
     from repro.tracing import (
         aggregate_hops,
         critical_path,
-        flag_anomalies,
         otlp_json,
         timeline_text,
     )
@@ -202,7 +201,7 @@ def _timeline(args) -> int:
                     f"  {stats.name}: p50 {format_ns(stats.p50_ns)} "
                     f"p95 {format_ns(stats.p95_ns)} p99 {format_ns(stats.p99_ns)}"
                 )
-            anomalies = flag_anomalies(forest, factor=args.anomaly_factor)
+            anomalies = tracer.span_assembler().anomalies(forest, factor=args.anomaly_factor)
             lines.append(
                 f"anomalies (> {args.anomaly_factor:g}x hop median): "
                 f"{len(anomalies)}"

@@ -75,16 +75,6 @@ class TraceRecord(NamedTuple):
         return cls(*RECORD_STRUCT.unpack(data))
 
 
-def unpack_batch(batch: "list[bytes]") -> "list[TraceRecord]":
-    """Decode a whole flush batch in one pass.
-
-    One ``iter_unpack`` over the joined bytes replaces a per-record
-    ``unpack`` call; flush batches are hundreds of records, so the agent
-    collection path uses this instead of looping ``TraceRecord.unpack``.
-    """
-    return [TraceRecord(*fields) for fields in RECORD_STRUCT.iter_unpack(b"".join(batch))]
-
-
 # Stack frame offsets used by the compiler (relative to R10).
 FRAME_OFF_TRACE_ID = -24
 FRAME_OFF_TRACEPOINT_ID = -20

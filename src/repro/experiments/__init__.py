@@ -210,8 +210,7 @@ register_scenario(
 )
 
 # Bench-only scenarios: no presenter, no digest.  The ablations measure
-# one design choice of §II / §III-C each (DESIGN.md §5); the micro
-# benches time one hot path each.
+# one design choice of §II / §III-C each (DESIGN.md §5).
 # fmt: off
 for _name, _title, _run in (
     ("ablation_collection_mode", "Ablation: online vs offline collection",
@@ -226,25 +225,11 @@ for _name, _title, _run in (
      "repro.experiments.ablations:run_ring_buffer_sweep"),
     ("ablation_trace_ids", "Ablation: trace-ID embed/trim cost",
      "repro.experiments.ablations:run_trace_id_cost"),
-    ("micro_ebpf_dispatch", "Micro: eBPF dispatch, JIT vs interpreter",
-     "repro.bench.micro:run_ebpf_dispatch"),
-    ("micro_engine", "Micro: engine schedule/run/cancel churn",
-     "repro.bench.micro:run_engine_churn"),
-    ("micro_retry_path", "Micro: no-fault deploy/ship round trips",
-     "repro.bench.micro:run_retry_path"),
-    ("micro_ringbuffer", "Micro: ring append/flush with metrics attached",
-     "repro.bench.micro:run_ringbuffer_churn"),
-    ("micro_rpc_correlate", "Micro: RPC parent-link correlation",
-     "repro.bench.micro:run_rpc_correlate"),
-    ("micro_span_reconstruct", "Micro: span-tree assembly + Chrome export",
-     "repro.bench.micro:run_span_reconstruct"),
-    ("micro_streaming_agg", "Micro: packed-blob fan-in, streaming windows on vs off",
-     "repro.bench.micro:run_streaming_agg"),
-    ("micro_tracedb_query", "Micro: blob ingest + repeated metric queries",
-     "repro.bench.micro:run_tracedb_query"),
 ):
-    _module = "repro.experiments.ablations" if _name.startswith("ablation") else "repro.bench.micro"
     register_scenario(
-        ScenarioSpec(name=_name, title=_title, run=_run, pinned=f"{_module}:pinned_{_name}")
+        ScenarioSpec(
+            name=_name, title=_title, run=_run,
+            pinned=f"repro.experiments.ablations:pinned_{_name}",
+        )
     )
 # fmt: on

@@ -29,7 +29,7 @@ from repro.net.packet import (
 from repro.net.softirq import SoftirqNet
 from repro.sim.clock import NodeClock
 from repro.sim.cpu import CPU
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, _whole_ns
 from repro.sim.rng import SeededRNG
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -263,14 +263,16 @@ class KernelNode:
         """Charge ``cost_ns`` (on ``cpu`` if given) then run ``fn(*args)``.
 
         A stage passes its continuation as a bound method and its
-        arguments, so a hop allocates no closure."""
-        cost = int(cost_ns)
+        arguments, so a hop allocates no closure.  The cost is checked
+        as :meth:`CPU.submit` checks it; a zero cost runs ``fn`` now."""
+        if cost_ns.__class__ is not int or cost_ns < 0:
+            cost_ns = _whole_ns(cost_ns, "job cost")
         if cpu is None:
-            self.engine.schedule(cost, fn, *args)
-        elif cost <= 0:
+            self.engine.schedule(cost_ns, fn, *args)
+        elif cost_ns:  # a positive int: the CPU's own entry takes it as it is
+            cpu._enqueue(cost_ns, fn, args, front)
+        else:
             fn(*args)
-        else:  # a positive int: the CPU's own entry takes it as it is
-            cpu._enqueue(cost, fn, args, front)
 
     # -- hooks ------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """The paper's shape claims whose runs take longer than two seconds, and
-the streaming micro bench: its runner raises when windowed ingest costs
-more than 1.3x plain ingest in host time, a ratio too close to its bound
-for a loaded test machine to gate tier-1 on.
+the streaming layer's host-time budget (``tests/streaming_budget.py``):
+windowed ingest may cost at most 1.3x plain ingest, a ratio too close to
+its bound for a loaded test machine to gate tier-1 on.
 
 This file's name does not match ``python_files`` (``test_*.py``), so a
 plain ``pytest`` does not collect it: the whole set takes about three
@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments import get_scenario
 from repro.experiments.overhead import FIG7B_PAPER_STAP_LOSS, run_fig7b
+from tests import streaming_budget
 
 
 def run(name, *args, **kwargs):
@@ -133,9 +134,8 @@ def test_ablation_filter_selectivity():
     assert results["match_all"] <= results["selective"]
 
 
-def test_micro_streaming_agg():
-    results = run("micro_streaming_agg", 1_500)
-    assert results["rows_inserted"] == 1_500 * 4
-    assert results["stream_records"] == results["rows_inserted"]
-    assert results["windows_closed"] >= 5  # 1500 traces at 4 us span ~6 ms
-    assert results["late_records"] == 0
+def test_streaming_host_time_budget():
+    """docs/STREAMING.md "Overhead budgets": windowed ingest within 1.3x
+    plain ingest, the drain within 0.75x (the fan-in's counts are
+    tier-1's, tests/test_streaming.py)."""
+    streaming_budget.check_budget(1_500)

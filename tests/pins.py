@@ -58,7 +58,6 @@ SCHEDULE_FIELDS = (
     ("bench:", "events_executed"),
     ("bench:macro_fleet", "metrics.rounds"),
     ("bench:macro_fleet", "metrics.boundary_messages"),
-    ("bench:micro_engine", "metrics.events_executed"),
 )
 
 # invocation -> aliases that must produce the same bytes.  ``repro`` is

@@ -87,8 +87,8 @@ class TestDiscovery:
         role, found by name."""
         names = [spec.name for spec in bench_specs()]
         assert names == sorted(names) == list(pinned_names())
-        assert {"micro_engine", "fig7a", "macro_fleet_single"} <= set(names)
-        assert len(names) == 29
+        assert {"ablation_trace_ids", "fig7a", "macro_fleet_single"} <= set(names)
+        assert len(names) == 21
         assert set(pinned_names()) >= {name for name in SCENARIOS if SCENARIOS[name].present}
 
     def test_unknown_only_name_is_an_error(self, fake):
@@ -152,10 +152,9 @@ class TestSchema:
 
 
 # The rows tier-1 regenerates: every registry digest, and the bench
-# scenarios that finish in under a second at ``smoke``.  The other ten
-# -- the longer figures, and ``micro_streaming_agg``, whose host-time
-# budget sits too close to its bound for a loaded test machine -- are
-# left to ``python -m tests.pins``, which CI runs over every row.
+# scenarios that finish in under a second at ``smoke``.  The other nine,
+# the longer figures, are left to ``python -m tests.pins``, which CI
+# runs over every row.
 FAST_ROWS = (
     "bench:ablation_collection_mode",
     "bench:ablation_ebpf_jit",
@@ -169,13 +168,6 @@ FAST_ROWS = (
     "bench:macro_fleet",
     "bench:macro_fleet_shards4",
     "bench:macro_fleet_single",
-    "bench:micro_ebpf_dispatch",
-    "bench:micro_engine",
-    "bench:micro_retry_path",
-    "bench:micro_ringbuffer",
-    "bench:micro_rpc_correlate",
-    "bench:micro_span_reconstruct",
-    "bench:micro_tracedb_query",
     *(f"digest:{name}" for name in pins.digest_specs()),
 )
 
@@ -211,7 +203,7 @@ class TestCompare:
     def test_one_changed_digit_fails_and_names_the_scenario(self, table):
         """One row of each kind that used to live in its own pin file."""
         for key, path in (
-            ("bench:micro_engine", ("metrics", "final_now_ns")),
+            ("bench:macro_fleet_single", ("metrics", "rows_inserted")),
             ("digest:quickstart", ("digest",)),
             ("export:quickstart/complete:chrome", ("sha256",)),
             ("cli:examples/quickstart.py", ("bytes",)),
@@ -229,11 +221,11 @@ class TestCompare:
                 pins.assert_rows(found, tampered)
 
     def test_schedule_only_change_says_so(self, table):
-        found = {key: table[key] for key in ("bench:macro_fleet", "bench:micro_engine")}
+        found = {key: table[key] for key in ("bench:macro_fleet", "bench:macro_fleet_single")}
         tampered = copy.deepcopy(table)
         tampered["bench:macro_fleet"]["events_executed"] += 1
         tampered["bench:macro_fleet"]["metrics"]["rounds"] += 1
-        tampered["bench:micro_engine"]["metrics"]["events_executed"] += 1
+        tampered["bench:macro_fleet_single"]["events_executed"] += 1
         with pytest.raises(AssertionError, match="3 field.* in 2 row.*: schedule fields only$"):
             pins.assert_rows(found, tampered)
         tampered["bench:macro_fleet"]["metrics"]["rows_inserted"] += 1
@@ -287,7 +279,7 @@ class TestCLI:
     def test_unknown_scenario_exits_2(self, capsys):
         """One line on stderr that names every registered bench scenario,
         and nothing run."""
-        assert main(["bench", "--only", "micro_engine", "--only", "nope"]) == 2
+        assert main(["bench", "--only", "ablation_trace_ids", "--only", "nope"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.collector import RawDataCollector
-from repro.core.records import RECORD_BYTES, MalformedBatchError, TraceRecord
+from repro.core.records import RECORD_BYTES, RECORD_STRUCT, MalformedBatchError, TraceRecord
 from repro.core.ringbuffer import RingBufferFull, TraceRingBuffer
 from repro.core.tracedb import TraceDB
 from repro.obs import contract
@@ -137,6 +137,39 @@ class TestRingMetrics:
         hwm = reg.get(contract.RING_OCCUPANCY_HWM.name)
         assert hwm.value(("n1",)) == 3 * RECORD_BYTES
 
+
+    def test_periodic_flush_churn_counts_agree(self, engine):
+        """Records at one every 2 us against a 1 ms periodic flush: every
+        one is decoded from a flush batch, and the registry counts what
+        the ring counted."""
+        reg = MetricsRegistry()
+        decoded = []
+        ring = TraceRingBuffer(
+            engine, 64 * 1024, 1_000_000,
+            lambda batch: decoded.extend(RECORD_STRUCT.iter_unpack(b"".join(batch))),
+            registry=reg, node="n1",
+        )
+        ring.start()
+        total = 10_000
+        record = _record().pack()
+
+        def produce(left):
+            ring.append(record)
+            if left > 1:
+                engine.schedule(2_000, produce, left - 1)
+
+        engine.schedule(0, produce, total)
+        engine.run(until=total * 2_000 + 2_000_000)
+        ring.flush()
+        ring.stop()
+        assert engine.pending() == 0  # stop cancelled the flush timer
+        assert ring.total_appended == len(decoded) == total
+        assert set(decoded) == {tuple(_record())}
+        assert ring.total_dropped == 0
+        assert ring.flushes == 20  # one per 1 ms of the 20 ms run
+        assert reg.get(contract.RING_APPENDED.name).value(("n1",)) == total
+        assert reg.get(contract.RING_FLUSHES.name).value(("n1",)) == ring.flushes
+        assert reg.get(contract.RING_FLUSH_BATCH.name).data(("n1",)).sum == total
 
 class TestTraceRecord:
     def test_pack_unpack_roundtrip(self):

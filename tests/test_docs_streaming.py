@@ -101,13 +101,13 @@ def test_documented_config_defaults_match_code():
 
 
 def test_documented_budgets_match_bench_constants():
-    from repro.bench import micro as bench
+    from tests import streaming_budget as budget
 
     documented = {
         cells[0].strip("`"): float(cells[1])
         for cells in _table_rows(_section("budgets"))
     }
     assert documented == {
-        "STREAMING_OVERHEAD_BUDGET": bench.STREAMING_OVERHEAD_BUDGET,
-        "DRAIN_BUDGET": bench.DRAIN_BUDGET,
+        "STREAMING_OVERHEAD_BUDGET": budget.STREAMING_OVERHEAD_BUDGET,
+        "DRAIN_BUDGET": budget.DRAIN_BUDGET,
     }

@@ -530,6 +530,21 @@ class TestDifferentialCompiledScripts:
             costs[jit] = program.run(env, fields, data).cost_ns
         assert costs[True] < costs[False]
 
+    def test_repeated_runs_are_each_counted_and_charged_alike(self):
+        """1,000 runs per tier: every run counted and emitted, each
+        charged the same simulated cost, the compiled tier cheaper."""
+        runs = 1_000
+        packet = make_udp_packet(MAC_A, MAC_B, IPv4Address("1.1.1.1"),
+                                 IPv4Address("2.2.2.2"), 1, 4000, b"data!")
+        per_run = {}
+        for jit in (False, True):
+            program, env, perf = self._script(ActionSpec(record=True), jit)
+            fields, data = skb_fields(packet)
+            (per_run[jit],) = {program.run(env, fields, data).cost_ns for _ in range(runs)}
+            assert program.run_count == perf.events_emitted == runs
+            assert program.total_cost_ns == runs * per_run[jit]
+        assert per_run[True] < per_run[False]
+
 
 # -- typed code generation -----------------------------------------------------
 

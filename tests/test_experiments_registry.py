@@ -2,7 +2,7 @@
 
 `repro list` prints :data:`repro.experiments.SCENARIOS`, `repro run`
 takes its figures from it, `repro bench` its scenarios (the specs with a
-`pinned` role) and `repro rpc` (with one micro bench) resolves its
+`pinned` role) and `repro rpc` resolves its
 runner through it; the per-module entry points stay importable (they
 *are* the implementations the specs point at).
 """
@@ -36,9 +36,6 @@ BENCH_ONLY = (
     "ablation_collection_mode", "ablation_ebpf_jit", "ablation_filter_selectivity",
     "ablation_ratelimit_sweep", "ablation_ring_buffer", "ablation_trace_ids",
     "macro_fleet_shards4", "macro_fleet_single",
-    "micro_ebpf_dispatch", "micro_engine", "micro_retry_path", "micro_ringbuffer",
-    "micro_rpc_correlate", "micro_span_reconstruct", "micro_streaming_agg",
-    "micro_tracedb_query",
 )  # fmt: skip
 EXPECTED = tuple(
     sorted(

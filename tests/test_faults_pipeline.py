@@ -324,6 +324,49 @@ class TestShipmentRetries:
         assert tracer.db.deduped_batches >= 1
 
 
+class TestCleanChannels:
+    """No fault plan: every deploy and every shipment goes once."""
+
+    DEPLOYS = 10
+    BATCHES = 200
+    RECORDS = 64  # per batch
+
+    def test_nothing_is_retried_deduped_or_left_pending(self, engine, node):
+        registry = MetricsRegistry()
+        tracer = VNetTracer(engine, registry=registry)
+        tracer.add_agent(node)
+        spec = _spec(
+            node.name,
+            online_collection=True,
+            flush_interval_ns=3_600_000_000_000,  # manual flushes only
+            ring_buffer_bytes=64 * 1024,
+        )
+        acked = 0
+        for _ in range(self.DEPLOYS):  # each one replaces the installed scripts
+            report = tracer.deploy(spec)
+            engine.run(until=engine.now + 10_000_000)
+            acked += len(report.acked_nodes)
+        agent = tracer.agents[node.name]
+        payload = _record(agent.package.tracepoints[0].tracepoint_id).pack()
+
+        def ship(left):
+            for _ in range(self.RECORDS):
+                agent.ring.append(payload)
+            agent.ring.flush()
+            if left > 1:
+                engine.schedule(500_000, ship, left - 1)
+
+        engine.schedule(0, ship, self.BATCHES)
+        engine.run(until=engine.now + self.BATCHES * 500_000 + 50_000_000)
+        assert acked == registry.total("vnt_retry_deploy_attempts_total") == self.DEPLOYS
+        assert registry.total("vnt_retry_deploy_retries_total") == 0
+        assert registry.total("vnt_retry_ship_attempts_total") == self.BATCHES
+        assert registry.total("vnt_retry_ship_retries_total") == 0
+        assert tracer.db.deduped_batches == 0
+        assert not agent._pending_ships
+        assert tracer.db.rows_inserted == self.BATCHES * self.RECORDS
+
+
 class TestCrashRestart:
     def test_planned_crash_accounts_buffered_records(self, engine, node):
         registry = MetricsRegistry()

@@ -3,12 +3,11 @@
 One test per claim: it calls the registered runner (``repro run`` /
 ``repro bench`` resolve the same one by name) at the full-scale size
 the claim was stated for, and asserts the shape -- a ratio, an
-ordering, an exact count.  The longer figures, and the streaming micro
-bench whose runner enforces a wall-clock budget, are
-``tests/paper_claims_long.py``, which its own CI job runs by path.
+ordering, an exact count.  The longer figures, and the streaming
+layer's host-time budget, are ``tests/paper_claims_long.py``, which its
+own CI job runs by path.
 """
 
-from repro.bench.micro import DUP_EVERY, RETRY_RECORDS_PER_BATCH
 from repro.ebpf.vm import BPFProgram
 from repro.experiments import get_scenario
 from repro.experiments.ablations import STEADY_RUNS
@@ -156,69 +155,3 @@ def test_ablation_trace_id_cost():
     # Tens to a few hundred ns on a ~50 us latency: well under 1 %.
     assert 0 <= delta < 1_000
 
-
-# -- micro benches -------------------------------------------------------------------
-
-
-def test_micro_dispatch_modes():
-    results = run("micro_ebpf_dispatch", 2_000, 10)
-    assert results["jit_runs"] == results["interp_runs"] == 2_000
-    # The simulated cost model must keep the JIT cheaper per run.
-    assert results["jit_sim_ns_per_run"] < results["interp_sim_ns_per_run"]
-
-
-def test_micro_engine_churn():
-    results = run("micro_engine", 50_000)
-    # Each lane tick executes itself + one zero-delay wakeup; cancelled
-    # shadows never fire and never linger.
-    assert results["events_executed"] > 50_000
-    assert results["cancelled_events"] > 6_000
-    assert results["pending_after_run"] == 0
-
-
-def test_micro_retry_path():
-    results = run("micro_retry_path", 10, 200)
-    # Happy path: one attempt per deploy and per batch, nothing retried,
-    # nothing deduped, nothing left pending, and every record landed.
-    assert results["deploys_acked"] == results["deploy_attempts"] == 10
-    assert results["deploy_retries"] == 0
-    assert results["ship_attempts"] == 200
-    assert results["ship_retries"] == 0
-    assert results["deduped_batches"] == 0
-    assert results["pending_ships"] == 0
-    assert results["rows"] == 200 * RETRY_RECORDS_PER_BATCH
-
-
-def test_micro_ringbuffer_churn():
-    results = run("micro_ringbuffer", 20_000)
-    assert results["appended"] == results["decoded"] == 20_000
-    assert results["dropped"] == 0
-    # The metrics contract sees exactly what the ring saw.
-    assert results["metric_appended"] == results["appended"]
-    assert results["metric_flushes"] == results["flushes"]
-
-
-def test_micro_rpc_correlate():
-    results = run("micro_rpc_correlate", 12)
-    assert results["requests_completed"] == 12
-    assert results["trees"] == 12
-    # 9 parented packets per root request through the default graph.
-    assert results["links_recorded"] == 12 * 9
-    assert results["spans"] > results["links_recorded"]
-
-
-def test_micro_span_reconstruct():
-    results = run("micro_span_reconstruct", 1_000)
-    assert results["trees_built"] == 1_000
-    # packet + 2 devices + 2 hops + 1 wire per trace, nothing orphaned.
-    assert results["spans_built"] == 6_000
-    assert results["orphan_records"] == 0
-    assert results["anomalies"] == 0
-
-
-def test_micro_tracedb_query():
-    results = run("micro_tracedb_query", 1_000)
-    assert results["rows_inserted"] == 4_000
-    assert results["deduped_batches"] == 2 * (20 // DUP_EVERY)
-    assert results["latencies_matched"] > 0
-    assert results["deliver_mbps"] > 0

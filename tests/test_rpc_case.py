@@ -70,6 +70,13 @@ class TestScenario:
         assert len(joined) == len(links)  # every child was collected
 
 
+    def test_every_parented_packet_leaves_one_link(self, result, doc):
+        # 9 parented packets per root request through the default graph,
+        # each read back at its receiver and joined into the forest.
+        assert len(result.deployment.links) == REQUESTS * 9
+        assert doc["trees"] == REQUESTS
+        assert doc["spans"] > len(result.deployment.links)
+
 class TestMetricsContract:
     def test_whole_contract_registered(self, result):
         assert set(result.registry.names()) == {

@@ -4,8 +4,11 @@ Generated scripts against a queue-then-pop reference live in
 ``test_sim_cpu_model.py``.
 """
 
+from functools import partial
+
 import pytest
 
+from repro.net.stack import KernelNode
 from repro.sim.cpu import CPU, GatedCPU
 from repro.sim.engine import SimulationError
 
@@ -64,16 +67,25 @@ class TestCPU:
 
     @pytest.mark.parametrize("busy", [False, True])
     @pytest.mark.parametrize("cost", [-5, -0.5, float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("entry", ["submit", "submit_front"])
+    @pytest.mark.parametrize("entry", ["submit", "submit_front", "charge", "charge_front"])
     def test_invalid_cost_is_rejected_at_the_call(self, engine, entry, cost, busy):
         # A busy CPU queues the job, so a bad cost would otherwise
         # surface only when the job starts, inside another job's
         # completion; it is rejected here, and nothing is queued.
+        # KernelNode.charge, which hands a protocol stage's job to the
+        # CPU past these entries, applies the same rule.
         cpu = CPU(engine)
         if busy:
             cpu.submit(100)
+        if entry.startswith("charge"):
+            node = KernelNode(engine, "n", cpus=[cpu])
+            enter = partial(node.charge, cpu, front=entry == "charge_front")
+        else:
+            enter = getattr(cpu, entry)
+        ran = []
         with pytest.raises(SimulationError):
-            getattr(cpu, entry)(cost, lambda: None)
+            enter(cost, ran.append, "ran")
+        assert ran == []
         assert cpu.queue_depth == 0
         engine.run()
         assert cpu.jobs_completed == int(busy)

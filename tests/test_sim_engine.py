@@ -164,6 +164,35 @@ class TestScheduling:
         assert engine.pending() == 0
 
 
+class TestChurn:
+    """Self-rescheduling timer lanes: each tick arms and cancels a shadow
+    timer (the retransmit-timer pattern) and fires a zero-delay wakeup."""
+
+    LANES = 8
+    TICKS = 2_000  # per lane
+
+    def test_cancelled_shadows_never_fire_and_never_linger(self, engine):
+        fired, ticks, wakeups = [], [], []
+
+        def tick(remaining, interval):
+            ticks.append(engine.now)
+            engine.timer(interval + 3, fired.append, engine.now).cancel()
+            engine.schedule(0, wakeups.append, engine.now)
+            if remaining > 1:
+                engine.schedule(interval, tick, remaining - 1, interval)
+
+        for lane in range(self.LANES):
+            engine.schedule(lane + 1, tick, self.TICKS, 11 + lane)
+        executed = engine.run()
+        assert wakeups == ticks and len(ticks) == self.LANES * self.TICKS
+        # A tick and its wakeup; not one shadow among the executed events.
+        assert executed == 2 * self.LANES * self.TICKS
+        assert fired == []
+        assert engine.pending() == 0
+        # The slowest lane's last tick: start 8, period 18.
+        assert engine.now == 8 + (self.TICKS - 1) * 18
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
         def build_and_run():

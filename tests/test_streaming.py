@@ -27,6 +27,7 @@ from repro.streaming import (
     TopKSlowest,
 )
 from tests.conftest import pack
+from tests.streaming_budget import fan_in
 
 LABELS = {0: "send", 1: "recv"}
 CHAIN = ("send", "recv")
@@ -542,3 +543,24 @@ class TestAttachStreaming:
         engine.run(until=120)
         agg.stop_emitter()
         assert [snap["t_ns"] for snap in agg.snapshots] == [50, 100]
+
+
+class TestFanIn:
+    """The three-node fan-in ``tests/streaming_budget.py`` times, counted:
+    every row the database takes reaches the windows, once, on time."""
+
+    TRACES = 1_500  # 4 us apart from 1 ms: the windows of 1..7 ms
+
+    def test_every_row_is_streamed_once_and_none_is_late(self):
+        engine, db, agg = fan_in(self.TRACES, windowed=True)
+        engine.run()
+        agg.close_all()
+        assert db.rows_inserted == 4 * self.TRACES
+        assert agg.records == db.rows_inserted
+        assert agg.windows_closed == 7
+        assert agg.late_records == 0
+        hops = agg.summary()["hops"]
+        assert {hop: stats["count"] for hop, stats in hops.items()} == {
+            hop: self.TRACES
+            for hop in ("send->fwd-in", "fwd-in->fwd-out", "fwd-out->deliver", "send->deliver")
+        }

@@ -31,8 +31,10 @@ from hypothesis import strategies as st
 
 import repro.core.vnettracer as vnettracer_module
 from repro.core import metrics
+from repro.core.collector import RawDataCollector
 from repro.core.records import RECORD_STRUCT, TraceRecord
 from repro.core.tracedb import TraceDB, TraceRow
+from repro.sim.engine import Engine
 from repro.tracing.export import chrome_trace_json, otlp_json
 from repro.tracing.reconstruct import SpanAssembler
 from repro.workloads.stats import LatencySummary, summarize_latencies
@@ -521,6 +523,59 @@ _op_st = st.one_of(
     st.tuples(st.just("mark"), _node_st, st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("query"), st.integers(min_value=0, max_value=12), st.just(None)),
 )
+
+
+class TestCollectorIngestBesideQueries:
+    """Per-node blobs through the collector's resequencer, every 10th
+    shipment delivered twice, a query round after every 4th: each round
+    rebuilds the sorted indexes the next insert invalidates."""
+
+    TRACES = 1_000
+    BATCH = 50  # traces per shipment
+    DUP_EVERY = 10
+
+    def _blobs(self, first):
+        tx, rx = [], []
+        for trace_id in range(first, first + self.BATCH):
+            base = 1_000_000 + trace_id * 40_000
+            tx += [TraceRecord(trace_id, 0, base, 1500, trace_id % 4),
+                   TraceRecord(trace_id, 1, base + 9_000, 1500, trace_id % 4)]
+            # The receiver's clock runs 1.5 ms ahead; insert aligns it.
+            rx += [TraceRecord(trace_id, 2, base + 1_536_000, 1500, trace_id % 4),
+                   TraceRecord(trace_id, 3, base + 1_545_500, 1500, trace_id % 4)]
+        return {"tx": pack(tx), "rx": pack(rx)}
+
+    def test_every_round_sees_every_row_so_far_and_retries_dedup(self):
+        engine = Engine()
+        db = ShadowDB()
+        db.set_clock_skew("rx", -1_500_000)
+        collector = RawDataCollector(engine, db)
+        collector.register_labels(_LABELS)
+        seen = []
+
+        def ship(first, seq):
+            blobs = self._blobs(first)
+            for node in ("tx", "rx"):
+                collector.receive_batch(node, blobs[node], seq=seq)
+                if seq % self.DUP_EVERY == 0:  # a retry of the same shipment
+                    collector.receive_batch(node, blobs[node], seq=seq)
+
+        def query_round():
+            latencies = metrics.latency_between(db, "send", "deliver")
+            assert set(latencies) == {45_500}
+            seen.append(len(latencies))
+            assert len(db.rows_for_trace(len(latencies))) == 4  # the newest trace
+
+        for seq, first in enumerate(range(1, self.TRACES + 1, self.BATCH), 1):
+            engine.schedule(seq * 1_000, ship, first, seq)
+            if seq % 4 == 0:
+                engine.schedule(seq * 1_000 + 500, query_round)
+        engine.run()
+        assert seen == [4 * self.BATCH * k for k in range(1, 6)]
+        assert db.rows_inserted == 4 * self.TRACES
+        assert db.deduped_batches == 2 * (self.TRACES // self.BATCH // self.DUP_EVERY)
+        assert_db_equivalent(db, db.legacy)
+        assert_metrics_equivalent(db, db.legacy)
 
 
 class TestInterleavedProperties:

@@ -235,6 +235,35 @@ class TestAssembler:
         assert registry.total("vnt_span_anomalous_total") == 1
 
 
+    def test_packed_ingest_then_forest_anomalies_and_export(self):
+        """Per-node packed blobs, 50 traces each, with the receiver's
+        clock 1.5 ms ahead: every trace becomes one tree of a packet
+        span, two device spans, two hop spans and one wire span."""
+        traces = 1_000
+        db = TraceDB()
+        db.set_clock_skew("n2", -1_500_000)
+        labels = dict(enumerate(CHAIN))
+        nodes = ("n1", "n1", "n2", "n2")
+        offsets = (0, 9_000, 1_536_000, 1_545_500)  # n2 stamps read 1.5 ms ahead
+        for first in range(1, traces + 1, 50):
+            blobs = {"n1": [], "n2": []}
+            for trace_id in range(first, first + 50):
+                base = 1_000_000 + trace_id * 40_000
+                for index, (node, offset) in enumerate(zip(nodes, offsets)):
+                    blobs[node].append(TraceRecord(trace_id, index, base + offset, 64, 0))
+            for node, records in blobs.items():
+                db.insert_packed(node, b"".join(r.pack() for r in records), labels)
+        registry = MetricsRegistry()
+        assembler = SpanAssembler(db, registry=registry)
+        forest = assembler.forest(chain=CHAIN, complete_only=True)
+        assert (assembler.trees_built, assembler.spans_built) == (traces, 6 * traces)
+        assert assembler.orphan_records == 0
+        assert {tree.end_ns - tree.start_ns for tree in forest.trees} == {45_500}
+        assert assembler.anomalies(forest) == []
+        assert registry.total("vnt_span_anomalous_total") == 0
+        events = json.loads(chrome_trace_json(forest))["traceEvents"]
+        assert sum(event["ph"] == "X" for event in events) == 6 * traces
+
 class TestCriticalPath:
     def _forest(self):
         db = TraceDB()

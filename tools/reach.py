@@ -351,9 +351,9 @@ def drives(root: Path, tmp: Path) -> Iterator[Drive]:
         ("--format", "chrome", "--out", str(tmp / "rpc.chrome")), ("--shards", "4"),
     ):
         yield f"cli:rpc {' '.join(flags[:2])}", _cli("rpc", "--requests", "12", *flags)
-    yield "cli:bench --only", _cli("bench", "--only", "micro_engine")
+    yield "cli:bench --only", _cli("bench", "--only", "ablation_trace_ids")
     yield "cli:bench --only --json --out --profile", _cli(
-        "bench", "--only", "micro_engine", "--json", "--profile", "5",
+        "bench", "--only", "ablation_trace_ids", "--json", "--profile", "5",
         "--out", str(tmp / "bench.json"),
     )
 
