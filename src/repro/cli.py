@@ -13,15 +13,14 @@
     python -m repro.cli watch --deterministic
     python -m repro.cli rpc --requests 40
     python -m repro.cli rpc --deterministic
-    python -m repro.cli bench --preset smoke
-    python -m repro.cli bench --preset smoke --out bench.json
 
 `list` prints the ScenarioSpec registry (`repro.experiments.SCENARIOS`),
 the one table of runnable things; `--verbose` adds each spec's
 references.  `run` takes its figures from that table: each prints its
 paper-vs-measured block (the presenter beside its runner), `run all`
-walks the whole evaluation (§IV).  The same runners back `repro bench`
-and the paper-claims tests (`tests/test_paper_claims.py`).
+walks the whole evaluation (§IV).  The same runners back the pin table
+(`python -m tests.pins`) and the paper-claims tests
+(`tests/test_paper_claims.py`).
 
 `stats` runs the quickstart tracing scenario with the self-observability
 layer attached (see docs/OBSERVABILITY.md) and emits the pipeline's own
@@ -49,13 +48,6 @@ declarative ServiceGraph compiled onto the simulated stack, every RPC
 carrying its parent's trace ID, reconstructed into a cross-service span
 forest; `--deterministic` emits one canonical JSON document (a row of
 the pin table, identical across shard counts).
-
-`bench` runs every registered spec with a `pinned` reference (`repro
-list` prints them) and reports its simulation-deterministic outputs as
-one canonical JSON document.  Each scenario's entry is a row of the pin
-table, `tests/golden/pins.json`,
-which `python -m tests.pins` regenerates and diffs (docs/BENCHMARKS.md).
-Host speed is `pipeline_bench`'s job, not this verb's.
 """
 
 from __future__ import annotations
@@ -401,56 +393,6 @@ def _rpc(args) -> int:
     return 0
 
 
-def _bench(args) -> int:
-    from repro.bench import bench_specs, build_report, dumps_report, run_suite, write_report
-
-    try:
-        specs = bench_specs(args.only)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.json else print
-    profile = None
-    if args.profile is not None:
-        import cProfile
-
-        profile = cProfile.Profile()
-        profile.enable()
-    try:
-        results = run_suite(specs, preset=args.preset, progress=progress)
-    finally:
-        if profile is not None:
-            profile.disable()
-    report = build_report(results, args.preset)
-    if args.json:
-        print(dumps_report(report), end="")
-    if args.out:
-        path = write_report(report, args.out)
-        if not args.json:
-            print(f"wrote {path}")
-    if profile is not None:
-        # Strictly after every line of report output, and only once
-        # stdout is flushed: with ``--json`` the report must stay one
-        # contiguous parseable document even when stdout and stderr
-        # share a pipe.
-        sys.stdout.flush()
-        _print_profile(profile, args.profile)
-    return 0
-
-
-def _print_profile(profile, top_n: int, stream=None) -> None:
-    """Top-N cumulative-time functions of a finished cProfile run, so
-    perf PRs can cite a profile instead of guessing (stderr: keeps
-    ``--json`` stdout parseable)."""
-    import pstats
-
-    stream = stream if stream is not None else sys.stderr
-    print(f"\n-- profile: top {top_n} functions by cumulative time --",
-          file=stream)
-    stats = pstats.Stats(profile, stream=stream)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top_n)
-
-
 def _trace_id(text: str) -> int:
     """Trace IDs as the tools print them: 0x-prefixed hex or decimal,
     and 32 bits wide."""
@@ -513,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     listing.add_argument("--verbose", action="store_true",
                          help="also print each spec's run / present / build / "
-                              "digest references")
+                              "digest / pinned references")
     run = sub.add_parser("run", help="run one figure (or 'all')")
     run.add_argument("figure", choices=[*figure_names(), "all"])
     run.add_argument("--seed", type=int, default=None,
@@ -612,26 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "identical at any shard count)")
     rpc.add_argument("--out", metavar="PATH", type=_output_path, default=None,
                      help="write to a file instead of stdout")
-    bench = sub.add_parser(
-        "bench",
-        help="run every registered scenario with a pinned role and report its "
-             "deterministic outputs (docs/BENCHMARKS.md)",
-    )
-    bench.add_argument("--preset", choices=("smoke", "full"), default="smoke",
-                       help="workload scale (smoke ~= 10%% of full durations)")
-    bench.add_argument("--only", action="append", metavar="NAME",
-                       help="run only the named scenario(s); repeatable")
-    bench.add_argument("--json", action="store_true",
-                       help="print the report JSON to stdout instead of the "
-                            "progress table")
-    bench.add_argument("--out", metavar="PATH", type=_output_path, default=None,
-                       help="also write the report JSON to PATH (the gate is "
-                            "the pin table: python -m tests.pins)")
-    bench.add_argument("--profile", type=_positive_int, nargs="?", const=25, default=None,
-                       metavar="N",
-                       help="wrap the run in cProfile and print the top N "
-                            "functions by cumulative time (default 25) to "
-                            "stderr")
     return parser
 
 
@@ -644,8 +566,6 @@ def main(argv=None) -> int:
     if args.command == "run":
         _run(args, parser)
         return 0
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "faults":
         return _faults(args)
     if args.command == "rpc":

@@ -294,7 +294,7 @@ class BPFProgram:
     """
 
     # Process-wide total of program executions (probe fires) across all
-    # program instances; snapshotted by the benchmark harness.
+    # program instances; the pin table (tests/pins.py) snapshots it.
     _runs_global = 0
 
     @classmethod

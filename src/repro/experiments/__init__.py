@@ -1,7 +1,7 @@
 """Experiment scenarios reproducing the paper's evaluation (§IV).
 
 Each module builds its topology from :mod:`repro.experiments.topologies`
-and returns structured results; ``repro run``, ``repro bench``, the
+and returns structured results; ``repro run``, the pin table, the
 paper-claims tests and the runnable ``examples/`` all call these
 runners, so every figure regenerates from one code path.
 
@@ -21,8 +21,8 @@ rpc_case            cross-service RPC tracing (docs/SERVICES.md)
 :data:`SCENARIOS` is the one table of runnable things: ``repro list``
 prints it, ``repro run`` takes its choices, runners and presenters from
 it (the entries with a ``present`` reference are the paper figures),
-``repro bench`` and the pin table's ``bench:`` rows run every entry
-with a ``pinned`` reference, and ``repro rpc`` resolves its runner
+the pin table's ``bench:`` rows run every entry with a ``pinned``
+reference, and ``repro rpc`` resolves its runner
 through it.  Specs hold *dotted references* (``"module:attr"``), so
 registering or listing a scenario imports nothing -- ``import
 repro.experiments`` runs inside every ``pipeline_bench`` child; the
@@ -49,9 +49,9 @@ class ScenarioSpec:
       running it (a scene builder, a ServiceGraph, a FleetConfig ...);
     * ``digest`` -- a zero-to-few-argument callable returning a short
       deterministic hex digest of a small run;
-    * ``pinned`` -- ``preset -> dict``: the metrics ``repro bench``
-      reports at that preset (``smoke`` / ``full``), the ``bench:`` row
-      of the pin table.
+    * ``pinned`` -- ``() -> dict``: the metrics of one small fixed
+      run (tens of ms of virtual time), the ``bench:`` row of the pin
+      table (``python -m tests.pins``).
     """
 
     name: str
@@ -117,13 +117,13 @@ def figure_names() -> Tuple[str, ...]:
 
 
 def pinned_names() -> Tuple[str, ...]:
-    """What ``repro bench`` runs, in its order: the specs with a
+    """The pin table's ``bench:`` rows, in its order: the specs with a
     ``pinned`` reference."""
     return tuple(name for name in scenario_names() if SCENARIOS[name].pinned)
 
 
 # The paper figures -- name, title, module, runner -- each with its
-# presenter ``present_<name>`` and its bench metrics ``pinned_<name>``
+# presenter ``present_<name>`` and its pinned metrics ``pinned_<name>``
 # beside the runner.
 for _name, _title, _module, _runner in (
     ("fig4", "Fig. 4: Cristian clock-skew estimation accuracy", "clocksync_case", "run_fig4_sweep"),
@@ -209,7 +209,7 @@ register_scenario(
     )
 )
 
-# Bench-only scenarios: no presenter, no digest.  The ablations measure
+# Pinned-only scenarios: no presenter, no digest.  The ablations measure
 # one design choice of §II / §III-C each (DESIGN.md §5).
 # fmt: off
 for _name, _title, _run in (

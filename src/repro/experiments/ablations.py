@@ -1,9 +1,9 @@
 """The §II / §III-C ablations: one design choice each, on and off.
 
 Each runner takes its full-scale workload by default and returns the
-raw comparison; ``pinned_<name>`` beside it scales the workload to a
-``repro bench`` preset and re-keys the result into that scenario's
-metrics.  The shape claims each ablation makes are
+raw comparison; ``pinned_<name>`` beside it runs a small fixed
+workload (tens of ms) and re-keys the result into that scenario's
+``bench:`` row of the pin table.  The shape claims each ablation makes are
 ``tests/test_paper_claims.py`` / ``tests/paper_claims_long.py``.
 
 ===========================  ==============================================
@@ -89,11 +89,10 @@ def run_collection_modes(duration_ns: int = 400_000_000) -> Dict[str, dict]:
     }
 
 
-def pinned_ablation_collection_mode(preset: str) -> dict:
-    from repro.bench.presets import scale_duration
-
+def pinned_ablation_collection_mode() -> dict:
+    """Pinned metrics: 40 ms per mode."""
     out = {}
-    for mode, r in run_collection_modes(scale_duration(preset, 400_000_000)).items():
+    for mode, r in run_collection_modes(40_000_000).items():
         out[f"{mode}_avg_us"] = round(r["avg_us"], 3)
         out[f"{mode}_agent_cpu0_busy_us"] = round(r["agent_cpu0_busy_us"], 1)
         out[f"{mode}_rows_total"] = r["rows_total"]
@@ -103,8 +102,8 @@ def pinned_ablation_collection_mode(preset: str) -> dict:
 # -- eBPF interpreter vs JIT -----------------------------------------------------
 
 # Steady-state probe fires per mode: enough that load and compile
-# amortise below the measurement floor, so ``repro bench``'s host
-# ns/probe tracks dispatch, not the one-time compile + load.
+# amortise below the measurement floor, so a host profile of this
+# ablation tracks dispatch, not the one-time compile + load.
 STEADY_RUNS = 400
 
 
@@ -148,7 +147,7 @@ def run_interp_vs_jit(steady_runs: int = STEADY_RUNS) -> Dict[str, Tuple[int, in
     }
 
 
-def pinned_ablation_ebpf_jit(preset: str) -> dict:
+def pinned_ablation_ebpf_jit() -> dict:
     results = run_interp_vs_jit()
     interp_load, interp_cost, insns = results["interp"]
     jit_load, jit_cost, _ = results["jit"]
@@ -183,7 +182,7 @@ def _netperf_goodput(rule: Optional[FilterRule], duration_ns: int) -> float:
     client.start(duration_ns)
     # Restart the measurement window once the first fifth of the run is
     # done.  Scaled with the duration: a fixed offset past a short
-    # preset's traffic would reset an idle server and report 0 goodput.
+    # run's traffic would reset an idle server and report 0 goodput.
     engine.schedule(duration_ns // 5, server.reset_window)
     engine.run(until=duration_ns + 100_000_000)
     return server.goodput_bps()
@@ -204,26 +203,21 @@ def run_filter_selectivity(duration_ns: int = 250_000_000) -> Dict[str, float]:
     }
 
 
-def pinned_ablation_filter_selectivity(preset: str) -> dict:
-    from repro.bench.presets import scale_duration
-
-    results = run_filter_selectivity(scale_duration(preset, 250_000_000))
+def pinned_ablation_filter_selectivity() -> dict:
+    """Pinned metrics: 25 ms per leg."""
+    results = run_filter_selectivity(25_000_000)
     return {f"{leg}_mbps": round(bps / 1e6, 1) for leg, bps in results.items()}
 
 
 # -- credit2 rate-limit sweep -------------------------------------------------------
 
 
-def pinned_ablation_ratelimit_sweep(preset: str) -> dict:
-    """The paper flips the rate limit from 1000 us to 0; the sweep maps
-    the trade-off in between (two points at ``smoke``, four at ``full``)."""
-    from repro.bench.presets import scale_duration
+def pinned_ablation_ratelimit_sweep() -> dict:
+    """The paper flips the rate limit from 1000 us to 0: pinned metrics
+    at those two points, 30 ms each (the runner also sweeps between)."""
     from repro.experiments.xen_case import run_ratelimit_sweep
 
-    values_us = (0, 1000) if preset == "smoke" else (0, 250, 1000, 2000)
-    points = run_ratelimit_sweep(
-        values_us=values_us, duration_ns=scale_duration(preset, 300_000_000)
-    )
+    points = run_ratelimit_sweep(values_us=(0, 1000), duration_ns=30_000_000)
     out = {}
     for point in points:
         key = f"ratelimit_{point.ratelimit_us}us"
@@ -268,13 +262,11 @@ def run_ring_buffer_sweep(
     return {size: _ring_loss(size, duration_ns) for size in sizes}
 
 
-def pinned_ablation_ring_buffer(preset: str) -> dict:
-    from repro.bench.presets import scale_duration
-
-    sizes = (64, 16 * 1024) if preset == "smoke" else RING_SIZES
+def pinned_ablation_ring_buffer() -> dict:
+    """Pinned metrics: the smallest and largest ring, 30 ms each."""
     out = {}
     for size, (sent, recorded, dropped) in run_ring_buffer_sweep(
-        sizes, scale_duration(preset, 300_000_000)
+        (64, 16 * 1024), 30_000_000
     ).items():
         out[f"ring_{size}b_sent"] = sent
         out[f"ring_{size}b_recorded"] = recorded
@@ -309,10 +301,9 @@ def run_trace_id_cost(duration_ns: int = 400_000_000) -> Dict[str, float]:
     }
 
 
-def pinned_ablation_trace_ids(preset: str) -> dict:
-    from repro.bench.presets import scale_duration
-
-    results = run_trace_id_cost(scale_duration(preset, 400_000_000))
+def pinned_ablation_trace_ids() -> dict:
+    """Pinned metrics: 40 ms per kernel."""
+    results = run_trace_id_cost(40_000_000)
     return {
         "plain_avg_us": round(results["plain"] / 1e3, 3),
         "with_ids_avg_us": round(results["with_ids"] / 1e3, 3),

@@ -112,8 +112,8 @@ def present_fig4(results: List[ClockSyncResult]) -> Iterator[str]:
         )
 
 
-def pinned_fig4(preset: str) -> dict:
-    """``repro bench`` metrics: the sweep has a fixed size at every preset."""
+def pinned_fig4() -> dict:
+    """Pinned metrics: the runner's fixed-size sweep."""
     results = run_fig4_sweep()
     return {
         "sweep_points": len(results),

@@ -95,11 +95,9 @@ def present_fig12b(results: Dict[str, ThroughputPair]) -> Iterator[str]:
         )
 
 
-def pinned_fig12b(preset: str) -> dict:
-    """``repro bench`` metrics: 300 ms per path at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig12b(duration_ns=scale_duration(preset, 300_000_000))
+def pinned_fig12b() -> dict:
+    """Pinned metrics: 30 ms per path."""
+    results = run_fig12b(duration_ns=30_000_000)
     out = {}
     for name, pair in results.items():
         out[f"{name}_vm_gbps"] = round(pair.vm_bps / 1e9, 3)
@@ -177,11 +175,9 @@ def present_fig13a(results: Dict[str, SoftirqResult]) -> Iterator[str]:
     yield f"  rate ratio {ratio:.2f}x (paper 4.54x)"
 
 
-def pinned_fig13a(preset: str) -> dict:
-    """``repro bench`` metrics: 300 ms per path at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig13a(duration_ns=scale_duration(preset, 300_000_000))
+def pinned_fig13a() -> dict:
+    """Pinned metrics: 30 ms per path."""
+    results = run_fig13a(duration_ns=30_000_000)
     out = {}
     for path, r in results.items():
         out[f"{path}_goodput_gbps"] = round(r.goodput_bps / 1e9, 3)
@@ -281,8 +277,8 @@ def present_fig13b(results: Dict[str, DataPathResult]) -> Iterator[str]:
         yield f"  {path:10s} ({len(r.hops)} hops): {' -> '.join(r.hops)}"
 
 
-def pinned_fig13b(preset: str) -> dict:
-    """``repro bench`` metrics: the hop counts, the same at every preset."""
+def pinned_fig13b() -> dict:
+    """Pinned metrics: the hop counts of the runner's fixed walk."""
     results = run_fig13b()
     return {
         "vm_hops": len(results["vm"].hops),

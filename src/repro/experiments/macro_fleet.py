@@ -528,21 +528,18 @@ def macro_fleet_digest(ticks: int = 10, shards: int = 4) -> str:
     return result.digest16
 
 
-def _pinned_fleet(preset: str, shards: int) -> dict:
-    """``repro bench`` metrics: 100 ticks at ``full``, 10 at ``smoke``."""
-    from repro.bench.presets import scale_count
-
-    ticks = scale_count(preset, 100, floor=10)
-    return dict(run_macro_fleet(FleetConfig(ticks=ticks), shards=shards).metrics)
+def _pinned_fleet(shards: int) -> dict:
+    """Pinned metrics: 10 ticks."""
+    return dict(run_macro_fleet(FleetConfig(ticks=10), shards=shards).metrics)
 
 
-def pinned_macro_fleet(preset: str) -> dict:
-    return _pinned_fleet(preset, shards=16)
+def pinned_macro_fleet() -> dict:
+    return _pinned_fleet(shards=16)
 
 
-def pinned_macro_fleet_single(preset: str) -> dict:
-    return _pinned_fleet(preset, shards=1)
+def pinned_macro_fleet_single() -> dict:
+    return _pinned_fleet(shards=1)
 
 
-def pinned_macro_fleet_shards4(preset: str) -> dict:
-    return _pinned_fleet(preset, shards=4)
+def pinned_macro_fleet_shards4() -> dict:
+    return _pinned_fleet(shards=4)

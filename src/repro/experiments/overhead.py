@@ -100,11 +100,9 @@ def present_fig7a(r: SockperfOverheadResult) -> Iterator[str]:
     )
 
 
-def pinned_fig7a(preset: str) -> dict:
-    """``repro bench`` metrics: 500 ms of 1000 msg/s sockperf at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    result = run_fig7a(duration_ns=scale_duration(preset, 500_000_000), mps=1000)
+def pinned_fig7a() -> dict:
+    """Pinned metrics: 50 ms of 1000 msg/s sockperf."""
+    result = run_fig7a(duration_ns=50_000_000, mps=1000)
     return {
         "baseline_avg_us": round(result.baseline.avg_ns / 1e3, 2),
         "traced_avg_us": round(result.traced.avg_ns / 1e3, 2),
@@ -205,18 +203,11 @@ def present_fig7b(results: List[NetperfOverheadResult]) -> Iterator[str]:
         )
 
 
-def pinned_fig7b(preset: str) -> dict:
-    """``repro bench`` metrics: 300 ms of netperf at ``full``, on the 10G
-    link only at ``smoke``."""
-    from repro.bench.presets import scale_duration
-
-    duration_ns = scale_duration(preset, 300_000_000)
-    links = (10.0,) if preset == "smoke" else (1.0, 10.0)
-    out = {}
-    for link_gbps in links:
-        result = run_fig7b(link_gbps=link_gbps, duration_ns=duration_ns)
-        key = f"{link_gbps:g}g"
-        out[f"{key}_baseline_mbps"] = round(result.baseline_bps / 1e6, 1)
-        out[f"{key}_vnettracer_loss_pct"] = round(result.vnettracer_loss_pct, 2)
-        out[f"{key}_systemtap_loss_pct"] = round(result.systemtap_loss_pct, 2)
-    return out
+def pinned_fig7b() -> dict:
+    """Pinned metrics: 30 ms of netperf on the 10G link."""
+    result = run_fig7b(link_gbps=10.0, duration_ns=30_000_000)
+    return {
+        "10g_baseline_mbps": round(result.baseline_bps / 1e6, 1),
+        "10g_vnettracer_loss_pct": round(result.vnettracer_loss_pct, 2),
+        "10g_systemtap_loss_pct": round(result.systemtap_loss_pct, 2),
+    }

@@ -266,11 +266,9 @@ def present_fig8b(results: Dict[str, LatencySummary]) -> Iterator[str]:
         yield f"  Case {case:4s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
 
 
-def pinned_fig8b(preset: str) -> dict:
-    """``repro bench`` metrics: 400 ms per case at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig8b(duration_ns=scale_duration(preset, 400_000_000))
+def pinned_fig8b() -> dict:
+    """Pinned metrics: 40 ms per case."""
+    results = run_fig8b(duration_ns=40_000_000)
     return {
         f"case_{case}_{stat}_us": round(value, 1)
         for case, summary in results.items()
@@ -287,11 +285,9 @@ def present_fig9a(results) -> Iterator[str]:
         )
 
 
-def pinned_fig9a(preset: str) -> dict:
-    """``repro bench`` metrics: 300 ms per case at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig9a(duration_ns=scale_duration(preset, 300_000_000))
+def pinned_fig9a() -> dict:
+    """Pinned metrics: 30 ms per case."""
+    results = run_fig9a(duration_ns=30_000_000)
     return {
         f"case_{case}_{segment}_avg_us": round(summary.avg_ns / 1e3, 1)
         for case, decomposition in results.items()
@@ -305,11 +301,9 @@ def present_fig9b(results: Dict[str, LatencySummary]) -> Iterator[str]:
         yield f"  {key:15s} avg {s['avg']:9.1f} us   p99.9 {s['p99.9']:9.1f} us"
 
 
-def pinned_fig9b(preset: str) -> dict:
-    """``repro bench`` metrics: 400 ms per case at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig9b(duration_ns=scale_duration(preset, 400_000_000))
+def pinned_fig9b() -> dict:
+    """Pinned metrics: 40 ms per case."""
+    results = run_fig9b(duration_ns=40_000_000)
     return {
         f"{key.replace('+', '_')}_avg_us": round(summary.avg_ns / 1e3, 1)
         for key, summary in results.items()

@@ -99,11 +99,9 @@ def present_fig10a(results: Dict[str, XenSockperfResult]) -> Iterator[str]:
         )
 
 
-def pinned_fig10a(preset: str) -> dict:
-    """``repro bench`` metrics: 500 ms per condition at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig10a(duration_ns=scale_duration(preset, 500_000_000))
+def pinned_fig10a() -> dict:
+    """Pinned metrics: 50 ms per condition."""
+    results = run_fig10a(duration_ns=50_000_000)
     return {
         f"{condition.replace('+', '_')}_p999_us": round(result.sockperf.p999_ns / 1e3, 1)
         for condition, result in results.items()
@@ -162,11 +160,9 @@ def present_fig10b(results: Dict[str, XenMemcachedResult]) -> Iterator[str]:
         )
 
 
-def pinned_fig10b(preset: str) -> dict:
-    """``repro bench`` metrics: 500 ms per condition at ``full``."""
-    from repro.bench.presets import scale_duration
-
-    results = run_fig10b(duration_ns=scale_duration(preset, 500_000_000))
+def pinned_fig10b() -> dict:
+    """Pinned metrics: 50 ms per condition."""
+    results = run_fig10b(duration_ns=50_000_000)
     return {
         f"{condition.replace('+', '_')}_{stat}_us": round(value, 1)
         for condition, result in results.items()
@@ -355,11 +351,9 @@ def present_fig11(results: Dict[str, XenDecompositionResult]) -> Iterator[str]:
             yield f"    {key:40s} avg {s['avg']:8.1f} us  max {s['max']:8.1f} us"
 
 
-def pinned_fig11(preset: str) -> dict:
-    """``repro bench`` metrics: 400 packets per condition at ``full``."""
-    from repro.bench.presets import scale_count
-
-    packets = scale_count(preset, 400, floor=100)
+def pinned_fig11() -> dict:
+    """Pinned metrics: 100 packets per condition."""
+    packets = 100
     out = {"packets": packets}
     for condition, result in run_fig11(packets=packets).items():
         sched = result.segment_summaries[FIG11_SCHED_SEGMENT]

@@ -376,7 +376,7 @@ class ShardCoordinator:
                 results.append(result)
             # Worker-side engines bumped *their* process's global event
             # counter; fold the reported counts into this process so the
-            # bench harness sees worker runs like in-process ones.
+            # pin table's event counts see worker runs like in-process ones.
             Engine._events_executed_global += executed
             return CoordinatorRun(
                 results=results,

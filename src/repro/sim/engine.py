@@ -113,9 +113,9 @@ class Timer:
 class Engine:
     """Single-threaded discrete-event loop with integer-ns virtual time."""
 
-    # Process-wide total across every engine instance.  The benchmark
-    # harness (repro.bench) snapshots this around a scenario to count
-    # events without reaching into the engines the scenario builds.
+    # Process-wide total across every engine instance.  The pin table
+    # (tests/pins.py) snapshots this around a scenario to count events
+    # without reaching into the engines the scenario builds.
     _events_executed_global = 0
 
     @classmethod

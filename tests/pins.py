@@ -3,9 +3,9 @@
 ``tests/golden/pins.json`` maps what produces an output to what it
 produced.  Four kinds of row:
 
-* ``bench:<spec>`` -- ``events_executed``, ``probe_fires`` and the
-  ``metrics`` of a ``ScenarioSpec``'s ``pinned`` role at the smoke
-  preset, as ``repro bench`` reports them;
+* ``bench:<spec>`` -- the engine events and probe fires one call of a
+  ``ScenarioSpec``'s ``pinned`` role ran (``events_executed``,
+  ``probe_fires``), and the ``metrics`` dict it returned;
 * ``digest:<spec>`` -- a ``ScenarioSpec``'s registry digest on its
   defaults;
 * ``export:<case>:<fmt>`` -- sha256 and byte length of one span-forest
@@ -44,8 +44,9 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.bench import bench_specs, run_scenario
-from repro.experiments import get_scenario, pinned_names, scenario_names
+from repro.ebpf.vm import BPFProgram
+from repro.experiments import SCENARIOS, get_scenario, pinned_names, scenario_names
+from repro.sim.engine import Engine
 from repro.tracing.export import chrome_trace_json, otlp_json, timeline_text
 from repro.tracing.reconstruct import SpanAssembler
 
@@ -101,13 +102,34 @@ def fingerprint(data: bytes) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def bench_rows(names: Optional[Sequence[str]] = None) -> Iterator[Tuple[str, dict]]:
-    for spec in bench_specs(names):
-        result = run_scenario(spec, "smoke")
-        yield f"bench:{result.name}", {
-            "events_executed": result.events_executed,
-            "probe_fires": result.probe_fires,
-            "metrics": result.metrics,
+def bench_rows(only: Optional[Sequence[str]] = None) -> Iterator[Tuple[str, dict]]:
+    """One call of each ``pinned`` role, sorted by spec name, with the
+    engine events and probe fires it ran counted process-wide.  ``only``
+    keeps the named specs; naming one that is not registered with a
+    ``pinned`` reference is an error before anything runs."""
+    names = pinned_names()
+    if only is not None:
+        unknown = sorted(set(only).difference(names))
+        if unknown:
+            raise ValueError(
+                f"unknown bench scenario(s) {', '.join(unknown)}; "
+                f"registered: {', '.join(names)}"
+            )
+        names = [name for name in names if name in only]
+    for name in names:
+        run = SCENARIOS[name].pinned_fn()
+        events_before = Engine.global_events_executed()
+        fires_before = BPFProgram.global_runs()
+        metrics = run()
+        if not isinstance(metrics, dict):
+            raise TypeError(
+                f"scenario {name}: its pinned() must return a dict of metrics, "
+                f"got {type(metrics).__name__}"
+            )
+        yield f"bench:{name}", {
+            "events_executed": Engine.global_events_executed() - events_before,
+            "probe_fires": BPFProgram.global_runs() - fires_before,
+            "metrics": metrics,
         }
 
 

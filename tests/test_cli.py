@@ -22,12 +22,19 @@ class TestParser:
         assert main(["list", "--verbose"]) == 0
         out = capsys.readouterr().out
         for spec in SCENARIOS.values():
-            for ref in (spec.run, spec.present, spec.build, spec.digest):
+            for ref in (spec.run, spec.present, spec.build, spec.digest, spec.pinned):
                 assert ref is None or ref in out
 
     def test_scenarios_verb_is_gone(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenarios"])
+
+    def test_bench_verb_is_gone(self, capsys):
+        """The pin table runs each ``pinned`` role (``python -m tests.pins``)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_run_requires_figure(self):
         with pytest.raises(SystemExit):
@@ -76,10 +83,7 @@ class TestParser:
             ["timeline", "--format", "text", "--anomaly-factor", "inf"],
             ["timeline", "--out", "{missing}"],
             ["rpc", "--format", "chrome", "--out", "{missing}"],
-            ["bench", "--out", "{missing}"],
             ["timeline", "--out", "{directory}"],
-            ["bench", "--profile", "0"],
-            ["bench", "--profile", "-3"],
             ["timeline", "--format", "text", "--trace-id", "-5"],
             ["timeline", "--format", "text", "--trace-id", "0x1ffffffff"],
         ],
@@ -90,10 +94,7 @@ class TestParser:
             "factor-inf",
             "timeline-out-missing-dir",
             "rpc-out-missing-dir",
-            "bench-out-missing-dir",
             "out-is-a-directory",
-            "profile-zero",
-            "profile-negative",
             "trace-id-negative",
             "trace-id-over-32-bits",
         ],

@@ -1,9 +1,9 @@
 """The ScenarioSpec registry: the one table of runnable things.
 
 `repro list` prints :data:`repro.experiments.SCENARIOS`, `repro run`
-takes its figures from it, `repro bench` its scenarios (the specs with a
-`pinned` role) and `repro rpc` resolves its
-runner through it; the per-module entry points stay importable (they
+takes its figures from it, the pin table (`python -m tests.pins`) its
+`bench:` rows (the specs with a `pinned` role) and `repro rpc` resolves
+its runner through it; the per-module entry points stay importable (they
 *are* the implementations the specs point at).
 """
 
@@ -93,6 +93,13 @@ class TestRegistry:
         for name in BENCH_ONLY:
             spec = get_scenario(name)
             assert spec.present is None and spec.digest is None, name
+
+    def test_every_pinned_role_takes_no_parameters(self):
+        """The pin table calls ``spec.pinned_fn()()``: one fixed workload
+        per spec, no scale knob."""
+        for name in pinned_names():
+            params = inspect.signature(get_scenario(name).pinned_fn()).parameters
+            assert not params, f"{name}: pinned takes {list(params)}"
 
     def test_figures_are_the_specs_with_a_presenter(self):
         assert figure_names() == FIGURES

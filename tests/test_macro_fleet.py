@@ -137,7 +137,7 @@ class TestBenchLegsAgree:
         from repro.experiments import get_scenario
 
         runs = {
-            name: get_scenario(name).pinned_fn()("smoke")
+            name: get_scenario(name).pinned_fn()()
             for name in ("macro_fleet", "macro_fleet_single", "macro_fleet_shards4")
         }
         assert len(runs) == 3

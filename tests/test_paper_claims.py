@@ -1,7 +1,7 @@
 """The paper's shape claims that run in under two seconds each.
 
-One test per claim: it calls the registered runner (``repro run`` /
-``repro bench`` resolve the same one by name) at the full-scale size
+One test per claim: it calls the registered runner (``repro run``
+resolves the same one by name) at the full-scale size
 the claim was stated for, and asserts the shape -- a ratio, an
 ordering, an exact count.  The longer figures, and the streaming
 layer's host-time budget, are ``tests/paper_claims_long.py``, which its
@@ -114,8 +114,8 @@ def test_ablation_interpreter_vs_jit():
     jit_load, jit_cost, _ = results["jit"]
     assert jit_cost < interp_cost  # execution is cheaper
     assert jit_load > interp_load  # but loading pays compilation
-    # ``repro bench``'s host ns/probe is only meaningful if each mode
-    # actually fires its program in a loop.
+    # A host profile of the ablation measures dispatch only if each
+    # mode actually fires its program in a loop.
     assert BPFProgram.global_runs() - fires_before >= 2 * STEADY_RUNS
 
 

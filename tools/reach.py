@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Which functions under ``src/repro`` does any entry point call?
 
-Runs one table of non-test entry points (``drives`` below: every bench
-scenario's smoke preset, every registry runner and digest, every CLI verb and
-format, the examples, the five ``pipeline_bench`` workloads at a small
+Runs one table of non-test entry points (``drives`` below: every
+scenario's pinned role, every registry runner and digest, every CLI verb
+and format, the examples, the five ``pipeline_bench`` workloads at a small
 scale) under a hook that notes each function entered, and compares that
 with an ``ast`` index of every ``def`` in the package.  A function no
 entry reaches must be listed in ``tools/reach_keep.txt``, one line each::
@@ -351,16 +351,11 @@ def drives(root: Path, tmp: Path) -> Iterator[Drive]:
         ("--format", "chrome", "--out", str(tmp / "rpc.chrome")), ("--shards", "4"),
     ):
         yield f"cli:rpc {' '.join(flags[:2])}", _cli("rpc", "--requests", "12", *flags)
-    yield "cli:bench --only", _cli("bench", "--only", "ablation_trace_ids")
-    yield "cli:bench --only --json --out --profile", _cli(
-        "bench", "--only", "ablation_trace_ids", "--json", "--profile", "5",
-        "--out", str(tmp / "bench.json"),
-    )
 
     # The registry: every runner and digest on its defaults (the figures
-    # ran under `run all`, the bench-only specs run below), every builder
+    # ran under `run all`, the pinned-only specs run below), every builder
     # resolved.
-    from repro.experiments import SCENARIOS
+    from repro.experiments import SCENARIOS, pinned_names
 
     for name in sorted(SCENARIOS):
         spec = SCENARIOS[name]
@@ -368,11 +363,9 @@ def drives(root: Path, tmp: Path) -> Iterator[Drive]:
             yield f"registry:{name}.run", lambda spec=spec: (spec.build_fn(), spec.run_fn()())
             yield f"registry:{name}.digest", lambda spec=spec: spec.digest_fn()()
 
-    # The figure suite, smoke preset, one row per registered bench scenario.
-    from repro.bench import bench_specs, run_scenario
-
-    for spec in bench_specs():
-        yield f"bench:{spec.name}", lambda spec=spec: run_scenario(spec, "smoke")
+    # Every pinned role, called as the pin table's ``bench:`` rows call it.
+    for name in pinned_names():
+        yield f"bench:{name}", lambda spec=SCENARIOS[name]: spec.pinned_fn()()
 
     # Examples (README rows).  The three case-study walkthroughs take five
     # minutes between them to re-run the figure runners above; what only
