@@ -152,10 +152,6 @@ def _timeline(args) -> int:
     tracer = result.tracer
     complete_only = args.flow == "complete"
     forest = tracer.span_forest(QUICKSTART_CHAIN, complete_only=complete_only)
-    if args.warm_cache:
-        # Assemble again and export the cache-served forest: the pin
-        # table holds it to the cold-cache run's bytes.
-        forest = tracer.span_forest(QUICKSTART_CHAIN, complete_only=complete_only)
 
     if args.trace_id is not None:
         tree = forest.tree_for(args.trace_id)
@@ -504,10 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="engine shard count for the scenario run; 0 = "
                                "plain single-heap engine (output is "
                                "byte-identical at any count)")
-    timeline.add_argument("--warm-cache", action="store_true",
-                          help="assemble the forest twice and export the "
-                               "second, cache-served copy (byte-identical "
-                               "to the cold one)")
     faults = sub.add_parser(
         "faults",
         help="run the fault-equivalence experiment: resilient delivery "

@@ -120,6 +120,7 @@ class Agent:
         self.node = node
         self.collector = collector
         self.engine = node.engine
+        registry = registry if registry is not None else MetricsRegistry()
         self.registry = registry
         self.package: Optional[ControlPackage] = None
         self.scripts: Dict[str, InstalledScript] = {}
@@ -162,17 +163,12 @@ class Agent:
         self._pending_ships: Dict[int, Delivery] = {}
         self._installed_deploy_id: Optional[int] = None
 
-        self._m_flush_latency = self._m_batches = None
-        self._m_records = self._m_load_ns = None
-        if registry is not None:
-            fires = registry.register_spec(obs_contract.AGENT_PROBE_FIRES)
-            fires.add_callback(self._probe_fire_samples)
-            self._m_flush_latency = registry.register_spec(
-                obs_contract.AGENT_FLUSH_LATENCY)
-            self._m_batches = registry.register_spec(obs_contract.AGENT_BATCHES_SENT)
-            self._m_records = registry.register_spec(
-                obs_contract.AGENT_RECORDS_FORWARDED)
-            self._m_load_ns = registry.register_spec(obs_contract.AGENT_BPF_LOAD_NS)
+        fires = registry.register_spec(obs_contract.AGENT_PROBE_FIRES)
+        fires.add_callback(self._probe_fire_samples)
+        self._m_flush_latency = registry.register_spec(obs_contract.AGENT_FLUSH_LATENCY)
+        self._m_batches = registry.register_spec(obs_contract.AGENT_BATCHES_SENT)
+        self._m_records = registry.register_spec(obs_contract.AGENT_RECORDS_FORWARDED)
+        self._m_load_ns = registry.register_spec(obs_contract.AGENT_BPF_LOAD_NS)
         collector.register_agent(self)
 
     # -- control plane -------------------------------------------------------
@@ -222,7 +218,6 @@ class Agent:
             policy=cfg.ring_policy,
             sample_prob=RING_SAMPLE_PROB,
             rng=self.node.rng.fork("ring-policy"),
-            fault_metrics=self.fault_metrics,
         )
         self.ring.start()
 
@@ -262,8 +257,7 @@ class Agent:
             )
             load_cost = program.load()
             self.loaded_programs.append(program)
-            if self._m_load_ns is not None:
-                self._m_load_ns.inc(load_cost, labels=(self.node.name,))
+            self._m_load_ns.inc(load_cost, labels=(self.node.name,))
             # Verification/JIT happens in the bpf() syscall on a host CPU.
             self.node.cpus[0].submit(load_cost)
             env = ExecutionEnv(
@@ -361,9 +355,8 @@ class Agent:
         # The mmap'd /proc buffer: the drain itself is cheap and does
         # not copy per record.
         self.node.cpus[0].submit(FLUSH_FIXED_COST_NS)
-        if self._m_flush_latency is not None and self.ring is not None:
-            self._m_flush_latency.observe(
-                self.ring.last_flush_age_ns, labels=(self.node.name,))
+        self._m_flush_latency.observe(
+            self.ring.last_flush_age_ns, labels=(self.node.name,))
         if self._online:
             self._ship(batch)
         else:
@@ -456,9 +449,8 @@ class Agent:
     # -- self-observability ------------------------------------------------------
 
     def _count_shipment(self, records: int) -> None:
-        if self._m_batches is not None:
-            self._m_batches.inc(labels=(self.node.name,))
-            self._m_records.inc(records, labels=(self.node.name,))
+        self._m_batches.inc(labels=(self.node.name,))
+        self._m_records.inc(records, labels=(self.node.name,))
 
     def _probe_fire_samples(self) -> Dict[Tuple[str, str], int]:
         """Pull source for ``vnt_agent_probe_fires_total``: each deployed

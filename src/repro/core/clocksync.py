@@ -87,7 +87,7 @@ class ClockSynchronizer:
     ):
         self.master_node = master_node
         self.target_node = target_node
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.master_ip = master_ip
         self.target_ip = target_ip
         self.samples = samples
@@ -171,8 +171,7 @@ class ClockSynchronizer:
         self.result = SkewEstimate(
             skew_ns=skew, one_way_ns=best_owt, rtt_min_ns=rtt_min, samples=n
         )
-        if self.registry is not None:
-            self._export_round(self.result)
+        self._export_round(self.result)
         self._teardown()
         if self.on_done is not None:
             self.on_done(self.result)

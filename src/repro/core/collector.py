@@ -59,6 +59,7 @@ class RawDataCollector:
         registry: Optional[MetricsRegistry] = None,
     ):
         self.engine = engine
+        registry = registry if registry is not None else MetricsRegistry()
         self.db = db if db is not None else TraceDB(registry=registry)
         self.registry = registry
         self.agents: Dict[str, "Agent"] = {}
@@ -81,18 +82,15 @@ class RawDataCollector:
         # it sits downstream of the dedup/resequencing pipeline.
         self._streaming = None
 
-        self._m_batches = self._m_records = self._m_unknown = None
-        if registry is not None:
-            self._m_batches = registry.register_spec(obs_contract.COLLECTOR_BATCHES)
-            self._m_records = registry.register_spec(obs_contract.COLLECTOR_RECORDS)
-            self._m_unknown = registry.register_spec(obs_contract.COLLECTOR_UNKNOWN)
-            staleness = registry.register_spec(
-                obs_contract.COLLECTOR_HEARTBEAT_STALENESS)
-            staleness.add_callback(self._staleness_samples)
-            # The ingest-rate gauge is set by the StatsSampler (it owns
-            # the sampling window); registering it here keeps the whole
-            # collector stage present even before a sampler attaches.
-            registry.register_spec(obs_contract.COLLECTOR_INGEST_RATE)
+        self._m_batches = registry.register_spec(obs_contract.COLLECTOR_BATCHES)
+        self._m_records = registry.register_spec(obs_contract.COLLECTOR_RECORDS)
+        self._m_unknown = registry.register_spec(obs_contract.COLLECTOR_UNKNOWN)
+        staleness = registry.register_spec(obs_contract.COLLECTOR_HEARTBEAT_STALENESS)
+        staleness.add_callback(self._staleness_samples)
+        # The ingest-rate gauge is set by the StatsSampler (it owns
+        # the sampling window); registering it here keeps the whole
+        # collector stage present even before a sampler attaches.
+        registry.register_spec(obs_contract.COLLECTOR_INGEST_RATE)
 
     # -- registration ---------------------------------------------------------
 
@@ -182,15 +180,13 @@ class RawDataCollector:
 
     def _apply(self, node: str, blob: bytes) -> None:
         self.batches_received += 1
-        if self._m_batches is not None:
-            self._m_batches.inc()
+        self._m_batches.inc()
         count, unknown = self.db.insert_packed(node, blob, self._labels)
         self.records_received += count
         self.unknown_tracepoint_records += unknown
-        if unknown and self._m_unknown is not None:
+        if unknown:
             self._m_unknown.inc(unknown)
-        if self._m_records is not None:
-            self._m_records.inc(count)
+        self._m_records.inc(count)
         self.batch_log.append((self.engine.now, node, count))
         if self._streaming is not None:
             self._streaming.observe_ingest(node)

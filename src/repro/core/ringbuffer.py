@@ -22,9 +22,8 @@ configured *degradation policy* decides what is lost (docs/FAULTS.md):
   come from a :class:`~repro.sim.rng.SeededRNG`, so runs stay
   deterministic).
 
-Every lost record is counted in ``total_dropped`` (and, when a
-:class:`~repro.faults.metrics.FaultMetrics` is attached, under
-``vnt_fault_records_lost_total{reason="ring_policy"}``) -- loss
+Every lost record is counted in ``total_dropped`` and under
+``vnt_fault_records_lost_total{reason="ring_policy"}`` -- loss
 accounting is exact under every policy.  With ``strict=True`` the
 buffer raises :class:`RingBufferFull` whenever a record is lost (the
 drop is still counted), for callers that must fail fast rather than
@@ -36,16 +35,16 @@ mode) without wedging the buffer for subsequent records.
 capacity -- the fault injector's "forced ring pressure" windows, which
 model a competing kernel consumer squeezing the buffer.
 
-When a :class:`~repro.obs.registry.MetricsRegistry` is supplied, the
-buffer exports the ``ringbuffer`` stage of the metrics contract
-(``docs/OBSERVABILITY.md``): appends, drops, flushes, flush batch
-sizes, and the occupancy high-water mark.
+The buffer exports the ``ringbuffer`` stage of the metrics contract
+(``docs/OBSERVABILITY.md``) into its registry (a private one when built
+without): appends, drops, flushes, flush batch sizes, and the occupancy
+high-water mark.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, TYPE_CHECKING
+from typing import Callable, Deque, List, Optional
 
 from repro.core.config import (
     GlobalConfig,
@@ -53,13 +52,11 @@ from repro.core.config import (
     RING_POLICY_DROP_NEWEST,
     RING_POLICY_SAMPLE,
 )
+from repro.faults.metrics import FaultMetrics
 from repro.obs import contract as obs_contract
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.rng import SeededRNG
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.metrics import FaultMetrics
 
 FLUSH_FIXED_COST_NS = 900  # remap + bookkeeping, independent of volume
 
@@ -84,7 +81,6 @@ class TraceRingBuffer:
         policy: str = RING_POLICY_DROP_NEWEST,
         sample_prob: float = 0.5,
         rng: Optional[SeededRNG] = None,
-        fault_metrics: "Optional[FaultMetrics]" = None,
     ):
         if not GlobalConfig.MIN_RING_BYTES <= capacity_bytes <= GlobalConfig.MAX_RING_BYTES:
             raise ValueError(
@@ -105,7 +101,8 @@ class TraceRingBuffer:
         # The sample policy needs randomness; a policy-less buffer never
         # draws, so existing deployments stay on their exact RNG streams.
         self._rng = rng
-        self._fault_metrics = fault_metrics
+        registry = registry if registry is not None else MetricsRegistry()
+        self._fault_metrics = FaultMetrics(registry)
         self._reserved_bytes = 0
         self._records: Deque[bytes] = deque()
         self._used_bytes = 0
@@ -120,22 +117,20 @@ class TraceRingBuffer:
         self._timer = None
         self._running = False
 
-        self._m_batch = self._m_hwm = None
-        if registry is not None:
-            # The append/drop/flush counters are *pull-based* (evaluated at
-            # collection time from the totals this buffer already keeps), so
-            # the per-record hot path does no metric work.  Summing is
-            # monotone-correct across redeploys: a replaced ring's callback
-            # keeps reporting its frozen totals.  The occupancy gauge must
-            # stay push-based -- maxima from successive rings do not sum.
-            appended = registry.register_spec(obs_contract.RING_APPENDED)
-            appended.add_callback(lambda: {(self.node,): float(self.total_appended)})
-            dropped = registry.register_spec(obs_contract.RING_DROPPED)
-            dropped.add_callback(lambda: {(self.node,): float(self.total_dropped)})
-            flushes = registry.register_spec(obs_contract.RING_FLUSHES)
-            flushes.add_callback(lambda: {(self.node,): float(self.flushes)})
-            self._m_batch = registry.register_spec(obs_contract.RING_FLUSH_BATCH)
-            self._m_hwm = registry.register_spec(obs_contract.RING_OCCUPANCY_HWM)
+        # The append/drop/flush counters are *pull-based* (evaluated at
+        # collection time from the totals this buffer already keeps), so
+        # the per-record hot path does no metric work.  Summing is
+        # monotone-correct across redeploys: a replaced ring's callback
+        # keeps reporting its frozen totals.  The occupancy gauge must
+        # stay push-based -- maxima from successive rings do not sum.
+        appended = registry.register_spec(obs_contract.RING_APPENDED)
+        appended.add_callback(lambda: {(self.node,): float(self.total_appended)})
+        dropped = registry.register_spec(obs_contract.RING_DROPPED)
+        dropped.add_callback(lambda: {(self.node,): float(self.total_dropped)})
+        flushes = registry.register_spec(obs_contract.RING_FLUSHES)
+        flushes.add_callback(lambda: {(self.node,): float(self.flushes)})
+        self._m_batch = registry.register_spec(obs_contract.RING_FLUSH_BATCH)
+        self._m_hwm = registry.register_spec(obs_contract.RING_OCCUPANCY_HWM)
 
     # -- producer side (called by the perf-event consumer) ----------------
 
@@ -170,8 +165,7 @@ class TraceRingBuffer:
         self.total_appended += 1
         if self._used_bytes > self.occupancy_hwm_bytes:
             self.occupancy_hwm_bytes = self._used_bytes
-            if self._m_hwm is not None:
-                self._m_hwm.set_max(self._used_bytes, labels=(self.node,))
+            self._m_hwm.set_max(self._used_bytes, labels=(self.node,))
         if evicted and self.strict:
             raise RingBufferFull(
                 f"{self.name}: evicted {evicted} record(s) to admit a "
@@ -191,8 +185,7 @@ class TraceRingBuffer:
     def _count_drops(self, count: int) -> None:
         if count:
             self.total_dropped += count
-            if self._fault_metrics is not None:
-                self._fault_metrics.records_lost(self.node, "ring_policy", count)
+            self._fault_metrics.records_lost(self.node, "ring_policy", count)
 
     @property
     def used_bytes(self) -> int:
@@ -248,8 +241,7 @@ class TraceRingBuffer:
         self.flushes += 1
         self.last_flush_age_ns = self.engine.now - (self._first_append_ns or 0)
         self._first_append_ns = None
-        if self._m_batch is not None:
-            self._m_batch.observe(len(batch), labels=(self.node,))
+        self._m_batch.observe(len(batch), labels=(self.node,))
         self.on_flush(batch)
         return len(batch)
 

@@ -186,16 +186,16 @@ class TraceDB:
         # Observability counters (docs/OBSERVABILITY.md, tracedb stage).
         self.bulk_batches = 0
         self.index_rebuilds = 0
-        if registry is not None:
-            registry.register_spec(obs_contract.TRACEDB_BYTES).add_callback(
-                self._bytes_stored_sample
-            )
-            registry.register_spec(obs_contract.TRACEDB_INDEX_REBUILDS).add_callback(
-                self._index_rebuilds_sample
-            )
-            registry.register_spec(obs_contract.TRACEDB_BULK_BATCHES).add_callback(
-                self._bulk_batches_sample
-            )
+        registry = registry if registry is not None else MetricsRegistry()
+        registry.register_spec(obs_contract.TRACEDB_BYTES).add_callback(
+            self._bytes_stored_sample
+        )
+        registry.register_spec(obs_contract.TRACEDB_INDEX_REBUILDS).add_callback(
+            self._index_rebuilds_sample
+        )
+        registry.register_spec(obs_contract.TRACEDB_BULK_BATCHES).add_callback(
+            self._bulk_batches_sample
+        )
 
     # -- clock alignment -----------------------------------------------------
 

@@ -46,11 +46,10 @@ class FaultInjector:
         engine: Engine,
         plan: FaultPlan,
         registry: Optional[MetricsRegistry] = None,
-        metrics: Optional[FaultMetrics] = None,
     ):
         self.engine = engine
         self.plan = plan
-        self.metrics = metrics if metrics is not None else FaultMetrics(registry)
+        self.metrics = FaultMetrics(registry)
         self._control_rng = SeededRNG(plan.seed, "faults/control")
         self._shipment_rng = SeededRNG(plan.seed, "faults/shipment")
         self._armed = False

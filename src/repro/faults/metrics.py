@@ -1,11 +1,11 @@
 """The ``faults`` stage of the metrics contract, in one helper.
 
-Dispatcher, agents, collector, and the injector all account their
-retry / fault events through a shared :class:`FaultMetrics` so the
-whole stage registers as a unit (``register_spec`` is get-or-create,
-so several components constructing one against the same registry is
-fine).  Without a registry every increment is a no-op -- the resilient
-delivery machinery never requires the observability layer.
+Dispatcher, agents, collector, ring buffers and the injector all
+account their retry / fault events through a shared
+:class:`FaultMetrics` so the whole stage registers as a unit
+(``register_spec`` is get-or-create, so several components constructing
+one against the same registry is fine).  Built without a registry, the
+helper counts into a private one.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ class FaultMetrics:
     """Increment helpers over the faults-stage contract metrics."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry
-        if registry is None:
-            self._deploy_attempts = self._deploy_retries = None
-            self._ship_attempts = self._ship_retries = None
-            self._control_injected = self._shipment_injected = None
-            self._crashes = self._restarts = None
-            self._records_lost = self._ring_pressure = self._deduped = None
-            return
+        registry = registry if registry is not None else MetricsRegistry()
         self._deploy_attempts = registry.register_spec(
             obs_contract.RETRY_DEPLOY_ATTEMPTS)
         self._deploy_retries = registry.register_spec(
@@ -47,47 +40,37 @@ class FaultMetrics:
     # -- retries -----------------------------------------------------------
 
     def deploy_attempt(self, node: str) -> None:
-        if self._deploy_attempts is not None:
-            self._deploy_attempts.inc(labels=(node,))
+        self._deploy_attempts.inc(labels=(node,))
 
     def deploy_retry(self, node: str) -> None:
-        if self._deploy_retries is not None:
-            self._deploy_retries.inc(labels=(node,))
+        self._deploy_retries.inc(labels=(node,))
 
     def ship_attempt(self, node: str) -> None:
-        if self._ship_attempts is not None:
-            self._ship_attempts.inc(labels=(node,))
+        self._ship_attempts.inc(labels=(node,))
 
     def ship_retry(self, node: str) -> None:
-        if self._ship_retries is not None:
-            self._ship_retries.inc(labels=(node,))
+        self._ship_retries.inc(labels=(node,))
 
     # -- injected faults ---------------------------------------------------
 
     def control_injected(self, kind: str) -> None:
-        if self._control_injected is not None:
-            self._control_injected.inc(labels=(kind,))
+        self._control_injected.inc(labels=(kind,))
 
     def shipment_injected(self, kind: str) -> None:
-        if self._shipment_injected is not None:
-            self._shipment_injected.inc(labels=(kind,))
+        self._shipment_injected.inc(labels=(kind,))
 
     def agent_crash(self, node: str) -> None:
-        if self._crashes is not None:
-            self._crashes.inc(labels=(node,))
+        self._crashes.inc(labels=(node,))
 
     def agent_restart(self, node: str) -> None:
-        if self._restarts is not None:
-            self._restarts.inc(labels=(node,))
+        self._restarts.inc(labels=(node,))
 
     def records_lost(self, node: str, reason: str, count: int) -> None:
-        if self._records_lost is not None and count > 0:
+        if count > 0:
             self._records_lost.inc(count, labels=(node, reason))
 
     def ring_pressure(self, node: str) -> None:
-        if self._ring_pressure is not None:
-            self._ring_pressure.inc(labels=(node,))
+        self._ring_pressure.inc(labels=(node,))
 
     def shipment_deduped(self, node: str) -> None:
-        if self._deduped is not None:
-            self._deduped.inc(labels=(node,))
+        self._deduped.inc(labels=(node,))

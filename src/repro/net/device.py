@@ -54,9 +54,6 @@ class DeviceStats:
         self.rx_bytes = 0
         self.rx_dropped = 0
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class NetDevice:
     """Base class; subclasses define where transmitted packets go."""

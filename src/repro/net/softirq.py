@@ -114,12 +114,9 @@ class SoftirqNet:
 
     # -- introspection ---------------------------------------------------------
 
-    def total_invocations(self) -> int:
-        return sum(self.invocations)
-
     def invocation_distribution(self) -> List[float]:
         """Fraction of invocations per CPU (Fig. 13a style)."""
-        total = self.total_invocations()
+        total = sum(self.invocations)
         if total == 0:
             return [0.0] * len(self.invocations)
         return [count / total for count in self.invocations]

@@ -41,6 +41,8 @@ from repro.net.traceid import (
     TraceIDEngine,
     wire_record_id,
 )
+from repro.obs import contract
+from repro.obs.registry import MetricsRegistry
 from repro.services.graph import CallSpec, ServiceGraph, TierSpec
 from repro.sim.rng import SeededRNG
 
@@ -270,7 +272,15 @@ class ServiceDeployment:
         self._edge_ip: Dict[Tuple[str, str], IPv4Address] = {}
         # child trace ID -> parent trace IDs, read back from the wire.
         self.links: Dict[int, Tuple[int, ...]] = {}
-        self._metrics = None
+        registry = registry if registry is not None else MetricsRegistry()
+        self._metrics = {
+            "requests": registry.register_spec(contract.RPC_REQUESTS),
+            "responses": registry.register_spec(contract.RPC_RESPONSES),
+            "calls": registry.register_spec(contract.RPC_CALLS),
+            "links": registry.register_spec(contract.RPC_LINKS_RECORDED),
+            "inflight": registry.register_spec(contract.RPC_INFLIGHT),
+            "latency": registry.register_spec(contract.RPC_REQUEST_LATENCY),
+        }
         self._link_count = itertools.count(0)
 
         for tier in graph.tiers:
@@ -292,9 +302,6 @@ class ServiceDeployment:
             for caller in self.services[call.caller]:
                 for callee in self.services[call.target]:
                     self._wire_edge(caller, callee, link_gbps, propagation_ns)
-
-        if registry is not None:
-            self.attach_metrics(registry)
 
     # -- wiring -------------------------------------------------------------
 
@@ -388,40 +395,21 @@ class ServiceDeployment:
         child = wire_record_id(child_id)
         if child not in self.links:
             self.links[child] = tuple(wire_record_id(p) for p in parents)
-            if self._metrics is not None:
-                self._metrics["links"].inc()
+            self._metrics["links"].inc()
 
     # -- metrics ------------------------------------------------------------
 
-    def attach_metrics(self, registry) -> None:
-        """Register the ``vnt_rpc_*`` contract specs (idempotent)."""
-        from repro.obs import contract
-
-        self._metrics = {
-            "requests": registry.register_spec(contract.RPC_REQUESTS),
-            "responses": registry.register_spec(contract.RPC_RESPONSES),
-            "calls": registry.register_spec(contract.RPC_CALLS),
-            "links": registry.register_spec(contract.RPC_LINKS_RECORDED),
-            "inflight": registry.register_spec(contract.RPC_INFLIGHT),
-            "latency": registry.register_spec(contract.RPC_REQUEST_LATENCY),
-        }
-
     def count_request(self, tier_name: str) -> None:
-        if self._metrics is not None:
-            self._metrics["requests"].inc(labels=(tier_name,))
+        self._metrics["requests"].inc(labels=(tier_name,))
 
     def count_response(self, tier_name: str) -> None:
-        if self._metrics is not None:
-            self._metrics["responses"].inc(labels=(tier_name,))
+        self._metrics["responses"].inc(labels=(tier_name,))
 
     def count_call(self, caller: str, callee: str) -> None:
-        if self._metrics is not None:
-            self._metrics["calls"].inc(labels=(caller, callee))
+        self._metrics["calls"].inc(labels=(caller, callee))
 
     def count_completion(self, tier_name: str, latency_ns: int) -> None:
-        if self._metrics is not None:
-            self._metrics["latency"].observe(latency_ns, labels=(tier_name,))
+        self._metrics["latency"].observe(latency_ns, labels=(tier_name,))
 
     def set_inflight(self, node_name: str, value: int) -> None:
-        if self._metrics is not None:
-            self._metrics["inflight"].set(value, labels=(node_name,))
+        self._metrics["inflight"].set(value, labels=(node_name,))

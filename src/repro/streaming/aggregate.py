@@ -57,7 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.core.metrics import TRACE_ID_BYTES
 from repro.core.tracedb import TraceDB
 from repro.obs import contract as obs_contract
-from repro.obs.registry import estimate_quantile
+from repro.obs.registry import MetricsRegistry, estimate_quantile
 from repro.streaming.sketch import LATENCY_SKETCH_BUCKETS_NS
 from repro.streaming.windows import DEFAULT_TOP_K, DEFAULT_WINDOW_NS, TopKSlowest, WindowFrame
 
@@ -181,19 +181,15 @@ class StreamingAggregator:
         self._emit_timer = None
         self._emit_engine = None
 
-        self._m_records = self._m_windows = self._m_late = None
-        self._m_merges = self._m_evictions = self._m_open = self._m_wm = None
-        if registry is not None:
-            self._m_records = registry.register_spec(obs_contract.STREAM_RECORDS)
-            self._m_windows = registry.register_spec(obs_contract.STREAM_WINDOWS_CLOSED)
-            self._m_late = registry.register_spec(obs_contract.STREAM_LATE_OR_GAP)
-            self._m_merges = registry.register_spec(obs_contract.STREAM_SKETCH_MERGES)
-            self._m_evictions = registry.register_spec(
-                obs_contract.STREAM_TOPK_EVICTIONS
-            )
-            self._m_open = registry.register_spec(obs_contract.STREAM_OPEN_WINDOWS)
-            self._m_wm = registry.register_spec(obs_contract.STREAM_WATERMARK)
-            self._m_open.set(0)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._m_records = registry.register_spec(obs_contract.STREAM_RECORDS)
+        self._m_windows = registry.register_spec(obs_contract.STREAM_WINDOWS_CLOSED)
+        self._m_late = registry.register_spec(obs_contract.STREAM_LATE_OR_GAP)
+        self._m_merges = registry.register_spec(obs_contract.STREAM_SKETCH_MERGES)
+        self._m_evictions = registry.register_spec(obs_contract.STREAM_TOPK_EVICTIONS)
+        self._m_open = registry.register_spec(obs_contract.STREAM_OPEN_WINDOWS)
+        self._m_wm = registry.register_spec(obs_contract.STREAM_WATERMARK)
+        self._m_open.set(0)
 
     # -- wiring ------------------------------------------------------------
 
@@ -305,18 +301,16 @@ class StreamingAggregator:
         """A ``skip_shipment`` gap notice: that sequence number will
         never arrive (docs/FAULTS.md)."""
         self.gap_notices += 1
-        if self._m_late is not None:
-            self._m_late.inc(1, ("gap",))
+        self._m_late.inc(1, ("gap",))
 
     def _observe_segments(self, node, segments) -> None:
         count, late = self._ingest_segments(node, segments)
         self.records += count
-        if count and self._m_records is not None:
+        if count:
             self._m_records.inc(count, (node,))
         if late:
             self.late_records += late
-            if self._m_late is not None:
-                self._m_late.inc(late, ("late",))
+            self._m_late.inc(late, ("late",))
         self._advance_watermark()
 
     def _ingest_segments(self, node, segments):
@@ -417,8 +411,7 @@ class StreamingAggregator:
         if self._watermark is not None and wm <= self._watermark:
             return
         self._watermark = wm
-        if self._m_wm is not None:
-            self._m_wm.set(wm)
+        self._m_wm.set(wm)
         open_set = self._open
         window = self._window_ns
         while open_set:
@@ -561,11 +554,10 @@ class StreamingAggregator:
                 map(int.__add__, self._hop_pts[hop_idx], pts)
             )
             self.sketch_merges += 1
-            if self._m_merges is not None:
-                self._m_merges.inc()
+            self._m_merges.inc()
             if hop_idx == self._e2e_idx:
                 evicted = self.topk.extend(zip(lats, neg_ids), count)
-                if evicted and self._m_evictions is not None:
+                if evicted:
                     self._m_evictions.inc(evicted)
 
         self.frames.append(
@@ -579,10 +571,8 @@ class StreamingAggregator:
             )
         )
         self.windows_closed += 1
-        if self._m_windows is not None:
-            self._m_windows.inc()
-        if self._m_open is not None:
-            self._m_open.set(len(self._open))
+        self._m_windows.inc()
+        self._m_open.set(len(self._open))
 
     # -- results -----------------------------------------------------------
 

@@ -220,10 +220,10 @@ class SpanAssembler:
     with ``forest()``; the counters count requests, so each request that
     is not a cache hit counts its trees and spans whoever built them.
 
-    When a registry is supplied the assembler registers and drives the
-    ``tracing`` stage of the metrics contract: trees built, spans
-    emitted, orphan records, anomalous spans, forest rebuilds / cache
-    hits, and trace groups assembled.
+    The assembler registers and drives the ``tracing`` stage of the
+    metrics contract (in a private registry when built without one):
+    trees built, spans emitted, orphan records, anomalous spans, forest
+    rebuilds / cache hits, and trace groups assembled.
     """
 
     def __init__(self, db: TraceDB, registry: Optional[MetricsRegistry] = None):
@@ -237,16 +237,14 @@ class SpanAssembler:
         # Valid only while self._cache_generation == db.generation.
         self._cache: Dict[tuple, object] = {}
         self._cache_generation: Optional[int] = None
-        self._m_trees = self._m_spans = self._m_orphans = self._m_anomalies = None
-        self._m_rebuilds = self._m_hits = self._m_groups = None
-        if registry is not None:
-            self._m_trees = registry.register_spec(obs_contract.SPAN_TREES)
-            self._m_spans = registry.register_spec(obs_contract.SPAN_SPANS)
-            self._m_orphans = registry.register_spec(obs_contract.SPAN_ORPHANS)
-            self._m_anomalies = registry.register_spec(obs_contract.SPAN_ANOMALIES)
-            self._m_rebuilds = registry.register_spec(obs_contract.SPAN_FOREST_REBUILDS)
-            self._m_hits = registry.register_spec(obs_contract.SPAN_FOREST_CACHE_HITS)
-            self._m_groups = registry.register_spec(obs_contract.SPAN_GROUPS_ASSEMBLED)
+        registry = registry if registry is not None else MetricsRegistry()
+        self._m_trees = registry.register_spec(obs_contract.SPAN_TREES)
+        self._m_spans = registry.register_spec(obs_contract.SPAN_SPANS)
+        self._m_orphans = registry.register_spec(obs_contract.SPAN_ORPHANS)
+        self._m_anomalies = registry.register_spec(obs_contract.SPAN_ANOMALIES)
+        self._m_rebuilds = registry.register_spec(obs_contract.SPAN_FOREST_REBUILDS)
+        self._m_hits = registry.register_spec(obs_contract.SPAN_FOREST_CACHE_HITS)
+        self._m_groups = registry.register_spec(obs_contract.SPAN_GROUPS_ASSEMBLED)
 
     # -- memo cache and counters ---------------------------------------------
 
@@ -258,13 +256,11 @@ class SpanAssembler:
 
     def _note_hit(self) -> None:
         self.forest_cache_hits += 1
-        if self._m_hits is not None:
-            self._m_hits.inc()
+        self._m_hits.inc()
 
     def _note_rebuild(self) -> None:
         self.forest_rebuilds += 1
-        if self._m_rebuilds is not None:
-            self._m_rebuilds.inc()
+        self._m_rebuilds.inc()
 
     def _count_build(self, columns: SpanColumns, groups: int, orphans: int) -> None:
         """Count one answered request: what it assembled, whether or not
@@ -274,14 +270,13 @@ class SpanAssembler:
         self.trees_built += trees
         self.spans_built += len(columns)
         self.orphan_records += orphans
-        if self._m_groups is not None:
-            if groups:
-                self._m_groups.inc(groups)
-            if trees:
-                self._m_trees.inc(trees)
-                self._m_spans.inc(len(columns))
-            if orphans:
-                self._m_orphans.inc(orphans)
+        if groups:
+            self._m_groups.inc(groups)
+        if trees:
+            self._m_trees.inc(trees)
+            self._m_spans.inc(len(columns))
+        if orphans:
+            self._m_orphans.inc(orphans)
 
     # -- assembly ------------------------------------------------------------
 
@@ -511,7 +506,7 @@ class SpanAssembler:
         from repro.tracing.critical import flag_anomalies
 
         found = flag_anomalies(forest, factor=factor)
-        if self._m_anomalies is not None and found:
+        if found:
             self._m_anomalies.inc(len(found))
         return found
 

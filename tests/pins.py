@@ -68,7 +68,6 @@ CLI = {
     "examples/quickstart.py": ("examples/quickstart.py --shards 4",),
     "repro stats --format json": (),
     "repro timeline --format chrome --out FILE": (
-        "repro timeline --format chrome --warm-cache --out FILE",
         "repro timeline --format chrome --shards 1 --out FILE",
         "repro timeline --format chrome --shards 4 --out FILE",
     ),

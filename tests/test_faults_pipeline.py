@@ -117,7 +117,7 @@ class TestMalformedBatch:
 
 
 def _ring(engine, policy, capacity=96, sample_prob=0.5, flushed=None,
-          fault_metrics=None):
+          registry=None):
     return TraceRingBuffer(
         engine,
         capacity_bytes=capacity,  # four 24-byte records
@@ -126,7 +126,7 @@ def _ring(engine, policy, capacity=96, sample_prob=0.5, flushed=None,
         policy=policy,
         sample_prob=sample_prob,
         rng=SeededRNG(1, "ring-test"),
-        fault_metrics=fault_metrics,
+        registry=registry,
     )
 
 
@@ -186,11 +186,8 @@ class TestRingPolicies:
         assert ring.used_bytes == 0
 
     def test_exact_loss_accounting(self, engine):
-        from repro.faults.metrics import FaultMetrics
-
         registry = MetricsRegistry()
-        ring = _ring(engine, "drop-oldest",
-                     fault_metrics=FaultMetrics(registry))
+        ring = _ring(engine, "drop-oldest", registry=registry)
         ring.node = "n1"
         self._fill(ring)
         for i in range(5):
@@ -198,6 +195,20 @@ class TestRingPolicies:
         metric = registry.get("vnt_fault_records_lost_total")
         assert dict(metric.samples()) == {("n1", "ring_policy"): 5.0}
         assert ring.total_dropped == 5
+
+    def test_ring_drops_are_records_lost_over_its_own_registry(self, engine):
+        # Built with a registry and no FaultMetrics, the ring still
+        # accounts every drop as a lost record with a reason.
+        registry = MetricsRegistry()
+        ring = TraceRingBuffer(engine, 64, 1_000_000, lambda b: None,
+                               registry=registry, node="n1")
+        for i in range(10):
+            ring.append(_record(trace_id=i).pack())
+        assert ring.total_dropped == 8
+        assert registry.total("vnt_fault_records_lost_total") == ring.total_dropped
+        assert registry.total("vnt_ring_dropped_total") == ring.total_dropped
+        metric = registry.get("vnt_fault_records_lost_total")
+        assert dict(metric.samples()) == {("n1", "ring_policy"): 8.0}
 
 
 class TestControlPlaneRetries:

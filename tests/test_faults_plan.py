@@ -109,6 +109,16 @@ class TestDecisionStreams:
         metric = registry.get("vnt_fault_control_injected_total")
         assert dict(metric.samples()) == {("loss",): 7.0}
 
+    def test_injector_counts_into_its_registry_only(self):
+        registry = MetricsRegistry()
+        plan = FaultPlan(seed=5, shipment=ChannelFaults(loss_prob=1.0))
+        injector = FaultInjector(Engine(), plan, registry=registry)
+        for _ in range(4):
+            injector.shipment_decision()
+        metric = registry.get("vnt_fault_shipment_injected_total")
+        assert dict(metric.samples()) == {("loss",): 4.0}
+        assert registry.total("vnt_fault_control_injected_total") == 0
+
 
 class _StubAgent:
     def __init__(self, ring=None):

@@ -4,7 +4,7 @@ engine odds and ends."""
 import pytest
 
 from repro.net.costs import CostModel, DEFAULT_COSTS, gbps_to_ns_per_byte
-from repro.net.device import DeviceStats, VethDevice
+from repro.net.device import VethDevice
 from repro.net.packet import (
     EthernetHeader,
     IPv4Header,
@@ -42,18 +42,6 @@ class TestCostModel:
         draws = {node.noisy(10_000) for _ in range(50)}
         assert len(draws) > 10
         assert all(5_000 < value < 20_000 for value in draws)
-
-
-class TestDeviceStats:
-    def test_as_dict_complete(self):
-        stats = DeviceStats()
-        stats.tx_packets = 3
-        as_dict = stats.as_dict()
-        assert as_dict["tx_packets"] == 3
-        assert set(as_dict) == {
-            "tx_packets", "tx_bytes", "tx_dropped",
-            "rx_packets", "rx_bytes", "rx_dropped",
-        }
 
 
 class TestDoubleEncapsulation:

@@ -333,8 +333,8 @@ def drives(root: Path, tmp: Path) -> Iterator[Drive]:
         yield f"cli:timeline {fmt}", _cli(
             "timeline", "--format", fmt, "--duration-ms", "200", "--out", str(tmp / f"t.{fmt}")
         )
-    yield "cli:timeline --flow all --warm-cache --shards 0", _cli(
-        "timeline", "--flow", "all", "--warm-cache", "--shards", "0", "--duration-ms", "200",
+    yield "cli:timeline --flow all --shards 0", _cli(
+        "timeline", "--flow", "all", "--shards", "0", "--duration-ms", "200",
         "--out", str(tmp / "t.all"),
     )
     # The first packet of seed 42 (trace IDs are draws of the seeded RNG).
